@@ -71,10 +71,7 @@ class SetPcConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     local: LocalConfig = field(default_factory=LocalConfig)
     budget: object | None = None
-    options: object | None = None
-    allow_reduced: bool = True
     dual_mode: bool = True
-    revert_on_exit: bool = True
     pin_jam: bool = False
     track_demand: bool = True
 
@@ -225,8 +222,7 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     corrected, theta, demand = _ingest(state, y, config)
 
     if config.dual_mode:
-        phase = dual_mode_supervisor(state.phase, corrected.upper, config.terminal,
-                                     revert_on_exit=config.revert_on_exit)
+        phase = dual_mode_supervisor(state.phase, corrected.upper, config.terminal)
     else:
         phase = PHASE_MPC
 
@@ -234,9 +230,7 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     if phase == PHASE_MPC:
         planning = pin_jam_to_upper(theta) if config.pin_jam else theta
         result = solve_mpc(corrected, demand, planning, config.mpc,
-                           config.terminal, budget=config.budget,
-                           options=config.options,
-                           allow_reduced=config.allow_reduced)
+                           config.terminal, budget=config.budget)
         command = result.u
         value = result.value
         feasible = result.feasible

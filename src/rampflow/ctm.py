@@ -110,18 +110,6 @@ def split_state(x: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     return x[..., :n_cells], x[..., n_cells:]
 
 
-def check_state(params: FreewayParams, x: np.ndarray, *, tol: float = 1e-9) -> np.ndarray:
-    """Validate a stacked state vector and return it as a float array."""
-    x = np.asarray(x, dtype=float)
-    main, queues = split_state(x, params.n_cells)
-    if np.any(x < -tol):
-        raise ValueError("state entries must be nonnegative")
-    if np.any(main > params.x_jam + tol):
-        raise ValueError("mainline occupancy exceeds jam occupancy")
-    del queues
-    return x
-
-
 def demand_fn(params: FreewayParams, x_main: np.ndarray, *,
               tol: float = 1e-9) -> np.ndarray:
     """Per-cell sending flow min{v x, xi(x)}.

@@ -2,11 +2,20 @@
 
 The plant map is not order preserving (outflow jumps down when a cell tips
 past its critical occupancy), so interval prediction goes through a
-two-argument decomposition instead: ``_one_sided`` evaluates the next state
+two-argument decomposition instead: ``_tube_flows`` evaluates the next state
 from a primary tuple (state x, demand lam, parameter set A) that pushes the
 result up and a secondary tuple (state z, parameter set B) that pulls it
 down. Evaluating it twice with the tuples exchanged brackets every
 trajectory the uncertainty boxes allow.
+
+``_tube_flows`` is the one home of the tube's flow arithmetic. Besides the
+next state it returns the named intermediates of the outflow side and the
+merge side (speed-line flow, drop threshold and no-drop flag, switched
+ceiling, sending flow, affine receiving flow, realized flow).
+``lifted_step`` keeps the next state; the planner in :mod:`rampflow.mpc`
+scatters the intermediates into its MILP columns and evaluates them at box
+corners for its big-M ranges. The plant in :mod:`rampflow.ctm` is a separate
+implementation on purpose: it is the reference the tube is tested against.
 
 Slot orientation, fixed here and relied on by the set-membership code:
 
@@ -24,16 +33,19 @@ beta has no secondary slot: the merge term multiplies beta back against a
 supply that divides by the same beta, so one value serves both.
 
 On the diagonal (equal tuples) the map reproduces ``ctm.compact_step``
-bit for bit; the expression trees are kept identical on purpose.
+bit for bit: it computes in the plant's operation order on purpose, and the
+plant's cap of the supply at the upstream capacity, which the kernel leaves
+out, never changes the realized flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ctm import FreewayParams, compact_step
+from .ctm import FreewayParams
 
 PARAM_FIELDS = ("beta", "v", "w", "x_jam", "c_max", "alpha")
 
@@ -123,30 +135,48 @@ class ParamBounds:
         return cls(upper=params, lower=params)
 
 
-def tilde_demand(x, z, v, c, alpha, v_threshold):
-    """Sending flow with the speed line read at x and the ceiling read at z.
+class _Side(NamedTuple):
+    """The named intermediates of one flow interface; cells on the last axis."""
+
+    vx: np.ndarray    # speed-line flow v*x of the sending cell
+    thr: np.ndarray   # drop threshold c / v of the ceiling's reading
+    keep: np.ndarray  # no-drop flag: the reading sits at or below thr
+    xi: np.ndarray    # switched ceiling, c or alpha*c
+    d: np.ndarray     # sending flow min(vx, xi)
+    s: np.ndarray     # affine receiving flow (w/beta)(x_jam - x) downstream
+    f: np.ndarray     # realized flow min(d, max(0, s))
+
+
+class _TubeFlows(NamedTuple):
+    """Everything one one-sided tube step computes."""
+
+    out: _Side        # flow leaving every cell (no supply for the last one)
+    merge: _Side      # flow from cells 1..I-1 into cells 2..I
+    next: np.ndarray  # stacked next state
+
+
+def _sending(x, z, v, c, alpha, v_threshold):
+    """Speed line read at x, ceiling read at z.
 
     The ceiling switches to the dropped value alpha*c once z passes
     c / v_threshold; the boundary keeps full capacity, matching the plant.
     """
-    xi = np.where(z <= c / v_threshold, c, alpha * c)
-    return np.minimum(v * x, xi)
+    thr = c / v_threshold
+    keep = z <= thr
+    vx = v * x
+    xi = np.where(keep, c, alpha * c)
+    return vx, thr, keep, xi, np.minimum(vx, xi)
 
 
-def tilde_supply(x, w, beta_upstream, x_jam, c_upstream):
-    """Receiving flow of a cell at occupancy x, clamped at zero.
-
-    The clamp matters because interval arithmetic evaluates this above
-    x_jam when the jam bound is read from the opposite corner of the box.
-    """
-    return np.maximum(0.0, np.minimum((w / beta_upstream) * (x_jam - x), c_upstream))
-
-
-def _one_sided(x, z, u, lam, primary, secondary):
-    """Next stacked state from the split tuples; broadcasts over leading axes.
+def _tube_flows(x, z, u, lam, primary, secondary) -> _TubeFlows:
+    """One tube step from the split tuples; broadcasts over leading axes.
 
     primary is (beta, v, w, x_jam, c_max, alpha) and secondary is the same
-    without beta. All arrays; cells along the last axis.
+    without beta. All arrays; cells along the last axis. The receiving flow
+    stays affine (negative above x_jam, which interval arithmetic can reach
+    when the jam bound is read from the opposite corner of the box); only
+    the realized flow clamps it at zero. Its cap at the upstream capacity
+    is left out because the sending flow never exceeds that capacity.
     """
     beta_a, v_a, w_a, xjam_a, c_a, alpha_a = primary
     v_b, w_b, xjam_b, c_b, alpha_b = secondary
@@ -155,29 +185,29 @@ def _one_sided(x, z, u, lam, primary, secondary):
     xm, xr = x[..., :n], x[..., n:]
     zm = np.asarray(z, dtype=float)[..., :n]
 
-    # merge inflow into cells 2..I: what the upstream cell offers, throttled
-    # by the space this cell advertises, all read from the primary tuple
-    d_up = tilde_demand(xm[..., :-1], zm[..., :-1], v_a[..., :-1], c_a[..., :-1],
-                        alpha_a[..., :-1], v_b[..., :-1])
-    s_in = tilde_supply(xm[..., 1:], w_a[..., 1:], beta_a, xjam_a[..., 1:],
-                        c_a[..., :-1])
-    f_up = np.minimum(d_up, s_in)
-
     # cell outflow, read from the secondary tuple except for the drop
     # threshold denominator and the supply's beta, which cross over
-    d_out = tilde_demand(xm, xm, v_b, c_b, alpha_b, v_a)
-    s_out = tilde_supply(xm[..., 1:], w_b[..., 1:], beta_a, xjam_b[..., 1:],
-                         c_b[..., :-1])
-    f_out = d_out.copy()
-    f_out[..., :-1] = np.minimum(d_out[..., :-1], s_out)
+    vx, thr, keep, xi, d = _sending(xm, xm, v_b, c_b, alpha_b, v_a)
+    s = (w_b[..., 1:] / beta_a) * (xjam_b[..., 1:] - xm[..., 1:])
+    f = d.copy()
+    f[..., :-1] = np.minimum(d[..., :-1], np.maximum(0.0, s))
+    out = _Side(vx, thr, keep, xi, d, s, f)
+
+    # merge inflow into cells 2..I: what the upstream cell offers, throttled
+    # by the space this cell advertises, all read from the primary tuple
+    vx, thr, keep, xi, d = _sending(xm[..., :-1], zm[..., :-1], v_a[..., :-1],
+                                    c_a[..., :-1], alpha_a[..., :-1], v_b[..., :-1])
+    s = (w_a[..., 1:] / beta_a) * (xjam_a[..., 1:] - xm[..., 1:])
+    merge = _Side(vx, thr, keep, xi, d, s, np.minimum(d, np.maximum(0.0, s)))
 
     shape = np.broadcast_shapes(xm.shape, np.shape(u))
     inflow = np.zeros(shape)
     inflow += u
-    inflow[..., 1:] += beta_a * f_up
-    next_m = (xm + inflow) - f_out
+    inflow[..., 1:] += beta_a * merge.f
+    next_m = (xm + inflow) - out.f
     next_r = (xr + lam) - u
-    return np.concatenate(np.broadcast_arrays(next_m, next_r), axis=-1)
+    return _TubeFlows(out, merge,
+                      np.concatenate(np.broadcast_arrays(next_m, next_r), axis=-1))
 
 
 def _primary_tuple(p: FreewayParams):
@@ -191,8 +221,8 @@ def _secondary_tuple(p: FreewayParams):
 def decomposition_F(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
                     bounds: ParamBounds) -> np.ndarray:
     """Upper component of the tube map (lower = same call with tuples swapped)."""
-    return _one_sided(lifted.upper, lifted.lower, u, demand.upper,
-                      _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower))
+    return _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
+                       _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower)).next
 
 
 def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
@@ -203,10 +233,10 @@ def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
     in [0, x_jam] and its queues nonnegative, so tightening the bracket to
     those ranges cannot lose the true state.
     """
-    up = _one_sided(lifted.upper, lifted.lower, u, demand.upper,
-                    _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower))
-    lo = _one_sided(lifted.lower, lifted.upper, u, demand.lower,
-                    _primary_tuple(bounds.lower), _secondary_tuple(bounds.upper))
+    up = _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
+                     _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower)).next
+    lo = _tube_flows(lifted.lower, lifted.upper, u, demand.lower,
+                     _primary_tuple(bounds.lower), _secondary_tuple(bounds.upper)).next
     n = up.shape[-1] // 2
     cap = np.maximum(bounds.upper.x_jam, bounds.lower.x_jam)
     for arr in (up, lo):
@@ -220,8 +250,8 @@ def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
 def lifted_point_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
                       lam: np.ndarray) -> np.ndarray:
     """Compact dynamics evaluated through the tube map's own code path."""
-    return _one_sided(x, x, u, lam, _primary_tuple(params),
-                      _secondary_tuple(params))
+    return _tube_flows(x, x, u, lam, _primary_tuple(params),
+                       _secondary_tuple(params)).next
 
 
 def simulate_lifted(lifted: LiftedState, controls: np.ndarray,
@@ -244,10 +274,3 @@ def simulate_lifted(lifted: LiftedState, controls: np.ndarray,
         state = lifted_step(state, u_k, dem_k, bounds, check=check)
     return state
 
-
-def degenerate_check(params: FreewayParams, x: np.ndarray, u: np.ndarray,
-                     lam: np.ndarray) -> bool:
-    """True when the tube map and the plant's compact step agree bit for bit."""
-    through_tube = lifted_point_step(params, x, u, lam)
-    direct = compact_step(params, x, u, lam)
-    return bool(np.array_equal(through_tube, direct))

@@ -160,21 +160,9 @@ def state_update(predicted: LiftedState, y: Observation,
         raise ValueError("observation does not match the output model's size")
     if np.any(~np.isfinite(y_main[output_model.mainline_mask])):
         raise ValueError("a measured cell is missing its reading")
-
-    for i in np.flatnonzero(output_model.mainline_mask):
-        val = y_main[i] / output_model.c_diag[i]
-        if val < lo[i] - tol or val > up[i] + tol:
-            raise ContainmentViolation(
-                f"mainline cell {i}: reading {val:.6g} outside "
-                f"[{lo[i]:.6g}, {up[i]:.6g}]")
-        up[i] = lo[i] = min(max(val, lo[i]), up[i])
-    for i in range(n):
-        val = y_ramp[i]
-        if val < lo[n + i] - tol or val > up[n + i] + tol:
-            raise ContainmentViolation(
-                f"ramp queue {i}: reading {val:.6g} outside "
-                f"[{lo[n + i]:.6g}, {up[n + i]:.6g}]")
-        up[n + i] = lo[n + i] = min(max(val, lo[n + i]), up[n + i])
+    outside = _absorb(up, lo, y, output_model, tol)
+    if outside is not None:
+        raise ContainmentViolation(outside)
     return LiftedState(upper=up, lower=lo)
 
 
@@ -193,28 +181,30 @@ def demand_update(window: MeasurementWindow) -> DemandBounds:
 
 
 def _absorb(up: np.ndarray, lo: np.ndarray, y: Observation,
-            output_model: OutputModel, tol: float) -> bool:
+            output_model: OutputModel, tol: float) -> str | None:
     """Collapse measured entries of [lo, up] onto the readings, in place.
 
-    Returns False when some reading lies strictly outside the box by more
-    than tol, i.e. the box is certified inconsistent with the measurement.
+    Mainline cells whose reading is missing (NaN) keep their interval.
+    Returns None when every reading fits the box within tol; otherwise
+    stops at the first reading strictly outside it, which certifies the
+    box inconsistent with the measurement, and returns its description.
     """
     n = output_model.mainline_mask.shape[0]
     y_main = np.asarray(y.y_main, dtype=float)
-    y_ramp = np.asarray(y.y_ramp, dtype=float)
-    for i in np.flatnonzero(output_model.mainline_mask):
-        if not np.isfinite(y_main[i]):
-            continue
-        val = y_main[i] / output_model.c_diag[i]
-        if val < lo[i] - tol or val > up[i] + tol:
-            return False
-        up[i] = lo[i] = min(max(val, lo[i]), up[i])
-    for i in range(n):
-        val = y_ramp[i]
-        if val < lo[n + i] - tol or val > up[n + i] + tol:
-            return False
-        up[n + i] = lo[n + i] = min(max(val, lo[n + i]), up[n + i])
-    return True
+    cells = np.flatnonzero(output_model.mainline_mask & np.isfinite(y_main))
+    idx = np.concatenate([cells, n + np.arange(n)])
+    vals = np.concatenate([y_main[cells] / output_model.c_diag[cells],
+                           np.asarray(y.y_ramp, dtype=float)])
+    low, high = lo[idx], up[idx]
+    outside = (vals < low - tol) | (vals > high + tol)
+    if outside.any():
+        k = int(np.argmax(outside))
+        j = int(idx[k])
+        where = f"mainline cell {j}" if j < n else f"ramp queue {j - n}"
+        return (f"{where}: reading {vals[k]:.6g} outside "
+                f"[{low[k]:.6g}, {high[k]:.6g}]")
+    up[idx] = lo[idx] = np.minimum(np.maximum(vals, low), high)
+    return None
 
 
 def interval_consistency(theta_box: ParamBounds, state_box0: LiftedState,
@@ -254,7 +244,7 @@ def interval_consistency(theta_box: ParamBounds, state_box0: LiftedState,
 
     up = np.array(state_box0.upper, dtype=float)
     lo = np.array(state_box0.lower, dtype=float)
-    if not _absorb(up, lo, observations[0], output_model, tol):
+    if _absorb(up, lo, observations[0], output_model, tol) is not None:
         return INFEASIBLE
     for k in range(steps):
         box = lifted_step(LiftedState(upper=up, lower=lo), controls[k],
@@ -269,7 +259,7 @@ def interval_consistency(theta_box: ParamBounds, state_box0: LiftedState,
             np.minimum(up, tied_up, out=up)
             np.maximum(lo, tied_lo, out=lo)
             np.maximum(up, lo, out=up)
-        if not _absorb(up, lo, observations[k + 1], output_model, tol):
+        if _absorb(up, lo, observations[k + 1], output_model, tol) is not None:
             return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 

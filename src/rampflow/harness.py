@@ -580,7 +580,6 @@ class RunArtifacts:
     state: SetPcState | None
     x: np.ndarray
     next_t: int
-    capture: tuple[LiftedState, ParamBounds, DemandBounds] | None = None
 
 
 def _running(scenario: Scenario, upper: np.ndarray) -> float:
@@ -604,8 +603,7 @@ def _seal_gap(scenario: Scenario, log: TrajectoryLog) -> None:
         log.gap = scenario.gap_rel * float(np.max(np.abs(finite))) + 1e-6
 
 
-def _run_setpc(scenario: Scenario, *, capture_t: int | None = None,
-               stop_on_entry: bool = False) -> RunArtifacts:
+def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifacts:
     params, model = scenario.params, scenario.output_model
     config = scenario.loop_config()
     state = SetPcState(
@@ -617,7 +615,6 @@ def _run_setpc(scenario: Scenario, *, capture_t: int | None = None,
     log = _new_log(scenario)
     x = scenario.x0.copy()
     u_warm = 0.5 * scenario.demand_box.lower
-    capture = None
     t = 0
     for tick in range(scenario.warmup + scenario.steps):
         y = measure(model, x)
@@ -625,18 +622,14 @@ def _run_setpc(scenario: Scenario, *, capture_t: int | None = None,
             u, state, diag = forced_step(state, y, config, u_warm)
         else:
             u, state, diag = setpc_step(state, y, config)
-        if capture_t is not None and tick == capture_t:
-            capture = (diag.corrected, state.params, state.demand)
         log.append(x, diag.corrected, u, diag.value, _running(scenario, diag.corrected.upper),
                    diag.feasible, diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
         t = tick + 1
-        if capture is not None:
-            break
         if stop_on_entry and np.all(diag.corrected.upper <= scenario.terminal.x_f + 1e-9):
             break
     _seal_gap(scenario, log)
-    return RunArtifacts(log=log, state=state, x=x, next_t=t, capture=capture)
+    return RunArtifacts(log=log, state=state, x=x, next_t=t)
 
 
 def _run_baseline(scenario: Scenario) -> RunArtifacts:

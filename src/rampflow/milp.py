@@ -235,15 +235,6 @@ class ModelBuilder:
         self.lower[j] = float(value)
         self.upper[j] = float(value)
 
-    def tighten(self, j: int, lower: float, upper: float) -> None:
-        """Shrink a column's bounds; never widens."""
-        self.lower[j] = max(self.lower[j], float(lower))
-        self.upper[j] = min(self.upper[j], float(upper))
-        if self.lower[j] > self.upper[j] + 1e-9:
-            raise ValueError(
-                f"tightening column {self.col_names[j]} emptied its range"
-            )
-
     def _lp(self) -> LinearProgram:
         return LinearProgram(
             name=self.name,

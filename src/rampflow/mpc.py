@@ -15,6 +15,12 @@ column bounds, which is also what forces the planned ramp discharge to
 equal the command (queues stay nonnegative only when u never exceeds
 queue plus arrivals, and merges fit only below jam occupancy).
 
+The flow arithmetic itself lives in one place, the tube kernel
+``embedding._tube_flows``: the plan codec below scatters its named
+intermediates into these columns, and the column ranges come from the
+kernel evaluated at the corners of the propagated state boxes. This module
+only writes rows and combines ranges.
+
 Before any row is written, forward interval propagation bounds every
 column from the initial box and the control limits. That serves three
 purposes: the big-M constants come out near-minimal, gadgets whose branch
@@ -42,6 +48,11 @@ from .embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
+    _primary_tuple,
+    _secondary_tuple,
+    _Side,
+    _tube_flows,
+    _TubeFlows,
     lifted_step,
 )
 
@@ -442,75 +453,66 @@ class _Comp:
     lam: np.ndarray
     x0: np.ndarray
 
-
-class _Ranges:
-    """Interval bounds of one component's stage auxiliaries."""
-
-    __slots__ = (
-        "vxo", "xio", "do", "so", "fo", "vxu", "xiu", "du", "si", "fu",
-        "thr_out", "thr_up",
-    )
-
-    def __init__(self, comp: _Comp, own, oth, jam, merge: bool):
-        xlb, xub = own[0][: jam.shape[0]], own[1][: jam.shape[0]]
-        zlb, zub = oth[0][: jam.shape[0]], oth[1][: jam.shape[0]]
-        prim, sec = comp.prim, comp.sec
-        self.thr_out = sec.c_max / prim.v
-        self.vxo = (sec.v * xlb, sec.v * xub)
-        drop_c = sec.alpha * sec.c_max
-        self.xio = (
-            np.where(xub > self.thr_out, drop_c, sec.c_max),
-            np.where(xlb <= self.thr_out, sec.c_max, drop_c),
-        )
-        self.do = _own_demand_range(xlb, xub, sec.v, sec.c_max, sec.alpha,
-                                    self.thr_out)
-        coef = sec.w[1:] / prim.beta
-        self.so = (coef * (jam[1:] - xub[1:]), coef * (jam[1:] - xlb[1:]))
-        fo_lb = self.do[0].copy()
-        fo_ub = self.do[1].copy()
-        fo_lb[:-1] = np.minimum(fo_lb[:-1], self.so[0])
-        fo_ub[:-1] = np.minimum(fo_ub[:-1], self.so[1])
-        self.fo = (fo_lb, fo_ub)
-        if merge:
-            self.thr_up = prim.c_max[:-1] / sec.v[:-1]
-            self.vxu = (prim.v[:-1] * xlb[:-1], prim.v[:-1] * xub[:-1])
-            c_p = prim.c_max[:-1]
-            drop_p = prim.alpha[:-1] * c_p
-            self.xiu = (
-                np.where(zub[:-1] > self.thr_up, drop_p, c_p),
-                np.where(zlb[:-1] <= self.thr_up, c_p, drop_p),
-            )
-            self.du = (
-                np.minimum(self.vxu[0], self.xiu[0]),
-                np.minimum(self.vxu[1], self.xiu[1]),
-            )
-            coef_u = prim.w[1:] / prim.beta
-            self.si = (coef_u * (jam[1:] - xub[1:]),
-                       coef_u * (jam[1:] - xlb[1:]))
-            self.fu = (
-                np.minimum(self.du[0], self.si[0]),
-                np.minimum(self.du[1], self.si[1]),
-            )
-        else:
-            self.thr_up = None
-            self.vxu = self.xiu = self.du = self.si = None
-            self.fu = (fo_lb[:-1], fo_ub[:-1])
+    def flows(self, x, z, u) -> _TubeFlows:
+        """The tube kernel at own state x and other-component state z."""
+        return _tube_flows(x, z, u, self.lam, _primary_tuple(self.prim),
+                           _secondary_tuple(self.sec))
 
 
-def _own_demand_range(xlb, xub, v, c, alpha, thr):
-    """Exact range of min(v*x, switched ceiling) when x spans [xlb, xub]."""
+# column and gadget name prefixes of the intermediates, per side
+_NAMES = {
+    "out": {"vx": "vxo", "xi": "xio", "drop": "dropo", "d": "do",
+            "dmin": "dmin", "s": "so", "f": "fo", "fmin": "fmin"},
+    "merge": {"vx": "vxu", "xi": "xiu", "drop": "dropu", "d": "du",
+              "dmin": "umin", "s": "si", "f": "fu", "fmin": "gmin"},
+}
 
-    def val(x):
-        return np.minimum(v * x, np.where(x <= thr, c, alpha * c))
 
-    at_lb, at_ub = val(xlb), val(xub)
-    at_thr = val(np.clip(thr, xlb, xub))
-    ub = np.maximum(np.maximum(at_lb, at_ub), at_thr)
-    lb = np.minimum(at_lb, at_ub)
-    inside = (thr >= xlb) & (thr < xub)
-    just_over = np.minimum(v * thr, alpha * c)
-    lb = np.where(inside, np.minimum(lb, just_over), lb)
-    return lb, ub
+def _labels(side: str, tag: str, k: int, i: int) -> dict[str, str]:
+    """Column and gadget names of one side's stage-k auxiliaries of cell i."""
+    return {key: f"{pre}.{tag}[{k}][{i}]" for key, pre in _NAMES[side].items()}
+
+
+def _stage_ranges(comp: _Comp, own, oth, merge: bool):
+    """Interval bounds of one component's stage auxiliaries, per side.
+
+    own and oth are the (lower, upper) boxes of this component's stacked
+    state and of the other component's. Every term but the outflow sending
+    flow is monotone in the one occupancy it reads, so the kernel at the
+    low corner (own state low, other state high) and at the high corner
+    gives both ends; the realized flows combine the ranges of their two
+    terms. Returns (out, merge) dicts of (lower, upper) pairs keyed like
+    the kernel's fields, plus the drop threshold under "thr"; without
+    merge columns the merge dict only carries the flow the outflow side
+    feeds downstream.
+    """
+    lo = comp.flows(own[0], oth[1], 0.0)
+    hi = comp.flows(own[1], oth[0], 0.0)
+    n = own[0].shape[0] // 2
+    at_thr = own[0].copy()
+    at_thr[:n] = np.clip(lo.out.thr, own[0][:n], own[1][:n])
+    peak = comp.flows(at_thr, oth[1], 0.0).out.d
+    # The outflow sending flow reads its own occupancy twice: it follows
+    # the speed line up to the drop threshold, falls there and never falls
+    # again, so its maximum sits at the clipped threshold or at an end. Its
+    # minimum sits at an end too: just above the threshold the flow either
+    # equals the dropped ceiling, as at xub, or lies on the speed line
+    # above its value at xlb.
+    d = (np.minimum(lo.out.d, hi.out.d),
+         np.maximum(np.maximum(lo.out.d, hi.out.d), peak))
+    s = (hi.out.s, lo.out.s)
+    f = (d[0].copy(), d[1].copy())
+    for f_end, d_end, s_end in zip(f, d, s):
+        f_end[:-1] = np.minimum(d_end[:-1], s_end)
+    out = {"thr": lo.out.thr, "vx": (lo.out.vx, hi.out.vx),
+           "xi": (hi.out.xi, lo.out.xi), "d": d, "s": s, "f": f}
+    if not merge:
+        return out, {"f": (f[0][:-1], f[1][:-1])}
+    d = (lo.merge.d, hi.merge.d)
+    s = (hi.merge.s, lo.merge.s)
+    return out, {"thr": lo.merge.thr, "vx": (lo.merge.vx, hi.merge.vx),
+                 "xi": (lo.merge.xi, hi.merge.xi), "d": d, "s": s,
+                 "f": (np.minimum(d[0], s[0]), np.minimum(d[1], s[1]))}
 
 
 def _finalize(prop_lb, prop_ub, limit_ub):
@@ -527,46 +529,6 @@ def _finalize(prop_lb, prop_ub, limit_ub):
     lb = np.where(bad, 0.0, lb)
     ub = np.where(bad, limit_ub, ub)
     return lb, ub
-
-
-class _Problem:
-    """Encoded horizon problem plus its column map and codec closures."""
-
-    def __init__(self, model, layout, encode, decode, ucap):
-        self.model = model
-        self.layout = layout
-        self.encode = encode
-        self.decode = decode
-        self.ucap = ucap
-
-
-@dataclass
-class _Layout:
-    n_cells: int
-    horizon: int
-    reduced: bool
-    cost_mode: str
-    xm: tuple
-    q: tuple
-    u: np.ndarray
-    vxo: tuple
-    xio: tuple
-    do: tuple
-    so: tuple
-    fo: tuple
-    vxu: tuple
-    xiu: tuple
-    du: tuple
-    si: tuple
-    fu: tuple
-    zo_drop: tuple
-    zo_dmin: tuple
-    zo_fmin: tuple
-    zu_drop: tuple
-    zu_dmin: tuple
-    zu_fmin: tuple
-    gate: np.ndarray | None
-    stage_cost: np.ndarray | None
 
 
 def _settle_min(builder: milp.ModelBuilder, z: int, a: int, b: int) -> None:
@@ -605,6 +567,36 @@ def _validate_inputs(xhat, demand, bounds, config, terminal, n):
         raise ValueError("demand box must have one entry per ramp")
     if np.any(lam_lo < -_BOUND_TOL) or np.any(lam_lo > lam_up + _BOUND_TOL):
         raise ValueError("demand box is invalid")
+
+
+class _Problem:
+    """Encoded horizon problem plus its column map and codec closures."""
+
+    def __init__(self, model, layout, encode, decode):
+        self.model = model
+        self.layout = layout
+        self.encode = encode
+        self.decode = decode
+
+
+@dataclass
+class _Layout:
+    n_cells: int
+    horizon: int
+    u: np.ndarray
+
+
+def _scatter(vec: np.ndarray, ids: dict, k: int, side: _Side) -> None:
+    """Write one side's kernel intermediates into its stage-k columns."""
+    m = ids["s"].shape[1]
+    vec[ids["vx"][k]] = side.vx
+    vec[ids["xi"][k]] = side.xi
+    vec[ids["drop"][k]] = side.keep
+    vec[ids["d"][k]] = side.d
+    vec[ids["dmin"][k]] = side.vx <= side.xi
+    vec[ids["s"][k]] = side.s
+    vec[ids["f"][k, :m]] = side.f[:m]
+    vec[ids["fmin"][k]] = side.d[:m] <= side.s
 
 
 def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
@@ -653,34 +645,26 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     ucap = np.empty((t, n))
     limit_last = np.minimum(box_ub, terminal.x_f)
 
-    def stage_ranges(k):
-        out = []
-        for c, comp in enumerate(comps):
-            oth = (ncomp - 1) - c if merge else c
-            out.append(
-                _Ranges(
-                    comp,
-                    (blb[c][k], bub[c][k]),
-                    (blb[oth][k], bub[oth][k]),
-                    jam,
-                    merge,
-                )
-            )
-        return out
+    ranges = []  # per stage, per component: the _stage_ranges pair
 
     for k in range(t):
         ucap[k] = np.minimum(u_hw, bub[low_idx][k][n:] + lam_lo)
-        ranges = stage_ranges(k)
+        # the other component of c is ncomp-1-c, itself when there is one
+        ranges.append([
+            _stage_ranges(comp, (blb[c][k], bub[c][k]),
+                          (blb[low_idx - c][k], bub[low_idx - c][k]), merge)
+            for c, comp in enumerate(comps)
+        ])
         limit = limit_last if k + 1 == t else box_ub
         for c, comp in enumerate(comps):
-            r = ranges[c]
+            r_out, r_merge = ranges[k][c]
             beta = comp.prim.beta
             inc_lb = np.zeros(n)
             inc_ub = ucap[k].copy()
-            inc_lb[1:] += beta * r.fu[0]
-            inc_ub[1:] += beta * r.fu[1]
-            m_lb = blb[c][k][:n] + inc_lb - r.fo[1]
-            m_ub = bub[c][k][:n] + inc_ub - r.fo[0]
+            inc_lb[1:] += beta * r_merge["f"][0]
+            inc_ub[1:] += beta * r_merge["f"][1]
+            m_lb = blb[c][k][:n] + inc_lb - r_out["f"][1]
+            m_ub = bub[c][k][:n] + inc_ub - r_out["f"][0]
             q_lb = blb[c][k][n:] + comp.lam - ucap[k]
             q_ub = bub[c][k][n:] + comp.lam
             plb = np.concatenate([m_lb, q_lb])
@@ -724,150 +708,84 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                 f"u[{k}][{i}]", lower=0.0, upper=ucap[k, i]
             )
 
-    def blank(rows, cols):
-        return tuple(np.empty((rows, cols), dtype=np.int64) for _ in comps)
+    # column ids per component and side, keyed like _NAMES; the outflow
+    # side's last realized flow is its sending flow (no cell downstream)
+    def side_ids(cells, short):
+        return {key: np.empty((t, cells - (key in short)), dtype=np.int64)
+                for key in _NAMES["out"]}
 
-    vxo, xio, do = blank(t, n), blank(t, n), blank(t, n)
-    so = blank(t, n - 1)
-    fo = blank(t, n)
-    zo_drop, zo_dmin = blank(t, n), blank(t, n)
-    zo_fmin = blank(t, n - 1)
-    if merge:
-        vxu, xiu, du = blank(t, n - 1), blank(t, n - 1), blank(t, n - 1)
-        si, fu = blank(t, n - 1), blank(t, n - 1)
-        zu_drop, zu_dmin, zu_fmin = (
-            blank(t, n - 1), blank(t, n - 1), blank(t, n - 1),
+    cols = [{"out": side_ids(n, ("s", "fmin")), "merge": side_ids(n - 1, ())}
+            for _ in comps]
+
+    def add_aux(ids, rng, key, k, i, at):
+        ids[key][k, i] = bld.add_variable(
+            at[key], lower=rng[key][0][i], upper=rng[key][1][i])
+        return int(ids[key][k, i])
+
+    def sending(ids, rng, p, at, k, i, x_col, z_col):
+        """Speed line, switched ceiling and sending flow of cell i."""
+        vx = add_aux(ids, rng, "vx", k, i, at)
+        bld.add_row({vx: 1.0, x_col: -p.v[i]}, "E", 0.0, f"def.{at['vx']}")
+        xi = add_aux(ids, rng, "xi", k, i, at)
+        thr = float(rng["thr"][i])
+        ids["drop"][k, i] = milp.encode_capacity_drop(
+            bld, xi, z_col, thr, float(p.c_max[i]), float(p.alpha[i]),
+            float(jam[i]), name=at["drop"],
         )
-    else:
-        vxu = xiu = du = si = zu_drop = zu_dmin = zu_fmin = blank(t, 0)
-        fu = blank(t, n - 1)
+        _settle_drop(bld, int(ids["drop"][k, i]), z_col, thr)
+        d = add_aux(ids, rng, "d", k, i, at)
+        ids["dmin"][k, i] = milp.encode_min_equality(bld, d, vx, xi,
+                                                     name=at["dmin"])
+        _settle_min(bld, int(ids["dmin"][k, i]), vx, xi)
+
+    def receiving(ids, rng, p, beta, at, k, i, x_down):
+        """Affine receiving flow of cell i+1 and the realized flow into it."""
+        s = add_aux(ids, rng, "s", k, i, at)
+        coef = p.w[i + 1] / beta[i]
+        bld.add_row({s: 1.0, x_down: coef}, "E", coef * jam[i + 1],
+                    f"def.{at['s']}")
+        f = add_aux(ids, rng, "f", k, i, at)
+        d = int(ids["d"][k, i])
+        ids["fmin"][k, i] = milp.encode_min_equality(bld, f, d, s,
+                                                     name=at["fmin"])
+        _settle_min(bld, int(ids["fmin"][k, i]), d, s)
 
     for k in range(t):
-        ranges = stage_ranges(k)
         for c, comp in enumerate(comps):
-            r = ranges[c]
+            r_out, r_merge = ranges[k][c]
             tag = comp.tag
             prim, sec = comp.prim, comp.sec
+            out, mrg = cols[c]["out"], cols[c]["merge"]
             xo_k = xm[c][k]
             xn_k = xm[c][k + 1]
-            zo_k = xm[(ncomp - 1) - c][k] if merge else xo_k
-            # sending flows out of every cell
+            zo_k = xm[low_idx - c][k]
             for i in range(n):
-                vxo[c][k, i] = bld.add_variable(
-                    f"vxo.{tag}[{k}][{i}]",
-                    lower=r.vxo[0][i], upper=r.vxo[1][i],
-                )
-                bld.add_row(
-                    {int(vxo[c][k, i]): 1.0, int(xo_k[i]): -sec.v[i]},
-                    "E", 0.0, f"def.vxo.{tag}[{k}][{i}]",
-                )
-                xio[c][k, i] = bld.add_variable(
-                    f"xio.{tag}[{k}][{i}]",
-                    lower=r.xio[0][i], upper=r.xio[1][i],
-                )
-                zo_drop[c][k, i] = milp.encode_capacity_drop(
-                    bld, int(xio[c][k, i]), int(xo_k[i]),
-                    float(r.thr_out[i]), float(sec.c_max[i]),
-                    float(sec.alpha[i]), float(jam[i]),
-                    name=f"dropo.{tag}[{k}][{i}]",
-                )
-                _settle_drop(bld, int(zo_drop[c][k, i]), int(xo_k[i]),
-                             float(r.thr_out[i]))
-                do[c][k, i] = bld.add_variable(
-                    f"do.{tag}[{k}][{i}]",
-                    lower=r.do[0][i], upper=r.do[1][i],
-                )
-                zo_dmin[c][k, i] = milp.encode_min_equality(
-                    bld, int(do[c][k, i]), int(vxo[c][k, i]),
-                    int(xio[c][k, i]), name=f"dmin.{tag}[{k}][{i}]",
-                )
-                _settle_min(bld, int(zo_dmin[c][k, i]),
-                            int(vxo[c][k, i]), int(xio[c][k, i]))
+                sending(out, r_out, sec, _labels("out", tag, k, i), k, i,
+                        int(xo_k[i]), int(xo_k[i]))
             for i in range(n - 1):
-                so[c][k, i] = bld.add_variable(
-                    f"so.{tag}[{k}][{i}]",
-                    lower=r.so[0][i], upper=r.so[1][i],
-                )
-                coef = sec.w[i + 1] / prim.beta[i]
-                bld.add_row(
-                    {int(so[c][k, i]): 1.0, int(xo_k[i + 1]): coef},
-                    "E", coef * jam[i + 1], f"def.so.{tag}[{k}][{i}]",
-                )
-                fo[c][k, i] = bld.add_variable(
-                    f"fo.{tag}[{k}][{i}]",
-                    lower=r.fo[0][i], upper=r.fo[1][i],
-                )
-                zo_fmin[c][k, i] = milp.encode_min_equality(
-                    bld, int(fo[c][k, i]), int(do[c][k, i]),
-                    int(so[c][k, i]), name=f"fmin.{tag}[{k}][{i}]",
-                )
-                _settle_min(bld, int(zo_fmin[c][k, i]),
-                            int(do[c][k, i]), int(so[c][k, i]))
-            fo[c][k, n - 1] = do[c][k, n - 1]
-            # merge flows between consecutive cells
+                receiving(out, r_out, sec, prim.beta,
+                          _labels("out", tag, k, i), k, i,
+                          int(xo_k[i + 1]))
+            out["f"][k, n - 1] = out["d"][k, n - 1]
             if merge:
                 for i in range(n - 1):
-                    vxu[c][k, i] = bld.add_variable(
-                        f"vxu.{tag}[{k}][{i}]",
-                        lower=r.vxu[0][i], upper=r.vxu[1][i],
-                    )
-                    bld.add_row(
-                        {int(vxu[c][k, i]): 1.0, int(xo_k[i]): -prim.v[i]},
-                        "E", 0.0, f"def.vxu.{tag}[{k}][{i}]",
-                    )
-                    xiu[c][k, i] = bld.add_variable(
-                        f"xiu.{tag}[{k}][{i}]",
-                        lower=r.xiu[0][i], upper=r.xiu[1][i],
-                    )
-                    zu_drop[c][k, i] = milp.encode_capacity_drop(
-                        bld, int(xiu[c][k, i]), int(zo_k[i]),
-                        float(r.thr_up[i]), float(prim.c_max[i]),
-                        float(prim.alpha[i]), float(jam[i]),
-                        name=f"dropu.{tag}[{k}][{i}]",
-                    )
-                    _settle_drop(bld, int(zu_drop[c][k, i]), int(zo_k[i]),
-                                 float(r.thr_up[i]))
-                    du[c][k, i] = bld.add_variable(
-                        f"du.{tag}[{k}][{i}]",
-                        lower=r.du[0][i], upper=r.du[1][i],
-                    )
-                    zu_dmin[c][k, i] = milp.encode_min_equality(
-                        bld, int(du[c][k, i]), int(vxu[c][k, i]),
-                        int(xiu[c][k, i]), name=f"umin.{tag}[{k}][{i}]",
-                    )
-                    _settle_min(bld, int(zu_dmin[c][k, i]),
-                                int(vxu[c][k, i]), int(xiu[c][k, i]))
-                    si[c][k, i] = bld.add_variable(
-                        f"si.{tag}[{k}][{i}]",
-                        lower=r.si[0][i], upper=r.si[1][i],
-                    )
-                    coef = prim.w[i + 1] / prim.beta[i]
-                    bld.add_row(
-                        {int(si[c][k, i]): 1.0, int(xo_k[i + 1]): coef},
-                        "E", coef * jam[i + 1], f"def.si.{tag}[{k}][{i}]",
-                    )
-                    fu[c][k, i] = bld.add_variable(
-                        f"fu.{tag}[{k}][{i}]",
-                        lower=r.fu[0][i], upper=r.fu[1][i],
-                    )
-                    zu_fmin[c][k, i] = milp.encode_min_equality(
-                        bld, int(fu[c][k, i]), int(du[c][k, i]),
-                        int(si[c][k, i]), name=f"gmin.{tag}[{k}][{i}]",
-                    )
-                    _settle_min(bld, int(zu_fmin[c][k, i]),
-                                int(du[c][k, i]), int(si[c][k, i]))
+                    at = _labels("merge", tag, k, i)
+                    sending(mrg, r_merge, prim, at, k, i,
+                            int(xo_k[i]), int(zo_k[i]))
+                    receiving(mrg, r_merge, prim, prim.beta, at, k, i,
+                              int(xo_k[i + 1]))
             else:
-                fu[c][k] = fo[c][k, : n - 1]
+                mrg["f"][k] = out["f"][k, : n - 1]
             # conservation across the stage boundary
             for i in range(n):
                 coeffs = {
                     int(xn_k[i]): 1.0,
                     int(xo_k[i]): -1.0,
                     int(u_ids[k, i]): -1.0,
-                    int(fo[c][k, i]): 1.0,
+                    int(out["f"][k, i]): 1.0,
                 }
                 if i:
-                    fid = int(fu[c][k, i - 1])
+                    fid = int(mrg["f"][k, i - 1])
                     coeffs[fid] = coeffs.get(fid, 0.0) - prim.beta[i - 1]
                 bld.add_row(coeffs, "E", 0.0, f"dyn.x.{tag}[{k}][{i}]")
                 bld.add_row(
@@ -908,15 +826,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             bld.add_row(coeffs, "G", 0.0, f"paystage[{k}]")
 
     model = bld.build()
-    layout = _Layout(
-        n_cells=n, horizon=t, reduced=reduced, cost_mode=config.cost_mode,
-        xm=xm, q=qm, u=u_ids,
-        vxo=vxo, xio=xio, do=do, so=so, fo=fo,
-        vxu=vxu, xiu=xiu, du=du, si=si, fu=fu,
-        zo_drop=zo_drop, zo_dmin=zo_dmin, zo_fmin=zo_fmin,
-        zu_drop=zu_drop, zu_dmin=zu_dmin, zu_fmin=zu_fmin,
-        gate=gate, stage_cost=stage_cost,
-    )
+    layout = _Layout(n_cells=n, horizon=t, u=u_ids)
 
     n_cols = model.lp.n_cols
     xf = terminal.x_f
@@ -926,7 +836,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         """Roll the tube under a clipped metering plan; None when it exits."""
         u_seq = np.asarray(u_seq, dtype=float).reshape(t, n)
         vec = np.zeros(n_cols)
-        state = [comp.x0.copy() for comp in comps]
+        state = [comp.x0 for comp in comps]
         for c in range(ncomp):
             vec[xm[c][0]] = state[c][:n]
             vec[qm[c][0]] = state[c][n:]
@@ -934,60 +844,20 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             avail = state[low_idx][n:] + lam_lo
             u_k = np.clip(u_seq[k], 0.0, np.minimum(ucap[k], avail))
             vec[u_ids[k]] = u_k
-            nxt = []
-            for c, comp in enumerate(comps):
-                own = state[c]
-                oth = state[(ncomp - 1) - c] if merge else own
-                prim, sec = comp.prim, comp.sec
-                x = own[:n]
-                z = oth[:n]
-                thr_o = sec.c_max / prim.v
-                xi_o = np.where(x <= thr_o, sec.c_max,
-                                sec.alpha * sec.c_max)
-                vx_o = sec.v * x
-                d_o = np.minimum(vx_o, xi_o)
-                s_o = (sec.w[1:] / prim.beta) * (jam[1:] - x[1:])
-                f_o = d_o.copy()
-                f_o[:-1] = np.minimum(d_o[:-1], s_o)
-                vec[vxo[c][k]] = vx_o
-                vec[xio[c][k]] = xi_o
-                vec[do[c][k]] = d_o
-                vec[so[c][k]] = s_o
-                vec[fo[c][k, : n - 1]] = f_o[:-1]
-                vec[zo_drop[c][k]] = (x <= thr_o).astype(float)
-                vec[zo_dmin[c][k]] = (vx_o <= xi_o).astype(float)
-                vec[zo_fmin[c][k]] = (d_o[:-1] <= s_o).astype(float)
+            flows = [comp.flows(state[c], state[low_idx - c], u_k)
+                     for c, comp in enumerate(comps)]
+            for c, flow in enumerate(flows):
+                _scatter(vec, cols[c]["out"], k, flow.out)
                 if merge:
-                    thr_u = prim.c_max[:-1] / sec.v[:-1]
-                    xi_u = np.where(z[:-1] <= thr_u, prim.c_max[:-1],
-                                    prim.alpha[:-1] * prim.c_max[:-1])
-                    vx_u = prim.v[:-1] * x[:-1]
-                    d_u = np.minimum(vx_u, xi_u)
-                    s_i = (prim.w[1:] / prim.beta) * (jam[1:] - x[1:])
-                    f_u = np.minimum(d_u, s_i)
-                    vec[vxu[c][k]] = vx_u
-                    vec[xiu[c][k]] = xi_u
-                    vec[du[c][k]] = d_u
-                    vec[si[c][k]] = s_i
-                    vec[fu[c][k]] = f_u
-                    vec[zu_drop[c][k]] = (z[:-1] <= thr_u).astype(float)
-                    vec[zu_dmin[c][k]] = (vx_u <= xi_u).astype(float)
-                    vec[zu_fmin[c][k]] = (d_u <= s_i).astype(float)
-                else:
-                    f_u = f_o[:-1]
-                inflow = u_k.copy()
-                inflow[1:] += prim.beta * f_u
-                nm = (x + inflow) - f_o
-                nq = (own[n:] + comp.lam) - u_k
-                new = np.concatenate([nm, nq])
+                    _scatter(vec, cols[c]["merge"], k, flow.merge)
+                new = flow.next
                 if np.any(new < blb[c][k + 1] - 1e-7):
                     return None
                 if np.any(new > bub[c][k + 1] + 1e-7):
                     return None
-                vec[xm[c][k + 1]] = nm
-                vec[qm[c][k + 1]] = nq
-                nxt.append(new)
-            state = nxt
+                vec[xm[c][k + 1]] = new[:n]
+                vec[qm[c][k + 1]] = new[n:]
+            state = [flow.next for flow in flows]
         if not is_linear:
             for k in range(t):
                 inside = True
@@ -1012,7 +882,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         )
         return controls, upper, lower
 
-    return _Problem(model, layout, encode, decode, ucap)
+    return _Problem(model, layout, encode, decode)
 
 
 def build_problem(
@@ -1042,7 +912,6 @@ def solve_mpc(
     terminal: TerminalSet,
     *,
     budget: milp.MilpBudget | None = None,
-    options=None,
     allow_reduced: bool = True,
 ) -> MpcResult:
     """Plan over the horizon and return the first control with the value.
@@ -1078,7 +947,6 @@ def solve_mpc(
     sol = milp.solve_milp(
         prob.model,
         budget=budget or milp.MilpBudget(),
-        options=options,
         incumbent_hook=hook,
         initial_candidates=candidates,
     )

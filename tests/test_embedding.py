@@ -15,15 +15,13 @@ from rampflow.embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
-    _one_sided,
     _primary_tuple,
     _secondary_tuple,
+    _tube_flows,
     decomposition_F,
     lifted_point_step,
     lifted_step,
     simulate_lifted,
-    tilde_demand,
-    tilde_supply,
 )
 
 from conftest import random_state
@@ -75,24 +73,43 @@ def as_secondary(d):
     return (d["v"], d["w"], d["x_jam"], d["c_max"], d["alpha"])
 
 
+def two_cells(x_main, z_main=None):
+    """Kernel step of a two-cell demo stretch at the given occupancies.
+
+    The cells have beta 0.9, v 0.5, w 1/6, x_jam 160, c_max 20 and
+    alpha 0.9 in both tuples; z_main defaults to x_main.
+    """
+    p = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
+                           c_max=20.0, alpha=0.9)
+    x = np.concatenate([x_main, np.zeros(2)])
+    z = x if z_main is None else np.concatenate([z_main, np.zeros(2)])
+    return _tube_flows(x, z, np.zeros(2), np.zeros(2), _primary_tuple(p),
+                       _secondary_tuple(p))
+
+
 class TestTildeFunctions:
+    """The decomposition's sending and receiving flows, read off the kernel."""
+
     def test_demand_diagonal_matches_plant(self, stretch):
-        val = tilde_demand(30.0, 30.0, 0.5, 20.0, 0.9, 0.5)
-        assert val == 15.0
+        assert two_cells([30.0, 0.0]).out.d[0] == 15.0
 
     def test_demand_ceiling_reads_second_argument(self):
-        assert tilde_demand(30.0, 60.0, 0.5, 20.0, 0.9, 0.5) == 15.0
-        assert tilde_demand(50.0, 60.0, 0.5, 20.0, 0.9, 0.5) == 18.0
+        # the merge side reads the speed line at x and the ceiling at z
+        assert two_cells([30.0, 0.0], [60.0, 0.0]).merge.d[0] == 15.0
+        assert two_cells([50.0, 0.0], [60.0, 0.0]).merge.d[0] == 18.0
 
     def test_supply_matches_plant(self):
-        assert tilde_supply(100.0, 1.0 / 6.0, 0.9, 160.0, 20.0) == pytest.approx(
-            60.0 / 5.4)
+        assert two_cells([0.0, 100.0]).out.s[0] == pytest.approx(60.0 / 5.4)
 
     def test_supply_at_jam(self):
-        assert tilde_supply(160.0, 1.0 / 6.0, 0.9, 160.0, 20.0) == 0.0
+        assert two_cells([0.0, 160.0]).out.s[0] == 0.0
 
     def test_supply_clamps_above_jam(self):
-        assert tilde_supply(175.0, 1.0 / 6.0, 0.9, 160.0, 20.0) == 0.0
+        # the receiving flow stays affine; the realized flow clamps it
+        flows = two_cells([30.0, 175.0])
+        assert flows.out.s[0] < 0.0
+        assert flows.out.f[0] == 0.0
+        assert flows.merge.f[0] == 0.0
 
 
 class TestDiagonal:
@@ -148,8 +165,10 @@ class TestMonotonicityBlocks:
         lo, hi, x_lo, x_hi, lam_lo, lam_hi = sample_tuple_pair(rng, 20_000)
         z = x_lo * rng.uniform(0.0, 1.0, x_lo.shape)
         u = rng.uniform(0.0, 10.0, (20_000, 4))
-        f_small = _one_sided(x_lo, z, u, lam_lo, as_primary(lo), as_secondary(lo))
-        f_big = _one_sided(x_hi, z, u, lam_hi, as_primary(hi), as_secondary(lo))
+        f_small = _tube_flows(x_lo, z, u, lam_lo, as_primary(lo),
+                              as_secondary(lo)).next
+        f_big = _tube_flows(x_hi, z, u, lam_hi, as_primary(hi),
+                            as_secondary(lo)).next
         assert np.all(f_small <= f_big + 1e-9)
 
     def test_secondary_block_lowers_result(self):
@@ -157,8 +176,10 @@ class TestMonotonicityBlocks:
         lo, hi, z_lo, z_hi, lam_lo, lam_hi = sample_tuple_pair(rng, 20_000)
         x = z_lo * rng.uniform(0.0, 1.0, z_lo.shape)
         u = rng.uniform(0.0, 10.0, (20_000, 4))
-        f_hi_sec = _one_sided(x, z_hi, u, lam_lo, as_primary(lo), as_secondary(hi))
-        f_lo_sec = _one_sided(x, z_lo, u, lam_lo, as_primary(lo), as_secondary(lo))
+        f_hi_sec = _tube_flows(x, z_hi, u, lam_lo, as_primary(lo),
+                               as_secondary(hi)).next
+        f_lo_sec = _tube_flows(x, z_lo, u, lam_lo, as_primary(lo),
+                               as_secondary(lo)).next
         assert np.all(f_hi_sec <= f_lo_sec + 1e-9)
 
     def test_component_symmetry(self, stretch, nominal_demand):
@@ -171,9 +192,9 @@ class TestMonotonicityBlocks:
         stepped = lifted_step(LiftedState(up_state, lo_state), u, dem, bounds)
         # the lower component is literally the upper map with every tuple
         # exchanged, so recomputing it that way must agree exactly
-        swapped_upper = _one_sided(
+        swapped_upper = _tube_flows(
             lo_state, up_state, u, dem.lower,
-            _primary_tuple(bounds.lower), _secondary_tuple(bounds.upper))
+            _primary_tuple(bounds.lower), _secondary_tuple(bounds.upper)).next
         n = 4
         cap = np.maximum(bounds.upper.x_jam, bounds.lower.x_jam)
         swapped_upper[:n] = np.clip(swapped_upper[:n], 0.0, cap)

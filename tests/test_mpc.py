@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rampflow import milp, mpc
 from rampflow.ctm import (
     AdmissibilityError,
+    FreewayParams,
     compact_step,
     equilibrium_uncongested,
     homogeneous_params,
@@ -17,9 +18,9 @@ from rampflow.embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
-    _one_sided,
     _primary_tuple,
     _secondary_tuple,
+    _tube_flows,
 )
 
 from conftest import random_params
@@ -254,6 +255,112 @@ def test_indicator_census_requires_the_terminal_box():
         mpc.model_census(4, 2, cost_mode=mpc.COST_INDICATOR)
 
 
+# ------------------------------------------ kernel, ranges and codec
+
+
+def random_param_pair(rng, n):
+    """Ordered (upper, lower) parameter sets sharing one jam profile."""
+    jam = rng.uniform(100.0, 180.0, n)
+
+    def draw(lo, hi, size):
+        a, b = rng.uniform(lo, hi, (2, size))
+        return np.maximum(a, b), np.minimum(a, b)
+
+    beta, v, w = draw(0.6, 0.95, n - 1), draw(0.3, 0.6, n), draw(0.05, 0.35, n)
+    c_max, alpha = draw(10.0, 25.0, n), draw(0.5, 1.0, n)
+    return tuple(
+        FreewayParams(beta=beta[j], v=v[j], w=w[j], x_jam=jam,
+                      c_max=c_max[j], alpha=alpha[j], u_max=np.full(n, 40.0))
+        for j in (0, 1))
+
+
+def random_box(rng, jam):
+    n = jam.shape[0]
+    a = np.concatenate([rng.uniform(0.0, jam, (2, n)),
+                        rng.uniform(0.0, 20.0, (2, n))], axis=1)
+    return np.minimum(a[0], a[1]), np.maximum(a[0], a[1])
+
+
+def points_in(rng, box, thr, count):
+    """Points of a stacked state box. Each coordinate sits on an end of the
+    box, on the drop threshold clipped into the box, or uniformly inside,
+    picked at random."""
+    lb, ub = box
+    m = thr.shape[0]
+    on_thr = lb.copy()
+    on_thr[:m] = np.clip(thr, lb[:m], ub[:m])
+    ends = np.stack([lb, ub, on_thr])
+    pick = rng.integers(0, 4, (count, lb.shape[0]))
+    inside = rng.uniform(lb, ub, pick.shape)
+    return np.where(pick < 3, ends[np.minimum(pick, 2), np.arange(lb.shape[0])],
+                    inside)
+
+
+def assert_within(side, ranges, keys=("vx", "xi", "d", "s", "f")):
+    for key in keys:
+        lb, ub = ranges[key]
+        val = getattr(side, key)
+        assert np.all(val >= lb) and np.all(val <= ub), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_kernel_intermediates_stay_inside_the_stage_ranges(seed):
+    """Every intermediate the kernel computes at a point of the state boxes
+    lies inside the range the planner declares for its column, for both
+    tube components and for the single-component encoding."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    p_up, p_lo = random_param_pair(rng, n)
+    lam = rng.uniform(0.0, 10.0, n)
+    own, oth = random_box(rng, p_up.x_jam), random_box(rng, p_up.x_jam)
+    for comp in (mpc._Comp("up", p_up, p_lo, lam, own[1]),
+                 mpc._Comp("lo", p_lo, p_up, lam, own[0])):
+        r_out, r_merge = mpc._stage_ranges(comp, own, oth, True)
+        x = points_in(rng, own, r_out["thr"], 250)
+        z = points_in(rng, oth, r_merge["thr"], 250)
+        flows = comp.flows(x, z, 0.0)
+        assert_within(flows.out, r_out)
+        assert_within(flows.merge, r_merge)
+    single = mpc._Comp("m", p_up, p_up, lam, own[1])
+    r_out, r_merge = mpc._stage_ranges(single, own, own, False)
+    x = points_in(rng, own, r_out["thr"], 250)
+    flows = single.flows(x, x, 0.0)
+    assert_within(flows.out, r_out)
+    lb, ub = r_merge["f"]
+    assert np.all(flows.out.f[:, :-1] >= lb) and np.all(flows.out.f[:, :-1] <= ub)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_encoded_plan_is_feasible_and_replays_the_kernel(seed):
+    """A random plan on the two-component model encodes to a point that
+    satisfies every row, bound and gadget, and its decoded tube states are
+    the kernel's next states bit for bit."""
+    rng = np.random.default_rng(seed)
+    n, t = 4, 3
+    p_up, p_lo = random_param_pair(rng, n)
+    jam = p_up.x_jam
+    x_hi = np.concatenate([rng.uniform(0.0, 0.5 * jam), rng.uniform(0, 10, n)])
+    x_lo = x_hi * rng.uniform(0.8, 1.0, 2 * n)
+    lam = rng.uniform(1.0, 5.0, n)
+    dem = DemandBounds(upper=lam, lower=0.95 * lam)
+    config = mpc.MpcConfig(horizon=t, l=np.ones(2 * n), b=np.ones(2 * n))
+    prob = mpc._assemble(LiftedState(upper=x_hi, lower=x_lo), dem,
+                         ParamBounds(upper=p_up, lower=p_lo), config,
+                         mpc.TerminalSet.mainline_only(jam), reduced=False)
+    vec = prob.encode(rng.uniform(0.0, 3.0, (t, n)))
+    assert vec is not None
+    assert not milp.check_solution(prob.model, vec, tol=1e-7)
+    controls, upper, lower = prob.decode(vec)
+    for k in range(t):
+        np.testing.assert_array_equal(upper[k + 1], _tube_flows(
+            upper[k], lower[k], controls[k], dem.upper,
+            _primary_tuple(p_up), _secondary_tuple(p_lo)).next)
+        np.testing.assert_array_equal(lower[k + 1], _tube_flows(
+            lower[k], upper[k], controls[k], dem.lower,
+            _primary_tuple(p_lo), _secondary_tuple(p_up)).next)
+
+
 # --------------------------------------------------------- solve paths
 
 
@@ -314,10 +421,11 @@ def test_interval_box_solution_satisfies_the_tube_map(
     sec = _secondary_tuple(point_params.lower)
     hi, lo = hi0.copy(), lo0.copy()
     for k in range(2):
-        hi_next = _one_sided(hi, lo, res.controls[k], spread.upper, prim, sec)
-        lo_next = _one_sided(lo, hi, res.controls[k], spread.lower,
-                             _primary_tuple(point_params.lower),
-                             _secondary_tuple(point_params.upper))
+        hi_next = _tube_flows(hi, lo, res.controls[k], spread.upper, prim,
+                              sec).next
+        lo_next = _tube_flows(lo, hi, res.controls[k], spread.lower,
+                              _primary_tuple(point_params.lower),
+                              _secondary_tuple(point_params.upper)).next
         np.testing.assert_allclose(res.upper[k + 1], hi_next, atol=1e-9)
         np.testing.assert_allclose(res.lower[k + 1], lo_next, atol=1e-9)
         hi, lo = hi_next, lo_next
