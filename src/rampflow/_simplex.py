@@ -15,12 +15,12 @@ Cloning rather than inserting unit columns means the scheme also repairs a
 warm basis whose bounds changed since it was exported, which is what branch
 and bound replays at every node.
 
-Two factorization backends sit behind one interface: an explicit dense
-inverse for small bases and SuperLU plus product-form eta updates for large
-ones.  Pricing is Dantzig's rule with lowest-index tie-breaking; a streak of
-degenerate pivots switches the phase to Bland's rule, which guarantees
-termination.  All choices are index-deterministic so repeated solves of the
-same data produce identical pivot sequences.
+There is one factorization: SuperLU factors of the basis plus a
+product-form eta file, one eta vector per pivot, rebuilt every few dozen
+pivots.  Pricing is Dantzig's rule with lowest-index tie-breaking; a
+streak of degenerate pivots switches the phase to Bland's rule, which
+guarantees termination.  All choices are index-deterministic so repeated
+solves of the same data produce identical pivot sequences.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ BASIC = 2
 FREE_ZERO = 3
 
 _TIE = 1e-12
+_TOL_FEAS = 1e-9
+_TOL_OPT = 1e-9
+_DEGEN_LIMIT = 60  # degenerate pivots in a row before Bland's rule
+# (pivot tolerance, pivots between refactorizations) of the first attempt
+# and of the stricter cold restarts after an exactly singular basis
+_LADDER = ((1e-10, 64), (1e-8, 32), (3e-7, 16))
 
 
 class NumericalBreakdown(RuntimeError):
@@ -47,17 +53,6 @@ class NumericalBreakdown(RuntimeError):
     wrong (a vanishing pivot that survives refactorization, a phase-1 ray,
     or an iteration budget blowout, which no Bland-guarded run should hit).
     """
-
-
-@dataclass(frozen=True)
-class SimplexOptions:
-    tol_feas: float = 1e-9
-    tol_opt: float = 1e-9
-    tol_pivot: float = 1e-10
-    max_iter: int = 0  # 0 means "derive from problem size"
-    degen_limit: int = 60
-    refactor_every: int = 64
-    dense_limit: int = 300  # explicit-inverse backend for m <= this
 
 
 @dataclass
@@ -79,7 +74,6 @@ class CanonicalResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray  # structural values (n,)
     obj: float
-    y: np.ndarray | None  # row duals at termination (optimal only)
     basis: WarmBasis | None
     iterations: int
 
@@ -88,31 +82,7 @@ class _SingularBasis(Exception):
     pass
 
 
-class _DenseBasis:
-    """Explicit inverse, updated by elementary row operations."""
-
-    def __init__(self, cols: sp.csc_matrix):
-        dense = cols.toarray()
-        try:
-            self.inv = np.linalg.inv(dense)
-        except np.linalg.LinAlgError as exc:
-            raise _SingularBasis() from exc
-        if not np.all(np.isfinite(self.inv)):
-            raise _SingularBasis()
-
-    def ftran(self, v: np.ndarray) -> np.ndarray:
-        return self.inv @ v
-
-    def btran(self, v: np.ndarray) -> np.ndarray:
-        return self.inv.T @ v
-
-    def update(self, r: int, w: np.ndarray) -> None:
-        g = w / w[r]
-        g[r] = 1.0 - 1.0 / w[r]
-        self.inv -= np.outer(g, self.inv[r])
-
-
-class _SparseBasis:
+class _Factors:
     """SuperLU factors plus a product-form eta file."""
 
     def __init__(self, cols: sp.csc_matrix):
@@ -158,7 +128,8 @@ class _Worker:
         lb: np.ndarray,
         ub: np.ndarray,
         warm: WarmBasis | None,
-        opt: SimplexOptions,
+        tol_pivot: float,
+        refactor_every: int,
     ):
         m, n = a.shape
         self.m, self.n = m, n
@@ -168,9 +139,10 @@ class _Worker:
         self.ub = np.concatenate([ub, slack_hi])
         self.c = np.concatenate([c, np.zeros(m)])
         self.b = np.asarray(b, dtype=float)
-        self.opt = opt
+        self.tol_pivot = tol_pivot
+        self.refactor_every = refactor_every
         self.iterations = 0
-        self.max_iter = opt.max_iter or (20000 + 10 * (m + n))
+        self.max_iter = 20000 + 10 * (m + n)
         self.n_art = 0
         self._install_start(warm)
 
@@ -220,9 +192,7 @@ class _Worker:
         return True
 
     def _factor(self) -> None:
-        cols = self.cols[:, self.basis]
-        backend = _DenseBasis if self.m <= self.opt.dense_limit else _SparseBasis
-        self.backend = backend(cols)
+        self.backend = _Factors(self.cols[:, self.basis])
         self.updates_since_factor = 0
         self._recompute_xb()
 
@@ -249,10 +219,9 @@ class _Worker:
 
     def _add_artificials(self) -> None:
         """Clone every out-of-bound basic column into a feasible artificial."""
-        tol = self.opt.tol_feas
         lo_v = self.lb[self.basis] - self.xb
         hi_v = self.xb - self.ub[self.basis]
-        viol_pos = np.flatnonzero((lo_v > tol) | (hi_v > tol))
+        viol_pos = np.flatnonzero((lo_v > _TOL_FEAS) | (hi_v > _TOL_FEAS))
         self.n_art = viol_pos.shape[0]
         if not self.n_art:
             return
@@ -284,7 +253,6 @@ class _Worker:
     # -- pivot loop --------------------------------------------------------
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
-        tol = self.opt.tol_opt
         score = np.where(
             self.vstat == AT_LOWER,
             -d,
@@ -293,10 +261,10 @@ class _Worker:
         blocked = (self.vstat == BASIC) | (self.lb == self.ub)
         score[blocked] = -np.inf
         if bland:
-            cand = np.flatnonzero(score > tol)
+            cand = np.flatnonzero(score > _TOL_OPT)
             return int(cand[0]) if cand.shape[0] else -1
         j = int(np.argmax(score))
-        return j if score[j] > tol else -1
+        return j if score[j] > _TOL_OPT else -1
 
     def _ratio_test(
         self, enter: int, sigma: float, w: np.ndarray, *, bland: bool = False
@@ -311,7 +279,7 @@ class _Worker:
         """
         limit = self.ub[enter] - self.lb[enter]  # inf for free/one-sided vars
         rate = -sigma * w
-        rate[np.abs(w) <= self.opt.tol_pivot] = 0.0
+        rate[np.abs(w) <= self.tol_pivot] = 0.0
         bvars = self.basis
         rooms = np.full(self.m, np.inf)
         up = rate > 0
@@ -341,10 +309,10 @@ class _Worker:
         leave_pos: int,
         hit_upper: bool,
     ) -> None:
-        if abs(w[leave_pos]) <= self.opt.tol_pivot:
+        if abs(w[leave_pos]) <= self.tol_pivot:
             self._factor()
             w = self.backend.ftran(self.cols[:, [enter]].toarray().ravel())
-            if abs(w[leave_pos]) <= self.opt.tol_pivot:
+            if abs(w[leave_pos]) <= self.tol_pivot:
                 raise NumericalBreakdown(
                     f"pivot element {w[leave_pos]:.3e} below tolerance after "
                     f"refactorization (entering column {enter}, row {leave_pos})"
@@ -368,7 +336,6 @@ class _Worker:
         return 0.0
 
     def _run_phase(self, cost: np.ndarray, *, phase1: bool) -> str:
-        opt = self.opt
         bland = False
         degen_streak = 0
         while True:
@@ -411,8 +378,8 @@ class _Worker:
                 return "unbounded"
             step, leave_pos, hit_upper = hit
             self.iterations += 1
-            degen_streak = degen_streak + 1 if step <= opt.tol_pivot else 0
-            if degen_streak > opt.degen_limit:
+            degen_streak = degen_streak + 1 if step <= self.tol_pivot else 0
+            if degen_streak > _DEGEN_LIMIT:
                 bland = True
             if leave_pos < 0:
                 self.xb -= sigma * step * w
@@ -421,7 +388,7 @@ class _Worker:
                 )
                 continue
             self._pivot(enter, sigma, w, step, leave_pos, hit_upper)
-            if self.updates_since_factor >= opt.refactor_every:
+            if self.updates_since_factor >= self.refactor_every:
                 self._factor()
 
     # -- artificial drive-out ----------------------------------------------
@@ -469,36 +436,31 @@ class _Worker:
             cost1[self.n + self.m :] = 1.0
             self._run_phase(cost1, phase1=True)
             art_sum = float(np.sum(np.abs(self._values()[self.n + self.m :])))
-            if art_sum > self.opt.tol_feas * (1.0 + float(np.abs(self.b).sum())):
+            if art_sum > _TOL_FEAS * (1.0 + float(np.abs(self.b).sum())):
                 return CanonicalResult(
                     "infeasible",
                     self._values()[: self.n],
                     np.nan,
-                    None,
                     None,
                     self.iterations,
                 )
             self.lb[self.n + self.m :] = 0.0
             self.ub[self.n + self.m :] = 0.0
             self._expel_artificials()
-        cost2 = self.c.copy()
-        status = self._run_phase(cost2, phase1=False)
+        status = self._run_phase(self.c.copy(), phase1=False)
         if status == "unbounded":
             return CanonicalResult(
                 "unbounded",
                 self._values()[: self.n],
                 -np.inf,
                 None,
-                None,
                 self.iterations,
             )
         self._factor()  # clean recompute before extraction
-        y = self.backend.btran(cost2[self.basis])
-        values = self._values()
-        x = values[: self.n]
+        x = self._values()[: self.n]
         obj = float(self.c[: self.n] @ x)
         return CanonicalResult(
-            "optimal", x, obj, np.asarray(y), self._export_basis(), self.iterations
+            "optimal", x, obj, self._export_basis(), self.iterations
         )
 
     def _export_basis(self) -> WarmBasis | None:
@@ -517,7 +479,6 @@ def solve_canonical(
     ub,
     *,
     warm: WarmBasis | None = None,
-    options: SimplexOptions | None = None,
 ) -> CanonicalResult:
     """Solve ``min c.x  s.t.  A x (senses) b,  lb <= x <= ub``.
 
@@ -526,7 +487,6 @@ def solve_canonical(
     an earlier solve of a same-shape problem (stale tokens fall back to a
     cold start).  Statuses: "optimal", "infeasible", "unbounded".
     """
-    opt = options or SimplexOptions()
     a = sp.csc_matrix(a)
     senses = np.asarray(list(senses), dtype="U1")
     if senses.shape[0] and not set(senses) <= set("LEG"):
@@ -543,37 +503,21 @@ def solve_canonical(
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand sides must be finite")
     if np.any(lb > ub + 1e-12):
-        return CanonicalResult("infeasible", np.zeros(n), np.nan, None, None, 0)
+        return CanonicalResult("infeasible", np.zeros(n), np.nan, None, 0)
     lb = np.minimum(lb, ub)
     # A basis can still factor exactly singular after heavy eta traffic;
     # restarting cold with stricter pivoting takes a different (still
     # deterministic) path that avoids the dependent column.
     spent = 0
-    for tol_piv, refac, start in (
-        (opt.tol_pivot, opt.refactor_every, warm),
-        (1e-8, 32, None),
-        (3e-7, 16, None),
-    ):
-        retry = SimplexOptions(
-            tol_feas=opt.tol_feas,
-            tol_opt=opt.tol_opt,
-            tol_pivot=tol_piv,
-            max_iter=opt.max_iter,
-            degen_limit=opt.degen_limit,
-            refactor_every=refac,
-            dense_limit=opt.dense_limit,
-        )
-        worker = _Worker(a, senses, b, c, lb, ub, start, retry)
+    for rung, (tol_pivot, refactor_every) in enumerate(_LADDER):
+        start = warm if rung == 0 else None
+        worker = _Worker(a, senses, b, c, lb, ub, start, tol_pivot, refactor_every)
         try:
             result = worker.solve()
         except _SingularBasis:
             spent += worker.iterations
             continue
-        if spent:
-            result = CanonicalResult(
-                result.status, result.x, result.obj, result.y,
-                result.basis, result.iterations + spent,
-            )
+        result.iterations += spent
         return result
     raise NumericalBreakdown(
         "the basis kept factoring exactly singular across pivot-tolerance "

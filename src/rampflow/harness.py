@@ -198,8 +198,12 @@ class _Block:
             raise ScenarioError(line, f"{self.name}.{key}: expected one of {choices}")
         return tokens[0]
 
-    def raw(self, key: str) -> tuple[int, list[str]] | None:
-        return self._take(key)
+    def is_word(self, key: str, word: str) -> bool:
+        """Whether ``key`` is unset or reads exactly ``word`` (then it is used)."""
+        if self.entries.get(key, (None, [word]))[1] != [word]:
+            return False
+        self._take(key)
+        return True
 
     def finish(self) -> None:
         leftover = set(self.entries) - self.used
@@ -240,7 +244,6 @@ class Scenario:
     gap_rel: float
     estimator: EstimatorConfig
     steps: int
-    seed: int
 
     @property
     def n_cells(self) -> int:
@@ -341,16 +344,10 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         lower=FreewayParams(u_max=params.u_max.copy(), **lo_fields),
     )
 
-    jam_entry = bb.raw("mainline_upper")
-    if jam_entry is not None and jam_entry[1] == ["jam"]:
+    if bb.is_word("mainline_upper", "jam"):
         main_up = theta_box.upper.x_jam.copy()
-    elif jam_entry is not None:
-        vals = np.array([float(t) for t in jam_entry[1]], dtype=float)
-        main_up = np.full(n, vals[0]) if vals.shape[0] == 1 else vals
-        if main_up.shape[0] != n:
-            raise ScenarioError(jam_entry[0], "boxes.mainline_upper: expected 1 or cells values")
     else:
-        main_up = theta_box.upper.x_jam.copy()
+        main_up = bb.vector("mainline_upper", n)
     main_lo = bb.vector("mainline_lower", n, default=0.0)
     margin = bb.scalar("demand_margin", 0.0)
     bb.finish()
@@ -379,14 +376,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     dual_mode = cb.flag("dual_mode", True)
     pin_jam = cb.flag("pin_jam", True)
     gain = cb.scalar("gain", 70.0 / (60.0 * 160.0))
-    setpoint_entry = cb.raw("setpoint")
-    setpoint = None
-    if setpoint_entry is not None:
-        line, tokens = setpoint_entry
-        vals = np.array([float(t) for t in tokens], dtype=float)
-        setpoint = np.full(n, vals[0]) if vals.shape[0] == 1 else vals
-        if setpoint.shape[0] != n:
-            raise ScenarioError(line, "controller.setpoint: expected 1 or cells values")
+    setpoint = cb.vector("setpoint", n) if "setpoint" in cb.entries else None
     cb.finish()
 
     mb = block("mpc")
@@ -395,16 +385,11 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     cost_mode = mb.word("cost", COST_LINEAR, (COST_LINEAR, COST_INDICATOR))
     terminal_mode = mb.word("terminal", TERMINAL_MAINLINE, (TERMINAL_MAINLINE, TERMINAL_DRAINED))
     gap_rel = mb.scalar("gap", 0.0)
-    b_entry = mb.raw("b")
-    if b_entry is None or b_entry[1] == ["terminal"]:
+    if mb.is_word("b", "terminal"):
         b_main, d_vec = choose_terminal_weights(l_vec, params)
         b_vec = np.concatenate([b_main, np.ones(n)])
     else:
-        line, tokens = b_entry
-        vals = np.array([float(t) for t in tokens], dtype=float)
-        b_vec = np.full(2 * n, vals[0]) if vals.shape[0] == 1 else vals
-        if b_vec.shape[0] != 2 * n:
-            raise ScenarioError(line, "mpc.b: expected 1 or 2*cells values or 'terminal'")
+        b_vec = mb.vector("b", 2 * n)
         d_vec = np.zeros(n)
     mb.finish()
     if gap_rel < 0.0:
@@ -423,7 +408,6 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
 
     rb = block("run")
     steps = rb.integer("steps", minimum=0)
-    seed = rb.integer("seed", 0, minimum=0)
     rb.finish()
 
     if not check_admissible(params, base):
@@ -443,7 +427,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         local=LocalConfig(averaging_window=averaging, epsilon=epsilon),
         dual_mode=dual_mode, pin_jam=pin_jam, mpc=mpc_cfg,
         terminal_mode=terminal_mode, terminal=terminal, cost=cost,
-        gap_rel=gap_rel, estimator=estimator, steps=steps, seed=seed,
+        gap_rel=gap_rel, estimator=estimator, steps=steps,
     )
 
 
@@ -497,7 +481,6 @@ estimator {
 }
 run {
   steps 60
-  seed 0
 }
 """,
     "fourcell_periodic": """\
@@ -552,7 +535,6 @@ estimator {
 }
 run {
   steps 60
-  seed 0
 }
 """,
 }

@@ -1,8 +1,9 @@
-"""Linear and mixed-binary programs with a self-contained solver.
+"""Mixed-binary linear programs with a self-contained solver.
 
 The optimizer behind the predictive controller.  Everything is in-house:
-LPs go through the bounded-variable simplex in :mod:`rampflow._simplex`,
-binaries through best-bound branch and bound with depth-first plunging.
+node relaxations go through the bounded-variable simplex in
+:mod:`rampflow._simplex`, binaries through best-bound branch and bound with
+depth-first plunging.  A model without binaries is solved at its root node.
 No external solver is involved at any point.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
@@ -18,9 +19,12 @@ row indices and records the two gadget encodings the controller needs:
     uncongested choice, plus the affine tie between the capacity value
     and the binary.
 
-Both register decode metadata on the model so the solver can snap selector
-binaries of a fractional relaxation to the values implied by the continuous
-variables (the "polish" incumbent pass).
+Both record their columns on the model as gadget records, which
+:func:`dump_model` writes out.
+
+Incumbents come from three sources: caller-supplied ``initial_candidates``,
+the caller's ``incumbent_hook`` at every fractional node, and node
+relaxations that come out integral.
 
 Text dumps (:func:`dump_model`) use a line grammar, one record per line,
 floats in shortest round-trip form::
@@ -48,13 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._simplex import (
-    NumericalBreakdown,
-    SimplexOptions,
-    WarmBasis,
-    crash_from_point,
-    solve_canonical,
-)
+from ._simplex import NumericalBreakdown, WarmBasis, crash_from_point, solve_canonical
 
 __all__ = [
     "OPTIMAL",
@@ -68,7 +66,6 @@ __all__ = [
     "ModelBuilder",
     "encode_min_equality",
     "encode_capacity_drop",
-    "solve_lp",
     "solve_milp",
     "check_solution",
     "dump_model",
@@ -131,7 +128,7 @@ class DropGadget:
 
 @dataclass
 class MilpModel:
-    """A linear program plus binary columns and gadget decode metadata."""
+    """A linear program plus its binary columns and gadget records."""
 
     lp: LinearProgram
     binaries: np.ndarray  # sorted column indices
@@ -154,7 +151,6 @@ class Solution:
     gap: float
     nodes: int
     iterations: int
-    basis: WarmBasis | None = None
 
 
 class ModelBuilder:
@@ -235,8 +231,8 @@ class ModelBuilder:
         self.lower[j] = float(value)
         self.upper[j] = float(value)
 
-    def _lp(self) -> LinearProgram:
-        return LinearProgram(
+    def build(self) -> MilpModel:
+        lp = LinearProgram(
             name=self.name,
             sense=self.sense,
             obj=np.asarray(self.obj, dtype=float),
@@ -252,15 +248,8 @@ class ModelBuilder:
             rhs=np.asarray(self.rhs, dtype=float),
             row_names=list(self.row_names),
         )
-
-    def build_lp(self) -> LinearProgram:
-        if self.binary:
-            raise ValueError("model declares binaries; use build() instead")
-        return self._lp()
-
-    def build(self) -> MilpModel:
         return MilpModel(
-            lp=self._lp(),
+            lp=lp,
             binaries=np.asarray(sorted(self.binary), dtype=np.int64),
             gadgets=list(self.gadgets),
         )
@@ -321,9 +310,8 @@ def encode_capacity_drop(
     Returns the binary ``z`` with ``z = 1`` forcing ``x <= x_crit`` and
     ``xi = c_max``, and ``z = 0`` forcing ``x >= x_crit`` and
     ``xi = alpha * c_max``.  A state exactly on the threshold admits both
-    branches; decoding prefers ``z = 1``, matching the inclusive boundary
-    of the plant's demand function.  ``x_jam`` caps the state from above
-    for the big-M on the congested branch.
+    branches.  ``x_jam`` caps the state from above for the big-M on the
+    congested branch.
     """
     tag = name if name is not None else f"drop{len(builder.gadgets)}"
     lb_x = builder.lower[x]
@@ -344,11 +332,9 @@ def encode_capacity_drop(
     return z
 
 
-def check_solution(
-    model: MilpModel | LinearProgram, x: np.ndarray, *, tol: float = 1e-9
-) -> list[str]:
+def check_solution(model: MilpModel, x: np.ndarray, *, tol: float = 1e-9) -> list[str]:
     """Return human-readable violations of bounds, rows and integrality."""
-    lp = model.lp if isinstance(model, MilpModel) else model
+    lp = model.lp
     x = np.asarray(x, dtype=float)
     out: list[str] = []
     if x.shape != (lp.n_cols,):
@@ -369,10 +355,9 @@ def check_solution(
         )
         if bad:
             out.append(f"row {lp.row_names[i]} ({s} {r!r}): activity {v!r}")
-    if isinstance(model, MilpModel):
-        for j in model.binaries:
-            if min(x[j], 1.0 - x[j]) > _INT_TOL:
-                out.append(f"binary {lp.col_names[j]}: fractional value {x[j]!r}")
+    for j in model.binaries:
+        if min(x[j], 1.0 - x[j]) > _INT_TOL:
+            out.append(f"binary {lp.col_names[j]}: fractional value {x[j]!r}")
     return out
 
 
@@ -380,14 +365,10 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def dump_model(model: MilpModel | LinearProgram) -> str:
+def dump_model(model: MilpModel) -> str:
     """Serialize a model to the line grammar documented in the module."""
-    lp = model.lp if isinstance(model, MilpModel) else model
-    binaries = (
-        set(int(j) for j in model.binaries)
-        if isinstance(model, MilpModel)
-        else set()
-    )
+    lp = model.lp
+    binaries = set(int(j) for j in model.binaries)
     lines = [f"milp {lp.name}", f"sense {lp.sense}", f"vars {lp.n_cols}"]
     for j in range(lp.n_cols):
         tail = " binary" if j in binaries else ""
@@ -405,68 +386,21 @@ def dump_model(model: MilpModel | LinearProgram) -> str:
         lines.append(
             f"row {i} {lp.row_names[i]} {lp.row_senses[i]} {_fmt(lp.rhs[i])} : {terms}"
         )
-    if isinstance(model, MilpModel):
-        for g in model.gadgets:
-            if isinstance(g, MinGadget):
-                lines.append(f"gadget min f={g.f} a={g.a} b={g.b} z={g.z}")
-            elif isinstance(g, DropGadget):
-                lines.append(
-                    f"gadget drop xi={g.xi} x={g.x} z={g.z} crit={_fmt(g.x_crit)}"
-                )
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def solve_lp(
-    lp: LinearProgram,
-    *,
-    warm: WarmBasis | None = None,
-    options: SimplexOptions | None = None,
-) -> Solution:
-    """Solve a continuous program; statuses optimal/infeasible/unbounded."""
-    flip = -1.0 if lp.sense == "max" else 1.0
-    res = solve_canonical(
-        lp.matrix(),
-        lp.row_senses,
-        lp.rhs,
-        flip * lp.obj,
-        lp.col_lower,
-        lp.col_upper,
-        warm=warm,
-        options=options,
-    )
-    if res.status == "optimal":
-        obj = flip * res.obj
-        return Solution(OPTIMAL, res.x, obj, obj, 0.0, 0, res.iterations, res.basis)
-    if res.status == "unbounded":
-        bad = flip * -np.inf
-        return Solution(UNBOUNDED, res.x, bad, bad, np.inf, 0, res.iterations)
-    return Solution(INFEASIBLE, res.x, np.nan, np.nan, np.inf, 0, res.iterations)
-
-
-def _decode_binaries(model: MilpModel, x: np.ndarray) -> np.ndarray:
-    """Integral values for every binary, inferred from the continuous part.
-
-    Gadget binaries follow their decode rule (argmin for selectors, the
-    inclusive threshold for capacity drops); binaries without metadata are
-    rounded.  Returns an array aligned with ``model.binaries``.
-    """
-    fixed = {}
     for g in model.gadgets:
         if isinstance(g, MinGadget):
-            fixed[g.z] = 1.0 if x[g.a] <= x[g.b] else 0.0
+            lines.append(f"gadget min f={g.f} a={g.a} b={g.b} z={g.z}")
         elif isinstance(g, DropGadget):
-            fixed[g.z] = 1.0 if x[g.x] <= g.x_crit + 1e-9 else 0.0
-    out = np.empty(model.binaries.shape[0])
-    for k, j in enumerate(model.binaries):
-        out[k] = fixed.get(int(j), 1.0 if x[j] >= 0.5 else 0.0)
-    return out
+            lines.append(
+                f"gadget drop xi={g.xi} x={g.x} z={g.z} crit={_fmt(g.x_crit)}"
+            )
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 class _NodeLp:
     """Shared matrices for branch-and-bound node solves."""
 
-    def __init__(self, model: MilpModel, options: SimplexOptions | None):
+    def __init__(self, model: MilpModel):
         lp = model.lp
         self.mat = lp.matrix()
         self.senses = lp.row_senses
@@ -475,7 +409,6 @@ class _NodeLp:
         self.c = self.flip * lp.obj
         self.lb0 = lp.col_lower
         self.ub0 = lp.col_upper
-        self.options = options
 
     def solve(self, fixes: dict[int, float], warm: WarmBasis | None):
         lb = self.lb0
@@ -487,14 +420,7 @@ class _NodeLp:
                 lb[j] = v
                 ub[j] = v
         return solve_canonical(
-            self.mat,
-            self.senses,
-            self.rhs,
-            self.c,
-            lb,
-            ub,
-            warm=warm,
-            options=self.options,
+            self.mat, self.senses, self.rhs, self.c, lb, ub, warm=warm
         )
 
 
@@ -502,10 +428,8 @@ def solve_milp(
     model: MilpModel,
     *,
     budget: MilpBudget | None = None,
-    options: SimplexOptions | None = None,
     incumbent_hook=None,
     initial_candidates=None,
-    root_warm: WarmBasis | None = None,
 ) -> Solution:
     """Branch and bound over the binary columns of ``model``.
 
@@ -516,24 +440,22 @@ def solve_milp(
     ties to the lowest column index, so repeated solves of identical data
     visit identical trees.
 
-    Two incumbent sources run at every feasible node: a polish pass that
-    snaps gadget binaries to the values implied by the continuous point and
-    re-solves with them fixed, and an optional ``incumbent_hook(x)`` that
-    may return a full feasible column vector (the controller plugs a
-    dynamics-completion heuristic in here).  Hook candidates are verified
-    against the model before being trusted.  ``initial_candidates`` are
-    full assignments tried the same way before any node is solved, so a
-    caller with a cheap feasible guess can seed the incumbent; the guess
-    only tightens pruning and never changes the reported optimum.
-    ``root_warm`` warm-starts the root relaxation (children always inherit
-    their parent's basis regardless).
+    Incumbents come from three sources.  ``initial_candidates`` are full
+    assignments tried before any node is solved, so a caller with a cheap
+    feasible guess can seed the incumbent; the best one also crashes the
+    root basis.  At every fractional node that survives pruning, the
+    optional ``incumbent_hook(x)`` may return a full column vector (the
+    controller plugs a dynamics-completion heuristic in here).  A node
+    whose relaxation is integral is an incumbent itself.  Candidates are
+    verified against the model before being trusted; they only tighten
+    pruning and never change the reported optimum.
 
     Returns a :class:`Solution` whose ``bound`` is the proven bound in the
     model's own sense and whose ``gap`` is ``objective - bound`` for ``min``
     (mirrored for ``max``).
     """
     bud = budget or MilpBudget()
-    node_lp = _NodeLp(model, options)
+    node_lp = _NodeLp(model)
     flip = node_lp.flip
     nbin = model.binaries.shape[0]
 
@@ -558,36 +480,24 @@ def solve_milp(
             best_obj = obj_internal
             best_x = x.copy()
 
-    def try_candidates(x_node: np.ndarray, warm: WarmBasis | None) -> None:
-        # polish: fix every binary at its decoded value and re-solve
-        if nbin:
-            zvals = _decode_binaries(model, x_node)
-            fixes = {int(j): float(v) for j, v in zip(model.binaries, zvals)}
-            res = node_lp.solve(fixes, warm)
-            nonlocal iters
-            iters += res.iterations
-            if res.status == "optimal":
-                consider(res.x, res.obj)
-        if incumbent_hook is not None:
-            cand = incumbent_hook(x_node)
-            if cand is not None:
-                cand = np.asarray(cand, dtype=float)
-                if not check_solution(model, cand, tol=1e-7):
-                    consider(cand, float(node_lp.c @ cand))
+    def try_candidate(cand) -> None:
+        if cand is not None:
+            cand = np.asarray(cand, dtype=float)
+            if not check_solution(model, cand, tol=1e-7):
+                consider(cand, float(node_lp.c @ cand))
 
     for cand in initial_candidates or ():
-        cand = np.asarray(cand, dtype=float)
-        if not check_solution(model, cand, tol=1e-7):
-            consider(cand, float(node_lp.c @ cand))
+        try_candidate(cand)
 
-    if root_warm is None and best_x is not None:
+    root_basis = None
+    if best_x is not None:
         # The incumbent is a verified feasible point, so the basis that
         # reproduces it starts the root with phase 1 already satisfied.
-        root_warm = crash_from_point(
+        root_basis = crash_from_point(
             node_lp.mat, node_lp.senses, node_lp.rhs,
             node_lp.lb0, node_lp.ub0, best_x,
         )
-    heapq.heappush(pool, (-np.inf, seq, {}, root_warm))
+    heapq.heappush(pool, (-np.inf, seq, {}, root_basis))
 
     while pool:
         if nodes >= bud.max_nodes:
@@ -623,7 +533,8 @@ def solve_milp(
             if not live.shape[0]:
                 consider(res.x, bound)
                 break
-            try_candidates(res.x, res.basis)
+            if incumbent_hook is not None:
+                try_candidate(incumbent_hook(res.x))
             if bound >= best_obj - gap_eff():
                 pruned_min = min(pruned_min, bound)
                 break

@@ -1,13 +1,15 @@
 """Solver checks: frozen examples, brute-force oracles, determinism.
 
 scipy.optimize.linprog acts as an independent oracle for randomized
-instances; it is never used by the package itself.
+instances; it is never used by the package itself.  Models without
+binaries are continuous programs that ``solve_milp`` settles at its root.
 """
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from rampflow import _simplex
 from rampflow.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -19,7 +21,6 @@ from rampflow.milp import (
     dump_model,
     encode_capacity_drop,
     encode_min_equality,
-    solve_lp,
     solve_milp,
 )
 
@@ -28,7 +29,7 @@ def test_lp_single_lower_bound_row():
     b = ModelBuilder("tiny")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0}, "G", 3.0)
-    sol = solve_lp(b.build_lp())
+    sol = solve_milp(b.build())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.x[x] == pytest.approx(3.0, abs=1e-9)
@@ -40,7 +41,7 @@ def test_lp_two_variable_vertex():
     y = b.add_variable("y", objective=2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 4.0)
     b.add_row({x: 1.0}, "L", 2.0)
-    sol = solve_lp(b.build_lp())
+    sol = solve_milp(b.build())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(10.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [2.0, 2.0], atol=1e-9)
@@ -51,7 +52,7 @@ def test_lp_infeasible_pair():
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0}, "G", 1.0)
     b.add_row({x: 1.0}, "L", 0.0)
-    assert solve_lp(b.build_lp()).status == INFEASIBLE
+    assert solve_milp(b.build()).status == INFEASIBLE
 
 
 def test_lp_unbounded_ray():
@@ -59,7 +60,7 @@ def test_lp_unbounded_ray():
     x = b.add_variable("x", objective=1.0)  # upper bound defaults to +inf
     y = b.add_variable("y", upper=1.0)
     b.add_row({x: 1.0, y: -1.0}, "G", 0.0)
-    assert solve_lp(b.build_lp()).status == UNBOUNDED
+    assert solve_milp(b.build()).status == UNBOUNDED
 
 
 def test_lp_equality_row_with_free_variable():
@@ -67,7 +68,7 @@ def test_lp_equality_row_with_free_variable():
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     y = b.add_variable("y", lower=-np.inf, upper=np.inf, objective=1.0)
     b.add_row({x: 1.0, y: -1.0}, "E", 5.0)
-    sol = solve_lp(b.build_lp())
+    sol = solve_milp(b.build())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-5.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [0.0, -5.0], atol=1e-9)
@@ -79,7 +80,7 @@ def test_lp_bound_flip_path():
     x = b.add_variable("x", upper=1.0, objective=1.0)
     y = b.add_variable("y", upper=1.0, objective=1.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 1.5)
-    sol = solve_lp(b.build_lp())
+    sol = solve_milp(b.build())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.5, abs=1e-9)
 
@@ -98,21 +99,21 @@ def _random_lp(rng, n=7, m=5):
     rhs = a @ anchor + rng.uniform(0.1, 3.0, m)
     for i in range(m):
         b.add_row({cols[j]: a[i, j] for j in range(n)}, "L", rhs[i])
-    return b.build_lp(), cost, a, rhs, lower, upper
+    return b.build(), cost, a, rhs, lower, upper
 
 
 def test_lp_matches_reference_solver_on_random_instances():
     rng = np.random.default_rng(1107)
     for _ in range(60):
-        lp, cost, a, rhs, lower, upper = _random_lp(rng)
-        sol = solve_lp(lp)
+        model, cost, a, rhs, lower, upper = _random_lp(rng)
+        sol = solve_milp(model)
         ref = scipy.optimize.linprog(
             cost, A_ub=a, b_ub=rhs, bounds=list(zip(lower, upper)), method="highs"
         )
         assert sol.status == OPTIMAL
         assert ref.status == 0
         assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
-        assert not check_solution(lp, sol.x, tol=1e-9)
+        assert not check_solution(model, sol.x, tol=1e-9)
 
 
 def test_milp_forced_rounding():
@@ -306,19 +307,27 @@ def test_capacity_drop_boundary_admits_no_drop_branch():
 
 
 def test_warm_basis_restart_after_bound_change():
+    # branch and bound replays the parent's basis against the child's bounds
     b = ModelBuilder("warm")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", upper=10.0, objective=-2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 12.0)
-    lp = b.build_lp()
-    first = solve_lp(lp)
-    assert first.status == OPTIMAL
-    lp.col_upper = lp.col_upper.copy()
-    lp.col_upper[y] = 4.0
-    warm = solve_lp(lp, warm=first.basis)
-    cold = solve_lp(lp)
-    assert warm.status == cold.status == OPTIMAL
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    lp = b.build().lp
+
+    def solve(upper, warm=None):
+        return _simplex.solve_canonical(
+            lp.matrix(), lp.row_senses, lp.rhs, lp.obj, lp.col_lower, upper,
+            warm=warm,
+        )
+
+    first = solve(lp.col_upper)
+    assert first.status == "optimal" and first.basis is not None
+    upper = lp.col_upper.copy()
+    upper[y] = 4.0
+    warm = solve(upper, first.basis)
+    cold = solve(upper)
+    assert warm.status == cold.status == "optimal"
+    assert warm.obj == pytest.approx(cold.obj, abs=1e-9)
 
 
 def test_dump_model_line_grammar():
@@ -364,16 +373,3 @@ def test_initial_candidate_seeds_incumbent_without_changing_optimum():
     junk = solve_milp(fence(), initial_candidates=[np.array([0.0, 0.0])])
     assert junk.objective == pytest.approx(baseline.objective, abs=1e-12)
 
-
-def test_root_warm_start_reaches_the_same_answer():
-    b = ModelBuilder("rootwarm")
-    x1 = b.add_variable("x1", objective=2.0, binary=True)
-    x2 = b.add_variable("x2", objective=3.0, binary=True)
-    b.add_row({x1: 1.0, x2: 1.0}, "G", 1.0)
-    model = b.build()
-    relax = solve_lp(model.lp)
-    warm = solve_milp(model, root_warm=relax.basis)
-    cold = solve_milp(model)
-    assert warm.status == cold.status == OPTIMAL
-    assert warm.objective == cold.objective
-    np.testing.assert_array_equal(warm.x, cold.x)
