@@ -2,11 +2,12 @@
 
 The centerpiece is ``setpc_step``, one tick of the set-membership predictive
 controller: correct the state box against the new measurement, contract the
-parameter box, refresh the demand box, compute a control (horizon planner
-while outside the terminal set, local demand tracking inside), and push the
-corrected box through the tube dynamics to predict the next step. The
-baselines (ALINEA, open loop, bare local tracking) are standalone functions
-so the harness can run them against the same estimation stack.
+parameter box, compute a control (horizon planner while outside the terminal
+set, local demand tracking inside), and push the corrected box through the
+tube dynamics to predict the next step. The arrival box is fixed for the
+whole run; the measurement window holds it. The baselines (ALINEA, open
+loop, bare local tracking) are standalone functions so the harness can run
+them against the same estimation stack.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
-                        lifted_step)
-from .estimators import (EstimatorConfig, MeasurementWindow, demand_update,
-                         state_update, theta_update)
+from .embedding import PARAM_FIELDS, LiftedState, ParamBounds, lifted_step
+from .estimators import (EstimatorConfig, MeasurementWindow, state_update,
+                         theta_update)
 from .mpc import MpcConfig, TerminalSet, solve_mpc
 
 PHASE_MPC = "mpc"
@@ -72,18 +72,16 @@ class SetPcConfig:
     local: LocalConfig = field(default_factory=LocalConfig)
     budget: object | None = None
     dual_mode: bool = True
-    pin_jam: bool = False
-    track_demand: bool = True
 
 
 @dataclass(frozen=True)
 class SetPcState:
-    """Carried between ticks: the predicted box, the uncertainty boxes, the
-    shared measurement window, the phase, and the last executed control."""
+    """Carried between ticks: the predicted box, the parameter box, the
+    shared measurement window (which holds the arrival box), the phase, and
+    the last executed control."""
 
     predicted: LiftedState
     params: ParamBounds
-    demand: DemandBounds
     window: MeasurementWindow
     phase: str = PHASE_MPC
     last_control: np.ndarray | None = None
@@ -174,33 +172,24 @@ def pin_jam_to_upper(bounds: ParamBounds) -> ParamBounds:
 
 
 def _ingest(state: SetPcState, y, config: SetPcConfig):
-    """Measurement correction, window push, parameter and demand refresh."""
+    """Measurement correction, window push, parameter contraction."""
     window = state.window
     corrected = state_update(state.predicted, y, window.output_model)
-    if state.last_control is None:
-        window.push(corrected, y)
-    else:
-        window.push(corrected, y, control=state.last_control, demand=state.demand)
+    window.push(corrected, y, control=state.last_control)
     theta = theta_update(window, state.params, config.estimator)
-    if config.track_demand and len(window) > 1:
-        demand = demand_update(window)
-    else:
-        # The window reconstructions assume the arrivals sit still; when
-        # they provably vary, the configured box is the only sound one.
-        demand = state.demand
-    return corrected, theta, demand
+    return corrected, theta
 
 
-def _dispatch(state, corrected, theta, demand, command, *, next_phase,
-              diag_phase, value, feasible, reduced=None):
+def _dispatch(state, corrected, theta, command, *, next_phase, diag_phase,
+              value, feasible, reduced=None):
     """Clamp the command, predict the next box, assemble the successor."""
-    n = state.window.output_model.mainline_mask.shape[0]
-    cap = corrected.lower[n:] + demand.lower
+    window = state.window
+    n = window.output_model.mainline_mask.shape[0]
+    cap = corrected.lower[n:] + window.demand.lower
     u_exec = np.clip(command, 0.0, np.minimum(cap, theta.upper.u_max))
-    predicted = lifted_step(corrected, u_exec, demand, theta)
-    successor = SetPcState(predicted=predicted, params=theta, demand=demand,
-                           window=state.window, phase=next_phase,
-                           last_control=u_exec)
+    predicted = lifted_step(corrected, u_exec, window.demand, theta)
+    successor = SetPcState(predicted=predicted, params=theta, window=window,
+                           phase=next_phase, last_control=u_exec)
     diag = StepDiagnostics(
         value=value, feasible=feasible, phase=diag_phase,
         state_width=float(np.max(corrected.width)),
@@ -212,14 +201,15 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     """One tick of the set-membership predictive loop.
 
     Runs, in order: the measurement correction, the parameter contraction,
-    the demand refresh, the phase decision and control computation, and the
-    tube prediction for the next tick. The executed control is clamped to
+    the phase decision and control computation, and the tube prediction for
+    the next tick. The planner sees the jam interval collapsed onto its
+    upper end (``pin_jam_to_upper``). The executed control is clamped to
     the guaranteed service bound min(u, q-lower + lam-lower) so the plant's
     ramp discharge equals the command exactly and containment carries over.
     Returns (executed control, successor state, diagnostics); estimator and
     solver errors propagate.
     """
-    corrected, theta, demand = _ingest(state, y, config)
+    corrected, theta = _ingest(state, y, config)
 
     if config.dual_mode:
         phase = dual_mode_supervisor(state.phase, corrected.upper, config.terminal)
@@ -228,9 +218,8 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
 
     reduced = None
     if phase == PHASE_MPC:
-        planning = pin_jam_to_upper(theta) if config.pin_jam else theta
-        result = solve_mpc(corrected, demand, planning, config.mpc,
-                           config.terminal, budget=config.budget)
+        result = solve_mpc(corrected, state.window.demand, pin_jam_to_upper(theta),
+                           config.mpc, config.terminal, budget=config.budget)
         command = result.u
         value = result.value
         feasible = result.feasible
@@ -243,7 +232,7 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
         value = math.nan
         feasible = True
 
-    return _dispatch(state, corrected, theta, demand, command,
+    return _dispatch(state, corrected, theta, command,
                      next_phase=phase, diag_phase=phase, value=value,
                      feasible=feasible, reduced=reduced)
 
@@ -259,7 +248,7 @@ def forced_step(state: SetPcState, y, config: SetPcConfig, command, *,
     planned tick resumes where the loop left off; the diagnostics carry
     the supplied label instead.
     """
-    corrected, theta, demand = _ingest(state, y, config)
-    return _dispatch(state, corrected, theta, demand, command,
+    corrected, theta = _ingest(state, y, config)
+    return _dispatch(state, corrected, theta, command,
                      next_phase=state.phase, diag_phase=label,
                      value=math.nan, feasible=True)

@@ -255,22 +255,15 @@ def lifted_point_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
 
 
 def simulate_lifted(lifted: LiftedState, controls: np.ndarray,
-                    demand, bounds: ParamBounds, *,
+                    demand: DemandBounds, bounds: ParamBounds, *,
                     check: bool = True) -> LiftedState:
-    """Compose lifted_step over a control sequence of shape (k, I).
-
-    demand is a single DemandBounds applied every step, or a sequence with
-    one entry per step.
-    """
+    """Compose lifted_step over a control sequence of shape (k, I), with the
+    same arrival box every step."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if controls.size == 0:
         return lifted
-    if isinstance(demand, DemandBounds):
-        demand = [demand] * controls.shape[0]
-    if len(demand) != controls.shape[0]:
-        raise ValueError("need one demand box per control")
     state = lifted
-    for u_k, dem_k in zip(controls, demand):
-        state = lifted_step(state, u_k, dem_k, bounds, check=check)
+    for u_k in controls:
+        state = lifted_step(state, u_k, demand, bounds, check=check)
     return state
 

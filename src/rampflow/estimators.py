@@ -1,14 +1,16 @@
-"""Set-membership estimation: state correction, demand carry-over, and
-interval identification of the freeway parameters.
+"""Set-membership estimation: state correction and interval identification
+of the freeway parameters.
 
 Everything here manipulates boxes. ``state_update`` intersects a predicted
-state box with what the detectors report, ``demand_update`` carries the
-arrival box forward unchanged, and ``theta_update`` contracts the parameter
-box by branch-and-prune: bisect one coordinate, try to certify that half the
-box cannot reproduce the recorded window, and keep only certified cuts. The
-certificate is ``interval_consistency``, a forward interval propagation of
-the tube dynamics, so the contraction is conservative by construction: a
-parameter value is only ever discarded with a proof.
+state box with what the detectors report, and ``theta_update`` contracts the
+parameter box by branch-and-prune: bisect one coordinate, try to certify
+that half the box cannot reproduce the recorded window, and keep only
+certified cuts. The certificate is ``interval_consistency``, a forward
+interval propagation of the tube dynamics, so the contraction is
+conservative by construction: a parameter value is only ever discarded with
+a proof. The arrival box is prior knowledge the detectors cannot sharpen
+(queues are measured, so arrivals are only seen through the commanded
+discharge); the measurement window holds it once for the whole run.
 
 ``freeflow_identify`` is the closed-form complement. While the stretch is in
 free flow and fully measured, consecutive occupancy readings determine each
@@ -83,35 +85,36 @@ class _Record:
     lifted: LiftedState
     observation: Observation
     control: np.ndarray | None
-    demand: DemandBounds | None
 
 
 class MeasurementWindow:
     """Ring buffer of the last L transitions the estimators may look at.
 
     Each pushed record carries the corrected state box and the raw
-    observation at one time step; the control and demand box that produced
-    the transition *into* that step ride along with it. The first record of
-    a fresh window has no incoming transition, every later one must.
+    observation at one time step; the control that produced the transition
+    *into* that step rides along with it. The first record of a fresh window
+    has no incoming transition, every later one must. ``demand`` is the
+    run's arrival box, which every transition shares.
     """
 
-    def __init__(self, backward_horizon: int, output_model: OutputModel):
+    def __init__(self, backward_horizon: int, output_model: OutputModel,
+                 demand: DemandBounds):
         if backward_horizon < 1:
             raise ValueError("backward_horizon must be at least 1")
         self.backward_horizon = int(backward_horizon)
         self.output_model = output_model
+        self.demand = demand
         self._records: deque[_Record] = deque(maxlen=self.backward_horizon + 1)
 
     def push(self, lifted: LiftedState, observation: Observation,
-             control: np.ndarray | None = None,
-             demand: DemandBounds | None = None) -> None:
-        if self._records and (control is None or demand is None):
+             control: np.ndarray | None = None) -> None:
+        if self._records and control is None:
             raise ValueError(
-                "records after the first need the control and demand box of "
-                "the transition that led to them")
+                "records after the first need the control of the transition "
+                "that led to them")
         if control is not None:
             control = np.asarray(control, dtype=float).copy()
-        self._records.append(_Record(lifted, observation, control, demand))
+        self._records.append(_Record(lifted, observation, control))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -132,10 +135,6 @@ class MeasurementWindow:
     def controls(self) -> list[np.ndarray]:
         """Controls aligned with transitions: controls[k] maps box k to k+1."""
         return [r.control for r in list(self._records)[1:]]
-
-    @property
-    def demand_boxes(self) -> list[DemandBounds]:
-        return [r.demand for r in list(self._records)[1:]]
 
 
 def state_update(predicted: LiftedState, y: Observation,
@@ -166,20 +165,6 @@ def state_update(predicted: LiftedState, y: Observation,
     return LiftedState(upper=up, lower=lo)
 
 
-def demand_update(window: MeasurementWindow) -> DemandBounds:
-    """Carry the arrival box forward unchanged.
-
-    The arrival bounds are prior knowledge, not something the detectors can
-    sharpen: queues are measured, so arrivals are only seen through the
-    commanded discharge and never pin down more than the box already says.
-    Returns the most recent recorded box, bit for bit.
-    """
-    boxes = window.demand_boxes
-    if not boxes:
-        raise ValueError("the window has not recorded a transition yet")
-    return boxes[-1]
-
-
 def _absorb(up: np.ndarray, lo: np.ndarray, y: Observation,
             output_model: OutputModel, tol: float) -> str | None:
     """Collapse measured entries of [lo, up] onto the readings, in place.
@@ -207,59 +192,39 @@ def _absorb(up: np.ndarray, lo: np.ndarray, y: Observation,
     return None
 
 
-def interval_consistency(theta_box: ParamBounds, state_box0: LiftedState,
-                         controls, observations, demand_bounds,
-                         output_model: OutputModel, *,
-                         lifted_boxes=None,
+def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow, *,
                          tol: float = CONSISTENCY_TOL) -> str:
     """Can some parameter in theta_box reproduce the recorded window?
 
-    Propagates the tube dynamics forward from state_box0 under the given
-    controls and demand boxes, collapsing measured entries onto the exact
-    readings as it goes, and answers "infeasible" only when a propagated
-    interval strictly excludes a reading by more than tol. That one-sided
-    certificate is sound: a box containing a consistent parameter is never
-    labelled infeasible. A passing point box earns "feasible"; a passing
-    wider box only earns "unknown", because interval arithmetic may keep an
-    empty box alive.
-
-    With lifted_boxes given (one per time step, None entries allowed), the
-    propagated box is additionally intersected with those previously
-    certified enclosures, which sharpens the test without risking a false
-    certificate.
+    Propagates the tube dynamics forward from the window's first box under
+    its controls and arrival box, intersecting each step with the window's
+    own enclosure of that step (certified earlier, so the tie sharpens the
+    test without risking a false certificate) and collapsing measured
+    entries onto the exact readings as it goes. Answers "infeasible" only
+    when a propagated interval strictly excludes an enclosure or a reading
+    by more than tol. That one-sided certificate is sound: a box containing
+    a consistent parameter is never labelled infeasible. A passing point
+    box earns "feasible"; a passing wider box only earns "unknown", because
+    interval arithmetic may keep an empty box alive.
     """
-    controls = [np.asarray(u, dtype=float) for u in controls]
-    steps = len(controls)
-    observations = list(observations)
-    if len(observations) != steps + 1:
-        raise ValueError("need one observation per step plus the initial one")
-    if isinstance(demand_bounds, DemandBounds):
-        demand_bounds = [demand_bounds] * steps
-    else:
-        demand_bounds = list(demand_bounds)
-    if len(demand_bounds) != steps:
-        raise ValueError("need one demand box per control")
-    if lifted_boxes is not None and len(lifted_boxes) != steps + 1:
-        raise ValueError("need one enclosure per time step when tying")
-
-    up = np.array(state_box0.upper, dtype=float)
-    lo = np.array(state_box0.lower, dtype=float)
+    boxes = window.lifted_boxes
+    observations = window.observations
+    output_model = window.output_model
+    up = np.array(boxes[0].upper, dtype=float)
+    lo = np.array(boxes[0].lower, dtype=float)
     if _absorb(up, lo, observations[0], output_model, tol) is not None:
         return INFEASIBLE
-    for k in range(steps):
-        box = lifted_step(LiftedState(upper=up, lower=lo), controls[k],
-                          demand_bounds[k], theta_box, check=False)
-        up = np.array(box.upper, dtype=float)
-        lo = np.array(box.lower, dtype=float)
-        if lifted_boxes is not None and lifted_boxes[k + 1] is not None:
-            tied_up = np.asarray(lifted_boxes[k + 1].upper, dtype=float)
-            tied_lo = np.asarray(lifted_boxes[k + 1].lower, dtype=float)
-            if np.any(lo > tied_up + tol) or np.any(tied_lo > up + tol):
-                return INFEASIBLE
-            np.minimum(up, tied_up, out=up)
-            np.maximum(lo, tied_lo, out=lo)
-            np.maximum(up, lo, out=up)
-        if _absorb(up, lo, observations[k + 1], output_model, tol) is not None:
+    for k, u in enumerate(window.controls, start=1):
+        box = lifted_step(LiftedState(upper=up, lower=lo), u, window.demand,
+                          theta_box, check=False)
+        up, lo = box.upper, box.lower
+        tied = boxes[k]
+        if np.any(lo > tied.upper + tol) or np.any(tied.lower > up + tol):
+            return INFEASIBLE
+        np.minimum(up, tied.upper, out=up)
+        np.maximum(lo, tied.lower, out=lo)
+        np.maximum(up, lo, out=up)
+        if _absorb(up, lo, observations[k], output_model, tol) is not None:
             return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
@@ -300,15 +265,12 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     """
     if len(window) < 1:
         raise ValueError("the window is empty")
-    boxes = window.lifted_boxes
     checks_left = max(config.prune_budget, 1)
 
     def consistent(candidate: ParamBounds) -> str:
         nonlocal checks_left
         checks_left -= 1
-        return interval_consistency(
-            candidate, boxes[0], window.controls, window.observations,
-            window.demand_boxes, window.output_model, lifted_boxes=boxes)
+        return interval_consistency(candidate, window)
 
     if consistent(param_bounds) == INFEASIBLE:
         raise ContainmentViolation(
@@ -323,38 +285,26 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     applied: list[tuple[str, int, bool, float]] = []
 
     for f, i in coords:
-        # shave the upper bound: certify [mid, cut] infeasible, then cut <- mid
-        anchor, cut = lo_map[f][i], up_map[f][i]
-        for _ in range(config.prune_depth):
-            if checks_left <= 0 or cut - anchor <= _WIDTH_TOL:
-                break
-            mid = 0.5 * (anchor + cut)
-            trial = {g: (a if g != f else a.copy()) for g, a in lo_map.items()}
-            trial[f][i] = mid
-            candidate = _build_box(trial, up_map, param_bounds)
-            if candidate is not None and consistent(candidate) == INFEASIBLE:
-                cut = mid
-            else:
-                anchor = mid
-        if cut < up_map[f][i]:
-            applied.append((f, i, True, cut))
-            up_map[f][i] = cut
-        # shave the lower bound symmetrically
-        anchor, cut = up_map[f][i], lo_map[f][i]
-        for _ in range(config.prune_depth):
-            if checks_left <= 0 or anchor - cut <= _WIDTH_TOL:
-                break
-            mid = 0.5 * (anchor + cut)
-            trial = {g: (a if g != f else a.copy()) for g, a in up_map.items()}
-            trial[f][i] = mid
-            candidate = _build_box(lo_map, trial, param_bounds)
-            if candidate is not None and consistent(candidate) == INFEASIBLE:
-                cut = mid
-            else:
-                anchor = mid
-        if cut > lo_map[f][i]:
-            applied.append((f, i, False, cut))
-            lo_map[f][i] = cut
+        # shave the upper end, then the lower: certify the half between mid
+        # and the moving end infeasible, then move that end to mid
+        for is_upper in (True, False):
+            target, other = (up_map, lo_map) if is_upper else (lo_map, up_map)
+            anchor, cut = other[f][i], target[f][i]
+            for _ in range(config.prune_depth):
+                if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
+                    break
+                mid = 0.5 * (anchor + cut)
+                trial = {g: (a if g != f else a.copy()) for g, a in other.items()}
+                trial[f][i] = mid
+                candidate = (_build_box(trial, target, param_bounds) if is_upper
+                             else _build_box(target, trial, param_bounds))
+                if candidate is not None and consistent(candidate) == INFEASIBLE:
+                    cut = mid
+                else:
+                    anchor = mid
+            if cut != target[f][i]:
+                applied.append((f, i, is_upper, cut))
+                target[f][i] = cut
 
     result = _build_box(lo_map, up_map, param_bounds)
     if result is not None:

@@ -236,7 +236,6 @@ class Scenario:
     alinea: AlineaConfig
     local: LocalConfig
     dual_mode: bool
-    pin_jam: bool
     mpc: MpcConfig
     terminal_mode: str
     terminal: TerminalSet
@@ -268,8 +267,6 @@ class Scenario:
             local=self.local,
             budget=MilpBudget(gap_rel=self.gap_rel),
             dual_mode=self.dual_mode,
-            pin_jam=self.pin_jam,
-            track_demand=self.demand_kind == DEMAND_CONSTANT,
         )
 
     @property
@@ -374,7 +371,6 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     epsilon = cb.scalar("epsilon", 0.1)
     averaging = cb.integer("averaging_window", 1, minimum=1)
     dual_mode = cb.flag("dual_mode", True)
-    pin_jam = cb.flag("pin_jam", True)
     gain = cb.scalar("gain", 70.0 / (60.0 * 160.0))
     setpoint = cb.vector("setpoint", n) if "setpoint" in cb.entries else None
     cb.finish()
@@ -425,7 +421,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         controller=controller,
         alinea=AlineaConfig(gain=gain, setpoint=setpoint),
         local=LocalConfig(averaging_window=averaging, epsilon=epsilon),
-        dual_mode=dual_mode, pin_jam=pin_jam, mpc=mpc_cfg,
+        dual_mode=dual_mode, mpc=mpc_cfg,
         terminal_mode=terminal_mode, terminal=terminal, cost=cost,
         gap_rel=gap_rel, estimator=estimator, steps=steps,
     )
@@ -465,7 +461,6 @@ controller {
   kind setpc
   epsilon 0.1
   dual_mode 1
-  pin_jam 1
 }
 mpc {
   horizon 60
@@ -519,7 +514,6 @@ controller {
   epsilon 0.1
   averaging_window 5
   dual_mode 1
-  pin_jam 1
 }
 mpc {
   horizon 60
@@ -591,8 +585,8 @@ def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifac
     state = SetPcState(
         predicted=scenario.state_box,
         params=scenario.theta_box,
-        demand=scenario.demand_box,
-        window=MeasurementWindow(scenario.estimator.backward_horizon, model),
+        window=MeasurementWindow(scenario.estimator.backward_horizon, model,
+                                 scenario.demand_box),
     )
     log = _new_log(scenario)
     x = scenario.x0.copy()

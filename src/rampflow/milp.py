@@ -346,15 +346,12 @@ def check_solution(model: MilpModel, x: np.ndarray, *, tol: float = 1e-9) -> lis
     for j in hi_bad:
         out.append(f"column {lp.col_names[j]}: {x[j]!r} above {lp.col_upper[j]!r}")
     ax = lp.matrix() @ x
-    for i in range(lp.n_rows):
-        s, r, v = lp.row_senses[i], lp.rhs[i], ax[i]
-        bad = (
-            (s == "L" and v > r + tol)
-            or (s == "G" and v < r - tol)
-            or (s == "E" and abs(v - r) > tol)
-        )
-        if bad:
-            out.append(f"row {lp.row_names[i]} ({s} {r!r}): activity {v!r}")
+    senses, rhs = lp.row_senses, lp.rhs
+    bad = (((senses == "L") & (ax > rhs + tol))
+           | ((senses == "G") & (ax < rhs - tol))
+           | ((senses == "E") & (np.abs(ax - rhs) > tol)))
+    for i in np.flatnonzero(bad):
+        out.append(f"row {lp.row_names[i]} ({senses[i]} {rhs[i]!r}): activity {ax[i]!r}")
     for j in model.binaries:
         if min(x[j], 1.0 - x[j]) > _INT_TOL:
             out.append(f"binary {lp.col_names[j]}: fractional value {x[j]!r}")

@@ -58,8 +58,7 @@ def planner_run():
     x = np.concatenate([[30.0, 30.0, 30.0, 50.0], [5.0, 0.0, 0.0, 0.0]])
     state = SetPcState(predicted=LiftedState.degenerate(x),
                        params=ParamBounds.point(params),
-                       demand=DemandBounds.point(LAM),
-                       window=MeasurementWindow(4, model))
+                       window=MeasurementWindow(4, model, DemandBounds.point(LAM)))
     log = TrajectoryLog(demand=LAM, decrease_allowance=float(cost.d @ LAM))
     for _ in range(14):
         u, state, diag = setpc_step(state, measure(model, x), config)

@@ -39,8 +39,8 @@ def loop_config(horizon=6, **overrides):
 def fresh_state(x0, params_box, demand_box, model, horizon=4):
     return SetPcState(
         predicted=LiftedState.degenerate(np.asarray(x0, dtype=float)),
-        params=params_box, demand=demand_box,
-        window=MeasurementWindow(horizon, model))
+        params=params_box,
+        window=MeasurementWindow(horizon, model, demand_box))
 
 
 # -------------------------------------------------------------- baselines
@@ -187,6 +187,25 @@ def test_setpc_tick_matches_the_direct_planner_on_point_boxes(
     assert diag.phase == PHASE_MPC and diag.feasible and diag.reduced
 
 
+def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand):
+    from dataclasses import replace
+    model = OutputModel.full(4)
+    demand_box = DemandBounds.point(nominal_demand)
+    config = loop_config(horizon=3, dual_mode=False)
+    roomy = ParamBounds(upper=replace(stretch, x_jam=np.full(4, 170.0)),
+                        lower=replace(stretch, x_jam=np.full(4, 150.0)))
+    x = np.concatenate([np.array([30.0, 30.0, 30.0, 45.0]),
+                        np.array([2.0, 0.0, 0.0, 0.0])])
+    state = fresh_state(x, roomy, demand_box, model)
+    u, successor, diag = setpc_step(state, measure(model, x), config)
+    direct = solve_mpc(LiftedState.degenerate(x), demand_box,
+                       pin_jam_to_upper(roomy), config.mpc, config.terminal)
+    assert np.allclose(u, direct.u, atol=1e-9)
+    assert abs(diag.value - direct.value) <= 1e-9
+    assert diag.feasible
+    assert np.array_equal(successor.params.lower.x_jam, np.full(4, 150.0))
+
+
 def test_setpc_loop_enters_the_terminal_set_and_switches(
         stretch, nominal_demand):
     model = OutputModel.full(4)
@@ -245,8 +264,8 @@ def test_setpc_keeps_the_truth_enclosed_under_partial_measurement(
     slack = np.array([0.0, 2.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     state = SetPcState(
         predicted=LiftedState(upper=x + slack, lower=np.maximum(x - slack, 0.0)),
-        params=ParamBounds.point(stretch), demand=demand_box,
-        window=MeasurementWindow(4, model))
+        params=ParamBounds.point(stretch),
+        window=MeasurementWindow(4, model, demand_box))
     rng = np.random.default_rng(3)
     for _ in range(6):
         u, state, diag = setpc_step(state, measure(model, x), config)

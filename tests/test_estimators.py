@@ -15,7 +15,7 @@ from rampflow.estimators import (CELL_DEGENERATE, CELL_EXACT,
                                  UNKNOWN, ContainmentViolation,
                                  EstimatorConfig, MeasurementWindow,
                                  RankDeficient, adopt_identified,
-                                 demand_update, freeflow_identify,
+                                 freeflow_identify,
                                  full_identify_sweep, interval_consistency,
                                  state_update, theta_update)
 
@@ -41,7 +41,7 @@ def drive_window(true_params, box, x0, steps, model, demand_box, *, u=None):
     """Run the corrector loop on a simulated plant and fill a window."""
     lam = 0.5 * (demand_box.upper + demand_box.lower)
     u = lam if u is None else np.asarray(u, dtype=float)
-    window = MeasurementWindow(steps, model)
+    window = MeasurementWindow(steps, model, demand_box)
     x = np.asarray(x0, dtype=float)
     lifted = state_update(wide_start(true_params), measure(model, x), model)
     window.push(lifted, measure(model, x))
@@ -50,7 +50,7 @@ def drive_window(true_params, box, x0, steps, model, demand_box, *, u=None):
         x = compact_step(true_params, x, u, lam)
         predicted = lifted_step(lifted, u, demand_box, box, check=False)
         lifted = state_update(predicted, measure(model, x), model)
-        window.push(lifted, measure(model, x), control=u, demand=demand_box)
+        window.push(lifted, measure(model, x), control=u)
         truth.append(x)
     return window, truth
 
@@ -122,41 +122,25 @@ def test_state_update_rejects_a_missing_measured_reading():
 
 def test_window_rolls_and_keeps_transitions_aligned(stretch, demand_box):
     model = OutputModel.full(4)
-    window = MeasurementWindow(2, model)
+    window = MeasurementWindow(2, model, demand_box)
     states = [np.full(8, float(k)) for k in range(5)]
     window.push(LiftedState.degenerate(states[0]), measure(model, states[0]))
     assert not window.full
     for k, x in enumerate(states[1:], start=1):
         window.push(LiftedState.degenerate(x), measure(model, x),
-                    control=np.full(4, float(k)), demand=demand_box)
+                    control=np.full(4, float(k)))
     assert window.full and len(window) == 3
     assert [c[0] for c in window.controls] == [3.0, 4.0]
     assert window.lifted_boxes[0].upper[0] == 2.0
-    assert len(window.demand_boxes) == 2
 
 
-def test_window_rejects_a_transition_without_its_control(stretch):
+def test_window_rejects_a_transition_without_its_control(stretch, demand_box):
     model = OutputModel.full(4)
-    window = MeasurementWindow(3, model)
+    window = MeasurementWindow(3, model, demand_box)
     x = np.zeros(8)
     window.push(LiftedState.degenerate(x), measure(model, x))
-    with pytest.raises(ValueError, match="control and demand"):
+    with pytest.raises(ValueError, match="control of the transition"):
         window.push(LiftedState.degenerate(x), measure(model, x))
-
-
-def test_demand_update_is_bitwise_stable(stretch, nominal_demand, demand_box):
-    model = OutputModel.full(4)
-    window = MeasurementWindow(4, model)
-    x = np.zeros(8)
-    window.push(LiftedState.degenerate(x), measure(model, x))
-    with pytest.raises(ValueError, match="transition"):
-        demand_update(window)
-    for _ in range(1000):
-        window.push(LiftedState.degenerate(x), measure(model, x),
-                    control=np.zeros(4), demand=demand_box)
-        out = demand_update(window)
-        assert np.array_equal(out.upper, nominal_demand)
-        assert np.array_equal(out.lower, nominal_demand)
 
 
 # ---------------------------------------------------------- consistency
@@ -166,9 +150,7 @@ def test_point_truth_window_reads_feasible(stretch, demand_box, transient_start)
     box = ParamBounds.point(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
                              OutputModel.full(4), demand_box)
-    verdict = interval_consistency(
-        box, window.lifted_boxes[0], window.controls, window.observations,
-        window.demand_boxes, window.output_model)
+    verdict = interval_consistency(box, window)
     assert verdict == FEASIBLE
 
 
@@ -183,10 +165,7 @@ def test_wide_box_around_truth_is_never_infeasible(demand_box, transient_start, 
                         hi=float(v_true.max()) + 0.1)
         window, _ = drive_window(truth, box, transient_start, 4,
                                  OutputModel.full(4), demand_box)
-        verdict = interval_consistency(
-            box, window.lifted_boxes[0], window.controls, window.observations,
-            window.demand_boxes, window.output_model,
-            lifted_boxes=window.lifted_boxes)
+        verdict = interval_consistency(box, window)
         assert verdict in (UNKNOWN, FEASIBLE)
 
 
@@ -195,9 +174,7 @@ def test_box_excluding_the_truth_is_certified_infeasible(
     window, _ = drive_window(stretch, ParamBounds.point(stretch),
                              transient_start, 3, OutputModel.full(4), demand_box)
     away = speed_box(stretch, lo=0.75, hi=0.8)
-    verdict = interval_consistency(
-        away, window.lifted_boxes[0], window.controls, window.observations,
-        window.demand_boxes, window.output_model)
+    verdict = interval_consistency(away, window)
     assert verdict == INFEASIBLE
 
 
@@ -441,7 +418,7 @@ def test_partial_measurement_loop_keeps_the_truth_enclosed(
         stretch, demand_box, transient_start):
     model = OutputModel(np.array([True, False, True, False]), np.ones(4))
     box = speed_box(stretch, lo=0.42, hi=0.58)
-    window = MeasurementWindow(4, model)
+    window = MeasurementWindow(4, model, demand_box)
     x = transient_start
     lifted = state_update(wide_start(stretch), measure(model, x), model)
     window.push(lifted, measure(model, x))
@@ -450,7 +427,7 @@ def test_partial_measurement_loop_keeps_the_truth_enclosed(
         x = compact_step(stretch, x, lam, lam)
         predicted = lifted_step(lifted, lam, demand_box, box, check=False)
         lifted = state_update(predicted, measure(model, x), model)
-        window.push(lifted, measure(model, x), control=lam, demand=demand_box)
+        window.push(lifted, measure(model, x), control=lam)
         assert lifted.contains(x)
     out = theta_update(window, box,
                        EstimatorConfig(prune_depth=5, prune_budget=120))

@@ -1,9 +1,13 @@
-"""Scenario parsing errors and the CSV record of a short planning run."""
+"""Scenario parsing errors, the CSV record of a short planning run, the
+baseline controllers, the identification audit and the documented example."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rampflow import harness
+from rampflow.embedding import PARAM_FIELDS
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
 PRESET = harness.PRESETS["fourcell_constant"]
@@ -64,6 +68,13 @@ def test_run_seed_is_an_unknown_key():
         parse_scenario(text)
 
 
+def test_controller_pin_jam_is_an_unknown_key():
+    text, line = _edit(PRESET, "  dual_mode 1", ["  pin_jam 1"])
+    with pytest.raises(ScenarioError,
+                       match=f"^line {line}: unknown key 'pin_jam' in block 'controller'$"):
+        parse_scenario(text)
+
+
 def _short_planning_scenario():
     """Point boxes, horizon 4, five ticks after the warm-up."""
     box_lines = {"  demand_margin 0.1", "  v 0.4 0.6", "  w 0.1 0.3",
@@ -99,3 +110,78 @@ def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
     np.testing.assert_allclose([s.u for s in back.steps], [s.u for s in log.steps],
                                rtol=1e-11, atol=1e-12)
     np.testing.assert_allclose(back.runnings, log.runnings, rtol=1e-11)
+
+
+# ------------------------------------------------------------ baselines
+
+
+@pytest.mark.parametrize("controller", ["alinea", "openloop", "local"])
+@pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+def test_baselines_keep_the_truth_enclosed_and_rerun_identically(tmp_path, preset, controller):
+    text, _ = _edit(harness.PRESETS[preset], "  kind setpc", [f"  kind {controller}"], keep=False)
+    scenario = parse_scenario(text, name=f"{preset}_{controller}")
+    assert scenario.warmup == 0
+    n, x_jam = scenario.n_cells, scenario.params.x_jam
+    blobs = []
+    for k in range(2):
+        log = harness.run_closed_loop(scenario)
+        path = emit_csv(log, tmp_path / f"run{k}.csv", meta=harness.scenario_meta(scenario, log))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert len(log) == scenario.steps == 60
+    for step in log.steps:
+        assert step.phase == controller
+        assert step.estimate.contains(step.x)
+        assert np.all(step.x[:n] >= 0.0) and np.all(step.x[:n] <= x_jam)
+
+
+# ------------------------------------------------------- identification
+
+
+def _identification_scenario() -> harness.Scenario:
+    """The constant preset started inside the terminal box, with the
+    arrivals known exactly."""
+    text, _ = _edit(PRESET, "  mainline 30 30 30 120", ["  mainline 30 30 30 30"], keep=False)
+    text, _ = _edit(text, "  demand_margin 0.1", [], keep=False)
+    return parse_scenario(text, name="identify")
+
+
+def test_identification_pins_the_upstream_cells_and_keeps_the_rest():
+    scenario = _identification_scenario()
+    truth = scenario.params
+    run = harness.run_identification(scenario)
+    assert run.entry_time == 0
+    assert run.rows.shape == (3, 4)
+    assert run.report.status[:3] == ("exact", "exact", "exact")
+    assert run.report.status[3] != "exact"
+    after, before = run.after, run.before
+    np.testing.assert_array_equal(after.lower.v[:3], after.upper.v[:3])
+    np.testing.assert_array_equal(after.lower.beta[:2], after.upper.beta[:2])
+    np.testing.assert_allclose(after.lower.v[:3], truth.v[:3], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(after.lower.beta[:2], truth.beta[:2], rtol=0, atol=1e-9)
+    for corner in ("lower", "upper"):
+        assert getattr(after, corner).v[3] == getattr(before, corner).v[3]
+        assert getattr(after, corner).beta[2] == getattr(before, corner).beta[2]
+    assert before.lower.v[3] < before.upper.v[3]
+    for fld in PARAM_FIELDS:
+        assert np.all(getattr(after.lower, fld) >= getattr(before.lower, fld))
+        assert np.all(getattr(after.upper, fld) <= getattr(before.upper, fld))
+
+
+def test_identification_needs_setpc_and_constant_arrivals():
+    text, _ = _edit(PRESET, "  kind setpc", ["  kind alinea"], keep=False)
+    with pytest.raises(ValueError, match="set-membership loop"):
+        harness.run_identification(parse_scenario(text))
+    with pytest.raises(ValueError, match="constant arrivals"):
+        harness.run_identification(harness.load_scenario("fourcell_periodic"))
+
+
+# ----------------------------------------------------------------- docs
+
+
+def test_the_documented_example_is_the_constant_preset():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario-format.md").read_text()
+    example = doc.split("\n## Example\n", 1)[1]
+    block = example.split("```\n", 2)[1]
+    assert block == PRESET
+    parse_scenario(block)

@@ -373,3 +373,39 @@ def test_initial_candidate_seeds_incumbent_without_changing_optimum():
     junk = solve_milp(fence(), initial_candidates=[np.array([0.0, 0.0])])
     assert junk.objective == pytest.approx(baseline.objective, abs=1e-12)
 
+
+
+def _row_messages_one_by_one(model, x, tol):
+    """Reference for check_solution's row part: one row at a time."""
+    lp = model.lp
+    ax = lp.matrix() @ x
+    out = []
+    for i in range(lp.n_rows):
+        s, r, v = lp.row_senses[i], lp.rhs[i], ax[i]
+        if ((s == "L" and v > r + tol) or (s == "G" and v < r - tol)
+                or (s == "E" and abs(v - r) > tol)):
+            out.append(f"row {lp.row_names[i]} ({s} {r!r}): activity {v!r}")
+    return out
+
+
+def test_check_solution_reports_violated_rows_in_row_order():
+    rng = np.random.default_rng(5)
+    reported = 0
+    for _ in range(40):
+        b = ModelBuilder("rows")
+        n = int(rng.integers(1, 8))
+        for j in range(n):
+            b.add_variable(f"x{j}", lower=-5.0, upper=5.0)
+        for i in range(int(rng.integers(0, 10))):
+            cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            b.add_row({int(j): float(rng.normal()) for j in cols},
+                      "LEG"[int(rng.integers(3))], float(rng.normal()))
+        model = b.build()
+        for tol in (1e-9, 0.5):
+            x = rng.uniform(-2.0, 2.0, n)
+            if rng.random() < 0.2:
+                x[int(rng.integers(n))] = np.nan
+            rows = [m for m in check_solution(model, x, tol=tol) if m.startswith("row ")]
+            assert rows == _row_messages_one_by_one(model, x, tol)
+            reported += len(rows)
+    assert reported > 50
