@@ -129,17 +129,15 @@ class TrajectoryLog:
         return np.array([s.estimate.upper for s in self.steps])
 
 
-def running_cost(l, x_bar, *, terminal: TerminalSet | None = None,
-                 tol: float = 1e-9) -> float:
+def running_cost(l, x_bar, *, terminal: TerminalSet | None = None) -> float:
     """Cost charged against an upper estimate.
 
     With a terminal box the charge is zero inside it (the indicator
     objective); without one it is the plain weighted sum.
     """
-    x_bar = np.asarray(x_bar, dtype=float)
-    if terminal is not None and np.all(x_bar <= terminal.x_f + tol):
+    if terminal is not None and terminal.contains(x_bar):
         return 0.0
-    return float(np.asarray(l, dtype=float) @ x_bar)
+    return float(np.asarray(l, dtype=float) @ np.asarray(x_bar, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -242,11 +240,10 @@ def value_function_bounds_check(log: TrajectoryLog,
         passed=min(min_lower, min_upper) >= -slack)
 
 
-def time_to_terminal(log: TrajectoryLog, terminal: TerminalSet,
-                     *, tol: float = 1e-9) -> int | None:
+def time_to_terminal(log: TrajectoryLog, terminal: TerminalSet) -> int | None:
     """First tick whose upper estimate sits inside the terminal box."""
     for t, step in enumerate(log.steps):
-        if np.all(step.estimate.upper <= terminal.x_f + tol):
+        if terminal.contains(step.estimate.upper):
             return t
     return None
 

@@ -13,7 +13,7 @@ them against the same estimation stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,31 +144,12 @@ def local_controller(queue_history, control_history, cfg: LocalConfig = LocalCon
     return np.clip(u, 0.0, upper)
 
 
-def dual_mode_supervisor(phase: str, x_hat_up, terminal: TerminalSet, *,
-                         revert_on_exit: bool = True, tol: float = 1e-9) -> str:
-    """Switch to local tracking once the upper estimate sits in the terminal
-    box (boundary included); optionally switch back when it leaves."""
-    inside = bool(np.all(np.asarray(x_hat_up, dtype=float) <= terminal.x_f + tol))
-    if phase == PHASE_MPC:
-        return PHASE_LOCAL if inside else PHASE_MPC
-    if phase != PHASE_LOCAL:
+def dual_mode_supervisor(phase: str, x_hat_up, terminal: TerminalSet) -> str:
+    """Local tracking while the upper estimate sits in the terminal box
+    (``TerminalSet.contains``), the horizon planner otherwise."""
+    if phase not in (PHASE_MPC, PHASE_LOCAL):
         raise ValueError(f"unknown phase {phase!r}")
-    if inside or not revert_on_exit:
-        return PHASE_LOCAL
-    return PHASE_MPC
-
-
-def pin_jam_to_upper(bounds: ParamBounds) -> ParamBounds:
-    """Collapse the jam interval onto its upper bound for planning.
-
-    The horizon planner needs a single jam profile; using the upper bound
-    keeps every admissible merge admissible in the plan.
-    """
-    if bounds.jam_is_point:
-        return bounds
-    return ParamBounds(
-        upper=bounds.upper,
-        lower=replace(bounds.lower, x_jam=bounds.upper.x_jam))
+    return PHASE_LOCAL if terminal.contains(x_hat_up) else PHASE_MPC
 
 
 def _ingest(state: SetPcState, y, config: SetPcConfig):
@@ -202,10 +183,9 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
 
     Runs, in order: the measurement correction, the parameter contraction,
     the phase decision and control computation, and the tube prediction for
-    the next tick. The planner sees the jam interval collapsed onto its
-    upper end (``pin_jam_to_upper``). The executed control is clamped to
-    the guaranteed service bound min(u, q-lower + lam-lower) so the plant's
-    ramp discharge equals the command exactly and containment carries over.
+    the next tick. The executed control is clamped to the guaranteed service
+    bound min(u, q-lower + lam-lower) so the plant's ramp discharge equals
+    the command exactly and containment carries over.
     Returns (executed control, successor state, diagnostics); estimator and
     solver errors propagate.
     """
@@ -218,8 +198,8 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
 
     reduced = None
     if phase == PHASE_MPC:
-        result = solve_mpc(corrected, state.window.demand, pin_jam_to_upper(theta),
-                           config.mpc, config.terminal, budget=config.budget)
+        result = solve_mpc(corrected, state.window.demand, theta, config.mpc,
+                           config.terminal, budget=config.budget)
         command = result.u
         value = result.value
         feasible = result.feasible

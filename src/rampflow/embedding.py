@@ -126,10 +126,6 @@ class ParamBounds:
             np.array_equal(getattr(self.lower, n), getattr(self.upper, n))
             for n in PARAM_FIELDS)
 
-    @property
-    def jam_is_point(self) -> bool:
-        return bool(np.array_equal(self.lower.x_jam, self.upper.x_jam))
-
     @classmethod
     def point(cls, params: FreewayParams) -> "ParamBounds":
         return cls(upper=params, lower=params)
@@ -252,18 +248,4 @@ def lifted_point_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
     """Compact dynamics evaluated through the tube map's own code path."""
     return _tube_flows(x, x, u, lam, _primary_tuple(params),
                        _secondary_tuple(params)).next
-
-
-def simulate_lifted(lifted: LiftedState, controls: np.ndarray,
-                    demand: DemandBounds, bounds: ParamBounds, *,
-                    check: bool = True) -> LiftedState:
-    """Compose lifted_step over a control sequence of shape (k, I), with the
-    same arrival box every step."""
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if controls.size == 0:
-        return lifted
-    state = lifted
-    for u_k in controls:
-        state = lifted_step(state, u_k, demand, bounds, check=check)
-    return state
 

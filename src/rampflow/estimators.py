@@ -65,7 +65,7 @@ class EstimatorConfig:
     prune_budget caps the total number of consistency checks one
     ``theta_update`` call may spend. With relax_jam set, the jam occupancy
     is left alone by the contraction and treated as fixed at its upper
-    bound by downstream consumers.
+    bound by the planner.
     """
 
     backward_horizon: int = 8

@@ -237,7 +237,6 @@ class Scenario:
     local: LocalConfig
     dual_mode: bool
     mpc: MpcConfig
-    terminal_mode: str
     terminal: TerminalSet
     cost: CostSpec
     gap_rel: float
@@ -379,7 +378,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     horizon = mb.integer("horizon", 60, minimum=1)
     l_vec = mb.vector("l", 2 * n, default=1.0)
     cost_mode = mb.word("cost", COST_LINEAR, (COST_LINEAR, COST_INDICATOR))
-    terminal_mode = mb.word("terminal", TERMINAL_MAINLINE, (TERMINAL_MAINLINE, TERMINAL_DRAINED))
+    drained = mb.word("terminal", TERMINAL_MAINLINE, (TERMINAL_MAINLINE, TERMINAL_DRAINED)) == TERMINAL_DRAINED
     gap_rel = mb.scalar("gap", 0.0)
     if mb.is_word("b", "terminal"):
         b_main, d_vec = choose_terminal_weights(l_vec, params)
@@ -409,10 +408,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     if not check_admissible(params, base):
         raise ScenarioError(None, "demand.base is not admissible for these parameters")
     x_up = compute_xup(base, params)
-    if terminal_mode == TERMINAL_DRAINED:
-        terminal = TerminalSet.drained(x_up)
-    else:
-        terminal = TerminalSet.mainline_only(x_up)
+    terminal = TerminalSet.drained(x_up) if drained else TerminalSet.mainline_only(x_up)
 
     return Scenario(
         name=name, params=params, demand_kind=kind, demand_base=base,
@@ -421,8 +417,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         controller=controller,
         alinea=AlineaConfig(gain=gain, setpoint=setpoint),
         local=LocalConfig(averaging_window=averaging, epsilon=epsilon),
-        dual_mode=dual_mode, mpc=mpc_cfg,
-        terminal_mode=terminal_mode, terminal=terminal, cost=cost,
+        dual_mode=dual_mode, mpc=mpc_cfg, terminal=terminal, cost=cost,
         gap_rel=gap_rel, estimator=estimator, steps=steps,
     )
 
@@ -602,7 +597,7 @@ def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifac
                    diag.feasible, diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
         t = tick + 1
-        if stop_on_entry and np.all(diag.corrected.upper <= scenario.terminal.x_f + 1e-9):
+        if stop_on_entry and scenario.terminal.contains(diag.corrected.upper):
             break
     _seal_gap(scenario, log)
     return RunArtifacts(log=log, state=state, x=x, next_t=t)
@@ -698,7 +693,7 @@ def run_identification(scenario: Scenario, *, rows: int = 3) -> IdentificationRu
     if art.state is None or len(art.log) == 0:
         raise ValueError("the run produced no usable entry state")
     last = art.log.steps[-1]
-    if not np.all(last.estimate.upper <= scenario.terminal.x_f + 1e-9):
+    if not scenario.terminal.contains(last.estimate.upper):
         raise ValueError("the run never entered the terminal box; extend run.steps")
 
     config = scenario.loop_config()
@@ -793,19 +788,18 @@ def _theta_row(step) -> list[float]:
 
 
 def emit_csv(log: TrajectoryLog, path: str | Path, *,
-             meta: list[tuple[str, str]] | None = None,
-             summary: list[str] | None = None) -> Path:
+             meta: list[tuple[str, str]]) -> Path:
     """Write a log to disk: '#' metadata, a header row, one row per tick.
 
-    Values print with 12 significant digits, so re-running the same
-    scenario reproduces the file byte for byte. Certificate lines passed
-    as ``summary`` are appended as trailing comments.
+    ``meta`` is what :func:`scenario_meta` returns; :func:`read_log` needs
+    at least its ``cells`` line. Values print with 12 significant digits,
+    so re-running the same scenario reproduces the file byte for byte.
     """
     if len(log) == 0:
         raise ValueError("refusing to write an empty log")
     n = log.steps[0].x.shape[0] // 2
     lines = []
-    for key, val in meta or []:
+    for key, val in meta:
         lines.append(f"# {key} {val}")
     lines.append(",".join(_columns(n)))
     for t, step in enumerate(log.steps):
@@ -820,8 +814,6 @@ def emit_csv(log: TrajectoryLog, path: str | Path, *,
         cells.append(step.phase)
         cells.append(_fmt(float(np.sum(step.x))))
         lines.append(",".join(cells))
-    for line in summary or []:
-        lines.append(f"# {line}")
     out = Path(path)
     out.write_text("\n".join(lines) + "\n")
     return out

@@ -352,9 +352,9 @@ def check_solution(model: MilpModel, x: np.ndarray, *, tol: float = 1e-9) -> lis
            | ((senses == "E") & (np.abs(ax - rhs) > tol)))
     for i in np.flatnonzero(bad):
         out.append(f"row {lp.row_names[i]} ({senses[i]} {rhs[i]!r}): activity {ax[i]!r}")
-    for j in model.binaries:
-        if min(x[j], 1.0 - x[j]) > _INT_TOL:
-            out.append(f"binary {lp.col_names[j]}: fractional value {x[j]!r}")
+    xb = x[model.binaries]
+    for j in model.binaries[np.minimum(xb, 1.0 - xb) > _INT_TOL]:
+        out.append(f"binary {lp.col_names[j]}: fractional value {x[j]!r}")
     return out
 
 

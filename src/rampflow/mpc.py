@@ -28,6 +28,11 @@ is already decided get their binaries fixed (the whole first stage always
 is, because the initial corners are known numbers), and one-step problems
 collapse to plain linear programs.
 
+``solve_mpc`` owns the planning conventions: it pins the parameter box's
+jam interval onto its upper end (the receiving-flow rows need one jam value
+per cell) and picks the encoding once, the single-component one when every
+box is a point and the two-component tube otherwise.
+
 A dynamics-completion heuristic turns fractional relaxation points into
 feasible plans: take the relaxed metering sequence, clip it to what the
 queues can serve, roll the tube forward, and re-encode. It runs both as
@@ -38,7 +43,8 @@ seeds (track the arrivals; meter nothing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,6 +142,11 @@ class TerminalSet:
     @property
     def n_cells(self) -> int:
         return self.x_f.shape[0] // 2
+
+    def contains(self, x) -> bool:
+        """Whether the stacked state x sits in the box, boundary included
+        (within 1e-9); the loop applies it to the upper estimate."""
+        return bool(np.all(np.asarray(x, dtype=float) <= self.x_f + 1e-9))
 
     @classmethod
     def mainline_only(cls, x_up: np.ndarray) -> "TerminalSet":
@@ -413,7 +424,7 @@ def model_census(
     halves, every stage), controls, and gadget auxiliaries (flow columns
     plus selector binaries). The reduced single-component encoding is the
     one the solver uses when the initial box, demand box and parameter
-    box are all degenerate.
+    box (its jam pinned) are all degenerate.
     """
     n, t = int(n_cells), int(horizon)
     ncomp = 1 if reduced else 2
@@ -569,21 +580,13 @@ def _validate_inputs(xhat, demand, bounds, config, terminal, n):
         raise ValueError("demand box is invalid")
 
 
-class _Problem:
-    """Encoded horizon problem plus its column map and codec closures."""
+class _Problem(NamedTuple):
+    """Encoded horizon problem, its (T, I) control columns and its codec."""
 
-    def __init__(self, model, layout, encode, decode):
-        self.model = model
-        self.layout = layout
-        self.encode = encode
-        self.decode = decode
-
-
-@dataclass
-class _Layout:
-    n_cells: int
-    horizon: int
+    model: milp.MilpModel
     u: np.ndarray
+    encode: Callable
+    decode: Callable
 
 
 def _scatter(vec: np.ndarray, ids: dict, k: int, side: _Side) -> None:
@@ -600,21 +603,16 @@ def _scatter(vec: np.ndarray, ids: dict, k: int, side: _Side) -> None:
 
 
 def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
+    """Encode the horizon problem over a box with one jam profile.
+
+    The model's size matches :func:`model_census`; feasibility is left to
+    the solver. ``reduced`` selects the single-component encoding, which
+    is exact only on point boxes.
+    """
     p_up, p_lo = bounds.upper, bounds.lower
     n = p_up.n_cells
     t = config.horizon
-    if not bounds.jam_is_point:
-        raise ValueError(
-            "the prediction model needs one jam profile; collapse the "
-            "parameter box onto its upper jam estimate before planning"
-        )
     _validate_inputs(xhat, demand, bounds, config, terminal, n)
-    if reduced and not (
-        np.array_equal(np.asarray(xhat.upper), np.asarray(xhat.lower))
-        and np.array_equal(np.asarray(demand.upper), np.asarray(demand.lower))
-        and bounds.is_point
-    ):
-        raise ValueError("the single-component encoding needs point boxes")
     jam = p_up.x_jam
     box_ub = np.concatenate([jam, np.full(n, np.inf)])
     cap0 = np.concatenate([jam, np.full(n, np.inf)])
@@ -826,7 +824,6 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             bld.add_row(coeffs, "G", 0.0, f"paystage[{k}]")
 
     model = bld.build()
-    layout = _Layout(n_cells=n, horizon=t, u=u_ids)
 
     n_cols = model.lp.n_cols
     xf = terminal.x_f
@@ -882,26 +879,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         )
         return controls, upper, lower
 
-    return _Problem(model, layout, encode, decode)
-
-
-def build_problem(
-    xhat: LiftedState,
-    demand_bounds: DemandBounds,
-    param_bounds: ParamBounds,
-    config: MpcConfig,
-    terminal: TerminalSet,
-) -> milp.MilpModel:
-    """Encode the horizon problem over both tube components.
-
-    The returned model's size matches :func:`model_census` exactly;
-    feasibility is left to the solver. Requires a parameter box whose jam
-    profile is a single vector (the receiving-flow rows need one jam
-    value per cell to stay affine).
-    """
-    return _assemble(
-        xhat, demand_bounds, param_bounds, config, terminal, reduced=False
-    ).model
+    return _Problem(model, u_ids, encode, decode)
 
 
 def solve_mpc(
@@ -912,37 +890,41 @@ def solve_mpc(
     terminal: TerminalSet,
     *,
     budget: milp.MilpBudget | None = None,
-    allow_reduced: bool = True,
 ) -> MpcResult:
     """Plan over the horizon and return the first control with the value.
 
-    When the state box, demand box and parameter box are all degenerate
-    the two tube components coincide, and a single-component encoding
-    (half the columns, half the binaries) is solved instead; the decoded
-    trajectories are then shared between the tube sides. Infeasibility
+    The planner owns two conventions. It plans on one jam profile, the
+    upper end of the jam interval: the receiving-flow rows need a single
+    jam value per cell to stay affine, and the upper end keeps every
+    admissible merge admissible in the plan. And it picks the encoding:
+    when the state box, demand box and (pinned) parameter box are all
+    degenerate the two tube components coincide, and a single-component
+    encoding (half the columns, half the binaries) is solved instead, its
+    decoded trajectories shared between the tube sides. Infeasibility
     follows ``config.fallback``: raise, or return zero metering with an
     infinite value. A solver budget overrun always raises, carrying the
     incumbent diagnostics.
     """
+    bounds = ParamBounds(param_bounds.upper,
+                         replace(param_bounds.lower, x_jam=param_bounds.upper.x_jam))
     reduced = (
-        allow_reduced
-        and np.array_equal(np.asarray(xhat.upper), np.asarray(xhat.lower))
+        np.array_equal(np.asarray(xhat.upper), np.asarray(xhat.lower))
         and np.array_equal(
             np.asarray(demand_bounds.upper), np.asarray(demand_bounds.lower)
         )
-        and param_bounds.is_point
+        and bounds.is_point
     )
     prob = _assemble(
-        xhat, demand_bounds, param_bounds, config, terminal, reduced=reduced
+        xhat, demand_bounds, bounds, config, terminal, reduced=reduced
     )
-    n = prob.layout.n_cells
-    t = prob.layout.horizon
+    n = bounds.upper.n_cells
+    t = config.horizon
     lam = np.asarray(demand_bounds.upper, dtype=float)
     seeds = (np.tile(lam, (t, 1)), np.zeros((t, n)))
     candidates = [v for v in (prob.encode(s) for s in seeds) if v is not None]
 
     def hook(x_lp):
-        return prob.encode(np.asarray(x_lp)[prob.layout.u])
+        return prob.encode(np.asarray(x_lp)[prob.u])
 
     sol = milp.solve_milp(
         prob.model,
@@ -956,7 +938,7 @@ def solve_mpc(
         # either branch at equal cost; replaying the controls through the
         # actual dynamics pins the trajectories to the plant's inclusive
         # branch whenever that does not cost more
-        replay = prob.encode(np.asarray(sol.x)[prob.layout.u])
+        replay = prob.encode(np.asarray(sol.x)[prob.u])
         if replay is not None:
             val = float(prob.model.lp.obj @ replay)
             if val <= sol.objective + max(1e-6, 1e-9 * abs(sol.objective)):

@@ -15,8 +15,7 @@ from rampflow.controllers import (ALINEA_GAIN, AlineaConfig, LocalConfig,
                                   PHASE_LOCAL, PHASE_MPC, SetPcConfig,
                                   SetPcState, StepDiagnostics, alinea_step,
                                   dual_mode_supervisor, local_controller,
-                                  open_loop_step, pin_jam_to_upper,
-                                  setpc_step, theta_width)
+                                  open_loop_step, setpc_step, theta_width)
 
 B_MAIN = np.array([6.878, 5.42, 3.8, 2.0])
 
@@ -149,8 +148,6 @@ def test_supervisor_reverts_only_when_asked():
     terminal = TerminalSet.drained(np.full(4, 40.0))
     outside = np.concatenate([np.full(4, 41.0), np.zeros(4)])
     assert dual_mode_supervisor(PHASE_LOCAL, outside, terminal) == PHASE_MPC
-    assert dual_mode_supervisor(PHASE_LOCAL, outside, terminal,
-                                revert_on_exit=False) == PHASE_LOCAL
     with pytest.raises(ValueError, match="phase"):
         dual_mode_supervisor("cruise", outside, terminal)
 
@@ -159,12 +156,7 @@ def test_pin_jam_collapses_onto_the_upper_profile(stretch):
     from dataclasses import replace
     roomy = ParamBounds(upper=replace(stretch, x_jam=np.full(4, 170.0)),
                         lower=replace(stretch, x_jam=np.full(4, 150.0)))
-    pinned = pin_jam_to_upper(roomy)
-    assert np.array_equal(pinned.lower.x_jam, np.full(4, 170.0))
-    assert np.array_equal(pinned.upper.x_jam, np.full(4, 170.0))
-    assert np.array_equal(pinned.lower.v, stretch.v)
     point = ParamBounds.point(stretch)
-    assert pin_jam_to_upper(point) is point
     assert theta_width(roomy) == 20.0 and theta_width(point) == 0.0
 
 
@@ -198,8 +190,10 @@ def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand)
                         np.array([2.0, 0.0, 0.0, 0.0])])
     state = fresh_state(x, roomy, demand_box, model)
     u, successor, diag = setpc_step(state, measure(model, x), config)
-    direct = solve_mpc(LiftedState.degenerate(x), demand_box,
-                       pin_jam_to_upper(roomy), config.mpc, config.terminal)
+    pinned = ParamBounds(upper=roomy.upper,
+                         lower=replace(roomy.lower, x_jam=np.full(4, 170.0)))
+    direct = solve_mpc(LiftedState.degenerate(x), demand_box, pinned,
+                       config.mpc, config.terminal)
     assert np.allclose(u, direct.u, atol=1e-9)
     assert abs(diag.value - direct.value) <= 1e-9
     assert diag.feasible

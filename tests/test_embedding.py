@@ -21,7 +21,6 @@ from rampflow.embedding import (
     decomposition_F,
     lifted_point_step,
     lifted_step,
-    simulate_lifted,
 )
 
 from conftest import random_state
@@ -249,32 +248,17 @@ class TestContainment:
 
 
 class TestSimulateLifted:
-    def test_zero_steps_is_identity(self, stretch, nominal_demand):
-        lifted = LiftedState.degenerate(np.arange(8.0))
-        out = simulate_lifted(lifted, np.empty((0, 4)),
-                              DemandBounds.point(nominal_demand),
-                              ParamBounds.point(stretch))
-        assert out is lifted
-
-    def test_one_step_equals_lifted_step(self, stretch, nominal_demand):
-        x = np.concatenate([np.full(4, 25.0), np.full(4, 3.0)])
-        lifted = LiftedState(upper=x + 1.0, lower=np.maximum(x - 1.0, 0.0))
-        dem = DemandBounds(upper=nominal_demand * 1.1, lower=nominal_demand * 0.9)
-        u = np.full(4, 2.0)
-        a = simulate_lifted(lifted, u[None, :], dem, demo_bounds())
-        b = lifted_step(lifted, u, dem, demo_bounds())
-        np.testing.assert_array_equal(a.upper, b.upper)
-        np.testing.assert_array_equal(a.lower, b.lower)
+    """Several tube steps in a row, against the plant."""
 
     def test_point_box_composition_matches_plant(self, stretch, nominal_demand):
         x = np.concatenate([equilibrium_uncongested(stretch, nominal_demand),
                             np.full(4, 5.0)])
         controls = np.tile(nominal_demand * 0.8, (5, 1))
-        out = simulate_lifted(LiftedState.degenerate(x), controls,
-                              DemandBounds.point(nominal_demand),
-                              ParamBounds.point(stretch))
+        out = LiftedState.degenerate(x)
         ref = x
         for k in range(5):
+            out = lifted_step(out, controls[k], DemandBounds.point(nominal_demand),
+                              ParamBounds.point(stretch))
             ref = compact_step(stretch, ref, controls[k], nominal_demand)
         np.testing.assert_array_equal(out.upper, ref)
         np.testing.assert_array_equal(out.lower, ref)
@@ -295,5 +279,4 @@ class TestParamBoundsValidation:
     def test_point_box_flags(self, stretch):
         box = ParamBounds.point(stretch)
         assert box.is_point
-        assert box.jam_is_point
         assert not demo_bounds().is_point

@@ -1,6 +1,7 @@
 """Scenario parsing errors, the CSV record of a short planning run, the
 baseline controllers, the identification audit and the documented example."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,34 @@ def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
     np.testing.assert_allclose([s.u for s in back.steps], [s.u for s in log.steps],
                                rtol=1e-11, atol=1e-12)
     np.testing.assert_allclose(back.runnings, log.runnings, rtol=1e-11)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# cells 4\n", "no header row"),
+    (",".join(harness._columns(4)) + "\n", "missing 'cells' metadata"),
+    ("# cells 4\nt,x_1\n", f"expected {len(harness._columns(4))} columns, found 2"),
+], ids=["no_header", "no_cells", "column_count"])
+def test_read_log_refuses_files_it_cannot_rebuild(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_log(path)
+
+
+def test_load_scenario_reads_a_file_named_after_its_stem(tmp_path):
+    path = tmp_path / "my_stretch.scn"
+    path.write_text(PRESET)
+    preset = harness.load_scenario("fourcell_constant")
+    for source in (path, str(path)):
+        scenario = harness.load_scenario(source)
+        assert scenario.name == "my_stretch"
+        assert repr(replace(scenario, name=preset.name)) == repr(preset)
+
+
+def test_load_scenario_names_what_it_could_not_find(tmp_path):
+    for source in ("fourcell_nowhere", tmp_path / "missing.scn"):
+        with pytest.raises(ScenarioError, match="no preset or file named"):
+            harness.load_scenario(source)
 
 
 # ------------------------------------------------------------ baselines

@@ -375,8 +375,9 @@ def test_initial_candidate_seeds_incumbent_without_changing_optimum():
 
 
 
-def _row_messages_one_by_one(model, x, tol):
-    """Reference for check_solution's row part: one row at a time."""
+def _messages_one_by_one(model, x, tol):
+    """Reference for check_solution's row and integrality parts: one row,
+    then one binary, at a time."""
     lp = model.lp
     ax = lp.matrix() @ x
     out = []
@@ -385,17 +386,24 @@ def _row_messages_one_by_one(model, x, tol):
         if ((s == "L" and v > r + tol) or (s == "G" and v < r - tol)
                 or (s == "E" and abs(v - r) > tol)):
             out.append(f"row {lp.row_names[i]} ({s} {r!r}): activity {v!r}")
+    for j in model.binaries:
+        if min(x[j], 1.0 - x[j]) > 1e-7:
+            out.append(f"binary {lp.col_names[j]}: fractional value {x[j]!r}")
     return out
 
 
 def test_check_solution_reports_violated_rows_in_row_order():
     rng = np.random.default_rng(5)
-    reported = 0
+    reported = fractional = 0
     for _ in range(40):
         b = ModelBuilder("rows")
         n = int(rng.integers(1, 8))
+        binary = rng.random(n) < 0.4
         for j in range(n):
-            b.add_variable(f"x{j}", lower=-5.0, upper=5.0)
+            if binary[j]:
+                b.add_variable(f"z{j}", binary=True)
+            else:
+                b.add_variable(f"x{j}", lower=-5.0, upper=5.0)
         for i in range(int(rng.integers(0, 10))):
             cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             b.add_row({int(j): float(rng.normal()) for j in cols},
@@ -403,9 +411,14 @@ def test_check_solution_reports_violated_rows_in_row_order():
         model = b.build()
         for tol in (1e-9, 0.5):
             x = rng.uniform(-2.0, 2.0, n)
+            # binaries: fractional, integral, or integral up to a tiny offset
+            snap = binary & (rng.random(n) < 0.5)
+            x[snap] = rng.integers(0, 2, n)[snap] + rng.choice([0.0, 5e-8, -5e-8], n)[snap]
             if rng.random() < 0.2:
                 x[int(rng.integers(n))] = np.nan
-            rows = [m for m in check_solution(model, x, tol=tol) if m.startswith("row ")]
-            assert rows == _row_messages_one_by_one(model, x, tol)
-            reported += len(rows)
-    assert reported > 50
+            msgs = [m for m in check_solution(model, x, tol=tol)
+                    if not m.startswith("column ")]
+            assert msgs == _messages_one_by_one(model, x, tol)
+            reported += len(msgs)
+            fractional += sum(m.startswith("binary ") for m in msgs)
+    assert reported > 50 and fractional > 10

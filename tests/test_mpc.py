@@ -215,8 +215,8 @@ def test_census_matches_built_models(demand, point_params, nominal_demand,
                                      stretch):
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
     for horizon in (1, 2, 3):
-        model = mpc.build_problem(equilibrium_box(), demand, point_params,
-                                  default_config(horizon), term)
+        model = mpc._assemble(equilibrium_box(), demand, point_params,
+                              default_config(horizon), term, reduced=False).model
         census = mpc.model_census(4, horizon)
         assert model.lp.n_cols == census["columns"]
         assert model.lp.n_rows == census["rows"]
@@ -230,8 +230,8 @@ def test_census_covers_indicator_mode(demand, point_params, nominal_demand,
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
     config = mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.zeros(8),
                            cost_mode=mpc.COST_INDICATOR)
-    model = mpc.build_problem(equilibrium_box(), demand, point_params,
-                              config, term)
+    model = mpc._assemble(equilibrium_box(), demand, point_params,
+                          config, term, reduced=False).model
     census = mpc.model_census(4, 2, cost_mode=mpc.COST_INDICATOR,
                               terminal=term)
     assert model.lp.n_cols == census["columns"]
@@ -447,13 +447,12 @@ def test_threshold_ties_relax_the_two_component_model(
                           term)
     np.testing.assert_allclose(exact.value, constant_plan, atol=1e-6)
 
-    relaxed = mpc.solve_mpc(equilibrium_box(), demand, point_params, config,
-                            term, allow_reduced=False)
-    assert relaxed.value < constant_plan - 1.0
-    assert not milp.check_solution(
-        mpc.build_problem(equilibrium_box(), demand, point_params, config,
-                          term),
-        relaxed.solution.x, tol=1e-7)
+    model = mpc._assemble(equilibrium_box(), demand, point_params, config,
+                          term, reduced=False).model
+    relaxed = milp.solve_milp(model)
+    assert relaxed.status == milp.OPTIMAL
+    assert relaxed.objective < constant_plan - 1.0
+    assert not milp.check_solution(model, relaxed.x, tol=1e-7)
 
 
 def test_infeasible_horizon_raises_by_default(stretch, nominal_demand,
@@ -489,11 +488,9 @@ def test_congested_start_with_free_queues_is_feasible(stretch, point_params):
     slow = DemandBounds(upper=np.full(4, 0.5), lower=np.full(4, 0.5))
     term = mpc.TerminalSet.mainline_only(np.full(4, 40.0))
     config = default_config(5)
-    res = mpc.solve_mpc(box, slow, point_params, config, term,
-                        allow_reduced=False)
-    assert res.feasible
     prob = mpc._assemble(box, slow, point_params, config, term,
                          reduced=False)
+    assert milp.solve_milp(prob.model).status == milp.OPTIMAL
     witness = prob.encode(np.zeros((5, 4)))
     assert witness is not None
     assert not milp.check_solution(prob.model, witness, tol=1e-7)
@@ -557,12 +554,13 @@ def test_indicator_mode_charges_only_excluded_stages(
 
 def test_budget_overrun_raises_with_diagnostics(
         stretch, nominal_demand, demand, point_params):
+    # a mainline box one vehicle wide selects the two-component encoding
     term = drained_terminal(stretch, nominal_demand)
+    x0 = equilibrium_box().upper
+    box = LiftedState(upper=x0, lower=x0 - np.concatenate([np.ones(4), np.zeros(4)]))
     with pytest.raises(mpc.SolveBudgetExceeded) as err:
-        mpc.solve_mpc(equilibrium_box(), demand, point_params,
-                      default_config(3), term,
-                      budget=milp.MilpBudget(max_nodes=5, gap_abs=0.0),
-                      allow_reduced=False)
+        mpc.solve_mpc(box, demand, point_params, default_config(3), term,
+                      budget=milp.MilpBudget(max_nodes=5, gap_abs=0.0))
     assert err.value.solution.nodes == 5
     assert np.isfinite(err.value.solution.objective)
     assert "incumbent" in str(err.value)
@@ -618,14 +616,22 @@ def test_horizon_bound_counts_mainline_storage(stretch, nominal_demand,
 # ----------------------------------------------------------- validation
 
 
-def test_build_problem_requires_a_single_jam_profile(nominal_demand, demand):
+def test_split_jam_box_plans_like_its_pinned_box(stretch, nominal_demand,
+                                                 demand):
+    """The planner pins the jam interval onto its upper end itself, before
+    it picks the encoding: a box that is a point but for its jam plans on
+    the single-component encoding, exactly like the pinned box."""
     mk = lambda xj: homogeneous_params(4, beta=0.9, v=0.5, w=1.0 / 6.0,
                                        x_jam=xj, c_max=20.0, alpha=0.9)
     split_jam = ParamBounds(upper=mk(160.0), lower=mk(150.0))
-    term = mpc.TerminalSet.drained(np.full(4, 40.0))
-    with pytest.raises(ValueError, match="jam"):
-        mpc.build_problem(equilibrium_box(), demand, split_jam,
-                          default_config(1), term)
+    term = drained_terminal(stretch, nominal_demand)
+    split = mpc.solve_mpc(equilibrium_box(), demand, split_jam,
+                          default_config(3), term)
+    pinned = mpc.solve_mpc(equilibrium_box(), demand, ParamBounds.point(mk(160.0)),
+                           default_config(3), term)
+    assert split.reduced and pinned.reduced
+    np.testing.assert_array_equal(split.controls, pinned.controls)
+    assert split.value == pinned.value
 
 
 def test_config_rejects_bad_shapes_and_modes():
@@ -666,10 +672,9 @@ def test_state_box_validation(stretch, nominal_demand, demand, point_params):
     flipped = LiftedState(
         upper=np.concatenate([X_UNC, np.zeros(4)]),
         lower=np.concatenate([X_UNC + 1.0, np.zeros(4)]))
-    with pytest.raises(ValueError):
-        mpc.build_problem(flipped, demand, point_params, default_config(1),
-                          term)
+    with pytest.raises(ValueError, match="inverted"):
+        mpc.solve_mpc(flipped, demand, point_params, default_config(1), term)
     above_jam = np.concatenate([np.full(4, 170.0), np.zeros(4)])
-    with pytest.raises(ValueError):
-        mpc.build_problem(LiftedState(upper=above_jam, lower=above_jam),
-                          demand, point_params, default_config(1), term)
+    with pytest.raises(ValueError, match="above jam"):
+        mpc.solve_mpc(LiftedState(upper=above_jam, lower=above_jam),
+                      demand, point_params, default_config(1), term)
