@@ -28,6 +28,38 @@ def _as_float_vector(name: str, value, length: int | None = None) -> np.ndarray:
     return arr
 
 
+# The physical ranges of a parameter set, as (message, rule) pairs in the
+# order construction checks them. A rule flags the entries that break it;
+# cells sit on the last axis, so it flags a whole stack of candidate sets
+# (fields with leading axes) in one call.
+RANGE_RULES = (
+    ("beta must lie strictly inside (0, 1)", lambda p: (p.beta <= 0.0) | (p.beta >= 1.0)),
+    ("v must lie in (0, 1] (step invariance)", lambda p: (p.v <= 0.0) | (p.v > 1.0)),
+    ("w must lie in (0, 1] (step invariance)", lambda p: (p.w <= 0.0) | (p.w > 1.0)),
+    ("x_jam must be positive", lambda p: p.x_jam <= 0.0),
+    ("c_max must be positive", lambda p: p.c_max <= 0.0),
+    ("alpha must lie in (0, 1]", lambda p: (p.alpha <= 0.0) | (p.alpha > 1.0)),
+    ("u_max must be nonnegative", lambda p: p.u_max < 0.0),
+    ("critical occupancy c_max/v must not exceed x_jam",
+     lambda p: p.c_max / p.v > p.x_jam * (1.0 + 1e-12)),
+)
+
+
+def _raise_broken(rules, *args) -> None:
+    """Raise ValueError with the message of the first rule that args break."""
+    for message, rule in rules:
+        if np.any(rule(*args)):
+            raise ValueError(message)
+
+
+def _rules_hold(rules, *args) -> np.ndarray:
+    """Per index of the leading axes of args, whether every rule holds."""
+    held = np.bool_(True)
+    for _, rule in rules:
+        held = held & ~np.any(rule(*args), axis=-1)
+    return held
+
+
 @dataclass(frozen=True)
 class FreewayParams:
     """Static description of one freeway stretch.
@@ -60,22 +92,7 @@ class FreewayParams:
         object.__setattr__(self, "c_max", _as_float_vector("c_max", self.c_max, n))
         object.__setattr__(self, "alpha", _as_float_vector("alpha", self.alpha, n))
         object.__setattr__(self, "u_max", _as_float_vector("u_max", self.u_max, n))
-        if np.any(self.beta <= 0.0) or np.any(self.beta >= 1.0):
-            raise ValueError("beta must lie strictly inside (0, 1)")
-        if np.any(self.v <= 0.0) or np.any(self.v > 1.0):
-            raise ValueError("v must lie in (0, 1] (step invariance)")
-        if np.any(self.w <= 0.0) or np.any(self.w > 1.0):
-            raise ValueError("w must lie in (0, 1] (step invariance)")
-        if np.any(self.x_jam <= 0.0):
-            raise ValueError("x_jam must be positive")
-        if np.any(self.c_max <= 0.0):
-            raise ValueError("c_max must be positive")
-        if np.any(self.alpha <= 0.0) or np.any(self.alpha > 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        if np.any(self.u_max < 0.0):
-            raise ValueError("u_max must be nonnegative")
-        if np.any(self.c_max / self.v > self.x_jam * (1.0 + 1e-12)):
-            raise ValueError("critical occupancy c_max/v must not exceed x_jam")
+        _raise_broken(RANGE_RULES, self)
 
     @property
     def n_cells(self) -> int:

@@ -12,7 +12,9 @@ trajectory the uncertainty boxes allow.
 next state it returns the named intermediates of the outflow side and the
 merge side (speed-line flow, drop threshold and no-drop flag, switched
 ceiling, sending flow, affine receiving flow, realized flow).
-``lifted_step`` keeps the next state; the planner in :mod:`rampflow.mpc`
+``_clamped_step`` keeps the next state of both components, clamped; it serves
+``lifted_step`` and, on stacks of parameter boxes, the certificate in
+:mod:`rampflow.estimators`. The planner in :mod:`rampflow.mpc`
 scatters the intermediates into its MILP columns and evaluates them at box
 corners for its big-M ranges. The plant in :mod:`rampflow.ctm` is a separate
 implementation on purpose: it is the reference the tube is tested against.
@@ -45,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctm import FreewayParams
+from .ctm import RANGE_RULES, FreewayParams, _raise_broken, _rules_hold
 
 PARAM_FIELDS = ("beta", "v", "w", "x_jam", "c_max", "alpha")
 
@@ -98,6 +100,17 @@ class DemandBounds:
         return cls(upper=lam.copy(), lower=lam.copy())
 
 
+# The ranges of a box on top of its corners' own (ctm.RANGE_RULES), as
+# (message, rule(upper, lower)) pairs in the order construction checks them.
+BOX_RULES = tuple(
+    (f"lower bound of {name} exceeds upper bound",
+     lambda up, lo, name=name: getattr(lo, name) > getattr(up, name) + 1e-12)
+    for name in PARAM_FIELDS) + (
+    ("tube propagation needs v + w <= 1 per cell",
+     lambda up, lo: up.v + up.w > 1.0 + 1e-12),
+)
+
+
 @dataclass(frozen=True)
 class ParamBounds:
     """Interval box over the physical parameters, as two parameter sets.
@@ -112,13 +125,7 @@ class ParamBounds:
     lower: FreewayParams
 
     def __post_init__(self):
-        for name in PARAM_FIELDS:
-            lo = getattr(self.lower, name)
-            up = getattr(self.upper, name)
-            if np.any(lo > up + 1e-12):
-                raise ValueError(f"lower bound of {name} exceeds upper bound")
-        if np.any(self.upper.v + self.upper.w > 1.0 + 1e-12):
-            raise ValueError("tube propagation needs v + w <= 1 per cell")
+        _raise_broken(BOX_RULES, self.upper, self.lower)
 
     @property
     def is_point(self) -> bool:
@@ -129,6 +136,17 @@ class ParamBounds:
     @classmethod
     def point(cls, params: FreewayParams) -> "ParamBounds":
         return cls(upper=params, lower=params)
+
+
+def _box_admissible(upper, lower) -> np.ndarray:
+    """Would ``ParamBounds`` accept the corners, per candidate on the leading axes?
+
+    upper and lower carry the fields of ``FreewayParams`` (u_max included)
+    as arrays with cells on the last axis; any leading axes stack candidate
+    boxes. The answer is the one construction gives from the same rules.
+    """
+    return (_rules_hold(RANGE_RULES, upper) & _rules_hold(RANGE_RULES, lower)
+            & _rules_hold(BOX_RULES, upper, lower))
 
 
 class _Side(NamedTuple):
@@ -214,11 +232,24 @@ def _secondary_tuple(p: FreewayParams):
     return (p.v, p.w, p.x_jam, p.c_max, p.alpha)
 
 
-def decomposition_F(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
-                    bounds: ParamBounds) -> np.ndarray:
-    """Upper component of the tube map (lower = same call with tuples swapped)."""
-    return _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
-                       _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower)).next
+def _clamped_step(up, lo, u, demand: DemandBounds, upper, lower):
+    """Both tube components one step, clamped to physical ranges.
+
+    up and lo are the state bracket; upper and lower are the box's corners,
+    anything with the parameter fields as attributes. Leading axes of the
+    bracket or the corners' arrays stack boxes; the bracket must carry them
+    all. Returns the next (up, lo).
+    """
+    nxt_up = _tube_flows(up, lo, u, demand.upper,
+                         _primary_tuple(upper), _secondary_tuple(lower)).next
+    nxt_lo = _tube_flows(lo, up, u, demand.lower,
+                         _primary_tuple(lower), _secondary_tuple(upper)).next
+    n = nxt_up.shape[-1] // 2
+    cap = np.maximum(upper.x_jam, lower.x_jam)
+    for arr in (nxt_up, nxt_lo):
+        np.clip(arr[..., :n], 0.0, cap, out=arr[..., :n])
+        np.clip(arr[..., n:], 0.0, None, out=arr[..., n:])
+    return nxt_up, nxt_lo
 
 
 def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
@@ -229,23 +260,9 @@ def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
     in [0, x_jam] and its queues nonnegative, so tightening the bracket to
     those ranges cannot lose the true state.
     """
-    up = _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
-                     _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower)).next
-    lo = _tube_flows(lifted.lower, lifted.upper, u, demand.lower,
-                     _primary_tuple(bounds.lower), _secondary_tuple(bounds.upper)).next
-    n = up.shape[-1] // 2
-    cap = np.maximum(bounds.upper.x_jam, bounds.lower.x_jam)
-    for arr in (up, lo):
-        np.clip(arr[..., :n], 0.0, cap, out=arr[..., :n])
-        np.clip(arr[..., n:], 0.0, None, out=arr[..., n:])
+    up, lo = _clamped_step(lifted.upper, lifted.lower, u, demand,
+                           bounds.upper, bounds.lower)
     if check and np.any(up < lo - 1e-9):
         raise AssertionError("tube inverted: upper fell below lower")
     return LiftedState(upper=up, lower=lo)
-
-
-def lifted_point_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
-                      lam: np.ndarray) -> np.ndarray:
-    """Compact dynamics evaluated through the tube map's own code path."""
-    return _tube_flows(x, x, u, lam, _primary_tuple(params),
-                       _secondary_tuple(params)).next
 

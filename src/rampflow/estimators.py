@@ -5,12 +5,19 @@ Everything here manipulates boxes. ``state_update`` intersects a predicted
 state box with what the detectors report, and ``theta_update`` contracts the
 parameter box by branch-and-prune: bisect one coordinate, try to certify
 that half the box cannot reproduce the recorded window, and keep only
-certified cuts. The certificate is ``interval_consistency``, a forward
-interval propagation of the tube dynamics, so the contraction is
-conservative by construction: a parameter value is only ever discarded with
-a proof. The arrival box is prior knowledge the detectors cannot sharpen
-(queues are measured, so arrivals are only seen through the commanded
-discharge); the measurement window holds it once for the whole run.
+certified cuts. The certificate is a forward interval propagation of the
+tube dynamics (``interval_consistency`` gives it for one box), so the
+contraction is conservative by construction: a parameter value is only ever
+discarded with a proof. The arrival box is prior knowledge the detectors
+cannot sharpen (queues are measured, so arrivals are only seen through the
+commanded discharge); the measurement window holds it once for the whole
+run.
+
+The propagation takes a stack of boxes at once, which costs little more
+than one box. ``theta_update`` uses that to certify every candidate of a
+bisection tree (up to six levels, 63 boxes) in one pass, and then replays
+the one-at-a-time walk over the stored verdicts. The walk, its check
+budget and its result are those of bisecting one candidate at a time.
 
 ``freeflow_identify`` is the closed-form complement. While the stretch is in
 free flow and fully measured, consecutive occupancy readings determine each
@@ -22,12 +29,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .ctm import FreewayParams, Observation, OutputModel
+from .ctm import Observation, OutputModel
 from .embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
-                        lifted_step)
+                        _box_admissible, _clamped_step)
 
 CONSISTENCY_TOL = 1e-9
 RANK_TOL = 1e-8
@@ -41,6 +49,8 @@ CELL_UNIDENTIFIED = "unidentified"
 CELL_DEGENERATE = "degenerate"
 
 _WIDTH_TOL = 1e-12
+# bisection levels certified in one stacked propagation: 2**6 - 1 = 63 boxes
+_BATCH_LEVELS = 6
 
 
 class ContainmentViolation(RuntimeError):
@@ -159,20 +169,22 @@ def state_update(predicted: LiftedState, y: Observation,
         raise ValueError("observation does not match the output model's size")
     if np.any(~np.isfinite(y_main[output_model.mainline_mask])):
         raise ValueError("a measured cell is missing its reading")
-    outside = _absorb(up, lo, y, output_model, tol)
-    if outside is not None:
-        raise ContainmentViolation(outside)
+    idx, vals = _measured(y, output_model)
+    outside = _absorb(up, lo, idx, vals, tol)
+    if outside.any():
+        k = int(np.argmax(outside))
+        j = int(idx[k])
+        where = f"mainline cell {j}" if j < n else f"ramp queue {j - n}"
+        raise ContainmentViolation(
+            f"{where}: reading {vals[k]:.6g} outside "
+            f"[{predicted.lower[j]:.6g}, {predicted.upper[j]:.6g}]")
     return LiftedState(upper=up, lower=lo)
 
 
-def _absorb(up: np.ndarray, lo: np.ndarray, y: Observation,
-            output_model: OutputModel, tol: float) -> str | None:
-    """Collapse measured entries of [lo, up] onto the readings, in place.
+def _measured(y: Observation, output_model: OutputModel):
+    """Indices of the measured entries of the stacked state, and their values.
 
-    Mainline cells whose reading is missing (NaN) keep their interval.
-    Returns None when every reading fits the box within tol; otherwise
-    stops at the first reading strictly outside it, which certifies the
-    box inconsistent with the measurement, and returns its description.
+    Mainline cells whose reading is missing (NaN) are left out.
     """
     n = output_model.mainline_mask.shape[0]
     y_main = np.asarray(y.y_main, dtype=float)
@@ -180,52 +192,74 @@ def _absorb(up: np.ndarray, lo: np.ndarray, y: Observation,
     idx = np.concatenate([cells, n + np.arange(n)])
     vals = np.concatenate([y_main[cells] / output_model.c_diag[cells],
                            np.asarray(y.y_ramp, dtype=float)])
-    low, high = lo[idx], up[idx]
+    return idx, vals
+
+
+def _absorb(up: np.ndarray, lo: np.ndarray, idx: np.ndarray, vals: np.ndarray,
+            tol: float) -> np.ndarray:
+    """Collapse the measured entries of [lo, up] onto their values, in place.
+
+    Broadcasts over leading axes. Returns, per reading on the last axis,
+    whether it sat strictly outside the box by more than tol before the
+    collapse; one such reading certifies the box inconsistent with the
+    measurement.
+    """
+    low, high = lo[..., idx], up[..., idx]
     outside = (vals < low - tol) | (vals > high + tol)
-    if outside.any():
-        k = int(np.argmax(outside))
-        j = int(idx[k])
-        where = f"mainline cell {j}" if j < n else f"ramp queue {j - n}"
-        return (f"{where}: reading {vals[k]:.6g} outside "
-                f"[{low[k]:.6g}, {high[k]:.6g}]")
-    up[idx] = lo[idx] = np.minimum(np.maximum(vals, low), high)
-    return None
+    up[..., idx] = lo[..., idx] = np.minimum(np.maximum(vals, low), high)
+    return outside
+
+
+def _certified(window: MeasurementWindow, upper, lower, tol: float) -> np.ndarray:
+    """Which stacked boxes [lower, upper] cannot reproduce the window.
+
+    upper and lower are the corners, anything with the parameter fields as
+    attributes; leading axes of their arrays stack boxes, and the answer
+    has those axes. Propagates the tube dynamics forward from the window's
+    first box under its controls and arrival box, intersecting each step
+    with the window's own enclosure of that step (certified earlier, so the
+    tie sharpens the test without risking a false certificate) and
+    collapsing measured entries onto the exact readings as it goes. A box
+    is certified when a propagated interval strictly excludes an enclosure
+    or a reading by more than tol. Every operation is elementwise, so each
+    box gets the bits it would get propagated alone.
+    """
+    boxes = window.lifted_boxes
+    observations = window.observations
+    stack = np.broadcast_shapes(*(np.shape(getattr(corner, f))[:-1]
+                                  for corner in (upper, lower) for f in PARAM_FIELDS))
+    up = np.broadcast_to(boxes[0].upper, stack + boxes[0].upper.shape).copy()
+    lo = np.broadcast_to(boxes[0].lower, stack + boxes[0].lower.shape).copy()
+    dead = _absorb(up, lo, *_measured(observations[0], window.output_model),
+                   tol).any(axis=-1)
+    for k, u in enumerate(window.controls, start=1):
+        if dead.all():
+            break
+        up, lo = _clamped_step(up, lo, u, window.demand, upper, lower)
+        tied = boxes[k]
+        dead = (dead | np.any(lo > tied.upper + tol, axis=-1)
+                | np.any(tied.lower > up + tol, axis=-1))
+        np.minimum(up, tied.upper, out=up)
+        np.maximum(lo, tied.lower, out=lo)
+        np.maximum(up, lo, out=up)
+        dead = dead | _absorb(up, lo, *_measured(observations[k], window.output_model),
+                              tol).any(axis=-1)
+    return dead
 
 
 def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow, *,
                          tol: float = CONSISTENCY_TOL) -> str:
     """Can some parameter in theta_box reproduce the recorded window?
 
-    Propagates the tube dynamics forward from the window's first box under
-    its controls and arrival box, intersecting each step with the window's
-    own enclosure of that step (certified earlier, so the tie sharpens the
-    test without risking a false certificate) and collapsing measured
-    entries onto the exact readings as it goes. Answers "infeasible" only
-    when a propagated interval strictly excludes an enclosure or a reading
-    by more than tol. That one-sided certificate is sound: a box containing
-    a consistent parameter is never labelled infeasible. A passing point
-    box earns "feasible"; a passing wider box only earns "unknown", because
-    interval arithmetic may keep an empty box alive.
+    Answers "infeasible" only when the forward propagation of ``_certified``
+    strictly excludes an enclosure or a reading by more than tol. That
+    one-sided certificate is sound: a box containing a consistent parameter
+    is never labelled infeasible. A passing point box earns "feasible"; a
+    passing wider box only earns "unknown", because interval arithmetic may
+    keep an empty box alive.
     """
-    boxes = window.lifted_boxes
-    observations = window.observations
-    output_model = window.output_model
-    up = np.array(boxes[0].upper, dtype=float)
-    lo = np.array(boxes[0].lower, dtype=float)
-    if _absorb(up, lo, observations[0], output_model, tol) is not None:
+    if _certified(window, theta_box.upper, theta_box.lower, tol):
         return INFEASIBLE
-    for k, u in enumerate(window.controls, start=1):
-        box = lifted_step(LiftedState(upper=up, lower=lo), u, window.demand,
-                          theta_box, check=False)
-        up, lo = box.upper, box.lower
-        tied = boxes[k]
-        if np.any(lo > tied.upper + tol) or np.any(tied.lower > up + tol):
-            return INFEASIBLE
-        np.minimum(up, tied.upper, out=up)
-        np.maximum(lo, tied.lower, out=lo)
-        np.maximum(up, lo, out=up)
-        if _absorb(up, lo, observations[k], output_model, tol) is not None:
-            return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
 
@@ -235,16 +269,28 @@ def _corner_maps(bounds: ParamBounds):
     return lo, up
 
 
-def _build_box(lo_map: dict, up_map: dict, template: ParamBounds) -> ParamBounds | None:
-    """Assemble a ParamBounds from coordinate maps, or None when a corner
-    violates the physical-range checks (possible for interior sub-boxes,
-    whose corners mix values the original corners never combined)."""
-    try:
-        lower = replace(template.lower, **{f: a.copy() for f, a in lo_map.items()})
-        upper = replace(template.upper, **{f: a.copy() for f, a in up_map.items()})
-        return ParamBounds(upper=upper, lower=lower)
-    except ValueError:
-        return None
+def _corners(up_map: dict, lo_map: dict, template: ParamBounds):
+    """The coordinate maps as (upper, lower) parameter sets with the
+    template's u_max, ready for ``_box_admissible`` and ``_certified``."""
+    return (SimpleNamespace(**up_map, u_max=template.upper.u_max),
+            SimpleNamespace(**lo_map, u_max=template.lower.u_max))
+
+
+def _bisection_mids(anchor: float, cut: float, levels: int) -> np.ndarray:
+    """The mids of a bisection tree of [anchor, cut], in heap order.
+
+    Node k's children are 2k + 1, the cut moved to its mid, and 2k + 2, the
+    anchor moved there. Each mid is 0.5 * (anchor + cut) of its node, so it
+    equals the mid a one-at-a-time walk along the same path computes.
+    """
+    anchors, cuts = np.array([anchor]), np.array([cut])
+    mids = []
+    for _ in range(levels):
+        mid = 0.5 * (anchors + cuts)
+        mids.append(mid)
+        anchors = np.stack([anchors, mid], axis=-1).ravel()
+        cuts = np.stack([mid, cuts], axis=-1).ravel()
+    return np.concatenate(mids)
 
 
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
@@ -252,27 +298,29 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     """Contract the parameter box against the recorded window.
 
     Works one scalar coordinate at a time. To lower an upper bound, bisect
-    the coordinate's interval and ask ``interval_consistency`` whether the
-    upper half-box is certifiably unable to reproduce the window; only a
-    certificate moves the bound, so the true parameter is never cut off and
-    the result is always contained in the input box. Lower bounds mirror
-    this, probes shrink toward the edge when a half cannot be certified,
-    and the sweep stops once prune_budget consistency checks are spent.
+    the coordinate's interval and ask whether the upper half-box is
+    certifiably unable to reproduce the window; only a certificate moves
+    the bound, so the true parameter is never cut off and the result is
+    always contained in the input box. Lower bounds mirror this, probes
+    shrink toward the edge when a half cannot be certified, and the sweep
+    stops once prune_budget consistency checks are spent.
 
-    A point box passes through unchanged (after the free sanity check). If
-    the whole incoming box is certified inconsistent, containment is lost
-    and ContainmentViolation is raised.
+    Each end's probes form a bisection tree. Up to six levels of it are
+    certified in one stacked propagation; the walk then reads its verdicts
+    and, when it goes deeper, continues with the next tree from the node it
+    reached. The budget is charged exactly as a one-at-a-time walk charges
+    it: one check per probe the walk visits, none for a probe that fails the
+    physical-range checks (it counts as not certified).
+
+    The input box comes back itself when no bound moves, as a point box
+    always does after the whole-box check (which costs one check).
+    If the whole incoming box is certified inconsistent, containment is
+    lost and ContainmentViolation is raised.
     """
     if len(window) < 1:
         raise ValueError("the window is empty")
-    checks_left = max(config.prune_budget, 1)
-
-    def consistent(candidate: ParamBounds) -> str:
-        nonlocal checks_left
-        checks_left -= 1
-        return interval_consistency(candidate, window)
-
-    if consistent(param_bounds) == INFEASIBLE:
+    checks_left = max(config.prune_budget, 1) - 1
+    if interval_consistency(param_bounds, window) == INFEASIBLE:
         raise ContainmentViolation(
             "no parameter left in the box reproduces the recorded window")
 
@@ -290,37 +338,49 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
         for is_upper in (True, False):
             target, other = (up_map, lo_map) if is_upper else (lo_map, up_map)
             anchor, cut = other[f][i], target[f][i]
-            for _ in range(config.prune_depth):
-                if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
-                    break
-                mid = 0.5 * (anchor + cut)
-                trial = {g: (a if g != f else a.copy()) for g, a in other.items()}
-                trial[f][i] = mid
-                candidate = (_build_box(trial, target, param_bounds) if is_upper
-                             else _build_box(target, trial, param_bounds))
-                if candidate is not None and consistent(candidate) == INFEASIBLE:
-                    cut = mid
-                else:
-                    anchor = mid
+            depth_left = config.prune_depth
+            while depth_left > 0 and checks_left > 0 and abs(cut - anchor) > _WIDTH_TOL:
+                levels = min(_BATCH_LEVELS, depth_left, checks_left)
+                mids = _bisection_mids(anchor, cut, levels)
+                trial = dict(other)
+                trial[f] = np.repeat(other[f][None], mids.shape[0], axis=0)
+                trial[f][:, i] = mids
+                # an interior sub-box can fail the range checks: its corners
+                # mix values the box's own corners never combined
+                up, lo = (target, trial) if is_upper else (trial, target)
+                upper, lower = _corners(up, lo, param_bounds)
+                admissible = _box_admissible(upper, lower)
+                certified = admissible & _certified(window, upper, lower, CONSISTENCY_TOL)
+                node = 0
+                for _ in range(levels):
+                    if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
+                        break
+                    checks_left -= int(admissible[node])
+                    if certified[node]:
+                        cut, node = mids[node], 2 * node + 1
+                    else:
+                        anchor, node = mids[node], 2 * node + 2
+                depth_left -= levels
             if cut != target[f][i]:
                 applied.append((f, i, is_upper, cut))
                 target[f][i] = cut
 
-    result = _build_box(lo_map, up_map, param_bounds)
-    if result is not None:
-        return result
-    # Each cut is individually certified, but their union can push a corner
-    # outside the physical-range checks. Reapply them one at a time and drop
-    # the ones that break a corner; dropping a cut only enlarges the box, so
-    # soundness is kept.
-    lo_map, up_map = _corner_maps(param_bounds)
-    for f, i, is_upper, value in applied:
-        target = up_map if is_upper else lo_map
-        old = target[f][i]
-        target[f][i] = value
-        if _build_box(lo_map, up_map, param_bounds) is None:
-            target[f][i] = old
-    return _build_box(lo_map, up_map, param_bounds)
+    if not applied:
+        return param_bounds
+    if not _box_admissible(*_corners(up_map, lo_map, param_bounds)):
+        # Each cut is individually certified, but their union can push a
+        # corner outside the physical-range checks. Reapply them one at a
+        # time and drop the ones that break a corner; dropping a cut only
+        # enlarges the box, so soundness is kept.
+        lo_map, up_map = _corner_maps(param_bounds)
+        for f, i, is_upper, value in applied:
+            target = up_map if is_upper else lo_map
+            old = target[f][i]
+            target[f][i] = value
+            if not _box_admissible(*_corners(up_map, lo_map, param_bounds)):
+                target[f][i] = old
+    return ParamBounds(upper=replace(param_bounds.upper, **up_map),
+                       lower=replace(param_bounds.lower, **lo_map))
 
 
 def freeflow_identify(x_cell, lam_cell: float, *, x_upstream=None,

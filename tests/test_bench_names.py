@@ -3,12 +3,15 @@
 The benchmark is kept apart from the package and reads it by name: module
 attributes it calls or patches, spans its tracer keys on, and ``Scenario``
 fields. Renaming or deleting one of them breaks the benchmark without
-failing any other test, so the list is pinned here.
+failing any other test, so the list is pinned here. So is the shape of what
+the tracer reads back: a traced loop must give a finite scalar per metric.
 """
 
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -58,3 +61,27 @@ def test_every_workload_loads_with_the_fields_the_benchmark_reads(workload):
     scenario = workloads.load_workload(workload, 0)
     missing = [name for name in SCENARIO_FIELDS if not hasattr(scenario, name)]
     assert not missing
+
+
+def test_a_traced_loop_reports_finite_scalar_layer_metrics():
+    """The tracer's counters read the package's return values (the verdict
+    of ``interval_consistency`` among them) and must stay plain numbers."""
+    text = workloads.edit_preset(harness.PRESETS[workloads.BASE_PRESET], {
+        "mpc": {"horizon": "4"},
+        "run": {"steps": "5"},
+        "initial": {"mainline": "30 30 30 60"},
+        "boxes": {"demand_margin": None, "v": None, "w": None, "x_jam": None,
+                  "c_max": None, "beta": None},
+    })
+    scenario = harness.parse_scenario(text, name="short_plan")
+    assert scenario.theta_box.is_point
+    tracer = tracing.Tracer()
+    start = time.perf_counter()
+    with tracing.traced(tracer):
+        log = harness.run_closed_loop(scenario)
+    metrics = tracing.layer_metrics(tracer, time.perf_counter() - start)
+    assert any(step.phase == "mpc" for step in log.steps)
+    assert metrics["estimators.checks_per_tick"][0] == 1.0
+    bad = {name: value for name, (value, _) in metrics.items()
+           if not (np.isscalar(value) and np.isfinite(value))}
+    assert not bad

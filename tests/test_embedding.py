@@ -1,5 +1,7 @@
 """Tube dynamics: diagonal exactness, monotonicity blocks, containment."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,10 @@ from rampflow.embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
+    _box_admissible,
     _primary_tuple,
     _secondary_tuple,
     _tube_flows,
-    decomposition_F,
-    lifted_point_step,
     lifted_step,
 )
 
@@ -72,6 +73,13 @@ def as_secondary(d):
     return (d["v"], d["w"], d["x_jam"], d["c_max"], d["alpha"])
 
 
+def upper_next(lifted, u, demand, bounds):
+    """Upper component of the tube map, before clamping (the lower one is
+    the same call with every tuple exchanged)."""
+    return _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
+                       _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower)).next
+
+
 def two_cells(x_main, z_main=None):
     """Kernel step of a two-cell demo stretch at the given occupancies.
 
@@ -118,16 +126,17 @@ class TestDiagonal:
         lam = rng.uniform(0.0, 12.0, (500, 4))
         u = ramp_outflow(stretch, x, rng.uniform(0.0, 30.0, (500, 4)), lam)
         np.testing.assert_array_equal(
-            lifted_point_step(stretch, x, u, lam),
+            _tube_flows(x, x, u, lam, _primary_tuple(stretch),
+                        _secondary_tuple(stretch)).next,
             compact_step(stretch, x, u, lam))
 
     def test_decomposition_on_degenerate_box(self, stretch, nominal_demand):
         x = np.concatenate([equilibrium_uncongested(stretch, nominal_demand),
                             np.zeros(4)])
         lifted = LiftedState.degenerate(x)
-        out = decomposition_F(lifted, nominal_demand,
-                              DemandBounds.point(nominal_demand),
-                              ParamBounds.point(stretch))
+        out = upper_next(lifted, nominal_demand,
+                         DemandBounds.point(nominal_demand),
+                         ParamBounds.point(stretch))
         np.testing.assert_array_equal(
             out, compact_step(stretch, x, nominal_demand, nominal_demand))
 
@@ -146,14 +155,14 @@ class TestDecomposition:
             [equilibrium_uncongested(stretch, nominal_demand), np.zeros(4)])
         lifted = LiftedState(upper=x_true.copy(), lower=np.zeros(8))
         dem = DemandBounds(upper=nominal_demand * 1.1, lower=nominal_demand * 0.9)
-        out = decomposition_F(lifted, nominal_demand, dem, demo_bounds())
+        out = upper_next(lifted, nominal_demand, dem, demo_bounds())
         truth = compact_step(stretch, x_true, nominal_demand, nominal_demand)
         assert np.all(out >= truth - 1e-12)
 
     def test_zero_state_accumulates_demand_in_queues(self, nominal_demand):
         lifted = LiftedState.degenerate(np.zeros(8))
         dem = DemandBounds(upper=nominal_demand, lower=np.zeros(4))
-        out = decomposition_F(lifted, np.zeros(4), dem, demo_bounds())
+        out = upper_next(lifted, np.zeros(4), dem, demo_bounds())
         np.testing.assert_array_equal(out[:4], np.zeros(4))
         np.testing.assert_array_equal(out[4:], nominal_demand)
 
@@ -280,3 +289,63 @@ class TestParamBoundsValidation:
         box = ParamBounds.point(stretch)
         assert box.is_point
         assert not demo_bounds().is_point
+
+
+def _edge_stack(rng, m, cells):
+    """m candidate boxes whose corners now and then sit exactly on a range
+    limit, on its 1e-12 tolerance, or one float past either."""
+    def pick(interior, *edges):
+        """Put a few entries on one of the edges, some of those one float off."""
+        which = np.where(rng.random(interior.shape) < 0.03,
+                         rng.integers(1, 1 + len(edges), interior.shape), 0)
+        out = interior.copy()
+        for k, edge in enumerate(edges, start=1):
+            off = np.nextafter(edge, rng.choice([-np.inf, np.inf], interior.shape))
+            out = np.where(which == k, np.where(rng.random(interior.shape) < 0.5, edge, off),
+                           out)
+        return out
+
+    shape = (m, cells)
+    upper = {
+        "beta": pick(rng.uniform(0.05, 0.95, (m, cells - 1)), 0.0, 1.0),
+        "v": pick(rng.uniform(0.1, 1.0, shape), 1.0, 0.0),
+        "x_jam": pick(rng.uniform(50.0, 200.0, shape), 0.0),
+        "alpha": pick(rng.uniform(0.2, 1.0, shape), 1.0, 0.0),
+        "u_max": pick(rng.uniform(0.0, 40.0, shape), 0.0),
+    }
+    upper["w"] = pick(rng.uniform(0.05, 1.0, shape) * (1.0 - upper["v"]),
+                      1.0 + 1e-12 - upper["v"], 1.0)
+    upper["c_max"] = pick(upper["v"] * upper["x_jam"] * rng.uniform(0.1, 1.0, shape),
+                          upper["v"] * upper["x_jam"] * (1.0 + 1e-12),
+                          upper["v"] * upper["x_jam"])
+    lower = {}
+    for name, up in upper.items():
+        # inside the upper corner, equal to it, or on the 1e-12 order tolerance
+        lower[name] = pick(up * rng.uniform(0.5, 1.0, up.shape), up, up + 1e-12)
+    lower["c_max"] = pick(lower["c_max"], lower["v"] * lower["x_jam"] * (1.0 + 1e-12))
+    return lower, upper
+
+
+# speeds of 0 and one float above it make the c_max / v rule divide by zero
+# or overflow; the rules still reject those boxes
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_range_predicate_agrees_with_construction():
+    """_box_admissible answers for a stack of boxes what constructing each
+    one's FreewayParams corners and ParamBounds answers."""
+    rng = np.random.default_rng(23)
+    accepted = rejected = 0
+    for cells in (1, 2, 4):
+        lower, upper = _edge_stack(rng, 4000, cells)
+        verdicts = _box_admissible(SimpleNamespace(**upper), SimpleNamespace(**lower))
+        assert verdicts.shape == (4000,)
+        for k, verdict in enumerate(verdicts):
+            try:
+                ParamBounds(upper=FreewayParams(**{f: a[k] for f, a in upper.items()}),
+                            lower=FreewayParams(**{f: a[k] for f, a in lower.items()}))
+                built = True
+            except ValueError:
+                built = False
+            assert verdict == built, (cells, k)
+            accepted += built
+            rejected += not built
+    assert accepted > 500 and rejected > 500

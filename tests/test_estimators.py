@@ -1,9 +1,11 @@
 """Set-membership updates: collapse rules, contraction soundness, free-flow
 identification oracles, and the window plumbing they share."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rampflow.ctm import (FreewayParams, Observation, OutputModel,
@@ -277,6 +279,230 @@ def test_relaxed_jam_mode_never_touches_the_jam_interval(
     assert np.array_equal(out.lower.x_jam, lower.x_jam)
     assert np.array_equal(out.upper.x_jam, upper.x_jam)
     assert np.all(out.upper.v - out.lower.v < 0.4)
+
+
+def _theta_update_one_by_one(window, param_bounds, config):
+    """Reference for theta_update: the bisection walk with one consistency
+    check per probe, and the range checks made by constructing each probe.
+
+    Returns the box and the checks spent up to the last certified cut: the
+    smallest budget that still reaches the same box.
+    """
+    fields = ("beta", "v", "w", "x_jam", "c_max", "alpha")
+    checks_left = max(config.prune_budget, 1)
+    last_cut = None
+
+    def consistent(candidate):
+        nonlocal checks_left
+        checks_left -= 1
+        return interval_consistency(candidate, window)
+
+    def corner_maps(bounds):
+        return ({f: np.array(getattr(bounds.lower, f), dtype=float) for f in fields},
+                {f: np.array(getattr(bounds.upper, f), dtype=float) for f in fields})
+
+    def build_box(lo_map, up_map):
+        try:
+            lower = replace(param_bounds.lower, **{f: a.copy() for f, a in lo_map.items()})
+            upper = replace(param_bounds.upper, **{f: a.copy() for f, a in up_map.items()})
+            return ParamBounds(upper=upper, lower=lower)
+        except ValueError:
+            return None
+
+    if consistent(param_bounds) == INFEASIBLE:
+        raise ContainmentViolation(
+            "no parameter left in the box reproduces the recorded window")
+    lo_map, up_map = corner_maps(param_bounds)
+    coords = [(f, i) for f in fields
+              if not (config.relax_jam and f == "x_jam")
+              for i in range(lo_map[f].shape[0])
+              if up_map[f][i] - lo_map[f][i] > 1e-12]
+    applied = []
+    for f, i in coords:
+        for is_upper in (True, False):
+            target, other = (up_map, lo_map) if is_upper else (lo_map, up_map)
+            anchor, cut = other[f][i], target[f][i]
+            for _ in range(config.prune_depth):
+                if checks_left <= 0 or abs(cut - anchor) <= 1e-12:
+                    break
+                mid = 0.5 * (anchor + cut)
+                trial = {g: (a if g != f else a.copy()) for g, a in other.items()}
+                trial[f][i] = mid
+                candidate = (build_box(trial, target) if is_upper
+                             else build_box(target, trial))
+                if candidate is not None and consistent(candidate) == INFEASIBLE:
+                    cut = mid
+                    last_cut = max(config.prune_budget, 1) - checks_left
+                else:
+                    anchor = mid
+            if cut != target[f][i]:
+                applied.append((f, i, is_upper, cut))
+                target[f][i] = cut
+    result = build_box(lo_map, up_map)
+    if result is not None:
+        return result, last_cut
+    lo_map, up_map = corner_maps(param_bounds)
+    for f, i, is_upper, value in applied:
+        target = up_map if is_upper else lo_map
+        old = target[f][i]
+        target[f][i] = value
+        if build_box(lo_map, up_map) is None:
+            target[f][i] = old
+    return build_box(lo_map, up_map), last_cut
+
+
+def _record(truth, box, x, lam, demand, model, length, steps):
+    """A window of the given length after steps transitions of the plant
+    under the control lam, corrected against exact readings."""
+    window = MeasurementWindow(length, model, demand)
+    lifted = state_update(wide_start(truth), measure(model, x), model)
+    window.push(lifted, measure(model, x))
+    for _ in range(steps):
+        x = compact_step(truth, x, lam, lam)
+        lifted = state_update(lifted_step(lifted, lam, demand, box, check=False),
+                              measure(model, x), model)
+        window.push(lifted, measure(model, x), control=lam)
+    return window
+
+
+def _rejected_walk_then_a_cut():
+    """Cell 0's upper corner sits on c_max / v = x_jam and its speed
+    interval tops out at the truth, so its lower-end walk is all range
+    rejections and leaves the box valid. Cell 1, nearly empty upstream and
+    full itself, then has its upper speed cut certified down to the eighth
+    level, past one batch of the tree."""
+    truth = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
+                               c_max=20.0, alpha=0.9)
+    upper = replace(truth, v=np.array([0.5, 0.575]), c_max=np.array([80.0, 20.0]))
+    box = ParamBounds(upper=upper, lower=replace(truth, v=np.array([0.425, 0.5])))
+    lam = np.array([2.0, 4.0])
+    x = np.array([8.0, 40.0, 0.0, 0.0])
+    window = _record(truth, box, x, lam, DemandBounds.point(lam), OutputModel.full(2), 3, 3)
+    return window, box, EstimatorConfig(prune_depth=8, prune_budget=60)
+
+
+# a corner put on a range boundary, just inside it, or well inside
+_EDGE = st.sampled_from([0.0, 1e-13, 1e-9, 0.02])
+
+
+@st.composite
+def contraction_cases(draw):
+    """A recorded window of a simulated plant and a parameter box.
+
+    The speed interval is never a point, so cuts get certified; the other
+    fields are mostly points, so the budget often reaches the speeds. Some
+    cells sit on v + w = 1, and some on c_max / v = x_jam at the upper or
+    the lower corner. There, probes that lower v or x_jam, or raise c_max,
+    fail the range checks partway through a walk. Every eighth box or so is
+    moved off the truth in v, so that the whole box may be certified away.
+    """
+    n = draw(st.integers(2, 4))
+
+    def cells(lo, hi, size=n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    def some_cells():
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+    v, w, alpha = cells(0.3, 0.6), cells(0.1, 0.3), cells(0.8, 1.0)
+    beta, x_jam = cells(0.7, 0.95, n - 1), cells(150.0, 170.0)
+    c_max = v * x_jam * cells(0.15, 0.35)
+    truth = FreewayParams(beta=beta, v=v, w=w, x_jam=x_jam, c_max=c_max,
+                          alpha=alpha, u_max=np.full(n, 40.0))
+
+    def spread(x, lo, hi, widths=((0.0, 0.0),) * 3 + ((0.02, 0.01), (0.1, 0.15))):
+        below, above = draw(st.sampled_from(widths))
+        return np.clip(x - below * x, lo, None), np.clip(x + above * x, None, hi)
+
+    b_lo, b_up = spread(beta, 0.01, 0.99)
+    # per cell: the truth at the bottom, the top or inside the speed interval
+    v_widths = np.array([draw(st.sampled_from([(0.0, 0.15), (0.15, 0.0), (0.05, 0.05),
+                                               (0.1, 0.15), (0.3, 0.2)]))
+                         for _ in range(n)])
+    v_lo = np.clip(v - v_widths[:, 0] * v, 0.05, None)
+    v_up = np.clip(v + v_widths[:, 1] * v, None, 0.95)
+    w_lo, w_up = spread(w, 0.02, 1.0)
+    j_lo, j_up = spread(x_jam, 1.0, None)
+    c_lo, c_up = spread(c_max, 0.1, None)
+    a_lo, a_up = spread(alpha, 0.05, 1.0)
+    w_up = np.where(some_cells(), np.maximum(1.0 - v_up - draw(_EDGE), w),
+                    np.minimum(w_up, 1.0 - v_up))
+    c_up = np.where(some_cells(), np.maximum(v_up * j_up * (1.0 - draw(_EDGE)), c_max),
+                    c_up)
+    j_lo = np.where(some_cells(), c_lo / (v_lo * (1.0 - draw(_EDGE))), j_lo)
+    try:
+        box = ParamBounds(
+            upper=FreewayParams(beta=b_up, v=v_up, w=w_up, x_jam=j_up, c_max=c_up,
+                                alpha=a_up, u_max=truth.u_max),
+            lower=FreewayParams(beta=b_lo, v=v_lo, w=w_lo, x_jam=j_lo, c_max=c_lo,
+                                alpha=a_lo, u_max=truth.u_max))
+    except ValueError:
+        assume(False)
+
+    lam = truth.c_max * cells(0.0, 0.3)
+    margin = draw(st.sampled_from([0.0, 0.0, 0.05]))
+    demand = DemandBounds(upper=lam * (1.0 + margin), lower=lam * (1.0 - margin))
+    mask = np.array(draw(st.one_of(
+        st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n))))
+    # mostly free flow, where consecutive readings pin the speeds down
+    x = np.concatenate([truth.x_crit * cells(0.2, 1.2), cells(0.0, 10.0)])
+    window = _record(truth, box, x, lam, demand, OutputModel(mask, np.ones(n)),
+                     draw(st.sampled_from(range(1, 5))), draw(st.sampled_from(range(6))))
+
+    if draw(st.integers(0, 7)) == 0:
+        shifted = v_up + 0.15
+        box = ParamBounds(upper=replace(box.upper, v=shifted + 0.05,
+                                        w=np.minimum(w_up, 0.05)),
+                          lower=replace(box.lower, v=shifted,
+                                        w=np.minimum(w_lo, 0.05)))
+    # the budget is the whole-box check, some full walks and part of one,
+    # so it often runs out in the middle of the sweep
+    depth = draw(st.sampled_from(range(11)))
+    budget = 1 + depth * draw(st.integers(0, 6)) + draw(st.integers(0, depth))
+    config = EstimatorConfig(prune_budget=min(budget, 60), prune_depth=depth,
+                             relax_jam=draw(st.booleans()))
+    return window, box, config
+
+
+def _assert_same_contraction(window, box, config):
+    """Both walks give equal corner arrays or the same violation; returns
+    the reference's smallest budget for its box."""
+    try:
+        reference, last_cut = _theta_update_one_by_one(window, box, config)
+    except ContainmentViolation as err:
+        with pytest.raises(ContainmentViolation) as batched:
+            theta_update(window, box, config)
+        assert str(batched.value) == str(err)
+        return None
+    batched = theta_update(window, box, config)
+    for corner in ("lower", "upper"):
+        for field in ("beta", "v", "w", "x_jam", "c_max", "alpha"):
+            assert np.array_equal(getattr(getattr(batched, corner), field),
+                                  getattr(getattr(reference, corner), field))
+    return last_cut
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=contraction_cases())
+@example(case=_rejected_walk_then_a_cut())
+def test_batched_theta_update_equals_the_one_by_one_walk(case):
+    window, box, config = case
+    last_cut = _assert_same_contraction(window, box, config)
+    # again with the budget spent exactly at the last certified cut: a check
+    # charged that the reference does not charge now loses that cut
+    if last_cut is not None and last_cut < config.prune_budget:
+        _assert_same_contraction(window, box, replace(config, prune_budget=last_cut))
+
+
+def test_theta_update_returns_its_input_when_no_bound_moves(
+        stretch, demand_box, transient_start):
+    box = speed_box(stretch)
+    window, _ = drive_window(stretch, box, transient_start, 3,
+                             OutputModel.full(4), demand_box)
+    assert theta_update(window, box, EstimatorConfig(prune_budget=1)) is box
+    point = ParamBounds.point(stretch)
+    assert theta_update(window, point) is point
+    assert theta_update(window, box, EstimatorConfig(prune_depth=8)) is not box
 
 
 def test_estimator_config_validates_its_fields():
