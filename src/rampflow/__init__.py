@@ -1,5 +1,11 @@
 """Ramp-metering control laboratory: plant models, set-valued estimation,
-an exact MILP-based predictive controller, and classical baselines."""
+an exact MILP-based predictive controller, and classical baselines.
+
+The package has no outside users. ``__all__`` lists the plant API for
+convenience only and promises no compatibility: a public definition stays
+only while the package or its benchmark calls it, apart from the few that
+``tests/test_packaging.py`` keeps on purpose.
+"""
 
 __version__ = "0.1.0"
 
@@ -8,7 +14,6 @@ from .ctm import (
     FreewayParams,
     Observation,
     OutputModel,
-    check_admissible,
     compact_step,
     demand_fn,
     equilibrium_flow,
@@ -19,7 +24,6 @@ from .ctm import (
     plant_step,
     ramp_outflow,
     split_state,
-    supply_fn,
 )
 
 __all__ = [
@@ -27,7 +31,6 @@ __all__ = [
     "FreewayParams",
     "Observation",
     "OutputModel",
-    "check_admissible",
     "compact_step",
     "demand_fn",
     "equilibrium_flow",
@@ -38,6 +41,5 @@ __all__ = [
     "plant_step",
     "ramp_outflow",
     "split_state",
-    "supply_fn",
     "__version__",
 ]

@@ -77,20 +77,18 @@ class SetPcConfig:
 @dataclass(frozen=True)
 class SetPcState:
     """Carried between ticks: the predicted box, the parameter box, the
-    shared measurement window (which holds the arrival box), the phase, and
-    the last executed control."""
+    shared measurement window (which holds the arrival box), and the last
+    executed control."""
 
     predicted: LiftedState
     params: ParamBounds
     window: MeasurementWindow
-    phase: str = PHASE_MPC
     last_control: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
     value: float
-    feasible: bool
     phase: str
     state_width: float
     theta_width: float
@@ -144,11 +142,10 @@ def local_controller(queue_history, control_history, cfg: LocalConfig = LocalCon
     return np.clip(u, 0.0, upper)
 
 
-def dual_mode_supervisor(phase: str, x_hat_up, terminal: TerminalSet) -> str:
-    """Local tracking while the upper estimate sits in the terminal box
+def dual_mode_supervisor(x_hat_up, terminal: TerminalSet) -> str:
+    """The phase of this tick, decided from the box alone: local tracking
+    while the upper estimate sits in the terminal box
     (``TerminalSet.contains``), the horizon planner otherwise."""
-    if phase not in (PHASE_MPC, PHASE_LOCAL):
-        raise ValueError(f"unknown phase {phase!r}")
     return PHASE_LOCAL if terminal.contains(x_hat_up) else PHASE_MPC
 
 
@@ -161,8 +158,7 @@ def _ingest(state: SetPcState, y, config: SetPcConfig):
     return corrected, theta
 
 
-def _dispatch(state, corrected, theta, command, *, next_phase, diag_phase,
-              value, feasible, reduced=None):
+def _dispatch(state, corrected, theta, command, *, phase, value, reduced=None):
     """Clamp the command, predict the next box, assemble the successor."""
     window = state.window
     n = window.output_model.mainline_mask.shape[0]
@@ -170,9 +166,9 @@ def _dispatch(state, corrected, theta, command, *, next_phase, diag_phase,
     u_exec = np.clip(command, 0.0, np.minimum(cap, theta.upper.u_max))
     predicted = lifted_step(corrected, u_exec, window.demand, theta)
     successor = SetPcState(predicted=predicted, params=theta, window=window,
-                           phase=next_phase, last_control=u_exec)
+                           last_control=u_exec)
     diag = StepDiagnostics(
-        value=value, feasible=feasible, phase=diag_phase,
+        value=value, phase=phase,
         state_width=float(np.max(corrected.width)),
         theta_width=theta_width(theta), reduced=reduced, corrected=corrected)
     return u_exec, successor, diag
@@ -192,7 +188,7 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     corrected, theta = _ingest(state, y, config)
 
     if config.dual_mode:
-        phase = dual_mode_supervisor(state.phase, corrected.upper, config.terminal)
+        phase = dual_mode_supervisor(corrected.upper, config.terminal)
     else:
         phase = PHASE_MPC
 
@@ -202,7 +198,6 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
                            config.terminal, budget=config.budget)
         command = result.u
         value = result.value
-        feasible = result.feasible
         reduced = result.reduced
     else:
         queue_history = [np.asarray(obs.y_ramp, dtype=float)
@@ -210,11 +205,9 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
         command = local_controller(queue_history, state.window.controls,
                                    config.local, u_max=theta.upper.u_max)
         value = math.nan
-        feasible = True
 
-    return _dispatch(state, corrected, theta, command,
-                     next_phase=phase, diag_phase=phase, value=value,
-                     feasible=feasible, reduced=reduced)
+    return _dispatch(state, corrected, theta, command, phase=phase,
+                     value=value, reduced=reduced)
 
 
 def forced_step(state: SetPcState, y, config: SetPcConfig, command, *,
@@ -224,11 +217,8 @@ def forced_step(state: SetPcState, y, config: SetPcConfig, command, *,
     Used to prime the measurement window before the planner takes over:
     the full correction, contraction and prediction pipeline runs, but the
     command is whatever the caller supplies (still clamped to the service
-    bound). The successor keeps the control phase it had, so the next
-    planned tick resumes where the loop left off; the diagnostics carry
-    the supplied label instead.
+    bound). The diagnostics carry the supplied label as their phase.
     """
     corrected, theta = _ingest(state, y, config)
-    return _dispatch(state, corrected, theta, command,
-                     next_phase=state.phase, diag_phase=label,
-                     value=math.nan, feasible=True)
+    return _dispatch(state, corrected, theta, command, phase=label,
+                     value=math.nan)

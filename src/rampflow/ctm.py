@@ -150,19 +150,6 @@ def _receiving_supply(params: FreewayParams, x_main: np.ndarray) -> np.ndarray:
     return np.minimum((params.w[..., 1:] / params.beta) * gap, params.c_max[..., :-1])
 
 
-def supply_fn(params: FreewayParams, x_i: float, cell: int) -> float:
-    """Receiving flow of cell `cell` (0-based); undefined for the first cell."""
-    if cell <= 0:
-        raise ValueError("the most upstream cell has no mainline supply")
-    if cell >= params.n_cells:
-        raise ValueError(f"cell index {cell} out of range")
-    if not 0.0 <= float(x_i) <= params.x_jam[cell] + 1e-9:
-        raise ValueError("occupancy outside [0, x_jam]")
-    gap = params.x_jam[cell] - float(x_i)
-    return float(min((params.w[cell] / params.beta[cell - 1]) * gap,
-                     params.c_max[cell - 1]))
-
-
 def mainline_outflow(params: FreewayParams, x_main: np.ndarray) -> np.ndarray:
     """Realized mainline flow out of each cell: demand capped by downstream supply."""
     d = demand_fn(params, x_main)
@@ -246,21 +233,6 @@ def equilibrium_uncongested(params: FreewayParams, lam: np.ndarray) -> np.ndarra
             f"equilibrium flow {f_eq[worst]:.6g} exceeds capacity "
             f"{params.c_max[worst]:.6g} in cell {worst + 1}")
     return f_eq / params.v
-
-
-def check_admissible(params: FreewayParams, lam_seq: np.ndarray,
-                     *, horizon: int | None = None, tol: float = 1e-9) -> bool:
-    """True when the running time-average demand is within mainline capacity.
-
-    lam_seq is (T, I) or (I,). With `horizon` set, only the trailing window
-    enters the average (a finite surrogate for the long-run average).
-    """
-    lam_seq = np.atleast_2d(np.asarray(lam_seq, dtype=float))
-    if horizon is not None:
-        lam_seq = lam_seq[-horizon:]
-    avg = lam_seq.mean(axis=0)
-    f_eq = equilibrium_flow(params, avg)
-    return bool(np.all(f_eq <= params.c_max + tol))
 
 
 @dataclass(frozen=True)

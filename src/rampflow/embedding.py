@@ -253,7 +253,7 @@ def _clamped_step(up, lo, u, demand: DemandBounds, upper, lower):
 
 
 def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
-                bounds: ParamBounds, *, check: bool = True) -> LiftedState:
+                bounds: ParamBounds) -> LiftedState:
     """Advance both tube components one step and clamp to physical ranges.
 
     Clamping is sound: every trajectory the boxes admit keeps its mainline
@@ -262,7 +262,7 @@ def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
     """
     up, lo = _clamped_step(lifted.upper, lifted.lower, u, demand,
                            bounds.upper, bounds.lower)
-    if check and np.any(up < lo - 1e-9):
+    if np.any(up < lo - 1e-9):
         raise AssertionError("tube inverted: upper fell below lower")
     return LiftedState(upper=up, lower=lo)
 

@@ -330,7 +330,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
               if not (config.relax_jam and f == "x_jam")
               for i in range(lo_map[f].shape[0])
               if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL]
-    applied: list[tuple[str, int, bool, float]] = []
+    moved = False
 
     for f, i in coords:
         # shave the upper end, then the lower: certify the half between mid
@@ -362,23 +362,18 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                         anchor, node = mids[node], 2 * node + 2
                 depth_left -= levels
             if cut != target[f][i]:
-                applied.append((f, i, is_upper, cut))
-                target[f][i] = cut
+                # each cut is certified on its own, but with the cuts made
+                # before it, it can push a corner outside the physical-range
+                # checks; such a cut is skipped (the box only stays larger,
+                # so soundness is kept) and the sweep goes on from a valid box
+                old, target[f][i] = target[f][i], cut
+                if _box_admissible(*_corners(up_map, lo_map, param_bounds)):
+                    moved = True
+                else:
+                    target[f][i] = old
 
-    if not applied:
+    if not moved:
         return param_bounds
-    if not _box_admissible(*_corners(up_map, lo_map, param_bounds)):
-        # Each cut is individually certified, but their union can push a
-        # corner outside the physical-range checks. Reapply them one at a
-        # time and drop the ones that break a corner; dropping a cut only
-        # enlarges the box, so soundness is kept.
-        lo_map, up_map = _corner_maps(param_bounds)
-        for f, i, is_upper, value in applied:
-            target = up_map if is_upper else lo_map
-            old = target[f][i]
-            target[f][i] = value
-            if not _box_admissible(*_corners(up_map, lo_map, param_bounds)):
-                target[f][i] = old
     return ParamBounds(upper=replace(param_bounds.upper, **up_map),
                        lower=replace(param_bounds.lower, **lo_map))
 

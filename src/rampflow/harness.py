@@ -31,9 +31,9 @@ from .controllers import (
     setpc_step,
 )
 from .ctm import (
+    AdmissibilityError,
     FreewayParams,
     OutputModel,
-    check_admissible,
     compact_step,
     measure,
     plant_step,
@@ -137,9 +137,12 @@ class _Block:
 
     def _floats(self, key: str, line: int, tokens: list[str]) -> np.ndarray:
         try:
-            return np.array([float(t) for t in tokens], dtype=float)
+            vals = np.array([float(t) for t in tokens], dtype=float)
         except ValueError:
             raise ScenarioError(line, f"{self.name}.{key}: expected numbers, got {tokens}")
+        if not np.all(np.isfinite(vals)):
+            raise ScenarioError(line, f"{self.name}.{key}: expected finite numbers, got {tokens}")
+        return vals
 
     def vector(self, key: str, n: int, default=None) -> np.ndarray:
         entry = self._take(key)
@@ -405,9 +408,10 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     steps = rb.integer("steps", minimum=0)
     rb.finish()
 
-    if not check_admissible(params, base):
+    try:
+        x_up = compute_xup(base, params)
+    except AdmissibilityError:
         raise ScenarioError(None, "demand.base is not admissible for these parameters")
-    x_up = compute_xup(base, params)
     terminal = TerminalSet.drained(x_up) if drained else TerminalSet.mainline_only(x_up)
 
     return Scenario(
@@ -594,7 +598,7 @@ def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifac
         else:
             u, state, diag = setpc_step(state, y, config)
         log.append(x, diag.corrected, u, diag.value, _running(scenario, diag.corrected.upper),
-                   diag.feasible, diag.phase, theta=state.params)
+                   True, diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
         t = tick + 1
         if stop_on_entry and scenario.terminal.contains(diag.corrected.upper):

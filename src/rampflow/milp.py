@@ -260,28 +260,23 @@ def encode_min_equality(
     f: int,
     a: int,
     b: int,
-    bound_a: float | None = None,
-    bound_b: float | None = None,
     *,
     name: str | None = None,
 ) -> int:
     """Add rows forcing ``f = min(a, b)`` and return the selector binary.
 
     The selector is 1 when ``a`` attains the minimum and 0 when ``b`` does;
-    ties admit both.  ``bound_a`` must dominate ``sup (a - b)+`` and
-    ``bound_b`` must dominate ``sup (b - a)+`` over the feasible set; when
-    omitted they are derived from the declared column bounds, which must
-    then be finite on the relevant sides.
+    ties admit both.  The big-M constants come from the declared column
+    bounds, which must be finite on the sides that ``sup (a - b)+`` and
+    ``sup (b - a)+`` read.
     """
     tag = name if name is not None else f"min{len(builder.gadgets)}"
-    if bound_a is None:
-        bound_a = builder.upper[a] - builder.lower[b]
-    if bound_b is None:
-        bound_b = builder.upper[b] - builder.lower[a]
+    bound_a = builder.upper[a] - builder.lower[b]
+    bound_b = builder.upper[b] - builder.lower[a]
     if not (np.isfinite(bound_a) and np.isfinite(bound_b)):
         raise ValueError(
             f"gadget {tag}: min-equality needs finite big-M bounds; declare "
-            "finite column bounds or pass them explicitly"
+            "finite column bounds"
         )
     m_a = max(float(bound_a), 0.0)
     m_b = max(float(bound_b), 0.0)

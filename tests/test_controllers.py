@@ -139,17 +139,15 @@ def test_supervisor_switches_on_inclusive_membership():
     inside = np.concatenate([np.full(4, 39.0), np.zeros(4)])
     boundary = np.concatenate([np.full(4, 40.0), np.zeros(4)])
     outside = np.concatenate([np.full(4, 41.0), np.zeros(4)])
-    assert dual_mode_supervisor(PHASE_MPC, inside, terminal) == PHASE_LOCAL
-    assert dual_mode_supervisor(PHASE_MPC, boundary, terminal) == PHASE_LOCAL
-    assert dual_mode_supervisor(PHASE_MPC, outside, terminal) == PHASE_MPC
+    assert dual_mode_supervisor(inside, terminal) == PHASE_LOCAL
+    assert dual_mode_supervisor(boundary, terminal) == PHASE_LOCAL
+    assert dual_mode_supervisor(outside, terminal) == PHASE_MPC
 
 
 def test_supervisor_reverts_only_when_asked():
     terminal = TerminalSet.drained(np.full(4, 40.0))
     outside = np.concatenate([np.full(4, 41.0), np.zeros(4)])
-    assert dual_mode_supervisor(PHASE_LOCAL, outside, terminal) == PHASE_MPC
-    with pytest.raises(ValueError, match="phase"):
-        dual_mode_supervisor("cruise", outside, terminal)
+    assert dual_mode_supervisor(outside, terminal) == PHASE_MPC
 
 
 def test_pin_jam_collapses_onto_the_upper_profile(stretch):
@@ -176,7 +174,7 @@ def test_setpc_tick_matches_the_direct_planner_on_point_boxes(
                        ParamBounds.point(stretch), config.mpc, config.terminal)
     assert np.allclose(u, direct.u, atol=1e-9)
     assert abs(diag.value - direct.value) <= 1e-9
-    assert diag.phase == PHASE_MPC and diag.feasible and diag.reduced
+    assert diag.phase == PHASE_MPC and diag.reduced
 
 
 def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand):
@@ -196,7 +194,6 @@ def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand)
                        config.mpc, config.terminal)
     assert np.allclose(u, direct.u, atol=1e-9)
     assert abs(diag.value - direct.value) <= 1e-9
-    assert diag.feasible
     assert np.array_equal(successor.params.lower.x_jam, np.full(4, 150.0))
 
 
@@ -266,7 +263,7 @@ def test_setpc_keeps_the_truth_enclosed_under_partial_measurement(
         lam_t = rng.uniform(demand_box.lower, demand_box.upper)
         x = compact_step(stretch, x, u, lam_t)
         assert state.predicted.contains(x)
-        assert diag.feasible
+        assert diag.phase == PHASE_MPC
 
 
 def test_setpc_rejects_a_tampered_measurement(stretch, nominal_demand):
@@ -284,7 +281,7 @@ def test_setpc_rejects_a_tampered_measurement(stretch, nominal_demand):
 
 
 def test_step_diagnostics_report_the_box_widths(stretch, nominal_demand):
-    diag = StepDiagnostics(value=1.0, feasible=True, phase=PHASE_MPC,
+    diag = StepDiagnostics(value=1.0, phase=PHASE_MPC,
                            state_width=0.5, theta_width=0.0)
     assert diag.state_width == 0.5
     model = OutputModel.full(4)

@@ -11,7 +11,6 @@ from rampflow.ctm import (
     AdmissibilityError,
     FreewayParams,
     OutputModel,
-    check_admissible,
     compact_step,
     demand_fn,
     equilibrium_flow,
@@ -22,7 +21,6 @@ from rampflow.ctm import (
     plant_step,
     ramp_outflow,
     split_state,
-    supply_fn,
 )
 
 from conftest import random_params, random_state
@@ -59,18 +57,21 @@ class TestDemandFn:
 
 
 class TestSupplyFn:
+    """Cell 1's supply caps the flow out of cell 0, whose demand is its
+    capacity 20 at the critical occupancy 40."""
+
+    @staticmethod
+    def first_outflow(stretch, x1):
+        return mainline_outflow(stretch, np.array([40.0, x1, 0.0, 0.0]))[0]
+
     def test_jam_boundary(self, stretch):
-        assert supply_fn(stretch, 160.0, 1) == 0.0
+        assert self.first_outflow(stretch, 160.0) == 0.0
 
     def test_wave_limited(self, stretch):
-        assert supply_fn(stretch, 100.0, 1) == pytest.approx(60.0 / 5.4)
+        assert self.first_outflow(stretch, 100.0) == pytest.approx(60.0 / 5.4)
 
     def test_capacity_capped(self, stretch):
-        assert supply_fn(stretch, 0.0, 1) == 20.0
-
-    def test_first_cell_has_no_supply(self, stretch):
-        with pytest.raises(ValueError):
-            supply_fn(stretch, 30.0, 0)
+        assert self.first_outflow(stretch, 0.0) == 20.0
 
 
 class TestRampOutflow:
@@ -197,15 +198,11 @@ class TestEquilibrium:
 
 class TestAdmissibility:
     def test_constant_nominal(self, stretch, nominal_demand):
-        assert check_admissible(stretch, nominal_demand)
+        equilibrium_uncongested(stretch, nominal_demand)
 
     def test_overloaded_first_cell(self, stretch):
-        assert not check_admissible(stretch, np.array([25.0, 0.0, 0.0, 0.0]))
-
-    def test_periodic_demand_admissible_on_average(self, stretch, nominal_demand):
-        t = np.arange(400)[:, None]
-        seq = nominal_demand * (1.0 + 0.05 * np.sin(0.2 * t))
-        assert check_admissible(stretch, seq)
+        with pytest.raises(AdmissibilityError):
+            equilibrium_uncongested(stretch, np.array([25.0, 0.0, 0.0, 0.0]))
 
 
 class TestMeasure:

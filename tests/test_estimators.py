@@ -50,7 +50,7 @@ def drive_window(true_params, box, x0, steps, model, demand_box, *, u=None):
     truth = [x]
     for _ in range(steps):
         x = compact_step(true_params, x, u, lam)
-        predicted = lifted_step(lifted, u, demand_box, box, check=False)
+        predicted = lifted_step(lifted, u, demand_box, box)
         lifted = state_update(predicted, measure(model, x), model)
         window.push(lifted, measure(model, x), control=u)
         truth.append(x)
@@ -317,7 +317,6 @@ def _theta_update_one_by_one(window, param_bounds, config):
               if not (config.relax_jam and f == "x_jam")
               for i in range(lo_map[f].shape[0])
               if up_map[f][i] - lo_map[f][i] > 1e-12]
-    applied = []
     for f, i in coords:
         for is_upper in (True, False):
             target, other = (up_map, lo_map) if is_upper else (lo_map, up_map)
@@ -336,18 +335,9 @@ def _theta_update_one_by_one(window, param_bounds, config):
                 else:
                     anchor = mid
             if cut != target[f][i]:
-                applied.append((f, i, is_upper, cut))
-                target[f][i] = cut
-    result = build_box(lo_map, up_map)
-    if result is not None:
-        return result, last_cut
-    lo_map, up_map = corner_maps(param_bounds)
-    for f, i, is_upper, value in applied:
-        target = up_map if is_upper else lo_map
-        old = target[f][i]
-        target[f][i] = value
-        if build_box(lo_map, up_map) is None:
-            target[f][i] = old
+                old, target[f][i] = target[f][i], cut
+                if build_box(lo_map, up_map) is None:
+                    target[f][i] = old
     return build_box(lo_map, up_map), last_cut
 
 
@@ -359,7 +349,7 @@ def _record(truth, box, x, lam, demand, model, length, steps):
     window.push(lifted, measure(model, x))
     for _ in range(steps):
         x = compact_step(truth, x, lam, lam)
-        lifted = state_update(lifted_step(lifted, lam, demand, box, check=False),
+        lifted = state_update(lifted_step(lifted, lam, demand, box),
                               measure(model, x), model)
         window.push(lifted, measure(model, x), control=lam)
     return window
@@ -379,6 +369,22 @@ def _rejected_walk_then_a_cut():
     x = np.array([8.0, 40.0, 0.0, 0.0])
     window = _record(truth, box, x, lam, DemandBounds.point(lam), OutputModel.full(2), 3, 3)
     return window, box, EstimatorConfig(prune_depth=8, prune_budget=60)
+
+
+def _corner_breaking_cut_then_a_later_cut():
+    """Both cells' upper corners sit on c_max / v = x_jam, so the certified
+    cut of v[0]'s upper end would push that corner past the range check.
+    The cut is skipped, the box stays valid, and a later coordinate, the
+    lower end of c_max[1], still gets its cut certified."""
+    truth = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
+                               c_max=20.0, alpha=0.9)
+    upper = replace(truth, v=np.full(2, 0.575), w=np.full(2, 0.2),
+                    c_max=np.full(2, 0.575 * 160.0))
+    box = ParamBounds(upper=upper, lower=replace(truth, c_max=np.full(2, 15.0)))
+    lam = np.array([2.0, 2.0])
+    x = np.array([30.0, 40.0, 0.0, 0.0])
+    window = _record(truth, box, x, lam, DemandBounds.point(lam), OutputModel.full(2), 2, 2)
+    return window, box, EstimatorConfig(prune_depth=4, prune_budget=48)
 
 
 # a corner put on a range boundary, just inside it, or well inside
@@ -485,6 +491,7 @@ def _assert_same_contraction(window, box, config):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=contraction_cases())
 @example(case=_rejected_walk_then_a_cut())
+@example(case=_corner_breaking_cut_then_a_later_cut())
 def test_batched_theta_update_equals_the_one_by_one_walk(case):
     window, box, config = case
     last_cut = _assert_same_contraction(window, box, config)
@@ -651,7 +658,7 @@ def test_partial_measurement_loop_keeps_the_truth_enclosed(
     lam = demand_box.upper
     for _ in range(8):
         x = compact_step(stretch, x, lam, lam)
-        predicted = lifted_step(lifted, lam, demand_box, box, check=False)
+        predicted = lifted_step(lifted, lam, demand_box, box)
         lifted = state_update(predicted, measure(model, x), model)
         window.push(lifted, measure(model, x), control=lam)
         assert lifted.contains(x)

@@ -63,6 +63,33 @@ def test_special_keys_take_their_word_or_a_vector():
     assert preset.alinea.setpoint is None
 
 
+@pytest.mark.parametrize("anchor, key, value", [
+    ("  horizon 60", "mpc.horizon", "inf"),
+    ("  steps 60", "run.steps", "inf"),
+    ("  horizon 60", "mpc.horizon", "nan"),
+    ("  gap 0.01", "mpc.gap", "nan"),
+    ("  epsilon 0.1", "controller.epsilon", "nan"),
+    ("  demand_margin 0.1", "boxes.demand_margin", "nan"),
+    ("  c_max 20", "params.c_max", "1e400"),
+], ids=["horizon-inf", "steps-inf", "horizon-nan", "gap-nan", "epsilon-nan",
+        "demand_margin-nan", "c_max-overflow"])
+def test_non_finite_numbers_are_rejected_with_their_line(anchor, key, value):
+    name = anchor.split()[0]
+    text, line = _edit(PRESET, anchor, [f"  {name} {value}"], keep=False)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {key}: expected finite numbers, got ['{value}']"
+
+
+def test_inadmissible_demand_base_is_a_scenario_error():
+    text, _ = _edit(PRESET, "  base 19.17 1.67 1.67 1.67", ["  base 25 1.67 1.67 1.67"],
+                    keep=False)
+    with pytest.raises(ScenarioError,
+                       match="^demand.base is not admissible for these parameters$"):
+        parse_scenario(text)
+
+
 def test_run_seed_is_an_unknown_key():
     text, line = _edit(PRESET, "  steps 60", ["  seed 0"])
     with pytest.raises(ScenarioError, match=f"^line {line}: unknown key 'seed' in block 'run'$"):

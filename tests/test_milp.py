@@ -262,12 +262,16 @@ def test_min_gadget_grid_projection(direction):
             assert sol.x[f] == pytest.approx(min(va, vb), abs=1e-9)
 
 
-def test_min_gadget_accepts_explicit_big_m_bounds():
+def test_min_gadget_derives_big_m_from_column_bounds():
     b = ModelBuilder("ms")
     a = b.add_variable("a", lower=2.0, upper=9.0)
     c = b.add_variable("b", lower=1.0, upper=6.0)
     f = b.add_variable("f", lower=0.0, upper=9.0, objective=-1.0)
-    encode_min_equality(b, f, a, c, 8.0, 4.0)  # exact sups of (a-b)+, (b-a)+
+    z = encode_min_equality(b, f, a, c)
+    # the exact sups of (a-b)+ and (b-a)+ over the bounds, 8 and 4
+    model = b.build()
+    rows, cols, vals = model.lp.row_coo
+    assert sorted(vals[cols == z].tolist()) == [-8.0, 4.0]
     b.add_row({a: 1.0}, "E", 3.0)
     b.add_row({c: 1.0}, "E", 5.5)
     sol = solve_milp(b.build())

@@ -1,7 +1,5 @@
 """Horizon planning: frozen values, encoding census, solve paths, certificates."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,15 +212,14 @@ def test_terminal_certificate_zero_box_is_exactly_stationary(
 def test_census_matches_built_models(demand, point_params, nominal_demand,
                                      stretch):
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
-    for horizon in (1, 2, 3):
+    # (columns, rows, binaries) of the two-component encoding, linear cost
+    expected = {1: (142, 188, 40), 2: (268, 376, 80), 3: (394, 564, 120)}
+    for horizon, (cols, rows, bins) in expected.items():
         model = mpc._assemble(equilibrium_box(), demand, point_params,
                               default_config(horizon), term, reduced=False).model
-        census = mpc.model_census(4, horizon)
-        assert model.lp.n_cols == census["columns"]
-        assert model.lp.n_rows == census["rows"]
-        assert len(model.binaries) == census["binaries"]
-        assert census["states"] == 2 * 2 * 4 * (horizon + 1)
-        assert census["controls"] == 4 * horizon
+        assert model.lp.n_cols == cols
+        assert model.lp.n_rows == rows
+        assert len(model.binaries) == bins
 
 
 def test_census_covers_indicator_mode(demand, point_params, nominal_demand,
@@ -232,11 +229,9 @@ def test_census_covers_indicator_mode(demand, point_params, nominal_demand,
                            cost_mode=mpc.COST_INDICATOR)
     model = mpc._assemble(equilibrium_box(), demand, point_params,
                           config, term, reduced=False).model
-    census = mpc.model_census(4, 2, cost_mode=mpc.COST_INDICATOR,
-                              terminal=term)
-    assert model.lp.n_cols == census["columns"]
-    assert model.lp.n_rows == census["rows"]
-    assert len(model.binaries) == census["binaries"]
+    assert model.lp.n_cols == 272
+    assert model.lp.n_rows == 410
+    assert len(model.binaries) == 82
 
 
 def test_census_covers_the_single_component_encoding(
@@ -244,15 +239,9 @@ def test_census_covers_the_single_component_encoding(
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
     prob = mpc._assemble(equilibrium_box(), demand, point_params,
                          default_config(3), term, reduced=True)
-    census = mpc.model_census(4, 3, reduced=True)
-    assert prob.model.lp.n_cols == census["columns"]
-    assert prob.model.lp.n_rows == census["rows"]
-    assert len(prob.model.binaries) == census["binaries"]
-
-
-def test_indicator_census_requires_the_terminal_box():
-    with pytest.raises(ValueError):
-        mpc.model_census(4, 2, cost_mode=mpc.COST_INDICATOR)
+    assert prob.model.lp.n_cols == 131
+    assert prob.model.lp.n_rows == 165
+    assert len(prob.model.binaries) == 33
 
 
 # ------------------------------------------ kernel, ranges and codec
@@ -386,7 +375,7 @@ def test_equilibrium_value_over_six_steps(stretch, nominal_demand, demand,
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params,
                         default_config(6), term)
     assert res.reduced
-    assert res.feasible
+    assert res.status == milp.OPTIMAL
     np.testing.assert_allclose(res.value, 6 * STAGE_COST + TERMINAL_COST,
                                atol=1e-6)
     np.testing.assert_allclose(
@@ -466,20 +455,6 @@ def test_infeasible_horizon_raises_by_default(stretch, nominal_demand,
         mpc.solve_mpc(box, demand, point_params, default_config(1), term)
 
 
-def test_zero_control_fallback_returns_a_flagged_result(
-        stretch, nominal_demand, demand, point_params):
-    x0 = np.concatenate([X_UNC, [50.0, 0.0, 0.0, 0.0]])
-    box = LiftedState(upper=x0, lower=x0)
-    term = drained_terminal(stretch, nominal_demand)
-    config = default_config(1, fallback=mpc.FALLBACK_ZERO)
-    res = mpc.solve_mpc(box, demand, point_params, config, term)
-    assert not res.feasible
-    assert res.status == "infeasible"
-    np.testing.assert_array_equal(res.u, np.zeros(4))
-    assert res.value == math.inf
-    assert res.controls is None
-
-
 def test_congested_start_with_free_queues_is_feasible(stretch, point_params):
     """Above critical occupancy everywhere, metering nothing still drains the
     mainline, so the problem with unconstrained terminal queues is feasible."""
@@ -534,7 +509,7 @@ def test_indicator_mode_costs_nothing_inside_the_terminal_box(
                            cost_mode=mpc.COST_INDICATOR)
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params, config,
                         term)
-    assert res.feasible
+    assert res.status == milp.OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -581,38 +556,6 @@ def test_single_cell_stretch_plans():
     np.testing.assert_allclose(res.value, 80.0, atol=1e-7)
 
 
-# --------------------------------------------------- horizon estimate
-
-
-def test_horizon_bound_counts_queue_drain(stretch, nominal_demand, demand,
-                                          point_params):
-    term = drained_terminal(stretch, nominal_demand)
-    x0 = np.concatenate([X_UNC, [50.0, 0.0, 0.0, 0.0]])
-    box = LiftedState(upper=x0, lower=x0)
-    # 50 vehicles, 40 - 19.17 per step of net outflow
-    assert mpc.horizon_lower_bound(box, demand, point_params, term) == 3.0
-
-
-def test_horizon_bound_is_infinite_when_a_queue_cannot_drain(
-        stretch, nominal_demand, demand):
-    term = drained_terminal(stretch, nominal_demand)
-    slow = homogeneous_params(4, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
-                              c_max=20.0, alpha=0.9, u_max=1.0)
-    x0 = np.concatenate([X_UNC, [50.0, 0.0, 0.0, 0.0]])
-    box = LiftedState(upper=x0, lower=x0)
-    assert mpc.horizon_lower_bound(
-        box, demand, ParamBounds.point(slow), term) == math.inf
-
-
-def test_horizon_bound_counts_mainline_storage(stretch, nominal_demand,
-                                               demand, point_params):
-    term = drained_terminal(stretch, nominal_demand)
-    x0 = np.concatenate([np.full(4, 160.0), np.zeros(4)])
-    box = LiftedState(upper=x0, lower=x0)
-    # 480 vehicles above the caps; 20 out the end plus 3 * 2 off the ramps
-    assert mpc.horizon_lower_bound(box, demand, point_params, term) == 19.0
-
-
 # ----------------------------------------------------------- validation
 
 
@@ -644,9 +587,6 @@ def test_config_rejects_bad_shapes_and_modes():
     with pytest.raises(ValueError):
         mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.ones(8),
                       cost_mode="quadratic")
-    with pytest.raises(ValueError):
-        mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.ones(8),
-                      fallback="retry")
 
 
 def test_terminal_set_rejects_bad_vectors():

@@ -1,5 +1,7 @@
-"""Packaging metadata: every declared console script must resolve."""
+"""Packaging metadata: every declared console script must resolve, and every
+public definition of the package has a caller."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -7,7 +9,18 @@ import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+
+# public definitions nothing in the package or its benchmark calls, kept on
+# purpose; each one leaves this list once something calls it
+KEPT = {
+    "terminal_lyapunov_check": "the terminal-ingredient audit the planner is to be wired to",
+    "run_identification": "the paper's post-entry identification audit",
+    "dump_model": "writes the solver model a failed plan can be replayed from",
+    "load_scenario": "resolves a preset name or a scenario file for a run",
+    "homogeneous_params": "the constructor of identical-cell stretches the tests use",
+}
 
 
 def test_every_declared_script_target_imports():
@@ -18,3 +31,28 @@ def test_every_declared_script_target_imports():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r} points at {target!r}, which is not callable"
+
+
+def test_every_public_definition_has_a_caller():
+    """A public top-level function or class of ``src/rampflow`` counts as
+    called when a name or an attribute outside its own body spells it, in
+    the package or in ``perfbench``. Import lists (the ``__init__``
+    re-exports among them), ``__all__`` strings and docstrings are not
+    names, so they do not count."""
+    package = sorted((ROOT / "src" / "rampflow").glob("*.py"))
+    defined, spelled = set(), set()
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if path in package and not owner.startswith("_"):
+                    defined.add(owner)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    spelled.add(name)
+    uncalled = defined - spelled
+    assert sorted(uncalled - set(KEPT)) == [], "public definitions nothing calls"
+    assert sorted(set(KEPT) - uncalled) == [], "kept names that are now called or gone"
