@@ -2,8 +2,10 @@
 
 This is the numerical engine behind :mod:`rampflow.milp`.  Problems arrive
 as ``min c.x  s.t.  A x (<=,=,>=) b,  lb <= x <= ub`` with infinite bounds
-allowed.  Rows are converted to equalities with one slack column each, and
-the solver runs a two-phase revised simplex:
+allowed.  :class:`EqualityForm` converts the rows to equalities with one
+slack column each, once: branch and bound builds one form per tree and
+every node solve reads it, changing only the column bounds.  The solver
+runs a two-phase revised simplex:
 
 * phase 1 clones the column of every out-of-bound basic variable into an
   artificial column (sign-adjusted so the artificial starts feasible at the
@@ -17,10 +19,14 @@ and bound replays at every node.
 
 There is one factorization: SuperLU factors of the basis plus a
 product-form eta file, one eta vector per pivot, rebuilt every few dozen
-pivots.  Pricing is Dantzig's rule with lowest-index tie-breaking; a
-streak of degenerate pivots switches the phase to Bland's rule, which
-guarantees termination.  All choices are index-deterministic so repeated
-solves of the same data produce identical pivot sequences.
+pivots.  The pivot loop reads ``[A | I]`` straight from its CSC arrays:
+the entering column is one ``indptr`` slice, reduced costs use the cached
+CSR transpose, and the basis handed to SuperLU is gathered from
+``indptr``, ``indices`` and ``data``.  Pricing is Dantzig's rule with
+lowest-index tie-breaking; a streak of degenerate pivots switches the
+phase to Bland's rule, which guarantees termination.  All choices are
+index-deterministic so repeated solves of the same data produce
+identical pivot sequences.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ class _Factors:
 
     def __init__(self, cols: sp.csc_matrix):
         try:
-            self.lu = splu(cols.tocsc())
+            self.lu = splu(cols)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise _SingularBasis() from exc
         self.etas: list[tuple[int, np.ndarray]] = []
@@ -95,7 +101,7 @@ class _Factors:
     def ftran(self, v: np.ndarray) -> np.ndarray:
         u = self.lu.solve(v)
         for r, g in self.etas:
-            u = u - g * u[r]
+            u -= g * u[r]
         return u
 
     def btran(self, v: np.ndarray) -> np.ndarray:
@@ -110,35 +116,82 @@ class _Factors:
         self.etas.append((r, g))
 
 
-def _slack_bounds(senses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.where(senses == "G", -np.inf, 0.0)
-    hi = np.where(senses == "L", np.inf, 0.0)
-    return lo, hi
+class EqualityForm:
+    """``A x + s = b`` with the slack bounds the row senses give, validated once.
+
+    ``cols`` is ``[A | I]`` in CSC and ``cols_t`` its CSR transpose (the
+    same three arrays read by rows); ``c`` is the cost extended with slack
+    zeros.  Solves read the form and never write it, so one form serves
+    every node of a branch-and-bound tree.  ``senses`` is a length-m
+    sequence over {"L", "E", "G"}; right-hand sides must be finite.
+    """
+
+    def __init__(self, a: sp.spmatrix, senses, b, c):
+        a = sp.csc_matrix(a)
+        senses = np.asarray(list(senses), dtype="U1")
+        if senses.shape[0] and not set(senses) <= set("LEG"):
+            raise ValueError("row senses must come from {'L', 'E', 'G'}")
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        m, n = a.shape
+        if senses.shape != (m,) or b.shape != (m,):
+            raise ValueError("row data does not match the matrix")
+        if c.shape != (n,):
+            raise ValueError("column data does not match the matrix")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand sides must be finite")
+        self.m, self.n = m, n
+        self.senses = senses
+        self.b = b
+        self.cols = sp.hstack([a, sp.identity(m, format="csc")], format="csc")
+        self.cols_t = self.cols.T
+        self.slack_lo = np.where(senses == "G", -np.inf, 0.0)
+        self.slack_hi = np.where(senses == "L", np.inf, 0.0)
+        self.c = np.concatenate([c, np.zeros(m)])
+
+
+def _column(cols: sp.csc_matrix, j: int) -> np.ndarray:
+    """Column ``j`` of a CSC matrix as a dense vector."""
+    lo, hi = cols.indptr[j], cols.indptr[j + 1]
+    out = np.zeros(cols.shape[0])
+    out[cols.indices[lo:hi]] = cols.data[lo:hi]
+    return out
+
+
+def _columns(cols: sp.csc_matrix, idx: np.ndarray) -> sp.csc_matrix:
+    """``cols[:, idx]`` gathered from the CSC arrays, entries in stored order."""
+    starts = cols.indptr[idx]
+    counts = cols.indptr[idx + 1] - starts
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+    return sp.csc_matrix(
+        (cols.data[take], cols.indices[take], indptr), shape=(cols.shape[0], idx.shape[0])
+    )
 
 
 class _Worker:
-    """One solve: owns the augmented column matrix and the pivot loop."""
+    """One solve: its bounds, basis and factors over a shared equality form.
+
+    ``cols`` starts as the form's matrix; phase 1 replaces it with a copy
+    that carries the artificial columns, so the form keeps ``n + m``.
+    """
 
     def __init__(
         self,
-        a: sp.csc_matrix,
-        senses: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
+        form: EqualityForm,
         lb: np.ndarray,
         ub: np.ndarray,
         warm: WarmBasis | None,
         tol_pivot: float,
         refactor_every: int,
     ):
-        m, n = a.shape
+        m, n = form.m, form.n
         self.m, self.n = m, n
-        slack_lo, slack_hi = _slack_bounds(senses)
-        self.cols = sp.hstack([a, sp.identity(m, format="csc")], format="csc")
-        self.lb = np.concatenate([lb, slack_lo])
-        self.ub = np.concatenate([ub, slack_hi])
-        self.c = np.concatenate([c, np.zeros(m)])
-        self.b = np.asarray(b, dtype=float)
+        self.cols, self.cols_t = form.cols, form.cols_t
+        self.lb = np.concatenate([lb, form.slack_lo])
+        self.ub = np.concatenate([ub, form.slack_hi])
+        self.c = form.c
+        self.b = form.b
         self.tol_pivot = tol_pivot
         self.refactor_every = refactor_every
         self.iterations = 0
@@ -192,7 +245,7 @@ class _Worker:
         return True
 
     def _factor(self) -> None:
-        self.backend = _Factors(self.cols[:, self.basis])
+        self.backend = _Factors(_columns(self.cols, self.basis))
         self.updates_since_factor = 0
         self._recompute_xb()
 
@@ -225,21 +278,17 @@ class _Worker:
         self.n_art = viol_pos.shape[0]
         if not self.n_art:
             return
-        art_cols = []
-        art_vals = np.empty(self.n_art)
-        for k, i in enumerate(viol_pos):
-            j = self.basis[i]
-            v = self.xb[i]
-            if v < self.lb[j]:
-                bound, sign = self.lb[j], -1.0
-                self.vstat[j] = AT_LOWER
-            else:
-                bound, sign = self.ub[j], 1.0
-                self.vstat[j] = AT_UPPER
-            art_cols.append(self.cols[:, [j]] * sign)
-            art_vals[k] = sign * (v - bound)
+        j = self.basis[viol_pos]
+        v = self.xb[viol_pos]
+        below = v < self.lb[j]
+        sign = np.where(below, -1.0, 1.0)
+        art_vals = sign * (v - np.where(below, self.lb[j], self.ub[j]))
+        self.vstat[j] = np.where(below, AT_LOWER, AT_UPPER)
+        art = _columns(self.cols, j)
+        art.data *= np.repeat(sign, np.diff(art.indptr))
         base = self.cols.shape[1]
-        self.cols = sp.hstack([self.cols] + art_cols, format="csc")
+        self.cols = sp.hstack([self.cols, art], format="csc")
+        self.cols_t = self.cols.T
         self.lb = np.concatenate([self.lb, np.zeros(self.n_art)])
         self.ub = np.concatenate([self.ub, np.full(self.n_art, np.inf)])
         self.c = np.concatenate([self.c, np.zeros(self.n_art)])
@@ -311,7 +360,7 @@ class _Worker:
     ) -> None:
         if abs(w[leave_pos]) <= self.tol_pivot:
             self._factor()
-            w = self.backend.ftran(self.cols[:, [enter]].toarray().ravel())
+            w = self.backend.ftran(_column(self.cols, enter))
             if abs(w[leave_pos]) <= self.tol_pivot:
                 raise NumericalBreakdown(
                     f"pivot element {w[leave_pos]:.3e} below tolerance after "
@@ -345,7 +394,7 @@ class _Worker:
                     f"{self.iterations} pivots (m={self.m}, n={self.n})"
                 )
             y = self.backend.btran(cost[self.basis])
-            d = cost - self.cols.T @ y
+            d = cost - self.cols_t @ y
             enter = self._price(d, bland)
             if enter < 0:
                 return "optimal"
@@ -355,7 +404,7 @@ class _Worker:
                 sigma = -1.0
             else:
                 sigma = 1.0
-            w = self.backend.ftran(self.cols[:, [enter]].toarray().ravel())
+            w = self.backend.ftran(_column(self.cols, enter))
             hit = self._ratio_test(enter, sigma, w)
             if (
                 hit is not None
@@ -367,7 +416,7 @@ class _Worker:
                 # an exactly dependent column sneaks into the basis; redo the
                 # column and the ratio test against fresh factors.
                 self._factor()
-                w = self.backend.ftran(self.cols[:, [enter]].toarray().ravel())
+                w = self.backend.ftran(_column(self.cols, enter))
                 hit = self._ratio_test(enter, sigma, w)
             if hit is None:
                 if phase1:
@@ -405,7 +454,7 @@ class _Worker:
                 continue
             e_i = np.zeros(self.m)
             e_i[i] = 1.0
-            row = (self.backend.btran(e_i) @ self.cols[:, :ntot_real]).ravel()
+            row = (self.cols_t @ self.backend.btran(e_i))[:ntot_real]
             open_nb = (self.vstat[:ntot_real] != BASIC) & (
                 np.abs(row) > 1e-7
             )
@@ -471,37 +520,26 @@ class _Worker:
 
 
 def solve_canonical(
-    a: sp.spmatrix,
-    senses,
-    b,
-    c,
+    form: EqualityForm,
     lb,
     ub,
     *,
     warm: WarmBasis | None = None,
 ) -> CanonicalResult:
-    """Solve ``min c.x  s.t.  A x (senses) b,  lb <= x <= ub``.
+    """Solve ``min c.x  s.t.  A x (senses) b,  lb <= x <= ub`` over ``form``.
 
-    ``senses`` is a length-m sequence over {"L", "E", "G"}.  Infinite bounds
-    are allowed; equal bounds fix a variable.  ``warm`` replays a basis from
-    an earlier solve of a same-shape problem (stale tokens fall back to a
-    cold start).  Statuses: "optimal", "infeasible", "unbounded".
+    The form carries ``A``, the senses, ``b`` and ``c``; only the column
+    bounds come per call, so branch-and-bound nodes share one form and the
+    solve leaves it as it found it.  Infinite bounds are allowed; equal
+    bounds fix a variable.  ``warm`` replays a basis from an earlier solve
+    of the same form (stale tokens fall back to a cold start).  Statuses:
+    "optimal", "infeasible", "unbounded".
     """
-    a = sp.csc_matrix(a)
-    senses = np.asarray(list(senses), dtype="U1")
-    if senses.shape[0] and not set(senses) <= set("LEG"):
-        raise ValueError("row senses must come from {'L', 'E', 'G'}")
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    m, n = a.shape
-    if senses.shape != (m,) or b.shape != (m,):
-        raise ValueError("row data does not match the matrix")
-    if c.shape != (n,) or lb.shape != (n,) or ub.shape != (n,):
-        raise ValueError("column data does not match the matrix")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand sides must be finite")
+    n = form.n
+    if lb.shape != (n,) or ub.shape != (n,):
+        raise ValueError("column bounds do not match the matrix")
     if np.any(lb > ub + 1e-12):
         return CanonicalResult("infeasible", np.zeros(n), np.nan, None, 0)
     lb = np.minimum(lb, ub)
@@ -511,7 +549,7 @@ def solve_canonical(
     spent = 0
     for rung, (tol_pivot, refactor_every) in enumerate(_LADDER):
         start = warm if rung == 0 else None
-        worker = _Worker(a, senses, b, c, lb, ub, start, tol_pivot, refactor_every)
+        worker = _Worker(form, lb, ub, start, tol_pivot, refactor_every)
         try:
             result = worker.solve()
         except _SingularBasis:
@@ -526,9 +564,7 @@ def solve_canonical(
 
 
 def crash_from_point(
-    a: sp.spmatrix,
-    senses,
-    b,
+    form: EqualityForm,
     lb,
     ub,
     x0,
@@ -553,10 +589,9 @@ def crash_from_point(
     needs no basic structurals at all, where the default start is
     already equivalent.
     """
-    a = sp.csc_matrix(a)
-    m, n = a.shape
-    senses = np.asarray(list(senses), dtype="U1")
-    b = np.asarray(b, dtype=float)
+    m, n = form.m, form.n
+    a = form.cols[:, :n]
+    senses, b = form.senses, form.b
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     x0 = np.asarray(x0, dtype=float)

@@ -52,7 +52,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._simplex import NumericalBreakdown, WarmBasis, crash_from_point, solve_canonical
+from ._simplex import (
+    EqualityForm,
+    NumericalBreakdown,
+    WarmBasis,
+    crash_from_point,
+    solve_canonical,
+)
 
 __all__ = [
     "OPTIMAL",
@@ -390,15 +396,19 @@ def dump_model(model: MilpModel) -> str:
 
 
 class _NodeLp:
-    """Shared matrices for branch-and-bound node solves."""
+    """The tree's one equality form; a node is the root bounds plus its fixes.
+
+    The form (``[A | I]``, slack bounds, the cost in the internal min sense)
+    is built and validated once per :func:`solve_milp`; every node solve
+    reads it and passes only its own column bounds.  Node solves go through
+    this module's ``solve_canonical`` attribute, where callers may wrap it.
+    """
 
     def __init__(self, model: MilpModel):
         lp = model.lp
-        self.mat = lp.matrix()
-        self.senses = lp.row_senses
-        self.rhs = lp.rhs
         self.flip = -1.0 if lp.sense == "max" else 1.0
         self.c = self.flip * lp.obj
+        self.form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, self.c)
         self.lb0 = lp.col_lower
         self.ub0 = lp.col_upper
 
@@ -411,9 +421,7 @@ class _NodeLp:
             for j, v in fixes.items():
                 lb[j] = v
                 ub[j] = v
-        return solve_canonical(
-            self.mat, self.senses, self.rhs, self.c, lb, ub, warm=warm
-        )
+        return solve_canonical(self.form, lb, ub, warm=warm)
 
 
 def solve_milp(
@@ -486,8 +494,7 @@ def solve_milp(
         # The incumbent is a verified feasible point, so the basis that
         # reproduces it starts the root with phase 1 already satisfied.
         root_basis = crash_from_point(
-            node_lp.mat, node_lp.senses, node_lp.rhs,
-            node_lp.lb0, node_lp.ub0, best_x,
+            node_lp.form, node_lp.lb0, node_lp.ub0, best_x
         )
     heapq.heappush(pool, (-np.inf, seq, {}, root_basis))
 

@@ -194,7 +194,6 @@ class MpcResult:
 
     u: np.ndarray
     value: float
-    status: str
     controls: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
@@ -852,7 +851,6 @@ def solve_mpc(
         return MpcResult(
             u=controls[0].copy(),
             value=float(sol.objective),
-            status=sol.status,
             controls=controls,
             upper=upper,
             lower=lower,

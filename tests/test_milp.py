@@ -8,6 +8,7 @@ binaries are continuous programs that ``solve_milp`` settles at its root.
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from rampflow import _simplex
 from rampflow.milp import (
@@ -317,12 +318,10 @@ def test_warm_basis_restart_after_bound_change():
     y = b.add_variable("y", upper=10.0, objective=-2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 12.0)
     lp = b.build().lp
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
 
     def solve(upper, warm=None):
-        return _simplex.solve_canonical(
-            lp.matrix(), lp.row_senses, lp.rhs, lp.obj, lp.col_lower, upper,
-            warm=warm,
-        )
+        return _simplex.solve_canonical(form, lp.col_lower, upper, warm=warm)
 
     first = solve(lp.col_upper)
     assert first.status == "optimal" and first.basis is not None
@@ -332,6 +331,142 @@ def test_warm_basis_restart_after_bound_change():
     cold = solve(upper)
     assert warm.status == cold.status == "optimal"
     assert warm.obj == pytest.approx(cold.obj, abs=1e-9)
+
+
+# ------------------------------------------------- the shared equality form
+
+
+def _phase_one_lp(seed=5, m=6, n=9):
+    """A bounded feasible LP whose cold start needs phase 1 (it has E rows)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 2.0, (m, n))
+    a[rng.random((m, n)) < 0.4] = 0.0
+    senses = np.array(list("LEGLEG"[:m]))
+    x_feas = rng.uniform(0.0, 5.0, n)
+    act = a @ x_feas
+    b = np.where(senses == "L", act + 1.0, np.where(senses == "G", act - 1.0, act))
+    c = rng.uniform(-1.0, 1.0, n)
+    return sp.csc_matrix(a), senses, b, c, np.zeros(n), np.full(n, 10.0)
+
+
+def _form_arrays(form):
+    return [arr.copy() for arr in (form.cols.data, form.cols.indices, form.cols.indptr)]
+
+
+def _assert_form_unchanged(form, before, n, m):
+    assert form.cols.shape == (m, n + m)
+    for now, then in zip(_form_arrays(form), before):
+        assert np.array_equal(now, then)
+
+
+def _assert_same_solve(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.basis is not None and want.basis is not None
+    np.testing.assert_array_equal(got.basis.vstat, want.basis.vstat)
+    np.testing.assert_array_equal(got.basis.basis, want.basis.basis)
+
+
+def test_solves_sharing_a_form_match_solves_on_fresh_forms():
+    """A phase-1 root, then a warm child whose tightened bound sends the
+    replayed basis through phase 1 again: sharing one form changes no bit."""
+    a, senses, b, c, lb, ub = _phase_one_lp()
+    m, n = a.shape
+    shared = _simplex.EqualityForm(a, senses, b, c)
+    before = _form_arrays(shared)
+    root = _simplex.solve_canonical(shared, lb, ub)
+    _assert_form_unchanged(shared, before, n, m)
+    assert root.status == "optimal"
+    child_ub = ub.copy()
+    basic = root.basis.basis[root.basis.basis < n]
+    j = int(basic[np.argmax(root.x[basic])])
+    child_ub[j] = 0.5 * root.x[j]
+    child = _simplex.solve_canonical(shared, lb, child_ub, warm=root.basis)
+    _assert_form_unchanged(shared, before, n, m)
+
+    fresh_root = _simplex.solve_canonical(_simplex.EqualityForm(a, senses, b, c), lb, ub)
+    fresh_child = _simplex.solve_canonical(
+        _simplex.EqualityForm(a, senses, b, c), lb, child_ub, warm=fresh_root.basis)
+    _assert_same_solve(root, fresh_root)
+    _assert_same_solve(child, fresh_child)
+
+
+def test_a_cold_ladder_rung_leaves_the_shared_form_intact(monkeypatch):
+    """The first rung's phase-1 factorization fails as singular after the
+    worker appended its artificials; the next rung starts cold from the form,
+    which must still hold ``n + m`` columns and its original entries."""
+    a, senses, b, c, lb, ub = _phase_one_lp()
+    m, n = a.shape
+    real = _simplex._Factors
+
+    def solve(form):
+        built = []
+
+        def flaky(cols):
+            built.append(cols.shape)
+            if len(built) == 2:  # the cold start, then phase 1's refactorization
+                raise _simplex._SingularBasis()
+            return real(cols)
+
+        monkeypatch.setattr(_simplex, "_Factors", flaky)
+        try:
+            return _simplex.solve_canonical(form, lb, ub)
+        finally:
+            monkeypatch.setattr(_simplex, "_Factors", real)
+
+    form = _simplex.EqualityForm(a, senses, b, c)
+    before = _form_arrays(form)
+    laddered = solve(form)
+    _assert_form_unchanged(form, before, n, m)
+    again = solve(form)
+    _assert_same_solve(again, laddered)
+    _assert_same_solve(solve(_simplex.EqualityForm(a, senses, b, c)), laddered)
+    assert laddered.status == "optimal"
+    assert laddered.obj == pytest.approx(
+        _simplex.solve_canonical(form, lb, ub).obj, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_reads_match_scipy_with_artificials_appended(seed):
+    rng = np.random.default_rng(seed)
+    m, n = 6, 11
+    a = sp.random(m, n, density=0.35, random_state=rng, format="csc")
+    form = _simplex.EqualityForm(a, list("LEGLEG"), rng.uniform(1.0, 5.0, m), np.zeros(n))
+    worker = _simplex._Worker(form, np.zeros(n), np.full(n, 10.0), None, *_simplex._LADDER[0])
+    worker._add_artificials()
+    cols = worker.cols
+    assert worker.n_art == 4  # the E and G slacks start outside their bounds
+    assert cols.shape == (m, n + m + 4) and form.cols.shape == (m, n + m)
+    dense = cols.toarray()
+    np.testing.assert_array_equal(dense[:, : n + m], form.cols.toarray())
+    # each artificial clones its slack's unit column, sign-adjusted
+    np.testing.assert_array_equal(np.abs(dense[:, n + m:]).sum(axis=0), np.ones(4))
+    for j in range(cols.shape[1]):
+        np.testing.assert_array_equal(_simplex._column(cols, j), cols[:, [j]].toarray().ravel())
+    for _ in range(6):
+        idx = rng.choice(cols.shape[1], m, replace=False)
+        got, want = _simplex._columns(cols, idx), cols[:, idx]
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("bad", ["sense", "b", "c", "rhs"])
+def test_a_malformed_equality_form_is_rejected(bad):
+    args = {"a": sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])), "senses": ["L", "G"],
+            "b": np.array([4.0, 1.0]), "c": np.array([1.0, 1.0])}
+    args.update({"sense": {"senses": ["L", "X"]}, "b": {"b": np.ones(3)},
+                 "c": {"c": np.ones(1)}, "rhs": {"b": np.array([4.0, np.inf])}}[bad])
+    with pytest.raises(ValueError):
+        _simplex.EqualityForm(**args)
+
+
+@pytest.mark.parametrize("lb, ub", [(np.zeros(3), np.ones(2)), (np.zeros(2), np.ones(1))])
+def test_column_bounds_of_the_wrong_length_are_rejected(lb, ub):
+    form = _simplex.EqualityForm(np.eye(2), "LG", np.ones(2), np.ones(2))
+    with pytest.raises(ValueError):
+        _simplex.solve_canonical(form, lb, ub)
 
 
 def test_dump_model_line_grammar():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rampflow import milp, mpc
+from rampflow import _simplex, milp, mpc
 from rampflow.ctm import (
     AdmissibilityError,
     FreewayParams,
@@ -375,7 +375,7 @@ def test_equilibrium_value_over_six_steps(stretch, nominal_demand, demand,
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params,
                         default_config(6), term)
     assert res.reduced
-    assert res.status == milp.OPTIMAL
+    assert res.solution.status == milp.OPTIMAL
     np.testing.assert_allclose(res.value, 6 * STAGE_COST + TERMINAL_COST,
                                atol=1e-6)
     np.testing.assert_allclose(
@@ -444,6 +444,62 @@ def test_threshold_ties_relax_the_two_component_model(
     assert not milp.check_solution(model, relaxed.x, tol=1e-7)
 
 
+def pinned_problem(kind, nominal_demand, stretch, point_params):
+    """A horizon-4 point box (reduced encoding) or a horizon-3 interval box
+    (two-component encoding), with the planner's two seed plans."""
+    if kind == "point":
+        t, box = 4, equilibrium_box()
+        dem = DemandBounds(upper=nominal_demand, lower=nominal_demand)
+        term = drained_terminal(stretch, nominal_demand)
+    else:
+        t = 3
+        box = LiftedState(upper=np.concatenate([X_UNC * 1.01, np.full(4, 0.5)]),
+                          lower=equilibrium_box().lower * 0.9)
+        dem = DemandBounds(upper=nominal_demand * 1.02, lower=nominal_demand * 0.98)
+        term = mpc.TerminalSet.mainline_only(np.full(4, 60.0))
+    prob = mpc._assemble(box, dem, point_params, default_config(t), term,
+                         reduced=kind == "point")
+    seeds = (np.tile(dem.upper, (t, 1)), np.zeros((t, 4)))
+    return prob, [v for v in map(prob.encode, seeds) if v is not None]
+
+
+@pytest.mark.parametrize("kind, seeded, nodes, iterations, objective", [
+    ("point", False, 23, 225, "0x1.41d3dc486ad2ep+10"),
+    ("point", True, 1, 8, "0x1.41d3dc486ad2ep+10"),
+    ("interval", False, 217, 1278, "0x1.24a3a81f6e5a6p+10"),
+    ("interval", True, 17, 167, "0x1.24a3a81f6e5a6p+10"),
+])
+def test_branch_and_bound_keeps_its_pinned_pivot_path(
+        stretch, nominal_demand, point_params, kind, seeded, nodes, iterations,
+        objective):
+    """Literal node and pivot counts and the objective's bits: a change that
+    moves any pivot or branching decision shows here, which a repeatability
+    check within one version cannot see. ``seeded`` passes the planner's
+    seed plans, so the root starts from the crash basis."""
+    prob, seeds = pinned_problem(kind, nominal_demand, stretch, point_params)
+    sol = milp.solve_milp(prob.model, initial_candidates=seeds if seeded else None)
+    assert sol.status == milp.OPTIMAL
+    assert (sol.nodes, sol.iterations, sol.objective.hex()) == (
+        nodes, iterations, objective)
+
+
+@pytest.mark.parametrize("kind", ["point", "interval"])
+def test_crash_from_a_verified_plan_starts_without_artificials(
+        stretch, nominal_demand, point_params, kind):
+    prob, seeds = pinned_problem(kind, nominal_demand, stretch, point_params)
+    lp = prob.model.lp
+    x0 = seeds[0]
+    assert not milp.check_solution(prob.model, x0, tol=1e-7)
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+    warm = _simplex.crash_from_point(form, lp.col_lower, lp.col_upper, x0)
+    worker = _simplex._Worker(form, lp.col_lower, lp.col_upper, warm,
+                              *_simplex._LADDER[0])
+    np.testing.assert_array_equal(worker.basis, warm.basis)  # not a cold start
+    worker._add_artificials()
+    assert worker.n_art == 0
+    np.testing.assert_allclose(worker._values()[: form.n], x0, rtol=0, atol=1e-9)
+
+
 def test_infeasible_horizon_raises_by_default(stretch, nominal_demand,
                                               demand, point_params):
     # fifty vehicles queued, forty per step of metering headroom: one step
@@ -509,7 +565,7 @@ def test_indicator_mode_costs_nothing_inside_the_terminal_box(
                            cost_mode=mpc.COST_INDICATOR)
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params, config,
                         term)
-    assert res.status == milp.OPTIMAL
+    assert res.solution.status == milp.OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
