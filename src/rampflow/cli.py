@@ -1,0 +1,40 @@
+"""The ``rampflow`` command.
+
+    rampflow run fourcell_constant --csv run.csv
+    rampflow run my_stretch.scn
+
+``run`` resolves a preset name or a scenario file (docs/scenario-format.md),
+drives its closed loop and writes the record as a CSV that
+``harness.read_log`` reads back. Without ``--csv`` the record goes to
+``<scenario name>.csv`` in the working directory. A scenario the parser
+rejects ends the command with its message and exit status 2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from . import harness
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="rampflow")
+    commands = parser.add_subparsers(dest="command", required=True)
+    run = commands.add_parser("run", help="run a scenario's closed loop and write its CSV")
+    run.add_argument("scenario",
+                     help=f"a preset ({', '.join(sorted(harness.PRESETS))}) or a scenario file")
+    run.add_argument("--csv", type=Path, help="where to write the record")
+    args = parser.parse_args(argv)
+
+    try:
+        scenario = harness.load_scenario(args.scenario)
+    except harness.ScenarioError as err:
+        print(f"rampflow: {err}", file=sys.stderr)
+        return 2
+    log = harness.run_closed_loop(scenario)
+    path = harness.emit_csv(log, args.csv or Path(f"{scenario.name}.csv"),
+                            meta=harness.scenario_meta(scenario, log))
+    print(f"{scenario.name}: {len(log)} ticks written to {path}")
+    return 0

@@ -14,10 +14,13 @@ commanded discharge); the measurement window holds it once for the whole
 run.
 
 The propagation takes a stack of boxes at once, which costs little more
-than one box. ``theta_update`` uses that to certify every candidate of a
-bisection tree (up to six levels, 63 boxes) in one pass, and then replays
-the one-at-a-time walk over the stored verdicts. The walk, its check
-budget and its result are those of bisecting one candidate at a time.
+than one box. ``theta_update`` uses that to certify, in one pass, the
+first bisection tree (up to six levels, 63 boxes) of every coordinate end
+the remaining check budget can reach, and then replays the one-at-a-time
+walks over the stored verdicts. The stack is rebuilt only when a cut is
+applied, since that changes the box every later probe is cut from; walks
+deeper than one tree certify their next tree alone. The walks, their check
+budget and the result are those of bisecting one candidate at a time.
 
 ``freeflow_identify`` is the closed-form complement. While the stretch is in
 free flow and fully measured, consecutive occupancy readings determine each
@@ -30,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,21 +280,70 @@ def _corners(up_map: dict, lo_map: dict, template: ParamBounds):
             SimpleNamespace(**lo_map, u_max=template.lower.u_max))
 
 
-def _bisection_mids(anchor: float, cut: float, levels: int) -> np.ndarray:
-    """The mids of a bisection tree of [anchor, cut], in heap order.
+def _bisection_mids(anchors: np.ndarray, cuts: np.ndarray, levels: int) -> np.ndarray:
+    """The mids of the bisection trees of [anchors[j], cuts[j]], in heap order.
 
-    Node k's children are 2k + 1, the cut moved to its mid, and 2k + 2, the
-    anchor moved there. Each mid is 0.5 * (anchor + cut) of its node, so it
-    equals the mid a one-at-a-time walk along the same path computes.
+    Row j holds tree j. Node k's children are 2k + 1, the cut moved to its
+    mid, and 2k + 2, the anchor moved there. Each mid is 0.5 * (anchor +
+    cut) of its node, so it equals the mid a one-at-a-time walk along the
+    same path computes, and node k has the same mid in a tree of any depth.
     """
-    anchors, cuts = np.array([anchor]), np.array([cut])
+    anchors, cuts = anchors[:, None], cuts[:, None]
     mids = []
     for _ in range(levels):
         mid = 0.5 * (anchors + cuts)
         mids.append(mid)
-        anchors = np.stack([anchors, mid], axis=-1).ravel()
-        cuts = np.stack([mid, cuts], axis=-1).ravel()
-    return np.concatenate(mids)
+        anchors = np.stack([anchors, mid], axis=-1).reshape(mid.shape[0], -1)
+        cuts = np.stack([mid, cuts], axis=-1).reshape(mid.shape[0], -1)
+    return np.concatenate(mids, axis=1)
+
+
+class _Tree(NamedTuple):
+    """The probes of one end of one coordinate, as a bisection tree of
+    [anchor, cut] with the given number of levels.
+
+    A probe at an upper end is the half-box with the lower corner raised to
+    its mid; at a lower end, the upper corner is lowered to it.
+    """
+
+    field: str
+    cell: int
+    is_upper: bool
+    anchor: float
+    cut: float
+    levels: int
+
+
+def _certify_trees(window: MeasurementWindow, up_map: dict, lo_map: dict,
+                   template: ParamBounds, trees: list[_Tree]):
+    """Certify every probe of the trees against the window in one stacked
+    propagation.
+
+    Returns, per tree and in heap order, its mids, whether each probe passes
+    the physical-range checks (an interior sub-box can fail them: its
+    corners mix values the box's own corners never combined) and whether it
+    is admissible and certified inconsistent.
+    """
+    sizes = [2 ** t.levels - 1 for t in trees]
+    deepest = _bisection_mids(np.array([t.anchor for t in trees]),
+                              np.array([t.cut for t in trees]),
+                              max(t.levels for t in trees))
+    mids = [row[:size] for row, size in zip(deepest, sizes)]
+    stacked, start = {}, 0
+    for t, m in zip(trees, mids):
+        key = (t.is_upper, t.field)
+        if key not in stacked:
+            source = lo_map if t.is_upper else up_map
+            stacked[key] = np.repeat(source[t.field][None], sum(sizes), axis=0)
+        stacked[key][start:start + m.shape[0], t.cell] = m
+        start += m.shape[0]
+    upper, lower = _corners({f: stacked.get((False, f), a) for f, a in up_map.items()},
+                            {f: stacked.get((True, f), a) for f, a in lo_map.items()},
+                            template)
+    admissible = _box_admissible(upper, lower)
+    certified = admissible & _certified(window, upper, lower, CONSISTENCY_TOL)
+    splits = np.cumsum(sizes)[:-1]
+    return list(zip(mids, np.split(admissible, splits), np.split(certified, splits)))
 
 
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
@@ -305,11 +358,15 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     shrink toward the edge when a half cannot be certified, and the sweep
     stops once prune_budget consistency checks are spent.
 
-    Each end's probes form a bisection tree. Up to six levels of it are
-    certified in one stacked propagation; the walk then reads its verdicts
-    and, when it goes deeper, continues with the next tree from the node it
-    reached. The budget is charged exactly as a one-at-a-time walk charges
-    it: one check per probe the walk visits, none for a probe that fails the
+    Each end's probes form a bisection tree. The first up to six levels of
+    the tree of every end the remaining budget can reach (each walk spends
+    at most prune_depth checks) are certified together in one stacked
+    propagation. The walks then read their verdicts in sweep order; a walk
+    that goes deeper continues with the next tree from the node it reached.
+    A cut that is applied changes the box, so the trees of the ends after it
+    are stacked again from the new box; a skipped cut leaves them valid.
+    The budget is charged exactly as a one-at-a-time walk charges it: one
+    check per probe the walk visits, none for a probe that fails the
     physical-range checks (it counts as not certified).
 
     The input box comes back itself when no bound moves, as a point box
@@ -325,52 +382,76 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
             "no parameter left in the box reproduces the recorded window")
 
     lo_map, up_map = _corner_maps(param_bounds)
-    coords = [(f, i)
-              for f in PARAM_FIELDS
-              if not (config.relax_jam and f == "x_jam")
-              for i in range(lo_map[f].shape[0])
-              if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL]
-    moved = False
+    ends = [(f, i, is_upper)
+            for f in PARAM_FIELDS
+            if not (config.relax_jam and f == "x_jam")
+            for i in range(lo_map[f].shape[0])
+            if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL
+            # shave the upper end, then the lower: certify the half between
+            # mid and the moving end infeasible, then move that end to mid
+            for is_upper in (True, False)]
 
-    for f, i in coords:
-        # shave the upper end, then the lower: certify the half between mid
-        # and the moving end infeasible, then move that end to mid
-        for is_upper in (True, False):
-            target, other = (up_map, lo_map) if is_upper else (lo_map, up_map)
-            anchor, cut = other[f][i], target[f][i]
-            depth_left = config.prune_depth
-            while depth_left > 0 and checks_left > 0 and abs(cut - anchor) > _WIDTH_TOL:
-                levels = min(_BATCH_LEVELS, depth_left, checks_left)
-                mids = _bisection_mids(anchor, cut, levels)
-                trial = dict(other)
-                trial[f] = np.repeat(other[f][None], mids.shape[0], axis=0)
-                trial[f][:, i] = mids
-                # an interior sub-box can fail the range checks: its corners
-                # mix values the box's own corners never combined
-                up, lo = (target, trial) if is_upper else (trial, target)
-                upper, lower = _corners(up, lo, param_bounds)
-                admissible = _box_admissible(upper, lower)
-                certified = admissible & _certified(window, upper, lower, CONSISTENCY_TOL)
-                node = 0
-                for _ in range(levels):
-                    if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
-                        break
-                    checks_left -= int(admissible[node])
-                    if certified[node]:
-                        cut, node = mids[node], 2 * node + 1
-                    else:
-                        anchor, node = mids[node], 2 * node + 2
-                depth_left -= levels
-            if cut != target[f][i]:
-                # each cut is certified on its own, but with the cuts made
-                # before it, it can push a corner outside the physical-range
-                # checks; such a cut is skipped (the box only stays larger,
-                # so soundness is kept) and the sweep goes on from a valid box
-                old, target[f][i] = target[f][i], cut
-                if _box_admissible(*_corners(up_map, lo_map, param_bounds)):
-                    moved = True
+    def interval(f, i, is_upper):
+        """(anchor, cut): the end that stays and the end that moves."""
+        return ((lo_map[f][i], up_map[f][i]) if is_upper
+                else (up_map[f][i], lo_map[f][i]))
+
+    def sweep_from(first):
+        """The verdicts of the first trees of ends[first:] that the budget
+        reaches, by index into ends."""
+        trees, budget = {}, checks_left
+        for k in range(first, len(ends)):
+            if budget <= 0:
+                break
+            anchor, cut = interval(*ends[k])
+            if abs(cut - anchor) > _WIDTH_TOL:
+                levels = min(_BATCH_LEVELS, config.prune_depth, budget)
+                trees[k] = _Tree(*ends[k], anchor, cut, levels)
+                budget -= min(config.prune_depth, budget)
+        verdicts = _certify_trees(window, up_map, lo_map, param_bounds, list(trees.values()))
+        return {k: (tree, *v) for (k, tree), v in zip(trees.items(), verdicts)}
+
+    sweep = {}
+    moved = False
+    for k, (f, i, is_upper) in enumerate(ends):
+        if checks_left <= 0:
+            break
+        anchor, cut = interval(f, i, is_upper)
+        depth_left = config.prune_depth
+        while depth_left > 0 and checks_left > 0 and abs(cut - anchor) > _WIDTH_TOL:
+            if depth_left == config.prune_depth:
+                if k not in sweep:
+                    sweep = sweep_from(k)
+                tree, mids, admissible, certified = sweep[k]
+            else:
+                tree = _Tree(f, i, is_upper, anchor, cut,
+                             min(_BATCH_LEVELS, depth_left, checks_left))
+                [(mids, admissible, certified)] = _certify_trees(
+                    window, up_map, lo_map, param_bounds, [tree])
+            # the tree may have more levels than the budget left now lets
+            # the walk visit; node k keeps its mid and verdict at any depth
+            node = 0
+            for _ in range(tree.levels):
+                if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
+                    break
+                checks_left -= int(admissible[node])
+                if certified[node]:
+                    cut, node = mids[node], 2 * node + 1
                 else:
-                    target[f][i] = old
+                    anchor, node = mids[node], 2 * node + 2
+            depth_left -= tree.levels
+        target = up_map if is_upper else lo_map
+        if cut != target[f][i]:
+            # each cut is certified on its own, but with the cuts made
+            # before it, it can push a corner outside the physical-range
+            # checks; such a cut is skipped (the box only stays larger,
+            # so soundness is kept) and the sweep goes on from a valid box
+            old, target[f][i] = target[f][i], cut
+            if _box_admissible(*_corners(up_map, lo_map, param_bounds)):
+                moved = True
+                sweep = {}
+            else:
+                target[f][i] = old
 
     if not moved:
         return param_bounds

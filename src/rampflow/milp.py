@@ -530,7 +530,12 @@ def solve_milp(
             frac = np.minimum(xb, 1.0 - xb)
             live = np.flatnonzero(frac > _INT_TOL)
             if not live.shape[0]:
-                consider(res.x, bound)
+                # an integral relaxation is verified like any candidate; one
+                # that fails is closed without an incumbent, its bound kept
+                if check_solution(model, res.x, tol=1e-7):
+                    pruned_min = min(pruned_min, bound)
+                else:
+                    consider(res.x, bound)
                 break
             if incumbent_hook is not None:
                 try_candidate(incumbent_hook(res.x))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rampflow import estimators
 from rampflow.ctm import (FreewayParams, Observation, OutputModel,
                           compact_step, equilibrium_uncongested,
                           homogeneous_params, measure)
@@ -510,6 +511,79 @@ def test_theta_update_returns_its_input_when_no_bound_moves(
     point = ParamBounds.point(stretch)
     assert theta_update(window, point) is point
     assert theta_update(window, box, EstimatorConfig(prune_depth=8)) is not box
+
+
+def _spied_theta_update(monkeypatch, window, box, config):
+    """theta_update with the stack size of every ``_certified`` call and
+    the tree levels of every ``_certify_trees`` call recorded."""
+    stacks, trees = [], []
+    certified, certify_trees = estimators._certified, estimators._certify_trees
+
+    def count_stack(window, upper, lower, tol):
+        dead = certified(window, upper, lower, tol)
+        stacks.append(dead.size)
+        return dead
+
+    def count_trees(*args):
+        trees.append([tree.levels for tree in args[-1]])
+        return certify_trees(*args)
+
+    monkeypatch.setattr(estimators, "_certified", count_stack)
+    monkeypatch.setattr(estimators, "_certify_trees", count_trees)
+    return theta_update(window, box, config), stacks, trees
+
+
+def _alpha_box(stretch, v_upper=None):
+    """The capacity drop never engages in this free-flow window, so no probe
+    of an alpha interval is certified."""
+    upper = replace(stretch, alpha=np.full(4, 1.0))
+    if v_upper is not None:
+        upper = replace(upper, v=np.asarray(v_upper, dtype=float))
+    return ParamBounds(upper=upper, lower=replace(stretch, alpha=np.full(4, 0.8)))
+
+
+def test_one_stacked_propagation_certifies_the_whole_sweep(
+        monkeypatch, stretch, demand_box, transient_start):
+    box = _alpha_box(stretch)
+    window, _ = drive_window(stretch, box, transient_start, 3,
+                             OutputModel.full(4), demand_box)
+    out, stacks, trees = _spied_theta_update(
+        monkeypatch, window, box, EstimatorConfig(prune_budget=48, prune_depth=6))
+    assert out is box
+    # the whole box, then the first trees of the eight ends the 47 checks
+    # left reach: seven of six levels and one of five
+    assert stacks == [1, 7 * 63 + 31]
+    assert trees == [[6] * 7 + [5]]
+
+
+def test_an_applied_cut_stacks_the_rest_of_the_sweep_again(
+        monkeypatch, stretch, demand_box, transient_start):
+    box = _alpha_box(stretch, v_upper=[0.7, 0.5, 0.5, 0.5])
+    window, _ = drive_window(stretch, box, transient_start, 3,
+                             OutputModel.full(4), demand_box)
+    out, stacks, trees = _spied_theta_update(
+        monkeypatch, window, box, EstimatorConfig(prune_budget=48, prune_depth=6))
+    assert out.upper.v[0] < 0.7 and out.lower.v[0] == 0.5
+    assert np.array_equal(out.upper.alpha, box.upper.alpha)
+    assert np.array_equal(out.lower.alpha, box.lower.alpha)
+    # v[0]'s upper cut changes the box once, so the ends after it are
+    # stacked once more from the new box
+    assert len(stacks) <= 3
+    assert trees == [[6] * 7 + [5], [6] * 6 + [5]]
+
+
+def test_walks_deeper_than_one_tree_continue_through_the_shared_builder(
+        monkeypatch, stretch, demand_box, transient_start):
+    box = _alpha_box(stretch)
+    window, _ = drive_window(stretch, box, transient_start, 3,
+                             OutputModel.full(4), demand_box)
+    out, stacks, trees = _spied_theta_update(
+        monkeypatch, window, box, EstimatorConfig(prune_budget=48, prune_depth=8))
+    assert out is box
+    # each walk spends up to eight checks, so the 47 left reach six ends;
+    # each continues with a tree of the levels its depth and budget leave
+    assert trees == [[6] * 6, [2], [2], [2], [2], [2], [1]]
+    assert stacks == [1, 6 * 63, 3, 3, 3, 3, 3, 1]
 
 
 def test_estimator_config_validates_its_fields():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rampflow import harness
+from rampflow import cli, harness
 from rampflow.embedding import PARAM_FIELDS
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
@@ -103,15 +103,18 @@ def test_controller_pin_jam_is_an_unknown_key():
         parse_scenario(text)
 
 
-def _short_planning_scenario():
+def _short_planning_text():
     """Point boxes, horizon 4, five ticks after the warm-up."""
     box_lines = {"  demand_margin 0.1", "  v 0.4 0.6", "  w 0.1 0.3",
                  "  x_jam 150 170", "  c_max 16 24", "  beta 0.7 0.95"}
     text = "\n".join(line for line in PRESET.splitlines() if line not in box_lines) + "\n"
     text = _edit(text, "  horizon 60", ["  horizon 4"], keep=False)[0]
     text = _edit(text, "  steps 60", ["  steps 5"], keep=False)[0]
-    text = _edit(text, "  mainline 30 30 30 120", ["  mainline 30 30 30 60"], keep=False)[0]
-    return parse_scenario(text, name="short_plan")
+    return _edit(text, "  mainline 30 30 30 120", ["  mainline 30 30 30 60"], keep=False)[0]
+
+
+def _short_planning_scenario():
+    return parse_scenario(_short_planning_text(), name="short_plan")
 
 
 def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
@@ -138,6 +141,33 @@ def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
     np.testing.assert_allclose([s.u for s in back.steps], [s.u for s in log.steps],
                                rtol=1e-11, atol=1e-12)
     np.testing.assert_allclose(back.runnings, log.runnings, rtol=1e-11)
+
+
+def test_run_command_writes_the_record_of_a_scenario_file(tmp_path, capsys):
+    source = tmp_path / "short_plan.scn"
+    source.write_text(_short_planning_text())
+    out = tmp_path / "record.csv"
+    assert cli.main(["run", str(source), "--csv", str(out)]) == 0
+    assert str(out) in capsys.readouterr().out
+
+    scenario = _short_planning_scenario()
+    log = harness.run_closed_loop(scenario)
+    direct = emit_csv(log, tmp_path / "direct.csv", meta=harness.scenario_meta(scenario, log))
+    assert out.read_bytes() == direct.read_bytes()
+    back, meta = read_log(out)
+    assert meta["scenario"] == ["short_plan"]
+    assert len(back) == scenario.warmup + scenario.steps
+    assert any(s.phase == "mpc" for s in back.steps)
+
+
+def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
+    assert cli.main(["run", "fourcell_nowhere", "--csv", str(tmp_path / "x.csv")]) == 2
+    assert "no preset or file named 'fourcell_nowhere'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    source = tmp_path / "bad.scn"
+    source.write_text(_edit(PRESET, "  horizon 60", ["  horizon nan"], keep=False)[0])
+    assert cli.main(["run", str(source)]) == 2
+    assert "mpc.horizon: expected finite numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [

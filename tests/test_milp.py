@@ -5,12 +5,14 @@ instances; it is never used by the package itself.  Models without
 binaries are continuous programs that ``solve_milp`` settles at its root.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from rampflow import _simplex
+from rampflow import _simplex, milp
 from rampflow.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -331,6 +333,34 @@ def test_warm_basis_restart_after_bound_change():
     cold = solve(upper)
     assert warm.status == cold.status == "optimal"
     assert warm.obj == pytest.approx(cold.obj, abs=1e-9)
+
+
+def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
+    b = ModelBuilder("tampered")
+    x = b.add_variable("x", upper=10.0, objective=-1.0)
+    y = b.add_variable("y", objective=-2.0, binary=True)
+    b.add_row({x: 1.0, y: 1.0}, "L", 3.0)
+    model = b.build()
+    assert solve_milp(model).x.tolist() == pytest.approx([2.0, 1.0], abs=1e-9)
+
+    solve = milp.solve_canonical
+
+    def off_by_half(*args, **kwargs):
+        # an integral relaxation whose x breaks the row by 0.5
+        res = solve(*args, **kwargs)
+        moved = res.x.copy()
+        moved[x] += 0.5
+        return replace(res, x=moved, obj=res.obj - 0.5)
+
+    monkeypatch.setattr(milp, "solve_canonical", off_by_half)
+    seed = np.array([0.0, 1.0])
+    sol = solve_milp(model, initial_candidates=[seed])
+    assert sol.nodes == 1
+    np.testing.assert_array_equal(sol.x, seed)
+    assert sol.objective == pytest.approx(-2.0, abs=1e-9)
+    # the closed node's bound stays in the proven bound and the gap
+    assert sol.bound == pytest.approx(-4.5, abs=1e-9)
+    assert sol.gap == pytest.approx(2.5, abs=1e-9)
 
 
 # ------------------------------------------------- the shared equality form

@@ -18,7 +18,6 @@ KEPT = {
     "terminal_lyapunov_check": "the terminal-ingredient audit the planner is to be wired to",
     "run_identification": "the paper's post-entry identification audit",
     "dump_model": "writes the solver model a failed plan can be replayed from",
-    "load_scenario": "resolves a preset name or a scenario file for a run",
     "homogeneous_params": "the constructor of identical-cell stretches the tests use",
 }
 
