@@ -1,11 +1,15 @@
 """Bounded-variable primal simplex over sparse equality systems.
 
 This is the numerical engine behind :mod:`rampflow.milp`.  Problems arrive
-as ``min c.x  s.t.  A x (<=,=,>=) b,  lb <= x <= ub`` with infinite bounds
-allowed.  :class:`EqualityForm` converts the rows to equalities with one
-slack column each, once: branch and bound builds one form per tree and
-every node solve reads it, changing only the column bounds.  The solver
-runs a two-phase revised simplex:
+as ``min c.x  s.t.  A x (<=,=,>=) b,  lb <= x <= ub`` with every column
+boxed (both bounds finite).  :class:`EqualityForm` converts the rows to
+equalities with one slack column each, once: branch and bound builds one
+form per tree and every node solve reads it, changing only the column
+bounds.  A one-sided column (a slack, or a phase-1 artificial) starts
+basic and leaves the basis only at its finite bound, so every nonbasic
+column sits at a finite bound, and the program is never unbounded: a
+ratio test with no blocking variable raises :class:`NumericalBreakdown`.  Statuses: "optimal" and "infeasible".
+The solver runs a two-phase revised simplex:
 
 * phase 1 clones the column of every out-of-bound basic variable into an
   artificial column (sign-adjusted so the artificial starts feasible at the
@@ -41,7 +45,6 @@ from scipy.sparse.linalg import splu
 AT_LOWER = 0
 AT_UPPER = 1
 BASIC = 2
-FREE_ZERO = 3
 
 _TIE = 1e-12
 _TOL_FEAS = 1e-9
@@ -56,8 +59,9 @@ class NumericalBreakdown(RuntimeError):
     """Raised when the factorization cannot be kept trustworthy.
 
     Carries a short condition report so callers can surface what went
-    wrong (a vanishing pivot that survives refactorization, a phase-1 ray,
-    or an iteration budget blowout, which no Bland-guarded run should hit).
+    wrong (a vanishing pivot that survives refactorization, a ray, which
+    no boxed program has, or an iteration budget blowout, which no
+    Bland-guarded run should hit).
     """
 
 
@@ -66,9 +70,10 @@ class WarmBasis:
     """Opaque restart token: variable statuses plus the basic-variable list.
 
     Covers structural and slack columns only; artificials never escape a
-    solve.  Stale tokens are tolerated (the solver falls back to a fresh
-    crash basis), so callers may replay a token against a problem whose
-    bounds have changed, which is exactly what branch and bound does.
+    solve.  Every nonbasic column sits at one of its finite bounds and moves
+    with it, so callers may replay a token against new column bounds of the
+    same form, which is exactly what branch and bound does.  A malformed
+    token, or a basis that factors singular, falls back to the cold start.
     """
 
     vstat: np.ndarray
@@ -77,7 +82,7 @@ class WarmBasis:
 
 @dataclass
 class CanonicalResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray  # structural values (n,)
     obj: float
     basis: WarmBasis | None
@@ -205,12 +210,10 @@ class _Worker:
         ntot = self.n + self.m
         if warm is not None and self._try_warm(warm):
             return
-        vstat = np.where(
-            np.isfinite(self.lb[: self.n]),
-            AT_LOWER,
-            np.where(np.isfinite(self.ub[: self.n]), AT_UPPER, FREE_ZERO),
-        ).astype(np.int8)
-        self.vstat = np.concatenate([vstat, np.full(self.m, BASIC, dtype=np.int8)])
+        self.vstat = np.concatenate([
+            np.full(self.n, AT_LOWER, dtype=np.int8),
+            np.full(self.m, BASIC, dtype=np.int8),
+        ])
         self.basis = np.arange(self.n, ntot, dtype=np.int64)
         self._factor()
 
@@ -228,16 +231,6 @@ class _Worker:
             return False
         self.vstat = vstat.copy()
         self.basis = basis.copy()
-        # Nonbasics parked on a bound that no longer exists move to a valid
-        # spot (a branched binary may have had a finite bound replaced).
-        nb_lo = (self.vstat == AT_LOWER) & ~np.isfinite(self.lb)
-        nb_hi = (self.vstat == AT_UPPER) & ~np.isfinite(self.ub)
-        self.vstat[nb_lo] = np.where(
-            np.isfinite(self.ub[nb_lo]), AT_UPPER, FREE_ZERO
-        ).astype(np.int8)
-        self.vstat[nb_hi] = np.where(
-            np.isfinite(self.lb[nb_hi]), AT_LOWER, FREE_ZERO
-        ).astype(np.int8)
         try:
             self._factor()
         except _SingularBasis:
@@ -250,11 +243,7 @@ class _Worker:
         self._recompute_xb()
 
     def _nonbasic_values(self) -> np.ndarray:
-        vals = np.where(
-            self.vstat == AT_LOWER,
-            self.lb,
-            np.where(self.vstat == AT_UPPER, self.ub, 0.0),
-        )
+        vals = np.where(self.vstat == AT_LOWER, self.lb, self.ub)
         vals[self.vstat == BASIC] = 0.0
         return vals
 
@@ -302,11 +291,7 @@ class _Worker:
     # -- pivot loop --------------------------------------------------------
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
-        score = np.where(
-            self.vstat == AT_LOWER,
-            -d,
-            np.where(self.vstat == AT_UPPER, d, np.abs(d)),
-        )
+        score = np.where(self.vstat == AT_LOWER, -d, d)
         blocked = (self.vstat == BASIC) | (self.lb == self.ub)
         score[blocked] = -np.inf
         if bland:
@@ -320,13 +305,14 @@ class _Worker:
     ) -> tuple[float, int, bool] | None:
         """Return (step, leaving position or -1 for a bound flip, hit-upper?).
 
-        ``None`` means the improving direction is a feasible ray.  Ties
+        ``None`` means no variable blocks the step, which only a
+        numerically inconsistent basis produces.  Ties
         between blocking rows go to the largest pivot magnitude (the eta
         update divides by it, so a near-zero choice poisons every later
         ftran); under Bland's rule they go to the lowest basic index,
         which the anti-cycling argument needs.
         """
-        limit = self.ub[enter] - self.lb[enter]  # inf for free/one-sided vars
+        limit = self.ub[enter] - self.lb[enter]  # inf for slacks
         rate = -sigma * w
         rate[np.abs(w) <= self.tol_pivot] = 0.0
         bvars = self.basis
@@ -367,7 +353,8 @@ class _Worker:
                     f"refactorization (entering column {enter}, row {leave_pos})"
                 )
         leaving = self.basis[leave_pos]
-        enter_val = self._entering_origin(enter) + sigma * step
+        origin = self.lb[enter] if self.vstat[enter] == AT_LOWER else self.ub[enter]
+        enter_val = origin + sigma * step
         self.xb -= sigma * step * w
         self.vstat[leaving] = AT_UPPER if hit_upper else AT_LOWER
         self.basis[leave_pos] = enter
@@ -376,15 +363,7 @@ class _Worker:
         self.backend.update(leave_pos, w)
         self.updates_since_factor += 1
 
-    def _entering_origin(self, j: int) -> float:
-        s = self.vstat[j]
-        if s == AT_LOWER:
-            return self.lb[j]
-        if s == AT_UPPER:
-            return self.ub[j]
-        return 0.0
-
-    def _run_phase(self, cost: np.ndarray, *, phase1: bool) -> str:
+    def _run_phase(self, cost: np.ndarray) -> None:
         bland = False
         degen_streak = 0
         while True:
@@ -397,13 +376,8 @@ class _Worker:
             d = cost - self.cols_t @ y
             enter = self._price(d, bland)
             if enter < 0:
-                return "optimal"
-            if self.vstat[enter] == AT_UPPER or (
-                self.vstat[enter] == FREE_ZERO and d[enter] > 0
-            ):
-                sigma = -1.0
-            else:
-                sigma = 1.0
+                return
+            sigma = -1.0 if self.vstat[enter] == AT_UPPER else 1.0
             w = self.backend.ftran(_column(self.cols, enter))
             hit = self._ratio_test(enter, sigma, w)
             if (
@@ -419,12 +393,10 @@ class _Worker:
                 w = self.backend.ftran(_column(self.cols, enter))
                 hit = self._ratio_test(enter, sigma, w)
             if hit is None:
-                if phase1:
-                    raise NumericalBreakdown(
-                        "phase-1 objective fell without bound; "
-                        "the basis is numerically inconsistent"
-                    )
-                return "unbounded"
+                raise NumericalBreakdown(
+                    "the objective fell without bound in a boxed program; "
+                    "the basis is numerically inconsistent"
+                )
             step, leave_pos, hit_upper = hit
             self.iterations += 1
             degen_streak = degen_streak + 1 if step <= self.tol_pivot else 0
@@ -463,6 +435,7 @@ class _Worker:
                 continue
             j = int(cand[0])
             old = self.basis[i]
+            parked = self.vstat[j]
             self.basis[i] = j
             self.vstat[old] = AT_LOWER
             self.vstat[j] = BASIC
@@ -470,9 +443,7 @@ class _Worker:
                 self._factor()
             except _SingularBasis:
                 self.basis[i] = old
-                self.vstat[j] = (
-                    AT_LOWER if np.isfinite(self.lb[j]) else FREE_ZERO
-                )
+                self.vstat[j] = parked
                 self.vstat[old] = BASIC
                 self._factor()
 
@@ -483,7 +454,7 @@ class _Worker:
         if self.n_art:
             cost1 = np.zeros(self.cols.shape[1])
             cost1[self.n + self.m :] = 1.0
-            self._run_phase(cost1, phase1=True)
+            self._run_phase(cost1)
             art_sum = float(np.sum(np.abs(self._values()[self.n + self.m :])))
             if art_sum > _TOL_FEAS * (1.0 + float(np.abs(self.b).sum())):
                 return CanonicalResult(
@@ -496,15 +467,7 @@ class _Worker:
             self.lb[self.n + self.m :] = 0.0
             self.ub[self.n + self.m :] = 0.0
             self._expel_artificials()
-        status = self._run_phase(self.c.copy(), phase1=False)
-        if status == "unbounded":
-            return CanonicalResult(
-                "unbounded",
-                self._values()[: self.n],
-                -np.inf,
-                None,
-                self.iterations,
-            )
+        self._run_phase(self.c.copy())
         self._factor()  # clean recompute before extraction
         x = self._values()[: self.n]
         obj = float(self.c[: self.n] @ x)
@@ -530,16 +493,19 @@ def solve_canonical(
 
     The form carries ``A``, the senses, ``b`` and ``c``; only the column
     bounds come per call, so branch-and-bound nodes share one form and the
-    solve leaves it as it found it.  Infinite bounds are allowed; equal
-    bounds fix a variable.  ``warm`` replays a basis from an earlier solve
-    of the same form (stale tokens fall back to a cold start).  Statuses:
-    "optimal", "infeasible", "unbounded".
+    solve leaves it as it found it.  Every bound must be finite (a
+    ``ValueError`` otherwise); equal bounds fix a variable.  ``warm``
+    replays a basis from an earlier solve of the same form (malformed
+    tokens fall back to a cold start).  Statuses: "optimal" and
+    "infeasible"; a boxed program is never unbounded.
     """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     n = form.n
     if lb.shape != (n,) or ub.shape != (n,):
         raise ValueError("column bounds do not match the matrix")
+    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
+        raise ValueError("column bounds must be finite")
     if np.any(lb > ub + 1e-12):
         return CanonicalResult("infeasible", np.zeros(n), np.nan, None, 0)
     lb = np.minimum(lb, ub)
@@ -583,7 +549,7 @@ def crash_from_point(
 
     The matching is structural, so the basis can in principle still
     factor singular (numeric cancellation) and a stranded column (more
-    interior values than tight rows can carry) is parked at its nearest
+    interior values than tight rows can carry) is parked at its nearer
     bound; both cases degrade to a short phase 1 or to the caller's cold
     start rather than to an error.  Returns ``None`` only when the point
     needs no basic structurals at all, where the default start is
@@ -602,8 +568,7 @@ def crash_from_point(
 
     at_lo = x0 - lb <= tol * (1.0 + np.abs(lb))
     at_hi = ub - x0 <= tol * (1.0 + np.abs(ub))
-    free0 = ~np.isfinite(lb) & ~np.isfinite(ub) & (np.abs(x0) <= tol)
-    need = ~(at_lo | at_hi | free0)
+    need = ~(at_lo | at_hi)
     if not need.any():
         return None
 
@@ -621,21 +586,10 @@ def crash_from_point(
     matched_col[tight_rows[pair[hitj]]] = need_cols[hitj]
 
     vstat = np.empty(n + m, dtype=np.int8)
-    vstat[:n] = np.where(
-        matched,
-        BASIC,
-        np.where(at_lo, AT_LOWER, np.where(at_hi, AT_UPPER, FREE_ZERO)),
-    )
-    # Stranded interior columns park at the nearest finite bound.
-    stranded = need & ~matched
-    park_hi = stranded & (
-        ~np.isfinite(lb) | (np.isfinite(ub) & (ub - x0 < x0 - lb))
-    )
-    vstat[:n][stranded] = np.where(
-        np.isfinite(np.where(park_hi, ub, lb))[stranded],
-        np.where(park_hi, AT_UPPER, AT_LOWER)[stranded],
-        FREE_ZERO,
-    )
+    # A column at its lower bound parks there; one at its upper bound, or
+    # stranded nearer to it, parks at the upper bound.
+    park_hi = ~at_lo & (at_hi | (ub - x0 < x0 - lb))
+    vstat[:n] = np.where(matched, BASIC, np.where(park_hi, AT_UPPER, AT_LOWER))
     slack_stat = np.where(senses == "G", AT_UPPER, AT_LOWER).astype(np.int8)
     basis = np.arange(n, n + m, dtype=np.int64)
     hit = matched_col >= 0

@@ -7,11 +7,14 @@ depth-first plunging.  A model without binaries is solved at its root node.
 No external solver is involved at any point.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
-row indices and records the two gadget encodings the controller needs:
+row indices and records the two gadget encodings the controller needs.
+Every column is boxed: :meth:`ModelBuilder.add_variable` rejects a bound
+that is not finite.  The big-M constants are read off the boxes, and the
+simplex relies on them: a boxed program is never unbounded.
 
 ``encode_min_equality``
-    ``f = min(a, b)`` for bounded variables, one binary selector, big-M
-    constants derived from the declared bounds.
+    ``f = min(a, b)``, one binary selector, big-M constants derived from
+    the declared bounds.
 
 ``encode_capacity_drop``
     the discharge-capacity switch: a binary that is 1 exactly on the
@@ -40,8 +43,9 @@ floats in shortest round-trip form::
     end
 
 Statuses: ``optimal`` (gap certified within tolerance), ``infeasible``,
-``unbounded``, ``budget_exceeded`` (node budget ran out; the incumbent and
-the proven bound are still reported).
+``budget_exceeded`` (node budget ran out; the incumbent and the proven
+bound are still reported).  No solve returns ``unbounded``; the name stays
+for the counters that read it.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ class LinearProgram:
     col_lower: np.ndarray
     col_upper: np.ndarray
     col_names: list[str]
-    row_coo: tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, cols, vals
+    a: sp.csc_matrix  # row coefficients, n_rows x n_cols
     row_senses: np.ndarray
     rhs: np.ndarray
     row_names: list[str]
@@ -110,10 +114,7 @@ class LinearProgram:
         return self.rhs.shape[0]
 
     def matrix(self) -> sp.csc_matrix:
-        r, c, v = self.row_coo
-        return sp.csc_matrix(
-            sp.coo_matrix((v, (r, c)), shape=(self.n_rows, self.n_cols))
-        )
+        return self.a
 
 
 @dataclass(frozen=True)
@@ -197,13 +198,21 @@ class ModelBuilder:
         objective: float = 0.0,
         binary: bool = False,
     ) -> int:
+        """Add a column and return its index.
+
+        Both bounds must be finite, so a continuous column needs an explicit
+        ``upper``; a binary is clipped to [0, 1].
+        """
         j = len(self.obj)
         if binary:
             lower = max(lower, 0.0)
             upper = min(upper, 1.0)
-            self.binary.append(j)
+        if not (np.isfinite(lower) and np.isfinite(upper)):
+            raise ValueError(f"variable {name or j} needs finite bounds")
         if lower > upper + 1e-12:
             raise ValueError(f"variable {name or j} has lower > upper")
+        if binary:
+            self.binary.append(j)
         self.obj.append(float(objective))
         self.lower.append(float(lower))
         self.upper.append(float(upper))
@@ -238,6 +247,7 @@ class ModelBuilder:
         self.upper[j] = float(value)
 
     def build(self) -> MilpModel:
+        ij = (np.asarray(self._rows, dtype=np.int64), np.asarray(self._cols, dtype=np.int64))
         lp = LinearProgram(
             name=self.name,
             sense=self.sense,
@@ -245,10 +255,8 @@ class ModelBuilder:
             col_lower=np.asarray(self.lower, dtype=float),
             col_upper=np.asarray(self.upper, dtype=float),
             col_names=list(self.col_names),
-            row_coo=(
-                np.asarray(self._rows, dtype=np.int64),
-                np.asarray(self._cols, dtype=np.int64),
-                np.asarray(self._vals, dtype=float),
+            a=sp.csc_matrix(
+                (np.asarray(self._vals, dtype=float), ij), shape=(self.n_rows, self.n_cols)
             ),
             row_senses=np.asarray(self.senses, dtype="U1"),
             rhs=np.asarray(self.rhs, dtype=float),
@@ -272,20 +280,12 @@ def encode_min_equality(
     """Add rows forcing ``f = min(a, b)`` and return the selector binary.
 
     The selector is 1 when ``a`` attains the minimum and 0 when ``b`` does;
-    ties admit both.  The big-M constants come from the declared column
-    bounds, which must be finite on the sides that ``sup (a - b)+`` and
-    ``sup (b - a)+`` read.
+    ties admit both.  The big-M constants are ``sup (a - b)+`` and
+    ``sup (b - a)+`` over the declared column bounds.
     """
     tag = name if name is not None else f"min{len(builder.gadgets)}"
-    bound_a = builder.upper[a] - builder.lower[b]
-    bound_b = builder.upper[b] - builder.lower[a]
-    if not (np.isfinite(bound_a) and np.isfinite(bound_b)):
-        raise ValueError(
-            f"gadget {tag}: min-equality needs finite big-M bounds; declare "
-            "finite column bounds"
-        )
-    m_a = max(float(bound_a), 0.0)
-    m_b = max(float(bound_b), 0.0)
+    m_a = max(builder.upper[a] - builder.lower[b], 0.0)
+    m_b = max(builder.upper[b] - builder.lower[a], 0.0)
     z = builder.add_variable(f"{tag}.z", binary=True)
     builder.add_row({f: 1.0, a: -1.0}, "L", 0.0, f"{tag}.le_a")
     builder.add_row({f: 1.0, b: -1.0}, "L", 0.0, f"{tag}.le_b")
@@ -317,8 +317,6 @@ def encode_capacity_drop(
     tag = name if name is not None else f"drop{len(builder.gadgets)}"
     lb_x = builder.lower[x]
     ub_x = min(builder.upper[x], float(x_jam))
-    if not (np.isfinite(lb_x) and np.isfinite(ub_x)):
-        raise ValueError(f"gadget {tag}: the state column needs finite bounds")
     z = builder.add_variable(f"{tag}.z", binary=True)
     builder.add_row(
         {xi: 1.0, z: -(1.0 - alpha) * c_max}, "E", alpha * c_max, f"{tag}.tie"
@@ -395,35 +393,6 @@ def dump_model(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _NodeLp:
-    """The tree's one equality form; a node is the root bounds plus its fixes.
-
-    The form (``[A | I]``, slack bounds, the cost in the internal min sense)
-    is built and validated once per :func:`solve_milp`; every node solve
-    reads it and passes only its own column bounds.  Node solves go through
-    this module's ``solve_canonical`` attribute, where callers may wrap it.
-    """
-
-    def __init__(self, model: MilpModel):
-        lp = model.lp
-        self.flip = -1.0 if lp.sense == "max" else 1.0
-        self.c = self.flip * lp.obj
-        self.form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, self.c)
-        self.lb0 = lp.col_lower
-        self.ub0 = lp.col_upper
-
-    def solve(self, fixes: dict[int, float], warm: WarmBasis | None):
-        lb = self.lb0
-        ub = self.ub0
-        if fixes:
-            lb = lb.copy()
-            ub = ub.copy()
-            for j, v in fixes.items():
-                lb[j] = v
-                ub[j] = v
-        return solve_canonical(self.form, lb, ub, warm=warm)
-
-
 def solve_milp(
     model: MilpModel,
     *,
@@ -450,13 +419,21 @@ def solve_milp(
     verified against the model before being trusted; they only tighten
     pruning and never change the reported optimum.
 
+    The tree builds one equality form; a node solve passes only its column
+    bounds, through this module's ``solve_canonical``, where callers may
+    wrap it.
+
     Returns a :class:`Solution` whose ``bound`` is the proven bound in the
     model's own sense and whose ``gap`` is ``objective - bound`` for ``min``
-    (mirrored for ``max``).
+    (mirrored for ``max``).  A search that ends with no incumbent and no
+    budget hit after closing an integral relaxation that failed verification
+    proved nothing, and raises :class:`NumericalBreakdown`.
     """
     bud = budget or MilpBudget()
-    node_lp = _NodeLp(model)
-    flip = node_lp.flip
+    lp = model.lp
+    flip = -1.0 if lp.sense == "max" else 1.0
+    c = flip * lp.obj
+    form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, c)
     nbin = model.binaries.shape[0]
 
     best_obj = np.inf  # internal (min) sense
@@ -464,6 +441,7 @@ def solve_milp(
     pruned_min = np.inf
     nodes = 0
     iters = 0
+    unverified = 0  # integral relaxations closed for failing verification
     seq = 0
     # pool entries: (inherited bound, insertion sequence, fixes, warm basis)
     pool: list[tuple[float, int, dict[int, float], WarmBasis | None]] = []
@@ -484,7 +462,7 @@ def solve_milp(
         if cand is not None:
             cand = np.asarray(cand, dtype=float)
             if not check_solution(model, cand, tol=1e-7):
-                consider(cand, float(node_lp.c @ cand))
+                consider(cand, float(c @ cand))
 
     for cand in initial_candidates or ():
         try_candidate(cand)
@@ -493,9 +471,7 @@ def solve_milp(
     if best_x is not None:
         # The incumbent is a verified feasible point, so the basis that
         # reproduces it starts the root with phase 1 already satisfied.
-        root_basis = crash_from_point(
-            node_lp.form, node_lp.lb0, node_lp.ub0, best_x
-        )
+        root_basis = crash_from_point(form, lp.col_lower, lp.col_upper, best_x)
     heapq.heappush(pool, (-np.inf, seq, {}, root_basis))
 
     while pool:
@@ -512,16 +488,15 @@ def solve_milp(
                 budget_hit = True
                 break
             nodes += 1
-            res = node_lp.solve(fixes, warm)
+            lb, ub = lp.col_lower, lp.col_upper
+            if fixes:
+                lb, ub = lb.copy(), ub.copy()
+                for j, v in fixes.items():
+                    lb[j] = ub[j] = v
+            res = solve_canonical(form, lb, ub, warm=warm)
             iters += res.iterations
             if res.status == "infeasible":
                 break
-            if res.status == "unbounded":
-                # the relaxation admits a ray; report it outright
-                obj = flip * -np.inf
-                return Solution(
-                    UNBOUNDED, res.x, obj, obj, np.inf, nodes, iters
-                )
             bound = res.obj
             if bound >= best_obj - gap_eff():
                 pruned_min = min(pruned_min, bound)
@@ -534,6 +509,7 @@ def solve_milp(
                 # that fails is closed without an incumbent, its bound kept
                 if check_solution(model, res.x, tol=1e-7):
                     pruned_min = min(pruned_min, bound)
+                    unverified += 1
                 else:
                     consider(res.x, bound)
                 break
@@ -569,6 +545,11 @@ def solve_milp(
                 np.inf,
                 nodes,
                 iters,
+            )
+        if unverified:
+            raise NumericalBreakdown(
+                f"no incumbent after {nodes} nodes: {unverified} integral node "
+                "relaxations failed verification, so the model is undecided"
             )
         return Solution(
             INFEASIBLE, np.zeros(model.lp.n_cols), np.nan, np.nan, np.inf, nodes, iters

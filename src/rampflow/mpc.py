@@ -862,11 +862,9 @@ def solve_mpc(
             f"no horizon-{t} plan reaches the terminal box from the given "
             f"state box (explored {sol.nodes} nodes)"
         )
-    if sol.status == milp.BUDGET_EXCEEDED:
-        have = "no incumbent" if not np.isfinite(sol.objective) else (
-            f"incumbent {sol.objective:.6g}, bound {sol.bound:.6g}"
-        )
-        raise SolveBudgetExceeded(
-            f"node budget exhausted after {sol.nodes} nodes ({have})", sol
-        )
-    raise RuntimeError(f"unexpected solver status {sol.status!r}")
+    have = "no incumbent" if not np.isfinite(sol.objective) else (
+        f"incumbent {sol.objective:.6g}, bound {sol.bound:.6g}"
+    )
+    raise SolveBudgetExceeded(
+        f"node budget exhausted after {sol.nodes} nodes ({have})", sol
+    )

@@ -17,7 +17,6 @@ from rampflow.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     MilpBudget,
     ModelBuilder,
     check_solution,
@@ -40,8 +39,8 @@ def test_lp_single_lower_bound_row():
 
 def test_lp_two_variable_vertex():
     b = ModelBuilder("vertex", sense="max")
-    x = b.add_variable("x", objective=3.0)
-    y = b.add_variable("y", objective=2.0)
+    x = b.add_variable("x", upper=10.0, objective=3.0)
+    y = b.add_variable("y", upper=10.0, objective=2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 4.0)
     b.add_row({x: 1.0}, "L", 2.0)
     sol = solve_milp(b.build())
@@ -58,18 +57,25 @@ def test_lp_infeasible_pair():
     assert solve_milp(b.build()).status == INFEASIBLE
 
 
-def test_lp_unbounded_ray():
+def test_an_infinite_bound_is_rejected_by_the_builder_and_the_solver():
     b = ModelBuilder("ray", sense="max")
-    x = b.add_variable("x", objective=1.0)  # upper bound defaults to +inf
-    y = b.add_variable("y", upper=1.0)
-    b.add_row({x: 1.0, y: -1.0}, "G", 0.0)
-    assert solve_milp(b.build()).status == UNBOUNDED
+    with pytest.raises(ValueError, match="variable x needs finite bounds"):
+        b.add_variable("x", objective=1.0)  # upper bound defaults to +inf
+    with pytest.raises(ValueError, match="variable y needs finite bounds"):
+        b.add_variable("y", lower=-np.inf, upper=1.0)
+    with pytest.raises(ValueError, match="variable z needs finite bounds"):
+        b.add_variable("z", lower=np.nan, binary=True)
+    assert b.n_cols == 0 and not b.binary
+    form = _simplex.EqualityForm(np.eye(2), "LG", np.ones(2), np.ones(2))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            _simplex.solve_canonical(form, np.zeros(2), np.array([1.0, bad]))
 
 
 def test_lp_equality_row_with_free_variable():
     b = ModelBuilder("freevar")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
-    y = b.add_variable("y", lower=-np.inf, upper=np.inf, objective=1.0)
+    y = b.add_variable("y", lower=-10.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0, y: -1.0}, "E", 5.0)
     sol = solve_milp(b.build())
     assert sol.status == OPTIMAL
@@ -273,8 +279,8 @@ def test_min_gadget_derives_big_m_from_column_bounds():
     z = encode_min_equality(b, f, a, c)
     # the exact sups of (a-b)+ and (b-a)+ over the bounds, 8 and 4
     model = b.build()
-    rows, cols, vals = model.lp.row_coo
-    assert sorted(vals[cols == z].tolist()) == [-8.0, 4.0]
+    col = model.lp.matrix()[:, [z]].toarray().ravel()
+    assert sorted(col[col != 0.0].tolist()) == [-8.0, 4.0]
     b.add_row({a: 1.0}, "E", 3.0)
     b.add_row({c: 1.0}, "E", 5.5)
     sol = solve_milp(b.build())
@@ -361,6 +367,27 @@ def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
     # the closed node's bound stays in the proven bound and the gap
     assert sol.bound == pytest.approx(-4.5, abs=1e-9)
     assert sol.gap == pytest.approx(2.5, abs=1e-9)
+
+
+def test_a_search_whose_only_integral_node_fails_verification_is_undecided(monkeypatch):
+    """The model of the test above without the seed: the one node it closes
+    proves nothing, so the search must not report the model infeasible."""
+    b = ModelBuilder("tampered")
+    x = b.add_variable("x", upper=10.0, objective=-1.0)
+    y = b.add_variable("y", objective=-2.0, binary=True)
+    b.add_row({x: 1.0, y: 1.0}, "L", 3.0)
+    model = b.build()
+    solve = milp.solve_canonical
+
+    def off_by_half(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        moved = res.x.copy()
+        moved[x] += 0.5
+        return replace(res, x=moved, obj=res.obj - 0.5)
+
+    monkeypatch.setattr(milp, "solve_canonical", off_by_half)
+    with pytest.raises(milp.NumericalBreakdown, match="1 integral node"):
+        solve_milp(model)
 
 
 # ------------------------------------------------- the shared equality form
@@ -455,6 +482,45 @@ def test_a_cold_ladder_rung_leaves_the_shared_form_intact(monkeypatch):
     assert laddered.status == "optimal"
     assert laddered.obj == pytest.approx(
         _simplex.solve_canonical(form, lb, ub).obj, abs=1e-9)
+
+
+def test_a_failed_artificial_swap_keeps_the_column_at_its_bound(monkeypatch):
+    """Phase 1 ends with an artificial basic at zero, and the first real
+    column that can replace it, ``y``, sits at its upper bound.  The swap
+    factors singular once; the restore must leave ``y`` where it was."""
+    b = ModelBuilder("expel")
+    x = b.add_variable("x", upper=1.0, objective=1.0)
+    y = b.add_variable("y", upper=2.0, objective=1.0)
+    w = b.add_variable("w", upper=1.0)
+    b.add_row({x: 1.0, w: 2.0}, "E", 1.0)
+    b.add_row({y: 1.0}, "G", 2.0)
+    model = b.build()
+    lp = model.lp
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+    real_factors, real_expel = _simplex._Factors, _simplex._Worker._expel_artificials
+    seen = {"expelling": False, "failed": False}
+
+    def flaky(cols):
+        if seen["expelling"] and not seen["failed"]:
+            seen["failed"] = True  # the first factorization after the swap
+            raise _simplex._SingularBasis()
+        return real_factors(cols)
+
+    def expel(worker):
+        seen["before"] = worker.vstat.copy()
+        seen["expelling"] = True
+        real_expel(worker)
+        seen["expelling"] = False
+        seen["after"] = worker.vstat.copy()
+
+    monkeypatch.setattr(_simplex, "_Factors", flaky)
+    monkeypatch.setattr(_simplex._Worker, "_expel_artificials", expel)
+    res = _simplex.solve_canonical(form, lp.col_lower, lp.col_upper)
+    assert seen["failed"]
+    assert seen["before"][y] == seen["after"][y] == _simplex.AT_UPPER
+    assert res.status == "optimal"
+    assert not check_solution(model, res.x)
+    assert res.obj == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(4))
