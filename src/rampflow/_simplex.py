@@ -60,8 +60,10 @@ class NumericalBreakdown(RuntimeError):
 
     Carries a short condition report so callers can surface what went
     wrong (a vanishing pivot that survives refactorization, a ray, which
-    no boxed program has, or an iteration budget blowout, which no
-    Bland-guarded run should hit).
+    no boxed program has, or an iteration budget blowout).  Bland's rule
+    does not prevent the blowout: the interval ``fourcell_constant`` root
+    LP at horizon 15 spends its whole 67,260-pivot budget in phase 1,
+    66,727 of those pivots under Bland's rule.
     """
 
 

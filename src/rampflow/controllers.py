@@ -24,6 +24,7 @@ from .mpc import MpcConfig, TerminalSet, solve_mpc
 
 PHASE_MPC = "mpc"
 PHASE_LOCAL = "local"
+PHASE_WARMUP = "warmup"
 
 # one-hour integral gain translated to per-step units on the demo cell size
 ALINEA_GAIN = 70.0 / (60.0 * 160.0)
@@ -210,15 +211,14 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
                      value=value, reduced=reduced)
 
 
-def forced_step(state: SetPcState, y, config: SetPcConfig, command, *,
-                label: str = "warmup"):
+def forced_step(state: SetPcState, y, config: SetPcConfig, command):
     """Estimator tick with an externally chosen command.
 
     Used to prime the measurement window before the planner takes over:
     the full correction, contraction and prediction pipeline runs, but the
     command is whatever the caller supplies (still clamped to the service
-    bound). The diagnostics carry the supplied label as their phase.
+    bound). The diagnostics carry ``PHASE_WARMUP`` as their phase.
     """
     corrected, theta = _ingest(state, y, config)
-    return _dispatch(state, corrected, theta, command, phase=label,
+    return _dispatch(state, corrected, theta, command, phase=PHASE_WARMUP,
                      value=math.nan)

@@ -21,11 +21,6 @@ walks over the stored verdicts. The stack is rebuilt only when a cut is
 applied, since that changes the box every later probe is cut from; walks
 deeper than one tree certify their next tree alone. The walks, their check
 budget and the result are those of bisecting one candidate at a time.
-
-``freeflow_identify`` is the closed-form complement. While the stretch is in
-free flow and fully measured, consecutive occupancy readings determine each
-cell's speed and split ratio exactly through small linear solves, and
-``full_identify_sweep`` cascades those solves downstream.
 """
 
 from __future__ import annotations
@@ -42,15 +37,10 @@ from .embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
                         _box_admissible, _clamped_step)
 
 CONSISTENCY_TOL = 1e-9
-RANK_TOL = 1e-8
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
-
-CELL_EXACT = "exact"
-CELL_UNIDENTIFIED = "unidentified"
-CELL_DEGENERATE = "degenerate"
 
 _WIDTH_TOL = 1e-12
 # bisection levels certified in one stacked propagation: 2**6 - 1 = 63 boxes
@@ -64,10 +54,6 @@ class ContainmentViolation(RuntimeError):
     reported a value the predicted state box cannot explain, or no parameter
     value left in the box reproduces the recorded window.
     """
-
-
-class RankDeficient(RuntimeError):
-    """The readings do not pin the parameters down (singular regression)."""
 
 
 @dataclass(frozen=True)
@@ -457,183 +443,3 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
         return param_bounds
     return ParamBounds(upper=replace(param_bounds.upper, **up_map),
                        lower=replace(param_bounds.lower, **lo_map))
-
-
-def freeflow_identify(x_cell, lam_cell: float, *, x_upstream=None,
-                      v_upstream: float | None = None,
-                      tol: float = RANK_TOL) -> tuple[float | None, float]:
-    """Recover one cell's parameters from exact free-flow readings.
-
-    In free flow with the ramp passing exactly its arrivals, cell i obeys
-    x_i' = x_i + lam_i + beta_{i-1} v_{i-1} x_{i-1} - v_i x_i, which is
-    linear in the unknowns. For the first cell (no x_upstream) one
-    transition gives v_1 = (x_1 + lam_1 - x_1') / x_1 and the return value
-    is (None, v_1); a third reading, when supplied, is checked against the
-    recovered speed and rejects non-free-flow data. Downstream cells need
-    x_cell over three consecutive steps, x_upstream over the first two, and
-    the already-identified v_upstream; the two transitions form a 2x2
-    system in (beta_{i-1}, v_i).
-
-    Raises RankDeficient when the normalized determinant falls below tol
-    (steady readings, proportional rows, or an empty cell) and ValueError
-    when the recovered values leave (0, 1], which free-flow data cannot
-    produce.
-    """
-    x_cell = np.asarray(x_cell, dtype=float).ravel()
-    lam_cell = float(lam_cell)
-    if np.any(x_cell < 0.0) or not np.all(np.isfinite(x_cell)):
-        raise ValueError("occupancy readings must be finite and nonnegative")
-
-    if x_upstream is None:
-        if x_cell.shape[0] < 2:
-            raise ValueError("the first cell needs at least two readings")
-        x0, x1 = x_cell[0], x_cell[1]
-        scale = max(1.0, abs(x1), abs(lam_cell))
-        if abs(x0) <= tol * scale:
-            raise RankDeficient("the cell is empty; its speed leaves no trace")
-        v = (x0 + lam_cell - x1) / x0
-        if not 0.0 < v <= 1.0 + 1e-9:
-            raise ValueError(
-                f"recovered speed {v:.6g} leaves (0, 1]; readings are not free flow")
-        if x_cell.shape[0] >= 3:
-            predicted = x1 + lam_cell - v * x1
-            if abs(predicted - x_cell[2]) > 1e-6 * max(1.0, abs(x_cell[2])):
-                raise ValueError("third reading does not follow the free-flow map")
-        return None, float(min(v, 1.0))
-
-    if v_upstream is None:
-        raise ValueError("downstream cells need the upstream speed")
-    x_up = np.asarray(x_upstream, dtype=float).ravel()
-    if np.any(x_up < 0.0) or not np.all(np.isfinite(x_up)):
-        raise ValueError("occupancy readings must be finite and nonnegative")
-    if x_cell.shape[0] < 3 or x_up.shape[0] < 2:
-        raise ValueError("need three cell readings and two upstream readings")
-    a = np.array([[v_upstream * x_up[0], -x_cell[0]],
-                  [v_upstream * x_up[1], -x_cell[1]]])
-    rhs = np.array([x_cell[1] - x_cell[0] - lam_cell,
-                    x_cell[2] - x_cell[1] - lam_cell])
-    norms = np.linalg.norm(a, axis=1)
-    if np.any(norms <= _WIDTH_TOL):
-        raise RankDeficient("a transition carries no parameter information")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det) <= tol * norms[0] * norms[1]:
-        raise RankDeficient(
-            "the two transitions are proportional; the 2x2 system is singular")
-    beta, v = np.linalg.solve(a, rhs)
-    if not 0.0 < v <= 1.0 + 1e-9:
-        raise ValueError(
-            f"recovered speed {v:.6g} leaves (0, 1]; readings are not free flow")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(
-            f"recovered split ratio {beta:.6g} leaves (0, 1); readings are not free flow")
-    return float(beta), float(min(v, 1.0))
-
-
-@dataclass(frozen=True)
-class IdentifyReport:
-    """Per-cell outcome of a sweep: recovered values and a status string.
-
-    v[i] and beta[i-1] are NaN wherever the status is not "exact".
-    """
-
-    v: np.ndarray
-    beta: np.ndarray
-    status: tuple[str, ...]
-
-    @property
-    def all_exact(self) -> bool:
-        return all(s == CELL_EXACT for s in self.status)
-
-
-def full_identify_sweep(xs, lam) -> IdentifyReport:
-    """Cascade ``freeflow_identify`` along the stretch.
-
-    xs is a (K, I) block of mainline readings on consecutive free-flow
-    steps, K >= 3, with NaN marking cells that carry no detector; lam gives
-    the constant per-ramp arrivals. Cell 1 needs two consecutive finite
-    readings, every later cell needs three of its own plus the first two of
-    its upstream neighbour, and its upstream speed must itself have been
-    identified; the earliest window that qualifies is used. Cells that
-    never qualify, or sit downstream of a break in the cascade, come back
-    "unidentified"; windows with data that is singular or off the free-flow
-    map come back "degenerate".
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[0] < 3:
-        raise ValueError("need at least three consecutive readings")
-    n = xs.shape[1]
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape != (n,):
-        raise ValueError(f"lam must have length {n}")
-
-    v = np.full(n, np.nan)
-    beta = np.full(max(n - 1, 0), np.nan)
-    status = [CELL_UNIDENTIFIED] * n
-
-    for i in range(n):
-        if i > 0 and status[i - 1] != CELL_EXACT:
-            continue
-        window = 2 if i == 0 else 3
-        tried = False
-        for t in range(xs.shape[0] - window + 1):
-            own = xs[t:t + 3, i]
-            if not np.all(np.isfinite(own[:window])):
-                continue
-            if own.shape[0] > window and not np.isfinite(own[-1]):
-                own = own[:window]
-            if i > 0 and not np.all(np.isfinite(xs[t:t + 2, i - 1])):
-                continue
-            tried = True
-            try:
-                if i == 0:
-                    _, v_i = freeflow_identify(own, lam[0])
-                    b_i = None
-                else:
-                    b_i, v_i = freeflow_identify(
-                        own, lam[i], x_upstream=xs[t:t + 2, i - 1],
-                        v_upstream=v[i - 1])
-            except (RankDeficient, ValueError):
-                continue
-            v[i] = v_i
-            if b_i is not None:
-                beta[i - 1] = b_i
-            status[i] = CELL_EXACT
-            break
-        else:
-            if tried:
-                status[i] = CELL_DEGENERATE
-    return IdentifyReport(v=v, beta=beta, status=tuple(status))
-
-
-def adopt_identified(bounds: ParamBounds, report: IdentifyReport, *,
-                     tol: float = 1e-6) -> ParamBounds:
-    """Collapse the v and beta intervals onto exact identification results.
-
-    Only cells whose status is "exact" are touched. A recovered value
-    outside the current box (beyond tol) contradicts guaranteed
-    containment and raises ContainmentViolation; inside, the value is
-    clipped into the interval and both bounds are pinned to it.
-    """
-    lo_v = np.array(bounds.lower.v, dtype=float)
-    up_v = np.array(bounds.upper.v, dtype=float)
-    lo_b = np.array(bounds.lower.beta, dtype=float)
-    up_b = np.array(bounds.upper.beta, dtype=float)
-    for i, state in enumerate(report.status):
-        if state != CELL_EXACT:
-            continue
-        val = float(report.v[i])
-        if val < lo_v[i] - tol or val > up_v[i] + tol:
-            raise ContainmentViolation(
-                f"identified v[{i}] = {val:.6g} outside "
-                f"[{lo_v[i]:.6g}, {up_v[i]:.6g}]")
-        lo_v[i] = up_v[i] = min(max(val, lo_v[i]), up_v[i])
-        if i >= 1 and np.isfinite(report.beta[i - 1]):
-            val = float(report.beta[i - 1])
-            if val < lo_b[i - 1] - tol or val > up_b[i - 1] + tol:
-                raise ContainmentViolation(
-                    f"identified beta[{i - 1}] = {val:.6g} outside "
-                    f"[{lo_b[i - 1]:.6g}, {up_b[i - 1]:.6g}]")
-            lo_b[i - 1] = up_b[i - 1] = min(max(val, lo_b[i - 1]), up_b[i - 1])
-    return ParamBounds(
-        upper=replace(bounds.upper, v=up_v, beta=up_b),
-        lower=replace(bounds.lower, v=lo_v, beta=lo_b))

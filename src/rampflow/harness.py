@@ -39,14 +39,7 @@ from .ctm import (
     plant_step,
 )
 from .embedding import PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds
-from .estimators import (
-    EstimatorConfig,
-    IdentifyReport,
-    MeasurementWindow,
-    adopt_identified,
-    full_identify_sweep,
-    state_update,
-)
+from .estimators import EstimatorConfig, MeasurementWindow, state_update
 from .milp import MilpBudget
 from .mpc import (
     COST_INDICATOR,
@@ -547,16 +540,6 @@ def load_scenario(source: str | Path) -> Scenario:
 # running a scenario
 
 
-@dataclass
-class RunArtifacts:
-    """A finished (or paused) run plus the live loop objects."""
-
-    log: TrajectoryLog
-    state: SetPcState | None
-    x: np.ndarray
-    next_t: int
-
-
 def _running(scenario: Scenario, upper: np.ndarray) -> float:
     gate = scenario.terminal if scenario.mpc.cost_mode == COST_INDICATOR else None
     return running_cost(scenario.mpc.l, upper, terminal=gate)
@@ -578,7 +561,7 @@ def _seal_gap(scenario: Scenario, log: TrajectoryLog) -> None:
         log.gap = scenario.gap_rel * float(np.max(np.abs(finite))) + 1e-6
 
 
-def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifacts:
+def _run_setpc(scenario: Scenario) -> TrajectoryLog:
     params, model = scenario.params, scenario.output_model
     config = scenario.loop_config()
     state = SetPcState(
@@ -590,7 +573,6 @@ def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifac
     log = _new_log(scenario)
     x = scenario.x0.copy()
     u_warm = 0.5 * scenario.demand_box.lower
-    t = 0
     for tick in range(scenario.warmup + scenario.steps):
         y = measure(model, x)
         if tick < scenario.warmup:
@@ -598,16 +580,13 @@ def _run_setpc(scenario: Scenario, *, stop_on_entry: bool = False) -> RunArtifac
         else:
             u, state, diag = setpc_step(state, y, config)
         log.append(x, diag.corrected, u, diag.value, _running(scenario, diag.corrected.upper),
-                   True, diag.phase, theta=state.params)
+                   diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
-        t = tick + 1
-        if stop_on_entry and scenario.terminal.contains(diag.corrected.upper):
-            break
     _seal_gap(scenario, log)
-    return RunArtifacts(log=log, state=state, x=x, next_t=t)
+    return log
 
 
-def _run_baseline(scenario: Scenario) -> RunArtifacts:
+def _run_baseline(scenario: Scenario) -> TrajectoryLog:
     params, model, n = scenario.params, scenario.output_model, scenario.n_cells
     prior_up = np.concatenate([np.full(n, np.max(scenario.theta_box.upper.x_jam)),
                                np.full(n, WIDE_QUEUE_BOUND)])
@@ -637,9 +616,9 @@ def _run_baseline(scenario: Scenario) -> RunArtifacts:
         control_hist.append(served)
         prev_u = served
         log.append(x, corrected, served, math.nan, _running(scenario, corrected.upper),
-                   True, scenario.controller, theta=scenario.theta_box)
+                   scenario.controller, theta=scenario.theta_box)
         x = x_next
-    return RunArtifacts(log=log, state=None, x=x, next_t=scenario.steps)
+    return log
 
 
 def run_closed_loop(scenario: Scenario) -> TrajectoryLog:
@@ -654,73 +633,8 @@ def run_closed_loop(scenario: Scenario) -> TrajectoryLog:
     actually realized.
     """
     if scenario.controller == CTRL_SETPC:
-        return _run_setpc(scenario).log
-    return _run_baseline(scenario).log
-
-
-# ---------------------------------------------------------------------------
-# free-flow identification audit
-
-
-@dataclass(frozen=True)
-class IdentificationRun:
-    """Outcome of the post-entry exact-identification experiment."""
-
-    entry_time: int
-    rows: np.ndarray
-    report: IdentifyReport
-    before: ParamBounds
-    after: ParamBounds
-
-
-def run_identification(scenario: Scenario, *, rows: int = 3) -> IdentificationRun:
-    """Run to terminal entry, then meter exactly the arrivals and identify.
-
-    Once the upper estimate sits inside the terminal box the mainline is in
-    free flow, so consecutive fully measured states are linear in the true
-    speeds and split ratios. ``rows`` consecutive mainline observations are
-    collected while every ramp serves exactly its (constant) arrivals, the
-    cascade recovery runs over them, and the parameter box is collapsed
-    onto the recovered values.
-    """
-    if scenario.controller != CTRL_SETPC:
-        raise ValueError("identification audits the set-membership loop")
-    if scenario.demand_kind != DEMAND_CONSTANT:
-        raise ValueError("identification needs constant arrivals")
-    model = scenario.output_model
-    if not np.all(model.mainline_mask) or not np.allclose(model.c_diag, 1.0):
-        raise ValueError("identification needs every mainline cell measured with unit gain")
-    if rows < 2:
-        raise ValueError("need at least two observation rows")
-
-    art = _run_setpc(scenario, stop_on_entry=True)
-    if art.state is None or len(art.log) == 0:
-        raise ValueError("the run produced no usable entry state")
-    last = art.log.steps[-1]
-    if not scenario.terminal.contains(last.estimate.upper):
-        raise ValueError("the run never entered the terminal box; extend run.steps")
-
-    config = scenario.loop_config()
-    state, x, t = art.state, art.x, art.next_t
-    base = scenario.demand_base
-    collected = []
-    for k in range(rows):
-        y = measure(model, x)
-        collected.append(np.asarray(y.y_main, dtype=float).copy())
-        if k == rows - 1:
-            break
-        u, state, _ = forced_step(state, y, config, base, label="identify")
-        if not np.allclose(u, base, atol=1e-9):
-            raise ValueError("queues too small to serve the arrivals exactly; "
-                             "identification needs standing queues")
-        x = compact_step(scenario.params, x, u, base)
-        t += 1
-
-    xs = np.array(collected)
-    report = full_identify_sweep(xs, base)
-    after = adopt_identified(state.params, report)
-    return IdentificationRun(entry_time=art.next_t - 1, rows=xs, report=report,
-                             before=state.params, after=after)
+        return _run_setpc(scenario)
+    return _run_baseline(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +663,7 @@ def _columns(n: int) -> list[str]:
     cols += [f"xhat_lo_{i}" for i in range(1, 2 * n + 1)]
     cols += [f"u_{i}" for i in range(1, n + 1)]
     cols += _theta_columns(n)
-    cols += ["Vstar", "feasible", "phase", "total_vehicles"]
+    cols += ["Vstar", "phase", "total_vehicles"]
     return cols
 
 
@@ -813,7 +727,7 @@ def emit_csv(log: TrajectoryLog, path: str | Path, *,
         row += step.estimate.lower.tolist()
         row += step.u.tolist()
         row += _theta_row(step)
-        row += [step.value, float(step.feasible)]
+        row.append(step.value)
         cells = [_fmt(v) for v in row]
         cells.append(step.phase)
         cells.append(_fmt(float(np.sum(step.x))))
@@ -873,9 +787,8 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         lo = np.array([float(cells[idx[f"xhat_lo_{i}"]]) for i in range(1, 2 * n + 1)])
         u = np.array([float(cells[idx[f"u_{i}"]]) for i in range(1, n + 1)])
         value = float(cells[idx["Vstar"]])
-        feasible = float(cells[idx["feasible"]]) != 0.0
         phase = cells[idx["phase"]]
         estimate = LiftedState(upper=up, lower=lo)
         log.append(x, estimate, u, value,
-                   running_cost(l_vec, up, terminal=terminal), feasible, phase)
+                   running_cost(l_vec, up, terminal=terminal), phase)
     return log, meta

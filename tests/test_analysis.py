@@ -31,13 +31,12 @@ def demo_cost(params):
     return CostSpec(l=l, b_main=b_main, b_ramp=np.ones(4), d=d)
 
 
-def synth_log(states, values, runnings, *, feasible=None, **meta):
+def synth_log(states, values, runnings, **meta):
     log = TrajectoryLog(**meta)
-    feasible = feasible or [True] * len(states)
-    for x, v, r, ok in zip(states, values, runnings, feasible):
+    for x, v, r in zip(states, values, runnings):
         x = np.asarray(x, dtype=float)
         log.append(x=x, estimate=LiftedState.degenerate(x), u=np.zeros(1),
-                   value=v, running=r, feasible=ok, phase="mpc")
+                   value=v, running=r, phase="mpc")
     return log
 
 
@@ -64,7 +63,7 @@ def planner_run():
         u, state, diag = setpc_step(state, measure(model, x), config)
         log.append(x=x, estimate=diag.corrected, u=u, value=diag.value,
                    running=running_cost(cost.l, diag.corrected.upper),
-                   feasible=True, phase=diag.phase)
+                   phase=diag.phase)
         x = compact_step(params, x, u, LAM)
     return log, cost, terminal
 
@@ -154,7 +153,6 @@ def test_bound_scope_labels_adaptive_runs():
 def test_decrease_holds_along_the_planner_loop(planner_run):
     log, cost, terminal = planner_run
     assert np.all(np.isfinite(log.values))
-    assert all(s.feasible for s in log.steps)
     rep = lyapunov_decrease_check(log)
     assert rep.times.size == len(log) - 1
     assert rep.max_residual <= rep.threshold
@@ -176,13 +174,6 @@ def test_decrease_flags_an_injected_suboptimal_step():
     assert rep.residuals[0] == pytest.approx(0.0)
     assert rep.residuals[1] == pytest.approx(0.5)
     assert not rep.passed and rep.max_residual == pytest.approx(0.5)
-
-
-def test_decrease_requires_feasible_planning_steps():
-    log = synth_log([np.ones(2)] * 2, [5.0, 4.0], [1.0, 1.0],
-                    feasible=[True, False])
-    with pytest.raises(ValueError, match="feasible"):
-        lyapunov_decrease_check(log)
 
 
 def test_decrease_skips_unsolved_ticks():

@@ -1,5 +1,5 @@
-"""Set-membership updates: collapse rules, contraction soundness, free-flow
-identification oracles, and the window plumbing they share."""
+"""Set-membership updates: collapse rules, contraction soundness, and the
+window plumbing they share."""
 
 from dataclasses import replace
 
@@ -13,13 +13,9 @@ from rampflow.ctm import (FreewayParams, Observation, OutputModel,
                           compact_step, equilibrium_uncongested,
                           homogeneous_params, measure)
 from rampflow.embedding import DemandBounds, LiftedState, ParamBounds, lifted_step
-from rampflow.estimators import (CELL_DEGENERATE, CELL_EXACT,
-                                 CELL_UNIDENTIFIED, FEASIBLE, INFEASIBLE,
-                                 UNKNOWN, ContainmentViolation,
-                                 EstimatorConfig, MeasurementWindow,
-                                 RankDeficient, adopt_identified,
-                                 freeflow_identify,
-                                 full_identify_sweep, interval_consistency,
+from rampflow.estimators import (FEASIBLE, INFEASIBLE, UNKNOWN,
+                                 ContainmentViolation, EstimatorConfig,
+                                 MeasurementWindow, interval_consistency,
                                  state_update, theta_update)
 
 
@@ -187,16 +183,13 @@ def test_box_excluding_the_truth_is_certified_infeasible(
 def test_theta_update_collapses_onto_the_free_flow_speed(
         stretch, demand_box, transient_start):
     box = speed_box(stretch)
-    window, truth = drive_window(stretch, box, transient_start, 3,
-                                 OutputModel.full(4), demand_box)
+    window, _ = drive_window(stretch, box, transient_start, 3,
+                             OutputModel.full(4), demand_box)
     config = EstimatorConfig(backward_horizon=3, prune_depth=16,
                              prune_budget=512)
     out = theta_update(window, box, config)
-    block = np.array([x[:4] for x in truth])
-    report = full_identify_sweep(block, demand_box.upper)
-    assert report.all_exact
     mid = 0.5 * (out.lower.v + out.upper.v)
-    assert np.all(np.abs(mid - report.v) <= 1e-3)
+    assert np.all(np.abs(mid - stretch.v) <= 1e-3)
     assert np.all(out.upper.v - out.lower.v <= 1e-3)
 
 
@@ -591,131 +584,6 @@ def test_estimator_config_validates_its_fields():
         EstimatorConfig(backward_horizon=0)
     with pytest.raises(ValueError, match="nonnegative"):
         EstimatorConfig(prune_budget=-1)
-
-
-# ------------------------------------------------------- identification
-
-
-def test_first_cell_speed_from_two_readings():
-    beta, v = freeflow_identify([30.0, 34.17], 19.17)
-    assert beta is None
-    assert abs(v - 0.5) <= 1e-12
-
-
-def test_downstream_pair_from_three_readings():
-    beta, v = freeflow_identify([20.0, 25.17, 29.6315], 1.67,
-                                x_upstream=[30.0, 34.17], v_upstream=0.5)
-    assert abs(beta - 0.9) <= 1e-9
-    assert abs(v - 0.5) <= 1e-9
-
-
-@settings(max_examples=60, deadline=None)
-@given(v=st.floats(0.05, 1.0), x0=st.floats(1.0, 100.0), lam=st.floats(0.0, 30.0))
-def test_first_cell_identification_inverts_the_free_flow_map(v, x0, lam):
-    x1 = x0 + lam - v * x0
-    _, recovered = freeflow_identify([x0, x1], lam)
-    assert abs(recovered - v) <= 1e-10
-
-
-def test_sweep_inverts_a_simulated_transient(stretch):
-    rng = np.random.default_rng(11)
-    lam = np.array([5.0, 1.0, 1.0, 1.0])
-    for _ in range(5):
-        truth = FreewayParams(beta=rng.uniform(0.6, 0.95, 3),
-                              v=rng.uniform(0.3, 0.6, 4), w=stretch.w,
-                              x_jam=stretch.x_jam, c_max=stretch.c_max,
-                              alpha=stretch.alpha, u_max=stretch.u_max)
-        x_unc = equilibrium_uncongested(truth, lam)
-        x = np.concatenate([0.5 * x_unc, np.zeros(4)])
-        rows = [x[:4]]
-        for _ in range(3):
-            x = compact_step(truth, x, lam, lam)
-            rows.append(x[:4])
-        report = full_identify_sweep(np.array(rows), lam)
-        assert report.all_exact
-        assert np.allclose(report.v, truth.v, atol=1e-9)
-        assert np.allclose(report.beta, truth.beta, atol=1e-9)
-
-
-def test_sweep_is_exact_within_three_steps_of_terminal_entry(
-        stretch, nominal_demand):
-    # a generic entry state: at or below the per-cell invariant caps, not
-    # uniform (uniform occupancies over identical cells move in lockstep
-    # and are genuinely unidentifiable)
-    x = np.concatenate([np.array([40.0, 37.0, 39.0, 35.0]), np.zeros(4)])
-    rows = [x[:4]]
-    for _ in range(2):
-        x = compact_step(stretch, x, nominal_demand, nominal_demand)
-        rows.append(x[:4])
-    report = full_identify_sweep(np.array(rows), nominal_demand)
-    assert report.all_exact
-    assert np.allclose(report.v, stretch.v, atol=1e-9)
-    assert np.allclose(report.beta, stretch.beta, atol=1e-9)
-
-
-def test_sweep_stops_the_cascade_at_a_masked_detector(
-        stretch, nominal_demand, transient_start):
-    x = transient_start
-    rows = [x[:4]]
-    for _ in range(3):
-        x = compact_step(stretch, x, nominal_demand, nominal_demand)
-        rows.append(x[:4])
-    block = np.array(rows)
-    block[:, 2] = np.nan
-    report = full_identify_sweep(block, nominal_demand)
-    assert report.status == (CELL_EXACT, CELL_EXACT,
-                             CELL_UNIDENTIFIED, CELL_UNIDENTIFIED)
-    assert np.allclose(report.v[:2], stretch.v[:2], atol=1e-9)
-    assert np.isnan(report.v[2]) and np.isnan(report.beta[1])
-
-
-def test_sweep_flags_an_empty_cell_degenerate(
-        stretch, nominal_demand, transient_start):
-    x = transient_start
-    rows = [x[:4]]
-    for _ in range(3):
-        x = compact_step(stretch, x, nominal_demand, nominal_demand)
-        rows.append(x[:4])
-    block = np.array(rows)
-    block[:, 1] = 0.0
-    report = full_identify_sweep(block, nominal_demand)
-    assert report.status[1] == CELL_DEGENERATE
-    assert report.status[2] == CELL_UNIDENTIFIED
-
-
-def test_equilibrium_readings_are_rank_deficient(stretch, nominal_demand):
-    x_unc = equilibrium_uncongested(stretch, nominal_demand)
-    with pytest.raises(RankDeficient, match="proportional|singular"):
-        freeflow_identify([x_unc[1]] * 3, nominal_demand[1],
-                          x_upstream=[x_unc[0]] * 2, v_upstream=0.5)
-    with pytest.raises(RankDeficient, match="empty"):
-        freeflow_identify([0.0, 5.0], 5.0)
-
-
-def test_identification_rejects_non_free_flow_readings():
-    with pytest.raises(ValueError, match="free.flow|free flow"):
-        freeflow_identify([30.0, 34.17, 50.0], 19.17)
-    with pytest.raises(ValueError, match="free flow"):
-        freeflow_identify([30.0, 52.0], 19.17)
-
-
-def test_adopt_identified_pins_the_parameter_box(stretch, nominal_demand,
-                                                 transient_start):
-    x = transient_start
-    rows = [x[:4]]
-    for _ in range(3):
-        x = compact_step(stretch, x, nominal_demand, nominal_demand)
-        rows.append(x[:4])
-    report = full_identify_sweep(np.array(rows), nominal_demand)
-    box = speed_box(stretch)
-    adopted = adopt_identified(box, report)
-    assert np.array_equal(adopted.lower.v, adopted.upper.v)
-    assert np.array_equal(adopted.lower.beta, adopted.upper.beta)
-    assert np.allclose(adopted.lower.v, stretch.v, atol=1e-12)
-    assert np.allclose(adopted.lower.beta, stretch.beta, atol=1e-12)
-    narrow = speed_box(stretch, lo=0.55, hi=0.6)
-    with pytest.raises(ContainmentViolation, match="identified v"):
-        adopt_identified(narrow, report)
 
 
 # ------------------------------------------------------ closing the loop

@@ -1,5 +1,5 @@
 """Scenario parsing errors, the CSV record of a short planning run, the
-baseline controllers, the identification audit and the documented example."""
+baseline controllers and the documented example."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rampflow import cli, harness
-from rampflow.embedding import PARAM_FIELDS
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
 PRESET = harness.PRESETS["fourcell_constant"]
@@ -128,13 +127,12 @@ def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
     planned = [s for s in log.steps if s.phase == "mpc"]
-    assert planned and all(s.feasible and np.isfinite(s.value) for s in planned)
+    assert planned and all(np.isfinite(s.value) for s in planned)
 
     back, meta = read_log(paths[0])
     assert meta["scenario"] == ["short_plan"] and meta["horizon"] == ["4"]
     assert len(back) == len(log) == scenario.warmup + scenario.steps
     assert [s.phase for s in back.steps] == [s.phase for s in log.steps]
-    assert [s.feasible for s in back.steps] == [s.feasible for s in log.steps]
     np.testing.assert_allclose(back.states, log.states, rtol=1e-11)
     np.testing.assert_allclose(back.upper_estimates, log.upper_estimates, rtol=1e-11)
     np.testing.assert_allclose(back.values, log.values, rtol=1e-11)
@@ -219,47 +217,6 @@ def test_baselines_keep_the_truth_enclosed_and_rerun_identically(tmp_path, prese
         assert step.phase == controller
         assert step.estimate.contains(step.x)
         assert np.all(step.x[:n] >= 0.0) and np.all(step.x[:n] <= x_jam)
-
-
-# ------------------------------------------------------- identification
-
-
-def _identification_scenario() -> harness.Scenario:
-    """The constant preset started inside the terminal box, with the
-    arrivals known exactly."""
-    text, _ = _edit(PRESET, "  mainline 30 30 30 120", ["  mainline 30 30 30 30"], keep=False)
-    text, _ = _edit(text, "  demand_margin 0.1", [], keep=False)
-    return parse_scenario(text, name="identify")
-
-
-def test_identification_pins_the_upstream_cells_and_keeps_the_rest():
-    scenario = _identification_scenario()
-    truth = scenario.params
-    run = harness.run_identification(scenario)
-    assert run.entry_time == 0
-    assert run.rows.shape == (3, 4)
-    assert run.report.status[:3] == ("exact", "exact", "exact")
-    assert run.report.status[3] != "exact"
-    after, before = run.after, run.before
-    np.testing.assert_array_equal(after.lower.v[:3], after.upper.v[:3])
-    np.testing.assert_array_equal(after.lower.beta[:2], after.upper.beta[:2])
-    np.testing.assert_allclose(after.lower.v[:3], truth.v[:3], rtol=0, atol=1e-9)
-    np.testing.assert_allclose(after.lower.beta[:2], truth.beta[:2], rtol=0, atol=1e-9)
-    for corner in ("lower", "upper"):
-        assert getattr(after, corner).v[3] == getattr(before, corner).v[3]
-        assert getattr(after, corner).beta[2] == getattr(before, corner).beta[2]
-    assert before.lower.v[3] < before.upper.v[3]
-    for fld in PARAM_FIELDS:
-        assert np.all(getattr(after.lower, fld) >= getattr(before.lower, fld))
-        assert np.all(getattr(after.upper, fld) <= getattr(before.upper, fld))
-
-
-def test_identification_needs_setpc_and_constant_arrivals():
-    text, _ = _edit(PRESET, "  kind setpc", ["  kind alinea"], keep=False)
-    with pytest.raises(ValueError, match="set-membership loop"):
-        harness.run_identification(parse_scenario(text))
-    with pytest.raises(ValueError, match="constant arrivals"):
-        harness.run_identification(harness.load_scenario("fourcell_periodic"))
 
 
 # ----------------------------------------------------------------- docs

@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from rampflow import _simplex, milp
+from rampflow import _simplex, harness, milp
 from rampflow.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -657,3 +657,39 @@ def test_check_solution_reports_violated_rows_in_row_order():
             reported += len(msgs)
             fractional += sum(m.startswith("binary ") for m in msgs)
     assert reported > 50 and fractional > 10
+
+
+# ------------------------------------------------- phase 1 under Bland's rule
+
+
+class _FirstPlan(Exception):
+    """Stops a closed loop once its first plan has been solved."""
+
+
+def test_phase_one_decides_the_interval_horizon_ten_plan(monkeypatch):
+    """The first plan of ``fourcell_constant`` at horizon 10 sends the root
+    LP's phase 1 into Bland's rule; it must still be proved infeasible at
+    the root within the 2,188 pivots it takes today."""
+    text = harness.PRESETS["fourcell_constant"].replace("  horizon 60\n", "  horizon 10\n")
+    scenario = harness.parse_scenario(text, name="interval10")
+    real_milp, real_canonical = milp.solve_milp, milp.solve_canonical
+    seen = {"pivots": 0}
+
+    def counted(*args, **kwargs):
+        res = real_canonical(*args, **kwargs)
+        seen["pivots"] += res.iterations
+        return res
+
+    def first_plan(model, **kwargs):
+        seen["model"] = model
+        seen["result"] = real_milp(model, **kwargs)
+        raise _FirstPlan
+
+    monkeypatch.setattr(milp, "solve_canonical", counted)
+    monkeypatch.setattr(milp, "solve_milp", first_plan)
+    with pytest.raises(_FirstPlan):
+        harness.run_closed_loop(scenario)
+    lp, result = seen["model"].lp, seen["result"]
+    assert (lp.n_rows, lp.n_cols, seen["model"].binaries.shape[0]) == (1880, 1276, 400)
+    assert result.status == INFEASIBLE and result.nodes == 1
+    assert seen["pivots"] <= 2188
