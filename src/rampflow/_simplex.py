@@ -26,9 +26,12 @@ product-form eta file, one eta vector per pivot, rebuilt every few dozen
 pivots.  The pivot loop reads ``[A | I]`` straight from its CSC arrays:
 the entering column is one ``indptr`` slice, reduced costs use the cached
 CSR transpose, and the basis handed to SuperLU is gathered from
-``indptr``, ``indices`` and ``data``.  Pricing is Dantzig's rule with
-lowest-index tie-breaking; a streak of degenerate pivots switches the
-phase to Bland's rule, which guarantees termination.  All choices are
+``indptr``, ``indices`` and ``data``.  Pricing is Dantzig's rule, the
+largest reduced-cost violation entering with ties to the lowest index,
+and the ratio test breaks ties between blocking rows by the largest pivot
+magnitude.  There is no anti-cycling rule: termination rests on the pivot
+budget of ``20000 + 10(m + n)`` per attempt, which turns a cycle or a
+stall into a :class:`NumericalBreakdown`.  All choices are
 index-deterministic so repeated solves of the same data produce
 identical pivot sequences.
 """
@@ -49,7 +52,6 @@ BASIC = 2
 _TIE = 1e-12
 _TOL_FEAS = 1e-9
 _TOL_OPT = 1e-9
-_DEGEN_LIMIT = 60  # degenerate pivots in a row before Bland's rule
 # (pivot tolerance, pivots between refactorizations) of the first attempt
 # and of the stricter cold restarts after an exactly singular basis
 _LADDER = ((1e-10, 64), (1e-8, 32), (3e-7, 16))
@@ -59,11 +61,9 @@ class NumericalBreakdown(RuntimeError):
     """Raised when the factorization cannot be kept trustworthy.
 
     Carries a short condition report so callers can surface what went
-    wrong (a vanishing pivot that survives refactorization, a ray, which
-    no boxed program has, or an iteration budget blowout).  Bland's rule
-    does not prevent the blowout: the interval ``fourcell_constant`` root
-    LP at horizon 15 spends its whole 67,260-pivot budget in phase 1,
-    66,727 of those pivots under Bland's rule.
+    wrong: a ray, which no boxed program has, a basis that keeps factoring
+    singular, or a spent pivot budget.  The budget is the solver's only
+    guard against cycling, since Dantzig pricing has no anti-cycling rule.
     """
 
 
@@ -74,8 +74,10 @@ class WarmBasis:
     Covers structural and slack columns only; artificials never escape a
     solve.  Every nonbasic column sits at one of its finite bounds and moves
     with it, so callers may replay a token against new column bounds of the
-    same form, which is exactly what branch and bound does.  A malformed
-    token, or a basis that factors singular, falls back to the cold start.
+    same form, which is exactly what branch and bound does.  Tokens come
+    only from an earlier solve or from :func:`crash_from_point` on the same
+    form, so they are well formed; a basis that factors singular falls back
+    to the cold start.
     """
 
     vstat: np.ndarray
@@ -209,35 +211,20 @@ class _Worker:
     # -- start basis -----------------------------------------------------
 
     def _install_start(self, warm: WarmBasis | None) -> None:
-        ntot = self.n + self.m
-        if warm is not None and self._try_warm(warm):
-            return
+        if warm is not None:
+            self.vstat = warm.vstat.copy()
+            self.basis = warm.basis.copy()
+            try:
+                self._factor()
+                return
+            except _SingularBasis:
+                pass  # the cold start below
         self.vstat = np.concatenate([
             np.full(self.n, AT_LOWER, dtype=np.int8),
             np.full(self.m, BASIC, dtype=np.int8),
         ])
-        self.basis = np.arange(self.n, ntot, dtype=np.int64)
+        self.basis = np.arange(self.n, self.n + self.m, dtype=np.int64)
         self._factor()
-
-    def _try_warm(self, warm: WarmBasis) -> bool:
-        ntot = self.n + self.m
-        vstat = np.asarray(warm.vstat, dtype=np.int8)
-        basis = np.asarray(warm.basis, dtype=np.int64)
-        if vstat.shape != (ntot,) or basis.shape != (self.m,):
-            return False
-        if np.any(basis < 0) or np.any(basis >= ntot):
-            return False
-        if np.unique(basis).shape[0] != self.m:
-            return False
-        if np.count_nonzero(vstat == BASIC) != self.m or np.any(vstat[basis] != BASIC):
-            return False
-        self.vstat = vstat.copy()
-        self.basis = basis.copy()
-        try:
-            self._factor()
-        except _SingularBasis:
-            return False
-        return True
 
     def _factor(self) -> None:
         self.backend = _Factors(_columns(self.cols, self.basis))
@@ -292,27 +279,24 @@ class _Worker:
 
     # -- pivot loop --------------------------------------------------------
 
-    def _price(self, d: np.ndarray, bland: bool) -> int:
+    def _price(self, d: np.ndarray) -> int:
         score = np.where(self.vstat == AT_LOWER, -d, d)
         blocked = (self.vstat == BASIC) | (self.lb == self.ub)
         score[blocked] = -np.inf
-        if bland:
-            cand = np.flatnonzero(score > _TOL_OPT)
-            return int(cand[0]) if cand.shape[0] else -1
         j = int(np.argmax(score))
         return j if score[j] > _TOL_OPT else -1
 
     def _ratio_test(
-        self, enter: int, sigma: float, w: np.ndarray, *, bland: bool = False
+        self, enter: int, sigma: float, w: np.ndarray
     ) -> tuple[float, int, bool] | None:
         """Return (step, leaving position or -1 for a bound flip, hit-upper?).
 
         ``None`` means no variable blocks the step, which only a
-        numerically inconsistent basis produces.  Ties
-        between blocking rows go to the largest pivot magnitude (the eta
-        update divides by it, so a near-zero choice poisons every later
-        ftran); under Bland's rule they go to the lowest basic index,
-        which the anti-cycling argument needs.
+        numerically inconsistent basis produces.  A row whose pivot
+        element is within ``tol_pivot`` of zero never blocks, so the
+        leaving row always has a usable pivot.  Ties between blocking rows
+        go to the largest pivot magnitude: the eta update divides by it, so
+        a near-zero choice poisons every later ftran.
         """
         limit = self.ub[enter] - self.lb[enter]  # inf for slacks
         rate = -sigma * w
@@ -331,10 +315,7 @@ class _Worker:
         if not np.isfinite(best_basic):
             return None
         cand = np.flatnonzero(rooms <= best_basic + _TIE)
-        if bland:
-            pick = cand[np.argmin(bvars[cand])]
-        else:
-            pick = cand[np.argmax(np.abs(w[cand]))]
+        pick = cand[np.argmax(np.abs(w[cand]))]
         return best_basic, int(pick), bool(up[pick])
 
     def _pivot(
@@ -346,14 +327,6 @@ class _Worker:
         leave_pos: int,
         hit_upper: bool,
     ) -> None:
-        if abs(w[leave_pos]) <= self.tol_pivot:
-            self._factor()
-            w = self.backend.ftran(_column(self.cols, enter))
-            if abs(w[leave_pos]) <= self.tol_pivot:
-                raise NumericalBreakdown(
-                    f"pivot element {w[leave_pos]:.3e} below tolerance after "
-                    f"refactorization (entering column {enter}, row {leave_pos})"
-                )
         leaving = self.basis[leave_pos]
         origin = self.lb[enter] if self.vstat[enter] == AT_LOWER else self.ub[enter]
         enter_val = origin + sigma * step
@@ -366,8 +339,6 @@ class _Worker:
         self.updates_since_factor += 1
 
     def _run_phase(self, cost: np.ndarray) -> None:
-        bland = False
-        degen_streak = 0
         while True:
             if self.iterations >= self.max_iter:
                 raise NumericalBreakdown(
@@ -376,7 +347,7 @@ class _Worker:
                 )
             y = self.backend.btran(cost[self.basis])
             d = cost - self.cols_t @ y
-            enter = self._price(d, bland)
+            enter = self._price(d)
             if enter < 0:
                 return
             sigma = -1.0 if self.vstat[enter] == AT_UPPER else 1.0
@@ -401,9 +372,6 @@ class _Worker:
                 )
             step, leave_pos, hit_upper = hit
             self.iterations += 1
-            degen_streak = degen_streak + 1 if step <= self.tol_pivot else 0
-            if degen_streak > _DEGEN_LIMIT:
-                bland = True
             if leave_pos < 0:
                 self.xb -= sigma * step * w
                 self.vstat[enter] = (
@@ -497,8 +465,8 @@ def solve_canonical(
     bounds come per call, so branch-and-bound nodes share one form and the
     solve leaves it as it found it.  Every bound must be finite (a
     ``ValueError`` otherwise); equal bounds fix a variable.  ``warm``
-    replays a basis from an earlier solve of the same form (malformed
-    tokens fall back to a cold start).  Statuses: "optimal" and
+    replays a basis from an earlier solve of the same form, or one that
+    :func:`crash_from_point` built for it.  Statuses: "optimal" and
     "infeasible"; a boxed program is never unbounded.
     """
     lb = np.asarray(lb, dtype=float)
@@ -536,8 +504,6 @@ def crash_from_point(
     lb,
     ub,
     x0,
-    *,
-    tol: float = 1e-7,
 ) -> WarmBasis | None:
     """Starting basis whose basic solution reproduces a feasible point.
 
@@ -563,6 +529,7 @@ def crash_from_point(
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    tol = 1e-7
 
     r = a @ x0
     tight = np.abs(b - r) <= tol * (1.0 + np.abs(b))

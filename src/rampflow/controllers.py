@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import PARAM_FIELDS, LiftedState, ParamBounds, lifted_step
+from .embedding import LiftedState, ParamBounds, lifted_step
 from .estimators import (EstimatorConfig, MeasurementWindow, state_update,
                          theta_update)
 from .mpc import MpcConfig, TerminalSet, solve_mpc
@@ -89,19 +89,12 @@ class SetPcState:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """What the harness records of a tick: the plan's value (NaN when no
+    plan ran), the phase and the corrected state box."""
+
     value: float
     phase: str
-    state_width: float
-    theta_width: float
-    reduced: bool | None = None
-    corrected: LiftedState | None = None
-
-
-def theta_width(bounds: ParamBounds) -> float:
-    """Largest per-coordinate gap between the two parameter corners."""
-    gaps = [np.max(getattr(bounds.upper, f) - getattr(bounds.lower, f), initial=0.0)
-            for f in PARAM_FIELDS]
-    return float(max(gaps))
+    corrected: LiftedState
 
 
 def open_loop_step(lam_nominal, u_max) -> np.ndarray:
@@ -159,7 +152,7 @@ def _ingest(state: SetPcState, y, config: SetPcConfig):
     return corrected, theta
 
 
-def _dispatch(state, corrected, theta, command, *, phase, value, reduced=None):
+def _dispatch(state, corrected, theta, command, *, phase, value):
     """Clamp the command, predict the next box, assemble the successor."""
     window = state.window
     n = window.output_model.mainline_mask.shape[0]
@@ -168,11 +161,7 @@ def _dispatch(state, corrected, theta, command, *, phase, value, reduced=None):
     predicted = lifted_step(corrected, u_exec, window.demand, theta)
     successor = SetPcState(predicted=predicted, params=theta, window=window,
                            last_control=u_exec)
-    diag = StepDiagnostics(
-        value=value, phase=phase,
-        state_width=float(np.max(corrected.width)),
-        theta_width=theta_width(theta), reduced=reduced, corrected=corrected)
-    return u_exec, successor, diag
+    return u_exec, successor, StepDiagnostics(value, phase, corrected)
 
 
 def setpc_step(state: SetPcState, y, config: SetPcConfig):
@@ -193,13 +182,11 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     else:
         phase = PHASE_MPC
 
-    reduced = None
     if phase == PHASE_MPC:
         result = solve_mpc(corrected, state.window.demand, theta, config.mpc,
                            config.terminal, budget=config.budget)
         command = result.u
         value = result.value
-        reduced = result.reduced
     else:
         queue_history = [np.asarray(obs.y_ramp, dtype=float)
                          for obs in state.window.observations]
@@ -208,7 +195,7 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
         value = math.nan
 
     return _dispatch(state, corrected, theta, command, phase=phase,
-                     value=value, reduced=reduced)
+                     value=value)
 
 
 def forced_step(state: SetPcState, y, config: SetPcConfig, command):

@@ -127,18 +127,17 @@ def split_state(x: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     return x[..., :n_cells], x[..., n_cells:]
 
 
-def demand_fn(params: FreewayParams, x_main: np.ndarray, *,
-              tol: float = 1e-9) -> np.ndarray:
+def demand_fn(params: FreewayParams, x_main: np.ndarray) -> np.ndarray:
     """Per-cell sending flow min{v x, xi(x)}.
 
     The flow ceiling xi equals c_max while the cell is at or below its
     critical occupancy and drops to alpha*c_max strictly above it. The
     boundary point belongs to the no-drop branch; every module that needs
     the drop switch defers to this convention. Occupancies outside
-    [0, x_jam] are rejected.
+    [0, x_jam] by more than 1e-9 are rejected.
     """
     x_main = np.asarray(x_main, dtype=float)
-    if np.any(x_main < -tol) or np.any(x_main > params.x_jam + tol):
+    if np.any(x_main < -1e-9) or np.any(x_main > params.x_jam + 1e-9):
         raise ValueError("occupancy outside [0, x_jam]")
     xi = np.where(x_main <= params.x_crit, params.c_max, params.alpha * params.c_max)
     return np.minimum(params.v * x_main, xi)
@@ -191,13 +190,15 @@ def plant_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
 
 
 def compact_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
-                 lam: np.ndarray, *, tol: float = 1e-9) -> np.ndarray:
+                 lam: np.ndarray) -> np.ndarray:
     """Advance assuming every ramp discharges exactly its commanded rate u.
 
     Valid only when u_i <= queue_i + lambda_i and the merge fits into the
     target cell; these are the constraints a metering controller is expected
-    to enforce, and they are checked here rather than silently repaired.
+    to enforce, and they are checked here, to within 1e-9, rather than
+    silently repaired.
     """
+    tol = 1e-9
     main, queues = split_state(x, params.n_cells)
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)

@@ -67,10 +67,6 @@ class LiftedState:
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def contains(self, x: np.ndarray, *, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))

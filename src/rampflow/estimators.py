@@ -138,15 +138,16 @@ class MeasurementWindow:
 
 
 def state_update(predicted: LiftedState, y: Observation,
-                 output_model: OutputModel, *, tol: float = 1e-9) -> LiftedState:
+                 output_model: OutputModel) -> LiftedState:
     """Intersect a predicted state box with one measurement.
 
     Detectors are exact, so a measured mainline cell collapses both bounds
     onto y_i / c_i and every ramp queue collapses onto its reading; cells
     without a detector keep their predicted interval. A reading outside the
-    predicted box (beyond tol) voids the containment guarantee and raises
-    ContainmentViolation. The result is always contained in the input box,
-    and applying the same measurement twice is a no-op.
+    predicted box by more than CONSISTENCY_TOL voids the containment
+    guarantee and raises ContainmentViolation. The result is always
+    contained in the input box, and applying the same measurement twice is
+    a no-op.
     """
     up = np.array(predicted.upper, dtype=float)
     lo = np.array(predicted.lower, dtype=float)
@@ -160,7 +161,7 @@ def state_update(predicted: LiftedState, y: Observation,
     if np.any(~np.isfinite(y_main[output_model.mainline_mask])):
         raise ValueError("a measured cell is missing its reading")
     idx, vals = _measured(y, output_model)
-    outside = _absorb(up, lo, idx, vals, tol)
+    outside = _absorb(up, lo, idx, vals, CONSISTENCY_TOL)
     if outside.any():
         k = int(np.argmax(outside))
         j = int(idx[k])
@@ -237,18 +238,17 @@ def _certified(window: MeasurementWindow, upper, lower, tol: float) -> np.ndarra
     return dead
 
 
-def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow, *,
-                         tol: float = CONSISTENCY_TOL) -> str:
+def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow) -> str:
     """Can some parameter in theta_box reproduce the recorded window?
 
     Answers "infeasible" only when the forward propagation of ``_certified``
-    strictly excludes an enclosure or a reading by more than tol. That
-    one-sided certificate is sound: a box containing a consistent parameter
-    is never labelled infeasible. A passing point box earns "feasible"; a
-    passing wider box only earns "unknown", because interval arithmetic may
-    keep an empty box alive.
+    strictly excludes an enclosure or a reading by more than
+    CONSISTENCY_TOL. That one-sided certificate is sound: a box containing
+    a consistent parameter is never labelled infeasible. A passing point box
+    earns "feasible"; a passing wider box only earns "unknown", because
+    interval arithmetic may keep an empty box alive.
     """
-    if _certified(window, theta_box.upper, theta_box.lower, tol):
+    if _certified(window, theta_box.upper, theta_box.lower, CONSISTENCY_TOL):
         return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import TrajectoryLog, running_cost
 from .controllers import (
+    ALINEA_GAIN,
     AlineaConfig,
     LocalConfig,
     SetPcConfig,
@@ -366,7 +367,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     epsilon = cb.scalar("epsilon", 0.1)
     averaging = cb.integer("averaging_window", 1, minimum=1)
     dual_mode = cb.flag("dual_mode", True)
-    gain = cb.scalar("gain", 70.0 / (60.0 * 160.0))
+    gain = cb.scalar("gain", ALINEA_GAIN)
     setpoint = cb.vector("setpoint", n) if "setpoint" in cb.entries else None
     cb.finish()
 

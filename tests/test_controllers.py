@@ -13,9 +13,9 @@ from rampflow.estimators import (ContainmentViolation, EstimatorConfig,
 from rampflow.mpc import MpcConfig, TerminalSet, solve_mpc
 from rampflow.controllers import (ALINEA_GAIN, AlineaConfig, LocalConfig,
                                   PHASE_LOCAL, PHASE_MPC, SetPcConfig,
-                                  SetPcState, StepDiagnostics, alinea_step,
+                                  SetPcState, alinea_step,
                                   dual_mode_supervisor, local_controller,
-                                  open_loop_step, setpc_step, theta_width)
+                                  open_loop_step, setpc_step)
 
 B_MAIN = np.array([6.878, 5.42, 3.8, 2.0])
 
@@ -150,14 +150,6 @@ def test_supervisor_reverts_only_when_asked():
     assert dual_mode_supervisor(outside, terminal) == PHASE_MPC
 
 
-def test_pin_jam_collapses_onto_the_upper_profile(stretch):
-    from dataclasses import replace
-    roomy = ParamBounds(upper=replace(stretch, x_jam=np.full(4, 170.0)),
-                        lower=replace(stretch, x_jam=np.full(4, 150.0)))
-    point = ParamBounds.point(stretch)
-    assert theta_width(roomy) == 20.0 and theta_width(point) == 0.0
-
-
 # ----------------------------------------------------------- setpc loop
 
 
@@ -174,7 +166,7 @@ def test_setpc_tick_matches_the_direct_planner_on_point_boxes(
                        ParamBounds.point(stretch), config.mpc, config.terminal)
     assert np.allclose(u, direct.u, atol=1e-9)
     assert abs(diag.value - direct.value) <= 1e-9
-    assert diag.phase == PHASE_MPC and diag.reduced
+    assert diag.phase == PHASE_MPC
 
 
 def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand):
@@ -278,18 +270,3 @@ def test_setpc_rejects_a_tampered_measurement(stretch, nominal_demand):
     tampered = measure(model, x + 5.0)
     with pytest.raises(ContainmentViolation):
         setpc_step(state, tampered, config)
-
-
-def test_step_diagnostics_report_the_box_widths(stretch, nominal_demand):
-    diag = StepDiagnostics(value=1.0, phase=PHASE_MPC,
-                           state_width=0.5, theta_width=0.0)
-    assert diag.state_width == 0.5
-    model = OutputModel.full(4)
-    config = loop_config(horizon=1, dual_mode=False,
-                         terminal=TerminalSet.mainline_only(np.full(4, 40.0)))
-    x = np.concatenate([np.full(4, 20.0), np.zeros(4)])
-    state = fresh_state(x, ParamBounds.point(stretch),
-                        DemandBounds.point(nominal_demand), model)
-    _, _, out = setpc_step(state, measure(model, x), config)
-    assert out.state_width == 0.0
-    assert out.theta_width == 0.0

@@ -659,37 +659,63 @@ def test_check_solution_reports_violated_rows_in_row_order():
     assert reported > 50 and fractional > 10
 
 
-# ------------------------------------------------- phase 1 under Bland's rule
+# ------------------------------------------- phase 1 on the preset's first plans
 
 
 class _FirstPlan(Exception):
-    """Stops a closed loop once its first plan has been solved."""
+    """Stops a closed loop once its first plan has been built."""
+
+
+def _first_plan(edits):
+    """The model and ``solve_milp`` keywords of the first plan of
+    ``fourcell_constant`` with each (old line, new line) of ``edits``."""
+    text = harness.PRESETS["fourcell_constant"]
+    for old, new in edits:
+        assert f"  {old}\n" in text
+        text = text.replace(f"  {old}\n", f"  {new}\n")
+    seen = {}
+
+    def stop(model, **kwargs):
+        seen.update(model=model, kwargs=kwargs)
+        raise _FirstPlan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "solve_milp", stop)
+        with pytest.raises(_FirstPlan):
+            harness.run_closed_loop(harness.parse_scenario(text, name="first_plan"))
+    return seen["model"], seen["kwargs"]
 
 
 def test_phase_one_decides_the_interval_horizon_ten_plan(monkeypatch):
-    """The first plan of ``fourcell_constant`` at horizon 10 sends the root
-    LP's phase 1 into Bland's rule; it must still be proved infeasible at
-    the root within the 2,188 pivots it takes today."""
-    text = harness.PRESETS["fourcell_constant"].replace("  horizon 60\n", "  horizon 10\n")
-    scenario = harness.parse_scenario(text, name="interval10")
-    real_milp, real_canonical = milp.solve_milp, milp.solve_canonical
+    """The first plan of ``fourcell_constant`` at horizon 10 must be proved
+    infeasible at the root within the 1,381 pivots it takes today."""
+    model, kwargs = _first_plan([("horizon 60", "horizon 10")])
+    real_canonical = milp.solve_canonical
     seen = {"pivots": 0}
 
-    def counted(*args, **kwargs):
-        res = real_canonical(*args, **kwargs)
+    def counted(*args, **kw):
+        res = real_canonical(*args, **kw)
         seen["pivots"] += res.iterations
         return res
 
-    def first_plan(model, **kwargs):
-        seen["model"] = model
-        seen["result"] = real_milp(model, **kwargs)
-        raise _FirstPlan
-
     monkeypatch.setattr(milp, "solve_canonical", counted)
-    monkeypatch.setattr(milp, "solve_milp", first_plan)
-    with pytest.raises(_FirstPlan):
-        harness.run_closed_loop(scenario)
-    lp, result = seen["model"].lp, seen["result"]
-    assert (lp.n_rows, lp.n_cols, seen["model"].binaries.shape[0]) == (1880, 1276, 400)
+    result = milp.solve_milp(model, **kwargs)
+    lp = model.lp
+    assert (lp.n_rows, lp.n_cols, model.binaries.shape[0]) == (1880, 1276, 400)
     assert result.status == INFEASIBLE and result.nodes == 1
-    assert seen["pivots"] <= 2188
+    assert seen["pivots"] <= 1381
+
+
+def test_the_ten_step_window_root_lp_is_optimal_cold():
+    """With a 10-step measurement window as well, the first plan's root LP,
+    solved cold, is optimal within the 1,757 pivots it takes today. A
+    phase 1 that stalls on degenerate pivots spends its whole 51,560-pivot
+    budget here instead."""
+    model, _ = _first_plan([("horizon 60", "horizon 10"),
+                            ("backward_horizon 1", "backward_horizon 10")])
+    lp = model.lp
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+    root = _simplex.solve_canonical(form, lp.col_lower, lp.col_upper)
+    assert root.status == "optimal"
+    assert root.obj == pytest.approx(2758.81, rel=1e-6)
+    assert root.iterations <= 1757

@@ -54,3 +54,25 @@ def test_every_public_definition_has_a_caller():
     uncalled = defined - spelled
     assert sorted(uncalled - set(KEPT)) == [], "public definitions nothing calls"
     assert sorted(set(KEPT) - uncalled) == [], "kept names that are now called or gone"
+
+
+def test_every_keyword_default_is_passed_somewhere():
+    """A keyword-only parameter with a default, on a function or method of
+    ``src/rampflow``, counts as used when some call of a function of that
+    name, in the package or in ``perfbench``, passes it by name. A default
+    nothing overrides is a constant, and a flag nothing sets hides the code
+    behind it. Functions in ``KEPT`` are exempt."""
+    package = sorted((ROOT / "src" / "rampflow").glob("*.py"))
+    declared, passed = set(), set()
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path in package:
+                declared |= {(node.name, arg.arg) for arg, default
+                             in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                             if default is not None and node.name not in KEPT}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                passed |= {(name, kw.arg) for kw in node.keywords}
+    assert sorted(declared - passed) == [], "keywords no call passes"
