@@ -88,9 +88,8 @@ class TrajectoryLog:
     demand is the constant arrival vector when the run had one (the
     sandwich check refuses to run without it). gap is the absolute
     optimality slack the solver guaranteed per solve. decrease_allowance
-    is the per-step growth the terminal weights license: zero when the
-    running cost vanishes inside the terminal box, the arrival price
-    d @ lam when the running cost is charged everywhere.
+    is the per-step growth the terminal weights license: the arrival
+    price d @ lam under constant demand, zero otherwise.
     """
 
     steps: list[LogStep] = field(default_factory=list)
@@ -126,14 +125,8 @@ class TrajectoryLog:
         return np.array([s.estimate.upper for s in self.steps])
 
 
-def running_cost(l, x_bar, *, terminal: TerminalSet | None = None) -> float:
-    """Cost charged against an upper estimate.
-
-    With a terminal box the charge is zero inside it (the indicator
-    objective); without one it is the plain weighted sum.
-    """
-    if terminal is not None and terminal.contains(x_bar):
-        return 0.0
+def running_cost(l, x_bar) -> float:
+    """Stage cost l @ x_bar charged against an upper estimate."""
     return float(np.asarray(l, dtype=float) @ np.asarray(x_bar, dtype=float))
 
 

@@ -43,8 +43,6 @@ from .embedding import PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds
 from .estimators import EstimatorConfig, MeasurementWindow, state_update
 from .milp import MilpBudget
 from .mpc import (
-    COST_INDICATOR,
-    COST_LINEAR,
     CostSpec,
     MpcConfig,
     TerminalSet,
@@ -268,7 +266,7 @@ class Scenario:
     @property
     def decrease_allowance(self) -> float:
         """Per-step slack the planner optimum is allowed not to decrease by."""
-        if self.mpc.cost_mode == COST_LINEAR and self.demand_kind == DEMAND_CONSTANT:
+        if self.demand_kind == DEMAND_CONSTANT:
             return float(self.cost.d @ self.demand_base)
         return 0.0
 
@@ -374,7 +372,6 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     mb = block("mpc")
     horizon = mb.integer("horizon", 60, minimum=1)
     l_vec = mb.vector("l", 2 * n, default=1.0)
-    cost_mode = mb.word("cost", COST_LINEAR, (COST_LINEAR, COST_INDICATOR))
     drained = mb.word("terminal", TERMINAL_MAINLINE, (TERMINAL_MAINLINE, TERMINAL_DRAINED)) == TERMINAL_DRAINED
     gap_rel = mb.scalar("gap", 0.0)
     if mb.is_word("b", "terminal"):
@@ -386,7 +383,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     mb.finish()
     if gap_rel < 0.0:
         raise ScenarioError(None, "mpc.gap must be nonnegative")
-    mpc_cfg = MpcConfig(horizon=horizon, l=l_vec, b=b_vec, cost_mode=cost_mode)
+    mpc_cfg = MpcConfig(horizon=horizon, l=l_vec, b=b_vec)
     cost = CostSpec(l=l_vec, b_main=b_vec[:n], b_ramp=b_vec[n:], d=d_vec)
 
     eb = block("estimator")
@@ -457,7 +454,6 @@ controller {
 }
 mpc {
   horizon 60
-  cost linear
   terminal mainline
   gap 0.01
 }
@@ -510,7 +506,6 @@ controller {
 }
 mpc {
   horizon 60
-  cost linear
   terminal mainline
   gap 0.01
 }
@@ -539,11 +534,6 @@ def load_scenario(source: str | Path) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # running a scenario
-
-
-def _running(scenario: Scenario, upper: np.ndarray) -> float:
-    gate = scenario.terminal if scenario.mpc.cost_mode == COST_INDICATOR else None
-    return running_cost(scenario.mpc.l, upper, terminal=gate)
 
 
 def _new_log(scenario: Scenario) -> TrajectoryLog:
@@ -580,7 +570,8 @@ def _run_setpc(scenario: Scenario) -> TrajectoryLog:
             u, state, diag = forced_step(state, y, config, u_warm)
         else:
             u, state, diag = setpc_step(state, y, config)
-        log.append(x, diag.corrected, u, diag.value, _running(scenario, diag.corrected.upper),
+        log.append(x, diag.corrected, u, diag.value,
+                   running_cost(scenario.mpc.l, diag.corrected.upper),
                    diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
     _seal_gap(scenario, log)
@@ -616,7 +607,7 @@ def _run_baseline(scenario: Scenario) -> TrajectoryLog:
         served = x[n:] + lam - x_next[n:]
         control_hist.append(served)
         prev_u = served
-        log.append(x, corrected, served, math.nan, _running(scenario, corrected.upper),
+        log.append(x, corrected, served, math.nan, running_cost(scenario.mpc.l, corrected.upper),
                    scenario.controller, theta=scenario.theta_box)
         x = x_next
     return log
@@ -682,7 +673,6 @@ def scenario_meta(scenario: Scenario, log: TrajectoryLog) -> list[tuple[str, str
         ("b", join(scenario.mpc.b)),
         ("d", join(scenario.cost.d)),
         ("horizon", str(scenario.mpc.horizon)),
-        ("cost", scenario.mpc.cost_mode),
         ("terminal", join(scenario.terminal.x_f)),
         ("gap_rel", _fmt(scenario.gap_rel)),
         ("gap_abs", _fmt(log.gap)),
@@ -741,9 +731,9 @@ def emit_csv(log: TrajectoryLog, path: str | Path, *,
 def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     """Rebuild a log and its metadata from an emitted CSV.
 
-    Running costs are recomputed from the recorded weights and terminal
-    box; the per-step parameter boxes are not reconstructed (the verifier
-    has no use for them).
+    Running costs are recomputed from the recorded weights; the per-step
+    parameter boxes are not reconstructed (the verifier has no use for
+    them).
     """
     text = Path(path).read_text()
     meta: dict[str, list[str]] = {}
@@ -771,9 +761,6 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         raise ValueError(f"{path}: expected {len(_columns(n))} columns, found {len(header)}")
 
     l_vec = np.array([float(v) for v in meta["l"]]) if "l" in meta else np.ones(2 * n)
-    terminal = None
-    if meta.get("cost", ["linear"])[0] == COST_INDICATOR and "terminal" in meta:
-        terminal = TerminalSet(np.array([float(v) for v in meta["terminal"]]))
     log = TrajectoryLog(
         demand=np.array([float(v) for v in meta["demand"]]) if "demand" in meta else None,
         known_theta=meta.get("known_theta", ["1"])[0] == "1",
@@ -790,6 +777,5 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         value = float(cells[idx["Vstar"]])
         phase = cells[idx["phase"]]
         estimate = LiftedState(upper=up, lower=lo)
-        log.append(x, estimate, u, value,
-                   running_cost(l_vec, up, terminal=terminal), phase)
+        log.append(x, estimate, u, value, running_cost(l_vec, up), phase)
     return log, meta

@@ -62,9 +62,6 @@ from .embedding import (
     lifted_step,
 )
 
-COST_LINEAR = "linear"
-COST_INDICATOR = "indicator"
-
 _BOUND_TOL = 1e-9
 
 
@@ -85,16 +82,13 @@ class MpcConfig:
     """Horizon and cost weights of the planner.
 
     l and b stack mainline weights first and ramp-queue weights second
-    (2I entries each); only the upper tube component is costed. In
-    ``linear`` mode the objective is sum of l*x(k) for k < T plus b*x(T);
-    in ``indicator`` mode each stage pays l*x(k) only while the lifted
-    state sits outside the terminal box, and the terminal cost is zero.
+    (2I entries each); only the upper tube component is costed. The
+    objective is sum of l*x(k) for k < T plus b*x(T).
     """
 
     horizon: int
     l: np.ndarray
     b: np.ndarray
-    cost_mode: str = COST_LINEAR
 
     def __post_init__(self):
         t = int(self.horizon)
@@ -111,8 +105,6 @@ class MpcConfig:
             raise ValueError("terminal weights must be finite and nonnegative")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "b", b)
-        if self.cost_mode not in (COST_LINEAR, COST_INDICATOR):
-            raise ValueError(f"unknown cost mode {self.cost_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -246,15 +238,14 @@ def choose_terminal_weights(
     from b_I = l_I / v_I. The demand slack weight d equals b, which makes
     the arrival terms on both sides of the decrease inequality cancel.
 
-    Accepts either the mainline running costs (length I) or the full
-    stacked vector (length 2I, mainline entries used).
+    l is the stacked running-cost vector (length 2I); only its mainline
+    entries enter the weights.
     """
     l = np.asarray(l, dtype=float)
     n = params.n_cells
-    if l.shape[0] == 2 * n:
-        l = l[:n]
-    elif l.shape[0] != n:
-        raise ValueError(f"expected {n} or {2 * n} cost entries, got {l.shape[0]}")
+    if l.shape[0] != 2 * n:
+        raise ValueError(f"expected {2 * n} cost entries, got {l.shape[0]}")
+    l = l[:n]
     if np.any(l <= 0.0):
         raise ValueError("running-cost weights must be positive")
     b = np.empty(n)
@@ -575,11 +566,8 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
 
     # ---- columns and rows --------------------------------------------
     bld = milp.ModelBuilder(name=f"meter{t}", sense="min")
-    is_linear = config.cost_mode == COST_LINEAR
 
     def state_obj(k, stacked_idx):
-        if not is_linear:
-            return 0.0
         if k < t:
             return float(config.l[stacked_idx])
         return float(config.b[stacked_idx])
@@ -699,39 +687,9 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                     "E", float(comp.lam[i]), f"dyn.q.{tag}[{k}][{i}]",
                 )
 
-    gate = stage_cost = None
-    if not is_linear:
-        gate = np.empty(t, dtype=np.int64)
-        stage_cost = np.empty(t, dtype=np.int64)
-        xf = terminal.x_f
-        fin = np.flatnonzero(np.isfinite(xf))
-        for k in range(t):
-            stage_ids = np.concatenate([xm[0][k], qm[0][k]])
-            ubs = np.array([bld.upper[int(j)] for j in stage_ids])
-            m_cost = float(config.l @ ubs)
-            gate[k] = bld.add_variable(f"gate[{k}]", binary=True)
-            stage_cost[k] = bld.add_variable(
-                f"stagecost[{k}]", lower=0.0, upper=m_cost, objective=1.0
-            )
-            for c in range(ncomp):
-                ids = np.concatenate([xm[c][k], qm[c][k]])
-                for j in fin:
-                    col = int(ids[j])
-                    slack = max(bld.upper[col] - xf[j], 0.0)
-                    bld.add_row(
-                        {col: 1.0, int(gate[k]): slack},
-                        "L", xf[j] + slack, f"inbox[{k}].c{c}.{j}",
-                    )
-            coeffs = {int(stage_cost[k]): 1.0, int(gate[k]): m_cost}
-            for j, col in enumerate(stage_ids):
-                coeffs[int(col)] = coeffs.get(int(col), 0.0) - config.l[j]
-            bld.add_row(coeffs, "G", 0.0, f"paystage[{k}]")
-
     model = bld.build()
 
     n_cols = model.lp.n_cols
-    xf = terminal.x_f
-    fin_mask = np.isfinite(xf)
 
     def encode(u_seq):
         """Roll the tube under a clipped metering plan; None when it exits."""
@@ -759,18 +717,6 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                 vec[xm[c][k + 1]] = new[:n]
                 vec[qm[c][k + 1]] = new[n:]
             state = [flow.next for flow in flows]
-        if not is_linear:
-            for k in range(t):
-                inside = True
-                for c in range(ncomp):
-                    stacked = np.concatenate([vec[xm[c][k]], vec[qm[c][k]]])
-                    if np.any(stacked[fin_mask] > xf[fin_mask]):
-                        inside = False
-                        break
-                vec[gate[k]] = 1.0 if inside else 0.0
-                if not inside:
-                    stacked = np.concatenate([vec[xm[0][k]], vec[qm[0][k]]])
-                    vec[stage_cost[k]] = float(config.l @ stacked)
         return vec
 
     def decode(x):

@@ -50,7 +50,7 @@ def planner_run():
     cost = demo_cost(params)
     terminal = TerminalSet.drained(compute_xup(LAM, params))
     config = SetPcConfig(
-        mpc=MpcConfig(horizon=6, l=cost.l, b=cost.b, cost_mode="linear"),
+        mpc=MpcConfig(horizon=6, l=cost.l, b=cost.b),
         terminal=terminal, estimator=EstimatorConfig(backward_horizon=4),
         dual_mode=False)
     model = OutputModel.full(4)
@@ -234,14 +234,9 @@ def test_time_to_terminal_edges():
     assert time_to_terminal(growing, terminal) is None
 
 
-def test_running_cost_gates_on_the_terminal_box():
-    terminal = TerminalSet.drained(np.full(2, 10.0))
+def test_running_cost_is_the_weighted_sum():
     l = np.array([1.0, 2.0, 1.0, 1.0])
-    inside = np.array([5.0, 5.0, 0.0, 0.0])
-    outside = np.array([5.0, 15.0, 0.0, 0.0])
-    assert running_cost(l, inside, terminal=terminal) == 0.0
-    assert running_cost(l, outside, terminal=terminal) == 35.0
-    assert running_cost(l, inside) == 15.0
+    assert running_cost(l, np.array([5.0, 5.0, 0.0, 0.0])) == 15.0
 
 
 def test_certificate_summary_reads_healthy_and_broken_runs(planner_run):

@@ -1,6 +1,7 @@
 """Scenario parsing errors, the CSV record of a short planning run, the
-baseline controllers and the documented example."""
+baseline controllers, and the documented example and key tables."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,6 +100,13 @@ def test_controller_pin_jam_is_an_unknown_key():
     text, line = _edit(PRESET, "  dual_mode 1", ["  pin_jam 1"])
     with pytest.raises(ScenarioError,
                        match=f"^line {line}: unknown key 'pin_jam' in block 'controller'$"):
+        parse_scenario(text)
+
+
+def test_mpc_cost_is_an_unknown_key():
+    text, line = _edit(PRESET, "  horizon 60", ["  cost linear"])
+    with pytest.raises(ScenarioError,
+                       match=f"^line {line}: unknown key 'cost' in block 'mpc'$"):
         parse_scenario(text)
 
 
@@ -220,6 +228,36 @@ def test_baselines_keep_the_truth_enclosed_and_rerun_identically(tmp_path, prese
 
 
 # ----------------------------------------------------------------- docs
+
+
+def _documented_keys(doc: str) -> dict[str, set[str]]:
+    """Keys named in the first column of each block's key table."""
+    keys: dict[str, set[str]] = {}
+    block = None
+    for line in doc.splitlines():
+        if line.startswith("#"):
+            head = re.match(r"### `(\w+)`", line)
+            block = head.group(1) if head else None
+            if block:
+                keys[block] = set()
+        elif block and line.startswith("| `"):
+            keys[block] |= set(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return keys
+
+
+def test_the_documented_key_tables_list_exactly_the_keys_the_parser_reads(monkeypatch):
+    read: dict[str, set[str]] = {}
+    take = harness._Block._take
+
+    def spy(self, key):
+        read.setdefault(self.name, set()).add(key)
+        return take(self, key)
+
+    monkeypatch.setattr(harness._Block, "_take", spy)
+    # the parser only takes controller.setpoint when the key is present
+    parse_scenario(_edit(PRESET, "  kind setpc", ["  setpoint 20"])[0])
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario-format.md").read_text()
+    assert read == _documented_keys(doc)
 
 
 def test_the_documented_example_is_the_constant_preset():

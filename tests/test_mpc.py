@@ -101,13 +101,10 @@ def test_drainable_profile_rejects_inadmissible_demand(stretch):
 
 
 def test_terminal_weights_match_the_demo_profile(stretch):
-    b, d = mpc.choose_terminal_weights(np.ones(4), stretch)
+    b, d = mpc.choose_terminal_weights(np.ones(8), stretch)
     np.testing.assert_allclose(b, B_MAIN, atol=1e-9)
     np.testing.assert_array_equal(b, d)
     assert b is not d
-    # the stacked running-cost vector is accepted too
-    b2, _ = mpc.choose_terminal_weights(np.ones(8), stretch)
-    np.testing.assert_array_equal(b, b2)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -120,22 +117,24 @@ def test_terminal_weights_satisfy_per_cell_equality(seed):
     rng = np.random.default_rng(seed)
     params = random_params(rng, int(rng.integers(1, 7)), wave_sum_cap=True)
     l = rng.uniform(0.1, 5.0, params.n_cells)
-    b, d = mpc.choose_terminal_weights(l, params)
+    # the queue entries of the stacked vector play no part
+    b, d = mpc.choose_terminal_weights(
+        np.concatenate([l, rng.uniform(0.1, 5.0, params.n_cells)]), params)
     slack = params.v * (b - np.concatenate([params.beta * b[1:], [0.0]]))
     np.testing.assert_allclose(slack, l, rtol=1e-10, atol=1e-12)
     np.testing.assert_array_equal(b, d)
 
 
 def test_terminal_weights_scale_linearly(stretch):
-    b1, _ = mpc.choose_terminal_weights(np.ones(4), stretch)
-    b3, _ = mpc.choose_terminal_weights(np.full(4, 3.0), stretch)
+    b1, _ = mpc.choose_terminal_weights(np.ones(8), stretch)
+    b3, _ = mpc.choose_terminal_weights(np.full(8, 3.0), stretch)
     np.testing.assert_allclose(b3, 3.0 * b1, rtol=1e-12)
 
 
 def test_terminal_weights_single_cell():
     p = homogeneous_params(1, beta=0.9, v=0.25, w=0.2, x_jam=100.0,
                            c_max=20.0, alpha=0.8)
-    b, _ = mpc.choose_terminal_weights(np.array([2.0]), p)
+    b, _ = mpc.choose_terminal_weights(np.array([2.0, 2.0]), p)
     np.testing.assert_allclose(b, [8.0])
 
 
@@ -143,14 +142,16 @@ def test_terminal_weights_reject_bad_lengths(stretch):
     with pytest.raises(ValueError):
         mpc.choose_terminal_weights(np.ones(5), stretch)
     with pytest.raises(ValueError):
-        mpc.choose_terminal_weights(np.zeros(4), stretch)
+        mpc.choose_terminal_weights(np.ones(4), stretch)
+    with pytest.raises(ValueError):
+        mpc.choose_terminal_weights(np.zeros(8), stretch)
 
 
 # ------------------------------------------------ terminal certificate
 
 
 def certificate_inputs(stretch, nominal_demand):
-    b_m, d = mpc.choose_terminal_weights(np.ones(4), stretch)
+    b_m, d = mpc.choose_terminal_weights(np.ones(8), stretch)
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
     spec = mpc.CostSpec(l=np.ones(8), b_main=b_m, b_ramp=b_m, d=d)
     return term, spec
@@ -196,7 +197,7 @@ def test_terminal_certificate_rejects_descending_weight_order(
 def test_terminal_certificate_zero_box_is_exactly_stationary(
         stretch, point_params):
     term = mpc.TerminalSet(np.zeros(8))
-    b_m, d = mpc.choose_terminal_weights(np.ones(4), stretch)
+    b_m, d = mpc.choose_terminal_weights(np.ones(8), stretch)
     spec = mpc.CostSpec(l=np.ones(8), b_main=b_m, b_ramp=b_m, d=d)
     still = DemandBounds(upper=np.zeros(4), lower=np.zeros(4))
     rep = mpc.terminal_lyapunov_check(
@@ -212,7 +213,7 @@ def test_terminal_certificate_zero_box_is_exactly_stationary(
 def test_census_matches_built_models(demand, point_params, nominal_demand,
                                      stretch):
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
-    # (columns, rows, binaries) of the two-component encoding, linear cost
+    # (columns, rows, binaries) of the two-component encoding
     expected = {1: (142, 188, 40), 2: (268, 376, 80), 3: (394, 564, 120)}
     for horizon, (cols, rows, bins) in expected.items():
         model = mpc._assemble(equilibrium_box(), demand, point_params,
@@ -220,18 +221,6 @@ def test_census_matches_built_models(demand, point_params, nominal_demand,
         assert model.lp.n_cols == cols
         assert model.lp.n_rows == rows
         assert len(model.binaries) == bins
-
-
-def test_census_covers_indicator_mode(demand, point_params, nominal_demand,
-                                      stretch):
-    term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
-    config = mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.zeros(8),
-                           cost_mode=mpc.COST_INDICATOR)
-    model = mpc._assemble(equilibrium_box(), demand, point_params,
-                          config, term, reduced=False).model
-    assert model.lp.n_cols == 272
-    assert model.lp.n_rows == 410
-    assert len(model.binaries) == 82
 
 
 def test_census_covers_the_single_component_encoding(
@@ -558,31 +547,6 @@ def test_value_grows_with_the_initial_box(stretch, nominal_demand, demand,
     assert small.value <= large.value + 1e-9
 
 
-def test_indicator_mode_costs_nothing_inside_the_terminal_box(
-        stretch, nominal_demand, demand, point_params):
-    term = drained_terminal(stretch, nominal_demand)
-    config = mpc.MpcConfig(horizon=3, l=np.ones(8), b=np.zeros(8),
-                           cost_mode=mpc.COST_INDICATOR)
-    res = mpc.solve_mpc(equilibrium_box(), demand, point_params, config,
-                        term)
-    assert res.solution.status == milp.OPTIMAL
-    assert res.value == pytest.approx(0.0, abs=1e-9)
-
-
-def test_indicator_mode_charges_only_excluded_stages(
-        stretch, nominal_demand, demand, point_params):
-    # a queued vehicle breaks membership at stage zero; one release empties
-    # the queue without pushing the half-loaded mainline over the box, so
-    # every later stage is free
-    x0 = np.concatenate([X_UNC * 0.5, [3.0, 0.0, 0.0, 0.0]])
-    box = LiftedState(upper=x0, lower=x0)
-    term = drained_terminal(stretch, nominal_demand)
-    config = mpc.MpcConfig(horizon=3, l=np.ones(8), b=np.zeros(8),
-                           cost_mode=mpc.COST_INDICATOR)
-    res = mpc.solve_mpc(box, demand, point_params, config, term)
-    np.testing.assert_allclose(res.value, np.ones(8) @ x0, atol=1e-6)
-
-
 def test_budget_overrun_raises_with_diagnostics(
         stretch, nominal_demand, demand, point_params):
     # a mainline box one vehicle wide selects the two-component encoding
@@ -601,7 +565,7 @@ def test_single_cell_stretch_plans():
     p = homogeneous_params(1, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
                            c_max=20.0, alpha=0.9)
     lam = np.array([10.0])
-    b, _ = mpc.choose_terminal_weights(np.array([1.0]), p)
+    b, _ = mpc.choose_terminal_weights(np.ones(2), p)
     res = mpc.solve_mpc(
         LiftedState(upper=np.array([20.0, 0.0]), lower=np.array([20.0, 0.0])),
         DemandBounds(upper=lam, lower=lam), ParamBounds.point(p),
@@ -640,9 +604,6 @@ def test_config_rejects_bad_shapes_and_modes():
         mpc.MpcConfig(horizon=2, l=np.zeros(8), b=np.ones(8))
     with pytest.raises(ValueError):
         mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.ones(6))
-    with pytest.raises(ValueError):
-        mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.ones(8),
-                      cost_mode="quadratic")
 
 
 def test_terminal_set_rejects_bad_vectors():
