@@ -65,14 +65,18 @@ class LocalConfig:
 
 @dataclass(frozen=True)
 class SetPcConfig:
-    """Everything one Set-PC loop needs beyond its mutable state."""
+    """Everything one Set-PC loop needs beyond its mutable state.
+
+    The loop is always dual-mode: a tick whose corrected upper estimate lies
+    in ``terminal`` (``TerminalSet.contains``, inclusive) runs the ``local``
+    law, any other tick plans with ``mpc`` under ``budget``.
+    """
 
     mpc: MpcConfig
     terminal: TerminalSet
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     local: LocalConfig = field(default_factory=LocalConfig)
     budget: object | None = None
-    dual_mode: bool = True
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,6 @@ def local_controller(queue_history, control_history, cfg: LocalConfig = LocalCon
     return np.clip(u, 0.0, upper)
 
 
-def dual_mode_supervisor(x_hat_up, terminal: TerminalSet) -> str:
-    """The phase of this tick, decided from the box alone: local tracking
-    while the upper estimate sits in the terminal box
-    (``TerminalSet.contains``), the horizon planner otherwise."""
-    return PHASE_LOCAL if terminal.contains(x_hat_up) else PHASE_MPC
-
-
 def _ingest(state: SetPcState, y, config: SetPcConfig):
     """Measurement correction, window push, parameter contraction."""
     window = state.window
@@ -176,11 +173,8 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     solver errors propagate.
     """
     corrected, theta = _ingest(state, y, config)
-
-    if config.dual_mode:
-        phase = dual_mode_supervisor(corrected.upper, config.terminal)
-    else:
-        phase = PHASE_MPC
+    phase = (PHASE_LOCAL if config.terminal.contains(corrected.upper)
+             else PHASE_MPC)
 
     if phase == PHASE_MPC:
         result = solve_mpc(corrected, state.window.demand, theta, config.mpc,

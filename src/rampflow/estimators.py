@@ -63,15 +63,13 @@ class EstimatorConfig:
     backward_horizon is the window length L: updates look at the last L
     transitions. prune_depth bounds the bisection depth per parameter bound,
     prune_budget caps the total number of consistency checks one
-    ``theta_update`` call may spend. With relax_jam set, the jam occupancy
-    is left alone by the contraction and treated as fixed at its upper
-    bound by the planner.
+    ``theta_update`` call may spend. The contraction treats every
+    parameter alike, the jam occupancy included.
     """
 
     backward_horizon: int = 8
     prune_depth: int = 8
     prune_budget: int = 256
-    relax_jam: bool = False
 
     def __post_init__(self):
         if int(self.backward_horizon) != self.backward_horizon or self.backward_horizon < 1:
@@ -370,7 +368,6 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     lo_map, up_map = _corner_maps(param_bounds)
     ends = [(f, i, is_upper)
             for f in PARAM_FIELDS
-            if not (config.relax_jam and f == "x_jam")
             for i in range(lo_map[f].shape[0])
             if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL
             # shave the upper end, then the lower: certify the half between

@@ -179,9 +179,6 @@ class _Block:
                                 f"{self.name}.{key}: expected an integer >= {minimum}")
         return int(val)
 
-    def flag(self, key: str, default: bool) -> bool:
-        return self.integer(key, int(default)) != 0
-
     def word(self, key: str, default: str | None, choices: tuple[str, ...]) -> str:
         entry = self._take(key)
         if entry is None:
@@ -230,7 +227,6 @@ class Scenario:
     controller: str
     alinea: AlineaConfig
     local: LocalConfig
-    dual_mode: bool
     mpc: MpcConfig
     terminal: TerminalSet
     cost: CostSpec
@@ -260,7 +256,6 @@ class Scenario:
             estimator=self.estimator,
             local=self.local,
             budget=MilpBudget(gap_rel=self.gap_rel),
-            dual_mode=self.dual_mode,
         )
 
     @property
@@ -364,7 +359,6 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     controller = cb.word("kind", CTRL_SETPC, CONTROLLERS)
     epsilon = cb.scalar("epsilon", 0.1)
     averaging = cb.integer("averaging_window", 1, minimum=1)
-    dual_mode = cb.flag("dual_mode", True)
     gain = cb.scalar("gain", ALINEA_GAIN)
     setpoint = cb.vector("setpoint", n) if "setpoint" in cb.entries else None
     cb.finish()
@@ -391,7 +385,6 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         backward_horizon=eb.integer("backward_horizon", 1, minimum=1),
         prune_depth=eb.integer("prune_depth", 6, minimum=0),
         prune_budget=eb.integer("prune_budget", 48, minimum=0),
-        relax_jam=eb.flag("relax_jam", False),
     )
     eb.finish()
 
@@ -412,7 +405,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         controller=controller,
         alinea=AlineaConfig(gain=gain, setpoint=setpoint),
         local=LocalConfig(averaging_window=averaging, epsilon=epsilon),
-        dual_mode=dual_mode, mpc=mpc_cfg, terminal=terminal, cost=cost,
+        mpc=mpc_cfg, terminal=terminal, cost=cost,
         gap_rel=gap_rel, estimator=estimator, steps=steps,
     )
 
@@ -450,7 +443,6 @@ boxes {
 controller {
   kind setpc
   epsilon 0.1
-  dual_mode 1
 }
 mpc {
   horizon 60
@@ -461,7 +453,6 @@ estimator {
   backward_horizon 1
   prune_depth 6
   prune_budget 48
-  relax_jam 1
 }
 run {
   steps 60
@@ -502,7 +493,6 @@ controller {
   kind setpc
   epsilon 0.1
   averaging_window 5
-  dual_mode 1
 }
 mpc {
   horizon 60
@@ -513,7 +503,6 @@ estimator {
   backward_horizon 5
   prune_depth 6
   prune_budget 48
-  relax_jam 1
 }
 run {
   steps 60
@@ -701,8 +690,8 @@ def emit_csv(log: TrajectoryLog, path: str | Path, *,
     """Write a log to disk: '#' metadata, a header row, one row per tick.
 
     ``meta`` is what :func:`scenario_meta` returns; :func:`read_log` needs
-    at least its ``cells`` line. Values print with 12 significant digits,
-    so re-running the same scenario reproduces the file byte for byte.
+    the lines it lists. Values print with 12 significant digits, so
+    re-running the same scenario reproduces the file byte for byte.
     """
     if len(log) == 0:
         raise ValueError("refusing to write an empty log")
@@ -733,7 +722,10 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
 
     Running costs are recomputed from the recorded weights; the per-step
     parameter boxes are not reconstructed (the verifier has no use for
-    them).
+    them). A file missing its ``cells``, ``l``, ``known_theta``,
+    ``constant_demand``, ``gap_abs`` or ``allowance`` line is refused with a
+    ``ValueError`` naming the line; ``demand`` is optional, as periodic runs
+    record none.
     """
     text = Path(path).read_text()
     meta: dict[str, list[str]] = {}
@@ -752,21 +744,25 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
             header = line.split(",")
         else:
             rows.append(line.split(","))
+
+    def need(key: str) -> list[str]:
+        if key not in meta:
+            raise ValueError(f"{path}: missing {key!r} metadata")
+        return meta[key]
+
     if header is None:
         raise ValueError(f"{path}: no header row")
-    if "cells" not in meta:
-        raise ValueError(f"{path}: missing 'cells' metadata")
-    n = int(meta["cells"][0])
+    n = int(need("cells")[0])
     if len(header) != len(_columns(n)):
         raise ValueError(f"{path}: expected {len(_columns(n))} columns, found {len(header)}")
 
-    l_vec = np.array([float(v) for v in meta["l"]]) if "l" in meta else np.ones(2 * n)
+    l_vec = np.array([float(v) for v in need("l")])
     log = TrajectoryLog(
         demand=np.array([float(v) for v in meta["demand"]]) if "demand" in meta else None,
-        known_theta=meta.get("known_theta", ["1"])[0] == "1",
-        constant_demand=meta.get("constant_demand", ["1"])[0] == "1",
-        gap=float(meta["gap_abs"][0]) if "gap_abs" in meta else 0.0,
-        decrease_allowance=float(meta["allowance"][0]) if "allowance" in meta else 0.0,
+        known_theta=need("known_theta")[0] == "1",
+        constant_demand=need("constant_demand")[0] == "1",
+        gap=float(need("gap_abs")[0]),
+        decrease_allowance=float(need("allowance")[0]),
     )
     idx = {name: i for i, name in enumerate(header)}
     for cells in rows:

@@ -783,17 +783,7 @@ def solve_mpc(
         initial_candidates=candidates,
     )
     if sol.status == milp.OPTIMAL:
-        x_best = sol.x
-        # a state resting exactly on a switch threshold lets the model pick
-        # either branch at equal cost; replaying the controls through the
-        # actual dynamics pins the trajectories to the plant's inclusive
-        # branch whenever that does not cost more
-        replay = prob.encode(np.asarray(sol.x)[prob.u])
-        if replay is not None:
-            val = float(prob.model.lp.obj @ replay)
-            if val <= sol.objective + max(1e-6, 1e-9 * abs(sol.objective)):
-                x_best = replay
-        controls, upper, lower = prob.decode(x_best)
+        controls, upper, lower = prob.decode(sol.x)
         return MpcResult(
             u=controls[0].copy(),
             value=float(sol.objective),

@@ -42,30 +42,32 @@ def synth_log(states, values, runnings, **meta):
 
 @pytest.fixture(scope="module")
 def planner_run():
-    """Fourteen ticks of the predictive loop in its certificate regime:
-    known parameters, constant arrivals, linear cost with the backward
-    terminal weights, drained terminal box."""
+    """Ten ticks of the predictive loop in its certificate regime: known
+    parameters, constant arrivals, linear cost with the backward terminal
+    weights, drained terminal box. The last ramp's queue keeps the loop out
+    of the drained box, so every tick plans; the box it returns for the
+    entry checks is the mainline one, which the loop enters at t=4."""
     params = homogeneous_params(4, beta=0.9, v=0.5, w=1 / 6, x_jam=160.0,
                                 c_max=20.0, alpha=0.9, u_max=40.0)
     cost = demo_cost(params)
-    terminal = TerminalSet.drained(compute_xup(LAM, params))
+    x_up = compute_xup(LAM, params)
     config = SetPcConfig(
         mpc=MpcConfig(horizon=6, l=cost.l, b=cost.b),
-        terminal=terminal, estimator=EstimatorConfig(backward_horizon=4),
-        dual_mode=False)
+        terminal=TerminalSet.drained(x_up),
+        estimator=EstimatorConfig(backward_horizon=4))
     model = OutputModel.full(4)
-    x = np.concatenate([[30.0, 30.0, 30.0, 50.0], [5.0, 0.0, 0.0, 0.0]])
+    x = np.concatenate([[30.0, 30.0, 30.0, 56.0], [5.0, 0.0, 0.0, 5.0]])
     state = SetPcState(predicted=LiftedState.degenerate(x),
                        params=ParamBounds.point(params),
                        window=MeasurementWindow(4, model, DemandBounds.point(LAM)))
     log = TrajectoryLog(demand=LAM, decrease_allowance=float(cost.d @ LAM))
-    for _ in range(14):
+    for _ in range(10):
         u, state, diag = setpc_step(state, measure(model, x), config)
         log.append(x=x, estimate=diag.corrected, u=u, value=diag.value,
                    running=running_cost(cost.l, diag.corrected.upper),
                    phase=diag.phase)
         x = compact_step(params, x, u, LAM)
-    return log, cost, terminal
+    return log, cost, TerminalSet.mainline_only(x_up)
 
 
 # --------------------------------------------------------------- constants

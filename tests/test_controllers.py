@@ -1,4 +1,4 @@
-"""Closed-loop policies: baseline laws, dual-mode switching, and the
+"""Closed-loop policies: baseline laws, terminal-box membership, and the
 set-membership predictive loop driven against the plant."""
 
 import math
@@ -13,8 +13,7 @@ from rampflow.estimators import (ContainmentViolation, EstimatorConfig,
 from rampflow.mpc import MpcConfig, TerminalSet, solve_mpc
 from rampflow.controllers import (ALINEA_GAIN, AlineaConfig, LocalConfig,
                                   PHASE_LOCAL, PHASE_MPC, SetPcConfig,
-                                  SetPcState, alinea_step,
-                                  dual_mode_supervisor, local_controller,
+                                  SetPcState, alinea_step, local_controller,
                                   open_loop_step, setpc_step)
 
 B_MAIN = np.array([6.878, 5.42, 3.8, 2.0])
@@ -131,23 +130,21 @@ def test_local_law_needs_history_and_valid_config():
         LocalConfig(epsilon=-0.5)
 
 
-# ------------------------------------------------------------- supervisor
+# ---------------------------------------------------------- terminal box
 
 
-def test_supervisor_switches_on_inclusive_membership():
-    terminal = TerminalSet.drained(np.full(4, 40.0))
+def test_terminal_membership_is_inclusive_within_1e9():
+    drained = TerminalSet.drained(np.full(4, 40.0))
     inside = np.concatenate([np.full(4, 39.0), np.zeros(4)])
-    boundary = np.concatenate([np.full(4, 40.0), np.zeros(4)])
-    outside = np.concatenate([np.full(4, 41.0), np.zeros(4)])
-    assert dual_mode_supervisor(inside, terminal) == PHASE_LOCAL
-    assert dual_mode_supervisor(boundary, terminal) == PHASE_LOCAL
-    assert dual_mode_supervisor(outside, terminal) == PHASE_MPC
-
-
-def test_supervisor_reverts_only_when_asked():
-    terminal = TerminalSet.drained(np.full(4, 40.0))
-    outside = np.concatenate([np.full(4, 41.0), np.zeros(4)])
-    assert dual_mode_supervisor(outside, terminal) == PHASE_MPC
+    assert drained.contains(inside)
+    assert drained.contains(np.concatenate([np.full(4, 40.0 + 1e-10), np.zeros(4)]))
+    assert not drained.contains(np.concatenate([np.full(4, 40.0 + 1e-8), np.zeros(4)]))
+    assert not drained.contains(np.concatenate([[41.0], np.full(3, 39.0), np.zeros(4)]))
+    assert not drained.contains(np.concatenate([np.full(4, 39.0), [0.0, 0.0, 0.0, 1.0]]))
+    # the mainline box leaves the queue caps free
+    mainline = TerminalSet.mainline_only(np.full(4, 40.0))
+    assert mainline.contains(np.concatenate([np.full(4, 40.0), np.full(4, 1e6)]))
+    assert not mainline.contains(np.concatenate([np.full(4, 41.0), np.zeros(4)]))
 
 
 # ----------------------------------------------------------- setpc loop
@@ -157,7 +154,7 @@ def test_setpc_tick_matches_the_direct_planner_on_point_boxes(
         stretch, nominal_demand):
     model = OutputModel.full(4)
     demand_box = DemandBounds.point(nominal_demand)
-    config = loop_config(horizon=3, dual_mode=False)
+    config = loop_config(horizon=3)
     x = np.concatenate([np.array([30.0, 30.0, 30.0, 45.0]),
                         np.array([2.0, 0.0, 0.0, 0.0])])
     state = fresh_state(x, ParamBounds.point(stretch), demand_box, model)
@@ -173,7 +170,7 @@ def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand)
     from dataclasses import replace
     model = OutputModel.full(4)
     demand_box = DemandBounds.point(nominal_demand)
-    config = loop_config(horizon=3, dual_mode=False)
+    config = loop_config(horizon=3)
     roomy = ParamBounds(upper=replace(stretch, x_jam=np.full(4, 170.0)),
                         lower=replace(stretch, x_jam=np.full(4, 150.0)))
     x = np.concatenate([np.array([30.0, 30.0, 30.0, 45.0]),
@@ -238,9 +235,13 @@ def test_setpc_keeps_the_truth_enclosed_under_partial_measurement(
     model = OutputModel(np.array([True, False, True, False]), np.ones(4))
     demand_box = DemandBounds(upper=nominal_demand * 1.02,
                               lower=nominal_demand * 0.98)
+    # serving the arrivals keeps the first cell above its cap of 19, so only
+    # metering on the last step reaches the box; queue weights of 10 in b
+    # make that the cheapest plan, and every tick plans
+    l, _ = stacked_cost()
     config = loop_config(
-        horizon=2, dual_mode=False,
-        terminal=TerminalSet.mainline_only(np.full(4, 40.0)),
+        mpc=MpcConfig(horizon=2, l=l, b=np.concatenate([B_MAIN, np.full(4, 10.0)])),
+        terminal=TerminalSet.mainline_only(np.array([19.0, 40.0, 40.0, 40.0])),
         estimator=EstimatorConfig(backward_horizon=4, prune_budget=16))
     x = np.concatenate([np.array([20.0, 25.0, 22.0, 30.0]),
                         np.array([3.0, 0.0, 1.0, 0.0])])
@@ -261,7 +262,7 @@ def test_setpc_keeps_the_truth_enclosed_under_partial_measurement(
 def test_setpc_rejects_a_tampered_measurement(stretch, nominal_demand):
     model = OutputModel.full(4)
     demand_box = DemandBounds.point(nominal_demand)
-    config = loop_config(horizon=3, dual_mode=False)
+    config = loop_config(horizon=3)
     x = np.concatenate([np.array([30.0, 30.0, 30.0, 45.0]),
                         np.array([2.0, 0.0, 0.0, 0.0])])
     state = fresh_state(x, ParamBounds.point(stretch), demand_box, model)

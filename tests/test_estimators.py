@@ -255,26 +255,6 @@ def test_theta_update_respects_the_check_budget(
     assert np.array_equal(out.upper.v, box.upper.v)
 
 
-def test_relaxed_jam_mode_never_touches_the_jam_interval(
-        stretch, demand_box, transient_start):
-    n = stretch.n_cells
-    lower = FreewayParams(beta=stretch.beta, v=np.full(n, 0.3), w=stretch.w,
-                          x_jam=np.full(n, 150.0), c_max=stretch.c_max,
-                          alpha=stretch.alpha, u_max=stretch.u_max)
-    upper = FreewayParams(beta=stretch.beta, v=np.full(n, 0.7), w=stretch.w,
-                          x_jam=np.full(n, 170.0), c_max=stretch.c_max,
-                          alpha=stretch.alpha, u_max=stretch.u_max)
-    box = ParamBounds(upper=upper, lower=lower)
-    window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
-    out = theta_update(window, box,
-                       EstimatorConfig(prune_depth=8, prune_budget=300,
-                                       relax_jam=True))
-    assert np.array_equal(out.lower.x_jam, lower.x_jam)
-    assert np.array_equal(out.upper.x_jam, upper.x_jam)
-    assert np.all(out.upper.v - out.lower.v < 0.4)
-
-
 def _theta_update_one_by_one(window, param_bounds, config):
     """Reference for theta_update: the bisection walk with one consistency
     check per probe, and the range checks made by constructing each probe.
@@ -308,7 +288,6 @@ def _theta_update_one_by_one(window, param_bounds, config):
             "no parameter left in the box reproduces the recorded window")
     lo_map, up_map = corner_maps(param_bounds)
     coords = [(f, i) for f in fields
-              if not (config.relax_jam and f == "x_jam")
               for i in range(lo_map[f].shape[0])
               if up_map[f][i] - lo_map[f][i] > 1e-12]
     for f, i in coords:
@@ -459,8 +438,7 @@ def contraction_cases(draw):
     # so it often runs out in the middle of the sweep
     depth = draw(st.sampled_from(range(11)))
     budget = 1 + depth * draw(st.integers(0, 6)) + draw(st.integers(0, depth))
-    config = EstimatorConfig(prune_budget=min(budget, 60), prune_depth=depth,
-                             relax_jam=draw(st.booleans()))
+    config = EstimatorConfig(prune_budget=min(budget, 60), prune_depth=depth)
     return window, box, config
 
 

@@ -90,23 +90,19 @@ def test_inadmissible_demand_base_is_a_scenario_error():
         parse_scenario(text)
 
 
-def test_run_seed_is_an_unknown_key():
-    text, line = _edit(PRESET, "  steps 60", ["  seed 0"])
-    with pytest.raises(ScenarioError, match=f"^line {line}: unknown key 'seed' in block 'run'$"):
-        parse_scenario(text)
-
-
-def test_controller_pin_jam_is_an_unknown_key():
-    text, line = _edit(PRESET, "  dual_mode 1", ["  pin_jam 1"])
+@pytest.mark.parametrize("anchor, new, block", [
+    ("  steps 60", "seed 0", "run"),
+    ("  epsilon 0.1", "pin_jam 1", "controller"),
+    ("  horizon 60", "cost linear", "mpc"),
+    ("  epsilon 0.1", "dual_mode 1", "controller"),
+    ("  prune_budget 48", "relax_jam 1", "estimator"),
+], ids=["run.seed", "controller.pin_jam", "mpc.cost", "controller.dual_mode",
+        "estimator.relax_jam"])
+def test_unknown_keys_are_refused_with_their_line(anchor, new, block):
+    key = new.split()[0]
+    text, line = _edit(PRESET, anchor, [f"  {new}"])
     with pytest.raises(ScenarioError,
-                       match=f"^line {line}: unknown key 'pin_jam' in block 'controller'$"):
-        parse_scenario(text)
-
-
-def test_mpc_cost_is_an_unknown_key():
-    text, line = _edit(PRESET, "  horizon 60", ["  cost linear"])
-    with pytest.raises(ScenarioError,
-                       match=f"^line {line}: unknown key 'cost' in block 'mpc'$"):
+                       match=f"^line {line}: unknown key '{key}' in block '{block}'$"):
         parse_scenario(text)
 
 
@@ -139,6 +135,8 @@ def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
 
     back, meta = read_log(paths[0])
     assert meta["scenario"] == ["short_plan"] and meta["horizon"] == ["4"]
+    assert list(meta.items()) == [(key, val.split())
+                                  for key, val in harness.scenario_meta(scenario, log)]
     assert len(back) == len(log) == scenario.warmup + scenario.steps
     assert [s.phase for s in back.steps] == [s.phase for s in log.steps]
     np.testing.assert_allclose(back.states, log.states, rtol=1e-11)
@@ -176,11 +174,24 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
     assert "mpc.horizon: expected finite numbers" in capsys.readouterr().err
 
 
+# the lines read_log needs; demand is optional, as periodic runs have none
+_NEEDED_META = {"cells": "4", "l": "1", "known_theta": "1", "constant_demand": "1",
+                "gap_abs": "0", "allowance": "0"}
+
+
+def _csv_without(key: str) -> str:
+    lines = [f"# {k} {v}" for k, v in _NEEDED_META.items() if k != key]
+    return "\n".join(lines + [",".join(harness._columns(4))]) + "\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("# cells 4\n", "no header row"),
     (",".join(harness._columns(4)) + "\n", "missing 'cells' metadata"),
     ("# cells 4\nt,x_1\n", f"expected {len(harness._columns(4))} columns, found 2"),
-], ids=["no_header", "no_cells", "column_count"])
+] + [(_csv_without(key), f"missing '{key}' metadata")
+     for key in list(_NEEDED_META)[1:]],
+    ids=["no_header", "no_cells", "column_count"]
+    + [f"no_{key}" for key in list(_NEEDED_META)[1:]])
 def test_read_log_refuses_files_it_cannot_rebuild(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
