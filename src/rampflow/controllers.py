@@ -13,13 +13,14 @@ them against the same estimation stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import LiftedState, ParamBounds, lifted_step
 from .estimators import (EstimatorConfig, MeasurementWindow, state_update,
                          theta_update)
+from .milp import MilpBudget
 from .mpc import MpcConfig, TerminalSet, solve_mpc
 
 PHASE_MPC = "mpc"
@@ -40,8 +41,8 @@ class AlineaConfig:
     targets each cell's critical occupancy.
     """
 
-    gain: float = ALINEA_GAIN
-    setpoint: np.ndarray | None = None
+    gain: float
+    setpoint: np.ndarray | None
 
     def __post_init__(self):
         if self.gain < 0.0:
@@ -53,8 +54,8 @@ class LocalConfig:
     """Demand-tracking law: serve the reconstructed arrivals, plus a small
     drain offset while queues persist."""
 
-    averaging_window: int = 1
-    epsilon: float = 0.1
+    averaging_window: int
+    epsilon: float
 
     def __post_init__(self):
         if int(self.averaging_window) != self.averaging_window or self.averaging_window < 1:
@@ -69,14 +70,15 @@ class SetPcConfig:
 
     The loop is always dual-mode: a tick whose corrected upper estimate lies
     in ``terminal`` (``TerminalSet.contains``, inclusive) runs the ``local``
-    law, any other tick plans with ``mpc`` under ``budget``.
+    law once the window holds two readings, any other tick plans with
+    ``mpc`` under ``budget``.
     """
 
     mpc: MpcConfig
     terminal: TerminalSet
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    local: LocalConfig = field(default_factory=LocalConfig)
-    budget: object | None = None
+    estimator: EstimatorConfig
+    local: LocalConfig
+    budget: MilpBudget
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def open_loop_step(lam_nominal, u_max) -> np.ndarray:
     return np.clip(lam, 0.0, np.asarray(u_max, dtype=float))
 
 
-def alinea_step(prev_u, merge_estimates, params, cfg: AlineaConfig = AlineaConfig()) -> np.ndarray:
+def alinea_step(prev_u, merge_estimates, params, cfg: AlineaConfig) -> np.ndarray:
     """One ALINEA tick from the merge-cell occupancy estimates."""
     prev_u = np.asarray(prev_u, dtype=float)
     est = np.asarray(merge_estimates, dtype=float)
@@ -116,8 +118,8 @@ def alinea_step(prev_u, merge_estimates, params, cfg: AlineaConfig = AlineaConfi
     return np.clip(u, 0.0, params.u_max)
 
 
-def local_controller(queue_history, control_history, cfg: LocalConfig = LocalConfig(),
-                     *, u_max=None) -> np.ndarray:
+def local_controller(queue_history, control_history, cfg: LocalConfig,
+                     *, u_max) -> np.ndarray:
     """Serve the demand reconstructed from queue movement.
 
     Each recorded transition reveals the arrivals exactly: what joined the
@@ -126,6 +128,7 @@ def local_controller(queue_history, control_history, cfg: LocalConfig = LocalCon
     averaging_window of them), plus the drain offset epsilon while any
     queue is still standing; with a single-step window and constant
     arrivals this telescopes to the arrivals themselves after one step.
+    The command is clipped into [0, u_max].
     """
     queues = [np.asarray(q, dtype=float) for q in queue_history]
     controls = [np.asarray(u, dtype=float) for u in control_history]
@@ -136,8 +139,7 @@ def local_controller(queue_history, control_history, cfg: LocalConfig = LocalCon
     u = np.mean(recon, axis=0)
     if np.any(queues[-1] > 0.0):
         u = u + cfg.epsilon
-    upper = np.inf if u_max is None else np.asarray(u_max, dtype=float)
-    return np.clip(u, 0.0, upper)
+    return np.clip(u, 0.0, np.asarray(u_max, dtype=float))
 
 
 def _ingest(state: SetPcState, y, config: SetPcConfig):
@@ -166,15 +168,17 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
 
     Runs, in order: the measurement correction, the parameter contraction,
     the phase decision and control computation, and the tube prediction for
-    the next tick. The executed control is clamped to the guaranteed service
-    bound min(u, q-lower + lam-lower) so the plant's ramp discharge equals
-    the command exactly and containment carries over.
+    the next tick. The local law reads a queue transition, so a tick plans
+    until the window holds two readings, even inside the terminal set. The
+    executed control is clamped to the guaranteed service bound
+    min(u, q-lower + lam-lower) so the plant's ramp discharge equals the
+    command exactly and containment carries over.
     Returns (executed control, successor state, diagnostics); estimator and
     solver errors propagate.
     """
     corrected, theta = _ingest(state, y, config)
-    phase = (PHASE_LOCAL if config.terminal.contains(corrected.upper)
-             else PHASE_MPC)
+    phase = (PHASE_LOCAL if len(state.window) > 1
+             and config.terminal.contains(corrected.upper) else PHASE_MPC)
 
     if phase == PHASE_MPC:
         result = solve_mpc(corrected, state.window.demand, theta, config.mpc,

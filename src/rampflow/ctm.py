@@ -104,21 +104,6 @@ class FreewayParams:
         return self.c_max / self.v
 
 
-def homogeneous_params(n_cells: int, *, beta: float, v: float, w: float,
-                       x_jam: float, c_max: float, alpha: float,
-                       u_max: float = 40.0) -> FreewayParams:
-    """Convenience constructor for a stretch with identical cells."""
-    return FreewayParams(
-        beta=np.full(n_cells - 1, beta),
-        v=np.full(n_cells, v),
-        w=np.full(n_cells, w),
-        x_jam=np.full(n_cells, x_jam),
-        c_max=np.full(n_cells, c_max),
-        alpha=np.full(n_cells, alpha),
-        u_max=np.full(n_cells, u_max),
-    )
-
-
 def split_state(x: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a stacked state into (mainline, queues)."""
     x = np.asarray(x, dtype=float)
@@ -158,16 +143,15 @@ def mainline_outflow(params: FreewayParams, x_main: np.ndarray) -> np.ndarray:
 
 
 def ramp_outflow(params: FreewayParams, x: np.ndarray, u: np.ndarray,
-                 lam: np.ndarray, f_out: np.ndarray | None = None) -> np.ndarray:
+                 lam: np.ndarray, f_out: np.ndarray) -> np.ndarray:
     """Vehicles each ramp actually discharges this step.
 
     The discharge is the commanded rate capped by what is waiting
     (queue + fresh arrivals) and by the space left in the target cell after
-    the mainline flows of the current step are accounted for.
+    the mainline flows f_out (``mainline_outflow`` of x) of the current step
+    are accounted for.
     """
     main, queues = split_state(x, params.n_cells)
-    if f_out is None:
-        f_out = mainline_outflow(params, main)
     upstream = np.zeros_like(main)
     upstream[..., 1:] = params.beta * f_out[..., :-1]
     space = params.x_jam - (main + upstream - f_out)
@@ -255,10 +239,6 @@ class OutputModel:
             self, "c_diag", _as_float_vector("c_diag", self.c_diag, mask.shape[0]))
         if np.any(self.c_diag[mask] <= 0.0):
             raise ValueError("measured cells need a positive gain")
-
-    @classmethod
-    def full(cls, n_cells: int) -> "OutputModel":
-        return cls(np.ones(n_cells, dtype=bool), np.ones(n_cells))
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,6 @@ class LiftedState:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    @classmethod
-    def degenerate(cls, x: np.ndarray) -> "LiftedState":
-        x = np.asarray(x, dtype=float)
-        return cls(upper=x.copy(), lower=x.copy())
-
 
 @dataclass(frozen=True)
 class DemandBounds:
@@ -89,11 +84,6 @@ class DemandBounds:
             raise ValueError("demand bounds must have the same shape")
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
-
-    @classmethod
-    def point(cls, lam: np.ndarray) -> "DemandBounds":
-        lam = np.asarray(lam, dtype=float)
-        return cls(upper=lam.copy(), lower=lam.copy())
 
 
 # The ranges of a box on top of its corners' own (ctm.RANGE_RULES), as
@@ -128,10 +118,6 @@ class ParamBounds:
         return all(
             np.array_equal(getattr(self.lower, n), getattr(self.upper, n))
             for n in PARAM_FIELDS)
-
-    @classmethod
-    def point(cls, params: FreewayParams) -> "ParamBounds":
-        return cls(upper=params, lower=params)
 
 
 def _box_admissible(upper, lower) -> np.ndarray:

@@ -64,12 +64,13 @@ class EstimatorConfig:
     transitions. prune_depth bounds the bisection depth per parameter bound,
     prune_budget caps the total number of consistency checks one
     ``theta_update`` call may spend. The contraction treats every
-    parameter alike, the jam occupancy included.
+    parameter alike, the jam occupancy included. A scenario's
+    ``estimator`` block supplies all three (docs/scenario-format.md).
     """
 
-    backward_horizon: int = 8
-    prune_depth: int = 8
-    prune_budget: int = 256
+    backward_horizon: int
+    prune_depth: int
+    prune_budget: int
 
     def __post_init__(self):
         if int(self.backward_horizon) != self.backward_horizon or self.backward_horizon < 1:
@@ -116,10 +117,6 @@ class MeasurementWindow:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def full(self) -> bool:
-        return len(self._records) == self.backward_horizon + 1
 
     @property
     def lifted_boxes(self) -> list[LiftedState]:
@@ -331,7 +328,7 @@ def _certify_trees(window: MeasurementWindow, up_map: dict, lo_map: dict,
 
 
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
-                 config: EstimatorConfig = EstimatorConfig()) -> ParamBounds:
+                 config: EstimatorConfig) -> ParamBounds:
     """Contract the parameter box against the recorded window.
 
     Works one scalar coordinate at a time. To lower an upper bound, bisect

@@ -675,9 +675,6 @@ def scenario_meta(scenario: Scenario, log: TrajectoryLog) -> list[tuple[str, str
 
 
 def _theta_row(step) -> list[float]:
-    if step.theta is None:
-        n = step.x.shape[0] // 2
-        return [math.nan] * (2 * (6 * n - 1))
     vals: list[float] = []
     for corner in (step.theta.upper, step.theta.lower):
         for fld in PARAM_FIELDS:

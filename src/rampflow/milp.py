@@ -56,31 +56,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._simplex import (
+# NumericalBreakdown escapes solve_milp; callers catch it as milp.NumericalBreakdown
+from ._simplex import (  # noqa: F401
     EqualityForm,
     NumericalBreakdown,
     WarmBasis,
     crash_from_point,
     solve_canonical,
 )
-
-__all__ = [
-    "OPTIMAL",
-    "INFEASIBLE",
-    "UNBOUNDED",
-    "BUDGET_EXCEEDED",
-    "LinearProgram",
-    "MilpModel",
-    "MilpBudget",
-    "Solution",
-    "ModelBuilder",
-    "encode_min_equality",
-    "encode_capacity_drop",
-    "solve_milp",
-    "check_solution",
-    "dump_model",
-    "NumericalBreakdown",
-]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

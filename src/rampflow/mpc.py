@@ -126,10 +126,6 @@ class TerminalSet:
             raise ValueError("terminal bound must be nonnegative")
         object.__setattr__(self, "x_f", xf)
 
-    @property
-    def n_cells(self) -> int:
-        return self.x_f.shape[0] // 2
-
     def contains(self, x) -> bool:
         """Whether the stacked state x sits in the box, boundary included
         (within 1e-9); the loop applies it to the upper estimate."""
@@ -510,9 +506,8 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     _validate_inputs(xhat, demand, bounds, config, terminal, n)
     jam = p_up.x_jam
     box_ub = np.concatenate([jam, np.full(n, np.inf)])
-    cap0 = np.concatenate([jam, np.full(n, np.inf)])
-    x_hi = np.minimum(np.maximum(np.asarray(xhat.upper, float), 0.0), cap0)
-    x_lo = np.minimum(np.maximum(np.asarray(xhat.lower, float), 0.0), cap0)
+    x_hi = np.minimum(np.maximum(np.asarray(xhat.upper, float), 0.0), box_ub)
+    x_lo = np.minimum(np.maximum(np.asarray(xhat.lower, float), 0.0), box_ub)
     x_lo = np.minimum(x_lo, x_hi)
     lam_up = np.asarray(demand.upper, dtype=float)
     lam_lo = np.maximum(np.asarray(demand.lower, dtype=float), 0.0)
@@ -739,7 +734,7 @@ def solve_mpc(
     config: MpcConfig,
     terminal: TerminalSet,
     *,
-    budget: milp.MilpBudget | None = None,
+    budget: milp.MilpBudget,
 ) -> MpcResult:
     """Plan over the horizon and return the first control with the value.
 
@@ -778,7 +773,7 @@ def solve_mpc(
 
     sol = milp.solve_milp(
         prob.model,
-        budget=budget or milp.MilpBudget(),
+        budget=budget,
         incumbent_hook=hook,
         initial_candidates=candidates,
     )

@@ -1,7 +1,47 @@
 import numpy as np
 import pytest
 
-from rampflow.ctm import FreewayParams, homogeneous_params
+from rampflow.ctm import FreewayParams, OutputModel, mainline_outflow, ramp_outflow
+from rampflow.embedding import DemandBounds, LiftedState
+
+
+def homogeneous_params(n_cells: int, *, beta: float, v: float, w: float,
+                       x_jam: float, c_max: float, alpha: float,
+                       u_max: float = 40.0) -> FreewayParams:
+    """A stretch with identical cells."""
+    return FreewayParams(
+        beta=np.full(n_cells - 1, beta),
+        v=np.full(n_cells, v),
+        w=np.full(n_cells, w),
+        x_jam=np.full(n_cells, x_jam),
+        c_max=np.full(n_cells, c_max),
+        alpha=np.full(n_cells, alpha),
+        u_max=np.full(n_cells, u_max),
+    )
+
+
+def ramp_discharge(params: FreewayParams, x, u, lam) -> np.ndarray:
+    """``ramp_outflow`` after the mainline flows of the state x itself."""
+    x = np.asarray(x, dtype=float)
+    return ramp_outflow(params, x, u, lam,
+                        mainline_outflow(params, x[..., :params.n_cells]))
+
+
+def point_state(x) -> LiftedState:
+    """The box [x, x]. Its corners are copies, since the box does not copy."""
+    x = np.asarray(x, dtype=float)
+    return LiftedState(upper=x.copy(), lower=x.copy())
+
+
+def point_demand(lam) -> DemandBounds:
+    """The arrival box [lam, lam], with copied corners."""
+    lam = np.asarray(lam, dtype=float)
+    return DemandBounds(upper=lam.copy(), lower=lam.copy())
+
+
+def full_output(n_cells: int) -> OutputModel:
+    """A unit-gain detector on every mainline cell."""
+    return OutputModel(np.ones(n_cells, dtype=bool), np.ones(n_cells))
 
 
 @pytest.fixture

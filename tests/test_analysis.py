@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampflow.ctm import (OutputModel, compact_step, homogeneous_params,
-                          measure)
-from rampflow.embedding import DemandBounds, LiftedState, ParamBounds
+from rampflow.ctm import compact_step, measure
+from rampflow.embedding import ParamBounds
 from rampflow.estimators import EstimatorConfig, MeasurementWindow
+from rampflow.milp import MilpBudget
 from rampflow.mpc import (CostSpec, MpcConfig, TerminalSet,
                           choose_terminal_weights, compute_xup)
-from rampflow.controllers import SetPcConfig, SetPcState, setpc_step
+from rampflow.controllers import LocalConfig, SetPcConfig, SetPcState, setpc_step
 from rampflow.analysis import (SCOPE_NOMINAL, SCOPE_OUTSIDE, IssConstants,
                                TrajectoryLog, certificate_summary,
                                iss_constants, lyapunov_decrease_check,
                                running_cost, time_to_terminal,
                                value_function_bounds_check, verify_iss_bound)
+
+from conftest import full_output, homogeneous_params, point_demand, point_state
 
 LAM = np.array([19.17, 1.67, 1.67, 1.67])
 
@@ -35,7 +37,7 @@ def synth_log(states, values, runnings, **meta):
     log = TrajectoryLog(**meta)
     for x, v, r in zip(states, values, runnings):
         x = np.asarray(x, dtype=float)
-        log.append(x=x, estimate=LiftedState.degenerate(x), u=np.zeros(1),
+        log.append(x=x, estimate=point_state(x), u=np.zeros(1),
                    value=v, running=r, phase="mpc")
     return log
 
@@ -54,12 +56,14 @@ def planner_run():
     config = SetPcConfig(
         mpc=MpcConfig(horizon=6, l=cost.l, b=cost.b),
         terminal=TerminalSet.drained(x_up),
-        estimator=EstimatorConfig(backward_horizon=4))
-    model = OutputModel.full(4)
+        estimator=EstimatorConfig(backward_horizon=4, prune_depth=8, prune_budget=256),
+        local=LocalConfig(averaging_window=1, epsilon=0.1),
+        budget=MilpBudget())
+    model = full_output(4)
     x = np.concatenate([[30.0, 30.0, 30.0, 56.0], [5.0, 0.0, 0.0, 5.0]])
-    state = SetPcState(predicted=LiftedState.degenerate(x),
-                       params=ParamBounds.point(params),
-                       window=MeasurementWindow(4, model, DemandBounds.point(LAM)))
+    state = SetPcState(predicted=point_state(x),
+                       params=ParamBounds(params, params),
+                       window=MeasurementWindow(4, model, point_demand(LAM)))
     log = TrajectoryLog(demand=LAM, decrease_allowance=float(cost.d @ LAM))
     for _ in range(10):
         u, state, diag = setpc_step(state, measure(model, x), config)

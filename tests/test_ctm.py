@@ -15,7 +15,6 @@ from rampflow.ctm import (
     demand_fn,
     equilibrium_flow,
     equilibrium_uncongested,
-    homogeneous_params,
     mainline_outflow,
     measure,
     plant_step,
@@ -23,7 +22,8 @@ from rampflow.ctm import (
     split_state,
 )
 
-from conftest import random_params, random_state
+from conftest import (full_output, homogeneous_params, ramp_discharge, random_params,
+                      random_state)
 
 
 def zero_queue_state(main):
@@ -79,7 +79,7 @@ class TestRampOutflow:
         x = zero_queue_state([30.0, 30.0, 30.0, 30.0])
         x[4] = 1.0  # one vehicle waiting
         lam = np.array([2.0, 0.0, 0.0, 0.0])
-        f_r = ramp_outflow(stretch, x, np.full(4, 5.0), lam)
+        f_r = ramp_discharge(stretch, x, np.full(4, 5.0), lam)
         assert f_r[0] == pytest.approx(3.0)
 
     def test_space_limited(self):
@@ -88,13 +88,13 @@ class TestRampOutflow:
         params = homogeneous_params(
             2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0, c_max=20.0, alpha=0.1)
         x = np.array([160.0, 0.0, 8.0, 0.0])
-        f_r = ramp_outflow(params, x, np.array([5.0, 0.0]), np.array([2.0, 0.0]))
+        f_r = ramp_discharge(params, x, np.array([5.0, 0.0]), np.array([2.0, 0.0]))
         assert f_r[0] == pytest.approx(2.0)
 
     def test_zero_command(self, stretch):
         x = zero_queue_state([30.0, 30.0, 30.0, 30.0])
         x[4:] = 10.0
-        f_r = ramp_outflow(stretch, x, np.zeros(4), np.full(4, 5.0))
+        f_r = ramp_discharge(stretch, x, np.zeros(4), np.full(4, 5.0))
         assert np.all(f_r == 0.0)
 
 
@@ -144,7 +144,7 @@ class TestStepping:
             lam = rng.uniform(0.0, 10.0, 4)
             # the realized discharge is always a feasible command, and
             # commanding it must reproduce the plant bit for bit
-            u = ramp_outflow(stretch, x, u_raw, lam)
+            u = ramp_discharge(stretch, x, u_raw, lam)
             np.testing.assert_array_equal(
                 plant_step(stretch, x, u_raw, lam),
                 compact_step(stretch, x, u, lam))
@@ -208,7 +208,7 @@ class TestAdmissibility:
 class TestMeasure:
     def test_identity(self, stretch):
         x = np.arange(8.0)
-        obs = measure(OutputModel.full(4), x)
+        obs = measure(full_output(4), x)
         np.testing.assert_array_equal(obs.y_main, x[:4])
         np.testing.assert_array_equal(obs.y_ramp, x[4:])
 
@@ -314,7 +314,7 @@ def test_discharge_never_exceeds_command_or_backlog(x, u, queue, lam):
     params = homogeneous_params(
         4, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0, c_max=20.0, alpha=0.9)
     state = np.array([x, 30.0, 30.0, 30.0, queue, 0.0, 0.0, 0.0])
-    f_r = ramp_outflow(params, state, np.full(4, u), np.full(4, lam))
+    f_r = ramp_discharge(params, state, np.full(4, u), np.full(4, lam))
     assert f_r[0] <= u + 1e-12
     assert f_r[0] <= queue + lam + 1e-12
     assert f_r[0] >= 0.0

@@ -9,9 +9,7 @@ from rampflow.ctm import (
     FreewayParams,
     compact_step,
     equilibrium_uncongested,
-    homogeneous_params,
     plant_step,
-    ramp_outflow,
 )
 from rampflow.embedding import (
     DemandBounds,
@@ -24,7 +22,8 @@ from rampflow.embedding import (
     lifted_step,
 )
 
-from conftest import random_state
+from conftest import (homogeneous_params, point_demand, point_state, ramp_discharge,
+                      random_state)
 
 
 def demo_bounds() -> ParamBounds:
@@ -124,7 +123,7 @@ class TestDiagonal:
         rng = np.random.default_rng(3)
         x = random_state(rng, stretch, 500)
         lam = rng.uniform(0.0, 12.0, (500, 4))
-        u = ramp_outflow(stretch, x, rng.uniform(0.0, 30.0, (500, 4)), lam)
+        u = ramp_discharge(stretch, x, rng.uniform(0.0, 30.0, (500, 4)), lam)
         np.testing.assert_array_equal(
             _tube_flows(x, x, u, lam, _primary_tuple(stretch),
                         _secondary_tuple(stretch)).next,
@@ -133,19 +132,19 @@ class TestDiagonal:
     def test_decomposition_on_degenerate_box(self, stretch, nominal_demand):
         x = np.concatenate([equilibrium_uncongested(stretch, nominal_demand),
                             np.zeros(4)])
-        lifted = LiftedState.degenerate(x)
+        lifted = point_state(x)
         out = upper_next(lifted, nominal_demand,
-                         DemandBounds.point(nominal_demand),
-                         ParamBounds.point(stretch))
+                         point_demand(nominal_demand),
+                         ParamBounds(stretch, stretch))
         np.testing.assert_array_equal(
             out, compact_step(stretch, x, nominal_demand, nominal_demand))
 
     def test_degenerate_lifted_step_collapses(self, stretch, nominal_demand):
         x = np.concatenate([equilibrium_uncongested(stretch, nominal_demand),
                             np.zeros(4)])
-        nxt = lifted_step(LiftedState.degenerate(x), nominal_demand,
-                          DemandBounds.point(nominal_demand),
-                          ParamBounds.point(stretch))
+        nxt = lifted_step(point_state(x), nominal_demand,
+                          point_demand(nominal_demand),
+                          ParamBounds(stretch, stretch))
         np.testing.assert_array_equal(nxt.upper, nxt.lower)
 
 
@@ -160,7 +159,7 @@ class TestDecomposition:
         assert np.all(out >= truth - 1e-12)
 
     def test_zero_state_accumulates_demand_in_queues(self, nominal_demand):
-        lifted = LiftedState.degenerate(np.zeros(8))
+        lifted = point_state(np.zeros(8))
         dem = DemandBounds(upper=nominal_demand, lower=np.zeros(4))
         out = upper_next(lifted, np.zeros(4), dem, demo_bounds())
         np.testing.assert_array_equal(out[:4], np.zeros(4))
@@ -229,7 +228,7 @@ class TestContainment:
                            lower=np.maximum(x - rng.uniform(0.0, 5.0, 8), 0.0))
         for t in range(steps):
             lam = rng.uniform(dem.lower, dem.upper)
-            u = ramp_outflow(true, x, rng.uniform(0.0, 20.0, 4), lam)
+            u = ramp_discharge(true, x, rng.uniform(0.0, 20.0, 4), lam)
             tube = lifted_step(tube, u, dem, bounds)
             x = compact_step(true, x, u, lam)
             assert tube.contains(x), f"step {t}: truth escaped the tube"
@@ -248,7 +247,7 @@ class TestContainment:
         x = np.concatenate([np.full(4, 30.0), np.full(4, 2.0)])
         dem = DemandBounds(upper=nominal_demand * 1.05, lower=nominal_demand * 0.95)
         u = np.full(4, 3.0)
-        tn = tw = LiftedState.degenerate(x)
+        tn = tw = point_state(x)
         for _ in range(5):
             tn = lifted_step(tn, u, dem, narrow)
             tw = lifted_step(tw, u, dem, wide)
@@ -263,11 +262,11 @@ class TestSimulateLifted:
         x = np.concatenate([equilibrium_uncongested(stretch, nominal_demand),
                             np.full(4, 5.0)])
         controls = np.tile(nominal_demand * 0.8, (5, 1))
-        out = LiftedState.degenerate(x)
+        out = point_state(x)
         ref = x
         for k in range(5):
-            out = lifted_step(out, controls[k], DemandBounds.point(nominal_demand),
-                              ParamBounds.point(stretch))
+            out = lifted_step(out, controls[k], point_demand(nominal_demand),
+                              ParamBounds(stretch, stretch))
             ref = compact_step(stretch, ref, controls[k], nominal_demand)
         np.testing.assert_array_equal(out.upper, ref)
         np.testing.assert_array_equal(out.lower, ref)
@@ -286,7 +285,7 @@ class TestParamBoundsValidation:
             ParamBounds(upper=fast, lower=fast)
 
     def test_point_box_flags(self, stretch):
-        box = ParamBounds.point(stretch)
+        box = ParamBounds(stretch, stretch)
         assert box.is_point
         assert not demo_bounds().is_point
 

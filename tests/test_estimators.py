@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 from rampflow import estimators
 from rampflow.ctm import (FreewayParams, Observation, OutputModel,
-                          compact_step, equilibrium_uncongested,
-                          homogeneous_params, measure)
+                          compact_step, equilibrium_uncongested, measure)
 from rampflow.embedding import DemandBounds, LiftedState, ParamBounds, lifted_step
 from rampflow.estimators import (FEASIBLE, INFEASIBLE, UNKNOWN,
                                  ContainmentViolation, EstimatorConfig,
                                  MeasurementWindow, interval_consistency,
                                  state_update, theta_update)
+
+from conftest import full_output, homogeneous_params, point_demand, point_state
+
+# deeper walks and a larger budget than a scenario's (6 and 48); theta_update
+# reads only these two fields
+DEEP = EstimatorConfig(backward_horizon=8, prune_depth=8, prune_budget=256)
 
 
 def wide_start(params, queue_cap=50.0):
@@ -56,7 +61,7 @@ def drive_window(true_params, box, x0, steps, model, demand_box, *, u=None):
 
 @pytest.fixture
 def demand_box(nominal_demand):
-    return DemandBounds.point(nominal_demand)
+    return point_demand(nominal_demand)
 
 
 @pytest.fixture
@@ -98,7 +103,7 @@ def test_state_update_is_contained_and_idempotent(stretch):
 
 
 def test_state_update_rejects_readings_outside_the_box(stretch):
-    model = OutputModel.full(4)
+    model = full_output(4)
     predicted = LiftedState(upper=np.full(8, 10.0), lower=np.full(8, 1.0))
     high = np.concatenate([np.array([11.0, 5.0, 5.0, 5.0]), np.full(4, 5.0)])
     with pytest.raises(ContainmentViolation, match="mainline cell 0"):
@@ -109,7 +114,7 @@ def test_state_update_rejects_readings_outside_the_box(stretch):
 
 
 def test_state_update_rejects_a_missing_measured_reading():
-    model = OutputModel.full(2)
+    model = full_output(2)
     predicted = LiftedState(upper=np.full(4, 10.0), lower=np.zeros(4))
     broken = Observation(y_main=np.array([np.nan, 3.0]), y_ramp=np.zeros(2))
     with pytest.raises(ValueError, match="missing"):
@@ -120,35 +125,35 @@ def test_state_update_rejects_a_missing_measured_reading():
 
 
 def test_window_rolls_and_keeps_transitions_aligned(stretch, demand_box):
-    model = OutputModel.full(4)
+    model = full_output(4)
     window = MeasurementWindow(2, model, demand_box)
     states = [np.full(8, float(k)) for k in range(5)]
-    window.push(LiftedState.degenerate(states[0]), measure(model, states[0]))
-    assert not window.full
+    window.push(point_state(states[0]), measure(model, states[0]))
+    assert len(window) == 1
     for k, x in enumerate(states[1:], start=1):
-        window.push(LiftedState.degenerate(x), measure(model, x),
+        window.push(point_state(x), measure(model, x),
                     control=np.full(4, float(k)))
-    assert window.full and len(window) == 3
+    assert len(window) == 3
     assert [c[0] for c in window.controls] == [3.0, 4.0]
     assert window.lifted_boxes[0].upper[0] == 2.0
 
 
 def test_window_rejects_a_transition_without_its_control(stretch, demand_box):
-    model = OutputModel.full(4)
+    model = full_output(4)
     window = MeasurementWindow(3, model, demand_box)
     x = np.zeros(8)
-    window.push(LiftedState.degenerate(x), measure(model, x))
+    window.push(point_state(x), measure(model, x))
     with pytest.raises(ValueError, match="control of the transition"):
-        window.push(LiftedState.degenerate(x), measure(model, x))
+        window.push(point_state(x), measure(model, x))
 
 
 # ---------------------------------------------------------- consistency
 
 
 def test_point_truth_window_reads_feasible(stretch, demand_box, transient_start):
-    box = ParamBounds.point(stretch)
+    box = ParamBounds(stretch, stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
+                             full_output(4), demand_box)
     verdict = interval_consistency(box, window)
     assert verdict == FEASIBLE
 
@@ -163,15 +168,15 @@ def test_wide_box_around_truth_is_never_infeasible(demand_box, transient_start, 
         box = speed_box(stretch, lo=float(v_true.min()) - 0.1,
                         hi=float(v_true.max()) + 0.1)
         window, _ = drive_window(truth, box, transient_start, 4,
-                                 OutputModel.full(4), demand_box)
+                                 full_output(4), demand_box)
         verdict = interval_consistency(box, window)
         assert verdict in (UNKNOWN, FEASIBLE)
 
 
 def test_box_excluding_the_truth_is_certified_infeasible(
         stretch, demand_box, transient_start):
-    window, _ = drive_window(stretch, ParamBounds.point(stretch),
-                             transient_start, 3, OutputModel.full(4), demand_box)
+    window, _ = drive_window(stretch, ParamBounds(stretch, stretch),
+                             transient_start, 3, full_output(4), demand_box)
     away = speed_box(stretch, lo=0.75, hi=0.8)
     verdict = interval_consistency(away, window)
     assert verdict == INFEASIBLE
@@ -184,7 +189,7 @@ def test_theta_update_collapses_onto_the_free_flow_speed(
         stretch, demand_box, transient_start):
     box = speed_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
+                             full_output(4), demand_box)
     config = EstimatorConfig(backward_horizon=3, prune_depth=16,
                              prune_budget=512)
     out = theta_update(window, box, config)
@@ -212,10 +217,10 @@ def test_theta_update_is_monotone_and_keeps_the_truth(stretch, demand_box):
         box = ParamBounds(upper=upper, lower=lower)
         x_unc = equilibrium_uncongested(truth, demand_box.upper)
         x0 = np.concatenate([0.5 * x_unc, np.zeros(4)])
-        window, _ = drive_window(truth, box, x0, 4, OutputModel.full(4),
+        window, _ = drive_window(truth, box, x0, 4, full_output(4),
                                  demand_box)
         out = theta_update(window, box,
-                           EstimatorConfig(prune_depth=6, prune_budget=150))
+                           replace(DEEP, prune_depth=6, prune_budget=150))
         for field, true_vec in (("v", v_true), ("beta", beta_true)):
             lo_in, up_in = getattr(lower, field), getattr(upper, field)
             lo_out, up_out = getattr(out.lower, field), getattr(out.upper, field)
@@ -227,10 +232,10 @@ def test_theta_update_is_monotone_and_keeps_the_truth(stretch, demand_box):
 
 def test_theta_update_leaves_a_point_box_unchanged(
         stretch, demand_box, transient_start):
-    box = ParamBounds.point(stretch)
+    box = ParamBounds(stretch, stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
-    out = theta_update(window, box)
+                             full_output(4), demand_box)
+    out = theta_update(window, box, DEEP)
     for field in ("beta", "v", "w", "x_jam", "c_max", "alpha"):
         assert np.array_equal(getattr(out.lower, field), getattr(stretch, field))
         assert np.array_equal(getattr(out.upper, field), getattr(stretch, field))
@@ -238,19 +243,19 @@ def test_theta_update_leaves_a_point_box_unchanged(
 
 def test_theta_update_raises_when_no_parameter_fits(
         stretch, demand_box, transient_start):
-    window, _ = drive_window(stretch, ParamBounds.point(stretch),
-                             transient_start, 3, OutputModel.full(4), demand_box)
+    window, _ = drive_window(stretch, ParamBounds(stretch, stretch),
+                             transient_start, 3, full_output(4), demand_box)
     away = speed_box(stretch, lo=0.75, hi=0.8)
     with pytest.raises(ContainmentViolation, match="window"):
-        theta_update(window, away)
+        theta_update(window, away, DEEP)
 
 
 def test_theta_update_respects_the_check_budget(
         stretch, demand_box, transient_start):
     box = speed_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
-    out = theta_update(window, box, EstimatorConfig(prune_budget=1))
+                             full_output(4), demand_box)
+    out = theta_update(window, box, replace(DEEP, prune_budget=1))
     assert np.array_equal(out.lower.v, box.lower.v)
     assert np.array_equal(out.upper.v, box.upper.v)
 
@@ -340,8 +345,8 @@ def _rejected_walk_then_a_cut():
     box = ParamBounds(upper=upper, lower=replace(truth, v=np.array([0.425, 0.5])))
     lam = np.array([2.0, 4.0])
     x = np.array([8.0, 40.0, 0.0, 0.0])
-    window = _record(truth, box, x, lam, DemandBounds.point(lam), OutputModel.full(2), 3, 3)
-    return window, box, EstimatorConfig(prune_depth=8, prune_budget=60)
+    window = _record(truth, box, x, lam, point_demand(lam), full_output(2), 3, 3)
+    return window, box, replace(DEEP, prune_depth=8, prune_budget=60)
 
 
 def _corner_breaking_cut_then_a_later_cut():
@@ -356,8 +361,8 @@ def _corner_breaking_cut_then_a_later_cut():
     box = ParamBounds(upper=upper, lower=replace(truth, c_max=np.full(2, 15.0)))
     lam = np.array([2.0, 2.0])
     x = np.array([30.0, 40.0, 0.0, 0.0])
-    window = _record(truth, box, x, lam, DemandBounds.point(lam), OutputModel.full(2), 2, 2)
-    return window, box, EstimatorConfig(prune_depth=4, prune_budget=48)
+    window = _record(truth, box, x, lam, point_demand(lam), full_output(2), 2, 2)
+    return window, box, replace(DEEP, prune_depth=4, prune_budget=48)
 
 
 # a corner put on a range boundary, just inside it, or well inside
@@ -438,7 +443,7 @@ def contraction_cases(draw):
     # so it often runs out in the middle of the sweep
     depth = draw(st.sampled_from(range(11)))
     budget = 1 + depth * draw(st.integers(0, 6)) + draw(st.integers(0, depth))
-    config = EstimatorConfig(prune_budget=min(budget, 60), prune_depth=depth)
+    config = replace(DEEP, prune_budget=min(budget, 60), prune_depth=depth)
     return window, box, config
 
 
@@ -477,11 +482,11 @@ def test_theta_update_returns_its_input_when_no_bound_moves(
         stretch, demand_box, transient_start):
     box = speed_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
-    assert theta_update(window, box, EstimatorConfig(prune_budget=1)) is box
-    point = ParamBounds.point(stretch)
-    assert theta_update(window, point) is point
-    assert theta_update(window, box, EstimatorConfig(prune_depth=8)) is not box
+                             full_output(4), demand_box)
+    assert theta_update(window, box, replace(DEEP, prune_budget=1)) is box
+    point = ParamBounds(stretch, stretch)
+    assert theta_update(window, point, DEEP) is point
+    assert theta_update(window, box, DEEP) is not box
 
 
 def _spied_theta_update(monkeypatch, window, box, config):
@@ -517,9 +522,9 @@ def test_one_stacked_propagation_certifies_the_whole_sweep(
         monkeypatch, stretch, demand_box, transient_start):
     box = _alpha_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
+                             full_output(4), demand_box)
     out, stacks, trees = _spied_theta_update(
-        monkeypatch, window, box, EstimatorConfig(prune_budget=48, prune_depth=6))
+        monkeypatch, window, box, replace(DEEP, prune_budget=48, prune_depth=6))
     assert out is box
     # the whole box, then the first trees of the eight ends the 47 checks
     # left reach: seven of six levels and one of five
@@ -531,9 +536,9 @@ def test_an_applied_cut_stacks_the_rest_of_the_sweep_again(
         monkeypatch, stretch, demand_box, transient_start):
     box = _alpha_box(stretch, v_upper=[0.7, 0.5, 0.5, 0.5])
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
+                             full_output(4), demand_box)
     out, stacks, trees = _spied_theta_update(
-        monkeypatch, window, box, EstimatorConfig(prune_budget=48, prune_depth=6))
+        monkeypatch, window, box, replace(DEEP, prune_budget=48, prune_depth=6))
     assert out.upper.v[0] < 0.7 and out.lower.v[0] == 0.5
     assert np.array_equal(out.upper.alpha, box.upper.alpha)
     assert np.array_equal(out.lower.alpha, box.lower.alpha)
@@ -547,9 +552,9 @@ def test_walks_deeper_than_one_tree_continue_through_the_shared_builder(
         monkeypatch, stretch, demand_box, transient_start):
     box = _alpha_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
-                             OutputModel.full(4), demand_box)
+                             full_output(4), demand_box)
     out, stacks, trees = _spied_theta_update(
-        monkeypatch, window, box, EstimatorConfig(prune_budget=48, prune_depth=8))
+        monkeypatch, window, box, replace(DEEP, prune_budget=48, prune_depth=8))
     assert out is box
     # each walk spends up to eight checks, so the 47 left reach six ends;
     # each continues with a tree of the levels its depth and budget leave
@@ -559,9 +564,9 @@ def test_walks_deeper_than_one_tree_continue_through_the_shared_builder(
 
 def test_estimator_config_validates_its_fields():
     with pytest.raises(ValueError, match="backward_horizon"):
-        EstimatorConfig(backward_horizon=0)
+        replace(DEEP, backward_horizon=0)
     with pytest.raises(ValueError, match="nonnegative"):
-        EstimatorConfig(prune_budget=-1)
+        replace(DEEP, prune_budget=-1)
 
 
 # ------------------------------------------------------ closing the loop
@@ -583,7 +588,7 @@ def test_partial_measurement_loop_keeps_the_truth_enclosed(
         window.push(lifted, measure(model, x), control=lam)
         assert lifted.contains(x)
     out = theta_update(window, box,
-                       EstimatorConfig(prune_depth=5, prune_budget=120))
+                       replace(DEEP, prune_depth=5, prune_budget=120))
     assert np.all(out.lower.v <= stretch.v + 1e-9)
     assert np.all(out.upper.v >= stretch.v - 1e-9)
     assert np.all(out.lower.v >= box.lower.v - 1e-12)

@@ -10,7 +10,6 @@ from rampflow.ctm import (
     FreewayParams,
     compact_step,
     equilibrium_uncongested,
-    homogeneous_params,
 )
 from rampflow.embedding import (
     DemandBounds,
@@ -21,10 +20,11 @@ from rampflow.embedding import (
     _tube_flows,
 )
 
-from conftest import random_params
+from conftest import homogeneous_params, random_params
 
 X_UNC = np.array([38.34, 37.846, 37.4014, 37.00126])
 B_MAIN = np.array([6.878, 5.42, 3.8, 2.0])
+BUDGET = milp.MilpBudget()
 STAGE_COST = 150.58866  # sum of X_UNC
 TERMINAL_COST = 684.95568  # B_MAIN @ X_UNC
 
@@ -36,7 +36,7 @@ def demand(nominal_demand):
 
 @pytest.fixture
 def point_params(stretch):
-    return ParamBounds.point(stretch)
+    return ParamBounds(stretch, stretch)
 
 
 def stacked(b_main):
@@ -351,7 +351,7 @@ def test_one_step_problem_from_equilibrium(stretch, nominal_demand, demand,
     """Stage zero is pinned to the box corners, so T=1 is a pure LP."""
     term = drained_terminal(stretch, nominal_demand)
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params,
-                        default_config(1), term)
+                        default_config(1), term, budget=BUDGET)
     np.testing.assert_allclose(res.u, nominal_demand, atol=1e-7)
     np.testing.assert_allclose(res.value, STAGE_COST + TERMINAL_COST,
                                atol=1e-9)
@@ -362,7 +362,7 @@ def test_equilibrium_value_over_six_steps(stretch, nominal_demand, demand,
                                           point_params):
     term = drained_terminal(stretch, nominal_demand)
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params,
-                        default_config(6), term)
+                        default_config(6), term, budget=BUDGET)
     assert res.reduced
     assert res.solution.status == milp.OPTIMAL
     np.testing.assert_allclose(res.value, 6 * STAGE_COST + TERMINAL_COST,
@@ -375,7 +375,7 @@ def test_point_box_replay_matches_the_compact_plant(
         stretch, nominal_demand, demand, point_params):
     term = drained_terminal(stretch, nominal_demand)
     res = mpc.solve_mpc(equilibrium_box(), demand, point_params,
-                        default_config(3), term)
+                        default_config(3), term, budget=BUDGET)
     assert res.reduced
     x = equilibrium_box().upper.copy()
     for k in range(3):
@@ -393,7 +393,7 @@ def test_interval_box_solution_satisfies_the_tube_map(
     spread = DemandBounds(upper=nominal_demand * 1.02,
                           lower=nominal_demand * 0.98)
     term = mpc.TerminalSet.mainline_only(np.full(4, 60.0))
-    res = mpc.solve_mpc(box, spread, point_params, default_config(2), term)
+    res = mpc.solve_mpc(box, spread, point_params, default_config(2), term, budget=BUDGET)
     assert not res.reduced
     prim = _primary_tuple(point_params.upper)
     sec = _secondary_tuple(point_params.lower)
@@ -422,7 +422,7 @@ def test_threshold_ties_relax_the_two_component_model(
     constant_plan = 3 * STAGE_COST + TERMINAL_COST
 
     exact = mpc.solve_mpc(equilibrium_box(), demand, point_params, config,
-                          term)
+                          term, budget=BUDGET)
     np.testing.assert_allclose(exact.value, constant_plan, atol=1e-6)
 
     model = mpc._assemble(equilibrium_box(), demand, point_params, config,
@@ -497,7 +497,7 @@ def test_infeasible_horizon_raises_by_default(stretch, nominal_demand,
     box = LiftedState(upper=x0, lower=x0)
     term = drained_terminal(stretch, nominal_demand)
     with pytest.raises(mpc.InfeasibleProblem):
-        mpc.solve_mpc(box, demand, point_params, default_config(1), term)
+        mpc.solve_mpc(box, demand, point_params, default_config(1), term, budget=BUDGET)
 
 
 def test_congested_start_with_free_queues_is_feasible(stretch, point_params):
@@ -522,7 +522,7 @@ def test_shifted_plan_stays_feasible_after_one_plant_step(
     terminal action, and the successor problem accepts the plan as is."""
     term = drained_terminal(stretch, nominal_demand)
     config = default_config(3)
-    res = mpc.solve_mpc(equilibrium_box(), demand, point_params, config, term)
+    res = mpc.solve_mpc(equilibrium_box(), demand, point_params, config, term, budget=BUDGET)
     x_next = compact_step(stretch, equilibrium_box().upper, res.controls[0],
                           nominal_demand)
     successor = LiftedState(upper=x_next, lower=x_next)
@@ -539,11 +539,11 @@ def test_value_grows_with_the_initial_box(stretch, nominal_demand, demand,
     term = mpc.TerminalSet.mainline_only(np.full(4, 160.0))
     config = default_config(2)
     small = mpc.solve_mpc(equilibrium_box(), demand, point_params, config,
-                          term)
+                          term, budget=BUDGET)
     bumped = equilibrium_box().upper + np.concatenate(
         [np.full(4, 2.0), np.zeros(4)])
     large = mpc.solve_mpc(LiftedState(upper=bumped, lower=bumped), demand,
-                          point_params, config, term)
+                          point_params, config, term, budget=BUDGET)
     assert small.value <= large.value + 1e-9
 
 
@@ -568,9 +568,9 @@ def test_single_cell_stretch_plans():
     b, _ = mpc.choose_terminal_weights(np.ones(2), p)
     res = mpc.solve_mpc(
         LiftedState(upper=np.array([20.0, 0.0]), lower=np.array([20.0, 0.0])),
-        DemandBounds(upper=lam, lower=lam), ParamBounds.point(p),
+        DemandBounds(upper=lam, lower=lam), ParamBounds(p, p),
         mpc.MpcConfig(horizon=2, l=np.ones(2), b=np.concatenate([b, b])),
-        mpc.TerminalSet.drained(mpc.compute_xup(lam, p)))
+        mpc.TerminalSet.drained(mpc.compute_xup(lam, p)), budget=BUDGET)
     np.testing.assert_allclose(res.controls, np.full((2, 1), 10.0),
                                atol=1e-7)
     np.testing.assert_allclose(res.value, 80.0, atol=1e-7)
@@ -589,9 +589,9 @@ def test_split_jam_box_plans_like_its_pinned_box(stretch, nominal_demand,
     split_jam = ParamBounds(upper=mk(160.0), lower=mk(150.0))
     term = drained_terminal(stretch, nominal_demand)
     split = mpc.solve_mpc(equilibrium_box(), demand, split_jam,
-                          default_config(3), term)
-    pinned = mpc.solve_mpc(equilibrium_box(), demand, ParamBounds.point(mk(160.0)),
-                           default_config(3), term)
+                          default_config(3), term, budget=BUDGET)
+    pinned = mpc.solve_mpc(equilibrium_box(), demand, ParamBounds(mk(160.0), mk(160.0)),
+                           default_config(3), term, budget=BUDGET)
     assert split.reduced and pinned.reduced
     np.testing.assert_array_equal(split.controls, pinned.controls)
     assert split.value == pinned.value
@@ -630,8 +630,8 @@ def test_state_box_validation(stretch, nominal_demand, demand, point_params):
         upper=np.concatenate([X_UNC, np.zeros(4)]),
         lower=np.concatenate([X_UNC + 1.0, np.zeros(4)]))
     with pytest.raises(ValueError, match="inverted"):
-        mpc.solve_mpc(flipped, demand, point_params, default_config(1), term)
+        mpc.solve_mpc(flipped, demand, point_params, default_config(1), term, budget=BUDGET)
     above_jam = np.concatenate([np.full(4, 170.0), np.zeros(4)])
     with pytest.raises(ValueError, match="above jam"):
         mpc.solve_mpc(LiftedState(upper=above_jam, lower=above_jam),
-                      demand, point_params, default_config(1), term)
+                      demand, point_params, default_config(1), term, budget=BUDGET)

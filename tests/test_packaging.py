@@ -17,7 +17,6 @@ PYPROJECT = ROOT / "pyproject.toml"
 KEPT = {
     "terminal_lyapunov_check": "the terminal-ingredient audit the planner is to be wired to",
     "dump_model": "writes the solver model a failed plan can be replayed from",
-    "homogeneous_params": "the constructor of identical-cell stretches the tests use",
 }
 
 
@@ -34,24 +33,29 @@ def test_every_declared_script_target_imports():
 def test_every_public_definition_has_a_caller():
     """A public top-level function or class of ``src/rampflow`` counts as
     called when a name or an attribute outside its own body spells it, in
-    the package or in ``perfbench``. Import lists (the ``__init__``
-    re-exports among them), ``__all__`` strings and docstrings are not
-    names, so they do not count."""
+    the package or in ``perfbench``; a public method, property or
+    classmethod of a public class, when one spells it anywhere there.
+    Dunder methods are exempt. Import lists, ``__all__`` strings and
+    docstrings are not names, so they do not count."""
     package = sorted((ROOT / "src" / "rampflow").glob("*.py"))
-    defined, spelled = set(), set()
+    defined, spelled = {}, set()
     for path in package + sorted((ROOT / "perfbench").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = stmt.name
                 if path in package and not owner.startswith("_"):
-                    defined.add(owner)
+                    defined[owner] = owner
+                    members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+                    defined.update((f"{owner}.{m.name}", m.name) for m in members
+                                   if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                   and not m.name.startswith("_"))
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute) else None)
                 if name is not None and name != owner:
                     spelled.add(name)
-    uncalled = defined - spelled
+    uncalled = {qualified for qualified, name in defined.items() if name not in spelled}
     assert sorted(uncalled - set(KEPT)) == [], "public definitions nothing calls"
     assert sorted(set(KEPT) - uncalled) == [], "kept names that are now called or gone"
 
