@@ -146,7 +146,7 @@ class Solution:
 class ModelBuilder:
     """Accumulates columns and rows; hands out integer indices."""
 
-    def __init__(self, name: str = "model", sense: str = "min"):
+    def __init__(self, name: str, sense: str):
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         self.name = name
@@ -379,7 +379,7 @@ def dump_model(model: MilpModel) -> str:
 def solve_milp(
     model: MilpModel,
     *,
-    budget: MilpBudget | None = None,
+    budget: MilpBudget,
     incumbent_hook=None,
     initial_candidates=None,
 ) -> Solution:
@@ -412,7 +412,6 @@ def solve_milp(
     budget hit after closing an integral relaxation that failed verification
     proved nothing, and raises :class:`NumericalBreakdown`.
     """
-    bud = budget or MilpBudget()
     lp = model.lp
     flip = -1.0 if lp.sense == "max" else 1.0
     c = flip * lp.obj
@@ -432,8 +431,8 @@ def solve_milp(
 
     def gap_eff() -> float:
         if not np.isfinite(best_obj):
-            return bud.gap_abs
-        return max(bud.gap_abs, bud.gap_rel * abs(best_obj))
+            return budget.gap_abs
+        return max(budget.gap_abs, budget.gap_rel * abs(best_obj))
 
     def consider(x: np.ndarray, obj_internal: float) -> None:
         nonlocal best_obj, best_x
@@ -458,7 +457,7 @@ def solve_milp(
     heapq.heappush(pool, (-np.inf, seq, {}, root_basis))
 
     while pool:
-        if nodes >= bud.max_nodes:
+        if nodes >= budget.max_nodes:
             budget_hit = True
             break
         inherited, _, fixes, warm = heapq.heappop(pool)
@@ -467,7 +466,7 @@ def solve_milp(
             continue
         # depth-first plunge from this pool entry
         while True:
-            if nodes >= bud.max_nodes:
+            if nodes >= budget.max_nodes:
                 budget_hit = True
                 break
             nodes += 1

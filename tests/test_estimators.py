@@ -337,8 +337,8 @@ def _rejected_walk_then_a_cut():
     """Cell 0's upper corner sits on c_max / v = x_jam and its speed
     interval tops out at the truth, so its lower-end walk is all range
     rejections and leaves the box valid. Cell 1, nearly empty upstream and
-    full itself, then has its upper speed cut certified down to the eighth
-    level, past one batch of the tree."""
+    full itself, then has its upper speed cut certified at every one of
+    the eight levels."""
     truth = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
                                c_max=20.0, alpha=0.9)
     upper = replace(truth, v=np.array([0.5, 0.575]), c_max=np.array([80.0, 20.0]))
@@ -491,22 +491,28 @@ def test_theta_update_returns_its_input_when_no_bound_moves(
 
 def _spied_theta_update(monkeypatch, window, box, config):
     """theta_update with the stack size of every ``_certified`` call and
-    the tree levels of every ``_certify_trees`` call recorded."""
-    stacks, trees = [], []
-    certified, certify_trees = estimators._certified, estimators._certify_trees
+    the spines of every ``_certify_spines`` call recorded, each spine as
+    (field, cell, is_upper, length)."""
+    stacks, spines = [], []
+    certified, certify_spines = estimators._certified, estimators._certify_spines
 
     def count_stack(window, upper, lower, tol):
         dead = certified(window, upper, lower, tol)
         stacks.append(dead.size)
         return dead
 
-    def count_trees(*args):
-        trees.append([tree.levels for tree in args[-1]])
-        return certify_trees(*args)
+    def count_spines(window, up_map, lo_map, template, batch, *rest):
+        spines.append([(s.field, s.cell, s.is_upper, s.length) for s in batch])
+        return certify_spines(window, up_map, lo_map, template, batch, *rest)
 
     monkeypatch.setattr(estimators, "_certified", count_stack)
-    monkeypatch.setattr(estimators, "_certify_trees", count_trees)
-    return theta_update(window, box, config), stacks, trees
+    monkeypatch.setattr(estimators, "_certify_spines", count_spines)
+    return theta_update(window, box, config), stacks, spines
+
+
+def _ends(field, cells):
+    """(field, cell, is_upper) of the upper, then the lower end of each cell."""
+    return [(field, i, is_upper) for i in cells for is_upper in (True, False)]
 
 
 def _alpha_box(stretch, v_upper=None):
@@ -523,13 +529,14 @@ def test_one_stacked_propagation_certifies_the_whole_sweep(
     box = _alpha_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
                              full_output(4), demand_box)
-    out, stacks, trees = _spied_theta_update(
+    out, stacks, spines = _spied_theta_update(
         monkeypatch, window, box, replace(DEEP, prune_budget=48, prune_depth=6))
     assert out is box
-    # the whole box, then the first trees of the eight ends the 47 checks
-    # left reach: seven of six levels and one of five
-    assert stacks == [1, 7 * 63 + 31]
-    assert trees == [[6] * 7 + [5]]
+    # the whole box, then the spines of the eight ends the 47 checks left
+    # reach, one row per check: seven of six probes and one of five
+    assert stacks == [1 + 47]
+    assert spines == [[(*end, 6) for end in _ends("alpha", range(4))[:7]]
+                      + [("alpha", 3, False, 5)]]
 
 
 def test_an_applied_cut_stacks_the_rest_of_the_sweep_again(
@@ -537,29 +544,50 @@ def test_an_applied_cut_stacks_the_rest_of_the_sweep_again(
     box = _alpha_box(stretch, v_upper=[0.7, 0.5, 0.5, 0.5])
     window, _ = drive_window(stretch, box, transient_start, 3,
                              full_output(4), demand_box)
-    out, stacks, trees = _spied_theta_update(
+    out, stacks, spines = _spied_theta_update(
         monkeypatch, window, box, replace(DEEP, prune_budget=48, prune_depth=6))
     assert out.upper.v[0] < 0.7 and out.lower.v[0] == 0.5
     assert np.array_equal(out.upper.alpha, box.upper.alpha)
     assert np.array_equal(out.lower.alpha, box.lower.alpha)
-    # v[0]'s upper cut changes the box once, so the ends after it are
-    # stacked once more from the new box
-    assert len(stacks) <= 3
-    assert trees == [[6] * 7 + [5], [6] * 6 + [5]]
+    # every probe of v[0]'s upper walk certifies, so each ends its spine and
+    # the walk goes on from a new one; its applied cut then stacks the ends
+    # after it once more from the new box, with the 41 checks left
+    alpha = _ends("alpha", range(4))
+    assert stacks == [1 + 47, 5, 4, 3, 2, 1, 41]
+    assert spines == ([[(*end, 6) for end in (_ends("v", [0]) + alpha)[:7]]
+                       + [("alpha", 2, False, 5)]]
+                      + [[("v", 0, True, n)] for n in (5, 4, 3, 2, 1)]
+                      + [[(*end, 6) for end in ([("v", 0, False)] + alpha)[:6]]
+                         + [("alpha", 2, False, 5)]])
 
 
-def test_walks_deeper_than_one_tree_continue_through_the_shared_builder(
+def test_deep_walks_fit_one_stacked_propagation(
         monkeypatch, stretch, demand_box, transient_start):
     box = _alpha_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 3,
                              full_output(4), demand_box)
-    out, stacks, trees = _spied_theta_update(
+    out, stacks, spines = _spied_theta_update(
         monkeypatch, window, box, replace(DEEP, prune_budget=48, prune_depth=8))
     assert out is box
-    # each walk spends up to eight checks, so the 47 left reach six ends;
-    # each continues with a tree of the levels its depth and budget leave
-    assert trees == [[6] * 6, [2], [2], [2], [2], [2], [1]]
-    assert stacks == [1, 6 * 63, 3, 3, 3, 3, 3, 1]
+    # each walk spends up to eight checks, so the 47 left reach six ends,
+    # the last with the seven checks the five before it leave
+    assert stacks == [1 + 47]
+    alpha = _ends("alpha", range(4))
+    assert spines == [[(*end, 8) for end in alpha[:5]] + [(*alpha[5], 7)]]
+
+
+def test_a_certified_probe_ends_its_spine_and_the_walk_goes_on(monkeypatch):
+    window, box, config = _rejected_walk_then_a_cut()
+    out, stacks, spines = _spied_theta_update(monkeypatch, window, box, config)
+    assert out.upper.v[1] < box.upper.v[1]
+    # the whole box and six spines of eight probes; cell 0's lower-end walk
+    # is all range rejections and spends nothing. Each of the eight probes
+    # of v[1]'s upper walk certifies, so the walk goes on from a new spine
+    # of the depth left, and its cut stacks the three ends after it again
+    assert stacks == [1 + 48, 7, 6, 5, 4, 3, 2, 1, 24]
+    assert spines == ([[(*end, 8) for end in _ends("v", [0, 1]) + _ends("c_max", [0])]]
+                      + [[("v", 1, True, n)] for n in range(7, 0, -1)]
+                      + [[("v", 1, False, 8), ("c_max", 0, True, 8), ("c_max", 0, False, 8)]])
 
 
 def test_estimator_config_validates_its_fields():

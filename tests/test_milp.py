@@ -28,10 +28,10 @@ from rampflow.milp import (
 
 
 def test_lp_single_lower_bound_row():
-    b = ModelBuilder("tiny")
+    b = ModelBuilder("tiny", sense="min")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0}, "G", 3.0)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.x[x] == pytest.approx(3.0, abs=1e-9)
@@ -43,18 +43,18 @@ def test_lp_two_variable_vertex():
     y = b.add_variable("y", upper=10.0, objective=2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 4.0)
     b.add_row({x: 1.0}, "L", 2.0)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(10.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [2.0, 2.0], atol=1e-9)
 
 
 def test_lp_infeasible_pair():
-    b = ModelBuilder("empty")
+    b = ModelBuilder("empty", sense="min")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0}, "G", 1.0)
     b.add_row({x: 1.0}, "L", 0.0)
-    assert solve_milp(b.build()).status == INFEASIBLE
+    assert solve_milp(b.build(), budget=MilpBudget()).status == INFEASIBLE
 
 
 def test_an_infinite_bound_is_rejected_by_the_builder_and_the_solver():
@@ -73,11 +73,11 @@ def test_an_infinite_bound_is_rejected_by_the_builder_and_the_solver():
 
 
 def test_lp_equality_row_with_free_variable():
-    b = ModelBuilder("freevar")
+    b = ModelBuilder("freevar", sense="min")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     y = b.add_variable("y", lower=-10.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0, y: -1.0}, "E", 5.0)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-5.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [0.0, -5.0], atol=1e-9)
@@ -89,13 +89,13 @@ def test_lp_bound_flip_path():
     x = b.add_variable("x", upper=1.0, objective=1.0)
     y = b.add_variable("y", upper=1.0, objective=1.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 1.5)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.5, abs=1e-9)
 
 
 def _random_lp(rng, n=7, m=5):
-    b = ModelBuilder("rand")
+    b = ModelBuilder("rand", sense="min")
     lower = np.zeros(n)
     upper = rng.uniform(1.0, 10.0, n)
     cost = rng.uniform(-5.0, 5.0, n)
@@ -115,7 +115,7 @@ def test_lp_matches_reference_solver_on_random_instances():
     rng = np.random.default_rng(1107)
     for _ in range(60):
         model, cost, a, rhs, lower, upper = _random_lp(rng)
-        sol = solve_milp(model)
+        sol = solve_milp(model, budget=MilpBudget())
         ref = scipy.optimize.linprog(
             cost, A_ub=a, b_ub=rhs, bounds=list(zip(lower, upper)), method="highs"
         )
@@ -126,29 +126,29 @@ def test_lp_matches_reference_solver_on_random_instances():
 
 
 def test_milp_forced_rounding():
-    b = ModelBuilder("round")
+    b = ModelBuilder("round", sense="min")
     x1 = b.add_variable("x1", objective=1.0, binary=True)
     x2 = b.add_variable("x2", objective=1.0, binary=True)
     b.add_row({x1: 1.0, x2: 1.0}, "G", 1.5)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
 
 def test_milp_integral_relaxation_solves_at_root():
-    b = ModelBuilder("root")
+    b = ModelBuilder("root", sense="min")
     x1 = b.add_variable("x1", objective=2.0, binary=True)
     x2 = b.add_variable("x2", objective=3.0, binary=True)
     b.add_row({x1: 1.0, x2: 1.0}, "G", 1.0)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
     assert sol.nodes == 1
 
 
 def _random_milp(rng, n_bin, n_cont=2, m=4):
-    b = ModelBuilder("randmix")
+    b = ModelBuilder("randmix", sense="min")
     zc = rng.uniform(-4.0, 4.0, n_bin)
     xc = rng.uniform(-3.0, 3.0, n_cont)
     xu = rng.uniform(1.0, 6.0, n_cont)
@@ -191,7 +191,7 @@ def test_milp_matches_enumeration_on_random_instances():
     for _ in range(80):
         nb = int(rng.integers(2, 7))
         model, zc, xc, az, ax, rhs, xu = _random_milp(rng, nb)
-        sol = solve_milp(model)
+        sol = solve_milp(model, budget=MilpBudget())
         best = _enumerate_optimum(zc, xc, az, ax, rhs, xu)
         if not np.isfinite(best):
             assert sol.status == INFEASIBLE
@@ -209,7 +209,7 @@ def test_milp_matches_enumeration_on_random_instances():
 def test_milp_budget_exhaustion_keeps_proven_bound():
     rng = np.random.default_rng(77)
     model, zc, xc, az, ax, rhs, xu = _random_milp(rng, 6)
-    full = solve_milp(model)
+    full = solve_milp(model, budget=MilpBudget())
     assert full.status == OPTIMAL
     assert full.nodes > 1
     capped = solve_milp(model, budget=MilpBudget(max_nodes=1))
@@ -220,8 +220,8 @@ def test_milp_budget_exhaustion_keeps_proven_bound():
 def test_milp_determinism():
     rng = np.random.default_rng(2024)
     model, *_ = _random_milp(rng, 6)
-    a = solve_milp(model)
-    b = solve_milp(model)
+    a = solve_milp(model, budget=MilpBudget())
+    b = solve_milp(model, budget=MilpBudget())
     assert a.status == b.status == OPTIMAL
     assert a.objective == b.objective
     assert a.nodes == b.nodes
@@ -230,12 +230,12 @@ def test_milp_determinism():
 
 
 def test_min_gadget_picks_smaller_argument():
-    b = ModelBuilder("minab")
+    b = ModelBuilder("minab", sense="min")
     a = b.add_variable("a", lower=15.0, upper=15.0)
     c = b.add_variable("b", lower=20.0, upper=20.0)
     f = b.add_variable("f", lower=0.0, upper=30.0, objective=1.0)
     z = encode_min_equality(b, f, a, c)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[f] == pytest.approx(15.0, abs=1e-9)
     assert sol.x[z] == pytest.approx(1.0, abs=1e-9)
@@ -250,7 +250,7 @@ def test_min_gadget_tie_admits_either_selector():
         z = encode_min_equality(b, f, a, c)
         # push the selector both ways; f must stay pinned at the tie value
         b.obj[z] = 1.0
-        sol = solve_milp(b.build())
+        sol = solve_milp(b.build(), budget=MilpBudget())
         assert sol.status == OPTIMAL
         assert sol.x[f] == pytest.approx(7.0, abs=1e-9)
         assert sol.x[z] == pytest.approx(0.0 if sense == "min" else 1.0, abs=1e-9)
@@ -266,13 +266,13 @@ def test_min_gadget_grid_projection(direction):
             c = b.add_variable("b", lower=vb, upper=vb)
             f = b.add_variable("f", lower=-5.0, upper=20.0, objective=1.0)
             encode_min_equality(b, f, a, c)
-            sol = solve_milp(b.build())
+            sol = solve_milp(b.build(), budget=MilpBudget())
             assert sol.status == OPTIMAL
             assert sol.x[f] == pytest.approx(min(va, vb), abs=1e-9)
 
 
 def test_min_gadget_derives_big_m_from_column_bounds():
-    b = ModelBuilder("ms")
+    b = ModelBuilder("ms", sense="min")
     a = b.add_variable("a", lower=2.0, upper=9.0)
     c = b.add_variable("b", lower=1.0, upper=6.0)
     f = b.add_variable("f", lower=0.0, upper=9.0, objective=-1.0)
@@ -283,7 +283,7 @@ def test_min_gadget_derives_big_m_from_column_bounds():
     assert sorted(col[col != 0.0].tolist()) == [-8.0, 4.0]
     b.add_row({a: 1.0}, "E", 3.0)
     b.add_row({c: 1.0}, "E", 5.5)
-    sol = solve_milp(b.build())
+    sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[f] == pytest.approx(3.0, abs=1e-9)
 
@@ -299,7 +299,7 @@ def _drop_model(x_value, sense):
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_capacity_drop_uncongested_state_forces_full_capacity(sense):
     model, xi = _drop_model(30.0, sense)
-    sol = solve_milp(model)
+    sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[xi] == pytest.approx(20.0, abs=1e-9)
 
@@ -307,21 +307,21 @@ def test_capacity_drop_uncongested_state_forces_full_capacity(sense):
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_capacity_drop_congested_state_forces_reduced_capacity(sense):
     model, xi = _drop_model(60.0, sense)
-    sol = solve_milp(model)
+    sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[xi] == pytest.approx(18.0, abs=1e-9)
 
 
 def test_capacity_drop_boundary_admits_no_drop_branch():
     model, xi = _drop_model(40.0, "max")
-    sol = solve_milp(model)
+    sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[xi] == pytest.approx(20.0, abs=1e-9)
 
 
 def test_warm_basis_restart_after_bound_change():
     # branch and bound replays the parent's basis against the child's bounds
-    b = ModelBuilder("warm")
+    b = ModelBuilder("warm", sense="min")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", upper=10.0, objective=-2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 12.0)
@@ -342,12 +342,12 @@ def test_warm_basis_restart_after_bound_change():
 
 
 def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
-    b = ModelBuilder("tampered")
+    b = ModelBuilder("tampered", sense="min")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", objective=-2.0, binary=True)
     b.add_row({x: 1.0, y: 1.0}, "L", 3.0)
     model = b.build()
-    assert solve_milp(model).x.tolist() == pytest.approx([2.0, 1.0], abs=1e-9)
+    assert solve_milp(model, budget=MilpBudget()).x.tolist() == pytest.approx([2.0, 1.0], abs=1e-9)
 
     solve = milp.solve_canonical
 
@@ -360,7 +360,7 @@ def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
 
     monkeypatch.setattr(milp, "solve_canonical", off_by_half)
     seed = np.array([0.0, 1.0])
-    sol = solve_milp(model, initial_candidates=[seed])
+    sol = solve_milp(model, budget=MilpBudget(), initial_candidates=[seed])
     assert sol.nodes == 1
     np.testing.assert_array_equal(sol.x, seed)
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
@@ -372,7 +372,7 @@ def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
 def test_a_search_whose_only_integral_node_fails_verification_is_undecided(monkeypatch):
     """The model of the test above without the seed: the one node it closes
     proves nothing, so the search must not report the model infeasible."""
-    b = ModelBuilder("tampered")
+    b = ModelBuilder("tampered", sense="min")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", objective=-2.0, binary=True)
     b.add_row({x: 1.0, y: 1.0}, "L", 3.0)
@@ -387,7 +387,7 @@ def test_a_search_whose_only_integral_node_fails_verification_is_undecided(monke
 
     monkeypatch.setattr(milp, "solve_canonical", off_by_half)
     with pytest.raises(milp.NumericalBreakdown, match="1 integral node"):
-        solve_milp(model)
+        solve_milp(model, budget=MilpBudget())
 
 
 # ------------------------------------------------- the shared equality form
@@ -488,7 +488,7 @@ def test_a_failed_artificial_swap_keeps_the_column_at_its_bound(monkeypatch):
     """Phase 1 ends with an artificial basic at zero, and the first real
     column that can replace it, ``y``, sits at its upper bound.  The swap
     factors singular once; the restore must leave ``y`` where it was."""
-    b = ModelBuilder("expel")
+    b = ModelBuilder("expel", sense="min")
     x = b.add_variable("x", upper=1.0, objective=1.0)
     y = b.add_variable("y", upper=2.0, objective=1.0)
     w = b.add_variable("w", upper=1.0)
@@ -566,7 +566,7 @@ def test_column_bounds_of_the_wrong_length_are_rejected(lb, ub):
 
 
 def test_dump_model_line_grammar():
-    b = ModelBuilder("dumpme")
+    b = ModelBuilder("dumpme", sense="min")
     x = b.add_variable("x", lower=1.0, upper=2.5, objective=-1.0)
     xi = b.add_variable("xi", lower=0.0, upper=25.0)
     encode_capacity_drop(b, xi, x, 2.0, 20.0, 0.9, 2.5)
@@ -593,19 +593,19 @@ def test_dump_model_line_grammar():
 
 def test_initial_candidate_seeds_incumbent_without_changing_optimum():
     def fence():
-        b = ModelBuilder("seeded")
+        b = ModelBuilder("seeded", sense="min")
         x1 = b.add_variable("x1", objective=1.0, binary=True)
         x2 = b.add_variable("x2", objective=1.0, binary=True)
         b.add_row({x1: 1.0, x2: 1.0}, "G", 1.5)
         return b.build()
 
-    baseline = solve_milp(fence())
-    seeded = solve_milp(fence(), initial_candidates=[np.array([1.0, 1.0])])
+    baseline = solve_milp(fence(), budget=MilpBudget())
+    seeded = solve_milp(fence(), budget=MilpBudget(), initial_candidates=[np.array([1.0, 1.0])])
     assert seeded.status == OPTIMAL
     assert seeded.objective == pytest.approx(baseline.objective, abs=1e-12)
     assert seeded.nodes <= baseline.nodes
     # an infeasible candidate is ignored rather than trusted
-    junk = solve_milp(fence(), initial_candidates=[np.array([0.0, 0.0])])
+    junk = solve_milp(fence(), budget=MilpBudget(), initial_candidates=[np.array([0.0, 0.0])])
     assert junk.objective == pytest.approx(baseline.objective, abs=1e-12)
 
 
@@ -631,7 +631,7 @@ def test_check_solution_reports_violated_rows_in_row_order():
     rng = np.random.default_rng(5)
     reported = fractional = 0
     for _ in range(40):
-        b = ModelBuilder("rows")
+        b = ModelBuilder("rows", sense="min")
         n = int(rng.integers(1, 8))
         binary = rng.random(n) < 0.4
         for j in range(n):

@@ -427,7 +427,7 @@ def test_threshold_ties_relax_the_two_component_model(
 
     model = mpc._assemble(equilibrium_box(), demand, point_params, config,
                           term, reduced=False).model
-    relaxed = milp.solve_milp(model)
+    relaxed = milp.solve_milp(model, budget=BUDGET)
     assert relaxed.status == milp.OPTIMAL
     assert relaxed.objective < constant_plan - 1.0
     assert not milp.check_solution(model, relaxed.x, tol=1e-7)
@@ -466,7 +466,8 @@ def test_branch_and_bound_keeps_its_pinned_pivot_path(
     check within one version cannot see. ``seeded`` passes the planner's
     seed plans, so the root starts from the crash basis."""
     prob, seeds = pinned_problem(kind, nominal_demand, stretch, point_params)
-    sol = milp.solve_milp(prob.model, initial_candidates=seeds if seeded else None)
+    sol = milp.solve_milp(prob.model, budget=BUDGET,
+                          initial_candidates=seeds if seeded else None)
     assert sol.status == milp.OPTIMAL
     assert (sol.nodes, sol.iterations, sol.objective.hex()) == (
         nodes, iterations, objective)
@@ -510,7 +511,7 @@ def test_congested_start_with_free_queues_is_feasible(stretch, point_params):
     config = default_config(5)
     prob = mpc._assemble(box, slow, point_params, config, term,
                          reduced=False)
-    assert milp.solve_milp(prob.model).status == milp.OPTIMAL
+    assert milp.solve_milp(prob.model, budget=BUDGET).status == milp.OPTIMAL
     witness = prob.encode(np.zeros((5, 4)))
     assert witness is not None
     assert not milp.check_solution(prob.model, witness, tol=1e-7)

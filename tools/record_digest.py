@@ -4,9 +4,12 @@
 
 One line per workload of ``perfbench/workloads.py``: the sha256 of the CSV
 ``harness.emit_csv`` writes, the ticks that planned, the LP solves and
-simplex pivots (counted by wrapping ``milp.solve_canonical``) and
-``tts_veh``. Two commits that print the same lines ran the same loops bit
-for bit.
+simplex pivots (counted by wrapping ``milp.solve_canonical``), ``tts_veh``,
+and the stacked propagations of the parameter contraction with the boxes
+they carry (counted by wrapping ``estimators._certified``). Two commits
+that print the same digest, plan ticks, solves, pivots and ``tts_veh`` ran
+the same loops bit for bit; the last two counts show what the contraction
+spent on them.
 """
 
 import argparse
@@ -20,14 +23,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS, load_workload  # noqa: E402
 
-from rampflow import harness, milp  # noqa: E402
+from rampflow import estimators, harness, milp  # noqa: E402
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     seed = parser.parse_args(argv).seed
-    solve_canonical, counts = milp.solve_canonical, [0, 0]
+    solve_canonical, certified = milp.solve_canonical, estimators._certified
+    counts = [0, 0, 0, 0]
 
     def counted(*args, **kwargs):
         res = solve_canonical(*args, **kwargs)
@@ -35,10 +39,17 @@ def main(argv=None) -> int:
         counts[1] += res.iterations
         return res
 
+    def counted_boxes(*args, **kwargs):
+        dead = certified(*args, **kwargs)
+        counts[2] += 1
+        counts[3] += dead.size
+        return dead
+
     milp.solve_canonical = counted
+    estimators._certified = counted_boxes
     with tempfile.TemporaryDirectory() as tmp:
         for name in WORKLOADS:
-            counts[:] = [0, 0]
+            counts[:] = [0, 0, 0, 0]
             scenario = load_workload(name, seed)
             log = harness.run_closed_loop(scenario)
             path = harness.emit_csv(log, Path(tmp) / f"{name}.csv",
@@ -47,7 +58,8 @@ def main(argv=None) -> int:
             plans = sum(step.phase == "mpc" for step in log.steps)
             print(f"{name} seed {seed}: sha256 {digest} plan_ticks {plans} "
                   f"solves {counts[0]} pivots {counts[1]} "
-                  f"tts_veh {float(log.states.sum()):.6f}")
+                  f"tts_veh {float(log.states.sum()):.6f} "
+                  f"certified_calls {counts[2]} certified_boxes {counts[3]}")
     return 0
 
 
