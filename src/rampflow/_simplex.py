@@ -8,7 +8,9 @@ form per tree and every node solve reads it, changing only the column
 bounds.  A one-sided column (a slack, or a phase-1 artificial) starts
 basic and leaves the basis only at its finite bound, so every nonbasic
 column sits at a finite bound, and the program is never unbounded: a
-ratio test with no blocking variable raises :class:`NumericalBreakdown`.  Statuses: "optimal" and "infeasible".
+ratio test with no blocking variable raises :class:`NumericalBreakdown`.
+Statuses: "optimal" and "infeasible".
+
 The solver runs a two-phase revised simplex:
 
 * phase 1 clones the column of every out-of-bound basic variable into an

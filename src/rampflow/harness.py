@@ -720,15 +720,17 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     Running costs are recomputed from the recorded weights; the per-step
     parameter boxes are not reconstructed (the verifier has no use for
     them). A file missing its ``cells``, ``l``, ``known_theta``,
-    ``constant_demand``, ``gap_abs`` or ``allowance`` line is refused with a
-    ``ValueError`` naming the line; ``demand`` is optional, as periodic runs
-    record none.
+    ``constant_demand``, ``gap_abs`` or ``allowance`` line, or leaving one
+    empty, is refused with a ``ValueError`` naming the line; ``demand`` is
+    optional, as periodic runs record none. A data row with too few or too
+    many cells, or a number that does not parse, is refused with a
+    ``ValueError`` naming its file line.
     """
     text = Path(path).read_text()
     meta: dict[str, list[str]] = {}
     header: list[str] | None = None
-    rows: list[list[str]] = []
-    for raw in text.splitlines():
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -740,10 +742,10 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         if header is None:
             header = line.split(",")
         else:
-            rows.append(line.split(","))
+            rows.append((lineno, line.split(",")))
 
     def need(key: str) -> list[str]:
-        if key not in meta:
+        if not meta.get(key):
             raise ValueError(f"{path}: missing {key!r} metadata")
         return meta[key]
 
@@ -762,12 +764,18 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         decrease_allowance=float(need("allowance")[0]),
     )
     idx = {name: i for i, name in enumerate(header)}
-    for cells in rows:
-        x = np.array([float(cells[idx[f"x_{i}"]]) for i in range(1, 2 * n + 1)])
-        up = np.array([float(cells[idx[f"xhat_up_{i}"]]) for i in range(1, 2 * n + 1)])
-        lo = np.array([float(cells[idx[f"xhat_lo_{i}"]]) for i in range(1, 2 * n + 1)])
-        u = np.array([float(cells[idx[f"u_{i}"]]) for i in range(1, n + 1)])
-        value = float(cells[idx["Vstar"]])
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
+                             f"expected {len(header)}")
+        try:
+            x = np.array([float(cells[idx[f"x_{i}"]]) for i in range(1, 2 * n + 1)])
+            up = np.array([float(cells[idx[f"xhat_up_{i}"]]) for i in range(1, 2 * n + 1)])
+            lo = np.array([float(cells[idx[f"xhat_lo_{i}"]]) for i in range(1, 2 * n + 1)])
+            u = np.array([float(cells[idx[f"u_{i}"]]) for i in range(1, n + 1)])
+            value = float(cells[idx["Vstar"]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         phase = cells[idx["phase"]]
         estimate = LiftedState(upper=up, lower=lo)
         log.append(x, estimate, u, value, running_cost(l_vec, up), phase)

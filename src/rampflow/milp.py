@@ -3,8 +3,9 @@
 The optimizer behind the predictive controller.  Everything is in-house:
 node relaxations go through the bounded-variable simplex in
 :mod:`rampflow._simplex`, binaries through best-bound branch and bound with
-depth-first plunging.  A model without binaries is solved at its root node.
-No external solver is involved at any point.
+depth-first plunging, in one node loop: each node is popped from the pool
+or plunged into, and the node budget is checked once per node.  A model
+without binaries is solved at its root node.  No external solver is used.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
 row indices and records the two gadget encodings the controller needs.
@@ -385,22 +386,24 @@ def solve_milp(
 ) -> Solution:
     """Branch and bound over the binary columns of ``model``.
 
-    Exploration is best-bound with depth-first plunging: after branching,
-    the child on the side the relaxation leans toward is solved immediately
-    (warm-started from the parent basis); the sibling joins the pool keyed
-    by its inherited bound.  Branching picks the most fractional binary,
-    ties to the lowest column index, so repeated solves of identical data
-    visit identical trees.
+    Exploration is best-bound with depth-first plunging, in one node loop
+    that checks the node budget once per node.  Each node is plunged into
+    (the root, then the child on the side the parent's relaxation leans
+    toward, warm-started from the parent basis) or, with no child pending,
+    popped from the pool, where each sibling waits keyed by its inherited
+    bound.  Branching picks the most fractional binary, ties to the lowest
+    column index, so repeated solves of identical data visit identical trees.
 
     Incumbents come from three sources.  ``initial_candidates`` are full
     assignments tried before any node is solved, so a caller with a cheap
     feasible guess can seed the incumbent; the best one also crashes the
     root basis.  At every fractional node that survives pruning, the
-    optional ``incumbent_hook(x)`` may return a full column vector (the
+    optional ``incumbent_hook(x)`` returns a full column vector (the
     controller plugs a dynamics-completion heuristic in here).  A node
-    whose relaxation is integral is an incumbent itself.  Candidates are
-    verified against the model before being trusted; they only tighten
-    pruning and never change the reported optimum.
+    whose relaxation is integral is an incumbent itself.  Every candidate
+    is verified here, by :func:`check_solution` at ``tol=1e-7``, before
+    being trusted, so callers pass their vectors unchecked; candidates only
+    tighten pruning and never change the reported optimum.
 
     The tree builds one equality form; a node solve passes only its column
     bounds, through this module's ``solve_canonical``, where callers may
@@ -416,7 +419,6 @@ def solve_milp(
     flip = -1.0 if lp.sense == "max" else 1.0
     c = flip * lp.obj
     form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, c)
-    nbin = model.binaries.shape[0]
 
     best_obj = np.inf  # internal (min) sense
     best_x: np.ndarray | None = None
@@ -427,7 +429,6 @@ def solve_milp(
     seq = 0
     # pool entries: (inherited bound, insertion sequence, fixes, warm basis)
     pool: list[tuple[float, int, dict[int, float], WarmBasis | None]] = []
-    budget_hit = False
 
     def gap_eff() -> float:
         if not np.isfinite(best_obj):
@@ -441,101 +442,82 @@ def solve_milp(
             best_x = x.copy()
 
     def try_candidate(cand) -> None:
-        if cand is not None:
-            cand = np.asarray(cand, dtype=float)
-            if not check_solution(model, cand, tol=1e-7):
-                consider(cand, float(c @ cand))
+        cand = np.asarray(cand, dtype=float)
+        if not check_solution(model, cand, tol=1e-7):
+            consider(cand, float(c @ cand))
 
     for cand in initial_candidates or ():
         try_candidate(cand)
 
+    # The node solved next unless one is popped, as (fixes, warm basis): the
+    # root, whose basis a verified incumbent crashes so that phase 1 starts
+    # satisfied, then the child each branching leans toward.
     root_basis = None
     if best_x is not None:
-        # The incumbent is a verified feasible point, so the basis that
-        # reproduces it starts the root with phase 1 already satisfied.
         root_basis = crash_from_point(form, lp.col_lower, lp.col_upper, best_x)
-    heapq.heappush(pool, (-np.inf, seq, {}, root_basis))
-
-    while pool:
-        if nodes >= budget.max_nodes:
-            budget_hit = True
-            break
-        inherited, _, fixes, warm = heapq.heappop(pool)
-        if inherited >= best_obj - gap_eff():
-            pruned_min = min(pruned_min, inherited)
+    plunge = ({}, root_basis)
+    while (plunge or pool) and nodes < budget.max_nodes:
+        if plunge:
+            (fixes, warm), plunge = plunge, None
+        else:
+            inherited, _, fixes, warm = heapq.heappop(pool)
+            if inherited >= best_obj - gap_eff():
+                pruned_min = min(pruned_min, inherited)
+                continue
+        nodes += 1
+        lb, ub = lp.col_lower, lp.col_upper
+        if fixes:
+            lb, ub = lb.copy(), ub.copy()
+            for j, v in fixes.items():
+                lb[j] = ub[j] = v
+        res = solve_canonical(form, lb, ub, warm=warm)
+        iters += res.iterations
+        if res.status == "infeasible":
             continue
-        # depth-first plunge from this pool entry
-        while True:
-            if nodes >= budget.max_nodes:
-                budget_hit = True
-                break
-            nodes += 1
-            lb, ub = lp.col_lower, lp.col_upper
-            if fixes:
-                lb, ub = lb.copy(), ub.copy()
-                for j, v in fixes.items():
-                    lb[j] = ub[j] = v
-            res = solve_canonical(form, lb, ub, warm=warm)
-            iters += res.iterations
-            if res.status == "infeasible":
-                break
-            bound = res.obj
-            if bound >= best_obj - gap_eff():
+        bound = res.obj
+        if bound >= best_obj - gap_eff():
+            pruned_min = min(pruned_min, bound)
+            continue
+        xb = res.x[model.binaries]
+        frac = np.minimum(xb, 1.0 - xb)
+        live = np.flatnonzero(frac > _INT_TOL)
+        if not live.shape[0]:
+            # an integral relaxation is verified like any candidate; one
+            # that fails is closed without an incumbent, its bound kept
+            if check_solution(model, res.x, tol=1e-7):
                 pruned_min = min(pruned_min, bound)
-                break
-            xb = res.x[model.binaries] if nbin else np.empty(0)
-            frac = np.minimum(xb, 1.0 - xb)
-            live = np.flatnonzero(frac > _INT_TOL)
-            if not live.shape[0]:
-                # an integral relaxation is verified like any candidate; one
-                # that fails is closed without an incumbent, its bound kept
-                if check_solution(model, res.x, tol=1e-7):
-                    pruned_min = min(pruned_min, bound)
-                    unverified += 1
-                else:
-                    consider(res.x, bound)
-                break
-            if incumbent_hook is not None:
-                try_candidate(incumbent_hook(res.x))
-            if bound >= best_obj - gap_eff():
-                pruned_min = min(pruned_min, bound)
-                break
-            pick = live[np.argmax(frac[live])]
-            ties = live[frac[live] >= frac[pick] - 1e-12]
-            pick = int(ties.min())
-            j = int(model.binaries[pick])
-            lean = 1.0 if res.x[j] >= 0.5 else 0.0
-            far = dict(fixes)
-            far[j] = 1.0 - lean
-            seq += 1
-            heapq.heappush(pool, (bound, seq, far, res.basis))
-            fixes = dict(fixes)
-            fixes[j] = lean
-            warm = res.basis
-        if budget_hit:
-            break
+                unverified += 1
+            else:
+                consider(res.x, bound)
+            continue
+        if incumbent_hook is not None:
+            try_candidate(incumbent_hook(res.x))
+        if bound >= best_obj - gap_eff():
+            pruned_min = min(pruned_min, bound)
+            continue
+        pick = live[np.argmax(frac[live])]
+        ties = live[frac[live] >= frac[pick] - 1e-12]
+        j = int(model.binaries[int(ties.min())])
+        lean = 1.0 if res.x[j] >= 0.5 else 0.0
+        seq += 1
+        heapq.heappush(pool, (bound, seq, {**fixes, j: 1.0 - lean}, res.basis))
+        plunge = ({**fixes, j: lean}, res.basis)
 
-    open_min = min((e[0] for e in pool), default=np.inf)
-    proven = min(pruned_min, open_min, best_obj)
-    if best_x is None:
-        if budget_hit:
-            return Solution(
-                BUDGET_EXCEEDED,
-                np.zeros(model.lp.n_cols),
-                np.nan,
-                flip * proven,
-                np.inf,
-                nodes,
-                iters,
-            )
-        if unverified:
-            raise NumericalBreakdown(
-                f"no incumbent after {nodes} nodes: {unverified} integral node "
-                "relaxations failed verification, so the model is undecided"
-            )
-        return Solution(
-            INFEASIBLE, np.zeros(model.lp.n_cols), np.nan, np.nan, np.inf, nodes, iters
+    budget_hit = bool(plunge or pool)  # work was left when the budget ran out
+    found = best_x is not None
+    if not (found or budget_hit) and unverified:
+        raise NumericalBreakdown(
+            f"no incumbent after {nodes} nodes: {unverified} integral node "
+            "relaxations failed verification, so the model is undecided"
         )
-    status = BUDGET_EXCEEDED if budget_hit else OPTIMAL
-    gap = max(best_obj - proven, 0.0)
-    return Solution(status, best_x, flip * best_obj, flip * proven, gap, nodes, iters)
+    proven = min(pruned_min, min((e[0] for e in pool), default=np.inf), best_obj)
+    status = BUDGET_EXCEEDED if budget_hit else OPTIMAL if found else INFEASIBLE
+    return Solution(
+        status,
+        best_x if found else np.zeros(lp.n_cols),
+        flip * best_obj if found else np.nan,
+        np.nan if status == INFEASIBLE else flip * proven,
+        max(best_obj - proven, 0.0) if found else np.inf,
+        nodes,
+        iters,
+    )

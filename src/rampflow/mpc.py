@@ -34,10 +34,12 @@ per cell) and picks the encoding once, the single-component one when every
 box is a point and the two-component tube otherwise.
 
 A dynamics-completion heuristic turns fractional relaxation points into
-feasible plans: take the relaxed metering sequence, clip it to what the
+candidate plans: take the relaxed metering sequence, clip it to what the
 queues can serve, roll the tube forward, and re-encode. It runs both as
 an incumbent hook inside branch and bound and up front on two cheap
-seeds (track the arrivals; meter nothing).
+seeds (track the arrivals; meter nothing). The codec checks nothing:
+``milp.solve_milp`` verifies every candidate and drops a rollout that
+leaves the propagated boxes.
 """
 
 from __future__ import annotations
@@ -519,8 +521,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             _Comp("up", p_up, p_lo, lam_up, x_hi),
             _Comp("lo", p_lo, p_up, lam_lo, x_lo),
         )
-    ncomp = len(comps)
-    low_idx = ncomp - 1
+    low_idx = len(comps) - 1
     merge = not reduced
     u_hw = np.minimum(p_up.u_max, p_lo.u_max)
 
@@ -537,7 +538,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
 
     for k in range(t):
         ucap[k] = np.minimum(u_hw, bub[low_idx][k][n:] + lam_lo)
-        # the other component of c is ncomp-1-c, itself when there is one
+        # the other component of c is low_idx-c, itself when there is one
         ranges.append([
             _stage_ranges(comp, (blb[c][k], bub[c][k]),
                           (blb[low_idx - c][k], bub[low_idx - c][k]), merge)
@@ -562,29 +563,18 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     # ---- columns and rows --------------------------------------------
     bld = milp.ModelBuilder(name=f"meter{t}", sense="min")
 
-    def state_obj(k, stacked_idx):
-        if k < t:
-            return float(config.l[stacked_idx])
-        return float(config.b[stacked_idx])
-
-    xm = tuple(np.empty((t + 1, n), dtype=np.int64) for _ in comps)
-    qm = tuple(np.empty((t + 1, n), dtype=np.int64) for _ in comps)
+    # stacked-state columns per component, mainline then queues; only the
+    # upper component is costed
+    xs = tuple(np.empty((t + 1, 2 * n), dtype=np.int64) for _ in comps)
     for k in range(t + 1):
+        weight = config.l if k < t else config.b
         for c, comp in enumerate(comps):
-            costed = c == 0
-            for i in range(n):
-                xm[c][k, i] = bld.add_variable(
-                    f"x.{comp.tag}[{k}][{i}]",
-                    lower=blb[c][k, i],
-                    upper=bub[c][k, i],
-                    objective=state_obj(k, i) if costed else 0.0,
-                )
-            for i in range(n):
-                qm[c][k, i] = bld.add_variable(
-                    f"q.{comp.tag}[{k}][{i}]",
-                    lower=blb[c][k, n + i],
-                    upper=bub[c][k, n + i],
-                    objective=state_obj(k, n + i) if costed else 0.0,
+            for j in range(2 * n):
+                xs[c][k, j] = bld.add_variable(
+                    f"{'xq'[j // n]}.{comp.tag}[{k}][{j % n}]",
+                    lower=blb[c][k, j],
+                    upper=bub[c][k, j],
+                    objective=weight[j] if c == 0 else 0.0,
                 )
     u_ids = np.empty((t, n), dtype=np.int64)
     for k in range(t):
@@ -641,9 +631,9 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             tag = comp.tag
             prim, sec = comp.prim, comp.sec
             out, mrg = cols[c]["out"], cols[c]["merge"]
-            xo_k = xm[c][k]
-            xn_k = xm[c][k + 1]
-            zo_k = xm[low_idx - c][k]
+            xo_k = xs[c][k, :n]
+            xn_k = xs[c][k + 1, :n]
+            zo_k = xs[low_idx - c][k, :n]
             for i in range(n):
                 sending(out, r_out, sec, _labels("out", tag, k, i), k, i,
                         int(xo_k[i]), int(xo_k[i]))
@@ -675,8 +665,8 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                 bld.add_row(coeffs, "E", 0.0, f"dyn.x.{tag}[{k}][{i}]")
                 bld.add_row(
                     {
-                        int(qm[c][k + 1, i]): 1.0,
-                        int(qm[c][k, i]): -1.0,
+                        int(xs[c][k + 1, n + i]): 1.0,
+                        int(xs[c][k, n + i]): -1.0,
                         int(u_ids[k, i]): 1.0,
                     },
                     "E", float(comp.lam[i]), f"dyn.q.{tag}[{k}][{i}]",
@@ -684,16 +674,14 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
 
     model = bld.build()
 
-    n_cols = model.lp.n_cols
-
     def encode(u_seq):
-        """Roll the tube under a clipped metering plan; None when it exits."""
+        """Roll the tube under a clipped metering plan into a column vector,
+        unchecked: ``milp.solve_milp`` verifies every candidate it gets."""
         u_seq = np.asarray(u_seq, dtype=float).reshape(t, n)
-        vec = np.zeros(n_cols)
+        vec = np.zeros(model.lp.n_cols)
         state = [comp.x0 for comp in comps]
-        for c in range(ncomp):
-            vec[xm[c][0]] = state[c][:n]
-            vec[qm[c][0]] = state[c][n:]
+        for ids, x0 in zip(xs, state):
+            vec[ids[0]] = x0
         for k in range(t):
             avail = state[low_idx][n:] + lam_lo
             u_k = np.clip(u_seq[k], 0.0, np.minimum(ucap[k], avail))
@@ -704,25 +692,13 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                 _scatter(vec, cols[c]["out"], k, flow.out)
                 if merge:
                     _scatter(vec, cols[c]["merge"], k, flow.merge)
-                new = flow.next
-                if np.any(new < blb[c][k + 1] - 1e-7):
-                    return None
-                if np.any(new > bub[c][k + 1] + 1e-7):
-                    return None
-                vec[xm[c][k + 1]] = new[:n]
-                vec[qm[c][k + 1]] = new[n:]
+                vec[xs[c][k + 1]] = flow.next
             state = [flow.next for flow in flows]
         return vec
 
     def decode(x):
-        controls = np.asarray(x)[u_ids].copy()
-        upper = np.concatenate(
-            [np.asarray(x)[xm[0]], np.asarray(x)[qm[0]]], axis=-1
-        )
-        lower = np.concatenate(
-            [np.asarray(x)[xm[low_idx]], np.asarray(x)[qm[low_idx]]], axis=-1
-        )
-        return controls, upper, lower
+        x = np.asarray(x)
+        return x[u_ids], x[xs[0]], x[xs[low_idx]]
 
     return _Problem(model, u_ids, encode, decode)
 
@@ -762,11 +738,8 @@ def solve_mpc(
     prob = _assemble(
         xhat, demand_bounds, bounds, config, terminal, reduced=reduced
     )
-    n = bounds.upper.n_cells
     t = config.horizon
-    lam = np.asarray(demand_bounds.upper, dtype=float)
-    seeds = (np.tile(lam, (t, 1)), np.zeros((t, n)))
-    candidates = [v for v in (prob.encode(s) for s in seeds) if v is not None]
+    track = np.tile(np.asarray(demand_bounds.upper, dtype=float), (t, 1))
 
     def hook(x_lp):
         return prob.encode(np.asarray(x_lp)[prob.u])
@@ -775,7 +748,7 @@ def solve_mpc(
         prob.model,
         budget=budget,
         incumbent_hook=hook,
-        initial_candidates=candidates,
+        initial_candidates=[prob.encode(s) for s in (track, np.zeros_like(track))],
     )
     if sol.status == milp.OPTIMAL:
         controls, upper, lower = prob.decode(sol.x)

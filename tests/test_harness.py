@@ -184,14 +184,29 @@ def _csv_without(key: str) -> str:
     return "\n".join(lines + [",".join(harness._columns(4))]) + "\n"
 
 
+# a data row read_log accepts
+_ROW = ["mpc" if name == "phase" else "0" for name in harness._columns(4)]
+
+
+def _csv_with_row(cells: list[str]) -> str:
+    """All the metadata, the header, and ``cells`` as the data row (line 8)."""
+    lines = [f"# {k} {v}" for k, v in _NEEDED_META.items()]
+    return "\n".join(lines + [",".join(harness._columns(4)), ",".join(cells)]) + "\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("# cells 4\n", "no header row"),
     (",".join(harness._columns(4)) + "\n", "missing 'cells' metadata"),
+    ("# cells\n" + ",".join(harness._columns(4)) + "\n", "missing 'cells' metadata"),
     ("# cells 4\nt,x_1\n", f"expected {len(harness._columns(4))} columns, found 2"),
 ] + [(_csv_without(key), f"missing '{key}' metadata")
-     for key in list(_NEEDED_META)[1:]],
-    ids=["no_header", "no_cells", "column_count"]
-    + [f"no_{key}" for key in list(_NEEDED_META)[1:]])
+     for key in list(_NEEDED_META)[1:]] + [
+    (_csv_with_row(_ROW[:-3]), f"line 8 has {len(_ROW) - 3} cells, expected {len(_ROW)}"),
+    (_csv_with_row(_ROW[:3] + ["1.5e"] + _ROW[4:]),
+     "line 8: could not convert string to float: '1.5e'"),
+],
+    ids=["no_header", "no_cells", "empty_cells", "column_count"]
+    + [f"no_{key}" for key in list(_NEEDED_META)[1:]] + ["short_row", "bad_number"])
 def test_read_log_refuses_files_it_cannot_rebuild(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

@@ -217,6 +217,43 @@ def test_milp_budget_exhaustion_keeps_proven_bound():
     assert capped.bound <= full.objective + 1e-9
 
 
+def test_milp_budget_exits_at_every_depth(monkeypatch):
+    """Cap the search at every node count up to one past what it needs: the
+    capped search is the uncapped one cut short, whether the next node
+    would have been a plunge child or a pool entry."""
+    rng = np.random.default_rng(909)
+    solve_canonical = milp.solve_canonical
+    fixed = []  # per node solved: the (binary, value) pairs it fixes
+
+    def spy(form, lb, ub, **kwargs):
+        fixed.append({(int(j), lb[j]) for j in model.binaries if lb[j] == ub[j]})
+        return solve_canonical(form, lb, ub, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_canonical", spy)
+    cut_before = {"plunge": 0, "pool": 0}
+    for _ in range(12):
+        model, *_ = _random_milp(rng, int(rng.integers(4, 8)))
+        fixed.clear()
+        full = solve_milp(model, budget=MilpBudget())
+        path = list(fixed)
+        if full.status != OPTIMAL:
+            continue
+        for cap in range(1, full.nodes + 2):
+            sol = solve_milp(model, budget=MilpBudget(max_nodes=cap))
+            assert sol.nodes == min(cap, full.nodes)
+            assert sol.bound <= full.objective + 1e-9
+            if np.isfinite(sol.objective):
+                assert not check_solution(model, sol.x, tol=1e-7)
+            if cap > full.nodes:
+                assert sol.status == OPTIMAL
+            elif cap < full.nodes:
+                assert sol.status == BUDGET_EXCEEDED
+                # a plunge child fixes what its parent fixed and one more
+                plunge = path[cap - 1] <= path[cap]
+                cut_before["plunge" if plunge else "pool"] += 1
+    assert min(cut_before.values()) >= 10
+
+
 def test_milp_determinism():
     rng = np.random.default_rng(2024)
     model, *_ = _random_milp(rng, 6)

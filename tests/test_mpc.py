@@ -435,7 +435,8 @@ def test_threshold_ties_relax_the_two_component_model(
 
 def pinned_problem(kind, nominal_demand, stretch, point_params):
     """A horizon-4 point box (reduced encoding) or a horizon-3 interval box
-    (two-component encoding), with the planner's two seed plans."""
+    (two-component encoding), with those of the planner's two seed plans
+    that pass ``solve_milp``'s candidate check."""
     if kind == "point":
         t, box = 4, equilibrium_box()
         dem = DemandBounds(upper=nominal_demand, lower=nominal_demand)
@@ -449,7 +450,8 @@ def pinned_problem(kind, nominal_demand, stretch, point_params):
     prob = mpc._assemble(box, dem, point_params, default_config(t), term,
                          reduced=kind == "point")
     seeds = (np.tile(dem.upper, (t, 1)), np.zeros((t, 4)))
-    return prob, [v for v in map(prob.encode, seeds) if v is not None]
+    return prob, [v for v in map(prob.encode, seeds)
+                  if not milp.check_solution(prob.model, v, tol=1e-7)]
 
 
 @pytest.mark.parametrize("kind, seeded, nodes, iterations, objective", [
@@ -488,6 +490,20 @@ def test_crash_from_a_verified_plan_starts_without_artificials(
     worker._add_artificials()
     assert worker.n_art == 0
     np.testing.assert_allclose(worker._values()[: form.n], x0, rtol=0, atol=1e-9)
+
+
+def test_the_codec_leaves_the_candidate_check_to_the_solver(
+        stretch, nominal_demand, point_params):
+    """Metering nothing fills the queues that the drained terminal box must
+    empty: encode still returns the rollout, check_solution flags it, and
+    solve_milp drops it without a trace in the search."""
+    prob, _ = pinned_problem("point", nominal_demand, stretch, point_params)
+    idle = prob.encode(np.zeros((4, 4)))
+    assert milp.check_solution(prob.model, idle, tol=1e-7)[0].startswith("column q.m[4]")
+    alone, seeded = (milp.solve_milp(prob.model, budget=BUDGET, initial_candidates=seeds)
+                     for seeds in (None, [idle]))
+    assert (seeded.nodes, seeded.iterations, seeded.objective.hex()) == (
+        alone.nodes, alone.iterations, alone.objective.hex())
 
 
 def test_infeasible_horizon_raises_by_default(stretch, nominal_demand,

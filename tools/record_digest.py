@@ -1,8 +1,9 @@
-"""Print a digest of each benchmark workload's closed loop at one seed.
+"""Print a digest of each benchmark workload's closed loop at given seeds.
 
-    python3 tools/record_digest.py --seed 0
+    python3 tools/record_digest.py --seed 0 3
 
-One line per workload of ``perfbench/workloads.py``: the sha256 of the CSV
+One line per workload of ``perfbench/workloads.py`` and seed (default 0,
+seeds in the order given): the sha256 of the CSV
 ``harness.emit_csv`` writes, the ticks that planned, the LP solves and
 simplex pivots (counted by wrapping ``milp.solve_canonical``), ``tts_veh``,
 and the stacked propagations of the parameter contraction with the boxes
@@ -14,6 +15,7 @@ spent on them.
 
 import argparse
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -28,8 +30,8 @@ from rampflow import estimators, harness, milp  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
-    seed = parser.parse_args(argv).seed
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
+    seeds = parser.parse_args(argv).seed
     solve_canonical, certified = milp.solve_canonical, estimators._certified
     counts = [0, 0, 0, 0]
 
@@ -48,7 +50,7 @@ def main(argv=None) -> int:
     milp.solve_canonical = counted
     estimators._certified = counted_boxes
     with tempfile.TemporaryDirectory() as tmp:
-        for name in WORKLOADS:
+        for name, seed in itertools.product(WORKLOADS, seeds):
             counts[:] = [0, 0, 0, 0]
             scenario = load_workload(name, seed)
             log = harness.run_closed_loop(scenario)
