@@ -7,7 +7,8 @@
 drives its closed loop and writes the record as a CSV that
 ``harness.read_log`` reads back. Without ``--csv`` the record goes to
 ``<scenario name>.csv`` in the working directory. A scenario the parser
-rejects ends the command with its message and exit status 2.
+or a range check rejects ends the command with its message and exit
+status 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = harness.load_scenario(args.scenario)
-    except harness.ScenarioError as err:
+    except ValueError as err:  # a ScenarioError, or a record's range check
         print(f"rampflow: {err}", file=sys.stderr)
         return 2
     log = harness.run_closed_loop(scenario)

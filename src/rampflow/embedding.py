@@ -3,10 +3,10 @@
 The plant map is not order preserving (outflow jumps down when a cell tips
 past its critical occupancy), so interval prediction goes through a
 two-argument decomposition instead: ``_tube_flows`` evaluates the next state
-from a primary tuple (state x, demand lam, parameter set A) that pushes the
-result up and a secondary tuple (state z, parameter set B) that pulls it
-down. Evaluating it twice with the tuples exchanged brackets every
-trajectory the uncertainty boxes allow.
+from an own state x with its arrivals lam, an other-component state z, and
+two parameter sets, a primary one that pushes the result up and a secondary
+one that pulls it down. Evaluating it twice, with the states and the sets
+exchanged, brackets every trajectory the uncertainty boxes allow.
 
 ``_tube_flows`` is the one home of the tube's flow arithmetic. Besides the
 next state it returns the named intermediates of the outflow side and the
@@ -19,25 +19,27 @@ scatters the intermediates into its MILP columns and evaluates them at box
 corners for its big-M ranges. The plant in :mod:`rampflow.ctm` is a separate
 implementation on purpose: it is the reference the tube is tested against.
 
-Slot orientation, fixed here and relied on by the set-membership code:
+Which set each parameter is read from, fixed here and relied on by the
+set-membership code:
 
 ==================  =========================================
-primary (raises)    x, lam, beta, and v/w/x_jam/c_max/alpha
-                    where they feed the merge inflow; v also
-                    appears here as the outflow drop threshold
+primary (raises)    beta, and v/w/x_jam/c_max/alpha where
+                    they feed the merge inflow; v also appears
+                    here as the outflow drop threshold
                     denominator
-secondary (lowers)  z, and v/w/x_jam/c_max/alpha where they
-                    feed the cell outflow; v also appears here
-                    as the inflow drop threshold denominator
+secondary (lowers)  v/w/x_jam/c_max/alpha where they feed the
+                    cell outflow; v also appears here as the
+                    inflow drop threshold denominator
 ==================  =========================================
 
-beta has no secondary slot: the merge term multiplies beta back against a
-supply that divides by the same beta, so one value serves both.
+beta is read from the primary set only: the merge term multiplies beta
+back against a supply that divides by the same beta, so one value serves
+both.
 
-On the diagonal (equal tuples) the map reproduces ``ctm.compact_step``
-bit for bit: it computes in the plant's operation order on purpose, and the
-plant's cap of the supply at the upstream capacity, which the kernel leaves
-out, never changes the realized flow.
+On the diagonal (one set in both places, z equal to x) the map reproduces
+``ctm.compact_step`` bit for bit: it computes in the plant's operation order
+on purpose, and the plant's cap of the supply at the upstream capacity,
+which the kernel leaves out, never changes the realized flow.
 """
 
 from __future__ import annotations
@@ -165,53 +167,46 @@ def _sending(x, z, v, c, alpha, v_threshold):
 
 
 def _tube_flows(x, z, u, lam, primary, secondary) -> _TubeFlows:
-    """One tube step from the split tuples; broadcasts over leading axes.
+    """One tube step from the split parameter sets; broadcasts over leading axes.
 
-    primary is (beta, v, w, x_jam, c_max, alpha) and secondary is the same
-    without beta. All arrays; cells along the last axis. The receiving flow
-    stays affine (negative above x_jam, which interval arithmetic can reach
-    when the jam bound is read from the opposite corner of the box); only
-    the realized flow clamps it at zero. Its cap at the upstream capacity
-    is left out because the sending flow never exceeds that capacity.
+    primary and secondary are anything with the parameter fields as
+    attributes (``FreewayParams``, or stacked corners); the secondary set's
+    beta is never read. All arrays; cells along the last axis. The
+    receiving flow stays affine (negative above x_jam, which interval
+    arithmetic can reach when the jam bound is read from the opposite
+    corner of the box); only the realized flow clamps it at zero. Its cap
+    at the upstream capacity is left out because the sending flow never
+    exceeds that capacity.
     """
-    beta_a, v_a, w_a, xjam_a, c_a, alpha_a = primary
-    v_b, w_b, xjam_b, c_b, alpha_b = secondary
+    a, b = primary, secondary
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] // 2
     xm, xr = x[..., :n], x[..., n:]
     zm = np.asarray(z, dtype=float)[..., :n]
 
-    # cell outflow, read from the secondary tuple except for the drop
+    # cell outflow, read from the secondary set except for the drop
     # threshold denominator and the supply's beta, which cross over
-    vx, thr, keep, xi, d = _sending(xm, xm, v_b, c_b, alpha_b, v_a)
-    s = (w_b[..., 1:] / beta_a) * (xjam_b[..., 1:] - xm[..., 1:])
+    vx, thr, keep, xi, d = _sending(xm, xm, b.v, b.c_max, b.alpha, a.v)
+    s = (b.w[..., 1:] / a.beta) * (b.x_jam[..., 1:] - xm[..., 1:])
     f = d.copy()
     f[..., :-1] = np.minimum(d[..., :-1], np.maximum(0.0, s))
     out = _Side(vx, thr, keep, xi, d, s, f)
 
     # merge inflow into cells 2..I: what the upstream cell offers, throttled
-    # by the space this cell advertises, all read from the primary tuple
-    vx, thr, keep, xi, d = _sending(xm[..., :-1], zm[..., :-1], v_a[..., :-1],
-                                    c_a[..., :-1], alpha_a[..., :-1], v_b[..., :-1])
-    s = (w_a[..., 1:] / beta_a) * (xjam_a[..., 1:] - xm[..., 1:])
+    # by the space this cell advertises, all read from the primary set
+    vx, thr, keep, xi, d = _sending(xm[..., :-1], zm[..., :-1], a.v[..., :-1],
+                                    a.c_max[..., :-1], a.alpha[..., :-1], b.v[..., :-1])
+    s = (a.w[..., 1:] / a.beta) * (a.x_jam[..., 1:] - xm[..., 1:])
     merge = _Side(vx, thr, keep, xi, d, s, np.minimum(d, np.maximum(0.0, s)))
 
     shape = np.broadcast_shapes(xm.shape, np.shape(u))
     inflow = np.zeros(shape)
     inflow += u
-    inflow[..., 1:] += beta_a * merge.f
+    inflow[..., 1:] += a.beta * merge.f
     next_m = (xm + inflow) - out.f
     next_r = (xr + lam) - u
     return _TubeFlows(out, merge,
                       np.concatenate(np.broadcast_arrays(next_m, next_r), axis=-1))
-
-
-def _primary_tuple(p: FreewayParams):
-    return (p.beta, p.v, p.w, p.x_jam, p.c_max, p.alpha)
-
-
-def _secondary_tuple(p: FreewayParams):
-    return (p.v, p.w, p.x_jam, p.c_max, p.alpha)
 
 
 def _clamped_step(up, lo, u, demand: DemandBounds, upper, lower):
@@ -222,10 +217,8 @@ def _clamped_step(up, lo, u, demand: DemandBounds, upper, lower):
     bracket or the corners' arrays stack boxes; the bracket must carry them
     all. Returns the next (up, lo).
     """
-    nxt_up = _tube_flows(up, lo, u, demand.upper,
-                         _primary_tuple(upper), _secondary_tuple(lower)).next
-    nxt_lo = _tube_flows(lo, up, u, demand.lower,
-                         _primary_tuple(lower), _secondary_tuple(upper)).next
+    nxt_up = _tube_flows(up, lo, u, demand.upper, upper, lower).next
+    nxt_lo = _tube_flows(lo, up, u, demand.lower, lower, upper).next
     n = nxt_up.shape[-1] // 2
     cap = np.maximum(upper.x_jam, lower.x_jam)
     for arr in (nxt_up, nxt_lo):

@@ -136,12 +136,12 @@ class _Block:
             raise ScenarioError(line, f"{self.name}.{key}: expected finite numbers, got {tokens}")
         return vals
 
-    def vector(self, key: str, n: int, default=None) -> np.ndarray:
+    def vector(self, key: str, n: int, default: float | None = None) -> np.ndarray:
         entry = self._take(key)
         if entry is None:
             if default is None:
                 raise ScenarioError(None, f"{self.name}.{key} is required")
-            return np.full(n, float(default)) if np.isscalar(default) else np.asarray(default, dtype=float)
+            return np.full(n, float(default))
         line, tokens = entry
         vals = self._floats(key, line, tokens)
         if vals.shape[0] == 1:
@@ -179,11 +179,9 @@ class _Block:
                                 f"{self.name}.{key}: expected an integer >= {minimum}")
         return int(val)
 
-    def word(self, key: str, default: str | None, choices: tuple[str, ...]) -> str:
+    def word(self, key: str, default: str, choices: tuple[str, ...]) -> str:
         entry = self._take(key)
         if entry is None:
-            if default is None:
-                raise ScenarioError(None, f"{self.name}.{key} is required")
             return default
         line, tokens = entry
         if len(tokens) != 1 or tokens[0] not in choices:
@@ -229,10 +227,14 @@ class Scenario:
     local: LocalConfig
     mpc: MpcConfig
     terminal: TerminalSet
-    cost: CostSpec
     gap_rel: float
     estimator: EstimatorConfig
     steps: int
+
+    @property
+    def cost(self) -> CostSpec:
+        """The run's cost weights, which its planner config holds."""
+        return self.mpc.cost
 
     @property
     def n_cells(self) -> int:
@@ -369,16 +371,15 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     drained = mb.word("terminal", TERMINAL_MAINLINE, (TERMINAL_MAINLINE, TERMINAL_DRAINED)) == TERMINAL_DRAINED
     gap_rel = mb.scalar("gap", 0.0)
     if mb.is_word("b", "terminal"):
-        b_main, d_vec = choose_terminal_weights(l_vec, params)
-        b_vec = np.concatenate([b_main, np.ones(n)])
+        d_vec = choose_terminal_weights(l_vec, params)
+        b_vec = np.concatenate([d_vec, np.ones(n)])
     else:
         b_vec = mb.vector("b", 2 * n)
         d_vec = np.zeros(n)
     mb.finish()
     if gap_rel < 0.0:
         raise ScenarioError(None, "mpc.gap must be nonnegative")
-    mpc_cfg = MpcConfig(horizon=horizon, l=l_vec, b=b_vec)
-    cost = CostSpec(l=l_vec, b_main=b_vec[:n], b_ramp=b_vec[n:], d=d_vec)
+    mpc_cfg = MpcConfig(horizon=horizon, cost=CostSpec(l=l_vec, b=b_vec, d=d_vec))
 
     eb = block("estimator")
     estimator = EstimatorConfig(
@@ -405,7 +406,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         controller=controller,
         alinea=AlineaConfig(gain=gain, setpoint=setpoint),
         local=LocalConfig(averaging_window=averaging, epsilon=epsilon),
-        mpc=mpc_cfg, terminal=terminal, cost=cost,
+        mpc=mpc_cfg, terminal=terminal,
         gap_rel=gap_rel, estimator=estimator, steps=steps,
     )
 
@@ -560,7 +561,7 @@ def _run_setpc(scenario: Scenario) -> TrajectoryLog:
         else:
             u, state, diag = setpc_step(state, y, config)
         log.append(x, diag.corrected, u, diag.value,
-                   running_cost(scenario.mpc.l, diag.corrected.upper),
+                   running_cost(scenario.cost.l, diag.corrected.upper),
                    diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
     _seal_gap(scenario, log)
@@ -596,7 +597,7 @@ def _run_baseline(scenario: Scenario) -> TrajectoryLog:
         served = x[n:] + lam - x_next[n:]
         control_hist.append(served)
         prev_u = served
-        log.append(x, corrected, served, math.nan, running_cost(scenario.mpc.l, corrected.upper),
+        log.append(x, corrected, served, math.nan, running_cost(scenario.cost.l, corrected.upper),
                    scenario.controller, theta=scenario.theta_box)
         x = x_next
     return log
@@ -658,8 +659,8 @@ def scenario_meta(scenario: Scenario, log: TrajectoryLog) -> list[tuple[str, str
         ("controller", scenario.controller),
         ("cells", str(scenario.n_cells)),
         ("warmup", str(scenario.warmup)),
-        ("l", join(scenario.mpc.l)),
-        ("b", join(scenario.mpc.b)),
+        ("l", join(scenario.cost.l)),
+        ("b", join(scenario.cost.b)),
         ("d", join(scenario.cost.d)),
         ("horizon", str(scenario.mpc.horizon)),
         ("terminal", join(scenario.terminal.x_f)),
@@ -722,12 +723,15 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     them). A file missing its ``cells``, ``l``, ``known_theta``,
     ``constant_demand``, ``gap_abs`` or ``allowance`` line, or leaving one
     empty, is refused with a ``ValueError`` naming the line; ``demand`` is
-    optional, as periodic runs record none. A data row with too few or too
-    many cells, or a number that does not parse, is refused with a
-    ``ValueError`` naming its file line.
+    optional, as periodic runs record none. So is a metadata number that
+    does not parse, an ``l`` line without 2 * cells values, a header other
+    than the one :func:`emit_csv` writes, and a data row with too few or
+    too many cells or a number that does not parse, each naming its file
+    line or column.
     """
     text = Path(path).read_text()
     meta: dict[str, list[str]] = {}
+    meta_line: dict[str, int] = {}
     header: list[str] | None = None
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -738,6 +742,7 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
             tokens = line[1:].split()
             if tokens:
                 meta[tokens[0]] = tokens[1:]
+                meta_line[tokens[0]] = lineno
             continue
         if header is None:
             header = line.split(",")
@@ -749,34 +754,48 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
             raise ValueError(f"{path}: missing {key!r} metadata")
         return meta[key]
 
+    def numbers(key: str, convert=float) -> list:
+        tokens = need(key)
+        try:
+            return [convert(v) for v in tokens]
+        except ValueError:
+            raise ValueError(f"{path}: line {meta_line[key]}: {key!r} metadata: "
+                             f"expected numbers, got {tokens}") from None
+
     if header is None:
         raise ValueError(f"{path}: no header row")
-    n = int(need("cells")[0])
-    if len(header) != len(_columns(n)):
-        raise ValueError(f"{path}: expected {len(_columns(n))} columns, found {len(header)}")
+    n = numbers("cells", int)[0]
+    expected = _columns(n)
+    if len(header) != len(expected):
+        raise ValueError(f"{path}: expected {len(expected)} columns, found {len(header)}")
+    if header != expected:
+        col = next(i for i, (a, b) in enumerate(zip(header, expected)) if a != b)
+        raise ValueError(f"{path}: column {col + 1} is {header[col]!r}, "
+                         f"expected {expected[col]!r}")
 
-    l_vec = np.array([float(v) for v in need("l")])
+    l_vec = np.array(numbers("l"))
+    if l_vec.shape[0] != 2 * n:
+        raise ValueError(f"{path}: line {meta_line['l']}: 'l' metadata has "
+                         f"{l_vec.shape[0]} values, expected {2 * n}")
     log = TrajectoryLog(
-        demand=np.array([float(v) for v in meta["demand"]]) if "demand" in meta else None,
+        demand=np.array(numbers("demand")) if "demand" in meta else None,
         known_theta=need("known_theta")[0] == "1",
         constant_demand=need("constant_demand")[0] == "1",
-        gap=float(need("gap_abs")[0]),
-        decrease_allowance=float(need("allowance")[0]),
+        gap=numbers("gap_abs")[0],
+        decrease_allowance=numbers("allowance")[0],
     )
-    idx = {name: i for i, name in enumerate(header)}
+    # the header is _columns(n): t, x, xhat_up, xhat_lo, u, the theta box,
+    # Vstar, phase, total_vehicles
     for lineno, cells in rows:
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
                              f"expected {len(header)}")
         try:
-            x = np.array([float(cells[idx[f"x_{i}"]]) for i in range(1, 2 * n + 1)])
-            up = np.array([float(cells[idx[f"xhat_up_{i}"]]) for i in range(1, 2 * n + 1)])
-            lo = np.array([float(cells[idx[f"xhat_lo_{i}"]]) for i in range(1, 2 * n + 1)])
-            u = np.array([float(cells[idx[f"u_{i}"]]) for i in range(1, n + 1)])
-            value = float(cells[idx["Vstar"]])
+            states = np.array([float(c) for c in cells[1:1 + 7 * n]])
+            value = float(cells[-3])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        phase = cells[idx["phase"]]
-        estimate = LiftedState(upper=up, lower=lo)
-        log.append(x, estimate, u, value, running_cost(l_vec, up), phase)
+        x, up, lo, u = np.split(states, [2 * n, 4 * n, 6 * n])
+        log.append(x, LiftedState(upper=up, lower=lo), u, value,
+                   running_cost(l_vec, up), cells[-2])
     return log, meta

@@ -56,8 +56,6 @@ from .embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
-    _primary_tuple,
-    _secondary_tuple,
     _Side,
     _tube_flows,
     _TubeFlows,
@@ -77,36 +75,6 @@ class SolveBudgetExceeded(RuntimeError):
     def __init__(self, message: str, solution: milp.Solution):
         super().__init__(message)
         self.solution = solution
-
-
-@dataclass(frozen=True)
-class MpcConfig:
-    """Horizon and cost weights of the planner.
-
-    l and b stack mainline weights first and ramp-queue weights second
-    (2I entries each); only the upper tube component is costed. The
-    objective is sum of l*x(k) for k < T plus b*x(T).
-    """
-
-    horizon: int
-    l: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        t = int(self.horizon)
-        if t != self.horizon or t < 1:
-            raise ValueError("horizon must be an integer >= 1")
-        object.__setattr__(self, "horizon", t)
-        l = np.asarray(self.l, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if l.ndim != 1 or l.shape != b.shape or l.shape[0] % 2:
-            raise ValueError("l and b must be equal-length stacked vectors")
-        if not np.all(l > 0.0):
-            raise ValueError("running-cost weights must be positive")
-        if not np.all(b >= 0.0) or not np.all(np.isfinite(b)):
-            raise ValueError("terminal weights must be finite and nonnegative")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -148,34 +116,48 @@ class TerminalSet:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Weights consumed by the terminal certificate and the analysis code.
+    """The cost weights, read by the planner and by the certificates.
 
-    l is the full stacked running cost; the terminal weight is split into
-    its mainline part b_main and queue part b_ramp; d prices the demand
-    slack on the right-hand side of the decrease inequality.
+    l is the running cost and b the terminal weight, both stacked with
+    mainline weights first and ramp-queue weights second (2I entries
+    each); d prices the arrivals, one entry per ramp. The planner's
+    objective is the sum of l*x(k) for k < T plus b*x(T), on the upper tube
+    component only; the decrease certificate reads b*F(x) - b*x + l*x
+    against d*lambda.
     """
 
     l: np.ndarray
-    b_main: np.ndarray
-    b_ramp: np.ndarray
+    b: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
         l = np.asarray(self.l, dtype=float)
-        bm = np.asarray(self.b_main, dtype=float)
-        br = np.asarray(self.b_ramp, dtype=float)
+        b = np.asarray(self.b, dtype=float)
         d = np.asarray(self.d, dtype=float)
-        n = bm.shape[0]
-        if br.shape[0] != n or d.shape[0] != n or l.shape[0] != 2 * n:
+        if l.ndim != 1 or d.ndim != 1 or l.shape != b.shape or l.shape[0] != 2 * d.shape[0]:
             raise ValueError("weight lengths disagree")
+        if not np.all(l > 0.0):
+            raise ValueError("running-cost weights must be positive")
+        if not np.all(b >= 0.0) or not np.all(np.isfinite(b)):
+            raise ValueError("terminal weights must be finite and nonnegative")
         if np.any(d < 0.0):
             raise ValueError("demand slack weights must be nonnegative")
-        for name, arr in (("l", l), ("b_main", bm), ("b_ramp", br), ("d", d)):
+        for name, arr in (("l", l), ("b", b), ("d", d)):
             object.__setattr__(self, name, arr)
 
-    @property
-    def b(self) -> np.ndarray:
-        return np.concatenate([self.b_main, self.b_ramp])
+
+@dataclass(frozen=True)
+class MpcConfig:
+    """Horizon and cost weights of the planner."""
+
+    horizon: int
+    cost: CostSpec
+
+    def __post_init__(self):
+        t = int(self.horizon)
+        if t != self.horizon or t < 1:
+            raise ValueError("horizon must be an integer >= 1")
+        object.__setattr__(self, "horizon", t)
 
 
 @dataclass
@@ -224,17 +206,15 @@ def compute_xup(lam: np.ndarray, params: FreewayParams) -> np.ndarray:
     return x_up
 
 
-def choose_terminal_weights(
-    l: np.ndarray, params: FreewayParams
-) -> tuple[np.ndarray, np.ndarray]:
+def choose_terminal_weights(l: np.ndarray, params: FreewayParams) -> np.ndarray:
     """Minimal mainline terminal weights certifying the cost decrease.
 
     Inside the terminal box with metering equal to arrivals, holding one
     extra vehicle in cell i costs l_i / v_i per residence step and then
     beta_i times the same accounting one cell downstream, so the minimal
     weights satisfy v_i * (b_i - beta_i * b_{i+1}) = l_i, solved backward
-    from b_I = l_I / v_I. The demand slack weight d equals b, which makes
-    the arrival terms on both sides of the decrease inequality cancel.
+    from b_I = l_I / v_I. Used as the demand slack weight d as well, they
+    make the arrival terms on both sides of the decrease inequality cancel.
 
     l is the stacked running-cost vector (length 2I); only its mainline
     entries enter the weights.
@@ -250,7 +230,7 @@ def choose_terminal_weights(
     b[-1] = l[-1] / params.v[-1]
     for i in range(n - 2, -1, -1):
         b[i] = l[i] / params.v[i] + params.beta[i] * b[i + 1]
-    return b, b.copy()
+    return b
 
 
 def _finite_cap(bounds: ParamBounds) -> np.ndarray:
@@ -299,8 +279,8 @@ def terminal_lyapunov_check(
     l = cost_spec.l
     d = cost_spec.d
     # per ramp, the residual is affine in the arrival rate with slope
-    # b_ramp - d, so the adverse corner is picked coordinatewise
-    lam_adverse = np.where(cost_spec.b_ramp >= d, lam_up, lam_lo)
+    # b[n:] - d, so the adverse corner is picked coordinatewise
+    lam_adverse = np.where(b[n:] >= d, lam_up, lam_lo)
     adverse_box = DemandBounds(upper=lam_adverse, lower=lam_adverse)
     finite = np.isfinite(xf)
 
@@ -350,7 +330,7 @@ def terminal_lyapunov_check(
 
 @dataclass(frozen=True)
 class _Comp:
-    """One tube component: its raising and lowering parameter tuples."""
+    """One tube component: its raising and lowering parameter sets."""
 
     tag: str
     prim: FreewayParams
@@ -360,22 +340,17 @@ class _Comp:
 
     def flows(self, x, z, u) -> _TubeFlows:
         """The tube kernel at own state x and other-component state z."""
-        return _tube_flows(x, z, u, self.lam, _primary_tuple(self.prim),
-                           _secondary_tuple(self.sec))
+        return _tube_flows(x, z, u, self.lam, self.prim, self.sec)
 
 
-# column and gadget name prefixes of the intermediates, per side
-_NAMES = {
-    "out": {"vx": "vxo", "xi": "xio", "drop": "dropo", "d": "do",
-            "dmin": "dmin", "s": "so", "f": "fo", "fmin": "fmin"},
-    "merge": {"vx": "vxu", "xi": "xiu", "drop": "dropu", "d": "du",
-              "dmin": "umin", "s": "si", "f": "fu", "fmin": "gmin"},
-}
+# the columns of one side's stage auxiliaries: the kernel's fields, the
+# no-drop flag as "drop", and the selectors of its two minima
+_KEYS = ("vx", "xi", "drop", "d", "dmin", "s", "f", "fmin")
 
 
 def _labels(side: str, tag: str, k: int, i: int) -> dict[str, str]:
     """Column and gadget names of one side's stage-k auxiliaries of cell i."""
-    return {key: f"{pre}.{tag}[{k}][{i}]" for key, pre in _NAMES[side].items()}
+    return {key: f"{key}.{side}.{tag}[{k}][{i}]" for key in _KEYS}
 
 
 def _stage_ranges(comp: _Comp, own, oth, merge: bool):
@@ -451,7 +426,7 @@ def _settle_drop(builder: milp.ModelBuilder, z: int, x: int, thr: float) -> None
 
 
 def _validate_inputs(xhat, demand, bounds, config, terminal, n):
-    if config.l.shape[0] != 2 * n:
+    if config.cost.l.shape[0] != 2 * n:
         raise ValueError("cost weight length disagrees with the cell count")
     if terminal.x_f.shape[0] != 2 * n:
         raise ValueError("terminal bound length disagrees with the cell count")
@@ -567,7 +542,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     # upper component is costed
     xs = tuple(np.empty((t + 1, 2 * n), dtype=np.int64) for _ in comps)
     for k in range(t + 1):
-        weight = config.l if k < t else config.b
+        weight = config.cost.l if k < t else config.cost.b
         for c, comp in enumerate(comps):
             for j in range(2 * n):
                 xs[c][k, j] = bld.add_variable(
@@ -583,11 +558,11 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                 f"u[{k}][{i}]", lower=0.0, upper=ucap[k, i]
             )
 
-    # column ids per component and side, keyed like _NAMES; the outflow
+    # column ids per component and side, keyed like _KEYS; the outflow
     # side's last realized flow is its sending flow (no cell downstream)
     def side_ids(cells, short):
         return {key: np.empty((t, cells - (key in short)), dtype=np.int64)
-                for key in _NAMES["out"]}
+                for key in _KEYS}
 
     cols = [{"out": side_ids(n, ("s", "fmin")), "merge": side_ids(n - 1, ())}
             for _ in comps]

@@ -29,8 +29,8 @@ LAM = np.array([19.17, 1.67, 1.67, 1.67])
 
 def demo_cost(params):
     l = np.ones(8)
-    b_main, d = choose_terminal_weights(l, params)
-    return CostSpec(l=l, b_main=b_main, b_ramp=np.ones(4), d=d)
+    d = choose_terminal_weights(l, params)
+    return CostSpec(l=l, b=np.concatenate([d, np.ones(4)]), d=d)
 
 
 def synth_log(states, values, runnings, **meta):
@@ -54,7 +54,7 @@ def planner_run():
     cost = demo_cost(params)
     x_up = compute_xup(LAM, params)
     config = SetPcConfig(
-        mpc=MpcConfig(horizon=6, l=cost.l, b=cost.b),
+        mpc=MpcConfig(horizon=6, cost=cost),
         terminal=TerminalSet.drained(x_up),
         estimator=EstimatorConfig(backward_horizon=4, prune_depth=8, prune_budget=256),
         local=LocalConfig(averaging_window=1, epsilon=0.1),
@@ -88,14 +88,12 @@ def test_constants_match_the_worked_arithmetic():
 
 
 def test_constants_reject_the_degenerate_boundary():
-    flat = CostSpec(l=np.ones(8), b_main=np.ones(4), b_ramp=np.ones(4),
-                    d=np.ones(4))
+    flat = CostSpec(l=np.ones(8), b=np.ones(8), d=np.ones(4))
     with pytest.raises(ValueError, match="contraction"):
         iss_constants(flat, 0)
-    dead = CostSpec(l=np.concatenate([np.zeros(1), np.ones(7)]),
-                    b_main=np.ones(4), b_ramp=np.ones(4), d=np.ones(4))
-    with pytest.raises(ValueError, match="contraction"):
-        iss_constants(dead, 60)
+    # a zero running weight would give rho = 1; the record refuses it
+    with pytest.raises(ValueError, match="running-cost weights must be positive"):
+        CostSpec(l=np.concatenate([np.zeros(1), np.ones(7)]), b=np.ones(8), d=np.ones(4))
     with pytest.raises(ValueError, match="horizon"):
         iss_constants(flat, -1)
 
@@ -105,11 +103,10 @@ def test_constants_reject_the_degenerate_boundary():
 def test_constants_are_scale_consistent(scale, horizon):
     rng = np.random.default_rng(11)
     l = rng.uniform(0.5, 3.0, 8)
-    bm, br, d = rng.uniform(0.0, 9.0, (3, 4))
-    base = iss_constants(CostSpec(l=l, b_main=bm, b_ramp=br, d=d), horizon)
-    scaled = iss_constants(
-        CostSpec(l=scale * l, b_main=scale * bm, b_ramp=scale * br,
-                 d=scale * d), horizon)
+    b_main, b_queue, d = rng.uniform(0.0, 9.0, (3, 4))
+    b = np.concatenate([b_main, b_queue])
+    base = iss_constants(CostSpec(l=l, b=b, d=d), horizon)
+    scaled = iss_constants(CostSpec(l=scale * l, b=scale * b, d=scale * d), horizon)
     assert scaled.rho == pytest.approx(base.rho, rel=1e-12)
 
 
@@ -258,3 +255,11 @@ def test_certificate_summary_reads_healthy_and_broken_runs(planner_run):
         broken, constants=IssConstants(1.0, 2.0, 1.0, 0.5), lam=np.ones(1),
         terminal=TerminalSet.drained(np.full(1, 0.5))))
     assert "FAIL" in text and "terminal entry: not reached" in text
+
+
+def test_certificate_summary_skips_the_arrival_checks_without_an_arrival_vector():
+    log = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5], [1.0] * 3)
+    lines = certificate_summary(log, constants=IssConstants(1.0, 2.0, 1.0, 0.5))
+    assert lines[1:] == [
+        "value bounds: skipped (the log does not record an arrival vector)",
+        "state bound: skipped (no arrival vector)"]

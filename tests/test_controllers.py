@@ -11,7 +11,7 @@ from rampflow.embedding import DemandBounds, LiftedState, ParamBounds
 from rampflow.estimators import (ContainmentViolation, EstimatorConfig,
                                  MeasurementWindow)
 from rampflow.milp import MilpBudget
-from rampflow.mpc import MpcConfig, TerminalSet, solve_mpc
+from rampflow.mpc import CostSpec, MpcConfig, TerminalSet, solve_mpc
 from rampflow.controllers import (ALINEA_GAIN, AlineaConfig, LocalConfig,
                                   PHASE_LOCAL, PHASE_MPC, SetPcConfig,
                                   SetPcState, alinea_step, local_controller,
@@ -24,14 +24,13 @@ ALINEA = AlineaConfig(gain=ALINEA_GAIN, setpoint=None)
 LOCAL = LocalConfig(averaging_window=1, epsilon=0.1)
 
 
-def stacked_cost():
-    return np.ones(8), np.concatenate([B_MAIN, np.ones(4)])
+def stacked_cost(queue_weight=1.0):
+    return CostSpec(l=np.ones(8), b=np.concatenate([B_MAIN, np.full(4, queue_weight)]), d=B_MAIN)
 
 
 def loop_config(horizon=6, **overrides):
-    l, b = stacked_cost()
     defaults = dict(
-        mpc=MpcConfig(horizon=horizon, l=l, b=b),
+        mpc=MpcConfig(horizon=horizon, cost=stacked_cost()),
         terminal=TerminalSet.drained(np.full(4, 40.0)),
         estimator=EstimatorConfig(backward_horizon=4, prune_depth=8, prune_budget=256),
         local=LOCAL,
@@ -261,9 +260,8 @@ def test_setpc_keeps_the_truth_enclosed_under_partial_measurement(
     # serving the arrivals keeps the first cell above its cap of 19, so only
     # metering on the last step reaches the box; queue weights of 10 in b
     # make that the cheapest plan, and every tick plans
-    l, _ = stacked_cost()
     config = loop_config(
-        mpc=MpcConfig(horizon=2, l=l, b=np.concatenate([B_MAIN, np.full(4, 10.0)])),
+        mpc=MpcConfig(horizon=2, cost=stacked_cost(queue_weight=10.0)),
         terminal=TerminalSet.mainline_only(np.array([19.0, 40.0, 40.0, 40.0])),
         estimator=EstimatorConfig(backward_horizon=4, prune_depth=8, prune_budget=16))
     x = np.concatenate([np.array([20.0, 25.0, 22.0, 30.0]),

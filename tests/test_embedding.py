@@ -16,8 +16,6 @@ from rampflow.embedding import (
     LiftedState,
     ParamBounds,
     _box_admissible,
-    _primary_tuple,
-    _secondary_tuple,
     _tube_flows,
     lifted_step,
 )
@@ -34,9 +32,9 @@ def demo_bounds() -> ParamBounds:
         lower=mk(0.70, 0.4, 0.1, 150.0, 16.0, 0.8))
 
 
-def sample_tuple_pair(rng, n, cells=4):
-    """Two componentwise-ordered (state, demand, params) primary tuples plus
-    a fixed secondary tuple, all broadcast-ready with shape (n, cells)."""
+def sample_set_pair(rng, n, cells=4):
+    """Two componentwise-ordered parameter sets, each with a state and an
+    arrival vector, all broadcast-ready with shape (n, cells)."""
     v_hi = rng.uniform(0.1, 0.9, (n, cells))
     w_hi = rng.uniform(0.05, 1.0 - v_hi)
     lo = {
@@ -61,36 +59,27 @@ def sample_tuple_pair(rng, n, cells=4):
                                   rng.uniform(0.0, 30.0, (n, cells))], axis=-1)
     lam_lo = rng.uniform(0.0, 10.0, (n, cells))
     lam_hi = lam_lo + rng.uniform(0.0, 5.0, (n, cells))
-    return lo, hi, x_lo, x_hi, lam_lo, lam_hi
-
-
-def as_primary(d):
-    return (d["beta"], d["v"], d["w"], d["x_jam"], d["c_max"], d["alpha"])
-
-
-def as_secondary(d):
-    return (d["v"], d["w"], d["x_jam"], d["c_max"], d["alpha"])
+    return SimpleNamespace(**lo), SimpleNamespace(**hi), x_lo, x_hi, lam_lo, lam_hi
 
 
 def upper_next(lifted, u, demand, bounds):
     """Upper component of the tube map, before clamping (the lower one is
-    the same call with every tuple exchanged)."""
+    the same call with the states and the sets exchanged)."""
     return _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
-                       _primary_tuple(bounds.upper), _secondary_tuple(bounds.lower)).next
+                       bounds.upper, bounds.lower).next
 
 
 def two_cells(x_main, z_main=None):
     """Kernel step of a two-cell demo stretch at the given occupancies.
 
     The cells have beta 0.9, v 0.5, w 1/6, x_jam 160, c_max 20 and
-    alpha 0.9 in both tuples; z_main defaults to x_main.
+    alpha 0.9 in both sets; z_main defaults to x_main.
     """
     p = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
                            c_max=20.0, alpha=0.9)
     x = np.concatenate([x_main, np.zeros(2)])
     z = x if z_main is None else np.concatenate([z_main, np.zeros(2)])
-    return _tube_flows(x, z, np.zeros(2), np.zeros(2), _primary_tuple(p),
-                       _secondary_tuple(p))
+    return _tube_flows(x, z, np.zeros(2), np.zeros(2), p, p)
 
 
 class TestTildeFunctions:
@@ -125,8 +114,7 @@ class TestDiagonal:
         lam = rng.uniform(0.0, 12.0, (500, 4))
         u = ramp_discharge(stretch, x, rng.uniform(0.0, 30.0, (500, 4)), lam)
         np.testing.assert_array_equal(
-            _tube_flows(x, x, u, lam, _primary_tuple(stretch),
-                        _secondary_tuple(stretch)).next,
+            _tube_flows(x, x, u, lam, stretch, stretch).next,
             compact_step(stretch, x, u, lam))
 
     def test_decomposition_on_degenerate_box(self, stretch, nominal_demand):
@@ -169,24 +157,20 @@ class TestDecomposition:
 class TestMonotonicityBlocks:
     def test_primary_block_raises_result(self):
         rng = np.random.default_rng(11)
-        lo, hi, x_lo, x_hi, lam_lo, lam_hi = sample_tuple_pair(rng, 20_000)
+        lo, hi, x_lo, x_hi, lam_lo, lam_hi = sample_set_pair(rng, 20_000)
         z = x_lo * rng.uniform(0.0, 1.0, x_lo.shape)
         u = rng.uniform(0.0, 10.0, (20_000, 4))
-        f_small = _tube_flows(x_lo, z, u, lam_lo, as_primary(lo),
-                              as_secondary(lo)).next
-        f_big = _tube_flows(x_hi, z, u, lam_hi, as_primary(hi),
-                            as_secondary(lo)).next
+        f_small = _tube_flows(x_lo, z, u, lam_lo, lo, lo).next
+        f_big = _tube_flows(x_hi, z, u, lam_hi, hi, lo).next
         assert np.all(f_small <= f_big + 1e-9)
 
     def test_secondary_block_lowers_result(self):
         rng = np.random.default_rng(13)
-        lo, hi, z_lo, z_hi, lam_lo, lam_hi = sample_tuple_pair(rng, 20_000)
+        lo, hi, z_lo, z_hi, lam_lo, lam_hi = sample_set_pair(rng, 20_000)
         x = z_lo * rng.uniform(0.0, 1.0, z_lo.shape)
         u = rng.uniform(0.0, 10.0, (20_000, 4))
-        f_hi_sec = _tube_flows(x, z_hi, u, lam_lo, as_primary(lo),
-                               as_secondary(hi)).next
-        f_lo_sec = _tube_flows(x, z_lo, u, lam_lo, as_primary(lo),
-                               as_secondary(lo)).next
+        f_hi_sec = _tube_flows(x, z_hi, u, lam_lo, lo, hi).next
+        f_lo_sec = _tube_flows(x, z_lo, u, lam_lo, lo, lo).next
         assert np.all(f_hi_sec <= f_lo_sec + 1e-9)
 
     def test_component_symmetry(self, stretch, nominal_demand):
@@ -197,11 +181,10 @@ class TestMonotonicityBlocks:
         dem = DemandBounds(upper=nominal_demand * 1.1, lower=nominal_demand * 0.9)
         u = rng.uniform(0.0, 5.0, 4)
         stepped = lifted_step(LiftedState(up_state, lo_state), u, dem, bounds)
-        # the lower component is literally the upper map with every tuple
-        # exchanged, so recomputing it that way must agree exactly
+        # the lower component is literally the upper map with the states and
+        # the sets exchanged, so recomputing it that way must agree exactly
         swapped_upper = _tube_flows(
-            lo_state, up_state, u, dem.lower,
-            _primary_tuple(bounds.lower), _secondary_tuple(bounds.upper)).next
+            lo_state, up_state, u, dem.lower, bounds.lower, bounds.upper).next
         n = 4
         cap = np.maximum(bounds.upper.x_jam, bounds.lower.x_jam)
         swapped_upper[:n] = np.clip(swapped_upper[:n], 0.0, cap)

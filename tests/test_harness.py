@@ -55,7 +55,7 @@ def test_special_keys_take_their_word_or_a_vector():
     text, _ = _edit(text, "  kind setpc", ["  setpoint 70 71 72 73"])
     scenario = parse_scenario(text)
     np.testing.assert_array_equal(scenario.state_box.upper[:4], 140.0)
-    np.testing.assert_array_equal(scenario.mpc.b, 2.0)
+    np.testing.assert_array_equal(scenario.cost.b, 2.0)
     np.testing.assert_array_equal(scenario.cost.d, 0.0)
     np.testing.assert_array_equal(scenario.alinea.setpoint, [70, 71, 72, 73])
     preset = parse_scenario(PRESET)
@@ -80,6 +80,21 @@ def test_non_finite_numbers_are_rejected_with_their_line(anchor, key, value):
         parse_scenario(text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {key}: expected finite numbers, got ['{value}']"
+
+
+@pytest.mark.parametrize("anchor, key, value, minimum", [
+    ("  horizon 60", "mpc.horizon", "0", 1),
+    ("  steps 60", "run.steps", "1.5", 0),
+    ("  backward_horizon 1", "estimator.backward_horizon", "0", 1),
+], ids=["horizon-0", "steps-fraction", "backward_horizon-0"])
+def test_integer_keys_are_refused_below_their_minimum_or_with_a_fraction(
+        anchor, key, value, minimum):
+    name = anchor.split()[0]
+    text, line = _edit(PRESET, anchor, [f"  {name} {value}"], keep=False)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {key}: expected an integer >= {minimum}"
 
 
 def test_inadmissible_demand_base_is_a_scenario_error():
@@ -172,11 +187,15 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
     source.write_text(_edit(PRESET, "  horizon 60", ["  horizon nan"], keep=False)[0])
     assert cli.main(["run", str(source)]) == 2
     assert "mpc.horizon: expected finite numbers" in capsys.readouterr().err
+    # a range check of a record raises a plain ValueError, without a line
+    source.write_text(_edit(PRESET, "  v 0.5", ["  v 1.5"], keep=False)[0])
+    assert cli.main(["run", str(source)]) == 2
+    assert capsys.readouterr().err == "rampflow: v must lie in (0, 1] (step invariance)\n"
 
 
 # the lines read_log needs; demand is optional, as periodic runs have none
-_NEEDED_META = {"cells": "4", "l": "1", "known_theta": "1", "constant_demand": "1",
-                "gap_abs": "0", "allowance": "0"}
+_NEEDED_META = {"cells": "4", "l": "1 1 1 1 1 1 1 1", "known_theta": "1",
+                "constant_demand": "1", "gap_abs": "0", "allowance": "0"}
 
 
 def _csv_without(key: str) -> str:
@@ -188,10 +207,15 @@ def _csv_without(key: str) -> str:
 _ROW = ["mpc" if name == "phase" else "0" for name in harness._columns(4)]
 
 
-def _csv_with_row(cells: list[str]) -> str:
-    """All the metadata, the header, and ``cells`` as the data row (line 8)."""
-    lines = [f"# {k} {v}" for k, v in _NEEDED_META.items()]
-    return "\n".join(lines + [",".join(harness._columns(4)), ",".join(cells)]) + "\n"
+def _csv_with_row(row: list[str], header: list[str] = harness._columns(4),
+                  **meta: str) -> str:
+    """The metadata, with ``meta`` in place of the needed values, the
+    header, and ``row`` as the data row (line 8)."""
+    lines = [f"# {k} {meta.get(k, v)}" for k, v in _NEEDED_META.items()]
+    return "\n".join(lines + [",".join(header), ",".join(row)]) + "\n"
+
+
+_RENAMED = ["y_1" if name == "x_1" else name for name in harness._columns(4)]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -204,9 +228,17 @@ def _csv_with_row(cells: list[str]) -> str:
     (_csv_with_row(_ROW[:-3]), f"line 8 has {len(_ROW) - 3} cells, expected {len(_ROW)}"),
     (_csv_with_row(_ROW[:3] + ["1.5e"] + _ROW[4:]),
      "line 8: could not convert string to float: '1.5e'"),
+    (_csv_with_row(_ROW, header=_RENAMED), "column 2 is 'y_1', expected 'x_1'$"),
+    (_csv_with_row(_ROW, gap_abs="x"),
+     re.escape("line 5: 'gap_abs' metadata: expected numbers, got ['x']")),
+    (_csv_with_row(_ROW, cells="x"),
+     re.escape("line 1: 'cells' metadata: expected numbers, got ['x']")),
+    (_csv_with_row(_ROW, l="1"), "line 2: 'l' metadata has 1 values, expected 8$"),
 ],
     ids=["no_header", "no_cells", "empty_cells", "column_count"]
-    + [f"no_{key}" for key in list(_NEEDED_META)[1:]] + ["short_row", "bad_number"])
+    + [f"no_{key}" for key in list(_NEEDED_META)[1:]]
+    + ["short_row", "bad_number", "renamed_column", "bad_meta_number", "bad_meta_integer",
+       "short_l"])
 def test_read_log_refuses_files_it_cannot_rebuild(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

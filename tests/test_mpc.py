@@ -15,8 +15,6 @@ from rampflow.embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
-    _primary_tuple,
-    _secondary_tuple,
     _tube_flows,
 )
 
@@ -39,12 +37,12 @@ def point_params(stretch):
     return ParamBounds(stretch, stretch)
 
 
-def stacked(b_main):
-    return np.concatenate([b_main, b_main])
+def stacked(b):
+    return np.concatenate([b, b])
 
 
-def default_config(horizon, **kw):
-    return mpc.MpcConfig(horizon=horizon, l=np.ones(8), b=stacked(B_MAIN), **kw)
+def default_config(horizon):
+    return mpc.MpcConfig(horizon, mpc.CostSpec(l=np.ones(8), b=stacked(B_MAIN), d=B_MAIN))
 
 
 def equilibrium_box():
@@ -101,10 +99,8 @@ def test_drainable_profile_rejects_inadmissible_demand(stretch):
 
 
 def test_terminal_weights_match_the_demo_profile(stretch):
-    b, d = mpc.choose_terminal_weights(np.ones(8), stretch)
+    b = mpc.choose_terminal_weights(np.ones(8), stretch)
     np.testing.assert_allclose(b, B_MAIN, atol=1e-9)
-    np.testing.assert_array_equal(b, d)
-    assert b is not d
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -118,23 +114,22 @@ def test_terminal_weights_satisfy_per_cell_equality(seed):
     params = random_params(rng, int(rng.integers(1, 7)), wave_sum_cap=True)
     l = rng.uniform(0.1, 5.0, params.n_cells)
     # the queue entries of the stacked vector play no part
-    b, d = mpc.choose_terminal_weights(
+    b = mpc.choose_terminal_weights(
         np.concatenate([l, rng.uniform(0.1, 5.0, params.n_cells)]), params)
     slack = params.v * (b - np.concatenate([params.beta * b[1:], [0.0]]))
     np.testing.assert_allclose(slack, l, rtol=1e-10, atol=1e-12)
-    np.testing.assert_array_equal(b, d)
 
 
 def test_terminal_weights_scale_linearly(stretch):
-    b1, _ = mpc.choose_terminal_weights(np.ones(8), stretch)
-    b3, _ = mpc.choose_terminal_weights(np.full(8, 3.0), stretch)
+    b1 = mpc.choose_terminal_weights(np.ones(8), stretch)
+    b3 = mpc.choose_terminal_weights(np.full(8, 3.0), stretch)
     np.testing.assert_allclose(b3, 3.0 * b1, rtol=1e-12)
 
 
 def test_terminal_weights_single_cell():
     p = homogeneous_params(1, beta=0.9, v=0.25, w=0.2, x_jam=100.0,
                            c_max=20.0, alpha=0.8)
-    b, _ = mpc.choose_terminal_weights(np.array([2.0, 2.0]), p)
+    b = mpc.choose_terminal_weights(np.array([2.0, 2.0]), p)
     np.testing.assert_allclose(b, [8.0])
 
 
@@ -151,9 +146,9 @@ def test_terminal_weights_reject_bad_lengths(stretch):
 
 
 def certificate_inputs(stretch, nominal_demand):
-    b_m, d = mpc.choose_terminal_weights(np.ones(8), stretch)
+    b = mpc.choose_terminal_weights(np.ones(8), stretch)
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
-    spec = mpc.CostSpec(l=np.ones(8), b_main=b_m, b_ramp=b_m, d=d)
+    spec = mpc.CostSpec(l=np.ones(8), b=stacked(b), d=b)
     return term, spec
 
 
@@ -171,8 +166,8 @@ def test_terminal_certificate_demo_configuration_passes(
 def test_terminal_certificate_flags_lowered_weights(
         stretch, nominal_demand, demand, point_params):
     term, spec = certificate_inputs(stretch, nominal_demand)
-    lowered = mpc.CostSpec(l=spec.l, b_main=0.25 * spec.b_main,
-                           b_ramp=spec.b_ramp, d=0.25 * spec.d)
+    lowered = mpc.CostSpec(l=spec.l, b=np.concatenate([0.25 * spec.b[:4], spec.b[4:]]),
+                           d=0.25 * spec.d)
     rep = mpc.terminal_lyapunov_check(
         term, lowered, demand, point_params, nominal_demand, 200)
     assert not rep.passed
@@ -186,8 +181,8 @@ def test_terminal_certificate_rejects_descending_weight_order(
     # every downstream cell, so reversing the profile breaks the decrease
     # at the first cell
     term, spec = certificate_inputs(stretch, nominal_demand)
-    reversed_spec = mpc.CostSpec(l=spec.l, b_main=spec.b_main[::-1].copy(),
-                                 b_ramp=spec.b_ramp, d=spec.b_main[::-1].copy())
+    reversed_spec = mpc.CostSpec(l=spec.l, b=np.concatenate([spec.b[3::-1], spec.b[4:]]),
+                                 d=spec.b[3::-1].copy())
     rep = mpc.terminal_lyapunov_check(
         term, reversed_spec, demand, point_params, nominal_demand, 200)
     assert not rep.passed
@@ -197,8 +192,8 @@ def test_terminal_certificate_rejects_descending_weight_order(
 def test_terminal_certificate_zero_box_is_exactly_stationary(
         stretch, point_params):
     term = mpc.TerminalSet(np.zeros(8))
-    b_m, d = mpc.choose_terminal_weights(np.ones(8), stretch)
-    spec = mpc.CostSpec(l=np.ones(8), b_main=b_m, b_ramp=b_m, d=d)
+    b = mpc.choose_terminal_weights(np.ones(8), stretch)
+    spec = mpc.CostSpec(l=np.ones(8), b=stacked(b), d=b)
     still = DemandBounds(upper=np.zeros(4), lower=np.zeros(4))
     rep = mpc.terminal_lyapunov_check(
         term, spec, still, point_params, np.zeros(4), 50)
@@ -322,21 +317,18 @@ def test_encoded_plan_is_feasible_and_replays_the_kernel(seed):
     x_lo = x_hi * rng.uniform(0.8, 1.0, 2 * n)
     lam = rng.uniform(1.0, 5.0, n)
     dem = DemandBounds(upper=lam, lower=0.95 * lam)
-    config = mpc.MpcConfig(horizon=t, l=np.ones(2 * n), b=np.ones(2 * n))
+    config = mpc.MpcConfig(t, mpc.CostSpec(l=np.ones(2 * n), b=np.ones(2 * n), d=np.ones(n)))
     prob = mpc._assemble(LiftedState(upper=x_hi, lower=x_lo), dem,
                          ParamBounds(upper=p_up, lower=p_lo), config,
                          mpc.TerminalSet.mainline_only(jam), reduced=False)
     vec = prob.encode(rng.uniform(0.0, 3.0, (t, n)))
-    assert vec is not None
     assert not milp.check_solution(prob.model, vec, tol=1e-7)
     controls, upper, lower = prob.decode(vec)
     for k in range(t):
         np.testing.assert_array_equal(upper[k + 1], _tube_flows(
-            upper[k], lower[k], controls[k], dem.upper,
-            _primary_tuple(p_up), _secondary_tuple(p_lo)).next)
+            upper[k], lower[k], controls[k], dem.upper, p_up, p_lo).next)
         np.testing.assert_array_equal(lower[k + 1], _tube_flows(
-            lower[k], upper[k], controls[k], dem.lower,
-            _primary_tuple(p_lo), _secondary_tuple(p_up)).next)
+            lower[k], upper[k], controls[k], dem.lower, p_lo, p_up).next)
 
 
 # --------------------------------------------------------- solve paths
@@ -395,15 +387,11 @@ def test_interval_box_solution_satisfies_the_tube_map(
     term = mpc.TerminalSet.mainline_only(np.full(4, 60.0))
     res = mpc.solve_mpc(box, spread, point_params, default_config(2), term, budget=BUDGET)
     assert not res.reduced
-    prim = _primary_tuple(point_params.upper)
-    sec = _secondary_tuple(point_params.lower)
+    p_up, p_lo = point_params.upper, point_params.lower
     hi, lo = hi0.copy(), lo0.copy()
     for k in range(2):
-        hi_next = _tube_flows(hi, lo, res.controls[k], spread.upper, prim,
-                              sec).next
-        lo_next = _tube_flows(lo, hi, res.controls[k], spread.lower,
-                              _primary_tuple(point_params.lower),
-                              _secondary_tuple(point_params.upper)).next
+        hi_next = _tube_flows(hi, lo, res.controls[k], spread.upper, p_up, p_lo).next
+        lo_next = _tube_flows(lo, hi, res.controls[k], spread.lower, p_lo, p_up).next
         np.testing.assert_allclose(res.upper[k + 1], hi_next, atol=1e-9)
         np.testing.assert_allclose(res.lower[k + 1], lo_next, atol=1e-9)
         hi, lo = hi_next, lo_next
@@ -529,7 +517,6 @@ def test_congested_start_with_free_queues_is_feasible(stretch, point_params):
                          reduced=False)
     assert milp.solve_milp(prob.model, budget=BUDGET).status == milp.OPTIMAL
     witness = prob.encode(np.zeros((5, 4)))
-    assert witness is not None
     assert not milp.check_solution(prob.model, witness, tol=1e-7)
 
 
@@ -547,7 +534,6 @@ def test_shifted_plan_stays_feasible_after_one_plant_step(
                          reduced=True)
     shifted = np.vstack([res.controls[1:], nominal_demand[None, :]])
     witness = prob.encode(shifted)
-    assert witness is not None
     assert not milp.check_solution(prob.model, witness, tol=1e-7)
 
 
@@ -582,11 +568,11 @@ def test_single_cell_stretch_plans():
     p = homogeneous_params(1, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
                            c_max=20.0, alpha=0.9)
     lam = np.array([10.0])
-    b, _ = mpc.choose_terminal_weights(np.ones(2), p)
+    b = mpc.choose_terminal_weights(np.ones(2), p)
     res = mpc.solve_mpc(
         LiftedState(upper=np.array([20.0, 0.0]), lower=np.array([20.0, 0.0])),
         DemandBounds(upper=lam, lower=lam), ParamBounds(p, p),
-        mpc.MpcConfig(horizon=2, l=np.ones(2), b=np.concatenate([b, b])),
+        mpc.MpcConfig(2, mpc.CostSpec(l=np.ones(2), b=np.concatenate([b, b]), d=b)),
         mpc.TerminalSet.drained(mpc.compute_xup(lam, p)), budget=BUDGET)
     np.testing.assert_allclose(res.controls, np.full((2, 1), 10.0),
                                atol=1e-7)
@@ -615,12 +601,13 @@ def test_split_jam_box_plans_like_its_pinned_box(stretch, nominal_demand,
 
 
 def test_config_rejects_bad_shapes_and_modes():
+    cost = mpc.CostSpec(l=np.ones(8), b=np.ones(8), d=np.ones(4))
     with pytest.raises(ValueError):
-        mpc.MpcConfig(horizon=0, l=np.ones(8), b=np.ones(8))
+        mpc.MpcConfig(horizon=0, cost=cost)
     with pytest.raises(ValueError):
-        mpc.MpcConfig(horizon=2, l=np.zeros(8), b=np.ones(8))
+        mpc.CostSpec(l=np.zeros(8), b=np.ones(8), d=np.ones(4))
     with pytest.raises(ValueError):
-        mpc.MpcConfig(horizon=2, l=np.ones(8), b=np.ones(6))
+        mpc.CostSpec(l=np.ones(8), b=np.ones(6), d=np.ones(4))
 
 
 def test_terminal_set_rejects_bad_vectors():
@@ -634,11 +621,9 @@ def test_terminal_set_rejects_bad_vectors():
 
 def test_cost_spec_rejects_mismatched_weights():
     with pytest.raises(ValueError):
-        mpc.CostSpec(l=np.ones(8), b_main=np.ones(4), b_ramp=np.ones(3),
-                     d=np.ones(4))
+        mpc.CostSpec(l=np.ones(8), b=np.ones(7), d=np.ones(4))
     with pytest.raises(ValueError):
-        mpc.CostSpec(l=np.ones(8), b_main=np.ones(4), b_ramp=np.ones(4),
-                     d=-np.ones(4))
+        mpc.CostSpec(l=np.ones(8), b=np.ones(8), d=-np.ones(4))
 
 
 def test_state_box_validation(stretch, nominal_demand, demand, point_params):
