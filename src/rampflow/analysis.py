@@ -67,15 +67,13 @@ class LogStep:
 
     x is the plant state that was actually driven, estimate the corrected
     box the controller acted on, u the executed control. value is the
-    planner optimum at this tick (nan when no plan was solved) and
-    running the cost charged against the upper estimate.
+    planner optimum at this tick (nan when no plan was solved).
     """
 
     x: np.ndarray
     estimate: LiftedState
     u: np.ndarray
     value: float
-    running: float
     phase: str
     theta: ParamBounds | None = None
 
@@ -85,25 +83,26 @@ class TrajectoryLog:
     """Per-step record of a closed-loop run plus the run-level facts the
     certificates need.
 
-    demand is the constant arrival vector when the run had one (the
-    sandwich check refuses to run without it). gap is the absolute
-    optimality slack the solver guaranteed per solve. decrease_allowance
-    is the per-step growth the terminal weights license: the arrival
-    price d @ lam under constant demand, zero otherwise.
+    cost holds the run's weights, gap_rel the relative gap its solver
+    stopped at, and demand the constant arrival vector when the run had
+    one (the sandwich check refuses to run without it). The rest derives
+    from these: runnings charges l against each upper estimate, gap is
+    the absolute slack per solve (gap_rel times the largest solved value,
+    plus 1e-6), and decrease_allowance is the per-step growth the terminal
+    weights license, the arrival price d @ lam, zero without demand.
     """
 
+    cost: CostSpec
+    gap_rel: float
+    demand: np.ndarray | None
+    known_theta: bool
     steps: list[LogStep] = field(default_factory=list)
-    demand: np.ndarray | None = None
-    known_theta: bool = True
-    constant_demand: bool = True
-    gap: float = 0.0
-    decrease_allowance: float = 0.0
 
-    def append(self, x, estimate, u, value, running, phase, theta=None) -> None:
+    def append(self, x, estimate, u, value, phase, theta=None) -> None:
         self.steps.append(LogStep(
             x=np.asarray(x, dtype=float).copy(), estimate=estimate,
             u=np.asarray(u, dtype=float).copy(), value=float(value),
-            running=float(running), phase=str(phase), theta=theta))
+            phase=str(phase), theta=theta))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -114,7 +113,7 @@ class TrajectoryLog:
 
     @property
     def runnings(self) -> np.ndarray:
-        return np.array([s.running for s in self.steps])
+        return np.array([float(self.cost.l @ s.estimate.upper) for s in self.steps])
 
     @property
     def states(self) -> np.ndarray:
@@ -124,10 +123,15 @@ class TrajectoryLog:
     def upper_estimates(self) -> np.ndarray:
         return np.array([s.estimate.upper for s in self.steps])
 
+    @property
+    def gap(self) -> float:
+        vals = self.values
+        solved = np.abs(vals[np.isfinite(vals)])
+        return self.gap_rel * float(np.max(solved)) + 1e-6 if solved.size else 0.0
 
-def running_cost(l, x_bar) -> float:
-    """Stage cost l @ x_bar charged against an upper estimate."""
-    return float(np.asarray(l, dtype=float) @ np.asarray(x_bar, dtype=float))
+    @property
+    def decrease_allowance(self) -> float:
+        return float(self.cost.d @ self.demand) if self.demand is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def verify_iss_bound(log: TrajectoryLog, constants: IssConstants,
     rhs = (a2 / a1) * rho ** t * x0 + gain * lam1
     lhs = np.sum(np.abs(log.states), axis=1)
     margins = rhs - lhs
-    nominal = log.known_theta and log.constant_demand
+    nominal = log.known_theta and log.demand is not None
     return IssReport(margins=margins, min_margin=float(np.min(margins)),
                      scope=SCOPE_NOMINAL if nominal else SCOPE_OUTSIDE)
 

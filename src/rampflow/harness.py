@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import TrajectoryLog, running_cost
+from .analysis import TrajectoryLog
 from .controllers import (
     ALINEA_GAIN,
     AlineaConfig,
@@ -260,13 +260,6 @@ class Scenario:
             budget=MilpBudget(gap_rel=self.gap_rel),
         )
 
-    @property
-    def decrease_allowance(self) -> float:
-        """Per-step slack the planner optimum is allowed not to decrease by."""
-        if self.demand_kind == DEMAND_CONSTANT:
-            return float(self.cost.d @ self.demand_base)
-        return 0.0
-
 
 def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     blocks = _parse_blocks(text)
@@ -390,7 +383,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     eb.finish()
 
     rb = block("run")
-    steps = rb.integer("steps", minimum=0)
+    steps = rb.integer("steps", minimum=1)
     rb.finish()
 
     try:
@@ -528,18 +521,10 @@ def load_scenario(source: str | Path) -> Scenario:
 
 def _new_log(scenario: Scenario) -> TrajectoryLog:
     return TrajectoryLog(
+        cost=scenario.cost, gap_rel=scenario.gap_rel,
         demand=scenario.demand_base.copy() if scenario.demand_kind == DEMAND_CONSTANT else None,
         known_theta=scenario.theta_box.is_point,
-        constant_demand=scenario.demand_kind == DEMAND_CONSTANT,
-        decrease_allowance=scenario.decrease_allowance,
     )
-
-
-def _seal_gap(scenario: Scenario, log: TrajectoryLog) -> None:
-    vals = log.values
-    finite = vals[np.isfinite(vals)] if len(log) else np.array([])
-    if finite.size:
-        log.gap = scenario.gap_rel * float(np.max(np.abs(finite))) + 1e-6
 
 
 def _run_setpc(scenario: Scenario) -> TrajectoryLog:
@@ -560,11 +545,8 @@ def _run_setpc(scenario: Scenario) -> TrajectoryLog:
             u, state, diag = forced_step(state, y, config, u_warm)
         else:
             u, state, diag = setpc_step(state, y, config)
-        log.append(x, diag.corrected, u, diag.value,
-                   running_cost(scenario.cost.l, diag.corrected.upper),
-                   diag.phase, theta=state.params)
+        log.append(x, diag.corrected, u, diag.value, diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
-    _seal_gap(scenario, log)
     return log
 
 
@@ -597,8 +579,8 @@ def _run_baseline(scenario: Scenario) -> TrajectoryLog:
         served = x[n:] + lam - x_next[n:]
         control_hist.append(served)
         prev_u = served
-        log.append(x, corrected, served, math.nan, running_cost(scenario.cost.l, corrected.upper),
-                   scenario.controller, theta=scenario.theta_box)
+        log.append(x, corrected, served, math.nan, scenario.controller,
+                   theta=scenario.theta_box)
         x = x_next
     return log
 
@@ -659,19 +641,16 @@ def scenario_meta(scenario: Scenario, log: TrajectoryLog) -> list[tuple[str, str
         ("controller", scenario.controller),
         ("cells", str(scenario.n_cells)),
         ("warmup", str(scenario.warmup)),
-        ("l", join(scenario.cost.l)),
-        ("b", join(scenario.cost.b)),
-        ("d", join(scenario.cost.d)),
+        ("l", join(log.cost.l)),
+        ("b", join(log.cost.b)),
+        ("d", join(log.cost.d)),
         ("horizon", str(scenario.mpc.horizon)),
         ("terminal", join(scenario.terminal.x_f)),
-        ("gap_rel", _fmt(scenario.gap_rel)),
-        ("gap_abs", _fmt(log.gap)),
-        ("allowance", _fmt(log.decrease_allowance)),
+        ("gap_rel", _fmt(log.gap_rel)),
         ("known_theta", str(int(log.known_theta))),
-        ("constant_demand", str(int(log.constant_demand))),
     ]
-    if scenario.demand_kind == DEMAND_CONSTANT:
-        meta.insert(4, ("demand", join(scenario.demand_base)))
+    if log.demand is not None:
+        meta.insert(4, ("demand", join(log.demand)))
     return meta
 
 
@@ -718,16 +697,15 @@ def emit_csv(log: TrajectoryLog, path: str | Path, *,
 def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     """Rebuild a log and its metadata from an emitted CSV.
 
-    Running costs are recomputed from the recorded weights; the per-step
-    parameter boxes are not reconstructed (the verifier has no use for
-    them). A file missing its ``cells``, ``l``, ``known_theta``,
-    ``constant_demand``, ``gap_abs`` or ``allowance`` line, or leaving one
-    empty, is refused with a ``ValueError`` naming the line; ``demand`` is
-    optional, as periodic runs record none. So is a metadata number that
-    does not parse, an ``l`` line without 2 * cells values, a header other
-    than the one :func:`emit_csv` writes, and a data row with too few or
-    too many cells or a number that does not parse, each naming its file
-    line or column.
+    The per-step parameter boxes are not reconstructed (the verifier has
+    no use for them). A file missing its ``cells``, ``l``, ``b``, ``d``,
+    ``gap_rel`` or ``known_theta`` line, or leaving one empty, is refused
+    with a ``ValueError`` naming the line; ``demand`` is optional, as
+    periodic runs record none. So is a metadata number that does not
+    parse, a ``d`` line without ``cells`` values, weights ``CostSpec``
+    refuses, a header other than the one :func:`emit_csv` writes, and a
+    data row with too few or too many cells or a number that does not
+    parse, each naming its file and line or column.
     """
     text = Path(path).read_text()
     meta: dict[str, list[str]] = {}
@@ -773,16 +751,19 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         raise ValueError(f"{path}: column {col + 1} is {header[col]!r}, "
                          f"expected {expected[col]!r}")
 
-    l_vec = np.array(numbers("l"))
-    if l_vec.shape[0] != 2 * n:
-        raise ValueError(f"{path}: line {meta_line['l']}: 'l' metadata has "
-                         f"{l_vec.shape[0]} values, expected {2 * n}")
+    l_vec, b_vec, d_vec = numbers("l"), numbers("b"), numbers("d")
+    if len(d_vec) != n:
+        raise ValueError(f"{path}: line {meta_line['d']}: 'd' metadata has "
+                         f"{len(d_vec)} values, expected {n}")
+    try:
+        cost = CostSpec(l=l_vec, b=b_vec, d=d_vec)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     log = TrajectoryLog(
+        cost=cost,
+        gap_rel=numbers("gap_rel")[0],
         demand=np.array(numbers("demand")) if "demand" in meta else None,
         known_theta=need("known_theta")[0] == "1",
-        constant_demand=need("constant_demand")[0] == "1",
-        gap=numbers("gap_abs")[0],
-        decrease_allowance=numbers("allowance")[0],
     )
     # the header is _columns(n): t, x, xhat_up, xhat_lo, u, the theta box,
     # Vstar, phase, total_vehicles
@@ -796,6 +777,5 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         x, up, lo, u = np.split(states, [2 * n, 4 * n, 6 * n])
-        log.append(x, LiftedState(upper=up, lower=lo), u, value,
-                   running_cost(l_vec, up), cells[-2])
+        log.append(x, LiftedState(upper=up, lower=lo), u, value, cells[-2])
     return log, meta

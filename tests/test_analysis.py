@@ -3,6 +3,7 @@ residuals, the value sandwich, and entry-time scanning, exercised on
 synthetic logs and one real planner loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rampflow.controllers import LocalConfig, SetPcConfig, SetPcState, setpc_ste
 from rampflow.analysis import (SCOPE_NOMINAL, SCOPE_OUTSIDE, IssConstants,
                                TrajectoryLog, certificate_summary,
                                iss_constants, lyapunov_decrease_check,
-                               running_cost, time_to_terminal,
+                               time_to_terminal,
                                value_function_bounds_check, verify_iss_bound)
 
 from conftest import full_output, homogeneous_params, point_demand, point_state
@@ -33,12 +34,15 @@ def demo_cost(params):
     return CostSpec(l=l, b=np.concatenate([d, np.ones(4)]), d=d)
 
 
-def synth_log(states, values, runnings, **meta):
-    log = TrajectoryLog(**meta)
-    for x, v, r in zip(states, values, runnings):
+def synth_log(states, values, *, demand=None, known_theta=True):
+    """Point estimates, running cost half the state's sum, no arrival price
+    and no relative gap."""
+    dim = len(states[0])
+    cost = CostSpec(l=np.full(dim, 0.5), b=np.zeros(dim), d=np.zeros(dim // 2))
+    log = TrajectoryLog(cost=cost, gap_rel=0.0, demand=demand, known_theta=known_theta)
+    for x, v in zip(states, values):
         x = np.asarray(x, dtype=float)
-        log.append(x=x, estimate=point_state(x), u=np.zeros(1),
-                   value=v, running=r, phase="mpc")
+        log.append(x=x, estimate=point_state(x), u=np.zeros(1), value=v, phase="mpc")
     return log
 
 
@@ -64,11 +68,11 @@ def planner_run():
     state = SetPcState(predicted=point_state(x),
                        params=ParamBounds(params, params),
                        window=MeasurementWindow(4, model, point_demand(LAM)))
-    log = TrajectoryLog(demand=LAM, decrease_allowance=float(cost.d @ LAM))
+    log = TrajectoryLog(cost=cost, gap_rel=config.budget.gap_rel, demand=LAM,
+                        known_theta=True)
     for _ in range(10):
         u, state, diag = setpc_step(state, measure(model, x), config)
         log.append(x=x, estimate=diag.corrected, u=u, value=diag.value,
-                   running=running_cost(cost.l, diag.corrected.upper),
                    phase=diag.phase)
         x = compact_step(params, x, u, LAM)
     return log, cost, TerminalSet.mainline_only(x_up)
@@ -116,7 +120,7 @@ def test_constants_are_scale_consistent(scale, horizon):
 def test_margins_on_a_contracting_synthetic_run():
     c = IssConstants(a1=1.0, a2=2.0, a3=1.0, rho=0.5)
     states = [np.full(2, 0.5 ** t) for t in range(6)]
-    log = synth_log(states, [math.nan] * 6, [0.0] * 6)
+    log = synth_log(states, [math.nan] * 6, demand=np.zeros(1))
     rep = verify_iss_bound(log, c, np.zeros(1))
     # with zero arrivals the bound is (a2/a1) rho^t |x(0)|, twice the run
     assert np.allclose(rep.margins, [2 * 0.5 ** t for t in range(6)])
@@ -133,7 +137,7 @@ def test_bound_flags_an_inflated_state():
     c = IssConstants(a1=1.0, a2=2.0, a3=1.0, rho=0.5)
     states = [np.full(2, 0.5 ** t) for t in range(6)]
     states[3] = states[3] * 9.0
-    log = synth_log(states, [math.nan] * 6, [0.0] * 6)
+    log = synth_log(states, [math.nan] * 6)
     rep = verify_iss_bound(log, c, np.zeros(1))
     assert rep.margins[3] < 0.0
     assert rep.min_margin < 0.0
@@ -142,12 +146,12 @@ def test_bound_flags_an_inflated_state():
 
 def test_bound_scope_labels_adaptive_runs():
     c = IssConstants(a1=1.0, a2=2.0, a3=1.0, rho=0.5)
-    log = synth_log([np.ones(2)], [math.nan], [0.0], known_theta=False)
+    log = synth_log([np.ones(2)], [math.nan], demand=np.zeros(1), known_theta=False)
     assert verify_iss_bound(log, c, np.zeros(1)).scope == SCOPE_OUTSIDE
-    log = synth_log([np.ones(2)], [math.nan], [0.0], constant_demand=False)
+    log = synth_log([np.ones(2)], [math.nan])
     assert verify_iss_bound(log, c, np.zeros(1)).scope == SCOPE_OUTSIDE
     with pytest.raises(ValueError, match="empty"):
-        verify_iss_bound(TrajectoryLog(), c, np.zeros(1))
+        verify_iss_bound(replace(log, steps=[]), c, np.zeros(1))
 
 
 # ---------------------------------------------------------------- decrease
@@ -165,14 +169,14 @@ def test_decrease_holds_along_the_planner_loop(planner_run):
 
 
 def test_decrease_is_exact_at_an_idle_equilibrium():
-    log = synth_log([np.zeros(2)] * 5, [0.0] * 5, [0.0] * 5)
+    log = synth_log([np.zeros(2)] * 5, [0.0] * 5)
     rep = lyapunov_decrease_check(log)
     assert np.allclose(rep.residuals, 0.0)
     assert rep.passed and rep.allowance == 0.0
 
 
 def test_decrease_flags_an_injected_suboptimal_step():
-    log = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5], [1.0, 1.0, 1.0])
+    log = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5])
     rep = lyapunov_decrease_check(log)
     assert rep.residuals[0] == pytest.approx(0.0)
     assert rep.residuals[1] == pytest.approx(0.5)
@@ -180,7 +184,7 @@ def test_decrease_flags_an_injected_suboptimal_step():
 
 
 def test_decrease_skips_unsolved_ticks():
-    log = synth_log([np.ones(2)] * 3, [5.0, math.nan, 4.0], [1.0] * 3)
+    log = synth_log([np.ones(2)] * 3, [5.0, math.nan, 4.0])
     rep = lyapunov_decrease_check(log)
     assert rep.times.size == 0 and rep.residuals.size == 0
     assert rep.passed
@@ -198,23 +202,23 @@ def test_sandwich_holds_along_the_planner_loop(planner_run):
 
 
 def test_sandwich_lower_bound_at_the_origin():
-    log = synth_log([np.zeros(2)], [0.0], [0.0], demand=np.zeros(1))
+    log = synth_log([np.zeros(2)], [0.0], demand=np.zeros(1))
     rep = value_function_bounds_check(log, IssConstants(1.0, 2.0, 1.0, 0.5))
     assert rep.min_lower == 0.0 and rep.passed
 
 
 def test_sandwich_flags_a_perturbed_value():
     c = IssConstants(a1=1.0, a2=2.0, a3=1.0, rho=0.5)
-    log = synth_log([np.ones(2)], [3.0], [2.0], demand=np.ones(1))
+    log = synth_log([np.ones(2)], [3.0], demand=np.ones(1))
     assert value_function_bounds_check(log, c).passed
-    high = synth_log([np.ones(2)], [1e6], [2.0], demand=np.ones(1))
+    high = synth_log([np.ones(2)], [1e6], demand=np.ones(1))
     rep = value_function_bounds_check(high, c)
     assert rep.min_upper < 0.0 and not rep.passed
-    low = synth_log([np.ones(2)], [0.5], [2.0], demand=np.ones(1))
+    low = synth_log([np.ones(2)], [0.5], demand=np.ones(1))
     rep = value_function_bounds_check(low, c)
     assert rep.min_lower < 0.0 and not rep.passed
     with pytest.raises(ValueError, match="arrival"):
-        value_function_bounds_check(synth_log([np.ones(2)], [1.0], [1.0]), c)
+        value_function_bounds_check(synth_log([np.ones(2)], [1.0]), c)
 
 
 # ------------------------------------------------------- entry and summary
@@ -230,16 +234,19 @@ def test_time_to_terminal_along_the_planner_loop(planner_run):
 
 def test_time_to_terminal_edges():
     terminal = TerminalSet.drained(np.full(2, 10.0))
-    inside = synth_log([np.array([5.0, 5.0, 0.0, 0.0])], [0.0], [0.0])
+    inside = synth_log([np.array([5.0, 5.0, 0.0, 0.0])], [0.0])
     assert time_to_terminal(inside, terminal) == 0
-    growing = synth_log([np.full(4, 20.0 + t) for t in range(4)],
-                        [math.nan] * 4, [0.0] * 4)
+    growing = synth_log([np.full(4, 20.0 + t) for t in range(4)], [math.nan] * 4)
     assert time_to_terminal(growing, terminal) is None
 
 
 def test_running_cost_is_the_weighted_sum():
-    l = np.array([1.0, 2.0, 1.0, 1.0])
-    assert running_cost(l, np.array([5.0, 5.0, 0.0, 0.0])) == 15.0
+    log = TrajectoryLog(cost=CostSpec(l=np.array([1.0, 2.0, 1.0, 1.0]), b=np.zeros(4),
+                                      d=np.zeros(2)),
+                        gap_rel=0.0, demand=None, known_theta=True)
+    log.append(x=np.zeros(4), estimate=point_state(np.array([5.0, 5.0, 0.0, 0.0])),
+               u=np.zeros(2), value=math.nan, phase="mpc")
+    assert log.runnings.tolist() == [15.0]
 
 
 def test_certificate_summary_reads_healthy_and_broken_runs(planner_run):
@@ -249,8 +256,7 @@ def test_certificate_summary_reads_healthy_and_broken_runs(planner_run):
     text = "\n".join(lines)
     assert text.count("pass") == 3 and "FAIL" not in text
     assert "terminal entry: t=4" in text
-    broken = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5], [1.0] * 3,
-                       demand=np.ones(1))
+    broken = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5], demand=np.ones(1))
     text = "\n".join(certificate_summary(
         broken, constants=IssConstants(1.0, 2.0, 1.0, 0.5), lam=np.ones(1),
         terminal=TerminalSet.drained(np.full(1, 0.5))))
@@ -258,7 +264,7 @@ def test_certificate_summary_reads_healthy_and_broken_runs(planner_run):
 
 
 def test_certificate_summary_skips_the_arrival_checks_without_an_arrival_vector():
-    log = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5], [1.0] * 3)
+    log = synth_log([np.ones(2)] * 3, [10.0, 9.0, 8.5])
     lines = certificate_summary(log, constants=IssConstants(1.0, 2.0, 1.0, 0.5))
     assert lines[1:] == [
         "value bounds: skipped (the log does not record an arrival vector)",

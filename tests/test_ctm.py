@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rampflow.ctm import (
     AdmissibilityError,
-    FreewayParams,
     OutputModel,
     compact_step,
     demand_fn,

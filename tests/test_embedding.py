@@ -9,7 +9,6 @@ from rampflow.ctm import (
     FreewayParams,
     compact_step,
     equilibrium_uncongested,
-    plant_step,
 )
 from rampflow.embedding import (
     DemandBounds,

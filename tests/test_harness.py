@@ -84,9 +84,10 @@ def test_non_finite_numbers_are_rejected_with_their_line(anchor, key, value):
 
 @pytest.mark.parametrize("anchor, key, value, minimum", [
     ("  horizon 60", "mpc.horizon", "0", 1),
-    ("  steps 60", "run.steps", "1.5", 0),
+    ("  steps 60", "run.steps", "0", 1),
+    ("  steps 60", "run.steps", "1.5", 1),
     ("  backward_horizon 1", "estimator.backward_horizon", "0", 1),
-], ids=["horizon-0", "steps-fraction", "backward_horizon-0"])
+], ids=["horizon-0", "steps-0", "steps-fraction", "backward_horizon-0"])
 def test_integer_keys_are_refused_below_their_minimum_or_with_a_fraction(
         anchor, key, value, minimum):
     name = anchor.split()[0]
@@ -194,8 +195,8 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
 
 
 # the lines read_log needs; demand is optional, as periodic runs have none
-_NEEDED_META = {"cells": "4", "l": "1 1 1 1 1 1 1 1", "known_theta": "1",
-                "constant_demand": "1", "gap_abs": "0", "allowance": "0"}
+_NEEDED_META = {"cells": "4", "l": "1 1 1 1 1 1 1 1", "b": "1 1 1 1 1 1 1 1",
+                "d": "1 1 1 1", "gap_rel": "0", "known_theta": "1"}
 
 
 def _csv_without(key: str) -> str:
@@ -229,16 +230,19 @@ _RENAMED = ["y_1" if name == "x_1" else name for name in harness._columns(4)]
     (_csv_with_row(_ROW[:3] + ["1.5e"] + _ROW[4:]),
      "line 8: could not convert string to float: '1.5e'"),
     (_csv_with_row(_ROW, header=_RENAMED), "column 2 is 'y_1', expected 'x_1'$"),
-    (_csv_with_row(_ROW, gap_abs="x"),
-     re.escape("line 5: 'gap_abs' metadata: expected numbers, got ['x']")),
+    (_csv_with_row(_ROW, gap_rel="x"),
+     re.escape("line 5: 'gap_rel' metadata: expected numbers, got ['x']")),
     (_csv_with_row(_ROW, cells="x"),
      re.escape("line 1: 'cells' metadata: expected numbers, got ['x']")),
-    (_csv_with_row(_ROW, l="1"), "line 2: 'l' metadata has 1 values, expected 8$"),
+    (_csv_with_row(_ROW, l="1"), "bad.csv: weight lengths disagree$"),
+    (_csv_with_row(_ROW, d="1"), "line 4: 'd' metadata has 1 values, expected 4$"),
+    (_csv_with_row(_ROW, l="1 1 1 0 1 1 1 1"),
+     "bad.csv: running-cost weights must be positive$"),
 ],
     ids=["no_header", "no_cells", "empty_cells", "column_count"]
     + [f"no_{key}" for key in list(_NEEDED_META)[1:]]
     + ["short_row", "bad_number", "renamed_column", "bad_meta_number", "bad_meta_integer",
-       "short_l"])
+       "short_l", "short_d", "zero_l"])
 def test_read_log_refuses_files_it_cannot_rebuild(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -324,3 +328,16 @@ def test_the_documented_example_is_the_constant_preset():
     block = example.split("```\n", 2)[1]
     assert block == PRESET
     parse_scenario(block)
+
+
+def test_the_documented_record_lists_the_metadata_lines_scenario_meta_writes():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario-format.md").read_text()
+    record = doc.split("\n## Record\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in record.splitlines() if line.startswith("| `")]
+    documented = [re.match(r" `(\w+)` ", row[1]).group(1) for row in rows]
+    needed = {key for key, row in zip(documented, rows) if row[3].strip() == "needs"}
+    text = _edit(PRESET, "  kind setpc", ["  kind alinea"], keep=False)[0]
+    scenario = parse_scenario(_edit(text, "  steps 60", ["  steps 1"], keep=False)[0])
+    log = harness.run_closed_loop(scenario)
+    assert documented == [key for key, _ in harness.scenario_meta(scenario, log)]
+    assert needed == set(_NEEDED_META)

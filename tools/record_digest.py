@@ -4,12 +4,14 @@
 
 One line per workload of ``perfbench/workloads.py`` and seed (default 0,
 seeds in the order given): the sha256 of the CSV
-``harness.emit_csv`` writes, the ticks that planned, the LP solves and
+``harness.emit_csv`` writes and, under ``rows``, of its lines without the
+``#`` metadata, the ticks that planned, the LP solves and
 simplex pivots (counted by wrapping ``milp.solve_canonical``), ``tts_veh``,
 and the stacked propagations of the parameter contraction with the boxes
 they carry (counted by wrapping ``estimators._certified``). Two commits
 that print the same digest, plan ticks, solves, pivots and ``tts_veh`` ran
-the same loops bit for bit; the last two counts show what the contraction
+the same loops bit for bit; the same ``rows`` with a different sha256 means
+only the metadata changed. The last two counts show what the contraction
 spent on them.
 """
 
@@ -56,9 +58,13 @@ def main(argv=None) -> int:
             log = harness.run_closed_loop(scenario)
             path = harness.emit_csv(log, Path(tmp) / f"{name}.csv",
                                     meta=harness.scenario_meta(scenario, log))
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            blob = path.read_bytes()
+            digest = hashlib.sha256(blob).hexdigest()
+            rows = hashlib.sha256(b"".join(
+                line for line in blob.splitlines(keepends=True)
+                if not line.startswith(b"#"))).hexdigest()
             plans = sum(step.phase == "mpc" for step in log.steps)
-            print(f"{name} seed {seed}: sha256 {digest} plan_ticks {plans} "
+            print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
                   f"solves {counts[0]} pivots {counts[1]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]}")
