@@ -8,7 +8,10 @@ drives its closed loop and writes the record as a CSV that
 ``harness.read_log`` reads back. Without ``--csv`` the record goes to
 ``<scenario name>.csv`` in the working directory. A scenario the parser
 or a range check rejects ends the command with its message and exit
-status 2.
+status 2. A loop that stops with a typed reason (an infeasible or
+over-budget plan, a reading outside the state box, a solver breakdown)
+ends it with ``rampflow: <scenario>: <reason type>: <message>``, no CSV
+and exit status 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import harness
+from . import estimators, harness, milp, mpc
+
+# the typed reasons a closed loop stops for
+_LOOP_STOPS = (mpc.InfeasibleProblem, mpc.SolveBudgetExceeded,
+               estimators.ContainmentViolation, milp.NumericalBreakdown)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,7 +41,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # a ScenarioError, or a record's range check
         print(f"rampflow: {err}", file=sys.stderr)
         return 2
-    log = harness.run_closed_loop(scenario)
+    try:
+        log = harness.run_closed_loop(scenario)
+    except _LOOP_STOPS as err:
+        print(f"rampflow: {scenario.name}: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     path = harness.emit_csv(log, args.csv or Path(f"{scenario.name}.csv"),
                             meta=harness.scenario_meta(scenario, log))
     print(f"{scenario.name}: {len(log)} ticks written to {path}")

@@ -162,15 +162,11 @@ def ramp_outflow(params: FreewayParams, x: np.ndarray, u: np.ndarray,
 
 def plant_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
                lam: np.ndarray) -> np.ndarray:
-    """Advance the full plant one step (ramp discharge limited by queue and space)."""
-    main, queues = split_state(x, params.n_cells)
-    f_out = mainline_outflow(params, main)
-    f_r = ramp_outflow(params, x, u, lam, f_out)
-    inflow = f_r.copy()
-    inflow[..., 1:] += params.beta * f_out[..., :-1]
-    next_main = (main + inflow) - f_out
-    next_queues = (queues + np.asarray(lam, dtype=float)) - f_r
-    return np.concatenate([next_main, next_queues], axis=-1)
+    """Advance the full plant one step: ``compact_step`` under the ramp
+    discharge that queue and space allow."""
+    main, _ = split_state(x, params.n_cells)
+    f_r = ramp_outflow(params, x, u, lam, mainline_outflow(params, main))
+    return compact_step(params, x, f_r, lam)
 
 
 def compact_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,

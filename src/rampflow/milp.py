@@ -9,9 +9,10 @@ without binaries is solved at its root node.  No external solver is used.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
 row indices and records the two gadget encodings the controller needs.
-Every column is boxed: :meth:`ModelBuilder.add_variable` rejects a bound
-that is not finite.  The big-M constants are read off the boxes, and the
-simplex relies on them: a boxed program is never unbounded.
+Every model minimises.  Every column is boxed:
+:meth:`ModelBuilder.add_variable` rejects a bound that is not finite.  The
+big-M constants are read off the boxes, and the simplex relies on them: a
+boxed program is never unbounded.
 
 ``encode_min_equality``
     ``f = min(a, b)``, one binary selector, big-M constants derived from
@@ -24,7 +25,7 @@ simplex relies on them: a boxed program is never unbounded.
     and the binary.
 
 Both record their columns on the model as gadget records, which
-:func:`dump_model` writes out.
+:meth:`ModelBuilder.fix_decided` and :func:`dump_model` read.
 
 Incumbents come from three sources: caller-supplied ``initial_candidates``,
 the caller's ``incumbent_hook`` at every fractional node, and node
@@ -34,7 +35,7 @@ Text dumps (:func:`dump_model`) use a line grammar, one record per line,
 floats in shortest round-trip form::
 
     milp <name>
-    sense min|max
+    sense min
     vars <n>
     var <idx> <name> lower <v> upper <v> obj <v> [binary]
     rows <m>
@@ -79,7 +80,6 @@ class LinearProgram:
     """Columns, rows and an objective; the plain continuous problem."""
 
     name: str
-    sense: str  # "min" | "max"
     obj: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
@@ -88,6 +88,7 @@ class LinearProgram:
     row_senses: np.ndarray
     rhs: np.ndarray
     row_names: list[str]
+    sense = "min"  # every model minimises; perfbench/highs_ref.py reads it
 
     @property
     def n_cols(self) -> int:
@@ -138,7 +139,7 @@ class Solution:
     status: str
     x: np.ndarray
     objective: float
-    bound: float  # proven bound in the model's own sense
+    bound: float  # proven lower bound on the objective
     gap: float
     nodes: int
     iterations: int
@@ -147,11 +148,8 @@ class Solution:
 class ModelBuilder:
     """Accumulates columns and rows; hands out integer indices."""
 
-    def __init__(self, name: str, sense: str):
-        if sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
+    def __init__(self, name: str):
         self.name = name
-        self.sense = sense
         self.obj: list[float] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
@@ -226,15 +224,25 @@ class ModelBuilder:
         self.row_names.append(name if name is not None else f"r{i}")
         return i
 
-    def fix_variable(self, j: int, value: float) -> None:
-        self.lower[j] = float(value)
-        self.upper[j] = float(value)
+    def fix_decided(self) -> None:
+        """Fix each gadget selector to the branch that every point of its
+        column boxes admits: min to 1 when ``a <= b`` throughout, to 0 when
+        ``b < a``; drop to 1 when ``x <= x_crit`` throughout, to 0 when
+        ``x > x_crit``.  Overlapping ranges leave the selector free."""
+        for g in self.gadgets:
+            if isinstance(g, MinGadget):
+                one = self.upper[g.a] <= self.lower[g.b]
+                zero = self.upper[g.b] < self.lower[g.a]
+            else:
+                one = self.upper[g.x] <= g.x_crit
+                zero = self.lower[g.x] > g.x_crit
+            if one or zero:
+                self.lower[g.z] = self.upper[g.z] = 1.0 if one else 0.0
 
     def build(self) -> MilpModel:
         ij = (np.asarray(self._rows, dtype=np.int64), np.asarray(self._cols, dtype=np.int64))
         lp = LinearProgram(
             name=self.name,
-            sense=self.sense,
             obj=np.asarray(self.obj, dtype=float),
             col_lower=np.asarray(self.lower, dtype=float),
             col_upper=np.asarray(self.upper, dtype=float),
@@ -409,18 +417,16 @@ def solve_milp(
     bounds, through this module's ``solve_canonical``, where callers may
     wrap it.
 
-    Returns a :class:`Solution` whose ``bound`` is the proven bound in the
-    model's own sense and whose ``gap`` is ``objective - bound`` for ``min``
-    (mirrored for ``max``).  A search that ends with no incumbent and no
-    budget hit after closing an integral relaxation that failed verification
-    proved nothing, and raises :class:`NumericalBreakdown`.
+    Returns a :class:`Solution` whose ``bound`` is the proven lower bound
+    and whose ``gap`` is ``objective - bound``.  A search that ends with no
+    incumbent and no budget hit after closing an integral relaxation that
+    failed verification proved nothing, and raises
+    :class:`NumericalBreakdown`.
     """
     lp = model.lp
-    flip = -1.0 if lp.sense == "max" else 1.0
-    c = flip * lp.obj
-    form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, c)
+    form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
 
-    best_obj = np.inf  # internal (min) sense
+    best_obj = np.inf
     best_x: np.ndarray | None = None
     pruned_min = np.inf
     nodes = 0
@@ -435,16 +441,16 @@ def solve_milp(
             return budget.gap_abs
         return max(budget.gap_abs, budget.gap_rel * abs(best_obj))
 
-    def consider(x: np.ndarray, obj_internal: float) -> None:
+    def consider(x: np.ndarray, obj: float) -> None:
         nonlocal best_obj, best_x
-        if obj_internal < best_obj - 1e-12:
-            best_obj = obj_internal
+        if obj < best_obj - 1e-12:
+            best_obj = obj
             best_x = x.copy()
 
     def try_candidate(cand) -> None:
         cand = np.asarray(cand, dtype=float)
         if not check_solution(model, cand, tol=1e-7):
-            consider(cand, float(c @ cand))
+            consider(cand, float(lp.obj @ cand))
 
     for cand in initial_candidates or ():
         try_candidate(cand)
@@ -515,8 +521,8 @@ def solve_milp(
     return Solution(
         status,
         best_x if found else np.zeros(lp.n_cols),
-        flip * best_obj if found else np.nan,
-        np.nan if status == INFEASIBLE else flip * proven,
+        best_obj if found else np.nan,
+        np.nan if status == INFEASIBLE else proven,
         max(best_obj - proven, 0.0) if found else np.inf,
         nodes,
         iters,

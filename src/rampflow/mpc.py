@@ -24,9 +24,9 @@ only writes rows and combines ranges.
 Before any row is written, forward interval propagation bounds every
 column from the initial box and the control limits. That serves three
 purposes: the big-M constants come out near-minimal, gadgets whose branch
-is already decided get their binaries fixed (the whole first stage always
-is, because the initial corners are known numbers), and one-step problems
-collapse to plain linear programs.
+is already decided get their binaries fixed (``fix_decided``; the whole
+first stage always is, because the initial corners are known numbers),
+and one-step problems collapse to plain linear programs.
 
 ``solve_mpc`` owns the planning conventions: it pins the parameter box's
 jam interval onto its upper end (the receiving-flow rows need one jam value
@@ -411,20 +411,6 @@ def _finalize(prop_lb, prop_ub, limit_ub):
     return lb, ub
 
 
-def _settle_min(builder: milp.ModelBuilder, z: int, a: int, b: int) -> None:
-    if builder.upper[a] <= builder.lower[b]:
-        builder.fix_variable(z, 1.0)
-    elif builder.upper[b] < builder.lower[a]:
-        builder.fix_variable(z, 0.0)
-
-
-def _settle_drop(builder: milp.ModelBuilder, z: int, x: int, thr: float) -> None:
-    if builder.upper[x] <= thr:
-        builder.fix_variable(z, 1.0)
-    elif builder.lower[x] > thr:
-        builder.fix_variable(z, 0.0)
-
-
 def _validate_inputs(xhat, demand, bounds, config, terminal, n):
     if config.cost.l.shape[0] != 2 * n:
         raise ValueError("cost weight length disagrees with the cell count")
@@ -536,7 +522,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             blb[c][k + 1], bub[c][k + 1] = _finalize(plb, pub, limit)
 
     # ---- columns and rows --------------------------------------------
-    bld = milp.ModelBuilder(name=f"meter{t}", sense="min")
+    bld = milp.ModelBuilder(name=f"meter{t}")
 
     # stacked-state columns per component, mainline then queues; only the
     # upper component is costed
@@ -582,11 +568,9 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             bld, xi, z_col, thr, float(p.c_max[i]), float(p.alpha[i]),
             float(jam[i]), name=at["drop"],
         )
-        _settle_drop(bld, int(ids["drop"][k, i]), z_col, thr)
         d = add_aux(ids, rng, "d", k, i, at)
         ids["dmin"][k, i] = milp.encode_min_equality(bld, d, vx, xi,
                                                      name=at["dmin"])
-        _settle_min(bld, int(ids["dmin"][k, i]), vx, xi)
 
     def receiving(ids, rng, p, beta, at, k, i, x_down):
         """Affine receiving flow of cell i+1 and the realized flow into it."""
@@ -598,7 +582,6 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         d = int(ids["d"][k, i])
         ids["fmin"][k, i] = milp.encode_min_equality(bld, f, d, s,
                                                      name=at["fmin"])
-        _settle_min(bld, int(ids["fmin"][k, i]), d, s)
 
     for k in range(t):
         for c, comp in enumerate(comps):
@@ -647,6 +630,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                     "E", float(comp.lam[i]), f"dyn.q.{tag}[{k}][{i}]",
                 )
 
+    bld.fix_decided()
     model = bld.build()
 
     def encode(u_seq):

@@ -194,6 +194,20 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
     assert capsys.readouterr().err == "rampflow: v must lie in (0, 1] (step invariance)\n"
 
 
+def test_run_command_exits_with_the_typed_loop_stop(tmp_path, capsys):
+    """Horizon 10 is too short for the preset's terminal box, so the first
+    plan is infeasible: the command reports the reason and writes no CSV."""
+    text = _edit(PRESET, "  horizon 60", ["  horizon 10"], keep=False)[0]
+    source = tmp_path / "short.scn"
+    source.write_text(_edit(text, "  steps 60", ["  steps 3"], keep=False)[0])
+    out = tmp_path / "short.csv"
+    assert cli.main(["run", str(source), "--csv", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "rampflow: short: InfeasibleProblem: no horizon-10 plan reaches the terminal "
+        "box from the given state box (explored 1 nodes)\n")
+    assert not out.exists()
+
+
 # the lines read_log needs; demand is optional, as periodic runs have none
 _NEEDED_META = {"cells": "4", "l": "1 1 1 1 1 1 1 1", "b": "1 1 1 1 1 1 1 1",
                 "d": "1 1 1 1", "gap_rel": "0", "known_theta": "1"}

@@ -28,7 +28,7 @@ from rampflow.milp import (
 
 
 def test_lp_single_lower_bound_row():
-    b = ModelBuilder("tiny", sense="min")
+    b = ModelBuilder("tiny")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0}, "G", 3.0)
     sol = solve_milp(b.build(), budget=MilpBudget())
@@ -38,19 +38,19 @@ def test_lp_single_lower_bound_row():
 
 
 def test_lp_two_variable_vertex():
-    b = ModelBuilder("vertex", sense="max")
-    x = b.add_variable("x", upper=10.0, objective=3.0)
-    y = b.add_variable("y", upper=10.0, objective=2.0)
+    b = ModelBuilder("vertex")
+    x = b.add_variable("x", upper=10.0, objective=-3.0)
+    y = b.add_variable("y", upper=10.0, objective=-2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 4.0)
     b.add_row({x: 1.0}, "L", 2.0)
     sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(10.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-10.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [2.0, 2.0], atol=1e-9)
 
 
 def test_lp_infeasible_pair():
-    b = ModelBuilder("empty", sense="min")
+    b = ModelBuilder("empty")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0}, "G", 1.0)
     b.add_row({x: 1.0}, "L", 0.0)
@@ -58,7 +58,7 @@ def test_lp_infeasible_pair():
 
 
 def test_an_infinite_bound_is_rejected_by_the_builder_and_the_solver():
-    b = ModelBuilder("ray", sense="max")
+    b = ModelBuilder("ray")
     with pytest.raises(ValueError, match="variable x needs finite bounds"):
         b.add_variable("x", objective=1.0)  # upper bound defaults to +inf
     with pytest.raises(ValueError, match="variable y needs finite bounds"):
@@ -73,7 +73,7 @@ def test_an_infinite_bound_is_rejected_by_the_builder_and_the_solver():
 
 
 def test_lp_equality_row_with_free_variable():
-    b = ModelBuilder("freevar", sense="min")
+    b = ModelBuilder("freevar")
     x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
     y = b.add_variable("y", lower=-10.0, upper=10.0, objective=1.0)
     b.add_row({x: 1.0, y: -1.0}, "E", 5.0)
@@ -85,17 +85,17 @@ def test_lp_equality_row_with_free_variable():
 
 def test_lp_bound_flip_path():
     # the optimum needs a nonbasic variable to jump between its bounds
-    b = ModelBuilder("flip", sense="max")
-    x = b.add_variable("x", upper=1.0, objective=1.0)
-    y = b.add_variable("y", upper=1.0, objective=1.0)
+    b = ModelBuilder("flip")
+    x = b.add_variable("x", upper=1.0, objective=-1.0)
+    y = b.add_variable("y", upper=1.0, objective=-1.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 1.5)
     sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(1.5, abs=1e-9)
+    assert sol.objective == pytest.approx(-1.5, abs=1e-9)
 
 
 def _random_lp(rng, n=7, m=5):
-    b = ModelBuilder("rand", sense="min")
+    b = ModelBuilder("rand")
     lower = np.zeros(n)
     upper = rng.uniform(1.0, 10.0, n)
     cost = rng.uniform(-5.0, 5.0, n)
@@ -126,7 +126,7 @@ def test_lp_matches_reference_solver_on_random_instances():
 
 
 def test_milp_forced_rounding():
-    b = ModelBuilder("round", sense="min")
+    b = ModelBuilder("round")
     x1 = b.add_variable("x1", objective=1.0, binary=True)
     x2 = b.add_variable("x2", objective=1.0, binary=True)
     b.add_row({x1: 1.0, x2: 1.0}, "G", 1.5)
@@ -137,7 +137,7 @@ def test_milp_forced_rounding():
 
 
 def test_milp_integral_relaxation_solves_at_root():
-    b = ModelBuilder("root", sense="min")
+    b = ModelBuilder("root")
     x1 = b.add_variable("x1", objective=2.0, binary=True)
     x2 = b.add_variable("x2", objective=3.0, binary=True)
     b.add_row({x1: 1.0, x2: 1.0}, "G", 1.0)
@@ -148,7 +148,7 @@ def test_milp_integral_relaxation_solves_at_root():
 
 
 def _random_milp(rng, n_bin, n_cont=2, m=4):
-    b = ModelBuilder("randmix", sense="min")
+    b = ModelBuilder("randmix")
     zc = rng.uniform(-4.0, 4.0, n_bin)
     xc = rng.uniform(-3.0, 3.0, n_cont)
     xu = rng.uniform(1.0, 6.0, n_cont)
@@ -267,7 +267,7 @@ def test_milp_determinism():
 
 
 def test_min_gadget_picks_smaller_argument():
-    b = ModelBuilder("minab", sense="min")
+    b = ModelBuilder("minab")
     a = b.add_variable("a", lower=15.0, upper=15.0)
     c = b.add_variable("b", lower=20.0, upper=20.0)
     f = b.add_variable("f", lower=0.0, upper=30.0, objective=1.0)
@@ -279,29 +279,29 @@ def test_min_gadget_picks_smaller_argument():
 
 
 def test_min_gadget_tie_admits_either_selector():
-    for sense in ("min", "max"):
-        b = ModelBuilder("tie", sense=sense)
+    for push in (1.0, -1.0):
+        b = ModelBuilder("tie")
         a = b.add_variable("a", lower=7.0, upper=7.0)
         c = b.add_variable("b", lower=7.0, upper=7.0)
         f = b.add_variable("f", lower=0.0, upper=30.0)
         z = encode_min_equality(b, f, a, c)
         # push the selector both ways; f must stay pinned at the tie value
-        b.obj[z] = 1.0
+        b.obj[z] = push
         sol = solve_milp(b.build(), budget=MilpBudget())
         assert sol.status == OPTIMAL
         assert sol.x[f] == pytest.approx(7.0, abs=1e-9)
-        assert sol.x[z] == pytest.approx(0.0 if sense == "min" else 1.0, abs=1e-9)
+        assert sol.x[z] == pytest.approx(0.0 if push > 0 else 1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("direction", ["min", "max"])
-def test_min_gadget_grid_projection(direction):
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_min_gadget_grid_projection(sign):
     grid = [0.0, 3.7, 7.0, 12.0]
     for va in grid:
         for vb in grid:
-            b = ModelBuilder("grid", sense=direction)
+            b = ModelBuilder("grid")
             a = b.add_variable("a", lower=va, upper=va)
             c = b.add_variable("b", lower=vb, upper=vb)
-            f = b.add_variable("f", lower=-5.0, upper=20.0, objective=1.0)
+            f = b.add_variable("f", lower=-5.0, upper=20.0, objective=sign)
             encode_min_equality(b, f, a, c)
             sol = solve_milp(b.build(), budget=MilpBudget())
             assert sol.status == OPTIMAL
@@ -309,7 +309,7 @@ def test_min_gadget_grid_projection(direction):
 
 
 def test_min_gadget_derives_big_m_from_column_bounds():
-    b = ModelBuilder("ms", sense="min")
+    b = ModelBuilder("ms")
     a = b.add_variable("a", lower=2.0, upper=9.0)
     c = b.add_variable("b", lower=1.0, upper=6.0)
     f = b.add_variable("f", lower=0.0, upper=9.0, objective=-1.0)
@@ -325,40 +325,66 @@ def test_min_gadget_derives_big_m_from_column_bounds():
     assert sol.x[f] == pytest.approx(3.0, abs=1e-9)
 
 
-def _drop_model(x_value, sense):
-    b = ModelBuilder("drop", sense=sense)
+def _drop_model(x_value, sign):
+    b = ModelBuilder("drop")
     x = b.add_variable("x", lower=x_value, upper=x_value)
-    xi = b.add_variable("xi", lower=0.0, upper=25.0, objective=1.0)
+    xi = b.add_variable("xi", lower=0.0, upper=25.0, objective=sign)
     encode_capacity_drop(b, xi, x, 40.0, 20.0, 0.9, 160.0)
     return b.build(), xi
 
 
-@pytest.mark.parametrize("sense", ["min", "max"])
-def test_capacity_drop_uncongested_state_forces_full_capacity(sense):
-    model, xi = _drop_model(30.0, sense)
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_capacity_drop_uncongested_state_forces_full_capacity(sign):
+    model, xi = _drop_model(30.0, sign)
     sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[xi] == pytest.approx(20.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("sense", ["min", "max"])
-def test_capacity_drop_congested_state_forces_reduced_capacity(sense):
-    model, xi = _drop_model(60.0, sense)
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_capacity_drop_congested_state_forces_reduced_capacity(sign):
+    model, xi = _drop_model(60.0, sign)
     sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[xi] == pytest.approx(18.0, abs=1e-9)
 
 
 def test_capacity_drop_boundary_admits_no_drop_branch():
-    model, xi = _drop_model(40.0, "max")
+    model, xi = _drop_model(40.0, -1.0)
     sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[xi] == pytest.approx(20.0, abs=1e-9)
 
 
+def test_fix_decided_fixes_the_selectors_the_bounds_decide():
+    """A selector is fixed only where every point of the column boxes
+    admits its branch; a tie or a boundary point admits both."""
+    b = ModelBuilder("decided")
+
+    def col(lo, hi):
+        return b.add_variable(lower=lo, upper=hi)
+
+    want = {}
+    for a_box, b_box, fixed in [((1.0, 4.0), (4.0, 9.0), 1.0),  # a below b
+                                ((5.0, 9.0), (1.0, 4.5), 0.0),  # b strictly below a
+                                ((1.0, 6.0), (5.0, 9.0), None),  # overlapping
+                                ((4.0, 9.0), (1.0, 4.0), None),  # b touches a
+                                ((7.0, 7.0), (7.0, 7.0), 1.0)]:  # pinned tie
+        z = encode_min_equality(b, col(0.0, 9.0), col(*a_box), col(*b_box))
+        want[z] = fixed
+    for x_box, fixed in [((30.0, 40.0), 1.0), ((40.5, 60.0), 0.0), ((35.0, 45.0), None)]:
+        z = encode_capacity_drop(b, col(0.0, 25.0), col(*x_box), 40.0, 20.0, 0.9, 160.0)
+        want[z] = fixed
+    b.fix_decided()
+    lp = b.build().lp
+    for z, fixed in want.items():
+        box = (0.0, 1.0) if fixed is None else (fixed, fixed)
+        assert (lp.col_lower[z], lp.col_upper[z]) == box, lp.col_names[z]
+
+
 def test_warm_basis_restart_after_bound_change():
     # branch and bound replays the parent's basis against the child's bounds
-    b = ModelBuilder("warm", sense="min")
+    b = ModelBuilder("warm")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", upper=10.0, objective=-2.0)
     b.add_row({x: 1.0, y: 1.0}, "L", 12.0)
@@ -379,7 +405,7 @@ def test_warm_basis_restart_after_bound_change():
 
 
 def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
-    b = ModelBuilder("tampered", sense="min")
+    b = ModelBuilder("tampered")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", objective=-2.0, binary=True)
     b.add_row({x: 1.0, y: 1.0}, "L", 3.0)
@@ -409,7 +435,7 @@ def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
 def test_a_search_whose_only_integral_node_fails_verification_is_undecided(monkeypatch):
     """The model of the test above without the seed: the one node it closes
     proves nothing, so the search must not report the model infeasible."""
-    b = ModelBuilder("tampered", sense="min")
+    b = ModelBuilder("tampered")
     x = b.add_variable("x", upper=10.0, objective=-1.0)
     y = b.add_variable("y", objective=-2.0, binary=True)
     b.add_row({x: 1.0, y: 1.0}, "L", 3.0)
@@ -525,7 +551,7 @@ def test_a_failed_artificial_swap_keeps_the_column_at_its_bound(monkeypatch):
     """Phase 1 ends with an artificial basic at zero, and the first real
     column that can replace it, ``y``, sits at its upper bound.  The swap
     factors singular once; the restore must leave ``y`` where it was."""
-    b = ModelBuilder("expel", sense="min")
+    b = ModelBuilder("expel")
     x = b.add_variable("x", upper=1.0, objective=1.0)
     y = b.add_variable("y", upper=2.0, objective=1.0)
     w = b.add_variable("w", upper=1.0)
@@ -603,7 +629,7 @@ def test_column_bounds_of_the_wrong_length_are_rejected(lb, ub):
 
 
 def test_dump_model_line_grammar():
-    b = ModelBuilder("dumpme", sense="min")
+    b = ModelBuilder("dumpme")
     x = b.add_variable("x", lower=1.0, upper=2.5, objective=-1.0)
     xi = b.add_variable("xi", lower=0.0, upper=25.0)
     encode_capacity_drop(b, xi, x, 2.0, 20.0, 0.9, 2.5)
@@ -630,7 +656,7 @@ def test_dump_model_line_grammar():
 
 def test_initial_candidate_seeds_incumbent_without_changing_optimum():
     def fence():
-        b = ModelBuilder("seeded", sense="min")
+        b = ModelBuilder("seeded")
         x1 = b.add_variable("x1", objective=1.0, binary=True)
         x2 = b.add_variable("x2", objective=1.0, binary=True)
         b.add_row({x1: 1.0, x2: 1.0}, "G", 1.5)
@@ -668,7 +694,7 @@ def test_check_solution_reports_violated_rows_in_row_order():
     rng = np.random.default_rng(5)
     reported = fractional = 0
     for _ in range(40):
-        b = ModelBuilder("rows", sense="min")
+        b = ModelBuilder("rows")
         n = int(rng.integers(1, 8))
         binary = rng.random(n) < 0.4
         for j in range(n):

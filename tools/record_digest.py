@@ -13,6 +13,11 @@ that print the same digest, plan ticks, solves, pivots and ``tts_veh`` ran
 the same loops bit for bit; the same ``rows`` with a different sha256 means
 only the metadata changed. The last two counts show what the contraction
 spent on them.
+
+Then one line per shipped preset and baseline controller (``alinea``,
+``openloop``, ``local``, each set as the preset's ``controller.kind``): the
+sha256 of its CSV and ``tts_veh``. The benchmark runs Set-PC only, so these
+lines are what shows that a change left the baselines' loops alone.
 """
 
 import argparse
@@ -25,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from workloads import WORKLOADS, load_workload  # noqa: E402
+from workloads import WORKLOADS, edit_preset, load_workload  # noqa: E402
 
 from rampflow import estimators, harness, milp  # noqa: E402
 
@@ -52,13 +57,17 @@ def main(argv=None) -> int:
     milp.solve_canonical = counted
     estimators._certified = counted_boxes
     with tempfile.TemporaryDirectory() as tmp:
+
+        def run(scenario):
+            """The scenario's closed-loop log and the bytes of its CSV."""
+            log = harness.run_closed_loop(scenario)
+            path = harness.emit_csv(log, Path(tmp) / f"{scenario.name}.csv",
+                                    meta=harness.scenario_meta(scenario, log))
+            return log, path.read_bytes()
+
         for name, seed in itertools.product(WORKLOADS, seeds):
             counts[:] = [0, 0, 0, 0]
-            scenario = load_workload(name, seed)
-            log = harness.run_closed_loop(scenario)
-            path = harness.emit_csv(log, Path(tmp) / f"{name}.csv",
-                                    meta=harness.scenario_meta(scenario, log))
-            blob = path.read_bytes()
+            log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
             rows = hashlib.sha256(b"".join(
                 line for line in blob.splitlines(keepends=True)
@@ -68,6 +77,12 @@ def main(argv=None) -> int:
                   f"solves {counts[0]} pivots {counts[1]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]}")
+        for (preset, text), kind in itertools.product(harness.PRESETS.items(),
+                                                      ("alinea", "openloop", "local")):
+            text = edit_preset(text, {"controller": {"kind": kind}})
+            log, blob = run(harness.parse_scenario(text, name=preset))
+            print(f"{preset} {kind}: sha256 {hashlib.sha256(blob).hexdigest()} "
+                  f"tts_veh {float(log.states.sum()):.6f}")
     return 0
 
 
