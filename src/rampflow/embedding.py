@@ -15,8 +15,9 @@ ceiling, sending flow, affine receiving flow, realized flow).
 ``_clamped_step`` keeps the next state of both components, clamped; it serves
 ``lifted_step`` and, on stacks of parameter boxes, the certificate in
 :mod:`rampflow.estimators`. The planner in :mod:`rampflow.mpc`
-scatters the intermediates into its MILP columns and evaluates them at box
-corners for its big-M ranges. The plant in :mod:`rampflow.ctm` is a separate
+scatters the sending and realized flows and the selectors into its MILP
+columns, and evaluates every intermediate at box corners for the ranges of
+its columns and terms, which set the big-M constants. The plant in :mod:`rampflow.ctm` is a separate
 implementation on purpose: it is the reference the tube is tested against.
 
 Which set each parameter is read from, fixed here and relied on by the

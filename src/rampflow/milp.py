@@ -15,16 +15,17 @@ big-M constants are read off the boxes, and the simplex relies on them: a
 boxed program is never unbounded.
 
 ``encode_min_equality``
-    ``f = min(a, b)``, one binary selector, big-M constants derived from
-    the declared bounds.
+    ``f = min(a, b)`` over two :class:`Term` operands, each one column
+    times a coefficient plus a constant with a declared range; one binary
+    selector, big-M constants derived from the ranges.
 
 ``encode_capacity_drop``
-    the discharge-capacity switch: a binary that is 1 exactly on the
-    uncongested branch, with the threshold boundary admitting the
-    uncongested choice, plus the affine tie between the capacity value
-    and the binary.
+    the discharge-capacity switch on a state column: a binary that is 1
+    exactly on the uncongested branch, with the threshold boundary
+    admitting the uncongested choice.  The switched capacity itself is a
+    term over that binary.
 
-Both record their columns on the model as gadget records, which
+Both record their operands on the model as gadget records, which
 :meth:`ModelBuilder.fix_decided` and :func:`dump_model` read.
 
 Incumbents come from three sources: caller-supplied ``initial_candidates``,
@@ -40,8 +41,8 @@ floats in shortest round-trip form::
     var <idx> <name> lower <v> upper <v> obj <v> [binary]
     rows <m>
     row <idx> <name> <L|E|G> <rhs> : <coef>*<varidx> ...
-    gadget min f=<i> a=<i> b=<i> z=<i>
-    gadget drop xi=<i> x=<i> z=<i> crit=<v>
+    gadget min f=<i> a=<col>:<coef>:<const>:<lo>:<hi> b=... z=<i>
+    gadget drop x=<i> z=<i> crit=<v>
     end
 
 Statuses: ``optimal`` (gap certified within tolerance), ``infeasible``,
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,17 +104,26 @@ class LinearProgram:
         return self.a
 
 
+class Term(NamedTuple):
+    """``coef * x[col] + const``, which lies in ``[lo, hi]`` on the model's boxes."""
+
+    col: int
+    coef: float
+    const: float
+    lo: float
+    hi: float
+
+
 @dataclass(frozen=True)
 class MinGadget:
     f: int
-    a: int
-    b: int
+    a: Term
+    b: Term
     z: int
 
 
 @dataclass(frozen=True)
 class DropGadget:
-    xi: int
     x: int
     z: int
     x_crit: float
@@ -226,13 +237,13 @@ class ModelBuilder:
 
     def fix_decided(self) -> None:
         """Fix each gadget selector to the branch that every point of its
-        column boxes admits: min to 1 when ``a <= b`` throughout, to 0 when
-        ``b < a``; drop to 1 when ``x <= x_crit`` throughout, to 0 when
+        declared ranges admits: min to 1 when ``a <= b`` throughout, to 0
+        when ``b < a``; drop to 1 when ``x <= x_crit`` throughout, to 0 when
         ``x > x_crit``.  Overlapping ranges leave the selector free."""
         for g in self.gadgets:
             if isinstance(g, MinGadget):
-                one = self.upper[g.a] <= self.lower[g.b]
-                zero = self.upper[g.b] < self.lower[g.a]
+                one = g.a.hi <= g.b.lo
+                zero = g.b.hi < g.a.lo
             else:
                 one = self.upper[g.x] <= g.x_crit
                 zero = self.lower[g.x] > g.x_crit
@@ -264,8 +275,8 @@ class ModelBuilder:
 def encode_min_equality(
     builder: ModelBuilder,
     f: int,
-    a: int,
-    b: int,
+    a: Term,
+    b: Term,
     *,
     name: str | None = None,
 ) -> int:
@@ -273,53 +284,39 @@ def encode_min_equality(
 
     The selector is 1 when ``a`` attains the minimum and 0 when ``b`` does;
     ties admit both.  The big-M constants are ``sup (a - b)+`` and
-    ``sup (b - a)+`` over the declared column bounds.
+    ``sup (b - a)+`` over the terms' declared ranges.
     """
     tag = name if name is not None else f"min{len(builder.gadgets)}"
-    m_a = max(builder.upper[a] - builder.lower[b], 0.0)
-    m_b = max(builder.upper[b] - builder.lower[a], 0.0)
+    m_a = max(a.hi - b.lo, 0.0)
+    m_b = max(b.hi - a.lo, 0.0)
     z = builder.add_variable(f"{tag}.z", binary=True)
-    builder.add_row({f: 1.0, a: -1.0}, "L", 0.0, f"{tag}.le_a")
-    builder.add_row({f: 1.0, b: -1.0}, "L", 0.0, f"{tag}.le_b")
-    builder.add_row({f: 1.0, a: -1.0, z: -m_a}, "G", -m_a, f"{tag}.pick_a")
-    builder.add_row({f: 1.0, b: -1.0, z: m_b}, "G", 0.0, f"{tag}.pick_b")
+    builder.add_row({f: 1.0, a.col: -a.coef}, "L", a.const, f"{tag}.le_a")
+    builder.add_row({f: 1.0, b.col: -b.coef}, "L", b.const, f"{tag}.le_b")
+    builder.add_row({f: 1.0, a.col: -a.coef, z: -m_a}, "G", a.const - m_a, f"{tag}.pick_a")
+    builder.add_row({f: 1.0, b.col: -b.coef, z: m_b}, "G", b.const, f"{tag}.pick_b")
     builder.gadgets.append(MinGadget(f=f, a=a, b=b, z=z))
     return z
 
 
 def encode_capacity_drop(
     builder: ModelBuilder,
-    xi: int,
     x: int,
     x_crit: float,
-    c_max: float,
-    alpha: float,
-    x_jam: float,
     *,
     name: str | None = None,
 ) -> int:
-    """Tie ``xi`` to the discharge-capacity switch on ``x``.
+    """Add the discharge-capacity switch on ``x`` and return its binary.
 
-    Returns the binary ``z`` with ``z = 1`` forcing ``x <= x_crit`` and
-    ``xi = c_max``, and ``z = 0`` forcing ``x >= x_crit`` and
-    ``xi = alpha * c_max``.  A state exactly on the threshold admits both
-    branches.  ``x_jam`` caps the state from above for the big-M on the
-    congested branch.
+    ``z = 1`` forces ``x <= x_crit`` and ``z = 0`` forces ``x >= x_crit``;
+    a state exactly on the threshold admits both branches.  The big-M
+    constants come from the bounds of ``x``.
     """
     tag = name if name is not None else f"drop{len(builder.gadgets)}"
-    lb_x = builder.lower[x]
-    ub_x = min(builder.upper[x], float(x_jam))
+    lb_x, ub_x = builder.lower[x], builder.upper[x]
     z = builder.add_variable(f"{tag}.z", binary=True)
-    builder.add_row(
-        {xi: 1.0, z: -(1.0 - alpha) * c_max}, "E", alpha * c_max, f"{tag}.tie"
-    )
-    builder.add_row(
-        {x: 1.0, z: max(ub_x - x_crit, 0.0)}, "L", ub_x, f"{tag}.cap"
-    )
-    builder.add_row(
-        {x: 1.0, z: max(x_crit - lb_x, 0.0)}, "G", x_crit, f"{tag}.floor"
-    )
-    builder.gadgets.append(DropGadget(xi=xi, x=x, z=z, x_crit=x_crit))
+    builder.add_row({x: 1.0, z: max(ub_x - x_crit, 0.0)}, "L", ub_x, f"{tag}.cap")
+    builder.add_row({x: 1.0, z: max(x_crit - lb_x, 0.0)}, "G", x_crit, f"{tag}.floor")
+    builder.gadgets.append(DropGadget(x=x, z=z, x_crit=x_crit))
     return z
 
 
@@ -376,11 +373,10 @@ def dump_model(model: MilpModel) -> str:
         )
     for g in model.gadgets:
         if isinstance(g, MinGadget):
-            lines.append(f"gadget min f={g.f} a={g.a} b={g.b} z={g.z}")
+            a, b = (f"{t.col}:" + ":".join(map(_fmt, t[1:])) for t in (g.a, g.b))
+            lines.append(f"gadget min f={g.f} a={a} b={b} z={g.z}")
         elif isinstance(g, DropGadget):
-            lines.append(
-                f"gadget drop xi={g.xi} x={g.x} z={g.z} crit={_fmt(g.x_crit)}"
-            )
+            lines.append(f"gadget drop x={g.x} z={g.z} crit={_fmt(g.x_crit)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -7,19 +7,21 @@ capacity switch, receiving flow) is encoded exactly with the gadget
 library from :mod:`rampflow.milp`, so the optimal plan is found by branch
 and bound rather than by approximation.
 
-Layout of one horizon step, per tube component: auxiliary columns carry
-the speed-line flows v*x, the switched flow ceilings, the receiving-flow
-affine expressions, and the chained minima that combine them; equality
-rows tie states across stages. The state boxes [0, x_jam] x [0, inf) are
-column bounds, which is also what forces the planned ramp discharge to
-equal the command (queues stay nonnegative only when u never exceeds
-queue plus arrivals, and merges fit only below jam occupancy).
+Layout of one horizon step, per tube component: the columns are states,
+controls, sending and realized flows, and selectors. The speed line v*x,
+the switched ceiling alpha*c + (1 - alpha)*c*drop and the receiving flow
+(w/beta)(x_jam - x) enter the minima only as terms over the one column
+each scales. Equality rows tie states across stages. The state boxes
+[0, x_jam] x [0, inf) are column bounds, which is also what forces the
+planned ramp discharge to equal the command (queues stay nonnegative only
+when u never exceeds queue plus arrivals, and merges fit only below jam
+occupancy).
 
 The flow arithmetic itself lives in one place, the tube kernel
-``embedding._tube_flows``: the plan codec below scatters its named
-intermediates into these columns, and the column ranges come from the
-kernel evaluated at the corners of the propagated state boxes. This module
-only writes rows and combines ranges.
+``embedding._tube_flows``: the plan codec below scatters its flows and
+switch flags into these columns, and the column and term ranges come from
+the kernel evaluated at the corners of the propagated state boxes. This
+module only writes rows and combines ranges.
 
 Before any row is written, forward interval propagation bounds every
 column from the initial box and the control limits. That serves three
@@ -343,9 +345,9 @@ class _Comp:
         return _tube_flows(x, z, u, self.lam, self.prim, self.sec)
 
 
-# the columns of one side's stage auxiliaries: the kernel's fields, the
-# no-drop flag as "drop", and the selectors of its two minima
-_KEYS = ("vx", "xi", "drop", "d", "dmin", "s", "f", "fmin")
+# the columns of one side's stage auxiliaries: the no-drop flag as "drop",
+# the sending and realized flows, and the selectors of their two minima
+_KEYS = ("drop", "d", "dmin", "f", "fmin")
 
 
 def _labels(side: str, tag: str, k: int, i: int) -> dict[str, str]:
@@ -354,7 +356,7 @@ def _labels(side: str, tag: str, k: int, i: int) -> dict[str, str]:
 
 
 def _stage_ranges(comp: _Comp, own, oth, merge: bool):
-    """Interval bounds of one component's stage auxiliaries, per side.
+    """Interval bounds of one component's stage columns and terms, per side.
 
     own and oth are the (lower, upper) boxes of this component's stacked
     state and of the other component's. Every term but the outflow sending
@@ -446,13 +448,10 @@ class _Problem(NamedTuple):
 
 def _scatter(vec: np.ndarray, ids: dict, k: int, side: _Side) -> None:
     """Write one side's kernel intermediates into its stage-k columns."""
-    m = ids["s"].shape[1]
-    vec[ids["vx"][k]] = side.vx
-    vec[ids["xi"][k]] = side.xi
+    m = ids["fmin"].shape[1]
     vec[ids["drop"][k]] = side.keep
     vec[ids["d"][k]] = side.d
     vec[ids["dmin"][k]] = side.vx <= side.xi
-    vec[ids["s"][k]] = side.s
     vec[ids["f"][k, :m]] = side.f[:m]
     vec[ids["fmin"][k]] = side.d[:m] <= side.s
 
@@ -550,8 +549,13 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         return {key: np.empty((t, cells - (key in short)), dtype=np.int64)
                 for key in _KEYS}
 
-    cols = [{"out": side_ids(n, ("s", "fmin")), "merge": side_ids(n - 1, ())}
+    cols = [{"out": side_ids(n, ("fmin",)), "merge": side_ids(n - 1, ())}
             for _ in comps]
+
+    def term(rng, key, i, col, coef, const=0.0):
+        """coef * x[col] + const with cell i's declared range under key."""
+        return milp.Term(col, float(coef), float(const),
+                         float(rng[key][0][i]), float(rng[key][1][i]))
 
     def add_aux(ids, rng, key, k, i, at):
         ids[key][k, i] = bld.add_variable(
@@ -559,27 +563,22 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         return int(ids[key][k, i])
 
     def sending(ids, rng, p, at, k, i, x_col, z_col):
-        """Speed line, switched ceiling and sending flow of cell i."""
-        vx = add_aux(ids, rng, "vx", k, i, at)
-        bld.add_row({vx: 1.0, x_col: -p.v[i]}, "E", 0.0, f"def.{at['vx']}")
-        xi = add_aux(ids, rng, "xi", k, i, at)
-        thr = float(rng["thr"][i])
-        ids["drop"][k, i] = milp.encode_capacity_drop(
-            bld, xi, z_col, thr, float(p.c_max[i]), float(p.alpha[i]),
-            float(jam[i]), name=at["drop"],
-        )
+        """Sending flow of cell i: the speed line against the ceiling."""
+        ids["drop"][k, i] = drop = milp.encode_capacity_drop(
+            bld, z_col, float(rng["thr"][i]), name=at["drop"])
+        cap, alpha = p.c_max[i], p.alpha[i]
         d = add_aux(ids, rng, "d", k, i, at)
-        ids["dmin"][k, i] = milp.encode_min_equality(bld, d, vx, xi,
-                                                     name=at["dmin"])
+        ids["dmin"][k, i] = milp.encode_min_equality(
+            bld, d, term(rng, "vx", i, x_col, p.v[i]),
+            term(rng, "xi", i, drop, (1.0 - alpha) * cap, alpha * cap),
+            name=at["dmin"])
 
     def receiving(ids, rng, p, beta, at, k, i, x_down):
-        """Affine receiving flow of cell i+1 and the realized flow into it."""
-        s = add_aux(ids, rng, "s", k, i, at)
+        """Realized flow into cell i+1: sending against receiving flow."""
         coef = p.w[i + 1] / beta[i]
-        bld.add_row({s: 1.0, x_down: coef}, "E", coef * jam[i + 1],
-                    f"def.{at['s']}")
+        s = term(rng, "s", i, x_down, -coef, coef * jam[i + 1])
         f = add_aux(ids, rng, "f", k, i, at)
-        d = int(ids["d"][k, i])
+        d = term(rng, "d", i, int(ids["d"][k, i]), 1.0)
         ids["fmin"][k, i] = milp.encode_min_equality(bld, f, d, s,
                                                      name=at["fmin"])
 

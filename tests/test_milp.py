@@ -19,6 +19,7 @@ from rampflow.milp import (
     OPTIMAL,
     MilpBudget,
     ModelBuilder,
+    Term,
     check_solution,
     dump_model,
     encode_capacity_drop,
@@ -266,12 +267,17 @@ def test_milp_determinism():
     np.testing.assert_array_equal(a.x, b.x)
 
 
+def term(b, col):
+    """Column ``col`` of builder ``b`` as a term ranged by its bounds."""
+    return Term(col, 1.0, 0.0, b.lower[col], b.upper[col])
+
+
 def test_min_gadget_picks_smaller_argument():
     b = ModelBuilder("minab")
     a = b.add_variable("a", lower=15.0, upper=15.0)
     c = b.add_variable("b", lower=20.0, upper=20.0)
     f = b.add_variable("f", lower=0.0, upper=30.0, objective=1.0)
-    z = encode_min_equality(b, f, a, c)
+    z = encode_min_equality(b, f, term(b, a), term(b, c))
     sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[f] == pytest.approx(15.0, abs=1e-9)
@@ -284,7 +290,7 @@ def test_min_gadget_tie_admits_either_selector():
         a = b.add_variable("a", lower=7.0, upper=7.0)
         c = b.add_variable("b", lower=7.0, upper=7.0)
         f = b.add_variable("f", lower=0.0, upper=30.0)
-        z = encode_min_equality(b, f, a, c)
+        z = encode_min_equality(b, f, term(b, a), term(b, c))
         # push the selector both ways; f must stay pinned at the tie value
         b.obj[z] = push
         sol = solve_milp(b.build(), budget=MilpBudget())
@@ -302,7 +308,7 @@ def test_min_gadget_grid_projection(sign):
             a = b.add_variable("a", lower=va, upper=va)
             c = b.add_variable("b", lower=vb, upper=vb)
             f = b.add_variable("f", lower=-5.0, upper=20.0, objective=sign)
-            encode_min_equality(b, f, a, c)
+            encode_min_equality(b, f, term(b, a), term(b, c))
             sol = solve_milp(b.build(), budget=MilpBudget())
             assert sol.status == OPTIMAL
             assert sol.x[f] == pytest.approx(min(va, vb), abs=1e-9)
@@ -313,47 +319,56 @@ def test_min_gadget_derives_big_m_from_column_bounds():
     a = b.add_variable("a", lower=2.0, upper=9.0)
     c = b.add_variable("b", lower=1.0, upper=6.0)
     f = b.add_variable("f", lower=0.0, upper=9.0, objective=-1.0)
-    z = encode_min_equality(b, f, a, c)
-    # the exact sups of (a-b)+ and (b-a)+ over the bounds, 8 and 4
+    z = encode_min_equality(b, f, term(b, a), term(b, c))
+    # g = min(a, 10 - 2b), the second operand ranging over [-2, 8]
+    g = b.add_variable("g", lower=-2.0, upper=9.0, objective=-1.0)
+    y = encode_min_equality(b, g, term(b, a), Term(c, -2.0, 10.0, -2.0, 8.0))
+    # the exact sups of (a-b)+ and (b-a)+ over the bounds, 8 and 4; for g,
+    # 9 - (-2) and 8 - 2
     model = b.build()
-    col = model.lp.matrix()[:, [z]].toarray().ravel()
-    assert sorted(col[col != 0.0].tolist()) == [-8.0, 4.0]
+    for sel, big_m in ((z, [-8.0, 4.0]), (y, [-11.0, 6.0])):
+        col = model.lp.matrix()[:, [sel]].toarray().ravel()
+        assert sorted(col[col != 0.0].tolist()) == big_m
     b.add_row({a: 1.0}, "E", 3.0)
     b.add_row({c: 1.0}, "E", 5.5)
     sol = solve_milp(b.build(), budget=MilpBudget())
     assert sol.status == OPTIMAL
     assert sol.x[f] == pytest.approx(3.0, abs=1e-9)
+    assert sol.x[g] == pytest.approx(-1.0, abs=1e-9)
+    assert sol.x[y] == pytest.approx(0.0, abs=1e-9)
 
 
 def _drop_model(x_value, sign):
+    """The switch on a pinned state, its binary priced by ``sign``; the
+    binary is 1 on the full-capacity branch."""
     b = ModelBuilder("drop")
     x = b.add_variable("x", lower=x_value, upper=x_value)
-    xi = b.add_variable("xi", lower=0.0, upper=25.0, objective=sign)
-    encode_capacity_drop(b, xi, x, 40.0, 20.0, 0.9, 160.0)
-    return b.build(), xi
+    z = encode_capacity_drop(b, x, 40.0)
+    b.obj[z] = sign
+    return b.build(), z
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
 def test_capacity_drop_uncongested_state_forces_full_capacity(sign):
-    model, xi = _drop_model(30.0, sign)
+    model, z = _drop_model(30.0, sign)
     sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
-    assert sol.x[xi] == pytest.approx(20.0, abs=1e-9)
+    assert sol.x[z] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
 def test_capacity_drop_congested_state_forces_reduced_capacity(sign):
-    model, xi = _drop_model(60.0, sign)
+    model, z = _drop_model(60.0, sign)
     sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
-    assert sol.x[xi] == pytest.approx(18.0, abs=1e-9)
+    assert sol.x[z] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_capacity_drop_boundary_admits_no_drop_branch():
-    model, xi = _drop_model(40.0, -1.0)
+    model, z = _drop_model(40.0, -1.0)
     sol = solve_milp(model, budget=MilpBudget())
     assert sol.status == OPTIMAL
-    assert sol.x[xi] == pytest.approx(20.0, abs=1e-9)
+    assert sol.x[z] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fix_decided_fixes_the_selectors_the_bounds_decide():
@@ -370,10 +385,11 @@ def test_fix_decided_fixes_the_selectors_the_bounds_decide():
                                 ((1.0, 6.0), (5.0, 9.0), None),  # overlapping
                                 ((4.0, 9.0), (1.0, 4.0), None),  # b touches a
                                 ((7.0, 7.0), (7.0, 7.0), 1.0)]:  # pinned tie
-        z = encode_min_equality(b, col(0.0, 9.0), col(*a_box), col(*b_box))
+        z = encode_min_equality(b, col(0.0, 9.0), term(b, col(*a_box)),
+                                term(b, col(*b_box)))
         want[z] = fixed
     for x_box, fixed in [((30.0, 40.0), 1.0), ((40.5, 60.0), 0.0), ((35.0, 45.0), None)]:
-        z = encode_capacity_drop(b, col(0.0, 25.0), col(*x_box), 40.0, 20.0, 0.9, 160.0)
+        z = encode_capacity_drop(b, col(*x_box), 40.0)
         want[z] = fixed
     b.fix_decided()
     lp = b.build().lp
@@ -631,8 +647,10 @@ def test_column_bounds_of_the_wrong_length_are_rejected(lb, ub):
 def test_dump_model_line_grammar():
     b = ModelBuilder("dumpme")
     x = b.add_variable("x", lower=1.0, upper=2.5, objective=-1.0)
-    xi = b.add_variable("xi", lower=0.0, upper=25.0)
-    encode_capacity_drop(b, xi, x, 2.0, 20.0, 0.9, 2.5)
+    encode_capacity_drop(b, x, 2.0)
+    y = b.add_variable("y", lower=0.0, upper=4.0)
+    f = b.add_variable("f", lower=-4.0, upper=4.0)
+    encode_min_equality(b, f, term(b, y), Term(x, -2.0, 1.0, -4.0, -1.0))
     model = b.build()
     text = dump_model(model)
     lines = text.strip().splitlines()
@@ -643,8 +661,9 @@ def test_dump_model_line_grammar():
     row_lines = [l for l in lines if l.startswith("row ")]
     assert len(var_lines) == model.lp.n_cols
     assert len(row_lines) == model.lp.n_rows
-    assert sum(l.endswith(" binary") for l in var_lines) == 1
-    assert any(l.startswith("gadget drop ") for l in lines)
+    assert sum(l.endswith(" binary") for l in var_lines) == 2
+    assert "gadget drop x=0 z=1 crit=2.0" in lines
+    assert "gadget min f=3 a=2:1.0:0.0:0.0:4.0 b=0:-2.0:1.0:-4.0:-1.0 z=4" in lines
     assert lines[-1] == "end"
     # every numeric token round-trips through float()
     for line in var_lines:
@@ -751,7 +770,7 @@ def _first_plan(edits):
 
 def test_phase_one_decides_the_interval_horizon_ten_plan(monkeypatch):
     """The first plan of ``fourcell_constant`` at horizon 10 must be proved
-    infeasible at the root within the 1,381 pivots it takes today."""
+    infeasible at the root within the 958 pivots it takes today."""
     model, kwargs = _first_plan([("horizon 60", "horizon 10")])
     real_canonical = milp.solve_canonical
     seen = {"pivots": 0}
@@ -764,14 +783,14 @@ def test_phase_one_decides_the_interval_horizon_ten_plan(monkeypatch):
     monkeypatch.setattr(milp, "solve_canonical", counted)
     result = milp.solve_milp(model, **kwargs)
     lp = model.lp
-    assert (lp.n_rows, lp.n_cols, model.binaries.shape[0]) == (1880, 1276, 400)
+    assert (lp.n_rows, lp.n_cols, model.binaries.shape[0]) == (1480, 876, 400)
     assert result.status == INFEASIBLE and result.nodes == 1
-    assert seen["pivots"] <= 1381
+    assert seen["pivots"] <= 958
 
 
 def test_the_ten_step_window_root_lp_is_optimal_cold():
     """With a 10-step measurement window as well, the first plan's root LP,
-    solved cold, is optimal within the 1,757 pivots it takes today. A
+    solved cold, is optimal within the 1,517 pivots it takes today. A
     phase 1 that stalls on degenerate pivots spends its whole 51,560-pivot
     budget here instead."""
     model, _ = _first_plan([("horizon 60", "horizon 10"),
@@ -781,4 +800,4 @@ def test_the_ten_step_window_root_lp_is_optimal_cold():
     root = _simplex.solve_canonical(form, lp.col_lower, lp.col_upper)
     assert root.status == "optimal"
     assert root.obj == pytest.approx(2758.81, rel=1e-6)
-    assert root.iterations <= 1757
+    assert root.iterations <= 1517
