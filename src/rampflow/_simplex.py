@@ -25,10 +25,16 @@ and bound replays at every node.
 
 There is one factorization: SuperLU factors of the basis plus a
 product-form eta file, one eta vector per pivot, rebuilt every few dozen
-pivots.  The pivot loop reads ``[A | I]`` straight from its CSC arrays:
-the entering column is one ``indptr`` slice, reduced costs use the cached
-CSR transpose, and the basis handed to SuperLU is gathered from
-``indptr``, ``indices`` and ``data``.  Pricing is Dantzig's rule, the
+pivots.  A basis is factored once (Maros, *Computational Techniques of the
+Simplex Method*, 2003, ch. 8): a solve returns the factors of its final
+basis, which a warm start from that basis takes in place of factoring it
+again, and phase 1's signed clones reuse the factors they replace through a
+±1 column-sign vector, which reproduces a fresh factorization bit for bit.
+
+The pivot loop reads ``[A | I]`` straight from its CSC arrays: the
+entering column is one ``indptr`` slice, reduced costs use the cached CSR
+transpose, and the basis handed to SuperLU is gathered from ``indptr``,
+``indices`` and ``data``.  Pricing is Dantzig's rule, the
 largest reduced-cost violation entering with ties to the lowest index,
 and the ratio test breaks ties between blocking rows by the largest pivot
 magnitude.  There is no anti-cycling rule: termination rests on the pivot
@@ -40,6 +46,7 @@ identical pivot sequences.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +100,8 @@ class CanonicalResult:
     obj: float
     basis: WarmBasis | None
     iterations: int
+    # the factors of ``basis``, for a solve that starts there; never in a WarmBasis
+    factors: _Factors | None = None
 
 
 class _SingularBasis(Exception):
@@ -100,17 +109,38 @@ class _SingularBasis(Exception):
 
 
 class _Factors:
-    """SuperLU factors plus a product-form eta file."""
+    """SuperLU factors of ``B·diag(sign)`` plus a product-form eta file.
+
+    ``sign`` is ``None`` (all ones) for a basis factored here; a ±1 vector
+    when :meth:`share` reuses the factors of ``B`` for ``B·diag(sign)``.
+    """
 
     def __init__(self, cols: sp.csc_matrix):
         try:
             self.lu = splu(cols)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise _SingularBasis() from exc
+        self.sign: np.ndarray | None = None
         self.etas: list[tuple[int, np.ndarray]] = []
+
+    def share(self, sign: np.ndarray | None = None) -> _Factors:
+        """These factors with an empty eta file, for the basis they were
+        built for with its columns scaled by ``sign``.
+
+        Exact: SuperLU's orderings read the pattern and its pivoting reads
+        magnitudes, so factoring ``B·S`` anew gives ``L`` and ``U·S`` bit
+        for bit, and a solve through them only flips signs.
+        """
+        twin = copy.copy(self)
+        twin.etas = []
+        if sign is not None:
+            twin.sign = sign if self.sign is None else self.sign * sign
+        return twin
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         u = self.lu.solve(v)
+        if self.sign is not None:
+            u *= self.sign
         for r, g in self.etas:
             u -= g * u[r]
         return u
@@ -119,6 +149,8 @@ class _Factors:
         u = np.array(v, dtype=float)
         for r, g in reversed(self.etas):
             u[r] -= g @ u
+        if self.sign is not None:
+            u *= self.sign
         return self.lu.solve(u, trans="T")
 
     def update(self, r: int, w: np.ndarray) -> None:
@@ -195,6 +227,7 @@ class _Worker:
         warm: WarmBasis | None,
         tol_pivot: float,
         refactor_every: int,
+        factors: _Factors | None = None,
     ):
         m, n = form.m, form.n
         self.m, self.n = m, n
@@ -208,16 +241,16 @@ class _Worker:
         self.iterations = 0
         self.max_iter = 20000 + 10 * (m + n)
         self.n_art = 0
-        self._install_start(warm)
+        self._install_start(warm, factors)
 
     # -- start basis -----------------------------------------------------
 
-    def _install_start(self, warm: WarmBasis | None) -> None:
+    def _install_start(self, warm: WarmBasis | None, factors: _Factors | None) -> None:
         if warm is not None:
             self.vstat = warm.vstat.copy()
             self.basis = warm.basis.copy()
             try:
-                self._factor()
+                self._factor(None if factors is None else factors.share())
                 return
             except _SingularBasis:
                 pass  # the cold start below
@@ -228,8 +261,10 @@ class _Worker:
         self.basis = np.arange(self.n, self.n + self.m, dtype=np.int64)
         self._factor()
 
-    def _factor(self) -> None:
-        self.backend = _Factors(_columns(self.cols, self.basis))
+    def _factor(self, factors: _Factors | None = None) -> None:
+        """Install ``factors`` of the current basis, or factor it afresh."""
+        self.backend = factors if factors is not None else _Factors(
+            _columns(self.cols, self.basis))
         self.updates_since_factor = 0
         self._recompute_xb()
 
@@ -262,7 +297,6 @@ class _Worker:
         v = self.xb[viol_pos]
         below = v < self.lb[j]
         sign = np.where(below, -1.0, 1.0)
-        art_vals = sign * (v - np.where(below, self.lb[j], self.ub[j]))
         self.vstat[j] = np.where(below, AT_LOWER, AT_UPPER)
         art = _columns(self.cols, j)
         art.data *= np.repeat(sign, np.diff(art.indptr))
@@ -276,8 +310,11 @@ class _Worker:
             [self.vstat, np.full(self.n_art, BASIC, dtype=np.int8)]
         )
         self.basis[viol_pos] = base + np.arange(self.n_art)
-        self.xb[viol_pos] = art_vals
-        self._factor()
+        # the new basis is the old one with some columns negated, so its
+        # factors are the old ones under a column-sign vector
+        column_sign = np.ones(self.m)
+        column_sign[viol_pos] = sign
+        self._factor(self.backend.share(column_sign))
 
     # -- pivot loop --------------------------------------------------------
 
@@ -443,9 +480,9 @@ class _Worker:
         self._factor()  # clean recompute before extraction
         x = self._values()[: self.n]
         obj = float(self.c[: self.n] @ x)
-        return CanonicalResult(
-            "optimal", x, obj, self._export_basis(), self.iterations
-        )
+        basis = self._export_basis()
+        return CanonicalResult("optimal", x, obj, basis, self.iterations,
+                               None if basis is None else self.backend)
 
     def _export_basis(self) -> WarmBasis | None:
         ntot = self.n + self.m
@@ -460,6 +497,7 @@ def solve_canonical(
     ub,
     *,
     warm: WarmBasis | None = None,
+    factors: _Factors | None = None,
 ) -> CanonicalResult:
     """Solve ``min c.x  s.t.  A x (senses) b,  lb <= x <= ub`` over ``form``.
 
@@ -468,8 +506,10 @@ def solve_canonical(
     solve leaves it as it found it.  Every bound must be finite (a
     ``ValueError`` otherwise); equal bounds fix a variable.  ``warm``
     replays a basis from an earlier solve of the same form, or one that
-    :func:`crash_from_point` built for it.  Statuses: "optimal" and
-    "infeasible"; a boxed program is never unbounded.
+    :func:`crash_from_point` built for it.  ``factors`` are the
+    ``factors`` of the result whose ``basis`` is ``warm``; with them the
+    solve starts without factoring.  Statuses: "optimal" and "infeasible";
+    a boxed program is never unbounded.
     """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
@@ -486,8 +526,8 @@ def solve_canonical(
     # deterministic) path that avoids the dependent column.
     spent = 0
     for rung, (tol_pivot, refactor_every) in enumerate(_LADDER):
-        start = warm if rung == 0 else None
-        worker = _Worker(form, lb, ub, start, tol_pivot, refactor_every)
+        start, lu = (warm, factors) if rung == 0 else (None, None)
+        worker = _Worker(form, lb, ub, start, tol_pivot, refactor_every, lu)
         try:
             result = worker.solve()
         except _SingularBasis:

@@ -164,9 +164,8 @@ def plant_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
                lam: np.ndarray) -> np.ndarray:
     """Advance the full plant one step: ``compact_step`` under the ramp
     discharge that queue and space allow."""
-    main, _ = split_state(x, params.n_cells)
-    f_r = ramp_outflow(params, x, u, lam, mainline_outflow(params, main))
-    return compact_step(params, x, f_r, lam)
+    f_out = mainline_outflow(params, split_state(x, params.n_cells)[0])
+    return _advance(params, x, ramp_outflow(params, x, u, lam, f_out), lam, f_out)
 
 
 def compact_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
@@ -178,13 +177,20 @@ def compact_step(params: FreewayParams, x: np.ndarray, u: np.ndarray,
     to enforce, and they are checked here, to within 1e-9, rather than
     silently repaired.
     """
+    f_out = mainline_outflow(params, split_state(x, params.n_cells)[0])
+    return _advance(params, x, u, lam, f_out)
+
+
+def _advance(params: FreewayParams, x: np.ndarray, u: np.ndarray, lam: np.ndarray,
+             f_out: np.ndarray) -> np.ndarray:
+    """The checked state update of ``compact_step``, given the mainline
+    outflow f_out of x (``mainline_outflow``), which the caller computes once."""
     tol = 1e-9
     main, queues = split_state(x, params.n_cells)
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if np.any(u < -tol) or np.any(u > queues + lam + tol):
         raise ValueError("commanded rate exceeds queue plus arrivals")
-    f_out = mainline_outflow(params, main)
     inflow = u.copy()
     inflow[..., 1:] += params.beta * f_out[..., :-1]
     next_main = (main + inflow) - f_out

@@ -4,8 +4,14 @@ The optimizer behind the predictive controller.  Everything is in-house:
 node relaxations go through the bounded-variable simplex in
 :mod:`rampflow._simplex`, binaries through best-bound branch and bound with
 depth-first plunging, in one node loop: each node is popped from the pool
-or plunged into, and the node budget is checked once per node.  A model
-without binaries is solved at its root node.  No external solver is used.
+or plunged into, and the node budget is checked once per node.  Before its
+LP, each node's box is propagated over the rows from its parent's
+propagated box; a box that crosses a row or a bound by more than a margin
+closes the node, whose relaxation is infeasible too, without solving it.
+The propagated bounds never reach the LP, so the tree is the one the LPs
+alone would search.  A plunge child starts from its parent's final basis
+factors.  A model without binaries is solved at its root node.  No
+external solver is used.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
 row indices and records the two gadget encodings the controller needs.
@@ -62,6 +68,7 @@ import scipy.sparse as sp
 
 # NumericalBreakdown escapes solve_milp; callers catch it as milp.NumericalBreakdown
 from ._simplex import (  # noqa: F401
+    _TOL_FEAS,
     EqualityForm,
     NumericalBreakdown,
     WarmBasis,
@@ -75,6 +82,12 @@ UNBOUNDED = "unbounded"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 _INT_TOL = 1e-7
+# sweeps over the rows per node, and the relative move that counts as progress
+_PROPAGATION_ROUNDS = 100
+_PROPAGATION_MOVE = 1e-3
+# a node closes when its box crosses a row or a bound by more than this many
+# times the phase-1 acceptance of the LP, _simplex._TOL_FEAS * (1 + sum|b|)
+_PROPAGATION_MARGIN = 1e3
 
 
 @dataclass
@@ -320,6 +333,78 @@ def encode_capacity_drop(
     return z
 
 
+class _RowPropagation:
+    """Activity-based bound propagation over the rows of one model.
+
+    Each row's least and greatest activity on a box bound what its other
+    entries leave for each column (Achterberg, *Constraint Integer
+    Programming*, 2007, ch. 7).  Binaries propagate as the continuous
+    columns of the relaxation: a bound is never rounded, so a box this
+    closes holds no point of the LP relaxation either.
+
+    One sweep is one sparse product.  With ``P`` and ``N`` the positive and
+    negative parts of the rows, ``slack = [rhs_hi - P lo - N hi ;
+    P hi + N lo - rhs_lo]`` is how far each row side is from binding at
+    the box's worst corner, and an entry ``a`` of column ``j`` caps ``x_j``
+    within ``slack / |a|`` of the bound the row read it at.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        a = lp.matrix()
+        (m, n), nnz = a.shape, a.nnz
+        rows, up = a.indices, a.data > 0
+        cols = np.repeat(np.arange(n), np.diff(a.indptr))
+        # rows [P N ; -N -P] over the stacked box [lo ; hi], and one row of
+        # zeros whose slack, +inf, pads every column's list below
+        self.stack = sp.csr_matrix(
+            (np.concatenate([a.data, -a.data]),
+             (np.concatenate([rows, rows + m]),
+              np.concatenate([np.where(up, cols, cols + n), np.where(up, cols + n, cols)]))),
+            shape=(2 * m + 1, 2 * n))
+        self.rhs = np.concatenate([np.where(lp.row_senses == "G", np.inf, lp.rhs),
+                                   np.where(lp.row_senses == "L", np.inf, -lp.rhs),
+                                   [np.inf]])
+        # per column, the slack side that caps it from above (a positive
+        # entry's upper side), then the one that caps it from below
+        ends = a.indptr[1:]
+        caps = [np.insert(np.where(up, rows, rows + m), ends, 2 * m),
+                np.insert(np.where(up, rows + m, rows), ends, 2 * m)]
+        self.gather = np.concatenate(caps)
+        inv = np.insert(1.0 / np.abs(a.data), ends, 1.0)
+        self.inv = np.concatenate([inv, inv])
+        first = a.indptr[:-1] + np.arange(n)
+        self.starts = np.concatenate([first, first + nnz + n])
+        self.n = n
+        self.margin = _PROPAGATION_MARGIN * _TOL_FEAS * (1.0 + np.abs(lp.rhs).sum())
+
+    def box(self, lo: np.ndarray, hi: np.ndarray, fixes: dict[int, float]):
+        """The box ``[lo, hi]`` with ``fixes`` applied and tightened by the
+        rows, or ``None`` when it crosses a row or a bound by more than the
+        margin."""
+        lo, hi = lo.copy(), hi.copy()
+        for j, v in fixes.items():
+            if not lo[j] - self.margin <= v <= hi[j] + self.margin:
+                return None
+            lo[j] = hi[j] = v
+        n = self.n
+        for _ in range(_PROPAGATION_ROUNDS):
+            slack = self.rhs - self.stack @ np.concatenate([lo, hi])
+            if slack.min() < -self.margin:
+                return None
+            reach = np.minimum.reduceat(slack[self.gather] * self.inv, self.starts)
+            new_hi = np.minimum(hi, lo + reach[:n])
+            new_lo = np.maximum(lo, hi - reach[n:])
+            if np.any(new_lo > new_hi + self.margin):
+                return None
+            new_lo = np.minimum(new_lo, new_hi)
+            moved = np.maximum(hi - new_hi, new_lo - lo)
+            progress = np.any(moved > _PROPAGATION_MOVE * (hi - lo) + 1e-9)
+            lo, hi = new_lo, new_hi
+            if not progress:
+                break
+        return lo, hi
+
+
 def check_solution(model: MilpModel, x: np.ndarray, *, tol: float = 1e-9) -> list[str]:
     """Return human-readable violations of bounds, rows and integrality."""
     lp = model.lp
@@ -409,9 +494,20 @@ def solve_milp(
     being trusted, so callers pass their vectors unchecked; candidates only
     tighten pruning and never change the reported optimum.
 
+    Every node, the root included, first propagates its box over the rows:
+    its parent's propagated box (the model's box at the root) with the
+    node's fixes applied.  A box that crosses a row or a bound by more than
+    a margin (see :class:`_RowPropagation`) closes the node without an LP;
+    it still counts against the node budget, and its LP would have come
+    back infeasible, so the search order, incumbents and result are those
+    of a search that solves every node.  The propagated box only feeds the
+    children's propagation, never an LP.
+
     The tree builds one equality form; a node solve passes only its column
     bounds, through this module's ``solve_canonical``, where callers may
-    wrap it.
+    wrap it.  The plunge child also passes its parent's final factors, so
+    its first basis is not factored again; pool entries keep the basis
+    alone.
 
     Returns a :class:`Solution` whose ``bound`` is the proven lower bound
     and whose ``gap`` is ``objective - bound``.  A search that ends with no
@@ -422,6 +518,7 @@ def solve_milp(
     lp = model.lp
     form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
 
+    propagation = _RowPropagation(lp)
     best_obj = np.inf
     best_x: np.ndarray | None = None
     pruned_min = np.inf
@@ -429,8 +526,9 @@ def solve_milp(
     iters = 0
     unverified = 0  # integral relaxations closed for failing verification
     seq = 0
-    # pool entries: (inherited bound, insertion sequence, fixes, warm basis)
-    pool: list[tuple[float, int, dict[int, float], WarmBasis | None]] = []
+    # pool entries: (inherited bound, insertion sequence, fixes, warm basis,
+    # the parent's propagated box)
+    pool: list[tuple[float, int, dict[int, float], WarmBasis | None, tuple]] = []
 
     def gap_eff() -> float:
         if not np.isfinite(best_obj):
@@ -451,28 +549,33 @@ def solve_milp(
     for cand in initial_candidates or ():
         try_candidate(cand)
 
-    # The node solved next unless one is popped, as (fixes, warm basis): the
-    # root, whose basis a verified incumbent crashes so that phase 1 starts
-    # satisfied, then the child each branching leans toward.
+    # The node solved next unless one is popped, as (fixes, warm basis, its
+    # factors, the parent's propagated box): the root, whose basis a verified
+    # incumbent crashes so that phase 1 starts satisfied, then the child each
+    # branching leans toward, which starts from its parent's final factors.
     root_basis = None
     if best_x is not None:
         root_basis = crash_from_point(form, lp.col_lower, lp.col_upper, best_x)
-    plunge = ({}, root_basis)
+    plunge = ({}, root_basis, None, (lp.col_lower, lp.col_upper))
     while (plunge or pool) and nodes < budget.max_nodes:
         if plunge:
-            (fixes, warm), plunge = plunge, None
+            (fixes, warm, factors, parent_box), plunge = plunge, None
         else:
-            inherited, _, fixes, warm = heapq.heappop(pool)
+            inherited, _, fixes, warm, parent_box = heapq.heappop(pool)
+            factors = None
             if inherited >= best_obj - gap_eff():
                 pruned_min = min(pruned_min, inherited)
                 continue
         nodes += 1
+        box = propagation.box(*parent_box, fixes)
+        if box is None:
+            continue  # the LP relaxation is infeasible too
         lb, ub = lp.col_lower, lp.col_upper
         if fixes:
             lb, ub = lb.copy(), ub.copy()
             for j, v in fixes.items():
                 lb[j] = ub[j] = v
-        res = solve_canonical(form, lb, ub, warm=warm)
+        res = solve_canonical(form, lb, ub, warm=warm, factors=factors)
         iters += res.iterations
         if res.status == "infeasible":
             continue
@@ -502,8 +605,8 @@ def solve_milp(
         j = int(model.binaries[int(ties.min())])
         lean = 1.0 if res.x[j] >= 0.5 else 0.0
         seq += 1
-        heapq.heappush(pool, (bound, seq, {**fixes, j: 1.0 - lean}, res.basis))
-        plunge = ({**fixes, j: lean}, res.basis)
+        heapq.heappush(pool, (bound, seq, {**fixes, j: 1.0 - lean}, res.basis, box))
+        plunge = ({**fixes, j: lean}, res.basis, res.factors, box)
 
     budget_hit = bool(plunge or pool)  # work was left when the budget ran out
     found = best_x is not None

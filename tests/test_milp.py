@@ -5,14 +5,16 @@ instances; it is never used by the package itself.  Models without
 binaries are continuous programs that ``solve_milp`` settles at its root.
 """
 
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from rampflow import _simplex, harness, milp
+from rampflow import _simplex, harness, milp, mpc
+from rampflow.embedding import DemandBounds, LiftedState, ParamBounds
 from rampflow.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -26,6 +28,8 @@ from rampflow.milp import (
     encode_min_equality,
     solve_milp,
 )
+
+from test_mpc import pinned_problem, random_box, random_param_pair
 
 
 def test_lp_single_lower_bound_row():
@@ -223,14 +227,14 @@ def test_milp_budget_exits_at_every_depth(monkeypatch):
     capped search is the uncapped one cut short, whether the next node
     would have been a plunge child or a pool entry."""
     rng = np.random.default_rng(909)
-    solve_canonical = milp.solve_canonical
-    fixed = []  # per node solved: the (binary, value) pairs it fixes
+    box = milp._RowPropagation.box
+    fixed = []  # per node: the (binary, value) pairs it fixes
 
-    def spy(form, lb, ub, **kwargs):
-        fixed.append({(int(j), lb[j]) for j in model.binaries if lb[j] == ub[j]})
-        return solve_canonical(form, lb, ub, **kwargs)
+    def spy(rows, lo, hi, fixes):
+        fixed.append(set(fixes.items()))
+        return box(rows, lo, hi, fixes)
 
-    monkeypatch.setattr(milp, "solve_canonical", spy)
+    monkeypatch.setattr(milp._RowPropagation, "box", spy)
     cut_before = {"plunge": 0, "pool": 0}
     for _ in range(12):
         model, *_ = _random_milp(rng, int(rng.integers(4, 8)))
@@ -788,6 +792,18 @@ def test_phase_one_decides_the_interval_horizon_ten_plan(monkeypatch):
     assert seen["pivots"] <= 958
 
 
+def test_the_horizon_ten_root_closes_by_propagation_and_by_phase_one():
+    """The search closes the first plan at horizon 10 by propagating its
+    root box, without an LP; the root LP, solved directly, is still proved
+    infeasible by phase 1 within the 958 pivots it takes today."""
+    model, _ = _first_plan([("horizon 60", "horizon 10")])
+    lp = model.lp
+    assert milp._RowPropagation(lp).box(lp.col_lower, lp.col_upper, {}) is None
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+    root = _simplex.solve_canonical(form, lp.col_lower, lp.col_upper)
+    assert root.status == "infeasible" and root.iterations <= 958
+
+
 def test_the_ten_step_window_root_lp_is_optimal_cold():
     """With a 10-step measurement window as well, the first plan's root LP,
     solved cold, is optimal within the 1,517 pivots it takes today. A
@@ -801,3 +817,139 @@ def test_the_ten_step_window_root_lp_is_optimal_cold():
     assert root.status == "optimal"
     assert root.obj == pytest.approx(2758.81, rel=1e-6)
     assert root.iterations <= 1517
+
+
+# ------------------------------------- node propagation and factor reuse
+
+
+def _planner_model(rng, horizon, reduced):
+    """A planner model over random parameter and state boxes."""
+    n = int(rng.integers(2, 5))
+    p_up, p_lo = random_param_pair(rng, n)
+    lo, hi = random_box(rng, p_up.x_jam)
+    lam = rng.uniform(0.0, 10.0, n)
+    config = mpc.MpcConfig(horizon, mpc.CostSpec(l=np.ones(2 * n), b=np.ones(2 * n),
+                                                 d=np.ones(n)))
+    return mpc._assemble(LiftedState(upper=hi, lower=lo),
+                         DemandBounds(upper=lam, lower=0.9 * lam),
+                         ParamBounds(upper=p_up, lower=p_lo), config,
+                         mpc.TerminalSet.mainline_only(p_up.x_jam),
+                         reduced=reduced).model
+
+
+def test_the_propagation_filter_closes_only_infeasible_relaxations():
+    """Random binary fixes, applied one at a time as branching does, each
+    propagated from the box its predecessor left. Every box the filter
+    closes has an infeasible LP relaxation, and every relaxation it keeps
+    has its optimum inside the box (up to the filter's margin)."""
+    closed = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["random", "tube", "single"]))
+    def check(seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            model = _random_milp(rng, int(rng.integers(3, 8)))[0]
+        else:
+            model = _planner_model(rng, int(rng.integers(1, 5)), kind == "single")
+        lp = model.lp
+        form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+        rows = milp._RowPropagation(lp)
+        free = model.binaries[lp.col_lower[model.binaries] < lp.col_upper[model.binaries]]
+        order = rng.permutation(free)[: int(rng.integers(0, 6))]
+        lb, ub = lp.col_lower.copy(), lp.col_upper.copy()
+        box = (lp.col_lower, lp.col_upper)
+        for depth in range(order.shape[0] + 1):
+            if depth:
+                j, v = int(order[depth - 1]), float(rng.integers(0, 2))
+                lb[j] = ub[j] = v
+                box = rows.box(*box, {j: v})
+            else:
+                box = rows.box(*box, {})
+            res = _simplex.solve_canonical(form, lb, ub)
+            if box is None:
+                closed.append(kind)
+                assert res.status == "infeasible", (kind, depth)
+                return
+            if res.status == "optimal":
+                assert np.all(res.x >= box[0] - rows.margin)
+                assert np.all(res.x <= box[1] + rows.margin)
+
+    check()
+    assert len(closed) >= 1
+
+
+def test_the_filter_never_rounds_a_binary(monkeypatch):
+    """``2z >= 1`` and ``4z <= 3`` leave the binary z in [0.5, 0.75]:
+    rounding would close the root, but its relaxation is feasible. The
+    filter keeps the root, whose LP is solved, and closes both children,
+    whose LPs are not."""
+    b = ModelBuilder("fractional")
+    z = b.add_variable("z", objective=1.0, binary=True)
+    b.add_row({z: 2.0}, "G", 1.0)
+    b.add_row({z: 4.0}, "L", 3.0)
+    model = b.build()
+    lo, hi = milp._RowPropagation(model.lp).box(model.lp.col_lower, model.lp.col_upper, {})
+    assert (lo[z], hi[z]) == (0.5, 0.75)
+    solve, solved = milp.solve_canonical, []
+
+    def spy(form, lb, ub, **kwargs):
+        solved.append((lb[z], ub[z]))
+        return solve(form, lb, ub, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_canonical", spy)
+    sol = solve_milp(model, budget=MilpBudget())
+    assert sol.status == INFEASIBLE and sol.nodes == 3
+    assert solved == [(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("kind, seeded", [("point", False), ("interval", True)])
+def test_handed_down_and_signed_factors_solve_like_fresh_ones(
+        monkeypatch, stretch, nominal_demand, kind, seeded):
+    """Every node LP of a planner search, solved again with every basis
+    factored afresh: the plunge child's handed-down factors and phase 1's
+    column-sign reuse change no status, pivot, objective bit, value or
+    exported basis. Neither a pool entry nor a warm basis holds factors."""
+    prob, seeds = pinned_problem(kind, nominal_demand, stretch,
+                                 ParamBounds(stretch, stretch))
+    solve, calls = milp.solve_canonical, []
+
+    def spy(form, lb, ub, **kwargs):
+        res = solve(form, lb, ub, **kwargs)
+        calls.append((form, lb, ub, kwargs, res))
+        return res
+
+    push = milp.heapq.heappush
+
+    def checked_push(pool, entry):
+        assert not any(isinstance(item, _simplex._Factors) for item in entry)
+        return push(pool, entry)
+
+    real_share, signed = _simplex._Factors.share, []
+
+    def counted_share(self, sign=None):
+        signed.append(sign is not None)
+        return real_share(self, sign)
+
+    monkeypatch.setattr(milp, "solve_canonical", spy)
+    monkeypatch.setattr(milp.heapq, "heappush", checked_push)
+    monkeypatch.setattr(_simplex._Factors, "share", counted_share)
+    milp.solve_milp(prob.model, budget=milp.MilpBudget(),
+                    initial_candidates=seeds if seeded else None)
+    assert [f.name for f in dataclass_fields(_simplex.WarmBasis)] == ["vstat", "basis"]
+    assert any(kw.get("factors") is not None for *_, kw, _ in calls)
+    assert any(signed) and not all(signed)
+
+    real_factor = _simplex._Worker._factor
+    monkeypatch.setattr(_simplex._Worker, "_factor",
+                        lambda self, factors=None: real_factor(self))
+    for form, lb, ub, kwargs, reused in calls:
+        fresh = _simplex.solve_canonical(form, lb, ub, **kwargs)
+        assert (fresh.status, fresh.iterations) == (reused.status, reused.iterations)
+        assert float(fresh.obj).hex() == float(reused.obj).hex()
+        np.testing.assert_array_equal(fresh.x, reused.x)
+        assert (fresh.basis is None) == (reused.basis is None)
+        if fresh.basis is not None:
+            np.testing.assert_array_equal(fresh.basis.vstat, reused.basis.vstat)
+            np.testing.assert_array_equal(fresh.basis.basis, reused.basis.basis)

@@ -6,13 +6,16 @@ One line per workload of ``perfbench/workloads.py`` and seed (default 0,
 seeds in the order given): the sha256 of the CSV
 ``harness.emit_csv`` writes and, under ``rows``, of its lines without the
 ``#`` metadata, the ticks that planned, the LP solves and
-simplex pivots (counted by wrapping ``milp.solve_canonical``), ``tts_veh``,
-and the stacked propagations of the parameter contraction with the boxes
-they carry (counted by wrapping ``estimators._certified``). Two commits
-that print the same digest, plan ticks, solves, pivots and ``tts_veh`` ran
-the same loops bit for bit; the same ``rows`` with a different sha256 means
-only the metadata changed. The last two counts show what the contraction
-spent on them.
+simplex pivots (counted by wrapping ``milp.solve_canonical``), the
+branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions), the
+basis factorizations (``_simplex._Factors`` built), ``tts_veh``, and the
+stacked propagations of the parameter contraction with the boxes they carry
+(counted by wrapping ``estimators._certified``). Two commits that print the
+same digest, plan ticks, solves, pivots and ``tts_veh`` ran the same loops
+bit for bit; the same ``rows`` with a different sha256 means only the
+metadata changed. Nodes that propagation closes are not solved, so the same
+nodes with fewer solves is the same tree with less work. The last two counts
+show what the contraction spent on them.
 
 Then one line per shipped preset and baseline controller (``alinea``,
 ``openloop``, ``local``, each set as the preset's ``controller.kind``): the
@@ -32,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS, edit_preset, load_workload  # noqa: E402
 
-from rampflow import estimators, harness, milp  # noqa: E402
+from rampflow import _simplex, estimators, harness, milp  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -40,7 +43,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     seeds = parser.parse_args(argv).seed
     solve_canonical, certified = milp.solve_canonical, estimators._certified
-    counts = [0, 0, 0, 0]
+    solve_milp, factors = milp.solve_milp, _simplex._Factors
+    counts = [0] * 6
 
     def counted(*args, **kwargs):
         res = solve_canonical(*args, **kwargs)
@@ -54,8 +58,20 @@ def main(argv=None) -> int:
         counts[3] += dead.size
         return dead
 
+    def counted_nodes(*args, **kwargs):
+        sol = solve_milp(*args, **kwargs)
+        counts[4] += sol.nodes
+        return sol
+
+    class CountedFactors(factors):
+        def __init__(self, cols):
+            super().__init__(cols)
+            counts[5] += 1
+
     milp.solve_canonical = counted
     estimators._certified = counted_boxes
+    milp.solve_milp = counted_nodes
+    _simplex._Factors = CountedFactors
     with tempfile.TemporaryDirectory() as tmp:
 
         def run(scenario):
@@ -66,7 +82,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0, 0, 0, 0]
+            counts[:] = [0] * 6
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
             rows = hashlib.sha256(b"".join(
@@ -74,7 +90,8 @@ def main(argv=None) -> int:
                 if not line.startswith(b"#"))).hexdigest()
             plans = sum(step.phase == "mpc" for step in log.steps)
             print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
-                  f"solves {counts[0]} pivots {counts[1]} "
+                  f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]} "
+                  f"factorizations {counts[5]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
