@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex over sparse equality systems.
+"""Bounded-variable primal and dual simplex over sparse equality systems.
 
 This is the numerical engine behind :mod:`rampflow.milp`.  Problems arrive
 as ``min c.x  s.t.  A x (<=,=,>=) b,  lb <= x <= ub`` with every column
@@ -11,7 +11,7 @@ column sits at a finite bound, and the program is never unbounded: a
 ratio test with no blocking variable raises :class:`NumericalBreakdown`.
 Statuses: "optimal" and "infeasible".
 
-The solver runs a two-phase revised simplex:
+Cold and crash starts run a two-phase revised primal simplex:
 
 * phase 1 clones the column of every out-of-bound basic variable into an
   artificial column (sign-adjusted so the artificial starts feasible at the
@@ -19,27 +19,31 @@ The solver runs a two-phase revised simplex:
   minimises the sum of artificials;
 * phase 2 locks artificials to zero and minimises the real objective.
 
-Cloning rather than inserting unit columns means the scheme also repairs a
-warm basis whose bounds changed since it was exported, which is what branch
-and bound replays at every node.
+A warm start whose basis is dual feasible, as a branch-and-bound parent's
+optimal basis is for its child's bounds, is reoptimised by a bounded dual
+simplex instead (Koberstein, *The dual simplex method, techniques for a
+fast and stable implementation*, 2005): it drives the basic variables into
+their bounds while every reduced cost keeps its sign, then one primal
+phase-2 pass confirms optimality.  Any other warm start goes through phase
+1, which repairs a basis whose bounds changed since it was exported.
 
 There is one factorization: SuperLU factors of the basis plus a
 product-form eta file, one eta vector per pivot, rebuilt every few dozen
-pivots.  A basis is factored once (Maros, *Computational Techniques of the
-Simplex Method*, 2003, ch. 8): a solve returns the factors of its final
-basis, which a warm start from that basis takes in place of factoring it
-again, and phase 1's signed clones reuse the factors they replace through a
-±1 column-sign vector, which reproduces a fresh factorization bit for bit.
+pivots.  A solve returns the factors of its final basis, and a warm start
+from that basis takes them in place of factoring it again (Maros,
+*Computational Techniques of the Simplex Method*, 2003, ch. 8).
 
 The pivot loop reads ``[A | I]`` straight from its CSC arrays: the
 entering column is one ``indptr`` slice, reduced costs use the cached CSR
 transpose, and the basis handed to SuperLU is gathered from ``indptr``,
-``indices`` and ``data``.  Pricing is Dantzig's rule, the
-largest reduced-cost violation entering with ties to the lowest index,
-and the ratio test breaks ties between blocking rows by the largest pivot
-magnitude.  There is no anti-cycling rule: termination rests on the pivot
-budget of ``20000 + 10(m + n)`` per attempt, which turns a cycle or a
-stall into a :class:`NumericalBreakdown`.  All choices are
+``indices`` and ``data``.  Primal pricing is Dantzig's rule, the
+largest reduced-cost violation entering with ties to the lowest index;
+the dual's leaving row is the largest bound violation.  Both ratio tests,
+the primal one over blocking rows and the dual one over entering columns,
+break ties by the largest pivot magnitude.  There is no anti-cycling
+rule: termination rests on the pivot budget of ``20000 + 10(m + n)`` per
+attempt, which turns a cycle or a stall into a
+:class:`NumericalBreakdown`.  All choices are
 index-deterministic so repeated solves of the same data produce
 identical pivot sequences.
 """
@@ -62,7 +66,8 @@ _TIE = 1e-12
 _TOL_FEAS = 1e-9
 _TOL_OPT = 1e-9
 # (pivot tolerance, pivots between refactorizations) of the first attempt
-# and of the stricter cold restarts after an exactly singular basis
+# and of the stricter cold restarts after an exactly singular basis or a
+# dual pivot on round-off
 _LADDER = ((1e-10, 64), (1e-8, 32), (3e-7, 16))
 
 
@@ -109,38 +114,24 @@ class _SingularBasis(Exception):
 
 
 class _Factors:
-    """SuperLU factors of ``B·diag(sign)`` plus a product-form eta file.
-
-    ``sign`` is ``None`` (all ones) for a basis factored here; a ±1 vector
-    when :meth:`share` reuses the factors of ``B`` for ``B·diag(sign)``.
-    """
+    """SuperLU factors of a basis plus a product-form eta file."""
 
     def __init__(self, cols: sp.csc_matrix):
         try:
             self.lu = splu(cols)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise _SingularBasis() from exc
-        self.sign: np.ndarray | None = None
         self.etas: list[tuple[int, np.ndarray]] = []
 
-    def share(self, sign: np.ndarray | None = None) -> _Factors:
-        """These factors with an empty eta file, for the basis they were
-        built for with its columns scaled by ``sign``.
-
-        Exact: SuperLU's orderings read the pattern and its pivoting reads
-        magnitudes, so factoring ``B·S`` anew gives ``L`` and ``U·S`` bit
-        for bit, and a solve through them only flips signs.
-        """
+    def share(self) -> _Factors:
+        """These factors with an empty eta file, for a solve that starts
+        from the basis they were built for."""
         twin = copy.copy(self)
         twin.etas = []
-        if sign is not None:
-            twin.sign = sign if self.sign is None else self.sign * sign
         return twin
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         u = self.lu.solve(v)
-        if self.sign is not None:
-            u *= self.sign
         for r, g in self.etas:
             u -= g * u[r]
         return u
@@ -149,8 +140,6 @@ class _Factors:
         u = np.array(v, dtype=float)
         for r, g in reversed(self.etas):
             u[r] -= g @ u
-        if self.sign is not None:
-            u *= self.sign
         return self.lu.solve(u, trans="T")
 
     def update(self, r: int, w: np.ndarray) -> None:
@@ -212,6 +201,11 @@ def _columns(cols: sp.csc_matrix, idx: np.ndarray) -> sp.csc_matrix:
     )
 
 
+def _marginal(w: np.ndarray, r: int) -> bool:
+    """Whether ``w[r]`` is too small a pivot to trust through stale factors."""
+    return abs(w[r]) < 1e-7 * (1.0 + float(np.abs(w).max()))
+
+
 class _Worker:
     """One solve: its bounds, basis and factors over a shared equality form.
 
@@ -246,6 +240,7 @@ class _Worker:
     # -- start basis -----------------------------------------------------
 
     def _install_start(self, warm: WarmBasis | None, factors: _Factors | None) -> None:
+        self.warm = warm is not None
         if warm is not None:
             self.vstat = warm.vstat.copy()
             self.basis = warm.basis.copy()
@@ -253,7 +248,7 @@ class _Worker:
                 self._factor(None if factors is None else factors.share())
                 return
             except _SingularBasis:
-                pass  # the cold start below
+                self.warm = False  # the cold start below
         self.vstat = np.concatenate([
             np.full(self.n, AT_LOWER, dtype=np.int8),
             np.full(self.m, BASIC, dtype=np.int8),
@@ -310,13 +305,12 @@ class _Worker:
             [self.vstat, np.full(self.n_art, BASIC, dtype=np.int8)]
         )
         self.basis[viol_pos] = base + np.arange(self.n_art)
-        # the new basis is the old one with some columns negated, so its
-        # factors are the old ones under a column-sign vector
-        column_sign = np.ones(self.m)
-        column_sign[viol_pos] = sign
-        self._factor(self.backend.share(column_sign))
+        self._factor()
 
     # -- pivot loop --------------------------------------------------------
+
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        return cost - self.cols_t @ self.backend.btran(cost[self.basis])
 
     def _price(self, d: np.ndarray) -> int:
         score = np.where(self.vstat == AT_LOWER, -d, d)
@@ -377,16 +371,17 @@ class _Worker:
         self.backend.update(leave_pos, w)
         self.updates_since_factor += 1
 
+    def _check_budget(self) -> None:
+        if self.iterations >= self.max_iter:
+            raise NumericalBreakdown(
+                f"simplex iteration budget exhausted after "
+                f"{self.iterations} pivots (m={self.m}, n={self.n})"
+            )
+
     def _run_phase(self, cost: np.ndarray) -> None:
         while True:
-            if self.iterations >= self.max_iter:
-                raise NumericalBreakdown(
-                    f"simplex iteration budget exhausted after "
-                    f"{self.iterations} pivots (m={self.m}, n={self.n})"
-                )
-            y = self.backend.btran(cost[self.basis])
-            d = cost - self.cols_t @ y
-            enter = self._price(d)
+            self._check_budget()
+            enter = self._price(self._reduced_costs(cost))
             if enter < 0:
                 return
             sigma = -1.0 if self.vstat[enter] == AT_UPPER else 1.0
@@ -396,7 +391,7 @@ class _Worker:
                 hit is not None
                 and hit[1] >= 0
                 and self.updates_since_factor
-                and abs(w[hit[1]]) < 1e-7 * (1.0 + float(np.abs(w).max()))
+                and _marginal(w, hit[1])
             ):
                 # A marginal pivot seen through a stale factorization is how
                 # an exactly dependent column sneaks into the basis; redo the
@@ -418,6 +413,68 @@ class _Worker:
                 )
                 continue
             self._pivot(enter, sigma, w, step, leave_pos, hit_upper)
+            if self.updates_since_factor >= self.refactor_every:
+                self._factor()
+
+    # -- dual simplex --------------------------------------------------------
+
+    def _dual_feasible(self) -> bool:
+        """No nonbasic, non-fixed column prices in: the basis is optimal for
+        its own bounds, as a parent's is for a child's."""
+        return self._price(self._reduced_costs(self.c)) < 0
+
+    def _dual(self) -> bool:
+        """Bounded dual simplex from a dual-feasible basis (Koberstein 2005).
+
+        The basic variable with the largest bound violation leaves at the
+        bound it violates; among the nonbasic columns whose move from their
+        bound pushes it toward that bound, the one with the smallest ratio
+        ``max(±d_j, 0) / |alpha_j|`` enters, ties going to the largest
+        ``|alpha_j|`` as in the primal ratio test.  Stops when every
+        violation is within the acceptance of phase 1 and returns
+        ``True``, or returns ``False`` when a violated row has no column to
+        enter: the bounds admit no point.
+        """
+        accept = self._acceptance()
+        e_r = np.zeros(self.m)
+        while True:
+            self._check_budget()
+            below = self.lb[self.basis] - self.xb
+            above = self.xb - self.ub[self.basis]
+            viol = np.maximum(below, above)
+            r = int(np.argmax(viol))
+            if viol[r] <= accept:
+                return True
+            rise = below[r] > 0  # the leaving variable climbs to its lower bound
+            d = self._reduced_costs(self.c)
+            e_r[r] = 1.0
+            alpha = self.cols_t @ self.backend.btran(e_r)
+            e_r[r] = 0.0
+            # a nonbasic column moves up from its lower bound, down from its
+            # upper; x_r moves by -alpha_j per unit of that move
+            move = np.where(self.vstat == AT_LOWER, 1.0, -1.0)
+            push = -move * alpha if rise else move * alpha
+            cand = np.flatnonzero((push > self.tol_pivot) & (self.vstat != BASIC)
+                                  & (self.lb != self.ub))
+            if not cand.shape[0]:
+                return False
+            ratio = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
+            ties = cand[ratio <= ratio.min() + _TIE]
+            enter = int(ties[np.argmax(np.abs(alpha[ties]))])
+            w = self.backend.ftran(_column(self.cols, enter))
+            if _marginal(w, r):
+                if self.updates_since_factor:
+                    # as in the primal loop: a marginal pivot seen through a
+                    # stale factorization; choose again against fresh factors
+                    self._factor()
+                    continue
+                if abs(w[r]) <= self.tol_pivot:
+                    # the row's entry was round-off, which the column does not
+                    # share: restart cold on the next rung, as for a singular basis
+                    raise _SingularBasis()
+            target = self.lb[self.basis[r]] if rise else self.ub[self.basis[r]]
+            self.iterations += 1
+            self._pivot(enter, 1.0, w, (self.xb[r] - target) / w[r], r, not rise)
             if self.updates_since_factor >= self.refactor_every:
                 self._factor()
 
@@ -459,20 +516,18 @@ class _Worker:
     # -- public --------------------------------------------------------------
 
     def solve(self) -> CanonicalResult:
-        self._add_artificials()
+        if self.warm and self._dual_feasible():
+            if not self._dual():
+                return self._infeasible()
+        else:
+            self._add_artificials()
         if self.n_art:
             cost1 = np.zeros(self.cols.shape[1])
             cost1[self.n + self.m :] = 1.0
             self._run_phase(cost1)
             art_sum = float(np.sum(np.abs(self._values()[self.n + self.m :])))
-            if art_sum > _TOL_FEAS * (1.0 + float(np.abs(self.b).sum())):
-                return CanonicalResult(
-                    "infeasible",
-                    self._values()[: self.n],
-                    np.nan,
-                    None,
-                    self.iterations,
-                )
+            if art_sum > self._acceptance():
+                return self._infeasible()
             self.lb[self.n + self.m :] = 0.0
             self.ub[self.n + self.m :] = 0.0
             self._expel_artificials()
@@ -483,6 +538,14 @@ class _Worker:
         basis = self._export_basis()
         return CanonicalResult("optimal", x, obj, basis, self.iterations,
                                None if basis is None else self.backend)
+
+    def _acceptance(self) -> float:
+        """The largest infeasibility a solve reports as feasible."""
+        return _TOL_FEAS * (1.0 + float(np.abs(self.b).sum()))
+
+    def _infeasible(self) -> CanonicalResult:
+        return CanonicalResult("infeasible", self._values()[: self.n], np.nan, None,
+                               self.iterations)
 
     def _export_basis(self) -> WarmBasis | None:
         ntot = self.n + self.m
@@ -506,10 +569,11 @@ def solve_canonical(
     solve leaves it as it found it.  Every bound must be finite (a
     ``ValueError`` otherwise); equal bounds fix a variable.  ``warm``
     replays a basis from an earlier solve of the same form, or one that
-    :func:`crash_from_point` built for it.  ``factors`` are the
-    ``factors`` of the result whose ``basis`` is ``warm``; with them the
-    solve starts without factoring.  Statuses: "optimal" and "infeasible";
-    a boxed program is never unbounded.
+    :func:`crash_from_point` built for it; the dual simplex reoptimises it
+    when it is dual feasible, and phase 1 repairs it otherwise.
+    ``factors`` are the ``factors`` of the result whose ``basis`` is
+    ``warm``; with them the solve starts without factoring.  Statuses:
+    "optimal" and "infeasible"; a boxed program is never unbounded.
     """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
@@ -521,9 +585,9 @@ def solve_canonical(
     if np.any(lb > ub + 1e-12):
         return CanonicalResult("infeasible", np.zeros(n), np.nan, None, 0)
     lb = np.minimum(lb, ub)
-    # A basis can still factor exactly singular after heavy eta traffic;
-    # restarting cold with stricter pivoting takes a different (still
-    # deterministic) path that avoids the dependent column.
+    # A basis can still factor exactly singular after heavy eta traffic, or
+    # offer the dual a pivot that is round-off; restarting cold with stricter
+    # pivoting takes a different (still deterministic) path that avoids it.
     spent = 0
     for rung, (tol_pivot, refactor_every) in enumerate(_LADDER):
         start, lu = (warm, factors) if rung == 0 else (None, None)

@@ -6,12 +6,12 @@ node relaxations go through the bounded-variable simplex in
 depth-first plunging, in one node loop: each node is popped from the pool
 or plunged into, and the node budget is checked once per node.  Before its
 LP, each node's box is propagated over the rows from its parent's
-propagated box; a box that crosses a row or a bound by more than a margin
-closes the node, whose relaxation is infeasible too, without solving it.
-The propagated bounds never reach the LP, so the tree is the one the LPs
-alone would search.  A plunge child starts from its parent's final basis
-factors.  A model without binaries is solved at its root node.  No
-external solver is used.
+propagated box, and the gadget selectors the box decides join the node's
+fixes; a box that crosses a row or a bound by more than a margin closes
+the node without solving it.  The LP sees the fixes, never the propagated
+continuous bounds.  A plunge child starts from its parent's final basis
+factors, and a child's LP is reoptimised by the dual simplex.  A model
+without binaries is solved at its root node.  No external solver is used.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
 row indices and records the two gadget encodings the controller needs.
@@ -32,7 +32,8 @@ boxed program is never unbounded.
     term over that binary.
 
 Both record their operands on the model as gadget records, which
-:meth:`ModelBuilder.fix_decided` and :func:`dump_model` read.
+:meth:`ModelBuilder.fix_decided`, the node loop of :func:`solve_milp` and
+:func:`dump_model` read.
 
 Incumbents come from three sources: caller-supplied ``initial_candidates``,
 the caller's ``incumbent_hook`` at every fractional node, and node
@@ -249,19 +250,12 @@ class ModelBuilder:
         return i
 
     def fix_decided(self) -> None:
-        """Fix each gadget selector to the branch that every point of its
-        declared ranges admits: min to 1 when ``a <= b`` throughout, to 0
-        when ``b < a``; drop to 1 when ``x <= x_crit`` throughout, to 0 when
-        ``x > x_crit``.  Overlapping ranges leave the selector free."""
-        for g in self.gadgets:
-            if isinstance(g, MinGadget):
-                one = g.a.hi <= g.b.lo
-                zero = g.b.hi < g.a.lo
-            else:
-                one = self.upper[g.x] <= g.x_crit
-                zero = self.lower[g.x] > g.x_crit
-            if one or zero:
-                self.lower[g.z] = self.upper[g.z] = 1.0 if one else 0.0
+        """Fix each gadget selector to the branch that every point of the
+        column boxes admits, a tie settled as 1 (see :class:`_Selectors`)."""
+        selectors = _Selectors(self.gadgets)
+        value = selectors.decide(np.asarray(self.lower), np.asarray(self.upper), ties=True)
+        for k in np.flatnonzero(~np.isnan(value)):
+            self.lower[selectors.z[k]] = self.upper[selectors.z[k]] = value[k]
 
     def build(self) -> MilpModel:
         ij = (np.asarray(self._rows, dtype=np.int64), np.asarray(self._cols, dtype=np.int64))
@@ -331,6 +325,56 @@ def encode_capacity_drop(
     builder.add_row({x: 1.0, z: max(x_crit - lb_x, 0.0)}, "G", x_crit, f"{tag}.floor")
     builder.gadgets.append(DropGadget(x=x, z=z, x_crit=x_crit))
     return z
+
+
+class _Selectors:
+    """The gadgets' selectors and the comparisons that decide them on a box.
+
+    A min gadget compares its terms ``a`` and ``b``, each over its declared
+    range cut to what its column's box gives; a drop gadget compares ``x``
+    with ``x_crit``.  A selector is 1 when the left operand lies strictly
+    below the right one at every point of the box and 0 when the right one
+    lies strictly below the left: the other branch holds no point of the
+    box.  Operands that only touch are a tie, which the builder settles as
+    1 (a tied min reads ``a``; a state on the threshold is uncongested)
+    and the node loop leaves open, since a subtree's optimum may need
+    either branch there.
+    """
+
+    def __init__(self, gadgets):
+        mins = [g for g in gadgets if isinstance(g, MinGadget)]
+        drops = [g for g in gadgets if isinstance(g, DropGadget)]
+        self.z = np.array([g.z for g in mins + drops], dtype=np.int64)
+        # one row per operand field (col, coef, const, lo, hi); the drop's
+        # operands as the terms x and the constant x_crit
+        self.left = np.array(
+            [g.a for g in mins] + [(g.x, 1.0, 0.0, -np.inf, np.inf) for g in drops],
+            dtype=float).reshape(-1, 5).T
+        self.right = np.array(
+            [g.b for g in mins] + [(g.x, 0.0, g.x_crit, g.x_crit, g.x_crit) for g in drops],
+            dtype=float).reshape(-1, 5).T
+
+    def decide(self, lo: np.ndarray, hi: np.ndarray, *, ties: bool) -> np.ndarray:
+        """Each selector's value on the box ``[lo, hi]``, or nan where the
+        box leaves it open; ``ties`` settles a tie as 1."""
+        a_lo, a_hi = _term_ranges(self.left, lo, hi)
+        b_lo, b_hi = _term_ranges(self.right, lo, hi)
+        one = a_hi <= b_lo if ties else a_hi < b_lo
+        return np.where(one, 1.0, np.where(b_hi < a_lo, 0.0, np.nan))
+
+    def fixes(self, box, fixes: dict[int, float]) -> dict[int, float]:
+        """The selectors ``box`` decides that ``fixes`` leaves open."""
+        value = self.decide(*box, ties=False)
+        return {int(self.z[k]): float(value[k]) for k in np.flatnonzero(~np.isnan(value))
+                if int(self.z[k]) not in fixes}
+
+
+def _term_ranges(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    col = terms[0].astype(np.int64)
+    coef, const, t_lo, t_hi = terms[1:]
+    at_lo, at_hi = coef * lo[col] + const, coef * hi[col] + const
+    return (np.maximum(t_lo, np.minimum(at_lo, at_hi)),
+            np.minimum(t_hi, np.maximum(at_lo, at_hi)))
 
 
 class _RowPropagation:
@@ -496,12 +540,16 @@ def solve_milp(
 
     Every node, the root included, first propagates its box over the rows:
     its parent's propagated box (the model's box at the root) with the
-    node's fixes applied.  A box that crosses a row or a bound by more than
-    a margin (see :class:`_RowPropagation`) closes the node without an LP;
-    it still counts against the node budget, and its LP would have come
-    back infeasible, so the search order, incumbents and result are those
-    of a search that solves every node.  The propagated box only feeds the
-    children's propagation, never an LP.
+    node's fixes applied.  Each zero-cost gadget selector that the box
+    decides (see :class:`_Selectors`) joins the node's fixes, which its
+    children inherit, and the box is propagated once more.  A box that
+    crosses a row or a bound by more than a margin (see
+    :class:`_RowPropagation`) closes the node without an LP; it still counts
+    against the node budget.  Such a node holds no feasible point of the
+    model, but its LP need not have come back infeasible: a decided
+    selector's fix cuts fractional points of the relaxation, and the
+    closure may come from it.  The node LP gets the fixes, never the
+    propagated continuous bounds.
 
     The tree builds one equality form; a node solve passes only its column
     bounds, through this module's ``solve_canonical``, where callers may
@@ -519,6 +567,10 @@ def solve_milp(
     form = EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
 
     propagation = _RowPropagation(lp)
+    # a selector with a cost is left to branching, so that a near tie the box
+    # decides by rounding never moves the objective
+    selectors = _Selectors([g for g in model.gadgets if lp.obj[g.z] == 0.0
+                            and lp.col_lower[g.z] < lp.col_upper[g.z]])
     best_obj = np.inf
     best_x: np.ndarray | None = None
     pruned_min = np.inf
@@ -568,8 +620,12 @@ def solve_milp(
                 continue
         nodes += 1
         box = propagation.box(*parent_box, fixes)
+        decided = {} if box is None else selectors.fixes(box, fixes)
+        if decided:
+            fixes = {**fixes, **decided}
+            box = propagation.box(*box, decided)
         if box is None:
-            continue  # the LP relaxation is infeasible too
+            continue  # no point of the subtree is feasible
         lb, ub = lp.col_lower, lp.col_upper
         if fixes:
             lb, ub = lb.copy(), ub.copy()

@@ -130,6 +130,56 @@ def test_lp_matches_reference_solver_on_random_instances():
         assert not check_solution(model, sol.x, tol=1e-9)
 
 
+def test_warm_reoptimisation_by_the_dual_matches_cold_solves_and_highs(monkeypatch):
+    """Random boxed LPs over all three row senses: solve, change one
+    column's bounds, and solve again warm from the exported basis. The
+    warm solve takes the dual path and agrees with a cold solve and with
+    HiGHS on status and objective."""
+    dual, duals = _simplex._Worker._dual, []
+
+    def spy(worker):
+        duals.append(worker)
+        return dual(worker)
+
+    monkeypatch.setattr(_simplex._Worker, "_dual", spy)
+    rng = np.random.default_rng(2305)
+    seen = set()
+    for _ in range(60):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        a = rng.uniform(-2.0, 3.0, (m, n)) * (rng.random((m, n)) < 0.7)
+        senses = rng.choice(list("LEG"), m)
+        lb, ub = np.zeros(n), rng.uniform(1.0, 10.0, n)
+        act = a @ rng.uniform(lb, ub)
+        b = np.where(senses == "L", act + rng.uniform(0.1, 2.0, m),
+                     np.where(senses == "G", act - rng.uniform(0.1, 2.0, m), act))
+        c = rng.uniform(-5.0, 5.0, n)
+        form = _simplex.EqualityForm(sp.csc_matrix(a), senses, b, c)
+        root = _simplex.solve_canonical(form, lb, ub)
+        assert root.status == "optimal"
+        j = int(rng.integers(n))
+        cut = rng.uniform(lb[j], ub[j], 2)
+        lb2, ub2 = lb.copy(), ub.copy()
+        lb2[j] = cut.min()
+        ub2[j] = cut.max() if rng.random() < 0.7 else cut.min()  # or fix it
+        del duals[:]
+        warm = _simplex.solve_canonical(form, lb2, ub2, warm=root.basis)
+        assert len(duals) == 1
+        cold = _simplex.solve_canonical(form, lb2, ub2)
+        ref = scipy.optimize.linprog(
+            c, A_ub=np.vstack([a[senses == "L"], -a[senses == "G"]]),
+            b_ub=np.concatenate([b[senses == "L"], -b[senses == "G"]]),
+            A_eq=a[senses == "E"], b_eq=b[senses == "E"], bounds=list(zip(lb2, ub2)),
+            method="highs")
+        assert ref.status in (0, 2)
+        status = "optimal" if ref.status == 0 else "infeasible"
+        assert warm.status == cold.status == status
+        seen.add(status)
+        if status == "optimal":
+            assert warm.obj == pytest.approx(ref.fun, abs=1e-7)
+            assert cold.obj == pytest.approx(ref.fun, abs=1e-7)
+    assert seen == {"optimal", "infeasible"}
+
+
 def test_milp_forced_rounding():
     b = ModelBuilder("round")
     x1 = b.add_variable("x1", objective=1.0, binary=True)
@@ -402,6 +452,91 @@ def test_fix_decided_fixes_the_selectors_the_bounds_decide():
         assert (lp.col_lower[z], lp.col_upper[z]) == box, lp.col_names[z]
 
 
+def _node_tie_model(push):
+    """``f = min(a, b)`` with ``a = 4 + 3y`` and ``b = 5 + 2y``: the operand
+    ranges overlap at the root, the node ``y = 1`` pins a tie at 7 and the
+    node ``y = 0`` decides the selector to 1.  The root relaxation leaves
+    ``y`` the most fractional binary (a small reward on ``f`` keeps the
+    selector integral there), so the search branches on ``y`` first, and
+    ``2w + y >= 1`` makes ``w`` fractional under ``y = 0``, so that node
+    has children.  The selector costs ``push``; the optimum is ``y = 1``
+    for each push."""
+    b = ModelBuilder("node_tie")
+    y = b.add_variable("y", objective=-1.0, binary=True)
+    w = b.add_variable("w", objective=3.0, binary=True)
+    a = b.add_variable("a", upper=10.0)
+    c = b.add_variable("b", upper=10.0)
+    f = b.add_variable("f", upper=10.0, objective=-0.01)
+    z = encode_min_equality(b, f, term(b, a), term(b, c))
+    b.obj[z] = push
+    b.add_row({a: 1.0, y: -3.0}, "E", 4.0)
+    b.add_row({c: 1.0, y: -2.0}, "E", 5.0)
+    b.add_row({y: 2.0, w: -1.0}, "L", 1.0)
+    b.add_row({w: 2.0, y: 1.0}, "G", 1.0)
+    return b.build(), y, w, z
+
+
+def _highs_milp(model):
+    lp = model.lp
+    lo = np.where(lp.row_senses == "L", -np.inf, lp.rhs)
+    hi = np.where(lp.row_senses == "G", np.inf, lp.rhs)
+    integrality = np.zeros(lp.n_cols)
+    integrality[model.binaries] = 1
+    return scipy.optimize.milp(
+        lp.obj, constraints=scipy.optimize.LinearConstraint(lp.matrix(), lo, hi),
+        integrality=integrality,
+        bounds=scipy.optimize.Bounds(lp.col_lower, lp.col_upper))
+
+
+@pytest.mark.parametrize("push", [1.0, 0.0, -1.0])
+def test_a_tie_in_a_node_box_leaves_the_selector_to_branching(push):
+    """Priced either way, or free, the selector at the node's tie takes the
+    branch the objective wants, as HiGHS finds."""
+    model, y, _, z = _node_tie_model(push)
+    lp = model.lp
+    root = milp._RowPropagation(lp).box(lp.col_lower, lp.col_upper, {})
+    assert np.isnan(milp._Selectors(model.gadgets).decide(*root, ties=False)).all()
+    sol = solve_milp(model, budget=MilpBudget())
+    ref = _highs_milp(model)
+    assert sol.status == OPTIMAL and ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert not check_solution(model, sol.x, tol=1e-7)
+    if push:
+        assert (sol.x[y], sol.x[z]) == pytest.approx((1.0, 0.5 - push / 2), abs=1e-9)
+
+
+def test_a_selector_a_node_box_decides_is_fixed_and_inherited(monkeypatch):
+    """Under ``y = 0`` the box decides the free selector; the node's LP and
+    its child's LP solve with it fixed at 1, and the search still ends at
+    HiGHS's optimum. (The other child, ``w = 0``, closes by propagation.)"""
+    model, y, w, z = _node_tie_model(0.0)
+    fixes, decide = [], milp._Selectors.fixes
+
+    def spy(selectors, box, node_fixes):
+        decided = decide(selectors, box, node_fixes)
+        fixes.append((dict(node_fixes), decided))
+        return decided
+
+    solve, solved = milp.solve_canonical, []
+
+    def lp_spy(form, lb, ub, **kwargs):
+        solved.append((lb[y], ub[y], lb[z], ub[z]))
+        return solve(form, lb, ub, **kwargs)
+
+    monkeypatch.setattr(milp._Selectors, "fixes", spy)
+    monkeypatch.setattr(milp, "solve_canonical", lp_spy)
+    sol = solve_milp(model, budget=MilpBudget())
+    assert sol.objective == pytest.approx(_highs_milp(model).fun, abs=1e-7)
+    decided = [k for k, (_, new) in enumerate(fixes) if new]
+    assert [fixes[k][1] for k in decided] == [{z: 1.0}]
+    k = decided[0]
+    assert fixes[k][0][y] == 0.0
+    # the child arrives with the fix among its own
+    assert [node for node, _ in fixes[k + 1:] if node.get(y) == 0.0] == [
+        {y: 0.0, z: 1.0, w: 1.0}]
+    assert solved.count((0.0, 0.0, 1.0, 1.0)) == 2
+
+
 def test_warm_basis_restart_after_bound_change():
     # branch and bound replays the parent's basis against the child's bounds
     b = ModelBuilder("warm")
@@ -422,6 +557,48 @@ def test_warm_basis_restart_after_bound_change():
     cold = solve(upper)
     assert warm.status == cold.status == "optimal"
     assert warm.obj == pytest.approx(cold.obj, abs=1e-9)
+
+
+def test_a_dual_pivot_on_a_round_off_entry_restarts_cold(monkeypatch):
+    """The dual's row offers an entering column whose own entry in the
+    leaving row is zero, as when the row's entry was round-off: the solve
+    restarts cold on the next rung and returns what a cold solve returns."""
+    b = ModelBuilder("roundoff")
+    x = b.add_variable("x", upper=10.0, objective=-1.0)
+    y = b.add_variable("y", upper=10.0, objective=-2.0)
+    b.add_row({x: 1.0, y: 1.0}, "L", 12.0)
+    lp = b.build().lp
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+    first = _simplex.solve_canonical(form, lp.col_lower, lp.col_upper)
+    upper = lp.col_upper.copy()
+    upper[x] = 1.0  # the basic x = 2 now lies above its bound
+    real_column, real_dual, real_solve = _simplex._column, _simplex._Worker._dual, \
+        _simplex._Worker.solve
+    seen = {"dual": False, "zeroed": 0, "starts": []}
+
+    def column(cols, j):
+        out = real_column(cols, j)
+        if seen["dual"] and not seen["zeroed"]:
+            seen["zeroed"] += 1
+            out[:] = 0.0
+        return out
+
+    def dual(worker):
+        seen["dual"] = True
+        return real_dual(worker)
+
+    def solve(worker):
+        seen["starts"].append(worker.warm)
+        return real_solve(worker)
+
+    monkeypatch.setattr(_simplex, "_column", column)
+    monkeypatch.setattr(_simplex._Worker, "_dual", dual)
+    monkeypatch.setattr(_simplex._Worker, "solve", solve)
+    warm = _simplex.solve_canonical(form, lp.col_lower, upper, warm=first.basis)
+    assert seen["zeroed"] == 1 and seen["starts"] == [True, False]
+    cold = _simplex.solve_canonical(form, lp.col_lower, upper)
+    assert warm.status == cold.status == "optimal"
+    assert warm.obj == cold.obj == pytest.approx(-21.0, abs=1e-9)
 
 
 def test_an_integral_node_that_violates_a_row_is_not_an_incumbent(monkeypatch):
@@ -908,9 +1085,12 @@ def test_the_filter_never_rounds_a_binary(monkeypatch):
 def test_handed_down_and_signed_factors_solve_like_fresh_ones(
         monkeypatch, stretch, nominal_demand, kind, seeded):
     """Every node LP of a planner search, solved again with every basis
-    factored afresh: the plunge child's handed-down factors and phase 1's
-    column-sign reuse change no status, pivot, objective bit, value or
-    exported basis. Neither a pool entry nor a warm basis holds factors."""
+    factored afresh: the plunge child's handed-down factors change no
+    status, pivot, objective bit, value or exported basis. The search runs
+    both paths that remain: the dual simplex for every child, and phase 1,
+    whose signed artificial clones the cold root factors anew, while the
+    root crashed from a verified seed needs none. Neither a pool entry nor
+    a warm basis holds factors."""
     prob, seeds = pinned_problem(kind, nominal_demand, stretch,
                                  ParamBounds(stretch, stretch))
     solve, calls = milp.solve_canonical, []
@@ -926,20 +1106,25 @@ def test_handed_down_and_signed_factors_solve_like_fresh_ones(
         assert not any(isinstance(item, _simplex._Factors) for item in entry)
         return push(pool, entry)
 
-    real_share, signed = _simplex._Factors.share, []
+    dual, add_artificials, paths = _simplex._Worker._dual, _simplex._Worker._add_artificials, []
 
-    def counted_share(self, sign=None):
-        signed.append(sign is not None)
-        return real_share(self, sign)
+    def counted_dual(worker):
+        paths.append("dual")
+        return dual(worker)
+
+    def counted_artificials(worker):
+        add_artificials(worker)
+        paths.append("phase 1" if worker.n_art else "phase 2")
 
     monkeypatch.setattr(milp, "solve_canonical", spy)
     monkeypatch.setattr(milp.heapq, "heappush", checked_push)
-    monkeypatch.setattr(_simplex._Factors, "share", counted_share)
+    monkeypatch.setattr(_simplex._Worker, "_dual", counted_dual)
+    monkeypatch.setattr(_simplex._Worker, "_add_artificials", counted_artificials)
     milp.solve_milp(prob.model, budget=milp.MilpBudget(),
                     initial_candidates=seeds if seeded else None)
     assert [f.name for f in dataclass_fields(_simplex.WarmBasis)] == ["vstat", "basis"]
     assert any(kw.get("factors") is not None for *_, kw, _ in calls)
-    assert any(signed) and not all(signed)
+    assert paths == ["phase 2" if seeded else "phase 1"] + ["dual"] * (len(calls) - 1)
 
     real_factor = _simplex._Worker._factor
     monkeypatch.setattr(_simplex._Worker, "_factor",

@@ -491,10 +491,10 @@ def pinned_problem(kind, nominal_demand, stretch, point_params):
 
 
 @pytest.mark.parametrize("kind, seeded, nodes, iterations, objective", [
-    ("point", False, 24, 167, "0x1.41d3dc486ad2ep+10"),
+    ("point", False, 24, 161, "0x1.41d3dc486ad2ep+10"),
     ("point", True, 1, 8, "0x1.41d3dc486ad2ep+10"),
-    ("interval", False, 217, 600, "0x1.24a3a81f6e5a6p+10"),
-    ("interval", True, 17, 86, "0x1.24a3a81f6e5a6p+10"),
+    ("interval", False, 211, 370, "0x1.24a3a81f6e5a6p+10"),
+    ("interval", True, 17, 69, "0x1.24a3a81f6e5a6p+10"),
 ])
 def test_branch_and_bound_keeps_its_pinned_pivot_path(
         stretch, nominal_demand, point_params, kind, seeded, nodes, iterations,

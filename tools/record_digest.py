@@ -8,14 +8,17 @@ seeds in the order given): the sha256 of the CSV
 ``#`` metadata, the ticks that planned, the LP solves and
 simplex pivots (counted by wrapping ``milp.solve_canonical``), the
 branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions), the
-basis factorizations (``_simplex._Factors`` built), ``tts_veh``, and the
-stacked propagations of the parameter contraction with the boxes they carry
-(counted by wrapping ``estimators._certified``). Two commits that print the
-same digest, plan ticks, solves, pivots and ``tts_veh`` ran the same loops
-bit for bit; the same ``rows`` with a different sha256 means only the
-metadata changed. Nodes that propagation closes are not solved, so the same
-nodes with fewer solves is the same tree with less work. The last two counts
-show what the contraction spent on them.
+basis factorizations (``_simplex._Factors`` built), the LP solves that
+took the dual simplex (``_simplex._Worker._dual`` calls), the gadget
+selectors that nodes fixed from their propagated boxes (summed over
+``milp._Selectors.fixes``), ``tts_veh``, and the stacked propagations of
+the parameter contraction with the boxes they carry (counted by wrapping
+``estimators._certified``). Two commits that print the same digest, plan
+ticks, solves, pivots and ``tts_veh`` ran the same loops bit for bit; the
+same ``rows`` with a different sha256 means only the metadata changed.
+Nodes that propagation closes are not solved, so the same nodes with fewer
+solves is the same tree with less work. The last two counts show what the
+contraction spent on them.
 
 Then one line per shipped preset and baseline controller (``alinea``,
 ``openloop``, ``local``, each set as the preset's ``controller.kind``): the
@@ -44,7 +47,8 @@ def main(argv=None) -> int:
     seeds = parser.parse_args(argv).seed
     solve_canonical, certified = milp.solve_canonical, estimators._certified
     solve_milp, factors = milp.solve_milp, _simplex._Factors
-    counts = [0] * 6
+    dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
+    counts = [0] * 8
 
     def counted(*args, **kwargs):
         res = solve_canonical(*args, **kwargs)
@@ -68,7 +72,18 @@ def main(argv=None) -> int:
             super().__init__(cols)
             counts[5] += 1
 
+    def counted_dual(worker):
+        counts[6] += 1
+        return dual(worker)
+
+    def counted_fixes(selectors, box, fixes):
+        decided = box_fixes(selectors, box, fixes)
+        counts[7] += len(decided)
+        return decided
+
     milp.solve_canonical = counted
+    _simplex._Worker._dual = counted_dual
+    milp._Selectors.fixes = counted_fixes
     estimators._certified = counted_boxes
     milp.solve_milp = counted_nodes
     _simplex._Factors = CountedFactors
@@ -82,7 +97,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 6
+            counts[:] = [0] * 8
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
             rows = hashlib.sha256(b"".join(
@@ -91,7 +106,8 @@ def main(argv=None) -> int:
             plans = sum(step.phase == "mpc" for step in log.steps)
             print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
                   f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]} "
-                  f"factorizations {counts[5]} "
+                  f"factorizations {counts[5]} dual_solves {counts[6]} "
+                  f"node_fixed {counts[7]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
