@@ -29,9 +29,16 @@ phase-2 pass confirms optimality.  Any other warm start goes through phase
 
 There is one factorization: SuperLU factors of the basis plus a
 product-form eta file, one eta vector per pivot, rebuilt every few dozen
-pivots.  A solve returns the factors of its final basis, and a warm start
-from that basis takes them in place of factoring it again (Maros,
-*Computational Techniques of the Simplex Method*, 2003, ch. 8).
+pivots.  A solve returns the factors of its final basis, eta file
+included, and a warm start from that basis continues them in place of
+factoring it again (Maros, *Computational Techniques of the Simplex
+Method*, 2003, ch. 8): the eta file travels with the factors, so the
+refactorization cadence spans a whole chain of such solves.  A solve that
+needed no phase 1 recomputes its basic values through the factors it
+returns, and factors afresh before reporting them only if those values
+lie outside their bounds by more than phase 1 accepts.  The dual simplex
+updates its reduced costs from each pivot row and recomputes them after
+every refactorization.
 
 The pivot loop reads ``[A | I]`` straight from its CSC arrays: the
 entering column is one ``indptr`` slice, reduced costs use the cached CSR
@@ -124,10 +131,11 @@ class _Factors:
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def share(self) -> _Factors:
-        """These factors with an empty eta file, for a solve that starts
-        from the basis they were built for."""
+        """These factors with a copy of their eta file, for a solve that
+        starts from the basis they describe; its pivots extend the copy, so
+        the factors it got them from stay as they were."""
         twin = copy.copy(self)
-        twin.etas = []
+        twin.etas = list(self.etas)
         return twin
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
@@ -257,10 +265,12 @@ class _Worker:
         self._factor()
 
     def _factor(self, factors: _Factors | None = None) -> None:
-        """Install ``factors`` of the current basis, or factor it afresh."""
-        self.backend = factors if factors is not None else _Factors(
-            _columns(self.cols, self.basis))
-        self.updates_since_factor = 0
+        """Install ``factors`` of the current basis, or factor it afresh;
+        inherited etas count toward the next refactorization."""
+        if factors is None:
+            factors = _Factors(_columns(self.cols, self.basis))
+        self.backend = factors
+        self.updates_since_factor = len(factors.etas)
         self._recompute_xb()
 
     def _nonbasic_values(self) -> np.ndarray:
@@ -418,14 +428,18 @@ class _Worker:
 
     # -- dual simplex --------------------------------------------------------
 
-    def _dual_feasible(self) -> bool:
-        """No nonbasic, non-fixed column prices in: the basis is optimal for
-        its own bounds, as a parent's is for a child's."""
-        return self._price(self._reduced_costs(self.c)) < 0
+    def _dual_feasible(self) -> np.ndarray | None:
+        """The reduced costs when no nonbasic, non-fixed column prices in,
+        so that the basis is optimal for its own bounds, as a parent's is
+        for a child's; ``None`` otherwise."""
+        d = self._reduced_costs(self.c)
+        return d if self._price(d) < 0 else None
 
-    def _dual(self) -> bool:
+    def _dual(self, d: np.ndarray) -> bool:
         """Bounded dual simplex from a dual-feasible basis (Koberstein 2005).
 
+        ``d`` holds the basis's reduced costs; each pivot updates them in
+        place from its pivot row, and every refactorization recomputes them.
         The basic variable with the largest bound violation leaves at the
         bound it violates; among the nonbasic columns whose move from their
         bound pushes it toward that bound, the one with the smallest ratio
@@ -446,7 +460,6 @@ class _Worker:
             if viol[r] <= accept:
                 return True
             rise = below[r] > 0  # the leaving variable climbs to its lower bound
-            d = self._reduced_costs(self.c)
             e_r[r] = 1.0
             alpha = self.cols_t @ self.backend.btran(e_r)
             e_r[r] = 0.0
@@ -467,6 +480,7 @@ class _Worker:
                     # as in the primal loop: a marginal pivot seen through a
                     # stale factorization; choose again against fresh factors
                     self._factor()
+                    d[:] = self._reduced_costs(self.c)
                     continue
                 if abs(w[r]) <= self.tol_pivot:
                     # the row's entry was round-off, which the column does not
@@ -477,6 +491,12 @@ class _Worker:
             self._pivot(enter, 1.0, w, (self.xb[r] - target) / w[r], r, not rise)
             if self.updates_since_factor >= self.refactor_every:
                 self._factor()
+                d[:] = self._reduced_costs(self.c)
+            else:
+                # row r of the old basis inverse prices the pivot: the leaving
+                # column gets -d_q / alpha_q and the basic columns stay at zero
+                d -= d[enter] / alpha[enter] * alpha
+                d[self.basis] = 0.0
 
     # -- artificial drive-out ----------------------------------------------
 
@@ -516,8 +536,9 @@ class _Worker:
     # -- public --------------------------------------------------------------
 
     def solve(self) -> CanonicalResult:
-        if self.warm and self._dual_feasible():
-            if not self._dual():
+        d = self._dual_feasible() if self.warm else None
+        if d is not None:
+            if not self._dual(d):
                 return self._infeasible()
         else:
             self._add_artificials()
@@ -532,7 +553,16 @@ class _Worker:
             self.ub[self.n + self.m :] = 0.0
             self._expel_artificials()
         self._run_phase(self.c.copy())
-        self._factor()  # clean recompute before extraction
+        if self.n_art:
+            self._factor()  # clean recompute before extraction
+        else:
+            # the factors go on to the plunge child, so recompute through
+            # them; refactor only if they have drifted past the acceptance
+            self._recompute_xb()
+            basic_lb, basic_ub = self.lb[self.basis], self.ub[self.basis]
+            drift = np.maximum(basic_lb - self.xb, self.xb - basic_ub).max(initial=0.0)
+            if drift > self._acceptance():
+                self._factor()
         x = self._values()[: self.n]
         obj = float(self.c[: self.n] @ x)
         basis = self._export_basis()

@@ -9,9 +9,10 @@ LP, each node's box is propagated over the rows from its parent's
 propagated box, and the gadget selectors the box decides join the node's
 fixes; a box that crosses a row or a bound by more than a margin closes
 the node without solving it.  The LP sees the fixes, never the propagated
-continuous bounds.  A plunge child starts from its parent's final basis
-factors, and a child's LP is reoptimised by the dual simplex.  A model
-without binaries is solved at its root node.  No external solver is used.
+continuous bounds.  A plunge child continues its parent's final basis
+factors and eta file, and a child's LP is reoptimised by the dual
+simplex.  A model without binaries is solved at its root node.  No
+external solver is used.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
 row indices and records the two gadget encodings the controller needs.
@@ -532,7 +533,9 @@ def solve_milp(
     feasible guess can seed the incumbent; the best one also crashes the
     root basis.  At every fractional node that survives pruning, the
     optional ``incumbent_hook(x)`` returns a full column vector (the
-    controller plugs a dynamics-completion heuristic in here).  A node
+    controller plugs a dynamics-completion heuristic in here), or ``None``
+    to offer nothing, as the controller's hook does for a plan it has
+    already offered, which cannot improve the incumbent again.  A node
     whose relaxation is integral is an incumbent itself.  Every candidate
     is verified here, by :func:`check_solution` at ``tol=1e-7``, before
     being trusted, so callers pass their vectors unchecked; candidates only
@@ -553,9 +556,10 @@ def solve_milp(
 
     The tree builds one equality form; a node solve passes only its column
     bounds, through this module's ``solve_canonical``, where callers may
-    wrap it.  The plunge child also passes its parent's final factors, so
-    its first basis is not factored again; pool entries keep the basis
-    alone.
+    wrap it.  The plunge child also passes its parent's final factors with
+    their eta file, so its first basis is not factored again and the
+    refactorization cadence runs on across the plunge chain; pool entries
+    keep the basis alone.
 
     Returns a :class:`Solution` whose ``bound`` is the proven lower bound
     and whose ``gap`` is ``objective - bound``.  A search that ends with no
@@ -652,7 +656,9 @@ def solve_milp(
                 consider(res.x, bound)
             continue
         if incumbent_hook is not None:
-            try_candidate(incumbent_hook(res.x))
+            cand = incumbent_hook(res.x)
+            if cand is not None:
+                try_candidate(cand)
         if bound >= best_obj - gap_eff():
             pruned_min = min(pruned_min, bound)
             continue

@@ -661,6 +661,23 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     return _Problem(model, u_ids, encode, decode)
 
 
+def _incumbent_hook(prob: _Problem) -> Callable:
+    """One search's incumbent hook: the rollout of a node relaxation's
+    controls, or ``None`` for controls an earlier node already offered,
+    whose rollout cannot improve the incumbent again."""
+    tried = set()
+
+    def hook(x_lp):
+        u_seq = np.asarray(x_lp)[prob.u]
+        key = u_seq.tobytes()
+        if key in tried:
+            return None
+        tried.add(key)
+        return prob.encode(u_seq)
+
+    return hook
+
+
 def solve_mpc(
     xhat: LiftedState,
     demand_bounds: DemandBounds,
@@ -699,13 +716,10 @@ def solve_mpc(
     t = config.horizon
     track = np.tile(np.asarray(demand_bounds.upper, dtype=float), (t, 1))
 
-    def hook(x_lp):
-        return prob.encode(np.asarray(x_lp)[prob.u])
-
     sol = milp.solve_milp(
         prob.model,
         budget=budget,
-        incumbent_hook=hook,
+        incumbent_hook=_incumbent_hook(prob),
         initial_candidates=[prob.encode(s) for s in (track, np.zeros_like(track))],
     )
     if sol.status == milp.OPTIMAL:

@@ -542,6 +542,29 @@ def test_the_codec_leaves_the_candidate_check_to_the_solver(
         alone.nodes, alone.iterations, alone.objective.hex())
 
 
+def test_the_hook_skips_controls_it_has_offered(stretch, nominal_demand, point_params):
+    """The planner's incumbent hook rolls out each node's controls once:
+    the search visits the same tree, pivots and objective bits as with a
+    hook that rolls out every node, and encodes fewer times."""
+    prob, _ = pinned_problem("interval", nominal_demand, stretch, point_params)
+    encoded = []
+
+    def counted(u_seq):
+        encoded[-1] += 1
+        return prob.encode(u_seq)
+
+    counting = prob._replace(encode=counted)
+    hooks = (lambda x: counting.encode(np.asarray(x)[prob.u]),
+             mpc._incumbent_hook(counting))
+    found = []
+    for hook in hooks:
+        encoded.append(0)
+        sol = milp.solve_milp(prob.model, budget=BUDGET, incumbent_hook=hook)
+        found.append((sol.status, sol.nodes, sol.iterations, sol.objective.hex()))
+    assert found[0] == found[1]
+    assert encoded[1] < encoded[0]
+
+
 def test_infeasible_horizon_raises_by_default(stretch, nominal_demand,
                                               demand, point_params):
     # fifty vehicles queued, forty per step of metering headroom: one step

@@ -11,7 +11,9 @@ branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions), the
 basis factorizations (``_simplex._Factors`` built), the LP solves that
 took the dual simplex (``_simplex._Worker._dual`` calls), the gadget
 selectors that nodes fixed from their propagated boxes (summed over
-``milp._Selectors.fixes``), ``tts_veh``, and the stacked propagations of
+``milp._Selectors.fixes``), the incumbent-hook calls that reached the
+planner's ``encode`` (those that returned a vector rather than ``None``),
+``tts_veh``, and the stacked propagations of
 the parameter contraction with the boxes they carry (counted by wrapping
 ``estimators._certified``). Two commits that print the same digest, plan
 ticks, solves, pivots and ``tts_veh`` ran the same loops bit for bit; the
@@ -48,7 +50,7 @@ def main(argv=None) -> int:
     solve_canonical, certified = milp.solve_canonical, estimators._certified
     solve_milp, factors = milp.solve_milp, _simplex._Factors
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
-    counts = [0] * 8
+    counts = [0] * 9
 
     def counted(*args, **kwargs):
         res = solve_canonical(*args, **kwargs)
@@ -62,7 +64,14 @@ def main(argv=None) -> int:
         counts[3] += dead.size
         return dead
 
-    def counted_nodes(*args, **kwargs):
+    def counted_nodes(*args, incumbent_hook=None, **kwargs):
+        def counted_hook(x):
+            cand = incumbent_hook(x)
+            counts[8] += cand is not None
+            return cand
+
+        if incumbent_hook is not None:
+            kwargs["incumbent_hook"] = counted_hook
         sol = solve_milp(*args, **kwargs)
         counts[4] += sol.nodes
         return sol
@@ -72,9 +81,9 @@ def main(argv=None) -> int:
             super().__init__(cols)
             counts[5] += 1
 
-    def counted_dual(worker):
+    def counted_dual(worker, *args):
         counts[6] += 1
-        return dual(worker)
+        return dual(worker, *args)
 
     def counted_fixes(selectors, box, fixes):
         decided = box_fixes(selectors, box, fixes)
@@ -97,7 +106,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 8
+            counts[:] = [0] * 9
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
             rows = hashlib.sha256(b"".join(
@@ -107,7 +116,7 @@ def main(argv=None) -> int:
             print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
                   f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]} "
                   f"factorizations {counts[5]} dual_solves {counts[6]} "
-                  f"node_fixed {counts[7]} "
+                  f"node_fixed {counts[7]} hook_encodes {counts[8]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
