@@ -53,6 +53,20 @@ attempt, which turns a cycle or a stall into a
 :class:`NumericalBreakdown`.  All choices are
 index-deterministic so repeated solves of the same data produce
 identical pivot sequences.
+
+The kernels use the hyper-sparsity of the solves (Hall and McKinnon,
+"Hyper-sparsity in the revised simplex method and how to exploit it",
+2005) without changing a pivot.  ``ftran`` applies an eta only when the
+running vector's entry at the eta's row is nonzero: an exact zero
+multiplier leaves every value as it is, and at most keeps the sign of an
+exact zero that the full update would have cleared, which no comparison
+reads.  The primal ratio test and the dual's entering choice read only the
+entries whose magnitude exceeds the pivot tolerance, the only ones that
+can be chosen; the fixed-column mask is taken once per phase and per dual
+solve; and the dual's reduced-cost update touches only the nonzeros of
+the pivot row.  The per-pivot code calls array methods (``.dot``,
+``.nonzero``, ``.argmax``) in place of ``@`` and the numpy functions
+that wrap them: the same routines, with less dispatch per call.
 """
 
 from __future__ import annotations
@@ -141,13 +155,15 @@ class _Factors:
     def ftran(self, v: np.ndarray) -> np.ndarray:
         u = self.lu.solve(v)
         for r, g in self.etas:
-            u -= g * u[r]
+            ur = u.item(r)
+            if ur != 0.0:  # an exact zero leaves u as it is
+                u -= g * ur
         return u
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         u = np.array(v, dtype=float)
         for r, g in reversed(self.etas):
-            u[r] -= g @ u
+            u[r] -= g.dot(u)
         return self.lu.solve(u, trans="T")
 
     def update(self, r: int, w: np.ndarray) -> None:
@@ -322,11 +338,12 @@ class _Worker:
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         return cost - self.cols_t @ self.backend.btran(cost[self.basis])
 
-    def _price(self, d: np.ndarray) -> int:
+    def _price(self, d: np.ndarray, fixed: np.ndarray) -> int:
+        """The entering column by Dantzig's rule, or -1; ``fixed`` is
+        ``lb == ub``, taken once per phase."""
         score = np.where(self.vstat == AT_LOWER, -d, d)
-        blocked = (self.vstat == BASIC) | (self.lb == self.ub)
-        score[blocked] = -np.inf
-        j = int(np.argmax(score))
+        score[(self.vstat == BASIC) | fixed] = -np.inf
+        j = int(score.argmax())
         return j if score[j] > _TOL_OPT else -1
 
     def _ratio_test(
@@ -339,27 +356,25 @@ class _Worker:
         element is within ``tol_pivot`` of zero never blocks, so the
         leaving row always has a usable pivot.  Ties between blocking rows
         go to the largest pivot magnitude: the eta update divides by it, so
-        a near-zero choice poisons every later ftran.
+        a near-zero choice poisons every later ftran.  Only the rows with a
+        usable pivot are read.
         """
         limit = self.ub[enter] - self.lb[enter]  # inf for slacks
-        rate = -sigma * w
-        rate[np.abs(w) <= self.tol_pivot] = 0.0
-        bvars = self.basis
-        rooms = np.full(self.m, np.inf)
+        rows = (np.abs(w) > self.tol_pivot).nonzero()[0]
+        rate = -sigma * w[rows]
+        bvars, xb = self.basis[rows], self.xb[rows]
         up = rate > 0
-        dn = rate < 0
         with np.errstate(invalid="ignore"):
-            rooms[up] = (self.ub[bvars[up]] - self.xb[up]) / rate[up]
-            rooms[dn] = (self.xb[dn] - self.lb[bvars[dn]]) / (-rate[dn])
-        np.clip(rooms, 0.0, None, out=rooms)
+            rooms = np.where(up, self.ub[bvars] - xb, xb - self.lb[bvars]) / np.abs(rate)
+        np.maximum(rooms, 0.0, out=rooms)
         best_basic = rooms.min(initial=np.inf)
         if np.isfinite(limit) and limit <= best_basic + _TIE:
             return limit, -1, False
         if not np.isfinite(best_basic):
             return None
-        cand = np.flatnonzero(rooms <= best_basic + _TIE)
-        pick = cand[np.argmax(np.abs(w[cand]))]
-        return best_basic, int(pick), bool(up[pick])
+        cand = (rooms <= best_basic + _TIE).nonzero()[0]
+        pick = cand[np.abs(w[rows[cand]]).argmax()]
+        return best_basic, int(rows[pick]), bool(up[pick])
 
     def _pivot(
         self,
@@ -389,9 +404,10 @@ class _Worker:
             )
 
     def _run_phase(self, cost: np.ndarray) -> None:
+        fixed = self.lb == self.ub
         while True:
             self._check_budget()
-            enter = self._price(self._reduced_costs(cost))
+            enter = self._price(self._reduced_costs(cost), fixed)
             if enter < 0:
                 return
             sigma = -1.0 if self.vstat[enter] == AT_UPPER else 1.0
@@ -433,7 +449,7 @@ class _Worker:
         so that the basis is optimal for its own bounds, as a parent's is
         for a child's; ``None`` otherwise."""
         d = self._reduced_costs(self.c)
-        return d if self._price(d) < 0 else None
+        return d if self._price(d, self.lb == self.ub) < 0 else None
 
     def _dual(self, d: np.ndarray) -> bool:
         """Bounded dual simplex from a dual-feasible basis (Koberstein 2005).
@@ -450,30 +466,23 @@ class _Worker:
         enter: the bounds admit no point.
         """
         accept = self._acceptance()
+        free = self.lb != self.ub
         e_r = np.zeros(self.m)
         while True:
             self._check_budget()
             below = self.lb[self.basis] - self.xb
             above = self.xb - self.ub[self.basis]
             viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             if viol[r] <= accept:
                 return True
             rise = below[r] > 0  # the leaving variable climbs to its lower bound
             e_r[r] = 1.0
             alpha = self.cols_t @ self.backend.btran(e_r)
             e_r[r] = 0.0
-            # a nonbasic column moves up from its lower bound, down from its
-            # upper; x_r moves by -alpha_j per unit of that move
-            move = np.where(self.vstat == AT_LOWER, 1.0, -1.0)
-            push = -move * alpha if rise else move * alpha
-            cand = np.flatnonzero((push > self.tol_pivot) & (self.vstat != BASIC)
-                                  & (self.lb != self.ub))
-            if not cand.shape[0]:
+            enter = self._dual_ratio_test(alpha, d, rise, free)
+            if enter < 0:
                 return False
-            ratio = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
-            ties = cand[ratio <= ratio.min() + _TIE]
-            enter = int(ties[np.argmax(np.abs(alpha[ties]))])
             w = self.backend.ftran(_column(self.cols, enter))
             if _marginal(w, r):
                 if self.updates_since_factor:
@@ -495,8 +504,30 @@ class _Worker:
             else:
                 # row r of the old basis inverse prices the pivot: the leaving
                 # column gets -d_q / alpha_q and the basic columns stay at zero
-                d -= d[enter] / alpha[enter] * alpha
+                nz = alpha.nonzero()[0]
+                d[nz] -= d[enter] / alpha[enter] * alpha[nz]
                 d[self.basis] = 0.0
+
+    def _dual_ratio_test(
+        self, alpha: np.ndarray, d: np.ndarray, rise: bool, free: np.ndarray
+    ) -> int:
+        """The column that enters for the leaving row whose pivot row is
+        ``alpha``, or -1 when no column can; ``free`` is ``lb != ub``, taken
+        once per dual solve.  Only the columns with a usable pivot are read.
+        """
+        # a nonbasic column moves up from its lower bound, down from its
+        # upper; x_r moves by -alpha_j per unit of that move
+        cols = (np.abs(alpha) > self.tol_pivot).nonzero()[0]
+        stat = self.vstat[cols]
+        move = np.where(stat == AT_LOWER, 1.0, -1.0)
+        push = -move * alpha[cols] if rise else move * alpha[cols]
+        keep = (push > 0.0) & (stat != BASIC) & free[cols]
+        cand, move = cols[keep], move[keep]
+        if not cand.shape[0]:
+            return -1
+        ratio = np.maximum(move * d[cand], 0.0) / np.abs(alpha[cand])
+        ties = cand[ratio <= ratio.min() + _TIE]
+        return int(ties[np.abs(alpha[ties]).argmax()])
 
     # -- artificial drive-out ----------------------------------------------
 
@@ -507,9 +538,8 @@ class _Worker:
         redundant row; it stays basic, pinned to zero by its locked bounds.
         """
         ntot_real = self.n + self.m
-        for i in range(self.m):
-            if self.basis[i] < ntot_real:
-                continue
+        # a row's basic column changes only when that row is visited
+        for i in np.flatnonzero(self.basis >= ntot_real):
             e_i = np.zeros(self.m)
             e_i[i] = 1.0
             row = (self.cols_t @ self.backend.btran(e_i))[:ntot_real]

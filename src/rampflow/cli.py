@@ -10,8 +10,10 @@ drives its closed loop and writes the record as a CSV that
 or a range check rejects ends the command with its message and exit
 status 2. A loop that stops with a typed reason (an infeasible or
 over-budget plan, a reading outside the state box, a solver breakdown)
-ends it with ``rampflow: <scenario>: <reason type>: <message>``, no CSV
-and exit status 1.
+ends it with ``rampflow: <scenario>: <reason type>: <message>`` and exit
+status 1; the ticks done before the stop are still written, with a last
+metadata line ``# stopped <reason type>: <message>``. A stop before the
+first tick is done writes no CSV.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import estimators, harness, milp, mpc
-
-# the typed reasons a closed loop stops for
-_LOOP_STOPS = (mpc.InfeasibleProblem, mpc.SolveBudgetExceeded,
-               estimators.ContainmentViolation, milp.NumericalBreakdown)
+from . import harness
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,12 +39,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # a ScenarioError, or a record's range check
         print(f"rampflow: {err}", file=sys.stderr)
         return 2
+    stopped: list[tuple[str, str]] = []
     try:
         log = harness.run_closed_loop(scenario)
-    except _LOOP_STOPS as err:
-        print(f"rampflow: {scenario.name}: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
+    except harness.LOOP_STOPS as err:
+        reason = f"{type(err).__name__}: {err}"
+        print(f"rampflow: {scenario.name}: {reason}", file=sys.stderr)
+        log, stopped = err.log, [("stopped", " ".join(reason.split()))]  # one line
+        if not len(log):
+            return 1
     path = harness.emit_csv(log, args.csv or Path(f"{scenario.name}.csv"),
-                            meta=harness.scenario_meta(scenario, log))
+                            meta=harness.scenario_meta(scenario, log) + stopped)
     print(f"{scenario.name}: {len(log)} ticks written to {path}")
-    return 0
+    return 1 if stopped else 0

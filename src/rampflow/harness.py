@@ -40,11 +40,18 @@ from .ctm import (
     plant_step,
 )
 from .embedding import PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds
-from .estimators import EstimatorConfig, MeasurementWindow, state_update
-from .milp import MilpBudget
+from .estimators import (
+    ContainmentViolation,
+    EstimatorConfig,
+    MeasurementWindow,
+    state_update,
+)
+from .milp import MilpBudget, NumericalBreakdown
 from .mpc import (
     CostSpec,
+    InfeasibleProblem,
     MpcConfig,
+    SolveBudgetExceeded,
     TerminalSet,
     choose_terminal_weights,
     compute_xup,
@@ -58,6 +65,10 @@ CTRL_ALINEA = "alinea"
 CTRL_OPENLOOP = "openloop"
 CTRL_LOCAL = "local"
 CONTROLLERS = (CTRL_SETPC, CTRL_ALINEA, CTRL_OPENLOOP, CTRL_LOCAL)
+
+# the typed reasons a closed loop stops for
+LOOP_STOPS = (InfeasibleProblem, SolveBudgetExceeded, ContainmentViolation,
+              NumericalBreakdown)
 
 TERMINAL_MAINLINE = "mainline"
 TERMINAL_DRAINED = "drained"
@@ -527,7 +538,7 @@ def _new_log(scenario: Scenario) -> TrajectoryLog:
     )
 
 
-def _run_setpc(scenario: Scenario) -> TrajectoryLog:
+def _run_setpc(scenario: Scenario, log: TrajectoryLog) -> None:
     params, model = scenario.params, scenario.output_model
     config = scenario.loop_config()
     state = SetPcState(
@@ -536,7 +547,6 @@ def _run_setpc(scenario: Scenario) -> TrajectoryLog:
         window=MeasurementWindow(scenario.estimator.backward_horizon, model,
                                  scenario.demand_box),
     )
-    log = _new_log(scenario)
     x = scenario.x0.copy()
     u_warm = 0.5 * scenario.demand_box.lower
     for tick in range(scenario.warmup + scenario.steps):
@@ -547,14 +557,12 @@ def _run_setpc(scenario: Scenario) -> TrajectoryLog:
             u, state, diag = setpc_step(state, y, config)
         log.append(x, diag.corrected, u, diag.value, diag.phase, theta=state.params)
         x = compact_step(params, x, u, scenario.demand_at(tick))
-    return log
 
 
-def _run_baseline(scenario: Scenario) -> TrajectoryLog:
+def _run_baseline(scenario: Scenario, log: TrajectoryLog) -> None:
     params, model, n = scenario.params, scenario.output_model, scenario.n_cells
     prior_up = np.concatenate([np.full(n, np.max(scenario.theta_box.upper.x_jam)),
                                np.full(n, WIDE_QUEUE_BOUND)])
-    log = _new_log(scenario)
     x = scenario.x0.copy()
     prev_u = 0.5 * scenario.demand_box.lower
     queue_hist: list[np.ndarray] = []
@@ -582,7 +590,6 @@ def _run_baseline(scenario: Scenario) -> TrajectoryLog:
         log.append(x, corrected, served, math.nan, scenario.controller,
                    theta=scenario.theta_box)
         x = x_next
-    return log
 
 
 def run_closed_loop(scenario: Scenario) -> TrajectoryLog:
@@ -595,10 +602,18 @@ def run_closed_loop(scenario: Scenario) -> TrajectoryLog:
     certified against the queue bound, so window-based contraction would
     not be sound) and their logged control is the discharge the plant
     actually realized.
+
+    A loop that stops for one of the typed reasons in :data:`LOOP_STOPS`
+    raises that exception with the ticks already done as its ``log``.
     """
-    if scenario.controller == CTRL_SETPC:
-        return _run_setpc(scenario)
-    return _run_baseline(scenario)
+    log = _new_log(scenario)
+    run = _run_setpc if scenario.controller == CTRL_SETPC else _run_baseline
+    try:
+        run(scenario, log)
+    except LOOP_STOPS as err:
+        err.log = log
+        raise
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +720,9 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     parse, a ``d`` line without ``cells`` values, weights ``CostSpec``
     refuses, a header other than the one :func:`emit_csv` writes, and a
     data row with too few or too many cells or a number that does not
-    parse, each naming its file and line or column.
+    parse, each naming its file and line or column. Any other metadata
+    line is returned and otherwise ignored, such as the ``stopped`` line
+    of a record that a typed stop cut short.
     """
     text = Path(path).read_text()
     meta: dict[str, list[str]] = {}

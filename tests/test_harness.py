@@ -196,15 +196,65 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
 
 def test_run_command_exits_with_the_typed_loop_stop(tmp_path, capsys):
     """Horizon 10 is too short for the preset's terminal box, so the first
-    plan is infeasible: the command reports the reason and writes no CSV."""
+    plan is infeasible: the command reports the reason, exits 1 and still
+    writes the warm-up ticks done before the stop, with a ``stopped`` line
+    that names the reason."""
     text = _edit(PRESET, "  horizon 60", ["  horizon 10"], keep=False)[0]
     source = tmp_path / "short.scn"
     source.write_text(_edit(text, "  steps 60", ["  steps 3"], keep=False)[0])
     out = tmp_path / "short.csv"
     assert cli.main(["run", str(source), "--csv", str(out)]) == 1
+    reason = ("InfeasibleProblem: no horizon-10 plan reaches the terminal "
+              "box from the given state box (explored 1 nodes)")
+    assert capsys.readouterr().err == f"rampflow: short: {reason}\n"
+    back, meta = read_log(out)
+    assert meta["stopped"] == reason.split()
+    warmup = harness.load_scenario(str(source)).warmup
+    assert [s.phase for s in back.steps] == ["warmup"] * warmup
+
+
+def test_a_typed_stop_carries_the_ticks_done_and_the_command_writes_them(
+        tmp_path, monkeypatch, capsys):
+    """A stop on the third plan: ``run_closed_loop`` raises the same
+    exception, carrying the ticks before it, and the command writes them
+    as the first rows of the full run's record, under its metadata and one
+    ``stopped`` line. A stop on the very first tick leaves no record."""
+    scenario = _short_planning_scenario()
+    log = harness.run_closed_loop(scenario)
+    full = emit_csv(log, tmp_path / "full.csv", meta=harness.scenario_meta(scenario, log))
+    step, plans = harness.setpc_step, []
+
+    def stop_on_the_third_plan(*args):
+        plans.append(0)
+        if len(plans) == 3:
+            raise harness.SolveBudgetExceeded("node budget\nspent", solution=None)
+        return step(*args)
+
+    monkeypatch.setattr(harness, "setpc_step", stop_on_the_third_plan)
+    with pytest.raises(harness.SolveBudgetExceeded) as stop:
+        harness.run_closed_loop(scenario)
+    assert len(stop.value.log) == scenario.warmup + 2
+
+    plans.clear()
+    source = tmp_path / "short_plan.scn"
+    source.write_text(_short_planning_text())
+    out = tmp_path / "stopped.csv"
+    assert cli.main(["run", str(source), "--csv", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "rampflow: short: InfeasibleProblem: no horizon-10 plan reaches the terminal "
-        "box from the given state box (explored 1 nodes)\n")
+        "rampflow: short_plan: SolveBudgetExceeded: node budget\nspent\n")
+    lines, full_lines = out.read_text().splitlines(), full.read_text().splitlines()
+    n_meta = len(harness.scenario_meta(scenario, stop.value.log))
+    assert lines[n_meta] == "# stopped SolveBudgetExceeded: node budget spent"
+    assert lines[:n_meta] + lines[n_meta + 1:] == full_lines[:len(lines) - 1]
+    back, meta = read_log(out)
+    assert len(back) == scenario.warmup + 2 and meta["stopped"][0] == "SolveBudgetExceeded:"
+
+    def stop_at_once(*args):
+        raise harness.ContainmentViolation("reading outside the box")
+
+    monkeypatch.setattr(harness, "forced_step", stop_at_once)
+    out.unlink()
+    assert cli.main(["run", str(source), "--csv", str(out)]) == 1
     assert not out.exists()
 
 

@@ -1234,3 +1234,201 @@ def test_a_plunge_chain_longer_than_the_refactor_cadence_matches_highs(
         assert res.status == ("optimal" if ref.status == 0 else "infeasible")
         if res.status == "optimal":
             assert res.obj == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
+
+
+# -- the hyper-sparse kernels against dense copies of the loops they replaced
+
+
+def _dense_ftran(factors, v):
+    """``_Factors.ftran`` applying every eta, multiplier zero or not."""
+    u = factors.lu.solve(v)
+    for r, g in factors.etas:
+        u -= g * u[r]
+    return u
+
+
+def _dense_btran(factors, v):
+    """``_Factors.btran`` with each eta's product taken by ``@``."""
+    u = np.array(v, dtype=float)
+    for r, g in reversed(factors.etas):
+        u[r] -= g @ u
+    return factors.lu.solve(u, trans="T")
+
+
+def _sparse_vector(rng, m, k, scale=1.0):
+    v = np.zeros(m)
+    signs = rng.choice([-1.0, 1.0], k)
+    v[rng.choice(m, k, replace=False)] = scale * signs * rng.uniform(0.5, 2.0, k)
+    return v
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_eta_loops_match_their_dense_references(seed):
+    """A sparse basis with pivots of both signs and an eta file of sparse
+    updates, as the pivot loop builds them; sparse right-hand sides, some
+    scaled to 1e-305 so that eta rows meet tiny nonzero multipliers. Every
+    ``ftran`` result has the dense loop's values and bits, except that an
+    exact zero may keep the sign -0.0 that SuperLU gave it where the dense
+    loop's ``u - g * 0.0`` makes it +0.0; the solver never divides by such
+    an entry, so the sign changes nothing it computes. ``btran`` matches
+    its reference byte for byte."""
+    rng = np.random.default_rng(seed)
+    m = 40
+    basis = sp.random(m, m, density=0.03, random_state=rng) + sp.diags(
+        rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 2.0, m))
+    factors = _simplex._Factors(sp.csc_matrix(basis))
+    for _ in range(30):
+        w = _sparse_vector(rng, m, int(rng.integers(1, 6)))
+        factors.update(int(rng.choice(np.flatnonzero(w))), w)
+    zero = tiny = signed = 0
+    for case in range(200):
+        v = _sparse_vector(rng, m, int(rng.integers(1, 4)), 1e-305 if case % 4 == 0 else 1.0)
+        new, ref = factors.ftran(v.copy()), _dense_ftran(factors, v.copy())
+        assert np.array_equal(new, ref)
+        assert (new + 0.0).tobytes() == (ref + 0.0).tobytes()  # +0.0 clears zero signs
+        differ = new.view(np.int64) != ref.view(np.int64)
+        assert np.all(np.signbit(new[differ]) & ~np.signbit(ref[differ]) & (ref[differ] == 0.0))
+        signed += bool(differ.any())
+        assert factors.btran(v).tobytes() == _dense_btran(factors, v).tobytes()
+        u = factors.lu.solve(v)
+        for r, g in factors.etas:
+            zero += u[r] == 0.0
+            tiny += 0.0 < abs(u[r]) < 1e-300
+            u -= g * u[r]
+    assert zero > 1000 and tiny > 100 and signed  # skips, tiny multipliers, signed zeros
+
+
+def _dense_ratio_test(worker, enter, sigma, w):
+    """``_Worker._ratio_test`` over full-length masks and room vectors."""
+    limit = worker.ub[enter] - worker.lb[enter]
+    rate = -sigma * w
+    rate[np.abs(w) <= worker.tol_pivot] = 0.0
+    bvars = worker.basis
+    rooms = np.full(worker.m, np.inf)
+    up = rate > 0
+    dn = rate < 0
+    with np.errstate(invalid="ignore"):
+        rooms[up] = (worker.ub[bvars[up]] - worker.xb[up]) / rate[up]
+        rooms[dn] = (worker.xb[dn] - worker.lb[bvars[dn]]) / (-rate[dn])
+    np.clip(rooms, 0.0, None, out=rooms)
+    best_basic = rooms.min(initial=np.inf)
+    if np.isfinite(limit) and limit <= best_basic + _simplex._TIE:
+        return limit, -1, False
+    if not np.isfinite(best_basic):
+        return None
+    cand = np.flatnonzero(rooms <= best_basic + _simplex._TIE)
+    pick = cand[np.argmax(np.abs(w[cand]))]
+    return best_basic, int(pick), bool(up[pick])
+
+
+def _ratio_test_cases(rng, tol, count):
+    """Workers with basic values on a coarse grid at or between their
+    bounds, one-sided slacks, and pivot columns whose entries include exact
+    zeros and entries at and below ``tol``; yields (worker, enter, sigma, w)."""
+    from types import SimpleNamespace
+
+    m, n = 12, 8
+    entries = np.array([0.0, tol / 2, tol, 0.25, 0.5, 1.0, 2.0, 4.0])
+    for _ in range(count):
+        lb = rng.choice([0.0, -1.0, -np.inf], n + m, p=[0.6, 0.2, 0.2])
+        ub = np.full(n + m, np.inf)
+        boxed = np.isfinite(lb)
+        ub[boxed] = lb[boxed] + rng.choice([0.0, 1.0, 2.0, np.inf], np.count_nonzero(boxed))
+        ub[rng.random(n + m) < 0.1] = 0.0
+        lb = np.minimum(lb, ub)
+        basis = rng.permutation(n + m)[:m]
+        lo = np.where(np.isfinite(lb[basis]), lb[basis], -2.0)
+        hi = np.where(np.isfinite(ub[basis]), ub[basis], lo + 2.0)
+        xb = np.where(rng.random(m) < 0.3, lo, lo + np.round(4 * rng.random(m) * (hi - lo)) / 4)
+        xb = np.where(rng.random(m) < 0.2, hi, xb)
+        w = rng.choice([-1.0, 1.0], m) * rng.choice(entries, m)
+        if rng.random() < 0.1:
+            w *= tol / 4  # no row blocks: a bound flip, or no step at all
+        enter = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
+        worker = SimpleNamespace(m=m, lb=lb, ub=ub, basis=basis, xb=xb, tol_pivot=tol)
+        yield worker, enter, float(rng.choice([-1.0, 1.0])), w
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_restricted_primal_ratio_test_matches_the_dense_one(seed):
+    """The ratio test reads only the rows with ``|w| > tol_pivot``; on
+    random inputs with ties, sub-tolerance rows that would block first,
+    bound flips and unblocked steps it returns the dense test's step bytes,
+    leaving row and bound."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(seed)
+    tol = _simplex._LADDER[0][0]
+    seen = {"flip": 0, "none": 0, "tie": 0, "filtered": 0}
+    for worker, enter, sigma, w in _ratio_test_cases(rng, tol, 1000):
+        new = _simplex._Worker._ratio_test(worker, enter, sigma, w.copy())
+        ref = _dense_ratio_test(worker, enter, sigma, w.copy())
+        if ref is None:
+            assert new is None
+            seen["none"] += 1
+            continue
+        assert np.float64(new[0]).tobytes() == np.float64(ref[0]).tobytes()
+        assert new[1:] == ref[1:]
+        seen["flip"] += ref[1] < 0
+        loose = _dense_ratio_test(SimpleNamespace(**{**vars(worker), "tol_pivot": 0.0}),
+                                  enter, sigma, w.copy())
+        seen["filtered"] += loose != ref  # a sub-tolerance row would have blocked
+        if ref[1] >= 0:
+            # each row's step with the others ignored
+            alone = [_dense_ratio_test(worker, enter, sigma, np.where(np.arange(worker.m) == i, w, 0))
+                     for i in range(worker.m)]
+            seen["tie"] += sum(r is not None and r[0] == ref[0] and r[1] >= 0 for r in alone) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _dense_dual_enter(worker, alpha, d, rise):
+    """The dual's entering choice as ``_Worker._dual`` made it, over
+    full-length masks."""
+    move = np.where(worker.vstat == _simplex.AT_LOWER, 1.0, -1.0)
+    push = -move * alpha if rise else move * alpha
+    cand = np.flatnonzero((push > worker.tol_pivot) & (worker.vstat != _simplex.BASIC)
+                          & (worker.lb != worker.ub))
+    if not cand.shape[0]:
+        return -1
+    ratio = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
+    ties = cand[ratio <= ratio.min() + _simplex._TIE]
+    return int(ties[np.argmax(np.abs(alpha[ties]))])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_restricted_dual_entering_choice_matches_the_dense_one(seed):
+    """The dual's entering choice reads only the columns with
+    ``|alpha| > tol_pivot``; on random pivot rows with exact zeros,
+    sub-tolerance entries, fixed and basic columns and tied ratios it picks
+    the dense choice's column, or none when the dense choice has none."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(seed)
+    tol = _simplex._LADDER[0][0]
+    ntot = 24
+    entries = np.array([0.0, tol / 2, tol, 0.5, 1.0, 2.0])
+    seen = {"none": 0, "tie": 0, "filtered": 0}
+    for _ in range(1500):
+        vstat = rng.choice([_simplex.AT_LOWER, _simplex.AT_UPPER, _simplex.BASIC],
+                           ntot, p=[0.45, 0.25, 0.3]).astype(np.int8)
+        lb = np.zeros(ntot)
+        ub = np.where(rng.random(ntot) < 0.15, 0.0, 1.0)
+        alpha = rng.choice([-1.0, 1.0], ntot) * rng.choice(entries, ntot)
+        d = rng.choice([0.0, 0.0, 0.5, 1.0], ntot) * np.where(vstat == _simplex.AT_UPPER, -1.0, 1.0)
+        d[vstat == _simplex.BASIC] = 0.0
+        rise = bool(rng.random() < 0.5)
+        worker = SimpleNamespace(vstat=vstat, lb=lb, ub=ub, tol_pivot=tol)
+        new = _simplex._Worker._dual_ratio_test(worker, alpha.copy(), d.copy(), rise, lb != ub)
+        ref = _dense_dual_enter(worker, alpha, d, rise)
+        assert new == ref
+        seen["none"] += ref < 0
+        loose = _dense_dual_enter(SimpleNamespace(vstat=vstat, lb=lb, ub=ub, tol_pivot=0.0),
+                                  alpha, d, rise)
+        seen["filtered"] += loose != ref  # a sub-tolerance column would have entered
+        if ref >= 0:
+            move = np.where(vstat == _simplex.AT_LOWER, 1.0, -1.0)
+            push = (-move if rise else move) * alpha
+            ok = np.flatnonzero((push > tol) & (vstat != _simplex.BASIC) & (lb != ub))
+            ratio = np.maximum(move[ok] * d[ok], 0.0) / np.abs(alpha[ok])
+            seen["tie"] += np.count_nonzero(ratio == ratio[ok == ref]) > 1
+    assert min(seen.values()) >= 10, seen

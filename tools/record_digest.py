@@ -8,7 +8,9 @@ seeds in the order given): the sha256 of the CSV
 ``#`` metadata, the ticks that planned, the LP solves and
 simplex pivots (counted by wrapping ``milp.solve_canonical``), the
 branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions), the
-basis factorizations (``_simplex._Factors`` built), the LP solves that
+basis factorizations (``_simplex._Factors`` built), the slack columns
+among the basic columns summed over those factorizations (as
+``slacks/columns``), the LP solves that
 took the dual simplex (``_simplex._Worker._dual`` calls), the gadget
 selectors that nodes fixed from their propagated boxes (summed over
 ``milp._Selectors.fixes``), the incumbent-hook calls that reached the
@@ -50,7 +52,8 @@ def main(argv=None) -> int:
     solve_canonical, certified = milp.solve_canonical, estimators._certified
     solve_milp, factors = milp.solve_milp, _simplex._Factors
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
-    counts = [0] * 9
+    factor = _simplex._Worker._factor
+    counts = [0] * 11
 
     def counted(*args, **kwargs):
         res = solve_canonical(*args, **kwargs)
@@ -81,6 +84,13 @@ def main(argv=None) -> int:
             super().__init__(cols)
             counts[5] += 1
 
+    def counted_factor(worker, factors=None):
+        factor(worker, factors)
+        if factors is None:  # factored afresh
+            slack = (worker.basis >= worker.n) & (worker.basis < worker.n + worker.m)
+            counts[9] += int(slack.sum())
+            counts[10] += worker.m
+
     def counted_dual(worker, *args):
         counts[6] += 1
         return dual(worker, *args)
@@ -92,6 +102,7 @@ def main(argv=None) -> int:
 
     milp.solve_canonical = counted
     _simplex._Worker._dual = counted_dual
+    _simplex._Worker._factor = counted_factor
     milp._Selectors.fixes = counted_fixes
     estimators._certified = counted_boxes
     milp.solve_milp = counted_nodes
@@ -106,7 +117,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 9
+            counts[:] = [0] * 11
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
             rows = hashlib.sha256(b"".join(
@@ -115,7 +126,8 @@ def main(argv=None) -> int:
             plans = sum(step.phase == "mpc" for step in log.steps)
             print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
                   f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]} "
-                  f"factorizations {counts[5]} dual_solves {counts[6]} "
+                  f"factorizations {counts[5]} basic_slacks {counts[9]}/{counts[10]} "
+                  f"dual_solves {counts[6]} "
                   f"node_fixed {counts[7]} hook_encodes {counts[8]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]}")
