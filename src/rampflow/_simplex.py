@@ -184,8 +184,8 @@ class EqualityForm:
 
     def __init__(self, a: sp.spmatrix, senses, b, c):
         a = sp.csc_matrix(a)
-        senses = np.asarray(list(senses), dtype="U1")
-        if senses.shape[0] and not set(senses) <= set("LEG"):
+        senses = np.asarray(list(senses) if isinstance(senses, str) else senses, dtype="U1")
+        if not np.isin(senses, ("L", "E", "G")).all():
             raise ValueError("row senses must come from {'L', 'E', 'G'}")
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
@@ -199,7 +199,11 @@ class EqualityForm:
         self.m, self.n = m, n
         self.senses = senses
         self.b = b
-        self.cols = sp.hstack([a, sp.identity(m, format="csc")], format="csc")
+        # [A | I] from A's arrays: the slack columns append one unit entry each
+        self.cols = sp.csc_matrix(
+            (np.concatenate([a.data, np.ones(m)]), np.concatenate([a.indices, np.arange(m)]),
+             np.concatenate([a.indptr, a.nnz + np.arange(1, m + 1)])),
+            shape=(m, n + m))
         self.cols_t = self.cols.T
         self.slack_lo = np.where(senses == "G", -np.inf, 0.0)
         self.slack_hi = np.where(senses == "L", np.inf, 0.0)

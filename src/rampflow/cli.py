@@ -13,7 +13,10 @@ over-budget plan, a reading outside the state box, a solver breakdown)
 ends it with ``rampflow: <scenario>: <reason type>: <message>`` and exit
 status 1; the ticks done before the stop are still written, with a last
 metadata line ``# stopped <reason type>: <message>``. A stop before the
-first tick is done writes no CSV.
+first tick is done writes no CSV. A stop that carries the planner's model
+(an infeasible or over-budget plan, a solver breakdown) also writes that
+model in ``milp.dump_model``'s grammar to ``<csv>.model``, beside where
+the CSV goes, and names the file on standard error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import harness
+from . import harness, milp
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,16 +42,21 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # a ScenarioError, or a record's range check
         print(f"rampflow: {err}", file=sys.stderr)
         return 2
+    csv = args.csv or Path(f"{scenario.name}.csv")
     stopped: list[tuple[str, str]] = []
     try:
         log = harness.run_closed_loop(scenario)
     except harness.LOOP_STOPS as err:
         reason = f"{type(err).__name__}: {err}"
         print(f"rampflow: {scenario.name}: {reason}", file=sys.stderr)
+        model = getattr(err, "model", None)
+        if model is not None:
+            dump = Path(f"{csv}.model")
+            dump.write_text(milp.dump_model(model))
+            print(f"rampflow: {scenario.name}: model written to {dump}", file=sys.stderr)
         log, stopped = err.log, [("stopped", " ".join(reason.split()))]  # one line
         if not len(log):
             return 1
-    path = harness.emit_csv(log, args.csv or Path(f"{scenario.name}.csv"),
-                            meta=harness.scenario_meta(scenario, log) + stopped)
+    path = harness.emit_csv(log, csv, meta=harness.scenario_meta(scenario, log) + stopped)
     print(f"{scenario.name}: {len(log)} ticks written to {path}")
     return 1 if stopped else 0

@@ -32,9 +32,10 @@ boxed program is never unbounded.
     admitting the uncongested choice.  The switched capacity itself is a
     term over that binary.
 
-Both record their operands on the model as gadget records, which
-:meth:`ModelBuilder.fix_decided`, the node loop of :func:`solve_milp` and
-:func:`dump_model` read.
+Both take one gadget as scalars or a block of them as arrays, and record
+their operands on the model as arrays, which :meth:`ModelBuilder.fix_decided`
+and the node loop of :func:`solve_milp` read; :func:`dump_model` reads them
+as gadget records.
 
 Incumbents come from three sources: caller-supplied ``initial_candidates``,
 the caller's ``incumbent_hook`` at every fractional node, and node
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -120,7 +122,11 @@ class LinearProgram:
 
 
 class Term(NamedTuple):
-    """``coef * x[col] + const``, which lies in ``[lo, hi]`` on the model's boxes."""
+    """``coef * x[col] + const``, which lies in ``[lo, hi]`` on the model's boxes.
+
+    The array form of :func:`encode_min_equality` reads one term per gadget
+    from fields that are arrays in the shape of the gadgets' results.
+    """
 
     col: int
     coef: float
@@ -144,13 +150,44 @@ class DropGadget:
     x_crit: float
 
 
+class _Operands(NamedTuple):
+    """Every gadget of a model as arrays: the min gadgets first, then the
+    drops, each kind in the order of its selector columns.  ``left`` and
+    ``right`` hold one column of operand fields (col, coef, const, lo, hi)
+    per gadget: a min gadget's terms ``a`` and ``b``, a drop's term ``x``
+    and its constant ``x_crit``.  ``f`` holds the min gadgets' results."""
+
+    z: np.ndarray
+    f: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _no_gadgets() -> _Operands:
+    return _Operands(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                     np.zeros((5, 0)), np.zeros((5, 0)))
+
+
 @dataclass
 class MilpModel:
-    """A linear program plus its binary columns and gadget records."""
+    """A linear program plus its binary columns and gadget operands."""
 
     lp: LinearProgram
     binaries: np.ndarray  # sorted column indices
-    gadgets: list = field(default_factory=list)
+    operands: _Operands = field(default_factory=_no_gadgets)
+
+    @cached_property
+    def gadgets(self) -> list:
+        """The gadget records, in the order of their selector columns, which
+        is the order the gadgets were added in."""
+        z, f = self.operands.z.tolist(), self.operands.f.tolist()
+        left, right = self.operands.left.T.tolist(), self.operands.right.T.tolist()
+        m = len(f)
+        records = [MinGadget(fk, Term(int(a[0]), *a[1:]), Term(int(b[0]), *b[1:]), zk)
+                   for zk, fk, a, b in zip(z, f, left, right)]
+        records += [DropGadget(int(x[0]), zk, crit[2])
+                    for zk, x, crit in zip(z[m:], left[m:], right[m:])]
+        return sorted(records, key=lambda g: g.z)
 
 
 @dataclass(frozen=True)
@@ -171,8 +208,31 @@ class Solution:
     iterations: int
 
 
+def _at_least_zero(v):
+    """``max(v, 0.0)`` elementwise, the sign of a zero kept as Python's max keeps it."""
+    return np.where(0.0 > v, 0.0, v)
+
+
+def _cat(blocks: list, empty: np.ndarray) -> np.ndarray:
+    return np.concatenate(blocks, axis=-1) if blocks else empty
+
+
+def _block(v, k: int) -> np.ndarray:
+    """One float per member of a block of k: an array of that size in any
+    shape, flattened, or one scalar for all."""
+    v = np.asarray(v, dtype=float)
+    return v.reshape(k) if v.ndim else np.full(k, v)
+
+
 class ModelBuilder:
-    """Accumulates columns and rows; hands out integer indices."""
+    """Accumulates columns and rows; hands out integer indices.
+
+    Each method adds one column, row or gadget from scalars, or a block of
+    them from arrays with one entry per member, which is what the planner
+    uses: a sequence of names makes the call a block, and the answer is then
+    an index array.  ``build`` can place the columns and rows in positions
+    other than the order they were added in.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -181,13 +241,14 @@ class ModelBuilder:
         self.upper: list[float] = []
         self.col_names: list[str] = []
         self.binary: list[int] = []
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
+        self._entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.senses: list[str] = []
         self.rhs: list[float] = []
         self.row_names: list[str] = []
-        self.gadgets: list = []
+        # blocks of (f, a, b, z) per min gadget and (x, z, x_crit) per drop
+        self._mins: list[tuple] = []
+        self._drops: list[tuple] = []
+        self._n_gadgets = 0
 
     @property
     def n_cols(self) -> int:
@@ -199,133 +260,231 @@ class ModelBuilder:
 
     def add_variable(
         self,
-        name: str | None = None,
+        name: str | list[str] | None = None,
         *,
-        lower: float = 0.0,
-        upper: float = np.inf,
-        objective: float = 0.0,
+        lower=0.0,
+        upper=np.inf,
+        objective=0.0,
         binary: bool = False,
-    ) -> int:
-        """Add a column and return its index.
+    ):
+        """Add a column and return its index, or one column per name of a
+        sequence and return their indices.
 
         Both bounds must be finite, so a continuous column needs an explicit
         ``upper``; a binary is clipped to [0, 1].
         """
-        j = len(self.obj)
+        one = name is None or isinstance(name, str)
+        j, k = len(self.obj), 1 if one else len(name)
+        lower, upper, objective = (_block(v, k) for v in (lower, upper, objective))
         if binary:
-            lower = max(lower, 0.0)
-            upper = min(upper, 1.0)
-        if not (np.isfinite(lower) and np.isfinite(upper)):
-            raise ValueError(f"variable {name or j} needs finite bounds")
-        if lower > upper + 1e-12:
-            raise ValueError(f"variable {name or j} has lower > upper")
+            lower = _at_least_zero(lower)
+            upper = np.where(1.0 < upper, 1.0, upper)
+        for bad, what in ((~(np.isfinite(lower) & np.isfinite(upper)), "needs finite bounds"),
+                          (lower > upper + 1e-12, "has lower > upper")):
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"variable {(name if one else name[i]) or j + i} {what}")
+        ids = np.arange(j, j + k)
         if binary:
-            self.binary.append(j)
-        self.obj.append(float(objective))
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.col_names.append(name if name is not None else f"v{j}")
-        return j
+            self.binary.extend(ids.tolist())
+        self.obj.extend(objective.tolist())
+        self.lower.extend(lower.tolist())
+        self.upper.extend(upper.tolist())
+        self.col_names.extend([name if name is not None else f"v{j}"] if one else name)
+        return j if one else ids
 
-    def add_row(
-        self,
-        coeffs: dict[int, float],
-        sense: str,
-        rhs: float,
-        name: str | None = None,
-    ) -> int:
-        if sense not in ("L", "E", "G"):
+    def add_row(self, coeffs, sense, rhs, name: str | list[str] | None = None):
+        """Add a row and return its index; ``coeffs`` maps columns to
+        coefficients.  With a sequence of names, add one row per name and
+        return their indices: ``coeffs`` is then a sequence of (columns,
+        coefficients) pairs, each giving one entry of every row, and
+        ``sense`` one letter for every row or a letter per row.  An
+        exactly zero coefficient adds no entry."""
+        one = isinstance(coeffs, dict)
+        i, k = len(self.rhs), 1 if one else len(name)
+        senses = [sense] * k if isinstance(sense, str) and len(sense) == 1 else list(sense)
+        if len(senses) != k or not set(senses) <= {"L", "E", "G"}:
             raise ValueError("row sense must be 'L', 'E' or 'G'")
-        i = len(self.rhs)
-        n = len(self.obj)
-        for j, v in coeffs.items():
-            if not 0 <= j < n:
-                raise IndexError(f"row {name or i} references unknown column {j}")
-            if v != 0.0:
-                self._rows.append(i)
-                self._cols.append(j)
-                self._vals.append(float(v))
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
-        self.row_names.append(name if name is not None else f"r{i}")
-        return i
+        pairs = list(coeffs.items()) if one else coeffs
+        cols = np.empty((len(pairs), k), dtype=np.int64)
+        vals = np.empty((len(pairs), k))
+        for e, (c, v) in enumerate(pairs):
+            cols[e], vals[e] = np.reshape(c, -1), np.reshape(v, -1)
+        bad = (cols < 0) | (cols >= len(self.obj))
+        if bad.any():
+            r, e = divmod(int(bad.T.argmax()), cols.shape[0])
+            raise IndexError(f"row {(name if one else name[r]) or i + r} "
+                             f"references unknown column {cols[e, r]}")
+        e, r = (vals != 0.0).nonzero()
+        self._entries.append((i + r, cols[e, r], vals[e, r]))
+        self.senses.extend(senses)
+        self.rhs.extend(_block(rhs, k).tolist())
+        self.row_names.extend([name if name is not None else f"r{i}"] if one else name)
+        return i if one else np.arange(i, i + k)
+
+    def _tags(self, name, k: int, kind: str) -> list[str]:
+        if name is None:
+            return [f"{kind}{self._n_gadgets + g}" for g in range(k)]
+        return [name] if isinstance(name, str) else list(name)
+
+    def _operands(self) -> _Operands:
+        empty = _no_gadgets()
+        f, a, b, z_min = (_cat([blk[i] for blk in self._mins], e) for i, e in
+                          enumerate((empty.f, empty.left, empty.right, empty.z)))
+        x, z_drop, crit = (_cat([blk[i] for blk in self._drops], np.zeros(0, dt))
+                           for i, dt in enumerate((np.int64, np.int64, float)))
+        one, zero, inf = np.ones_like(crit), np.zeros_like(crit), np.full_like(crit, np.inf)
+        return _Operands(np.concatenate([z_min, z_drop]), f,
+                         np.concatenate([a, [x, one, zero, -inf, inf]], axis=1),
+                         np.concatenate([b, [x, zero, crit, crit, crit]], axis=1))
 
     def fix_decided(self) -> None:
         """Fix each gadget selector to the branch that every point of the
         column boxes admits, a tie settled as 1 (see :class:`_Selectors`)."""
-        selectors = _Selectors(self.gadgets)
-        value = selectors.decide(np.asarray(self.lower), np.asarray(self.upper), ties=True)
-        for k in np.flatnonzero(~np.isnan(value)):
-            self.lower[selectors.z[k]] = self.upper[selectors.z[k]] = value[k]
+        selectors = _Selectors(self._operands())
+        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
+        value = selectors.decide(lower, upper, ties=True)
+        k = np.flatnonzero(~np.isnan(value))
+        lower[selectors.z[k]] = upper[selectors.z[k]] = value[k]
+        self.lower[:], self.upper[:] = lower.tolist(), upper.tolist()
 
-    def build(self) -> MilpModel:
-        ij = (np.asarray(self._rows, dtype=np.int64), np.asarray(self._cols, dtype=np.int64))
+    def build(self, *, order=None) -> MilpModel:
+        """The model, its columns and rows in the order they were added, or
+        at the positions ``order`` gives: a pair of arrays holding the final
+        position of each column and of each row, in the order added."""
+        obj, lower, upper = (np.asarray(v, dtype=float)
+                             for v in (self.obj, self.lower, self.upper))
+        senses, rhs = np.asarray(self.senses, dtype="U1"), np.asarray(self.rhs, dtype=float)
+        col_names, row_names = self.col_names, self.row_names
+        rows, cols, vals = (_cat([blk[i] for blk in self._entries], np.zeros(0, dt))
+                            for i, dt in enumerate((np.int64, np.int64, float)))
+        binary = np.asarray(self.binary, dtype=np.int64)
+        z, f, left, right = self._operands()
+        if order is not None:
+            col_at, row_at = (np.asarray(at, dtype=np.int64) for at in order)
+            col_of, row_of = (_inverse(at, n) for at, n in ((col_at, self.n_cols),
+                                                            (row_at, self.n_rows)))
+            obj, lower, upper = obj[col_of], lower[col_of], upper[col_of]
+            senses, rhs = senses[row_of], rhs[row_of]
+            col_names = [col_names[j] for j in col_of.tolist()]
+            row_names = [row_names[r] for r in row_of.tolist()]
+            rows, cols = row_at[rows], col_at[cols]
+            binary, z, f = col_at[binary], col_at[z], col_at[f]
+            left, right = left.copy(), right.copy()
+            for terms in (left, right):
+                terms[0] = col_at[terms[0].astype(np.int64)]
+        # each kind in the order of its selector columns
+        m = f.shape[0]
+        rank = np.concatenate([np.argsort(z[:m], kind="stable"),
+                               m + np.argsort(z[m:], kind="stable")])
         lp = LinearProgram(
             name=self.name,
-            obj=np.asarray(self.obj, dtype=float),
-            col_lower=np.asarray(self.lower, dtype=float),
-            col_upper=np.asarray(self.upper, dtype=float),
-            col_names=list(self.col_names),
-            a=sp.csc_matrix(
-                (np.asarray(self._vals, dtype=float), ij), shape=(self.n_rows, self.n_cols)
-            ),
-            row_senses=np.asarray(self.senses, dtype="U1"),
-            rhs=np.asarray(self.rhs, dtype=float),
-            row_names=list(self.row_names),
+            obj=obj,
+            col_lower=lower,
+            col_upper=upper,
+            col_names=list(col_names),
+            a=sp.csc_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols)),
+            row_senses=senses,
+            rhs=rhs,
+            row_names=list(row_names),
         )
-        return MilpModel(
-            lp=lp,
-            binaries=np.asarray(sorted(self.binary), dtype=np.int64),
-            gadgets=list(self.gadgets),
-        )
+        return MilpModel(lp=lp, binaries=np.sort(binary),
+                         operands=_Operands(z[rank], f[rank[:m]], left[:, rank], right[:, rank]))
+
+
+def _inverse(at: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of the permutation ``at`` of ``range(n)``."""
+    if not np.array_equal(np.sort(at), np.arange(n)):
+        raise ValueError("order must place every column and row exactly once")
+    of = np.empty(n, dtype=np.int64)
+    of[at] = np.arange(n)
+    return of
+
+
+def _fields(*fields, shape) -> np.ndarray:
+    """The fields broadcast to ``shape`` and flattened, one per row."""
+    out = np.empty((len(fields),) + shape)
+    for i, v in enumerate(fields):
+        out[i] = v
+    return out.reshape(len(fields), -1)
+
+
+def _interleave(*per_gadget) -> np.ndarray:
+    """The rows of each gadget one after the other, from one array per row."""
+    return _fields(*per_gadget, shape=per_gadget[0].shape).T.ravel()
 
 
 def encode_min_equality(
     builder: ModelBuilder,
-    f: int,
+    f,
     a: Term,
     b: Term,
     *,
-    name: str | None = None,
-) -> int:
+    name: str | list[str] | None = None,
+):
     """Add rows forcing ``f = min(a, b)`` and return the selector binary.
 
     The selector is 1 when ``a`` attains the minimum and 0 when ``b`` does;
     ties admit both.  The big-M constants are ``sup (a - b)+`` and
-    ``sup (b - a)+`` over the terms' declared ranges.
+    ``sup (b - a)+`` over the terms' declared ranges.  With an array ``f``,
+    terms whose fields broadcast to its shape and a sequence of names, one
+    gadget per entry is added, in C order, each one's selector and four
+    rows together, and the selectors come back in ``f``'s shape.
     """
-    tag = name if name is not None else f"min{len(builder.gadgets)}"
-    m_a = max(a.hi - b.lo, 0.0)
-    m_b = max(b.hi - a.lo, 0.0)
-    z = builder.add_variable(f"{tag}.z", binary=True)
-    builder.add_row({f: 1.0, a.col: -a.coef}, "L", a.const, f"{tag}.le_a")
-    builder.add_row({f: 1.0, b.col: -b.coef}, "L", b.const, f"{tag}.le_b")
-    builder.add_row({f: 1.0, a.col: -a.coef, z: -m_a}, "G", a.const - m_a, f"{tag}.pick_a")
-    builder.add_row({f: 1.0, b.col: -b.coef, z: m_b}, "G", b.const, f"{tag}.pick_b")
-    builder.gadgets.append(MinGadget(f=f, a=a, b=b, z=z))
-    return z
+    f = np.asarray(f, dtype=np.int64)
+    shape, k = f.shape, f.size
+    f = f.reshape(k)
+    tags = builder._tags(name, k, "min")
+    ta, tb = _fields(*a, shape=shape), _fields(*b, shape=shape)
+    ca, cb = ta[0].astype(np.int64), tb[0].astype(np.int64)
+    m_a = _at_least_zero(ta[4] - tb[3])
+    m_b = _at_least_zero(tb[4] - ta[3])
+    z = builder.add_variable([f"{tag}.z" for tag in tags], binary=True)
+    zero = np.zeros(k)
+    builder.add_row(
+        [(np.repeat(f, 4), 1.0),
+         (_interleave(ca, cb, ca, cb), _interleave(-ta[1], -tb[1], -ta[1], -tb[1])),
+         (np.repeat(z, 4), _interleave(zero, zero, -m_a, m_b))],
+        ["L", "L", "G", "G"] * k,
+        _interleave(ta[2], tb[2], ta[2] - m_a, tb[2]),
+        [f"{tag}.{row}" for tag in tags for row in ("le_a", "le_b", "pick_a", "pick_b")])
+    builder._mins.append((f, ta, tb, z))
+    builder._n_gadgets += k
+    return int(z[0]) if not shape else z.reshape(shape)
 
 
 def encode_capacity_drop(
     builder: ModelBuilder,
-    x: int,
-    x_crit: float,
+    x,
+    x_crit,
     *,
-    name: str | None = None,
-) -> int:
+    name: str | list[str] | None = None,
+):
     """Add the discharge-capacity switch on ``x`` and return its binary.
 
     ``z = 1`` forces ``x <= x_crit`` and ``z = 0`` forces ``x >= x_crit``;
     a state exactly on the threshold admits both branches.  The big-M
-    constants come from the bounds of ``x``.
+    constants come from the bounds of ``x``.  With an array ``x``, an
+    ``x_crit`` that broadcasts to its shape and a sequence of names, one
+    switch per entry is added, in C order, each one's binary and two rows
+    together, and the binaries come back in ``x``'s shape.
     """
-    tag = name if name is not None else f"drop{len(builder.gadgets)}"
-    lb_x, ub_x = builder.lower[x], builder.upper[x]
-    z = builder.add_variable(f"{tag}.z", binary=True)
-    builder.add_row({x: 1.0, z: max(ub_x - x_crit, 0.0)}, "L", ub_x, f"{tag}.cap")
-    builder.add_row({x: 1.0, z: max(x_crit - lb_x, 0.0)}, "G", x_crit, f"{tag}.floor")
-    builder.gadgets.append(DropGadget(x=x, z=z, x_crit=x_crit))
-    return z
+    x = np.asarray(x, dtype=np.int64)
+    shape, k = x.shape, x.size
+    x = x.reshape(k)
+    tags = builder._tags(name, k, "drop")
+    (crit,) = _fields(x_crit, shape=shape)
+    lb_x, ub_x = np.asarray(builder.lower)[x], np.asarray(builder.upper)[x]
+    z = builder.add_variable([f"{tag}.z" for tag in tags], binary=True)
+    builder.add_row(
+        [(np.repeat(x, 2), 1.0),
+         (np.repeat(z, 2), _interleave(_at_least_zero(ub_x - crit), _at_least_zero(crit - lb_x)))],
+        ["L", "G"] * k,
+        _interleave(ub_x, crit),
+        [f"{tag}.{row}" for tag in tags for row in ("cap", "floor")])
+    builder._drops.append((x, z, crit))
+    builder._n_gadgets += k
+    return int(z[0]) if not shape else z.reshape(shape)
 
 
 class _Selectors:
@@ -339,21 +498,14 @@ class _Selectors:
     box.  Operands that only touch are a tie, which the builder settles as
     1 (a tied min reads ``a``; a state on the threshold is uncongested)
     and the node loop leaves open, since a subtree's optimum may need
-    either branch there.
+    either branch there.  ``keep`` picks the gadgets to read from the
+    model's operands.
     """
 
-    def __init__(self, gadgets):
-        mins = [g for g in gadgets if isinstance(g, MinGadget)]
-        drops = [g for g in gadgets if isinstance(g, DropGadget)]
-        self.z = np.array([g.z for g in mins + drops], dtype=np.int64)
-        # one row per operand field (col, coef, const, lo, hi); the drop's
-        # operands as the terms x and the constant x_crit
-        self.left = np.array(
-            [g.a for g in mins] + [(g.x, 1.0, 0.0, -np.inf, np.inf) for g in drops],
-            dtype=float).reshape(-1, 5).T
-        self.right = np.array(
-            [g.b for g in mins] + [(g.x, 0.0, g.x_crit, g.x_crit, g.x_crit) for g in drops],
-            dtype=float).reshape(-1, 5).T
+    def __init__(self, operands: _Operands, keep=slice(None)):
+        self.z = operands.z[keep]
+        self.left = operands.left[:, keep]
+        self.right = operands.right[:, keep]
 
     def decide(self, lo: np.ndarray, hi: np.ndarray, *, ties: bool) -> np.ndarray:
         """Each selector's value on the box ``[lo, hi]``, or nan where the
@@ -398,14 +550,15 @@ class _RowPropagation:
         a = lp.matrix()
         (m, n), nnz = a.shape, a.nnz
         rows, up = a.indices, a.data > 0
-        cols = np.repeat(np.arange(n), np.diff(a.indptr))
         # rows [P N ; -N -P] over the stacked box [lo ; hi], and one row of
-        # zeros whose slack, +inf, pads every column's list below
-        self.stack = sp.csr_matrix(
-            (np.concatenate([a.data, -a.data]),
-             (np.concatenate([rows, rows + m]),
-              np.concatenate([np.where(up, cols, cols + n), np.where(up, cols + n, cols)]))),
-            shape=(2 * m + 1, 2 * n))
+        # zeros whose slack, +inf, pads every column's list below; column j
+        # of the lower half holds a's column j with its negative entries
+        # moved down m rows and negated, column n + j the rest
+        self.stack = sp.csc_matrix(
+            (np.concatenate([np.where(up, a.data, -a.data), np.where(up, -a.data, a.data)]),
+             np.concatenate([np.where(up, rows, rows + m), np.where(up, rows + m, rows)]),
+             np.concatenate([a.indptr, nnz + a.indptr[1:]])),
+            shape=(2 * m + 1, 2 * n)).tocsr()
         self.rhs = np.concatenate([np.where(lp.row_senses == "G", np.inf, lp.rhs),
                                    np.where(lp.row_senses == "L", np.inf, -lp.rhs),
                                    [np.inf]])
@@ -573,8 +726,9 @@ def solve_milp(
     propagation = _RowPropagation(lp)
     # a selector with a cost is left to branching, so that a near tie the box
     # decides by rounding never moves the objective
-    selectors = _Selectors([g for g in model.gadgets if lp.obj[g.z] == 0.0
-                            and lp.col_lower[g.z] < lp.col_upper[g.z]])
+    z = model.operands.z
+    selectors = _Selectors(model.operands,
+                           (lp.obj[z] == 0.0) & (lp.col_lower[z] < lp.col_upper[z]))
     best_obj = np.inf
     best_x: np.ndarray | None = None
     pruned_min = np.inf

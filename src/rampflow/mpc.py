@@ -17,6 +17,23 @@ planned ramp discharge to equal the command (queues stay nonnegative only
 when u never exceeds queue plus arrivals, and merges fit only below jam
 occupancy).
 
+The model's shape is fixed by the horizon, the cell count and the encoding.
+``_layout`` builds, on the first plan of each shape, what does not depend
+on the numbers: the column, row and gadget names, the final position of
+every column and row, and the codec's column indices. Every plan adds
+each group of columns, rows and gadgets over every stage, component and
+cell in one array call of the builder, with the numbers of that plan: the
+propagated bounds, the costs, the term ranges with their big-M constants,
+the right-hand sides and the decided selectors. A group joins the same
+columns on every plan of a shape; only an entry whose coefficient comes
+out exactly zero is left out. The layout puts every column and row where
+a cell-by-cell encoding writes it: stage by stage, the upper component
+before the lower, and each cell's gadget columns and rows together. That
+order is part of the contract, not a convenience: branch and bound
+branches on the most fractional binary and the simplex prices by
+Dantzig's rule, both breaking ties by the lowest column index, so a
+reordered model can search a different tree and return a different plan.
+
 The flow arithmetic itself lives in one place, the tube kernel
 ``embedding._tube_flows``: the plan codec below scatters its flows and
 switch flags into these columns, and the column and term ranges come from
@@ -48,6 +65,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,10 +74,10 @@ import numpy as np
 from . import milp
 from .ctm import FreewayParams, equilibrium_uncongested
 from .embedding import (
+    PARAM_FIELDS,
     DemandBounds,
     LiftedState,
     ParamBounds,
-    _Side,
     _tube_flows,
     _TubeFlows,
     lifted_step,
@@ -330,11 +349,17 @@ def terminal_lyapunov_check(
     )
 
 
+def _stacked(*sets) -> SimpleNamespace:
+    """Parameter sets stacked on a leading component axis, as the kernel reads them."""
+    return SimpleNamespace(**{name: np.array([getattr(p, name) for p in sets])
+                              for name in PARAM_FIELDS})
+
+
 @dataclass(frozen=True)
 class _Comp:
-    """One tube component: its raising and lowering parameter sets."""
+    """Tube components: their raising and lowering parameter sets, arrivals
+    and initial states, with any leading axes stacking components."""
 
-    tag: str
     prim: FreewayParams
     sec: FreewayParams
     lam: np.ndarray
@@ -345,56 +370,46 @@ class _Comp:
         return _tube_flows(x, z, u, self.lam, self.prim, self.sec)
 
 
-# the columns of one side's stage auxiliaries: the no-drop flag as "drop",
-# the sending and realized flows, and the selectors of their two minima
-_KEYS = ("drop", "d", "dmin", "f", "fmin")
-
-
-def _labels(side: str, tag: str, k: int, i: int) -> dict[str, str]:
-    """Column and gadget names of one side's stage-k auxiliaries of cell i."""
-    return {key: f"{key}.{side}.{tag}[{k}][{i}]" for key in _KEYS}
-
-
 def _stage_ranges(comp: _Comp, own, oth, merge: bool):
-    """Interval bounds of one component's stage columns and terms, per side.
+    """Interval bounds of the components' stage columns and terms, per side.
 
-    own and oth are the (lower, upper) boxes of this component's stacked
-    state and of the other component's. Every term but the outflow sending
+    own and oth are the (lower, upper) boxes of the components' stacked
+    states and of the other components'. Every term but the outflow sending
     flow is monotone in the one occupancy it reads, so the kernel at the
     low corner (own state low, other state high) and at the high corner
     gives both ends; the realized flows combine the ranges of their two
-    terms. Returns (out, merge) dicts of (lower, upper) pairs keyed like
-    the kernel's fields, plus the drop threshold under "thr"; without
-    merge columns the merge dict only carries the flow the outflow side
-    feeds downstream.
+    terms. Both corners and the outflow's peak go through one kernel call.
+    Returns (out, merge) dicts of (lower, upper) pairs keyed like the
+    kernel's fields, plus the drop threshold under "thr"; without merge
+    columns the merge dict only carries the flow the outflow side feeds
+    downstream.
     """
-    lo = comp.flows(own[0], oth[1], 0.0)
-    hi = comp.flows(own[1], oth[0], 0.0)
-    n = own[0].shape[0] // 2
+    n = own[0].shape[-1] // 2
+    thr = comp.sec.c_max / comp.prim.v  # the outflow's drop threshold, as the kernel has it
     at_thr = own[0].copy()
-    at_thr[:n] = np.clip(lo.out.thr, own[0][:n], own[1][:n])
-    peak = comp.flows(at_thr, oth[1], 0.0).out.d
+    at_thr[..., :n] = np.clip(thr, own[0][..., :n], own[1][..., :n])
+    corners = comp.flows(np.array([own[0], own[1], at_thr]),
+                         np.array([oth[1], oth[0], oth[1]]), 0.0)
+    o, g = corners.out, corners.merge
     # The outflow sending flow reads its own occupancy twice: it follows
     # the speed line up to the drop threshold, falls there and never falls
     # again, so its maximum sits at the clipped threshold or at an end. Its
     # minimum sits at an end too: just above the threshold the flow either
     # equals the dropped ceiling, as at xub, or lies on the speed line
     # above its value at xlb.
-    d = (np.minimum(lo.out.d, hi.out.d),
-         np.maximum(np.maximum(lo.out.d, hi.out.d), peak))
-    s = (hi.out.s, lo.out.s)
+    d = (np.minimum(o.d[0], o.d[1]), np.maximum(np.maximum(o.d[0], o.d[1]), o.d[2]))
+    s = (o.s[1], o.s[0])
     f = (d[0].copy(), d[1].copy())
     for f_end, d_end, s_end in zip(f, d, s):
-        f_end[:-1] = np.minimum(d_end[:-1], s_end)
-    out = {"thr": lo.out.thr, "vx": (lo.out.vx, hi.out.vx),
-           "xi": (hi.out.xi, lo.out.xi), "d": d, "s": s, "f": f}
+        f_end[..., :-1] = np.minimum(d_end[..., :-1], s_end)
+    out = {"thr": thr, "vx": (o.vx[0], o.vx[1]), "xi": (o.xi[1], o.xi[0]),
+           "d": d, "s": s, "f": f}
     if not merge:
-        return out, {"f": (f[0][:-1], f[1][:-1])}
-    d = (lo.merge.d, hi.merge.d)
-    s = (hi.merge.s, lo.merge.s)
-    return out, {"thr": lo.merge.thr, "vx": (lo.merge.vx, hi.merge.vx),
-                 "xi": (lo.merge.xi, hi.merge.xi), "d": d, "s": s,
-                 "f": (np.minimum(d[0], s[0]), np.minimum(d[1], s[1]))}
+        return out, {"f": (f[0][..., :-1], f[1][..., :-1])}
+    d = (g.d[0], g.d[1])
+    s = (g.s[1], g.s[0])
+    return out, {"thr": g.thr, "vx": (g.vx[0], g.vx[1]), "xi": (g.xi[0], g.xi[1]),
+                 "d": d, "s": s, "f": (np.minimum(d[0], s[0]), np.minimum(d[1], s[1]))}
 
 
 def _finalize(prop_lb, prop_ub, limit_ub):
@@ -446,21 +461,91 @@ class _Problem(NamedTuple):
     decode: Callable
 
 
-def _scatter(vec: np.ndarray, ids: dict, k: int, side: _Side) -> None:
-    """Write one side's kernel intermediates into its stage-k columns."""
-    m = ids["fmin"].shape[1]
-    vec[ids["drop"][k]] = side.keep
-    vec[ids["d"][k]] = side.d
-    vec[ids["dmin"][k]] = side.vx <= side.xi
-    vec[ids["f"][k, :m]] = side.f[:m]
-    vec[ids["fmin"][k]] = side.d[:m] <= side.s
+# the stage columns of one side: the no-drop flag as "drop", the sending and
+# realized flows, and the selectors of their two minima
+_KEYS = ("drop", "d", "dmin", "f", "fmin")
+
+
+class _Layout(NamedTuple):
+    """What the horizon model of one shape fixes before any number is known.
+
+    ``names`` holds the names the builder is handed per group: "x", "u",
+    the conservation rows "dyn.x" and "dyn.q", and (side, key) for the
+    stage columns and the gadget tags. ``order`` gives the final position
+    of each column and row in the order ``_assemble`` adds them. ``x``
+    (T+1, C, 2I), ``u`` (T, I) and ``cols[side, key]`` (T, C, cells) are
+    final column indices; every array is read-only, since each plan of the
+    shape shares them.
+    """
+
+    names: dict
+    order: tuple
+    x: np.ndarray
+    u: np.ndarray
+    cols: dict
+
+
+@lru_cache(maxsize=8)
+def _layout(t: int, n: int, reduced: bool) -> _Layout:
+    """The layout of the horizon-t model over n cells, built on first use."""
+    tags = ("m",) if reduced else ("up", "lo")
+    sides = ("out",) if reduced else ("out", "merge")
+    c_n = len(tags)
+    # One block of columns and one of rows per stage and component, after
+    # the states and controls. Within a block, runs of cells; each cell of
+    # a run has its columns and rows together: (side, cells, column keys,
+    # (row group, rows per cell) pairs).
+    runs = [("out", n, ("drop", "d", "dmin"), (("drop", 2), ("dmin", 4))),
+            ("out", n - 1, ("f", "fmin"), (("fmin", 4),))]
+    if not reduced:
+        runs.append(("merge", n - 1, _KEYS, (("drop", 2), ("dmin", 4), ("fmin", 4))))
+    runs.append(("dyn", n, (), (("x", 1), ("q", 1))))
+    width = sum(cells * len(keys) for _, cells, keys, _ in runs)
+    height = sum(cells * sum(c for _, c in rows) for _, cells, _, rows in runs)
+    block = (np.arange(t)[:, None] * c_n + np.arange(c_n))[..., None]  # (t, C, 1)
+    n_state = (t + 1) * c_n * 2 * n
+    col0, row0 = n_state + t * n + block * width, block * height
+    cols, rows = {}, {}
+    for side, cells, keys, row_groups in runs:
+        cell = np.arange(cells)
+        for j, key in enumerate(keys):
+            cols[side, key] = col0 + len(keys) * cell + j
+        per_cell, first = sum(c for _, c in row_groups), 0
+        for group, count in row_groups:
+            rows[side, group] = (row0 + per_cell * cell + first)[..., None] + np.arange(count)
+            first += count
+        col0 = col0 + len(keys) * cells
+        row0 = row0 + per_cell * cells
+    names = {
+        "x": tuple(f"{'xq'[j // n]}.{tag}[{k}][{j % n}]"
+                   for k in range(t + 1) for tag in tags for j in range(2 * n)),
+        "u": tuple(f"u[{k}][{i}]" for k in range(t) for i in range(n)),
+    }
+    for (side, key), at in cols.items():
+        names[side, key] = tuple(f"{key}.{side}.{tag}[{k}][{i}]" for k in range(t)
+                                 for tag in tags for i in range(at.shape[-1]))
+    for group in ("x", "q"):
+        names[f"dyn.{group}"] = tuple(f"dyn.{group}.{tag}[{k}][{i}]" for k in range(t)
+                                      for tag in tags for i in range(n))
+    # the order _assemble adds the groups in
+    col_at = [np.arange(n_state + t * n)] + [cols[side, key] for side in sides for key in _KEYS]
+    row_at = [rows[side, group] for side in sides for group in ("drop", "dmin", "fmin")]
+    row_at += [rows["dyn", "x"], rows["dyn", "q"]]
+    layout = _Layout(names, tuple(np.concatenate([a.ravel() for a in at])
+                                  for at in (col_at, row_at)),
+                     np.arange(n_state).reshape(t + 1, c_n, 2 * n),
+                     n_state + np.arange(t * n).reshape(t, n),
+                     cols)
+    for arr in (*layout.order, layout.x, layout.u, *layout.cols.values()):
+        arr.setflags(write=False)
+    return layout
 
 
 def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     """Encode the horizon problem over a box with one jam profile.
 
-    Feasibility is left to the solver. ``reduced`` selects the single-component encoding, which
-    is exact only on point boxes.
+    Feasibility is left to the solver. ``reduced`` selects the
+    single-component encoding, which is exact only on point boxes.
     """
     p_up, p_lo = bounds.upper, bounds.lower
     n = p_up.n_cells
@@ -474,191 +559,123 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     lam_up = np.asarray(demand.upper, dtype=float)
     lam_lo = np.maximum(np.asarray(demand.lower, dtype=float), 0.0)
 
+    # the components on a leading axis, the lower one last
     if reduced:
-        comps = (_Comp("m", p_up, p_up, lam_up, x_hi),)
+        comp = _Comp(_stacked(p_up), _stacked(p_up), lam_up[None], x_hi[None])
     else:
-        comps = (
-            _Comp("up", p_up, p_lo, lam_up, x_hi),
-            _Comp("lo", p_lo, p_up, lam_lo, x_lo),
-        )
-    low_idx = len(comps) - 1
+        comp = _Comp(_stacked(p_up, p_lo), _stacked(p_lo, p_up),
+                     np.array([lam_up, lam_lo]), np.array([x_hi, x_lo]))
+    c_n = comp.x0.shape[0]
     merge = not reduced
     u_hw = np.minimum(p_up.u_max, p_lo.u_max)
+    beta = comp.prim.beta
 
     # ---- forward interval propagation -------------------------------
-    blb = [np.empty((t + 1, 2 * n)) for _ in comps]
-    bub = [np.empty((t + 1, 2 * n)) for _ in comps]
-    for c, comp in enumerate(comps):
-        blb[c][0] = comp.x0
-        bub[c][0] = comp.x0
+    blb = np.empty((t + 1, c_n, 2 * n))
+    bub = np.empty((t + 1, c_n, 2 * n))
+    blb[0] = bub[0] = comp.x0
     ucap = np.empty((t, n))
     limit_last = np.minimum(box_ub, terminal.x_f)
-
-    ranges = []  # per stage, per component: the _stage_ranges pair
-
     for k in range(t):
-        ucap[k] = np.minimum(u_hw, bub[low_idx][k][n:] + lam_lo)
-        # the other component of c is low_idx-c, itself when there is one
-        ranges.append([
-            _stage_ranges(comp, (blb[c][k], bub[c][k]),
-                          (blb[low_idx - c][k], bub[low_idx - c][k]), merge)
-            for c, comp in enumerate(comps)
-        ])
-        limit = limit_last if k + 1 == t else box_ub
-        for c, comp in enumerate(comps):
-            r_out, r_merge = ranges[k][c]
-            beta = comp.prim.beta
-            inc_lb = np.zeros(n)
-            inc_ub = ucap[k].copy()
-            inc_lb[1:] += beta * r_merge["f"][0]
-            inc_ub[1:] += beta * r_merge["f"][1]
-            m_lb = blb[c][k][:n] + inc_lb - r_out["f"][1]
-            m_ub = bub[c][k][:n] + inc_ub - r_out["f"][0]
-            q_lb = blb[c][k][n:] + comp.lam - ucap[k]
-            q_ub = bub[c][k][n:] + comp.lam
-            plb = np.concatenate([m_lb, q_lb])
-            pub = np.concatenate([m_ub, q_ub])
-            blb[c][k + 1], bub[c][k + 1] = _finalize(plb, pub, limit)
+        lo, hi = blb[k], bub[k]
+        ucap[k] = np.minimum(u_hw, hi[-1, n:] + lam_lo)
+        # each component's other one is the reversed stack, itself when alone
+        r_out, r_merge = _stage_ranges(comp, (lo, hi), (lo[::-1], hi[::-1]), merge)
+        inc_lb = np.zeros((c_n, n))
+        inc_ub = np.empty((c_n, n))
+        inc_ub[:] = ucap[k]
+        inc_lb[:, 1:] += beta * r_merge["f"][0]
+        inc_ub[:, 1:] += beta * r_merge["f"][1]
+        plb, pub = np.empty((2, c_n, 2 * n))
+        plb[:, :n] = lo[:, :n] + inc_lb - r_out["f"][1]
+        plb[:, n:] = lo[:, n:] + comp.lam - ucap[k]
+        pub[:, :n] = hi[:, :n] + inc_ub - r_out["f"][0]
+        pub[:, n:] = hi[:, n:] + comp.lam
+        blb[k + 1], bub[k + 1] = _finalize(plb, pub, limit_last if k + 1 == t else box_ub)
 
-    # ---- columns and rows --------------------------------------------
+    # ---- columns and rows, each group over every stage ----------------
+    # the ranges of every stage at once, elementwise as each stage's were
+    ranges = dict(zip(("out", "merge"), _stage_ranges(
+        comp, (blb[:t], bub[:t]), (blb[:t, ::-1], bub[:t, ::-1]), merge)))
+    lay = _layout(t, n, reduced)
     bld = milp.ModelBuilder(name=f"meter{t}")
-
-    # stacked-state columns per component, mainline then queues; only the
-    # upper component is costed
-    xs = tuple(np.empty((t + 1, 2 * n), dtype=np.int64) for _ in comps)
-    for k in range(t + 1):
-        weight = config.cost.l if k < t else config.cost.b
-        for c, comp in enumerate(comps):
-            for j in range(2 * n):
-                xs[c][k, j] = bld.add_variable(
-                    f"{'xq'[j // n]}.{comp.tag}[{k}][{j % n}]",
-                    lower=blb[c][k, j],
-                    upper=bub[c][k, j],
-                    objective=weight[j] if c == 0 else 0.0,
-                )
-    u_ids = np.empty((t, n), dtype=np.int64)
-    for k in range(t):
-        for i in range(n):
-            u_ids[k, i] = bld.add_variable(
-                f"u[{k}][{i}]", lower=0.0, upper=ucap[k, i]
-            )
-
-    # column ids per component and side, keyed like _KEYS; the outflow
-    # side's last realized flow is its sending flow (no cell downstream)
-    def side_ids(cells, short):
-        return {key: np.empty((t, cells - (key in short)), dtype=np.int64)
-                for key in _KEYS}
-
-    cols = [{"out": side_ids(n, ("fmin",)), "merge": side_ids(n - 1, ())}
-            for _ in comps]
-
-    def term(rng, key, i, col, coef, const=0.0):
-        """coef * x[col] + const with cell i's declared range under key."""
-        return milp.Term(col, float(coef), float(const),
-                         float(rng[key][0][i]), float(rng[key][1][i]))
-
-    def add_aux(ids, rng, key, k, i, at):
-        ids[key][k, i] = bld.add_variable(
-            at[key], lower=rng[key][0][i], upper=rng[key][1][i])
-        return int(ids[key][k, i])
-
-    def sending(ids, rng, p, at, k, i, x_col, z_col):
-        """Sending flow of cell i: the speed line against the ceiling."""
-        ids["drop"][k, i] = drop = milp.encode_capacity_drop(
-            bld, z_col, float(rng["thr"][i]), name=at["drop"])
-        cap, alpha = p.c_max[i], p.alpha[i]
-        d = add_aux(ids, rng, "d", k, i, at)
-        ids["dmin"][k, i] = milp.encode_min_equality(
-            bld, d, term(rng, "vx", i, x_col, p.v[i]),
-            term(rng, "xi", i, drop, (1.0 - alpha) * cap, alpha * cap),
-            name=at["dmin"])
-
-    def receiving(ids, rng, p, beta, at, k, i, x_down):
-        """Realized flow into cell i+1: sending against receiving flow."""
-        coef = p.w[i + 1] / beta[i]
-        s = term(rng, "s", i, x_down, -coef, coef * jam[i + 1])
-        f = add_aux(ids, rng, "f", k, i, at)
-        d = term(rng, "d", i, int(ids["d"][k, i]), 1.0)
-        ids["fmin"][k, i] = milp.encode_min_equality(bld, f, d, s,
-                                                     name=at["fmin"])
-
-    for k in range(t):
-        for c, comp in enumerate(comps):
-            r_out, r_merge = ranges[k][c]
-            tag = comp.tag
-            prim, sec = comp.prim, comp.sec
-            out, mrg = cols[c]["out"], cols[c]["merge"]
-            xo_k = xs[c][k, :n]
-            xn_k = xs[c][k + 1, :n]
-            zo_k = xs[low_idx - c][k, :n]
-            for i in range(n):
-                sending(out, r_out, sec, _labels("out", tag, k, i), k, i,
-                        int(xo_k[i]), int(xo_k[i]))
-            for i in range(n - 1):
-                receiving(out, r_out, sec, prim.beta,
-                          _labels("out", tag, k, i), k, i,
-                          int(xo_k[i + 1]))
-            out["f"][k, n - 1] = out["d"][k, n - 1]
-            if merge:
-                for i in range(n - 1):
-                    at = _labels("merge", tag, k, i)
-                    sending(mrg, r_merge, prim, at, k, i,
-                            int(xo_k[i]), int(zo_k[i]))
-                    receiving(mrg, r_merge, prim, prim.beta, at, k, i,
-                              int(xo_k[i + 1]))
-            else:
-                mrg["f"][k] = out["f"][k, : n - 1]
-            # conservation across the stage boundary
-            for i in range(n):
-                coeffs = {
-                    int(xn_k[i]): 1.0,
-                    int(xo_k[i]): -1.0,
-                    int(u_ids[k, i]): -1.0,
-                    int(out["f"][k, i]): 1.0,
-                }
-                if i:
-                    fid = int(mrg["f"][k, i - 1])
-                    coeffs[fid] = coeffs.get(fid, 0.0) - prim.beta[i - 1]
-                bld.add_row(coeffs, "E", 0.0, f"dyn.x.{tag}[{k}][{i}]")
-                bld.add_row(
-                    {
-                        int(xs[c][k + 1, n + i]): 1.0,
-                        int(xs[c][k, n + i]): -1.0,
-                        int(u_ids[k, i]): 1.0,
-                    },
-                    "E", float(comp.lam[i]), f"dyn.q.{tag}[{k}][{i}]",
-                )
-
+    obj = np.zeros((t + 1, c_n, 2 * n))  # only the upper component is costed
+    obj[:t, 0] = config.cost.l
+    obj[t, 0] = config.cost.b
+    xs = bld.add_variable(lay.names["x"], lower=blb.ravel(), upper=bub.ravel(),
+                          objective=obj.ravel()).reshape(t + 1, c_n, 2 * n)
+    u_ids = bld.add_variable(lay.names["u"], lower=0.0, upper=ucap.ravel()).reshape(t, n)
+    own = xs[:t, :, :n]
+    ids = {}
+    # per side, the groups drop, d, dmin, f and fmin, in the order the
+    # layout places them
+    for side, p in (("out", comp.sec), ("merge", comp.prim))[:1 + merge]:
+        rng, names = ranges[side], {key: lay.names[side, key] for key in _KEYS}
+        cells = rng["d"][0].shape[-1]
+        # the ceiling reads the own occupancy on the outflow side, the other
+        # component's on the merge side
+        reads = own if side == "out" else xs[:t, ::-1, :cells]
+        drop = milp.encode_capacity_drop(bld, reads, rng["thr"], name=names["drop"])
+        d = bld.add_variable(names["d"], lower=rng["d"][0], upper=rng["d"][1])
+        d = d.reshape(drop.shape)
+        cap, alpha = p.c_max[:, :cells], p.alpha[:, :cells]
+        milp.encode_min_equality(
+            bld, d, milp.Term(own[..., :cells], p.v[:, :cells], 0.0, *rng["vx"]),
+            milp.Term(drop, (1.0 - alpha) * cap, alpha * cap, *rng["xi"]), name=names["dmin"])
+        f = bld.add_variable(names["f"], lower=rng["f"][0][..., :n - 1],
+                             upper=rng["f"][1][..., :n - 1]).reshape(t, c_n, n - 1)
+        coef = p.w[:, 1:] / beta
+        milp.encode_min_equality(
+            bld, f, milp.Term(d[..., :n - 1], 1.0, 0.0, *(e[..., :n - 1] for e in rng["d"])),
+            milp.Term(own[..., 1:], -coef, coef * jam[1:], *rng["s"]), name=names["fmin"])
+        ids[side] = d, f
+    # conservation across the stage boundary; the outflow side's last
+    # realized flow is its sending flow (no cell downstream), and the merge
+    # into cell i + 1 is the outflow of cell i without merge columns
+    (d_out, f_out), (_, f_in) = ids["out"], ids["merge" if merge else "out"]
+    shape = (t, c_n, n)
+    u_all = np.broadcast_to(u_ids[:, None], shape)
+    bld.add_row([(xs[1:, :, :n], 1.0), (own, -1.0), (u_all, -1.0),
+                 (np.concatenate([f_out, d_out[..., -1:]], axis=-1), 1.0),
+                 # cell 0 has no merge: a zero coefficient, which adds no entry
+                 (np.concatenate([own[..., :1], f_in], axis=-1),
+                  np.broadcast_to(np.concatenate([np.zeros((c_n, 1)), -beta], axis=-1), shape))],
+                "E", 0.0, lay.names["dyn.x"])
+    bld.add_row([(xs[1:, :, n:], 1.0), (xs[:t, :, n:], -1.0), (u_all, 1.0)],
+                "E", np.broadcast_to(comp.lam, shape), lay.names["dyn.q"])
     bld.fix_decided()
-    model = bld.build()
+    model = bld.build(order=lay.order)
+
+    sides = [(side, [lay.cols[side, key] for key in _KEYS])
+             for side in ("out", "merge")[:1 + merge]]
 
     def encode(u_seq):
         """Roll the tube under a clipped metering plan into a column vector,
         unchecked: ``milp.solve_milp`` verifies every candidate it gets."""
         u_seq = np.asarray(u_seq, dtype=float).reshape(t, n)
         vec = np.zeros(model.lp.n_cols)
-        state = [comp.x0 for comp in comps]
-        for ids, x0 in zip(xs, state):
-            vec[ids[0]] = x0
+        state = comp.x0
+        vec[lay.x[0]] = state
         for k in range(t):
-            avail = state[low_idx][n:] + lam_lo
-            u_k = np.clip(u_seq[k], 0.0, np.minimum(ucap[k], avail))
-            vec[u_ids[k]] = u_k
-            flows = [comp.flows(state[c], state[low_idx - c], u_k)
-                     for c, comp in enumerate(comps)]
-            for c, flow in enumerate(flows):
-                _scatter(vec, cols[c]["out"], k, flow.out)
-                if merge:
-                    _scatter(vec, cols[c]["merge"], k, flow.merge)
-                vec[xs[c][k + 1]] = flow.next
-            state = [flow.next for flow in flows]
+            u_k = np.clip(u_seq[k], 0.0, np.minimum(ucap[k], state[-1, n:] + lam_lo))
+            flows = comp.flows(state, state[::-1], u_k)
+            vec[lay.u[k]] = u_k
+            for side, (drop, d, dmin, f, fmin) in sides:
+                at = getattr(flows, side)
+                vec[drop[k]] = at.keep
+                vec[d[k]] = at.d
+                vec[dmin[k]] = at.vx <= at.xi
+                vec[f[k]] = at.f[..., :n - 1]
+                vec[fmin[k]] = at.d[..., :n - 1] <= at.s
+            state = flows.next
+            vec[lay.x[k + 1]] = state
         return vec
 
     def decode(x):
         x = np.asarray(x)
-        return x[u_ids], x[xs[0]], x[xs[low_idx]]
+        return x[lay.u], x[lay.x[:, 0]], x[lay.x[:, -1]]
 
-    return _Problem(model, u_ids, encode, decode)
+    return _Problem(model, lay.u, encode, decode)
 
 
 def _incumbent_hook(prob: _Problem) -> Callable:
@@ -699,7 +716,9 @@ def solve_mpc(
     decoded trajectories shared between the tube sides. The result is
     always an optimal plan: an infeasible horizon raises
     ``InfeasibleProblem``, and a solver budget overrun raises
-    ``SolveBudgetExceeded`` carrying the incumbent diagnostics.
+    ``SolveBudgetExceeded`` carrying the incumbent diagnostics. Both, and a
+    ``milp.NumericalBreakdown`` that escapes the solver, carry the model
+    that failed as ``model``, for ``milp.dump_model``.
     """
     bounds = ParamBounds(param_bounds.upper,
                          replace(param_bounds.lower, x_jam=param_bounds.upper.x_jam))
@@ -716,12 +735,16 @@ def solve_mpc(
     t = config.horizon
     track = np.tile(np.asarray(demand_bounds.upper, dtype=float), (t, 1))
 
-    sol = milp.solve_milp(
-        prob.model,
-        budget=budget,
-        incumbent_hook=_incumbent_hook(prob),
-        initial_candidates=[prob.encode(s) for s in (track, np.zeros_like(track))],
-    )
+    try:
+        sol = milp.solve_milp(
+            prob.model,
+            budget=budget,
+            incumbent_hook=_incumbent_hook(prob),
+            initial_candidates=[prob.encode(s) for s in (track, np.zeros_like(track))],
+        )
+    except milp.NumericalBreakdown as err:
+        err.model = prob.model
+        raise
     if sol.status == milp.OPTIMAL:
         controls, upper, lower = prob.decode(sol.x)
         return MpcResult(
@@ -734,13 +757,16 @@ def solve_mpc(
             solution=sol,
         )
     if sol.status == milp.INFEASIBLE:
-        raise InfeasibleProblem(
+        stop = InfeasibleProblem(
             f"no horizon-{t} plan reaches the terminal box from the given "
             f"state box (explored {sol.nodes} nodes)"
         )
-    have = "no incumbent" if not np.isfinite(sol.objective) else (
-        f"incumbent {sol.objective:.6g}, bound {sol.bound:.6g}"
-    )
-    raise SolveBudgetExceeded(
-        f"node budget exhausted after {sol.nodes} nodes ({have})", sol
-    )
+    else:
+        have = "no incumbent" if not np.isfinite(sol.objective) else (
+            f"incumbent {sol.objective:.6g}, bound {sol.bound:.6g}"
+        )
+        stop = SolveBudgetExceeded(
+            f"node budget exhausted after {sol.nodes} nodes ({have})", sol
+        )
+    stop.model = prob.model
+    raise stop

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rampflow import cli, harness
+from rampflow import cli, harness, milp
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
 PRESET = harness.PRESETS["fourcell_constant"]
@@ -206,11 +206,49 @@ def test_run_command_exits_with_the_typed_loop_stop(tmp_path, capsys):
     assert cli.main(["run", str(source), "--csv", str(out)]) == 1
     reason = ("InfeasibleProblem: no horizon-10 plan reaches the terminal "
               "box from the given state box (explored 1 nodes)")
-    assert capsys.readouterr().err == f"rampflow: short: {reason}\n"
+    assert capsys.readouterr().err == (f"rampflow: short: {reason}\n"
+                                       f"rampflow: short: model written to {out}.model\n")
     back, meta = read_log(out)
     assert meta["stopped"] == reason.split()
     warmup = harness.load_scenario(str(source)).warmup
     assert [s.phase for s in back.steps] == ["warmup"] * warmup
+
+
+def test_a_failed_plan_leaves_its_model_and_a_normal_run_leaves_none(
+        tmp_path, monkeypatch, capsys):
+    """The horizon-10 scenario's first plan is infeasible: the command
+    writes the model the planner handed the solver beside the CSV, in
+    ``dump_model``'s grammar. A run whose plans all succeed writes no model
+    file, and its CSV is the one ``emit_csv`` writes for the same loop."""
+    solve, models = milp.solve_milp, []
+
+    def recorded(model, **kwargs):
+        models.append(model)
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_milp", recorded)
+    text = _edit(PRESET, "  horizon 60", ["  horizon 10"], keep=False)[0]
+    failed = tmp_path / "failed"
+    failed.mkdir()
+    (failed / "short.scn").write_text(_edit(text, "  steps 60", ["  steps 3"], keep=False)[0])
+    out = failed / "short.csv"
+    assert cli.main(["run", str(failed / "short.scn"), "--csv", str(out)]) == 1
+    assert str(out) + ".model" in capsys.readouterr().err
+    lp = models[-1].lp
+    dump = (failed / "short.csv.model").read_text()
+    assert f"vars {lp.n_cols}" in dump.splitlines() and f"rows {lp.n_rows}" in dump.splitlines()
+    assert dump == milp.dump_model(models[-1])
+
+    normal = tmp_path / "normal"
+    normal.mkdir()
+    (normal / "short_plan.scn").write_text(_short_planning_text())
+    out = normal / "record.csv"
+    assert cli.main(["run", str(normal / "short_plan.scn"), "--csv", str(out)]) == 0
+    assert sorted(p.name for p in normal.iterdir()) == ["record.csv", "short_plan.scn"]
+    scenario = _short_planning_scenario()
+    log = harness.run_closed_loop(scenario)
+    direct = emit_csv(log, tmp_path / "direct.csv", meta=harness.scenario_meta(scenario, log))
+    assert out.read_bytes() == direct.read_bytes()
 
 
 def test_a_typed_stop_carries_the_ticks_done_and_the_command_writes_them(

@@ -495,7 +495,7 @@ def test_a_tie_in_a_node_box_leaves_the_selector_to_branching(push):
     model, y, _, z = _node_tie_model(push)
     lp = model.lp
     root = milp._RowPropagation(lp).box(lp.col_lower, lp.col_upper, {})
-    assert np.isnan(milp._Selectors(model.gadgets).decide(*root, ties=False)).all()
+    assert np.isnan(milp._Selectors(model.operands).decide(*root, ties=False)).all()
     sol = solve_milp(model, budget=MilpBudget())
     ref = _highs_milp(model)
     assert sol.status == OPTIMAL and ref.status == 0
@@ -1432,3 +1432,82 @@ def test_the_restricted_dual_entering_choice_matches_the_dense_one(seed):
             ratio = np.maximum(move[ok] * d[ok], 0.0) / np.abs(alpha[ok])
             seen["tie"] += np.count_nonzero(ratio == ratio[ok == ref]) > 1
     assert min(seen.values()) >= 10, seen
+
+
+def _assert_same_sparse(got, ref):
+    assert got.format == ref.format and got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+        assert getattr(got, name).dtype == getattr(ref, name).dtype, name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_solver_setup_builds_the_arrays_scipy_builds(m, n, seed):
+    """``EqualityForm``'s ``[A | I]`` and the propagation's stacked rows,
+    built straight from A's CSC arrays, hold exactly the arrays of scipy's
+    ``hstack`` and of a COO construction, dtypes included, on matrices with
+    empty columns, single rows and negative entries."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((m, n)) < 0.5, rng.normal(size=(m, n)), 0.0)
+    dense[:, rng.random(n) < 0.3] = 0.0
+    a = sp.csc_matrix(dense)
+    senses = rng.choice(list("LEG"), m)
+    form = _simplex.EqualityForm(a, senses, np.ones(m), np.zeros(n))
+    _assert_same_sparse(form.cols, sp.hstack([a, sp.identity(m, format="csc")], format="csc"))
+
+    rows, up = a.indices, a.data > 0
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    stack = sp.csr_matrix(
+        (np.concatenate([a.data, -a.data]),
+         (np.concatenate([rows, rows + m]),
+          np.concatenate([np.where(up, cols, cols + n), np.where(up, cols + n, cols)]))),
+        shape=(2 * m + 1, 2 * n))
+    lp = milp.LinearProgram("stack", np.zeros(n), np.zeros(n), np.ones(n),
+                            [f"x{j}" for j in range(n)], a, senses, np.ones(m),
+                            [f"r{i}" for i in range(m)])
+    _assert_same_sparse(milp._RowPropagation(lp).stack, stack)
+
+
+def test_a_block_of_gadgets_is_the_gadgets_added_one_by_one():
+    """The array form of the builder and of both gadget encoders writes the
+    model a loop of scalar calls writes, and ``build`` places columns and
+    rows where ``order`` says, renumbering entries and gadget records."""
+    rng = np.random.default_rng(3)
+    lo, hi = rng.uniform(0.0, 5.0, 6), rng.uniform(5.0, 10.0, 6)
+    crit = np.array([4.0, 5.0, 6.0])
+    models = []
+    for block in (False, True):
+        b = ModelBuilder("block")
+        x = (b.add_variable([f"x{j}" for j in range(6)], lower=lo, upper=hi) if block else
+             [b.add_variable(f"x{j}", lower=lo[j], upper=hi[j]) for j in range(6)])
+        terms = [Term(x[j], 1.0, 0.0, lo[j], hi[j]) for j in range(6)]
+        if block:
+            encode_capacity_drop(b, np.array(x[:3]), crit, name=["d0", "d1", "d2"])
+            encode_min_equality(b, np.array(x[3:]), Term(*np.array(terms[:3]).T),
+                                Term(*np.array(terms[3:]).T))
+            b.add_row([(np.array(x[:3]), 1.0), (np.array(x[3:]), [2.0, 0.0, -1.0])],
+                      "LGE", [1.0, 2.0, 3.0], ["s0", "s1", "s2"])
+        else:
+            for j in range(3):
+                encode_capacity_drop(b, x[j], crit[j], name=f"d{j}")
+            for j in range(3):
+                encode_min_equality(b, x[3 + j], terms[j], terms[3 + j])
+            for j, (c, s) in enumerate(zip((2.0, 0.0, -1.0), "LGE")):
+                b.add_row({x[j]: 1.0, x[3 + j]: c}, s, float(j + 1), f"s{j}")
+        b.fix_decided()
+        models.append(b.build())
+    assert dump_model(models[0]) == dump_model(models[1])
+
+    reverse = [np.arange(b.n_cols)[::-1], np.arange(b.n_rows)[::-1]]
+    placed = b.build(order=reverse)
+    assert placed.lp.col_names == models[1].lp.col_names[::-1]
+    assert placed.lp.row_names == models[1].lp.row_names[::-1]
+    np.testing.assert_array_equal(placed.lp.matrix().toarray(),
+                                  models[1].lp.matrix().toarray()[::-1, ::-1])
+    last = b.n_cols - 1
+    assert [g.z for g in placed.gadgets] == sorted(last - g.z for g in models[1].gadgets)
+    assert all(placed.lp.col_names[g.z] == models[1].lp.col_names[last - g.z]
+               for g in placed.gadgets)
+    with pytest.raises(ValueError, match="exactly once"):
+        b.build(order=[np.zeros(b.n_cols, dtype=int), reverse[1]])

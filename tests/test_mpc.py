@@ -1,5 +1,7 @@
 """Horizon planning: frozen values, encoding census, solve paths, certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,15 +310,15 @@ def test_kernel_intermediates_stay_inside_the_stage_ranges(seed):
     p_up, p_lo = random_param_pair(rng, n)
     lam = rng.uniform(0.0, 10.0, n)
     own, oth = random_box(rng, p_up.x_jam), random_box(rng, p_up.x_jam)
-    for comp in (mpc._Comp("up", p_up, p_lo, lam, own[1]),
-                 mpc._Comp("lo", p_lo, p_up, lam, own[0])):
+    for comp in (mpc._Comp(p_up, p_lo, lam, own[1]),
+                 mpc._Comp(p_lo, p_up, lam, own[0])):
         r_out, r_merge = mpc._stage_ranges(comp, own, oth, True)
         x = points_in(rng, own, r_out["thr"], 250)
         z = points_in(rng, oth, r_merge["thr"], 250)
         flows = comp.flows(x, z, 0.0)
         assert_within(flows.out, r_out)
         assert_within(flows.merge, r_merge)
-    single = mpc._Comp("m", p_up, p_up, lam, own[1])
+    single = mpc._Comp(p_up, p_up, lam, own[1])
     r_out, r_merge = mpc._stage_ranges(single, own, own, False)
     x = points_in(rng, own, r_out["thr"], 250)
     flows = single.flows(x, x, 0.0)
@@ -377,6 +379,71 @@ def test_encoded_plan_is_feasible_and_replays_the_kernel(seed):
             upper[k], lower[k], controls[k], dem.upper, p_up, p_lo).next)
         np.testing.assert_array_equal(lower[k + 1], _tube_flows(
             lower[k], upper[k], controls[k], dem.lower, p_lo, p_up).next)
+
+
+def pinned_case(name, stretch, nominal_demand):
+    """The inputs of one pinned model: (state box, demand box, horizon,
+    terminal box, reduced, the share of the upper arrivals the encoded plan
+    meters)."""
+    point_dem = DemandBounds(upper=nominal_demand, lower=nominal_demand)
+    drained = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
+    if name.startswith("point"):
+        t = int(name[len("point T="):])
+        return equilibrium_box(), point_dem, t, drained, True, 0.75
+    if name.startswith("interval"):
+        box = LiftedState(upper=np.concatenate([X_UNC * 1.01, np.full(4, 0.5)]),
+                          lower=equilibrium_box().lower * 0.9)
+        dem = DemandBounds(upper=nominal_demand * 1.02, lower=nominal_demand * 0.98)
+        return (box, dem, int(name[len("interval T="):]),
+                mpc.TerminalSet.mainline_only(np.full(4, 60.0)), False, 0.9)
+    if name == "on the drop threshold":
+        # cell 1 starts exactly at c_max / v, so its first-stage drop switch
+        # is decided with both big-M constants zero
+        x0 = np.concatenate([[40.0], X_UNC[1:], np.zeros(4)])
+        return LiftedState(upper=x0, lower=x0.copy()), point_dem, 3, drained, True, 1.0
+    # the mainline caps sit below the propagated reach of the last stage
+    return (equilibrium_box(), point_dem, 2,
+            mpc.TerminalSet.mainline_only(np.array([38.0, 37.0, 37.5, 36.5])), True, 0.5)
+
+
+PINNED_MODELS = {
+    # sha256 of (dump_model text, encoded plan) as the cell-by-cell encoding wrote them
+    "point T=1": ("83119709caf6d6ce54395361dde4b27ad0db92c02a785c08fb5123e47a98f6d7",
+                  "2c07ba16a56fd459076c6250d6583bd3301e9298b6ca41dcc0206b6ecaf90c7d"),
+    "point T=2": ("2692c7a864449b0fe8a2408d50749e7b83d7ba18fbd3e1613da9cd166f2266ea",
+                  "7d1d8398ac734e5b70660b6f507028ca7a71b5024d71260477f33119e2eb309c"),
+    "point T=10": ("03efd0f832181c8fec30bf7d7cb39c9e1b0bfe9a244a4de7fb89ce370c8383c5",
+                   "dcd7bba17873fbdb3aab13b831bfb985a166652c34a1f57c2aa69430f0b49b8f"),
+    "interval T=1": ("bc2020854d9ad3f36e1836ccdb5fce7793257b77517d1bc94fe37525263a51cb",
+                     "541fd900e343ec5e3f33095ba0415b0fe39872819fb9bacd185d3965dd43991c"),
+    "interval T=5": ("435d0073ecec1deda6c6bfe38b1deb2e68d5a660eb7b5001745c493ad6e22fb2",
+                     "5eab3f42134ac5174dee3220ffb4dad2bab40622902b3479b17440ccc3a26d2a"),
+    "on the drop threshold": ("4183e18da53b5250c64514967669448aa2cff1570cfac96b1843a6127984ee53",
+                              "5d84745fbe3b9cd999bc43a7a6f1d79bc1cfaad7f5fabdeab5a9aac67b606062"),
+    "terminal binds": ("3bbccf23c34b241af806b9c8cf272ca9b85977660041b441aa2d92d497a55463",
+                       "42ce040273d3a15fb1418aeecc6ee0d185c29fed97667f455663e6e20b0f3692"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_MODELS)
+def test_the_planner_builds_its_pinned_models(stretch, nominal_demand, point_params, name):
+    """The sha256 of each model's ``dump_model`` text and of one encoded
+    plan: every column, row, name, bound, coefficient and gadget record
+    in its place, and the codec's vector bit for bit. The column order
+    matters beyond the text, since branching and pricing break ties by the
+    lowest index."""
+    box, dem, t, terminal, reduced, scale = pinned_case(name, stretch, nominal_demand)
+    prob = mpc._assemble(box, dem, point_params, default_config(t), terminal, reduced=reduced)
+    text = milp.dump_model(prob.model)
+    vec = prob.encode(np.tile(dem.upper * scale, (t, 1)))
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(vec.tobytes()).hexdigest()) == PINNED_MODELS[name]
+    if name == "on the drop threshold":
+        assert "row 0 drop.out.m[0][0].cap L 40.0 : 1.0*0" in text.splitlines()
+    if name == "terminal binds":
+        lp = prob.model.lp
+        last = [lp.col_upper[lp.col_names.index(f"x.m[2][{i}]")] for i in range(4)]
+        assert np.any(np.array(last) == terminal.x_f[:4])
 
 
 # --------------------------------------------------------- solve paths

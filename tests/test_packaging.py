@@ -16,7 +16,6 @@ PYPROJECT = ROOT / "pyproject.toml"
 # purpose; each one leaves this list once something calls it
 KEPT = {
     "terminal_lyapunov_check": "the terminal-ingredient audit the planner is to be wired to",
-    "dump_model": "writes the solver model a failed plan can be replayed from",
 }
 
 

@@ -15,11 +15,14 @@ took the dual simplex (``_simplex._Worker._dual`` calls), the gadget
 selectors that nodes fixed from their propagated boxes (summed over
 ``milp._Selectors.fixes``), the incumbent-hook calls that reached the
 planner's ``encode`` (those that returned a vector rather than ``None``),
-``tts_veh``, and the stacked propagations of
+``tts_veh``, the stacked propagations of
 the parameter contraction with the boxes they carry (counted by wrapping
-``estimators._certified``). Two commits that print the same digest, plan
-ticks, solves, pivots and ``tts_veh`` ran the same loops bit for bit; the
-same ``rows`` with a different sha256 means only the metadata changed.
+``estimators._certified``), and under ``models`` the sha256 of the joined
+``milp.dump_model`` text of every model ``milp.solve_milp`` received. Two
+commits that print the same digest, plan ticks, solves, pivots and
+``tts_veh`` ran the same loops bit for bit, and the same ``models`` says
+they built the same solver models too; the same ``rows`` with a different
+sha256 means only the metadata changed.
 Nodes that propagation closes are not solved, so the same nodes with fewer
 solves is the same tree with less work. The last two counts show what the
 contraction spent on them.
@@ -54,6 +57,7 @@ def main(argv=None) -> int:
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
     factor = _simplex._Worker._factor
     counts = [0] * 11
+    models = hashlib.sha256()
 
     def counted(*args, **kwargs):
         res = solve_canonical(*args, **kwargs)
@@ -75,6 +79,7 @@ def main(argv=None) -> int:
 
         if incumbent_hook is not None:
             kwargs["incumbent_hook"] = counted_hook
+        models.update(milp.dump_model(args[0]).encode())
         sol = solve_milp(*args, **kwargs)
         counts[4] += sol.nodes
         return sol
@@ -118,6 +123,7 @@ def main(argv=None) -> int:
 
         for name, seed in itertools.product(WORKLOADS, seeds):
             counts[:] = [0] * 11
+            models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
             rows = hashlib.sha256(b"".join(
@@ -130,7 +136,8 @@ def main(argv=None) -> int:
                   f"dual_solves {counts[6]} "
                   f"node_fixed {counts[7]} hook_encodes {counts[8]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
-                  f"certified_calls {counts[2]} certified_boxes {counts[3]}")
+                  f"certified_calls {counts[2]} certified_boxes {counts[3]} "
+                  f"models {models.hexdigest()}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
                                                       ("alinea", "openloop", "local")):
             text = edit_preset(text, {"controller": {"kind": kind}})
