@@ -56,7 +56,7 @@ def _rules_hold(rules, *args) -> np.ndarray:
     """Per index of the leading axes of args, whether every rule holds."""
     held = np.bool_(True)
     for _, rule in rules:
-        held = held & ~np.any(rule(*args), axis=-1)
+        held = held & ~rule(*args).any(axis=-1)
     return held
 
 

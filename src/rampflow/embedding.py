@@ -5,16 +5,25 @@ past its critical occupancy), so interval prediction goes through a
 two-argument decomposition instead: ``_tube_flows`` evaluates the next state
 from an own state x with its arrivals lam, an other-component state z, and
 two parameter sets, a primary one that pushes the result up and a secondary
-one that pulls it down. Evaluating it twice, with the states and the sets
-exchanged, brackets every trajectory the uncertainty boxes allow.
+one that pulls it down. Evaluating it for both components, with the states
+and the sets exchanged, brackets every trajectory the uncertainty boxes
+allow.
+
+Every tube step evaluates both components in one call on a leading
+component axis, the upper component first: the bracket is one
+``(2, ..., 2I)`` array ``x`` whose other component is ``x[::-1]``, and
+the primary sets are the box's corners stacked the same way (upper corner
+first), so the secondary sets are the same arrays reversed, as views.
+``_stacked`` builds that pair from parameter sets and ``_pair`` from
+stacked fields; ``ParamBounds.pair`` holds a box's pair, built once.
 
 ``_tube_flows`` is the one home of the tube's flow arithmetic. Besides the
 next state it returns the named intermediates of the outflow side and the
 merge side (speed-line flow, drop threshold and no-drop flag, switched
 ceiling, sending flow, affine receiving flow, realized flow).
-``_clamped_step`` keeps the next state of both components, clamped; it serves
-``lifted_step`` and, on stacks of parameter boxes, the certificate in
-:mod:`rampflow.estimators`. The planner in :mod:`rampflow.mpc`
+``_clamped_step`` steps a bracket with one kernel call and clamps it in
+place; it serves ``lifted_step`` and, on stacks of parameter boxes, the
+certificate in :mod:`rampflow.estimators`. The planner in :mod:`rampflow.mpc`
 scatters the sending and realized flows and the selectors into its MILP
 columns, and evaluates every intermediate at box corners for the ranges of
 its columns and terms, which set the big-M constants. The plant in :mod:`rampflow.ctm` is a separate
@@ -46,6 +55,8 @@ which the kernel leaves out, never changes the realized flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +64,20 @@ import numpy as np
 from .ctm import RANGE_RULES, FreewayParams, _raise_broken, _rules_hold
 
 PARAM_FIELDS = ("beta", "v", "w", "x_jam", "c_max", "alpha")
+
+
+def _pair(fields: dict) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """The (primary, secondary) sets of fields stacked on a leading component
+    axis, upper component first: the secondary sets are the same arrays
+    reversed along that axis, as views."""
+    return (SimpleNamespace(**fields),
+            SimpleNamespace(**{name: a[::-1] for name, a in fields.items()}))
+
+
+def _stacked(*sets) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """The pair of parameter sets stacked one per component, in the order given."""
+    return _pair({name: np.array([getattr(p, name) for p in sets])
+                  for name in (*PARAM_FIELDS, "u_max")})
 
 
 @dataclass(frozen=True)
@@ -90,13 +115,14 @@ class DemandBounds:
 
 
 # The ranges of a box on top of its corners' own (ctm.RANGE_RULES), as
-# (message, rule(upper, lower)) pairs in the order construction checks them.
+# (message, rule(primary)) pairs in the order construction checks them; the
+# rules read the primary sets of the box's pair, upper corner at index 0.
 BOX_RULES = tuple(
     (f"lower bound of {name} exceeds upper bound",
-     lambda up, lo, name=name: getattr(lo, name) > getattr(up, name) + 1e-12)
+     lambda p, name=name: getattr(p, name)[1] > getattr(p, name)[0] + 1e-12)
     for name in PARAM_FIELDS) + (
     ("tube propagation needs v + w <= 1 per cell",
-     lambda up, lo: up.v + up.w > 1.0 + 1e-12),
+     lambda p: p.v[0] + p.w[0] > 1.0 + 1e-12),
 )
 
 
@@ -114,7 +140,12 @@ class ParamBounds:
     lower: FreewayParams
 
     def __post_init__(self):
-        _raise_broken(BOX_RULES, self.upper, self.lower)
+        _raise_broken(BOX_RULES, self.pair[0])
+
+    @cached_property
+    def pair(self) -> tuple[SimpleNamespace, SimpleNamespace]:
+        """The corners as the kernel's (primary, secondary) pair, upper first."""
+        return _stacked(self.upper, self.lower)
 
     @property
     def is_point(self) -> bool:
@@ -123,15 +154,17 @@ class ParamBounds:
             for n in PARAM_FIELDS)
 
 
-def _box_admissible(upper, lower) -> np.ndarray:
-    """Would ``ParamBounds`` accept the corners, per candidate on the leading axes?
+def _box_admissible(primary) -> np.ndarray:
+    """Would ``ParamBounds`` accept the boxes, per candidate on the stacking axes?
 
-    upper and lower carry the fields of ``FreewayParams`` (u_max included)
-    as arrays with cells on the last axis; any leading axes stack candidate
-    boxes. The answer is the one construction gives from the same rules.
+    primary is the primary half of a pair: the fields of ``FreewayParams``
+    (u_max included) stacked on a leading component axis, upper corner
+    first, with cells on the last axis; the axes between stack candidate
+    boxes. Both corners' ranges come from one pass of the rules over the
+    pair. The answer is the one construction gives from the same rules.
     """
-    return (_rules_hold(RANGE_RULES, upper) & _rules_hold(RANGE_RULES, lower)
-            & _rules_hold(BOX_RULES, upper, lower))
+    corners = _rules_hold(RANGE_RULES, primary)
+    return corners[0] & corners[1] & _rules_hold(BOX_RULES, primary)
 
 
 class _Side(NamedTuple):
@@ -172,7 +205,8 @@ def _tube_flows(x, z, u, lam, primary, secondary) -> _TubeFlows:
 
     primary and secondary are anything with the parameter fields as
     attributes (``FreewayParams``, or stacked corners); the secondary set's
-    beta is never read. All arrays; cells along the last axis. The
+    beta is never read. All arrays; cells along the last axis; x carries
+    every leading axis and the other arguments broadcast against it. The
     receiving flow stays affine (negative above x_jam, which interval
     arithmetic can reach when the jam bound is read from the opposite
     corner of the box); only the realized flow clamps it at zero. Its cap
@@ -200,32 +234,38 @@ def _tube_flows(x, z, u, lam, primary, secondary) -> _TubeFlows:
     s = (a.w[..., 1:] / a.beta) * (a.x_jam[..., 1:] - xm[..., 1:])
     merge = _Side(vx, thr, keep, xi, d, s, np.minimum(d, np.maximum(0.0, s)))
 
-    shape = np.broadcast_shapes(xm.shape, np.shape(u))
-    inflow = np.zeros(shape)
-    inflow += u
-    inflow[..., 1:] += a.beta * merge.f
-    next_m = (xm + inflow) - out.f
-    next_r = (xr + lam) - u
-    return _TubeFlows(out, merge,
-                      np.concatenate(np.broadcast_arrays(next_m, next_r), axis=-1))
+    # the inflow u + beta*f, no merge into cell 0; the next state is written
+    # into one array shaped like x
+    inflow = np.empty(merge.f.shape[:-1] + (n,))
+    inflow[..., 0] = 0.0
+    np.multiply(a.beta, merge.f, out=inflow[..., 1:])
+    inflow = u + inflow
+    nxt = np.empty(x.shape)
+    np.add(xm, inflow, out=nxt[..., :n])
+    nxt[..., :n] -= out.f
+    np.add(xr, lam, out=nxt[..., n:])
+    nxt[..., n:] -= u
+    return _TubeFlows(out, merge, nxt)
 
 
-def _clamped_step(up, lo, u, demand: DemandBounds, upper, lower):
+def _clamped_step(x, u, lam, pair):
     """Both tube components one step, clamped to physical ranges.
 
-    up and lo are the state bracket; upper and lower are the box's corners,
-    anything with the parameter fields as attributes. Leading axes of the
-    bracket or the corners' arrays stack boxes; the bracket must carry them
-    all. Returns the next (up, lo).
+    x is the bracket, the upper component before the lower on its leading
+    axis, and lam the components' arrivals, (2, I) in the same order; pair
+    is a box's (primary, secondary) sets stacked the same way (``_pair``).
+    The axes between the component axis and the cells stack boxes; x must
+    carry them all. One kernel call steps both components, and the next
+    bracket is clamped in place and returned.
     """
-    nxt_up = _tube_flows(up, lo, u, demand.upper, upper, lower).next
-    nxt_lo = _tube_flows(lo, up, u, demand.lower, lower, upper).next
-    n = nxt_up.shape[-1] // 2
-    cap = np.maximum(upper.x_jam, lower.x_jam)
-    for arr in (nxt_up, nxt_lo):
-        np.clip(arr[..., :n], 0.0, cap, out=arr[..., :n])
-        np.clip(arr[..., n:], 0.0, None, out=arr[..., n:])
-    return nxt_up, nxt_lo
+    prim, sec = pair
+    lam = lam.reshape((2,) + (1,) * (x.ndim - 2) + lam.shape[-1:])
+    nxt = _tube_flows(x, x[::-1], u, lam, prim, sec).next
+    # max-then-min is np.clip's arithmetic, in two whole-array passes
+    np.maximum(nxt, 0.0, out=nxt)
+    main = nxt[..., :lam.shape[-1]]
+    np.minimum(main, np.maximum(prim.x_jam[0], prim.x_jam[1]), out=main)
+    return nxt
 
 
 def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
@@ -236,9 +276,9 @@ def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
     in [0, x_jam] and its queues nonnegative, so tightening the bracket to
     those ranges cannot lose the true state.
     """
-    up, lo = _clamped_step(lifted.upper, lifted.lower, u, demand,
-                           bounds.upper, bounds.lower)
-    if np.any(up < lo - 1e-9):
+    x = _clamped_step(np.array([lifted.upper, lifted.lower]), u,
+                      np.array([demand.upper, demand.lower]), bounds.pair)
+    if np.any(x[0] < x[1] - 1e-9):
         raise AssertionError("tube inverted: upper fell below lower")
-    return LiftedState(upper=up, lower=lo)
+    return LiftedState(upper=x[0], lower=x[1])
 

@@ -15,9 +15,10 @@ run.
 
 The propagation takes a stack of boxes at once. A stack costs far less
 than its boxes one at a time, but its cost still grows with its rows: on
-a 5-step window, one box takes about 1.0 ms, 48 rows 1.9 ms and 473 rows
-4.1 ms (one Xeon core, numpy 2.4). A walk reads only one path of its
-bisection tree: the probes it visits while none certifies, its spine.
+a 5-step window, one box takes about 0.4 ms, 48 rows 0.6 ms and 473 rows
+2.2 ms (best of 12 runs, one Xeon core, numpy 2.4). A walk reads only one
+path of its bisection tree: the probes it visits while none certifies,
+its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
 every coordinate end the check budget can reach, one stacked row per
 check, and then replays the one-at-a-time walks over the stored verdicts.
@@ -32,14 +33,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .ctm import Observation, OutputModel
 from .embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
-                        _box_admissible, _clamped_step)
+                        _box_admissible, _clamped_step, _pair)
 
 CONSISTENCY_TOL = 1e-9
 
@@ -84,19 +84,21 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class _Record:
-    lifted: LiftedState
     observation: Observation
     control: np.ndarray | None
+    bracket: np.ndarray  # the state box as (upper, lower) on a leading axis
+    readings: tuple      # _measured(observation, output model)
 
 
 class MeasurementWindow:
     """Ring buffer of the last L transitions the estimators may look at.
 
-    Each pushed record carries the corrected state box and the raw
-    observation at one time step; the control that produced the transition
-    *into* that step rides along with it. The first record of a fresh window
-    has no incoming transition, every later one must. ``demand`` is the
-    run's arrival box, which every transition shares.
+    Each pushed record carries the corrected state box, upper bound before
+    lower on a leading axis, and the raw observation at one time step, with
+    its readings (``_measured``) computed once; the control that produced
+    the transition *into* that step rides along with it. The first record
+    of a fresh window has no incoming transition, every later one must.
+    ``demand`` is the run's arrival box, which every transition shares.
     """
 
     def __init__(self, backward_horizon: int, output_model: OutputModel,
@@ -116,14 +118,12 @@ class MeasurementWindow:
                 "that led to them")
         if control is not None:
             control = np.asarray(control, dtype=float).copy()
-        self._records.append(_Record(lifted, observation, control))
+        self._records.append(_Record(observation, control,
+                                     np.array([lifted.upper, lifted.lower]),
+                                     _measured(observation, self.output_model)))
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def lifted_boxes(self) -> list[LiftedState]:
-        return [r.lifted for r in self._records]
 
     @property
     def observations(self) -> list[Observation]:
@@ -147,11 +147,10 @@ def state_update(predicted: LiftedState, y: Observation,
     contained in the input box, and applying the same measurement twice is
     a no-op.
     """
-    up = np.array(predicted.upper, dtype=float)
-    lo = np.array(predicted.lower, dtype=float)
+    x = np.array([predicted.upper, predicted.lower], dtype=float)
     n = output_model.mainline_mask.shape[0]
-    if up.shape != (2 * n,):
-        raise ValueError(f"state box must have {2 * n} entries, got {up.shape}")
+    if x.shape[1:] != (2 * n,):
+        raise ValueError(f"state box must have {2 * n} entries, got {x.shape[1:]}")
     y_main = np.asarray(y.y_main, dtype=float)
     y_ramp = np.asarray(y.y_ramp, dtype=float)
     if y_main.shape != (n,) or y_ramp.shape != (n,):
@@ -159,7 +158,7 @@ def state_update(predicted: LiftedState, y: Observation,
     if np.any(~np.isfinite(y_main[output_model.mainline_mask])):
         raise ValueError("a measured cell is missing its reading")
     idx, vals = _measured(y, output_model)
-    outside = _absorb(up, lo, idx, vals, CONSISTENCY_TOL)
+    outside = _absorb(x, idx, vals, CONSISTENCY_TOL)
     if outside.any():
         k = int(np.argmax(outside))
         j = int(idx[k])
@@ -167,7 +166,7 @@ def state_update(predicted: LiftedState, y: Observation,
         raise ContainmentViolation(
             f"{where}: reading {vals[k]:.6g} outside "
             f"[{predicted.lower[j]:.6g}, {predicted.upper[j]:.6g}]")
-    return LiftedState(upper=up, lower=lo)
+    return LiftedState(upper=x[0], lower=x[1])
 
 
 def _measured(y: Observation, output_model: OutputModel):
@@ -184,55 +183,56 @@ def _measured(y: Observation, output_model: OutputModel):
     return idx, vals
 
 
-def _absorb(up: np.ndarray, lo: np.ndarray, idx: np.ndarray, vals: np.ndarray,
-            tol: float) -> np.ndarray:
-    """Collapse the measured entries of [lo, up] onto their values, in place.
+def _absorb(x: np.ndarray, idx: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
+    """Collapse the measured entries of the bracket x onto their values, in place.
 
-    Broadcasts over leading axes. Returns, per reading on the last axis,
-    whether it sat strictly outside the box by more than tol before the
-    collapse; one such reading certifies the box inconsistent with the
+    x holds the upper bound before the lower on its leading axis and
+    broadcasts over the axes after it. Returns, per reading on the last
+    axis, whether it sat strictly outside the box by more than tol before
+    the collapse; one such reading certifies the box inconsistent with the
     measurement.
     """
-    low, high = lo[..., idx], up[..., idx]
+    low, high = x[1][..., idx], x[0][..., idx]
     outside = (vals < low - tol) | (vals > high + tol)
-    up[..., idx] = lo[..., idx] = np.minimum(np.maximum(vals, low), high)
+    x[..., idx] = np.minimum(np.maximum(vals, low), high)
     return outside
 
 
-def _certified(window: MeasurementWindow, upper, lower, tol: float) -> np.ndarray:
-    """Which stacked boxes [lower, upper] cannot reproduce the window.
+def _certified(window: MeasurementWindow, pair, tol: float) -> np.ndarray:
+    """Which stacked boxes cannot reproduce the window.
 
-    upper and lower are the corners, anything with the parameter fields as
-    attributes; leading axes of their arrays stack boxes, and the answer
-    has those axes. Propagates the tube dynamics forward from the window's
-    first box under its controls and arrival box, intersecting each step
-    with the window's own enclosure of that step (certified earlier, so the
-    tie sharpens the test without risking a false certificate) and
-    collapsing measured entries onto the exact readings as it goes. A box
-    is certified when a propagated interval strictly excludes an enclosure
-    or a reading by more than tol. Every operation is elementwise, so each
+    pair is the boxes' (primary, secondary) sets (``embedding._pair``): the
+    corners' fields stacked on a leading component axis, upper first, and
+    any axes between it and the cells stack boxes; the answer has those
+    axes. Propagates the tube dynamics forward from the window's first box
+    under its controls and arrival box, carrying the bracket as one
+    ``(2, ..., 2I)`` array and stepping it with one kernel call per
+    transition. Each step is intersected with the window's own enclosure
+    of that step (certified earlier, so the tie sharpens the test without
+    risking a false certificate), and measured entries collapse onto the
+    exact readings, computed once per record when it was pushed. A box is
+    certified when a propagated interval strictly excludes an enclosure or
+    a reading by more than tol. Every operation is elementwise, so each
     box gets the bits it would get propagated alone.
     """
-    boxes = window.lifted_boxes
-    observations = window.observations
-    stack = np.broadcast_shapes(*(np.shape(getattr(corner, f))[:-1]
-                                  for corner in (upper, lower) for f in PARAM_FIELDS))
-    up = np.broadcast_to(boxes[0].upper, stack + boxes[0].upper.shape).copy()
-    lo = np.broadcast_to(boxes[0].lower, stack + boxes[0].lower.shape).copy()
-    dead = _absorb(up, lo, *_measured(observations[0], window.output_model),
-                   tol).any(axis=-1)
-    for k, u in enumerate(window.controls, start=1):
+    first, *later = window._records
+    stack = np.broadcast_shapes(*(np.shape(a)[1:-1] for a in vars(pair[0]).values()))
+    along = (2,) + (1,) * len(stack) + (-1,)  # a record's bracket against the stack
+    x = np.broadcast_to(first.bracket.reshape(along),
+                        (2, *stack, first.bracket.shape[-1])).copy()
+    lam = np.array([window.demand.upper, window.demand.lower])
+    dead = _absorb(x, *first.readings, tol).any(axis=-1)
+    for record in later:
         if dead.all():
             break
-        up, lo = _clamped_step(up, lo, u, window.demand, upper, lower)
-        tied = boxes[k]
-        dead = (dead | np.any(lo > tied.upper + tol, axis=-1)
-                | np.any(tied.lower > up + tol, axis=-1))
-        np.minimum(up, tied.upper, out=up)
-        np.maximum(lo, tied.lower, out=lo)
-        np.maximum(up, lo, out=up)
-        dead = dead | _absorb(up, lo, *_measured(observations[k], window.output_model),
-                              tol).any(axis=-1)
+        x = _clamped_step(x, record.control, lam, pair)
+        tied = record.bracket.reshape(along)
+        dead = (dead | (x[1] > tied[0] + tol).any(axis=-1)
+                | (tied[1] > x[0] + tol).any(axis=-1))
+        np.minimum(x[0], tied[0], out=x[0])
+        np.maximum(x[1], tied[1], out=x[1])
+        np.maximum(x[0], x[1], out=x[0])
+        dead = dead | _absorb(x, *record.readings, tol).any(axis=-1)
     return dead
 
 
@@ -246,7 +246,7 @@ def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow) -> s
     earns "feasible"; a passing wider box only earns "unknown", because
     interval arithmetic may keep an empty box alive.
     """
-    if _certified(window, theta_box.upper, theta_box.lower, CONSISTENCY_TOL):
+    if _certified(window, theta_box.pair, CONSISTENCY_TOL):
         return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
@@ -257,11 +257,12 @@ def _corner_maps(bounds: ParamBounds):
     return lo, up
 
 
-def _corners(up_map: dict, lo_map: dict, template: ParamBounds):
-    """The coordinate maps as (upper, lower) parameter sets with the
-    template's u_max, ready for ``_box_admissible`` and ``_certified``."""
-    return (SimpleNamespace(**up_map, u_max=template.upper.u_max),
-            SimpleNamespace(**lo_map, u_max=template.lower.u_max))
+def _corners(up_map: dict, lo_map: dict, template: ParamBounds) -> dict:
+    """The box of the coordinate maps as its corners' fields stacked upper
+    first, with the template's u_max; ``_pair`` of it is ready for
+    ``_box_admissible`` and ``_certified``."""
+    return {**{f: np.array([up_map[f], lo_map[f]]) for f in PARAM_FIELDS},
+            "u_max": template.pair[0].u_max}
 
 
 class _Spine(NamedTuple):
@@ -287,36 +288,38 @@ def _certify_spines(window: MeasurementWindow, up_map: dict, lo_map: dict,
     """Certify every probe of the spines against the window in one stacked
     propagation; with_box stacks the box itself in front of them.
 
+    Each probed field is one (2, rows, cells) array of both corners, upper
+    first, that the probes' mids are written into; the other fields keep
+    the box's corners on a unit rows axis. The pair of those arrays is
+    what the range checks and ``_certified`` read.
+
     Returns whether the box was certified inconsistent (False without
     with_box) and, per spine, its mids, whether each probe passes the
     physical-range checks (an interior sub-box can fail them: its corners
     mix values the box's own corners never combined) and whether it is
     admissible and certified inconsistent.
     """
-    lengths = [s.length for s in spines]
     first = int(with_box)
-    rows = first + sum(lengths)
-    mids, stacked, start = [], {}, first
+    rows = first + sum(s.length for s in spines)
+    box = _corners(up_map, lo_map, template)
+    mids, probed, start = [], {}, first
     for s in spines:
         m, anchor = np.empty(s.length), s.anchor
         for d in range(s.length):
             anchor = m[d] = 0.5 * (anchor + s.cut)
-        key = (s.is_upper, s.field)
-        if key not in stacked:
-            source = lo_map if s.is_upper else up_map
-            stacked[key] = np.repeat(source[s.field][None], rows, axis=0)
-        stacked[key][start:start + s.length, s.cell] = m
-        mids.append(m)
+        if s.field not in probed:
+            probed[s.field] = np.empty((2, rows) + box[s.field].shape[1:])
+            probed[s.field][:] = box[s.field][:, None]
+        # a probe at an upper end raises the lower corner (component 1)
+        probed[s.field][int(s.is_upper), start:start + s.length, s.cell] = m
+        mids.append((start, m))
         start += s.length
-    upper, lower = _corners({f: stacked.get((False, f), a) for f, a in up_map.items()},
-                            {f: stacked.get((True, f), a) for f, a in lo_map.items()},
-                            template)
-    admissible = _box_admissible(upper, lower)
-    dead = _certified(window, upper, lower, CONSISTENCY_TOL)
-    splits = np.cumsum(lengths)[:-1]
-    verdicts = zip(mids, np.split(admissible[first:], splits),
-                   np.split((admissible & dead)[first:], splits))
-    return with_box and bool(dead[0]), list(verdicts)
+    pair = _pair({f: probed[f] if f in probed else a[:, None] for f, a in box.items()})
+    admissible = _box_admissible(pair[0])
+    dead = _certified(window, pair, CONSISTENCY_TOL)
+    certified = admissible & dead
+    return with_box and bool(dead[0]), [
+        (m, admissible[at:at + len(m)], certified[at:at + len(m)]) for at, m in mids]
 
 
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
@@ -427,7 +430,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
             # checks; such a cut is skipped (the box only stays larger,
             # so soundness is kept) and the sweep goes on from a valid box
             old, target[f][i] = target[f][i], cut
-            if _box_admissible(*_corners(up_map, lo_map, param_bounds)):
+            if _box_admissible(_pair(_corners(up_map, lo_map, param_bounds))[0]):
                 moved = True
                 sweep = {}
             else:

@@ -563,14 +563,19 @@ class _RowPropagation:
                                    np.where(lp.row_senses == "L", np.inf, -lp.rhs),
                                    [np.inf]])
         # per column, the slack side that caps it from above (a positive
-        # entry's upper side), then the one that caps it from below
-        ends = a.indptr[1:]
-        caps = [np.insert(np.where(up, rows, rows + m), ends, 2 * m),
-                np.insert(np.where(up, rows + m, rows), ends, 2 * m)]
-        self.gather = np.concatenate(caps)
-        inv = np.insert(1.0 / np.abs(a.data), ends, 1.0)
-        self.inv = np.concatenate([inv, inv])
+        # entry's upper side), then the one that caps it from below; each
+        # column's list ends on the padding row, so column j's entries sit
+        # j places later than in a
         first = a.indptr[:-1] + np.arange(n)
+        entry = np.ones(nnz + n, dtype=bool)
+        entry[first + np.diff(a.indptr)] = False
+        gather = np.full((2, nnz + n), 2 * m, dtype=rows.dtype)
+        gather[0, entry] = np.where(up, rows, rows + m)
+        gather[1, entry] = np.where(up, rows + m, rows)
+        self.gather = gather.ravel()
+        inv = np.ones(nnz + n)
+        inv[entry] = 1.0 / np.abs(a.data)
+        self.inv = np.concatenate([inv, inv])
         self.starts = np.concatenate([first, first + nnz + n])
         self.n = n
         self.margin = _PROPAGATION_MARGIN * _TOL_FEAS * (1.0 + np.abs(lp.rhs).sum())

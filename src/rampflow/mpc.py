@@ -66,7 +66,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,10 +73,10 @@ import numpy as np
 from . import milp
 from .ctm import FreewayParams, equilibrium_uncongested
 from .embedding import (
-    PARAM_FIELDS,
     DemandBounds,
     LiftedState,
     ParamBounds,
+    _stacked,
     _tube_flows,
     _TubeFlows,
     lifted_step,
@@ -349,12 +348,6 @@ def terminal_lyapunov_check(
     )
 
 
-def _stacked(*sets) -> SimpleNamespace:
-    """Parameter sets stacked on a leading component axis, as the kernel reads them."""
-    return SimpleNamespace(**{name: np.array([getattr(p, name) for p in sets])
-                              for name in PARAM_FIELDS})
-
-
 @dataclass(frozen=True)
 class _Comp:
     """Tube components: their raising and lowering parameter sets, arrivals
@@ -561,10 +554,9 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
 
     # the components on a leading axis, the lower one last
     if reduced:
-        comp = _Comp(_stacked(p_up), _stacked(p_up), lam_up[None], x_hi[None])
+        comp = _Comp(*_stacked(p_up), lam_up[None], x_hi[None])
     else:
-        comp = _Comp(_stacked(p_up, p_lo), _stacked(p_lo, p_up),
-                     np.array([lam_up, lam_lo]), np.array([x_hi, x_lo]))
+        comp = _Comp(*_stacked(p_up, p_lo), np.array([lam_up, lam_lo]), np.array([x_hi, x_lo]))
     c_n = comp.x0.shape[0]
     merge = not reduced
     u_hw = np.minimum(p_up.u_max, p_lo.u_max)

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from rampflow.ctm import (
+    RANGE_RULES,
     FreewayParams,
+    _rules_hold,
     compact_step,
     equilibrium_uncongested,
 )
 from rampflow.embedding import (
+    PARAM_FIELDS,
     DemandBounds,
     LiftedState,
     ParamBounds,
     _box_admissible,
+    _clamped_step,
+    _pair,
     _tube_flows,
     lifted_step,
 )
@@ -317,7 +322,8 @@ def test_range_predicate_agrees_with_construction():
     accepted = rejected = 0
     for cells in (1, 2, 4):
         lower, upper = _edge_stack(rng, 4000, cells)
-        verdicts = _box_admissible(SimpleNamespace(**upper), SimpleNamespace(**lower))
+        verdicts = _box_admissible(
+            _pair({f: np.array([upper[f], lower[f]]) for f in upper})[0])
         assert verdicts.shape == (4000,)
         for k, verdict in enumerate(verdicts):
             try:
@@ -330,3 +336,72 @@ def test_range_predicate_agrees_with_construction():
             accepted += built
             rejected += not built
     assert accepted > 500 and rejected > 500
+
+
+def _mixed_pair(lower, upper, unstacked, row=0):
+    """The boxes' (primary, secondary) pair as the contraction stacks its
+    probes: the fields in unstacked keep only the given row, so their
+    corners have shape (cells,) next to the others' (rows, cells); returns
+    the pair and the corners as the kernel reads them one at a time."""
+    corners = []
+    for side in (upper, lower):
+        corners.append({f: a[row] if f in unstacked else a for f, a in side.items()})
+    up, lo = corners
+    pair = _pair({f: np.array([up[f], lo[f]]) if f not in unstacked
+                  else np.array([up[f], lo[f]])[:, None] for f in up})
+    return pair, SimpleNamespace(**up), SimpleNamespace(**lo)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_stacked_step_is_both_component_calls_clamped(seed):
+    """One _clamped_step call on the stacked bracket gives, bit for bit, the
+    two per-component kernel calls with the states and the sets exchanged,
+    each clamped to [0, x_jam] on the mainline and to [0, inf) on the
+    queues, with probe fields of shape (rows, cells) next to box fields of
+    shape (cells,)."""
+    rng = np.random.default_rng(100 + seed)
+    rows, cells = 49, 4
+    lo, hi, x_lo, x_hi, lam_lo, lam_hi = sample_set_pair(rng, rows, cells)
+    unstacked = set(rng.choice(PARAM_FIELDS, 3, replace=False))
+    # mainlines past the jam bound and queues the discharge overdraws make
+    # both clamps engage
+    x_hi[:, :cells] *= rng.choice([1.0, 1.5], (rows, cells))
+    u = rng.uniform(0.0, 40.0, cells)
+    pair, upper, lower = _mixed_pair(vars(lo), vars(hi), unstacked)
+    x = np.array([x_hi, x_lo])
+    step = _clamped_step(x.copy(), u, np.array([lam_hi[0], lam_lo[0]]), pair)
+    cap = np.maximum(upper.x_jam, lower.x_jam)
+    engaged = 0
+    for k, (own, other, lam, prim, sec) in enumerate(
+            ((x_hi, x_lo, lam_hi[0], upper, lower), (x_lo, x_hi, lam_lo[0], lower, upper))):
+        ref = _tube_flows(own, other, u, lam, prim, sec).next
+        clamped = ref.copy()
+        clamped[:, :cells] = np.clip(ref[:, :cells], 0.0, cap)
+        clamped[:, cells:] = np.clip(ref[:, cells:], 0.0, None)
+        engaged += np.count_nonzero(clamped != ref)
+        assert np.array_equal(step[k], clamped), k
+        assert step[k].tobytes() == clamped.tobytes(), k  # zero signs too
+    assert step.shape == (2, rows, 2 * cells) and engaged > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_pair_rules_are_the_per_corner_rules():
+    """_box_admissible over a pair with stacked and unstacked fields equals
+    the range rules evaluated on each corner and the box rules written out
+    per corner."""
+    rng = np.random.default_rng(29)
+    for cells in (1, 2, 4):
+        lower, upper = _edge_stack(rng, 2000, cells)
+        unstacked = set(rng.choice([*PARAM_FIELDS, "u_max"], 3, replace=False))
+        # the unstacked fields come from an admissible box, so that the
+        # stacked ones decide
+        whole = _box_admissible(_pair({f: np.array([upper[f], lower[f]]) for f in upper})[0])
+        pair, up, lo = _mixed_pair(lower, upper, unstacked, row=int(np.argmax(whole)))
+        ordered = np.bool_(True)
+        for f in PARAM_FIELDS:
+            ordered = ordered & ~np.any(getattr(lo, f) > getattr(up, f) + 1e-12, axis=-1)
+        ref = (_rules_hold(RANGE_RULES, up) & _rules_hold(RANGE_RULES, lo) & ordered
+               & ~np.any(up.v + up.w > 1.0 + 1e-12, axis=-1))
+        got = _box_admissible(pair[0])
+        assert got.shape == (2000,) and np.array_equal(got, ref)
+        assert 0 < np.count_nonzero(got) < got.size

@@ -135,7 +135,7 @@ def test_window_rolls_and_keeps_transitions_aligned(stretch, demand_box):
                     control=np.full(4, float(k)))
     assert len(window) == 3
     assert [c[0] for c in window.controls] == [3.0, 4.0]
-    assert window.lifted_boxes[0].upper[0] == 2.0
+    assert window.observations[0].y_ramp[0] == 2.0
 
 
 def test_window_rejects_a_transition_without_its_control(stretch, demand_box):
@@ -496,8 +496,8 @@ def _spied_theta_update(monkeypatch, window, box, config):
     stacks, spines = [], []
     certified, certify_spines = estimators._certified, estimators._certify_spines
 
-    def count_stack(window, upper, lower, tol):
-        dead = certified(window, upper, lower, tol)
+    def count_stack(window, pair, tol):
+        dead = certified(window, pair, tol)
         stacks.append(dead.size)
         return dead
 

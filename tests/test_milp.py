@@ -1446,8 +1446,10 @@ def _assert_same_sparse(got, ref):
 def test_solver_setup_builds_the_arrays_scipy_builds(m, n, seed):
     """``EqualityForm``'s ``[A | I]`` and the propagation's stacked rows,
     built straight from A's CSC arrays, hold exactly the arrays of scipy's
-    ``hstack`` and of a COO construction, dtypes included, on matrices with
-    empty columns, single rows and negative entries."""
+    ``hstack`` and of a COO construction, and the propagation's per-column
+    lists those of ``np.insert``ing each column's padding entry, dtypes
+    included, on matrices with empty columns, single rows and negative
+    entries."""
     rng = np.random.default_rng(seed)
     dense = np.where(rng.random((m, n)) < 0.5, rng.normal(size=(m, n)), 0.0)
     dense[:, rng.random(n) < 0.3] = 0.0
@@ -1466,7 +1468,18 @@ def test_solver_setup_builds_the_arrays_scipy_builds(m, n, seed):
     lp = milp.LinearProgram("stack", np.zeros(n), np.zeros(n), np.ones(n),
                             [f"x{j}" for j in range(n)], a, senses, np.ones(m),
                             [f"r{i}" for i in range(m)])
-    _assert_same_sparse(milp._RowPropagation(lp).stack, stack)
+    prop = milp._RowPropagation(lp)
+    _assert_same_sparse(prop.stack, stack)
+    ends = a.indptr[1:]
+    inv = np.insert(1.0 / np.abs(a.data), ends, 1.0)
+    first = a.indptr[:-1] + np.arange(n)
+    for got, ref in ((prop.gather, np.concatenate([
+                         np.insert(np.where(up, rows, rows + m), ends, 2 * m),
+                         np.insert(np.where(up, rows + m, rows), ends, 2 * m)])),
+                     (prop.inv, np.concatenate([inv, inv])),
+                     (prop.starts, np.concatenate([first, first + a.nnz + n]))):
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype
 
 
 def test_a_block_of_gadgets_is_the_gadgets_added_one_by_one():

@@ -65,8 +65,8 @@ def main(argv=None) -> int:
         counts[1] += res.iterations
         return res
 
-    def counted_boxes(*args, **kwargs):
-        dead = certified(*args, **kwargs)
+    def counted_boxes(window, pair, tol):
+        dead = certified(window, pair, tol)
         counts[2] += 1
         counts[3] += dead.size
         return dead
