@@ -539,44 +539,65 @@ class _RowPropagation:
     columns of the relaxation: a bound is never rounded, so a box this
     closes holds no point of the LP relaxation either.
 
-    One sweep is one sparse product.  With ``P`` and ``N`` the positive and
-    negative parts of the rows, ``slack = [rhs_hi - P lo - N hi ;
-    P hi + N lo - rhs_lo]`` is how far each row side is from binding at
-    the box's worst corner, and an entry ``a`` of column ``j`` caps ``x_j``
-    within ``slack / |a|`` of the bound the row read it at.
+    One sweep is one sparse product and one dense gather.  With ``P`` and
+    ``N`` the positive and negative parts of the rows, a row's upper side
+    is ``rhs_hi - P lo - N hi`` from binding at the box's worst corner and
+    its lower side ``P hi + N lo - rhs_lo``, and an entry ``a`` of column
+    ``j`` caps ``x_j`` within that slack ``/ |a|`` of the bound the row
+    read it at.
+
+    Only the sides that can bind are stacked: an ``L`` row's upper side, a
+    ``G`` row's lower side and both sides of an ``E`` row.  The other sides
+    have rhs +inf, so their slack is +inf and never caps a column.  Each
+    column's capping sides fill one column of a ``(K, 2n)`` index array and
+    of a matching array of ``1 / |a|``, padded to ``K`` (one more than the
+    longest list) with a row of zeros whose slack is +inf, and one ``min``
+    over the first axis gives every column's reach.  The box lives in one
+    ``[lo ; hi]`` buffer, and each sweep writes the next into a second.
+
+    The boxes are bit for bit those of stacking every side and reducing
+    each column's full list in turn.  Each kept side is the same row with
+    its entries in the same order, so its activity sums to the same bits.
+    A column's list keeps its entries' order, and ``min`` is exact.  Every
+    dropped entry read +inf, which no finite slack ties with.  A stored
+    zero coefficient caps nothing and is dropped as well; the builder
+    stores none.
     """
 
     def __init__(self, lp: LinearProgram):
         a = lp.matrix()
         (m, n), nnz = a.shape, a.nnz
-        rows, up = a.indices, a.data > 0
-        # rows [P N ; -N -P] over the stacked box [lo ; hi], and one row of
-        # zeros whose slack, +inf, pads every column's list below; column j
-        # of the lower half holds a's column j with its negative entries
-        # moved down m rows and negated, column n + j the rest
-        self.stack = sp.csc_matrix(
-            (np.concatenate([np.where(up, a.data, -a.data), np.where(up, -a.data, a.data)]),
-             np.concatenate([np.where(up, rows, rows + m), np.where(up, rows + m, rows)]),
-             np.concatenate([a.indptr, nnz + a.indptr[1:]])),
-            shape=(2 * m + 1, 2 * n)).tocsr()
-        self.rhs = np.concatenate([np.where(lp.row_senses == "G", np.inf, lp.rhs),
-                                   np.where(lp.row_senses == "L", np.inf, -lp.rhs),
-                                   [np.inf]])
-        # per column, the slack side that caps it from above (a positive
-        # entry's upper side), then the one that caps it from below; each
-        # column's list ends on the padding row, so column j's entries sit
-        # j places later than in a
-        first = a.indptr[:-1] + np.arange(n)
-        entry = np.ones(nnz + n, dtype=bool)
-        entry[first + np.diff(a.indptr)] = False
-        gather = np.full((2, nnz + n), 2 * m, dtype=rows.dtype)
-        gather[0, entry] = np.where(up, rows, rows + m)
-        gather[1, entry] = np.where(up, rows + m, rows)
-        self.gather = gather.ravel()
-        inv = np.ones(nnz + n)
-        inv[entry] = 1.0 / np.abs(a.data)
-        self.inv = np.concatenate([inv, inv])
-        self.starts = np.concatenate([first, first + nnz + n])
+        up, mag = a.data > 0, np.abs(a.data)
+        # the sides that can bind, upper sides first, each in row order, and
+        # one row of zeros whose slack, +inf, pads every column's list below
+        keep = np.concatenate([lp.row_senses != "G", lp.row_senses != "L", [True]])
+        pad = np.count_nonzero(keep) - 1
+        place = np.full(2 * m + 1, pad, dtype=a.indices.dtype)
+        place[keep] = np.arange(pad + 1, dtype=a.indices.dtype)
+        # rows [P N ; -N -P] over the stacked box [lo ; hi]: column j holds
+        # |a| on a positive entry's upper side and a negative one's lower
+        # side, column n + j holds -|a| on the other sides; an entry on a
+        # side that cannot bind is written as zero and eliminated
+        sides = a.indices + np.array([[0], [m]], dtype=a.indices.dtype)
+        at = place[np.where(up, sides, sides[::-1])].ravel()
+        lists = sp.csc_matrix((np.where(at < pad, np.concatenate([mag, -mag]), 0.0), at,
+                               np.concatenate([a.indptr, nnz + a.indptr[1:]])),
+                              shape=(pad + 1, 2 * n))
+        lists.eliminate_zeros()
+        self.stack = lists.tocsr()
+        self.rhs = np.concatenate([lp.rhs, -lp.rhs, [np.inf]])[keep]
+        # column c's list, the sides that cap x_c from above (c < n) or
+        # x_(c - n) from below, is the stack's column c in its order; the
+        # lists sit in the columns of (K, 2n) arrays, padded with the zero
+        # row to the longest list and one more, entry k of column c at
+        # k * 2n + c
+        count, start, width = np.diff(lists.indptr), lists.indptr[:-1].astype(np.intp), 2 * n
+        flat = np.arange(lists.nnz) * width + np.repeat(np.arange(width) - start * width, count)
+        depth = int(count.max(initial=0)) + 1
+        gather, inv = np.full(depth * width, pad), np.ones(depth * width)
+        gather[flat] = lists.indices
+        inv[flat] = 1.0 / np.abs(lists.data)
+        self.gather, self.inv = gather.reshape(depth, width), inv.reshape(depth, width)
         self.n = n
         self.margin = _PROPAGATION_MARGIN * _TOL_FEAS * (1.0 + np.abs(lp.rhs).sum())
 
@@ -584,25 +605,30 @@ class _RowPropagation:
         """The box ``[lo, hi]`` with ``fixes`` applied and tightened by the
         rows, or ``None`` when it crosses a row or a bound by more than the
         margin."""
-        lo, hi = lo.copy(), hi.copy()
+        n = self.n
+        # the box and the next sweep's box, each one [lo ; hi] buffer
+        z, new = np.concatenate([lo, hi]), np.empty(2 * n)
+        lo, hi, new_lo, new_hi = z[:n], z[n:], new[:n], new[n:]
         for j, v in fixes.items():
             if not lo[j] - self.margin <= v <= hi[j] + self.margin:
                 return None
             lo[j] = hi[j] = v
-        n = self.n
         for _ in range(_PROPAGATION_ROUNDS):
-            slack = self.rhs - self.stack @ np.concatenate([lo, hi])
+            slack = self.rhs - self.stack @ z
             if slack.min() < -self.margin:
                 return None
-            reach = np.minimum.reduceat(slack[self.gather] * self.inv, self.starts)
-            new_hi = np.minimum(hi, lo + reach[:n])
-            new_lo = np.maximum(lo, hi - reach[n:])
-            if np.any(new_lo > new_hi + self.margin):
+            reach = slack[self.gather]
+            reach *= self.inv
+            reach = reach.min(axis=0)
+            np.minimum(hi, np.add(lo, reach[:n], out=new_hi), out=new_hi)
+            np.maximum(lo, np.subtract(hi, reach[n:], out=new_lo), out=new_lo)
+            if (new_lo > new_hi + self.margin).any():
                 return None
-            new_lo = np.minimum(new_lo, new_hi)
+            np.minimum(new_lo, new_hi, out=new_lo)
             moved = np.maximum(hi - new_hi, new_lo - lo)
-            progress = np.any(moved > _PROPAGATION_MOVE * (hi - lo) + 1e-9)
-            lo, hi = new_lo, new_hi
+            progress = (moved > _PROPAGATION_MOVE * (hi - lo) + 1e-9).any()
+            z, new = new, z
+            lo, hi, new_lo, new_hi = new_lo, new_hi, lo, hi
             if not progress:
                 break
         return lo, hi

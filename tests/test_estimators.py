@@ -182,6 +182,35 @@ def test_box_excluding_the_truth_is_certified_infeasible(
     assert verdict == INFEASIBLE
 
 
+@pytest.mark.parametrize("v1", [0.45, 0.55], ids=["slow", "fast"])
+def test_each_enclosure_bounds_the_next_step_from_both_sides(v1):
+    """Cell 1 carries no detector. Its speed is wrong: too slow puts the
+    next density above the truth, too fast below it, but only from the
+    true density, not from the whole jam interval the window starts with.
+    The certificate needs the middle record's enclosure to cut the
+    propagated interval from below (slow) and from above (fast); with that
+    enclosure left as wide as the start, the same speed passes."""
+    truth = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
+                               c_max=20.0, alpha=0.9)
+    model, lam = OutputModel(np.array([True, False]), np.ones(2)), np.array([2.0, 4.0])
+    states = [np.array([8.0, 20.0, 0.0, 0.0])]
+    for _ in range(2):
+        states.append(compact_step(truth, states[-1], lam, lam))
+
+    def window(pinned):
+        window = MeasurementWindow(2, model, point_demand(lam))
+        for k, x in enumerate(states):
+            box = point_state(x)
+            if k == 0 or (k == 1 and not pinned):
+                box.upper[1], box.lower[1] = truth.x_jam[1], 0.0
+            window.push(box, measure(model, x), control=lam if k else None)
+        return window
+
+    wrong = replace(truth, v=np.array([0.5, v1]))
+    assert interval_consistency(ParamBounds(wrong, wrong), window(True)) == INFEASIBLE
+    assert interval_consistency(ParamBounds(wrong, wrong), window(False)) == FEASIBLE
+
+
 # ---------------------------------------------------------------- theta
 
 

@@ -1057,6 +1057,143 @@ def test_the_propagation_filter_closes_only_infeasible_relaxations():
     assert len(closed) >= 1
 
 
+class _FullListPropagation:
+    """The row propagation with every row side stacked, the oracle for
+    ``milp._RowPropagation``: both sides of every row, each column's list
+    one segment of a flat array that ends on the padding row, reduced by
+    ``np.minimum.reduceat``, and the box concatenated afresh each sweep."""
+
+    def __init__(self, lp):
+        a = lp.matrix()
+        (m, n), nnz = a.shape, a.nnz
+        rows, up = a.indices, a.data > 0
+        self.stack = sp.csc_matrix(
+            (np.concatenate([np.where(up, a.data, -a.data), np.where(up, -a.data, a.data)]),
+             np.concatenate([np.where(up, rows, rows + m), np.where(up, rows + m, rows)]),
+             np.concatenate([a.indptr, nnz + a.indptr[1:]])),
+            shape=(2 * m + 1, 2 * n)).tocsr()
+        self.rhs = np.concatenate([np.where(lp.row_senses == "G", np.inf, lp.rhs),
+                                   np.where(lp.row_senses == "L", np.inf, -lp.rhs),
+                                   [np.inf]])
+        first = a.indptr[:-1] + np.arange(n)
+        entry = np.ones(nnz + n, dtype=bool)
+        entry[first + np.diff(a.indptr)] = False
+        gather = np.full((2, nnz + n), 2 * m, dtype=rows.dtype)
+        gather[0, entry] = np.where(up, rows, rows + m)
+        gather[1, entry] = np.where(up, rows + m, rows)
+        self.gather = gather.ravel()
+        inv = np.ones(nnz + n)
+        inv[entry] = 1.0 / np.abs(a.data)
+        self.inv = np.concatenate([inv, inv])
+        self.starts = np.concatenate([first, first + nnz + n])
+        self.n = n
+        self.margin = milp._PROPAGATION_MARGIN * milp._TOL_FEAS * (1.0 + np.abs(lp.rhs).sum())
+
+    def box(self, lo, hi, fixes):
+        lo, hi = lo.copy(), hi.copy()
+        for j, v in fixes.items():
+            if not lo[j] - self.margin <= v <= hi[j] + self.margin:
+                return None
+            lo[j] = hi[j] = v
+        n = self.n
+        for _ in range(milp._PROPAGATION_ROUNDS):
+            slack = self.rhs - self.stack @ np.concatenate([lo, hi])
+            if slack.min() < -self.margin:
+                return None
+            reach = np.minimum.reduceat(slack[self.gather] * self.inv, self.starts)
+            new_hi = np.minimum(hi, lo + reach[:n])
+            new_lo = np.maximum(lo, hi - reach[n:])
+            if np.any(new_lo > new_hi + self.margin):
+                return None
+            new_lo = np.minimum(new_lo, new_hi)
+            moved = np.maximum(hi - new_hi, new_lo - lo)
+            progress = np.any(moved > milp._PROPAGATION_MOVE * (hi - lo) + 1e-9)
+            lo, hi = new_lo, new_hi
+            if not progress:
+                break
+        return lo, hi
+
+
+def _mixed_rows_lp(rng):
+    """A sparse program with ``L``, ``G`` and ``E`` rows, some of them with
+    a zero rhs, and some zero-width columns at zero. Column 0 is empty, and
+    column 1's entries are positive and sit on ``G`` rows only, so the
+    sides that would cap it from above all have rhs +inf."""
+    m, n = int(rng.integers(2, 8)), int(rng.integers(3, 9))
+    senses = rng.choice(list("LGE"), m)
+    dense = np.where(rng.random((m, n)) < 0.5, rng.normal(size=(m, n)), 0.0)
+    dense[:, 0] = 0.0
+    dense[:, 1] = np.where(senses == "G", rng.uniform(0.1, 2.0, m), 0.0)
+    lo = rng.uniform(-2.0, 1.0, n)
+    hi = lo + rng.uniform(0.0, 3.0, n)
+    flat = rng.random(n) < 0.2
+    lo[flat] = hi[flat] = 0.0
+    act = dense @ rng.uniform(lo, hi)
+    # mostly satisfiable at a point of the box, sometimes not
+    rhs = act + np.where(senses == "L", 1.0, np.where(senses == "G", -1.0, 0.0)) * rng.uniform(
+        -0.2, 2.0, m)
+    rhs[rng.random(m) < 0.3] = 0.0
+    return milp.LinearProgram("mixed", np.zeros(n), lo, hi, [f"x{j}" for j in range(n)],
+                              sp.csc_matrix(dense), senses, rhs, [f"r{i}" for i in range(m)])
+
+
+def _assert_same_box(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_propagation_over_the_binding_sides_keeps_the_boxes_of_the_full_lists():
+    """``box`` returns the bytes the full-list oracle returns, or ``None``
+    where it does, along chains of fixes as branching applies them: on the
+    solver's random mixed-binary models, on both planner encodings and on
+    sparse programs with mixed row senses. Chains start from the model's
+    box, a random part of it or a point, and fix a column inside its box or
+    exactly at the margin around it, or one step past it."""
+    seen = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["random", "tube", "single", "mixed"]))
+    def check(seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "mixed":
+            lp = _mixed_rows_lp(rng)
+        elif kind == "random":
+            lp = _random_milp(rng, int(rng.integers(3, 8)))[0].lp
+        else:
+            lp = _planner_model(rng, int(rng.integers(1, 4)), kind == "single").lp
+        prop, full = milp._RowPropagation(lp), _FullListPropagation(lp)
+        assert prop.margin == full.margin
+        lo, hi = lp.col_lower, lp.col_upper
+        start = int(rng.integers(3))
+        if start:
+            point = rng.uniform(lo, hi)
+            lo, hi = ((point, point.copy()) if start == 2 else
+                      (np.minimum(point, rng.uniform(lo, hi)), np.maximum(point, rng.uniform(lo, hi))))
+        box = (lo, hi)
+        for depth in range(int(rng.integers(1, 6))):
+            fixes = {}
+            if depth:
+                j = int(rng.integers(lp.n_cols))
+                where, up = str(rng.choice(["box", "inside", "outside"])), rng.random() < 0.5
+                edge = box[1][j] + prop.margin if up else box[0][j] - prop.margin
+                v = {"box": rng.uniform(box[0][j], box[1][j]), "inside": edge,
+                     "outside": np.nextafter(edge, np.inf if up else -np.inf)}[where]
+                fixes = {j: float(v)}
+                seen.add(where)
+            got = prop.box(*box, fixes)
+            _assert_same_box(got, full.box(*box, fixes))
+            if got is None:
+                seen.add("closed")
+                break
+            box = got
+
+    check()
+    assert {"closed", "inside", "outside"} <= seen
+
+
 def test_the_filter_never_rounds_a_binary(monkeypatch):
     """``2z >= 1`` and ``4z <= 3`` leave the binary z in [0.5, 0.75]:
     rounding would close the root, but its relaxation is feasible. The
@@ -1446,10 +1583,10 @@ def _assert_same_sparse(got, ref):
 def test_solver_setup_builds_the_arrays_scipy_builds(m, n, seed):
     """``EqualityForm``'s ``[A | I]`` and the propagation's stacked rows,
     built straight from A's CSC arrays, hold exactly the arrays of scipy's
-    ``hstack`` and of a COO construction, and the propagation's per-column
-    lists those of ``np.insert``ing each column's padding entry, dtypes
-    included, on matrices with empty columns, single rows and negative
-    entries."""
+    ``hstack`` and of a COO construction of the row sides that can bind,
+    and the propagation's padded per-column lists those of a loop over A's
+    columns, dtypes included, on matrices with empty columns, single rows
+    and negative entries."""
     rng = np.random.default_rng(seed)
     dense = np.where(rng.random((m, n)) < 0.5, rng.normal(size=(m, n)), 0.0)
     dense[:, rng.random(n) < 0.3] = 0.0
@@ -1458,26 +1595,46 @@ def test_solver_setup_builds_the_arrays_scipy_builds(m, n, seed):
     form = _simplex.EqualityForm(a, senses, np.ones(m), np.zeros(n))
     _assert_same_sparse(form.cols, sp.hstack([a, sp.identity(m, format="csc")], format="csc"))
 
-    rows, up = a.indices, a.data > 0
-    cols = np.repeat(np.arange(n), np.diff(a.indptr))
-    stack = sp.csr_matrix(
-        (np.concatenate([a.data, -a.data]),
-         (np.concatenate([rows, rows + m]),
-          np.concatenate([np.where(up, cols, cols + n), np.where(up, cols + n, cols)]))),
-        shape=(2 * m + 1, 2 * n))
+    rhs = rng.normal(size=m)
     lp = milp.LinearProgram("stack", np.zeros(n), np.zeros(n), np.ones(n),
-                            [f"x{j}" for j in range(n)], a, senses, np.ones(m),
+                            [f"x{j}" for j in range(n)], a, senses, rhs,
                             [f"r{i}" for i in range(m)])
     prop = milp._RowPropagation(lp)
+    # an L row's upper side, a G row's lower side and both sides of an E
+    # row, numbered upper sides first, and the padding row after them
+    upper, lower = senses != "G", senses != "L"
+    side = np.full((2, m), -1)
+    side[0, upper] = np.arange(upper.sum())
+    side[1, lower] = upper.sum() + np.arange(lower.sum())
+    pad = int(upper.sum() + lower.sum())
+    coo = a.tocoo()
+    i, j, v = coo.row, coo.col, coo.data
+    on_upper, on_lower = upper[i], lower[i]
+    # the upper side reads P lo + N hi, the lower side -N lo - P hi
+    stack = sp.csr_matrix(
+        (np.concatenate([v[on_upper], -v[on_lower]]),
+         (np.concatenate([side[0, i[on_upper]], side[1, i[on_lower]]]),
+          np.concatenate([np.where(v > 0, j, j + n)[on_upper],
+                          np.where(v > 0, j + n, j)[on_lower]]))),
+        shape=(pad + 1, 2 * n))
     _assert_same_sparse(prop.stack, stack)
-    ends = a.indptr[1:]
-    inv = np.insert(1.0 / np.abs(a.data), ends, 1.0)
-    first = a.indptr[:-1] + np.arange(n)
-    for got, ref in ((prop.gather, np.concatenate([
-                         np.insert(np.where(up, rows, rows + m), ends, 2 * m),
-                         np.insert(np.where(up, rows + m, rows), ends, 2 * m)])),
-                     (prop.inv, np.concatenate([inv, inv])),
-                     (prop.starts, np.concatenate([first, first + a.nnz + n]))):
+    want_rhs = np.concatenate([rhs[upper], -rhs[lower], [np.inf]])
+    assert prop.rhs.tobytes() == want_rhs.tobytes()
+    # column c < n lists the sides that cap x_c from above, column n + c
+    # those that cap it from below, in A's order
+    lists = [[] for _ in range(2 * n)]
+    for col in range(n):
+        for k in range(a.indptr[col], a.indptr[col + 1]):
+            row, coef = a.indices[k], a.data[k]
+            for c, s in ((col, int(coef < 0)), (n + col, int(coef > 0))):
+                if side[s, row] >= 0:
+                    lists[c].append((side[s, row], 1.0 / abs(coef)))
+    depth = max(map(len, lists)) + 1
+    gather, inv = np.full((depth, 2 * n), pad, dtype=np.intp), np.ones((depth, 2 * n))
+    for c, entries in enumerate(lists):
+        for k, (row, scale) in enumerate(entries):
+            gather[k, c], inv[k, c] = row, scale
+    for got, ref in ((prop.gather, gather), (prop.inv, inv)):
         np.testing.assert_array_equal(got, ref)
         assert got.dtype == ref.dtype
 

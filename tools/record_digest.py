@@ -17,15 +17,19 @@ selectors that nodes fixed from their propagated boxes (summed over
 planner's ``encode`` (those that returned a vector rather than ``None``),
 ``tts_veh``, the stacked propagations of
 the parameter contraction with the boxes they carry (counted by wrapping
-``estimators._certified``), and under ``models`` the sha256 of the joined
-``milp.dump_model`` text of every model ``milp.solve_milp`` received. Two
+``estimators._certified``), the row propagations of the branch-and-bound
+nodes and how many of them closed a box (as ``calls/closed``, counted by
+wrapping ``milp._RowPropagation.box``), and under ``models`` the sha256 of
+the joined ``milp.dump_model`` text of every model ``milp.solve_milp``
+received. Two
 commits that print the same digest, plan ticks, solves, pivots and
 ``tts_veh`` ran the same loops bit for bit, and the same ``models`` says
 they built the same solver models too; the same ``rows`` with a different
 sha256 means only the metadata changed.
 Nodes that propagation closes are not solved, so the same nodes with fewer
-solves is the same tree with less work. The last two counts show what the
-contraction spent on them.
+solves is the same tree with less work. The propagations show how often the
+nodes propagated a box over the rows and how often that closed a node
+without an LP; the certified counts show what the contraction spent.
 
 Then one line per shipped preset and baseline controller (``alinea``,
 ``openloop``, ``local``, each set as the preset's ``controller.kind``): the
@@ -55,8 +59,8 @@ def main(argv=None) -> int:
     solve_canonical, certified = milp.solve_canonical, estimators._certified
     solve_milp, factors = milp.solve_milp, _simplex._Factors
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
-    factor = _simplex._Worker._factor
-    counts = [0] * 11
+    factor, box = _simplex._Worker._factor, milp._RowPropagation.box
+    counts = [0] * 13
     models = hashlib.sha256()
 
     def counted(*args, **kwargs):
@@ -96,6 +100,12 @@ def main(argv=None) -> int:
             counts[9] += int(slack.sum())
             counts[10] += worker.m
 
+    def counted_box(propagation, lo, hi, fixes):
+        out = box(propagation, lo, hi, fixes)
+        counts[11] += 1
+        counts[12] += out is None
+        return out
+
     def counted_dual(worker, *args):
         counts[6] += 1
         return dual(worker, *args)
@@ -109,6 +119,7 @@ def main(argv=None) -> int:
     _simplex._Worker._dual = counted_dual
     _simplex._Worker._factor = counted_factor
     milp._Selectors.fixes = counted_fixes
+    milp._RowPropagation.box = counted_box
     estimators._certified = counted_boxes
     milp.solve_milp = counted_nodes
     _simplex._Factors = CountedFactors
@@ -122,7 +133,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 11
+            counts[:] = [0] * 13
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -137,6 +148,7 @@ def main(argv=None) -> int:
                   f"node_fixed {counts[7]} hook_encodes {counts[8]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]} "
+                  f"propagations {counts[11]}/{counts[12]} "
                   f"models {models.hexdigest()}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
                                                       ("alinea", "openloop", "local")):
