@@ -27,6 +27,22 @@ their bounds while every reduced cost keeps its sign, then one primal
 phase-2 pass confirms optimality.  Any other warm start goes through phase
 1, which repairs a basis whose bounds changed since it was exported.
 
+A basis can also be replayed on another form of the same shape: the
+previous plan's root basis on the next plan's root, whose matrix and costs
+have moved (the MPC warm start of Ferreau, Bock and Diehl, "An online
+active set strategy to overcome the limitations of explicit MPC", 2008).
+Such a start is used only when it passes a gate, and otherwise the solve
+starts as it would without it.  The basis must have the form's shape, park
+no slack at an infinite bound, be structurally nonsingular on the new
+matrix and be dual feasible; the dual simplex then reoptimises it in the
+worker that checked it, so the basis is factored once.  The structural
+check is a maximum bipartite matching over the basis columns' nonzeros
+and runs before any factorization, for two reasons: a basis without a
+perfect matching always factors singular, and SuperLU leaks memory on
+every factorization that fails.  A replay that is not dual feasible is
+not repaired by phase 1: that lands on other vertices and grows the
+branch-and-bound tree, so it falls back to the crash start instead.
+
 There is one factorization: SuperLU factors of the basis plus a
 product-form eta file, one eta vector per pivot, rebuilt every few dozen
 pivots.  A solve returns the factors of its final basis, eta file
@@ -109,10 +125,11 @@ class WarmBasis:
     Covers structural and slack columns only; artificials never escape a
     solve.  Every nonbasic column sits at one of its finite bounds and moves
     with it, so callers may replay a token against new column bounds of the
-    same form, which is exactly what branch and bound does.  Tokens come
-    only from an earlier solve or from :func:`crash_from_point` on the same
-    form, so they are well formed; a basis that factors singular falls back
-    to the cold start.
+    same form, which is exactly what branch and bound does.  ``warm``
+    tokens come only from an earlier solve or from :func:`crash_from_point`
+    on the same form, so they are well formed; a basis that factors
+    singular falls back to the cold start.  A token from another form goes
+    through ``solve_canonical``'s ``replay`` gate instead.
     """
 
     vstat: np.ndarray
@@ -263,6 +280,8 @@ class _Worker:
         self.iterations = 0
         self.max_iter = 20000 + 10 * (m + n)
         self.n_art = 0
+        # the reduced costs of a start already shown dual feasible
+        self.checked_d: np.ndarray | None = None
         self._install_start(warm, factors)
 
     # -- start basis -----------------------------------------------------
@@ -570,7 +589,9 @@ class _Worker:
     # -- public --------------------------------------------------------------
 
     def solve(self) -> CanonicalResult:
-        d = self._dual_feasible() if self.warm else None
+        d = self.checked_d
+        if d is None and self.warm:
+            d = self._dual_feasible()
         if d is not None:
             if not self._dual(d):
                 return self._infeasible()
@@ -618,6 +639,36 @@ class _Worker:
         return WarmBasis(self.vstat[:ntot].copy(), self.basis.copy())
 
 
+def _structurally_nonsingular(cols: sp.csc_matrix, basis: np.ndarray) -> bool:
+    """Whether the basis columns' nonzeros admit a perfect matching of rows
+    to columns; without one every factorization of them is singular."""
+    b = _columns(cols, basis)
+    # B's CSC arrays read as CSR are B transposed, whose matching is B's
+    pattern = sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape[::-1])
+    return bool((maximum_bipartite_matching(pattern, perm_type="column") >= 0).all())
+
+
+def _replay(form: EqualityForm, lb: np.ndarray, ub: np.ndarray, replay: WarmBasis,
+            tol_pivot: float, refactor_every: int):
+    """A worker started from ``replay``, its reduced costs checked dual
+    feasible on ``[lb, ub]``, or ``None`` when the basis does not fit the
+    form, is structurally singular on it, factors singular or is not dual
+    feasible.  The matching runs before any factorization."""
+    m, n = form.m, form.n
+    if replay.vstat.shape != (n + m,) or replay.basis.shape != (m,):
+        return None
+    slack = replay.vstat[n:]
+    parked = np.where(slack == AT_LOWER, form.slack_lo, form.slack_hi)
+    if not np.isfinite(parked[slack != BASIC]).all():
+        return None  # a slack parked at an infinite bound: another row sense
+    if not _structurally_nonsingular(form.cols, replay.basis):
+        return None
+    worker = _Worker(form, lb, ub, replay, tol_pivot, refactor_every)
+    if worker.warm:
+        worker.checked_d = worker._dual_feasible()
+    return worker if worker.checked_d is not None else None
+
+
 def solve_canonical(
     form: EqualityForm,
     lb,
@@ -625,6 +676,7 @@ def solve_canonical(
     *,
     warm: WarmBasis | None = None,
     factors: _Factors | None = None,
+    replay: WarmBasis | None = None,
 ) -> CanonicalResult:
     """Solve ``min c.x  s.t.  A x (senses) b,  lb <= x <= ub`` over ``form``.
 
@@ -636,8 +688,15 @@ def solve_canonical(
     :func:`crash_from_point` built for it; the dual simplex reoptimises it
     when it is dual feasible, and phase 1 repairs it otherwise.
     ``factors`` are the ``factors`` of the result whose ``basis`` is
-    ``warm``; with them the solve starts without factoring.  Statuses:
-    "optimal" and "infeasible"; a boxed program is never unbounded.
+    ``warm``; with them the solve starts without factoring.
+
+    ``replay`` is a basis from a solve of another form, such as the
+    previous plan's root.  The solve starts there only when the basis has
+    this form's shape, is structurally nonsingular on its matrix and is
+    dual feasible for these bounds, and then reoptimises it by the dual
+    simplex; otherwise it starts from ``warm`` and ``factors`` exactly as
+    without ``replay``.  Statuses: "optimal" and "infeasible"; a boxed
+    program is never unbounded.
     """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
@@ -654,8 +713,12 @@ def solve_canonical(
     # pivoting takes a different (still deterministic) path that avoids it.
     spent = 0
     for rung, (tol_pivot, refactor_every) in enumerate(_LADDER):
-        start, lu = (warm, factors) if rung == 0 else (None, None)
-        worker = _Worker(form, lb, ub, start, tol_pivot, refactor_every, lu)
+        worker = None
+        if rung == 0 and replay is not None:
+            worker = _replay(form, lb, ub, replay, tol_pivot, refactor_every)
+        if worker is None:
+            start, lu = (warm, factors) if rung == 0 else (None, None)
+            worker = _Worker(form, lb, ub, start, tol_pivot, refactor_every, lu)
         try:
             result = worker.solve()
         except _SingularBasis:

@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import LiftedState, ParamBounds, lifted_step
 from .estimators import (EstimatorConfig, MeasurementWindow, state_update,
                          theta_update)
-from .milp import MilpBudget
+from .milp import MilpBudget, WarmBasis
 from .mpc import MpcConfig, TerminalSet, solve_mpc
 
 PHASE_MPC = "mpc"
@@ -84,13 +84,25 @@ class SetPcConfig:
 @dataclass(frozen=True)
 class SetPcState:
     """Carried between ticks: the predicted box, the parameter box, the
-    shared measurement window (which holds the arrival box), and the last
-    executed control."""
+    shared measurement window (which holds the arrival box), the last
+    executed control, and the last plan's root basis.
+
+    ``root_basis`` is the final basis of the last plan's root LP
+    (``milp.Solution.root_basis``: statuses and indices, no factors). It
+    rides through local and warm-up ticks unchanged, and the next plan
+    offers it to ``solve_mpc`` as its root start (the MPC warm start of
+    Ferreau, Bock & Diehl, 2008). Consecutive plans build models of one
+    shape, so the root can reoptimise from it by the dual simplex; the
+    solver falls back to its crash start unless the basis passes its
+    replay gate. The state lives in one loop, so two loops never share a
+    basis.
+    """
 
     predicted: LiftedState
     params: ParamBounds
     window: MeasurementWindow
     last_control: np.ndarray | None = None
+    root_basis: WarmBasis | None = None
 
 
 @dataclass(frozen=True)
@@ -151,7 +163,7 @@ def _ingest(state: SetPcState, y, config: SetPcConfig):
     return corrected, theta
 
 
-def _dispatch(state, corrected, theta, command, *, phase, value):
+def _dispatch(state, corrected, theta, command, *, phase, value, root_basis):
     """Clamp the command, predict the next box, assemble the successor."""
     window = state.window
     n = window.output_model.mainline_mask.shape[0]
@@ -159,7 +171,7 @@ def _dispatch(state, corrected, theta, command, *, phase, value):
     u_exec = np.clip(command, 0.0, np.minimum(cap, theta.upper.u_max))
     predicted = lifted_step(corrected, u_exec, window.demand, theta)
     successor = SetPcState(predicted=predicted, params=theta, window=window,
-                           last_control=u_exec)
+                           last_control=u_exec, root_basis=root_basis)
     return u_exec, successor, StepDiagnostics(value, phase, corrected)
 
 
@@ -180,11 +192,13 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     phase = (PHASE_LOCAL if len(state.window) > 1
              and config.terminal.contains(corrected.upper) else PHASE_MPC)
 
+    root_basis = state.root_basis
     if phase == PHASE_MPC:
         result = solve_mpc(corrected, state.window.demand, theta, config.mpc,
-                           config.terminal, budget=config.budget)
+                           config.terminal, budget=config.budget, root_basis=root_basis)
         command = result.u
         value = result.value
+        root_basis = result.solution.root_basis
     else:
         queue_history = [np.asarray(obs.y_ramp, dtype=float)
                          for obs in state.window.observations]
@@ -193,7 +207,7 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
         value = math.nan
 
     return _dispatch(state, corrected, theta, command, phase=phase,
-                     value=value)
+                     value=value, root_basis=root_basis)
 
 
 def forced_step(state: SetPcState, y, config: SetPcConfig, command):
@@ -206,4 +220,4 @@ def forced_step(state: SetPcState, y, config: SetPcConfig, command):
     """
     corrected, theta = _ingest(state, y, config)
     return _dispatch(state, corrected, theta, command, phase=PHASE_WARMUP,
-                     value=math.nan)
+                     value=math.nan, root_basis=state.root_basis)

@@ -199,6 +199,14 @@ class MilpBudget:
 
 @dataclass
 class Solution:
+    """What :func:`solve_milp` proved, with the root LP's final basis.
+
+    ``root_basis`` holds statuses and indices only, never factors, so a
+    caller can keep it for the next model of the same shape.  It is
+    ``None`` when the root LP was not solved to optimality (closed by
+    propagation, or infeasible) or an artificial stayed basic.
+    """
+
     status: str
     x: np.ndarray
     objective: float
@@ -206,6 +214,7 @@ class Solution:
     gap: float
     nodes: int
     iterations: int
+    root_basis: WarmBasis | None = None
 
 
 def _at_least_zero(v):
@@ -701,6 +710,7 @@ def solve_milp(
     budget: MilpBudget,
     incumbent_hook=None,
     initial_candidates=None,
+    root_basis: WarmBasis | None = None,
 ) -> Solution:
     """Branch and bound over the binary columns of ``model``.
 
@@ -724,6 +734,20 @@ def solve_milp(
     is verified here, by :func:`check_solution` at ``tol=1e-7``, before
     being trusted, so callers pass their vectors unchecked; candidates only
     tighten pruning and never change the reported optimum.
+
+    ``root_basis`` is an optional start for the root LP: the final root
+    basis of an earlier model of the same shape, which the controller
+    carries from one plan to the next (statuses and indices only, no
+    factors).  The root starts there only when the basis has the equality
+    form's shape, is structurally nonsingular on the new matrix (a
+    bipartite matching over its columns, before any factorization) and is
+    dual feasible for the root's bounds; the dual simplex then
+    reoptimises it in the worker that checked it.  Any failed check leaves
+    the root on the crash from the best candidate, exactly as without the
+    argument.  A replayed root can end on another optimal vertex, so the
+    tree and the returned plan may differ from the crash start's; the
+    optimum agrees within the gap.  The solution's ``root_basis`` is the
+    root LP's final basis, for the next model.
 
     Every node, the root included, first propagates its box over the rows:
     its parent's propagated box (the model's box at the root) with the
@@ -792,12 +816,14 @@ def solve_milp(
 
     # The node solved next unless one is popped, as (fixes, warm basis, its
     # factors, the parent's propagated box): the root, whose basis a verified
-    # incumbent crashes so that phase 1 starts satisfied, then the child each
-    # branching leans toward, which starts from its parent's final factors.
-    root_basis = None
+    # incumbent crashes so that phase 1 starts satisfied unless the caller's
+    # root basis passes the replay gate, then the child each branching leans
+    # toward, which starts from its parent's final factors.
+    crash = None
     if best_x is not None:
-        root_basis = crash_from_point(form, lp.col_lower, lp.col_upper, best_x)
-    plunge = ({}, root_basis, None, (lp.col_lower, lp.col_upper))
+        crash = crash_from_point(form, lp.col_lower, lp.col_upper, best_x)
+    plunge = ({}, crash, None, (lp.col_lower, lp.col_upper))
+    root_final = None
     while (plunge or pool) and nodes < budget.max_nodes:
         if plunge:
             (fixes, warm, factors, parent_box), plunge = plunge, None
@@ -820,7 +846,10 @@ def solve_milp(
             lb, ub = lb.copy(), ub.copy()
             for j, v in fixes.items():
                 lb[j] = ub[j] = v
-        res = solve_canonical(form, lb, ub, warm=warm, factors=factors)
+        res = solve_canonical(form, lb, ub, warm=warm, factors=factors,
+                              replay=root_basis if nodes == 1 else None)
+        if nodes == 1:
+            root_final = res.basis
         iters += res.iterations
         if res.status == "infeasible":
             continue
@@ -872,4 +901,5 @@ def solve_milp(
         max(best_obj - proven, 0.0) if found else np.inf,
         nodes,
         iters,
+        root_final,
     )

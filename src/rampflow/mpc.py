@@ -695,6 +695,7 @@ def solve_mpc(
     terminal: TerminalSet,
     *,
     budget: milp.MilpBudget,
+    root_basis: milp.WarmBasis | None = None,
 ) -> MpcResult:
     """Plan over the horizon and return the first control with the value.
 
@@ -711,6 +712,10 @@ def solve_mpc(
     ``SolveBudgetExceeded`` carrying the incumbent diagnostics. Both, and a
     ``milp.NumericalBreakdown`` that escapes the solver, carry the model
     that failed as ``model``, for ``milp.dump_model``.
+
+    ``root_basis`` is the previous plan's ``solution.root_basis``, handed
+    to ``milp.solve_milp`` as the root LP's start; the solver uses it only
+    when it passes its replay gate, and a model of another shape never does.
     """
     bounds = ParamBounds(param_bounds.upper,
                          replace(param_bounds.lower, x_jam=param_bounds.upper.x_jam))
@@ -733,6 +738,7 @@ def solve_mpc(
             budget=budget,
             incumbent_hook=_incumbent_hook(prob),
             initial_candidates=[prob.encode(s) for s in (track, np.zeros_like(track))],
+            root_basis=root_basis,
         )
     except milp.NumericalBreakdown as err:
         err.model = prob.model

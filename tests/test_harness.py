@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rampflow import cli, harness, milp
+from rampflow import _simplex, cli, harness, milp
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
 PRESET = harness.PRESETS["fourcell_constant"]
@@ -122,14 +122,14 @@ def test_unknown_keys_are_refused_with_their_line(anchor, new, block):
         parse_scenario(text)
 
 
-def _short_planning_text():
-    """Point boxes, horizon 4, five ticks after the warm-up."""
+def _short_planning_text(horizon=4, mainline="30 30 30 60"):
+    """Point boxes, horizon 4 unless given, five ticks after the warm-up."""
     box_lines = {"  demand_margin 0.1", "  v 0.4 0.6", "  w 0.1 0.3",
                  "  x_jam 150 170", "  c_max 16 24", "  beta 0.7 0.95"}
     text = "\n".join(line for line in PRESET.splitlines() if line not in box_lines) + "\n"
-    text = _edit(text, "  horizon 60", ["  horizon 4"], keep=False)[0]
+    text = _edit(text, "  horizon 60", [f"  horizon {horizon}"], keep=False)[0]
     text = _edit(text, "  steps 60", ["  steps 5"], keep=False)[0]
-    return _edit(text, "  mainline 30 30 30 120", ["  mainline 30 30 30 60"], keep=False)[0]
+    return _edit(text, "  mainline 30 30 30 120", [f"  mainline {mainline}"], keep=False)[0]
 
 
 def _short_planning_scenario():
@@ -161,6 +161,53 @@ def test_short_planning_run_writes_identical_csvs_that_read_back(tmp_path):
     np.testing.assert_allclose([s.u for s in back.steps], [s.u for s in log.steps],
                                rtol=1e-11, atol=1e-12)
     np.testing.assert_allclose(back.runnings, log.runnings, rtol=1e-11)
+
+
+def test_a_second_loop_crashes_its_first_root_and_writes_the_same_bytes(
+        tmp_path, monkeypatch):
+    """Each plan offers the previous plan's root basis to the solver, but
+    the basis lives in the loop's state: two loops of one point-box
+    scenario in one process write byte-identical CSVs, and the second
+    loop's first root starts from the crash, not from the first loop's
+    last basis. Later roots replay their predecessor's basis."""
+    scenario = parse_scenario(_short_planning_text(10, "30 30 30 120"), name="point_plan")
+    assert scenario.theta_box.is_point
+    roots = []  # per plan: (root basis offered, crash basis given, replay accepted)
+    real_solve, real_canonical = milp.solve_milp, milp.solve_canonical
+    real_replay = _simplex._replay
+
+    def solve(model, **kwargs):
+        roots.append([kwargs["root_basis"]])
+        return real_solve(model, **kwargs)
+
+    def canonical(*args, warm=None, replay=None, **kwargs):
+        if len(roots[-1]) == 1:
+            roots[-1] += [warm, False]
+        return real_canonical(*args, warm=warm, replay=replay, **kwargs)
+
+    def gate(*args):
+        worker = real_replay(*args)
+        roots[-1][2] = worker is not None
+        return worker
+
+    monkeypatch.setattr(milp, "solve_milp", solve)
+    monkeypatch.setattr(milp, "solve_canonical", canonical)
+    monkeypatch.setattr(_simplex, "_replay", gate)
+    blobs, loops = [], []
+    for k in range(2):
+        roots.clear()
+        log = harness.run_closed_loop(scenario)
+        path = emit_csv(log, tmp_path / f"run{k}.csv", meta=harness.scenario_meta(scenario, log))
+        blobs.append(path.read_bytes())
+        loops.append([list(r) for r in roots])
+    assert blobs[0] == blobs[1]
+    for plans in loops:
+        assert len(plans) >= 4
+        offered, crash, replayed = plans[0]
+        assert offered is None and crash is not None and not replayed
+        assert all(offered is not None for offered, _, _ in plans[1:])
+        assert any(replayed for _, _, replayed in plans[1:])
+    assert [r[2] for r in loops[0]] == [r[2] for r in loops[1]]
 
 
 def test_run_command_writes_the_record_of_a_scenario_file(tmp_path, capsys):

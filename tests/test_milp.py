@@ -1681,3 +1681,192 @@ def test_a_block_of_gadgets_is_the_gadgets_added_one_by_one():
                for g in placed.gadgets)
     with pytest.raises(ValueError, match="exactly once"):
         b.build(order=[np.zeros(b.n_cols, dtype=int), reverse[1]])
+
+
+# ------------------------------------------- the root basis replayed across plans
+
+_BOX_LINES = ("demand_margin 0.1", "v 0.4 0.6", "w 0.1 0.3", "x_jam 150 170",
+              "c_max 16 24", "beta 0.7 0.95")
+# point boxes at horizon 10, and narrow interval boxes at horizon 4
+POINT_LOOP = [(line, None) for line in _BOX_LINES] + [("horizon 60", "horizon 10"),
+                                                     ("steps 60", "steps 5")]
+TUBE_LOOP = list(zip(_BOX_LINES, ("demand_margin 0.02", "v 0.49 0.51", "w 0.16 0.17",
+                                  "x_jam 159 161", "c_max 19.8 20.2", "beta 0.89 0.91"))) + [
+    ("horizon 60", "horizon 4"), ("steps 60", "steps 5"),
+    ("mainline 30 30 30 120", "mainline 30 30 30 60")]
+
+
+def _loop_plans(edits):
+    """Each plan of a short ``fourcell_constant`` loop, with each (old line,
+    new line or ``None`` to drop it) of ``edits``: the model, the keywords
+    the controller passed to ``solve_milp`` (the previous plan's root basis
+    among them) and a maker of a fresh incumbent hook, since a hook skips
+    the controls it has offered before."""
+    text = harness.PRESETS["fourcell_constant"]
+    for old, new in edits:
+        assert f"  {old}\n" in text
+        text = text.replace(f"  {old}\n", "" if new is None else f"  {new}\n")
+    plans, problems = [], []
+    real_solve, real_hook = milp.solve_milp, mpc._incumbent_hook
+
+    def recorded(model, **kwargs):
+        plans.append((model, kwargs, lambda prob=problems[-1]: real_hook(prob)))
+        return real_solve(model, **kwargs)
+
+    def hook(prob):
+        problems.append(prob)
+        return real_hook(prob)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "solve_milp", recorded)
+        patch.setattr(mpc, "_incumbent_hook", hook)
+        harness.run_closed_loop(harness.parse_scenario(text, name="replay_loop"))
+    return plans
+
+
+def _solve_plan(plan, root_basis):
+    """Solve a recorded plan again from ``root_basis``, with a fresh hook."""
+    model, kwargs, fresh_hook = plan
+    return solve_milp(model, **{**kwargs, "incumbent_hook": fresh_hook(),
+                                "root_basis": root_basis})
+
+
+def _root_spies(monkeypatch):
+    """Spies on the root solves: per ``solve_milp`` call, whether the replay
+    gate accepted the basis and whether the root ran the dual simplex."""
+    seen = {"replayed": [], "dual": []}
+    real_canonical, real_replay, real_dual = (milp.solve_canonical, _simplex._replay,
+                                              _simplex._Worker._dual)
+    at_root = [False]
+
+    def canonical(*args, replay=None, **kwargs):
+        at_root[0] = replay is not None
+        try:
+            return real_canonical(*args, replay=replay, **kwargs)
+        finally:
+            at_root[0] = False
+
+    def gate(*args):
+        worker = real_replay(*args)
+        seen["replayed"].append(worker is not None)
+        return worker
+
+    def dual(worker, d):
+        if at_root[0]:
+            seen["dual"].append(len(seen["replayed"]))
+        return real_dual(worker, d)
+
+    monkeypatch.setattr(milp, "solve_canonical", canonical)
+    monkeypatch.setattr(_simplex, "_replay", gate)
+    monkeypatch.setattr(_simplex._Worker, "_dual", dual)
+    return seen
+
+
+def test_a_replayed_root_basis_keeps_every_plan_exact(monkeypatch):
+    """Every later plan of a point-box loop and of a tube loop, solved from
+    the previous plan's root basis, has the crash start's status and an
+    objective within the gap of that start's and of HiGHS's, with a bound
+    below HiGHS's.  A basis the gate rejects leaves the solve bit for bit
+    the crash start's, and at least one replayed root runs the dual."""
+    loops = [_loop_plans(edits) for edits in (POINT_LOOP, TUBE_LOOP)]
+    seen = _root_spies(monkeypatch)
+    offered = 0
+    for plans in loops:
+        assert len(plans) >= 4 and plans[0][1]["root_basis"] is None
+        for plan in plans[1:]:
+            model, kwargs, _ = plan
+            assert kwargs["root_basis"] is not None
+            offered += 1
+            replayed = _solve_plan(plan, kwargs["root_basis"])
+            accepted = seen["replayed"][-1]
+            crashed = _solve_plan(plan, None)
+            assert len(seen["replayed"]) == offered
+            assert replayed.status == crashed.status == OPTIMAL
+            gap = max(kwargs["budget"].gap_abs,
+                      kwargs["budget"].gap_rel * abs(crashed.objective))
+            assert abs(replayed.objective - crashed.objective) <= gap
+            ref = _highs_milp(model)
+            assert ref.status == 0
+            assert abs(replayed.objective - ref.fun) <= gap
+            assert replayed.bound <= ref.fun + 1e-6 * (1.0 + abs(ref.fun))
+            assert not check_solution(model, replayed.x, tol=1e-7)
+            if not accepted:
+                assert (replayed.iterations, replayed.nodes) == (crashed.iterations,
+                                                                 crashed.nodes)
+                np.testing.assert_array_equal(replayed.x, crashed.x)
+    assert any(seen["replayed"]) and seen["dual"]
+    assert set(seen["dual"]) <= {k + 1 for k, ok in enumerate(seen["replayed"]) if ok}
+
+
+def _replays_the_gate_rejects(form, kept: _simplex.WarmBasis):
+    """Bases the gate must reject, built from this form and a basis ``kept``
+    of its shape: one of another shape, one whose slack parks at an
+    infinite bound, one whose basis leaves a row without a nonzero, which
+    is structurally singular, and the slack basis with every structural
+    at its upper bound, which is not dual feasible where a cost is
+    positive."""
+    m, n = form.m, form.n
+    a = form.cols[:, :n].tocsr()
+    r = int(np.flatnonzero(form.senses == "L")[0])
+    j = int(np.setdiff1d(np.flatnonzero(np.diff(form.cols.indptr[:n + 1])),
+                         a.indices[a.indptr[r]:a.indptr[r + 1]])[0])
+    vstat = np.concatenate([np.full(n, _simplex.AT_LOWER, dtype=np.int8),
+                            np.full(m, _simplex.BASIC, dtype=np.int8)])
+    basis = np.arange(n, n + m)
+    dual_infeasible = _simplex.WarmBasis(vstat.copy(), basis.copy())
+    dual_infeasible.vstat[:n] = _simplex.AT_UPPER
+    vstat[n + r], vstat[j], basis[r] = _simplex.AT_LOWER, _simplex.BASIC, j
+    singular = _simplex.WarmBasis(vstat, basis)
+    assert not _simplex._structurally_nonsingular(form.cols, singular.basis)
+    parked = _simplex.WarmBasis(kept.vstat.copy(), kept.basis.copy())
+    slack = int(np.flatnonzero((form.senses == "L") & (kept.vstat[n:] != _simplex.BASIC))[0])
+    parked.vstat[n + slack] = _simplex.AT_UPPER
+    short = _simplex.WarmBasis(np.delete(kept.vstat, n - 1), kept.basis[kept.basis != n - 1])
+    return {"singular": singular, "parked": parked, "short": short,
+            "dual_infeasible": dual_infeasible}
+
+
+@pytest.mark.parametrize("kind", ["singular", "parked", "short", "dual_infeasible"])
+def test_a_replay_the_gate_rejects_never_reaches_splu(monkeypatch, kind):
+    """A structurally singular replayed basis, one whose slack parks at an
+    infinite bound, and one of another shape are rejected before any
+    factorization: SuperLU receives exactly the matrices of the crash
+    start, and the search takes the crash start's pivots, nodes and plan.
+    SuperLU leaks memory on every factorization that fails, so a singular
+    basis must never reach it.  A basis that is not dual feasible is
+    factored once for the check, then the solve is the crash start's."""
+    plan = _loop_plans(POINT_LOOP)[1]
+    model, kwargs, _ = plan
+    lp = model.lp
+    form = _simplex.EqualityForm(lp.matrix(), lp.row_senses, lp.rhs, lp.obj)
+    replay = _replays_the_gate_rejects(form, kwargs["root_basis"])[kind]
+    factored, roots = [], []
+    real_splu, real_canonical = _simplex.splu, milp.solve_canonical
+
+    def splu(cols):
+        factored.append(cols)
+        return real_splu(cols)
+
+    def canonical(*args, **kw):
+        res = real_canonical(*args, **kw)
+        if not roots:
+            roots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(_simplex, "splu", splu)
+    monkeypatch.setattr(milp, "solve_canonical", canonical)
+    crashed = _solve_plan(plan, None)
+    want_factored, crash_root = factored[:], roots[:]
+    if kind == "dual_infeasible":
+        want_factored.insert(0, _simplex._columns(form.cols, replay.basis))
+    factored.clear()
+    roots.clear()
+    replayed = _solve_plan(plan, replay)
+    assert len(factored) == len(want_factored)
+    for got, want in zip(factored, want_factored):
+        for field in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert roots == crash_root
+    assert (replayed.status, replayed.iterations, replayed.nodes) == (
+        crashed.status, crashed.iterations, crashed.nodes)
+    np.testing.assert_array_equal(replayed.x, crashed.x)

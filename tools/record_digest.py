@@ -8,6 +8,10 @@ seeds in the order given): the sha256 of the CSV
 ``#`` metadata, the ticks that planned, the LP solves and
 simplex pivots (counted by wrapping ``milp.solve_canonical``), the
 branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions), the
+root LPs as ``roots replayed/crashed/cold`` (the first
+``milp.solve_canonical`` call of each ``milp.solve_milp``: started from the
+previous plan's root basis, which ``_simplex._replay`` accepted, from the
+crash basis of a verified candidate, or from the slack basis), the
 basis factorizations (``_simplex._Factors`` built), the slack columns
 among the basic columns summed over those factorizations (as
 ``slacks/columns``), the LP solves that
@@ -60,14 +64,26 @@ def main(argv=None) -> int:
     solve_milp, factors = milp.solve_milp, _simplex._Factors
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
     factor, box = _simplex._Worker._factor, milp._RowPropagation.box
-    counts = [0] * 13
+    replay = _simplex._replay
+    counts = [0] * 16
     models = hashlib.sha256()
+    # [a root solve is next, the replay gate accepted a basis]
+    root = [False, False]
 
     def counted(*args, **kwargs):
+        root[1] = False
         res = solve_canonical(*args, **kwargs)
         counts[0] += 1
         counts[1] += res.iterations
+        if root[0]:
+            root[0] = False
+            counts[13 if root[1] else 14 if kwargs["warm"] is not None else 15] += 1
         return res
+
+    def counted_replay(*args):
+        worker = replay(*args)
+        root[1] = worker is not None
+        return worker
 
     def counted_boxes(window, pair, tol):
         dead = certified(window, pair, tol)
@@ -84,7 +100,9 @@ def main(argv=None) -> int:
         if incumbent_hook is not None:
             kwargs["incumbent_hook"] = counted_hook
         models.update(milp.dump_model(args[0]).encode())
+        root[0] = True
         sol = solve_milp(*args, **kwargs)
+        root[0] = False
         counts[4] += sol.nodes
         return sol
 
@@ -116,6 +134,7 @@ def main(argv=None) -> int:
         return decided
 
     milp.solve_canonical = counted
+    _simplex._replay = counted_replay
     _simplex._Worker._dual = counted_dual
     _simplex._Worker._factor = counted_factor
     milp._Selectors.fixes = counted_fixes
@@ -133,7 +152,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 13
+            counts[:] = [0] * 16
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -143,6 +162,7 @@ def main(argv=None) -> int:
             plans = sum(step.phase == "mpc" for step in log.steps)
             print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
                   f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]} "
+                  f"roots {counts[13]}/{counts[14]}/{counts[15]} "
                   f"factorizations {counts[5]} basic_slacks {counts[9]}/{counts[10]} "
                   f"dual_solves {counts[6]} "
                   f"node_fixed {counts[7]} hook_encodes {counts[8]} "
