@@ -688,7 +688,9 @@ def solve_canonical(
     :func:`crash_from_point` built for it; the dual simplex reoptimises it
     when it is dual feasible, and phase 1 repairs it otherwise.
     ``factors`` are the ``factors`` of the result whose ``basis`` is
-    ``warm``; with them the solve starts without factoring.
+    ``warm``; with them the solve starts without factoring.  ``warm`` may
+    also be a function of no arguments that returns the basis (or
+    ``None``); it is called only when the solve starts from it.
 
     ``replay`` is a basis from a solve of another form, such as the
     previous plan's root.  The solve starts there only when the basis has
@@ -718,6 +720,8 @@ def solve_canonical(
             worker = _replay(form, lb, ub, replay, tol_pivot, refactor_every)
         if worker is None:
             start, lu = (warm, factors) if rung == 0 else (None, None)
+            if callable(start):
+                start = start()
             worker = _Worker(form, lb, ub, start, tol_pivot, refactor_every, lu)
         try:
             result = worker.solve()

@@ -169,7 +169,7 @@ def _dispatch(state, corrected, theta, command, *, phase, value, root_basis):
     n = window.output_model.mainline_mask.shape[0]
     cap = corrected.lower[n:] + window.demand.lower
     u_exec = np.clip(command, 0.0, np.minimum(cap, theta.upper.u_max))
-    predicted = lifted_step(corrected, u_exec, window.demand, theta)
+    predicted = lifted_step(corrected, u_exec, window.demand, window.pair(theta))
     successor = SetPcState(predicted=predicted, params=theta, window=window,
                            last_control=u_exec, root_basis=root_basis)
     return u_exec, successor, StepDiagnostics(value, phase, corrected)

@@ -15,12 +15,19 @@ component axis, the upper component first: the bracket is one
 the primary sets are the box's corners stacked the same way (upper corner
 first), so the secondary sets are the same arrays reversed, as views.
 ``_stacked`` builds that pair from parameter sets and ``_pair`` from
-stacked fields; ``ParamBounds.pair`` holds a box's pair, built once.
+stacked fields. ``ParamBounds.pair`` builds a box's pair on every read and
+no box keeps it; a closed loop holds the pair of the box it is using in
+its measurement window (``estimators.MeasurementWindow.pair``).
 
-``_tube_flows`` is the one home of the tube's flow arithmetic. Besides the
-next state it returns the named intermediates of the outflow side and the
-merge side (speed-line flow, drop threshold and no-drop flag, switched
-ceiling, sending flow, affine receiving flow, realized flow).
+``_tube_flows`` is the one home of the tube's flow arithmetic. The terms
+it needs that depend on the parameters alone (the drop thresholds c/v, the
+dropped ceilings alpha*c, the supply slopes w/beta and the sliced fields of
+the merge side) are computed by ``_terms`` once per pair, and ``_pair``
+attaches them, so a propagation that steps one pair several times
+computes them once; the kernel reads nothing else of the parameters.
+Besides the next state it returns the named intermediates of the outflow
+side and the merge side (speed-line flow, drop threshold and no-drop flag,
+switched ceiling, sending flow, affine receiving flow, realized flow).
 ``_clamped_step`` steps a bracket with one kernel call and clamps it in
 place; it serves ``lifted_step`` and, on stacks of parameter boxes, the
 certificate in :mod:`rampflow.estimators`. The planner in :mod:`rampflow.mpc`
@@ -55,7 +62,6 @@ which the kernel leaves out, never changes the realized flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -66,18 +72,32 @@ from .ctm import RANGE_RULES, FreewayParams, _raise_broken, _rules_hold
 PARAM_FIELDS = ("beta", "v", "w", "x_jam", "c_max", "alpha")
 
 
-def _pair(fields: dict) -> tuple[SimpleNamespace, SimpleNamespace]:
+class _Pair(NamedTuple):
+    """A box's (primary, secondary) sets with the kernel's terms of them."""
+
+    primary: SimpleNamespace
+    secondary: SimpleNamespace
+    terms: _Terms  # what _tube_flows reads (``_terms``)
+
+
+def _pair(fields: dict) -> _Pair:
     """The (primary, secondary) sets of fields stacked on a leading component
     axis, upper component first: the secondary sets are the same arrays
-    reversed along that axis, as views."""
-    return (SimpleNamespace(**fields),
-            SimpleNamespace(**{name: a[::-1] for name, a in fields.items()}))
+    reversed along that axis, as views. Their kernel terms come with them."""
+    primary = SimpleNamespace(**fields)
+    secondary = SimpleNamespace(**{name: a[::-1] for name, a in fields.items()})
+    return _Pair(primary, secondary, _terms(primary, secondary))
 
 
-def _stacked(*sets) -> tuple[SimpleNamespace, SimpleNamespace]:
+def _fields(*sets) -> dict:
+    """The fields of parameter sets stacked one per component, in the order given."""
+    return {name: np.array([getattr(p, name) for p in sets])
+            for name in (*PARAM_FIELDS, "u_max")}
+
+
+def _stacked(*sets) -> _Pair:
     """The pair of parameter sets stacked one per component, in the order given."""
-    return _pair({name: np.array([getattr(p, name) for p in sets])
-                  for name in (*PARAM_FIELDS, "u_max")})
+    return _pair(_fields(*sets))
 
 
 @dataclass(frozen=True)
@@ -140,11 +160,16 @@ class ParamBounds:
     lower: FreewayParams
 
     def __post_init__(self):
-        _raise_broken(BOX_RULES, self.pair[0])
+        _raise_broken(BOX_RULES, SimpleNamespace(**_fields(self.upper, self.lower)))
 
-    @cached_property
-    def pair(self) -> tuple[SimpleNamespace, SimpleNamespace]:
-        """The corners as the kernel's (primary, secondary) pair, upper first."""
+    @property
+    def pair(self) -> _Pair:
+        """The corners as the kernel's (primary, secondary) pair, upper first.
+
+        Built on every read and kept by no box, so the boxes a log keeps stay
+        light; a closed loop holds the pair of the box it is using in its
+        measurement window (``MeasurementWindow.pair``).
+        """
         return _stacked(self.upper, self.lower)
 
     @property
@@ -187,58 +212,93 @@ class _TubeFlows(NamedTuple):
     next: np.ndarray  # stacked next state
 
 
-def _sending(x, z, v, c, alpha, v_threshold):
-    """Speed line read at x, ceiling read at z.
+class _SideTerms(NamedTuple):
+    """The parameter-only terms of one flow interface; cells on the last axis."""
 
-    The ceiling switches to the dropped value alpha*c once z passes
-    c / v_threshold; the boundary keeps full capacity, matching the plant.
-    """
-    thr = c / v_threshold
-    keep = z <= thr
-    vx = v * x
-    xi = np.where(keep, c, alpha * c)
-    return vx, thr, keep, xi, np.minimum(vx, xi)
+    v: np.ndarray        # speed of the sending cell's speed line
+    c: np.ndarray        # its ceiling c_max
+    thr: np.ndarray      # drop threshold c / v of the ceiling's reading
+    dropped: np.ndarray  # dropped ceiling alpha*c
+    slope: np.ndarray    # supply slope w/beta of the receiving cell
+    jam: np.ndarray      # jam occupancy of the receiving cell
 
 
-def _tube_flows(x, z, u, lam, primary, secondary) -> _TubeFlows:
-    """One tube step from the split parameter sets; broadcasts over leading axes.
+class _Terms(NamedTuple):
+    """Everything ``_tube_flows`` reads of a pair of parameter sets."""
+
+    out: _SideTerms    # the cell outflow
+    merge: _SideTerms  # the merge inflow into cells 2..I
+    beta: np.ndarray   # the merge share, from the primary set
+
+
+def _terms(primary, secondary) -> _Terms:
+    """The kernel's parameter-only terms of a (primary, secondary) pair.
 
     primary and secondary are anything with the parameter fields as
     attributes (``FreewayParams``, or stacked corners); the secondary set's
-    beta is never read. All arrays; cells along the last axis; x carries
-    every leading axis and the other arguments broadcast against it. The
-    receiving flow stays affine (negative above x_jam, which interval
-    arithmetic can reach when the jam bound is read from the opposite
-    corner of the box); only the realized flow clamps it at zero. Its cap
-    at the upstream capacity is left out because the sending flow never
-    exceeds that capacity.
+    beta is never read. Each term is one elementwise operation on the
+    fields (slices of them on the merge side), so it has the same bits
+    whether it is built for one kernel call or kept on a pair for many.
     """
     a, b = primary, secondary
+    # cell outflow, read from the secondary set except for the drop
+    # threshold denominator and the supply's beta, which cross over
+    out = _SideTerms(b.v, b.c_max, b.c_max / a.v, b.alpha * b.c_max,
+                     b.w[..., 1:] / a.beta, b.x_jam[..., 1:])
+    # merge inflow into cells 2..I: what the upstream cell offers, throttled
+    # by the space this cell advertises, all read from the primary set
+    c = a.c_max[..., :-1]
+    merge = _SideTerms(a.v[..., :-1], c, c / b.v[..., :-1], a.alpha[..., :-1] * c,
+                       a.w[..., 1:] / a.beta, a.x_jam[..., 1:])
+    return _Terms(out, merge, a.beta)
+
+
+def _sending(x, z, t: _SideTerms):
+    """Speed line read at x, ceiling read at z.
+
+    The ceiling switches to the dropped value alpha*c once z passes the
+    drop threshold; the boundary keeps full capacity, matching the plant.
+    """
+    keep = z <= t.thr
+    vx = t.v * x
+    xi = np.where(keep, t.c, t.dropped)
+    return vx, t.thr, keep, xi, np.minimum(vx, xi)
+
+
+def _tube_flows(x, z, u, lam, terms: _Terms) -> _TubeFlows:
+    """One tube step from a pair's kernel terms; broadcasts over leading axes.
+
+    terms are the parameter-only terms of the split parameter sets
+    (``_terms``), computed once per pair; a ``_Pair`` carries them. All
+    arrays; cells along the last axis; x carries every leading axis and the
+    other arguments broadcast against it. The receiving flow stays affine
+    (negative above x_jam, which interval arithmetic can reach when the jam
+    bound is read from the opposite corner of the box); only the realized
+    flow clamps it at zero. Its cap at the upstream capacity is left out
+    because the sending flow never exceeds that capacity.
+    """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] // 2
     xm, xr = x[..., :n], x[..., n:]
     zm = np.asarray(z, dtype=float)[..., :n]
 
-    # cell outflow, read from the secondary set except for the drop
-    # threshold denominator and the supply's beta, which cross over
-    vx, thr, keep, xi, d = _sending(xm, xm, b.v, b.c_max, b.alpha, a.v)
-    s = (b.w[..., 1:] / a.beta) * (b.x_jam[..., 1:] - xm[..., 1:])
+    t = terms.out
+    vx, thr, keep, xi, d = _sending(xm, xm, t)
+    s = t.slope * (t.jam - xm[..., 1:])
     f = d.copy()
     f[..., :-1] = np.minimum(d[..., :-1], np.maximum(0.0, s))
     out = _Side(vx, thr, keep, xi, d, s, f)
 
-    # merge inflow into cells 2..I: what the upstream cell offers, throttled
-    # by the space this cell advertises, all read from the primary set
-    vx, thr, keep, xi, d = _sending(xm[..., :-1], zm[..., :-1], a.v[..., :-1],
-                                    a.c_max[..., :-1], a.alpha[..., :-1], b.v[..., :-1])
-    s = (a.w[..., 1:] / a.beta) * (a.x_jam[..., 1:] - xm[..., 1:])
+    t = terms.merge
+    vx, thr, keep, xi, d = _sending(xm[..., :-1], zm[..., :-1], t)
+    s = t.slope * (t.jam - xm[..., 1:])
     merge = _Side(vx, thr, keep, xi, d, s, np.minimum(d, np.maximum(0.0, s)))
 
     # the inflow u + beta*f, no merge into cell 0; the next state is written
     # into one array shaped like x
     inflow = np.empty(merge.f.shape[:-1] + (n,))
     inflow[..., 0] = 0.0
-    np.multiply(a.beta, merge.f, out=inflow[..., 1:])
+    np.multiply(terms.beta, merge.f, out=inflow[..., 1:])
     inflow = u + inflow
     nxt = np.empty(x.shape)
     np.add(xm, inflow, out=nxt[..., :n])
@@ -248,7 +308,7 @@ def _tube_flows(x, z, u, lam, primary, secondary) -> _TubeFlows:
     return _TubeFlows(out, merge, nxt)
 
 
-def _clamped_step(x, u, lam, pair):
+def _clamped_step(x, u, lam, pair: _Pair):
     """Both tube components one step, clamped to physical ranges.
 
     x is the bracket, the upper component before the lower on its leading
@@ -258,27 +318,28 @@ def _clamped_step(x, u, lam, pair):
     carry them all. One kernel call steps both components, and the next
     bracket is clamped in place and returned.
     """
-    prim, sec = pair
+    jam = pair.primary.x_jam
     lam = lam.reshape((2,) + (1,) * (x.ndim - 2) + lam.shape[-1:])
-    nxt = _tube_flows(x, x[::-1], u, lam, prim, sec).next
+    nxt = _tube_flows(x, x[::-1], u, lam, pair.terms).next
     # max-then-min is np.clip's arithmetic, in two whole-array passes
     np.maximum(nxt, 0.0, out=nxt)
     main = nxt[..., :lam.shape[-1]]
-    np.minimum(main, np.maximum(prim.x_jam[0], prim.x_jam[1]), out=main)
+    np.minimum(main, np.maximum(jam[0], jam[1]), out=main)
     return nxt
 
 
 def lifted_step(lifted: LiftedState, u: np.ndarray, demand: DemandBounds,
-                bounds: ParamBounds) -> LiftedState:
+                pair: _Pair) -> LiftedState:
     """Advance both tube components one step and clamp to physical ranges.
 
-    Clamping is sound: every trajectory the boxes admit keeps its mainline
-    in [0, x_jam] and its queues nonnegative, so tightening the bracket to
-    those ranges cannot lose the true state.
+    pair is the parameter box's kernel pair (``ParamBounds.pair``, or the
+    one a measurement window holds for the box). Clamping is sound: every
+    trajectory the boxes admit keeps its mainline in [0, x_jam] and its
+    queues nonnegative, so tightening the bracket to those ranges cannot
+    lose the true state.
     """
     x = _clamped_step(np.array([lifted.upper, lifted.lower]), u,
-                      np.array([demand.upper, demand.lower]), bounds.pair)
+                      np.array([demand.upper, demand.lower]), pair)
     if np.any(x[0] < x[1] - 1e-9):
         raise AssertionError("tube inverted: upper fell below lower")
     return LiftedState(upper=x[0], lower=x[1])
-

@@ -15,8 +15,8 @@ run.
 
 The propagation takes a stack of boxes at once. A stack costs far less
 than its boxes one at a time, but its cost still grows with its rows: on
-a 5-step window, one box takes about 0.4 ms, 48 rows 0.6 ms and 473 rows
-2.2 ms (best of 12 runs, one Xeon core, numpy 2.4). A walk reads only one
+a 5-step window, one box takes about 0.3 ms, 48 rows 0.5 ms and 474 rows
+1.6 ms (best of 12 runs, one Xeon core, numpy 2.4). A walk reads only one
 path of its bisection tree: the probes it visits while none certifies,
 its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
@@ -27,19 +27,27 @@ on a new spine from the narrowed interval. An applied cut changes the box
 every later probe is cut from, so the spines after it are stacked again.
 The walks, their check budget and the result are those of bisecting one
 candidate at a time.
+
+A probe stack (its mids, its stacked pair with the kernel's terms, and the
+range verdicts of its rows) depends on the box and the spines alone, never
+on the window. Most ticks leave the box as it was, so the measurement
+window keeps the first stack of the box the run is using, and the next
+tick that brings the same box with the same spines certifies that stack
+against its own window without building it again.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .ctm import Observation, OutputModel
 from .embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
-                        _box_admissible, _clamped_step, _pair)
+                        _box_admissible, _clamped_step, _pair, _Pair)
 
 CONSISTENCY_TOL = 1e-9
 
@@ -90,6 +98,30 @@ class _Record:
     readings: tuple      # _measured(observation, output model)
 
 
+class _Stack(NamedTuple):
+    """A probe stack: everything certifying it reads besides the window.
+
+    It depends only on the box it was cut from and the spines, so it stays
+    valid on every later window while both stand.
+    """
+
+    with_box: bool            # row 0 is the box itself
+    mids: list                # per spine, (its first row, its mids)
+    pair: _Pair               # the rows' stacked pair with its kernel terms
+    admissible: np.ndarray    # per row, whether it passes the range checks
+
+
+@dataclass
+class _Held:
+    """The box a run is using, its kernel pair, and the first probe stack
+    ``theta_update`` built from it with the spines it was built for."""
+
+    box: ParamBounds
+    pair: _Pair
+    spines: tuple | None = None
+    stack: _Stack | None = None
+
+
 class MeasurementWindow:
     """Ring buffer of the last L transitions the estimators may look at.
 
@@ -99,6 +131,12 @@ class MeasurementWindow:
     the transition *into* that step rides along with it. The first record
     of a fresh window has no incoming transition, every later one must.
     ``demand`` is the run's arrival box, which every transition shares.
+
+    The window is the run's, so it also holds one entry for the parameter
+    box the run is using: the box's kernel pair (``pair``) and the first
+    probe stack ``theta_update`` built from it. The entry is replaced when
+    another box comes; the box is matched by identity, which is what
+    ``theta_update`` returns when no bound moved.
     """
 
     def __init__(self, backward_horizon: int, output_model: OutputModel,
@@ -109,6 +147,18 @@ class MeasurementWindow:
         self.output_model = output_model
         self.demand = demand
         self._records: deque[_Record] = deque(maxlen=self.backward_horizon + 1)
+        self._held: _Held | None = None
+
+    def pair(self, box: ParamBounds) -> _Pair:
+        """box's kernel pair (``ParamBounds.pair``), built once while the
+        window holds box."""
+        return self._hold(box).pair
+
+    def _hold(self, box: ParamBounds) -> _Held:
+        held = self._held
+        if held is None or held.box is not box:
+            held = self._held = _Held(box, box.pair)
+        return held
 
     def push(self, lifted: LiftedState, observation: Observation,
              control: np.ndarray | None = None) -> None:
@@ -246,7 +296,7 @@ def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow) -> s
     earns "feasible"; a passing wider box only earns "unknown", because
     interval arithmetic may keep an empty box alive.
     """
-    if _certified(window, theta_box.pair, CONSISTENCY_TOL):
+    if _certified(window, window.pair(theta_box), CONSISTENCY_TOL):
         return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
@@ -257,12 +307,12 @@ def _corner_maps(bounds: ParamBounds):
     return lo, up
 
 
-def _corners(up_map: dict, lo_map: dict, template: ParamBounds) -> dict:
+def _corners(up_map: dict, lo_map: dict, u_max: np.ndarray) -> dict:
     """The box of the coordinate maps as its corners' fields stacked upper
-    first, with the template's u_max; ``_pair`` of it is ready for
-    ``_box_admissible`` and ``_certified``."""
+    first, with the stacked u_max of the box they came from; ``_pair`` of
+    it is ready for ``_box_admissible`` and ``_certified``."""
     return {**{f: np.array([up_map[f], lo_map[f]]) for f in PARAM_FIELDS},
-            "u_max": template.pair[0].u_max}
+            "u_max": u_max}
 
 
 class _Spine(NamedTuple):
@@ -283,25 +333,21 @@ class _Spine(NamedTuple):
     length: int
 
 
-def _certify_spines(window: MeasurementWindow, up_map: dict, lo_map: dict,
-                    template: ParamBounds, spines: list[_Spine], with_box: bool):
-    """Certify every probe of the spines against the window in one stacked
-    propagation; with_box stacks the box itself in front of them.
+def _probe_stack(up_map: dict, lo_map: dict, u_max: np.ndarray,
+                 spines: list[_Spine], with_box: bool) -> _Stack:
+    """The probes of the spines stacked for one propagation; with_box puts
+    the box itself in front of them.
 
     Each probed field is one (2, rows, cells) array of both corners, upper
     first, that the probes' mids are written into; the other fields keep
-    the box's corners on a unit rows axis. The pair of those arrays is
-    what the range checks and ``_certified`` read.
-
-    Returns whether the box was certified inconsistent (False without
-    with_box) and, per spine, its mids, whether each probe passes the
-    physical-range checks (an interior sub-box can fail them: its corners
-    mix values the box's own corners never combined) and whether it is
-    admissible and certified inconsistent.
+    the box's corners on a unit rows axis. The pair of those arrays, with
+    its kernel terms, is what the range checks and ``_certified`` read.
+    An interior sub-box can fail the range checks: its corners mix values
+    the box's own corners never combined.
     """
     first = int(with_box)
     rows = first + sum(s.length for s in spines)
-    box = _corners(up_map, lo_map, template)
+    box = _corners(up_map, lo_map, u_max)
     mids, probed, start = [], {}, first
     for s in spines:
         m, anchor = np.empty(s.length), s.anchor
@@ -315,11 +361,28 @@ def _certify_spines(window: MeasurementWindow, up_map: dict, lo_map: dict,
         mids.append((start, m))
         start += s.length
     pair = _pair({f: probed[f] if f in probed else a[:, None] for f, a in box.items()})
-    admissible = _box_admissible(pair[0])
-    dead = _certified(window, pair, CONSISTENCY_TOL)
-    certified = admissible & dead
-    return with_box and bool(dead[0]), [
-        (m, admissible[at:at + len(m)], certified[at:at + len(m)]) for at, m in mids]
+    return _Stack(with_box, mids, pair, _box_admissible(pair.primary))
+
+
+def _certify_spines(window: MeasurementWindow, stack: _Stack):
+    """Certify every probe of a stack against the window in one stacked
+    propagation.
+
+    The stack is built by ``_probe_stack``, either for this call or, for
+    the first stack of a tick, on an earlier tick whose box and spines
+    were the same (``theta_update`` keeps it in the window); only the
+    propagation depends on the window.
+
+    Returns whether the box was certified inconsistent (False without the
+    box in the stack) and, per spine, its mids, whether each probe passes
+    the physical-range checks and whether it is admissible and certified
+    inconsistent.
+    """
+    dead = _certified(window, stack.pair, CONSISTENCY_TOL)
+    certified = stack.admissible & dead
+    return stack.with_box and bool(dead[0]), [
+        (m, stack.admissible[at:at + len(m)], certified[at:at + len(m)])
+        for at, m in stack.mids]
 
 
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
@@ -345,16 +408,25 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     charges it: one check per probe the walk visits, none for a probe that
     fails the physical-range checks (it counts as not certified).
 
+    The first stack (the whole box and the spines from the input box) is
+    kept in the window, which holds one entry for the box the run is
+    using. When the next call brings the same box object (the input box
+    comes back itself when no bound moves) with the same spines, that
+    stack is certified against the new window without being built again;
+    any other box or spines build it afresh. Later stacks of a call are
+    always built.
+
     A box with no end to walk (a point box, a budget of at most one check
     or a depth of zero) gets the whole-box check alone from
-    ``interval_consistency``. The input box comes back itself when no
-    bound moves. If the whole incoming box is certified inconsistent,
-    containment is lost and ContainmentViolation is raised.
+    ``interval_consistency``. If the whole incoming box is certified
+    inconsistent, containment is lost and ContainmentViolation is raised.
     """
     if len(window) < 1:
         raise ValueError("the window is empty")
     checks_left = max(config.prune_budget, 1) - 1
 
+    held = window._hold(param_bounds)
+    u_max = held.pair.primary.u_max
     lo_map, up_map = _corner_maps(param_bounds)
     ends = [(f, i, is_upper)
             for f in PARAM_FIELDS
@@ -382,14 +454,20 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                 budget -= length
         return spines
 
-    def certify(spines, with_box=False):
-        box_dead, verdicts = _certify_spines(window, up_map, lo_map, param_bounds,
-                                             list(spines.values()), with_box)
+    def certify(spines, stack=None):
+        if stack is None:
+            stack = _probe_stack(up_map, lo_map, u_max, list(spines.values()), False)
+        box_dead, verdicts = _certify_spines(window, stack)
         return box_dead, dict(zip(spines, verdicts))
 
     spines, sweep = spines_from(0), {}
     if spines:
-        box_dead, sweep = certify(spines, with_box=True)
+        # the first stack of a box is kept while the box stands
+        key = tuple(spines.values())
+        if held.spines != key:
+            held.spines = key
+            held.stack = _probe_stack(up_map, lo_map, u_max, list(key), True)
+        box_dead, sweep = certify(spines, held.stack)
     else:
         # nothing to walk: a point box, one check of budget or a depth of zero
         box_dead = interval_consistency(param_bounds, window) == INFEASIBLE
@@ -430,7 +508,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
             # checks; such a cut is skipped (the box only stays larger,
             # so soundness is kept) and the sweep goes on from a valid box
             old, target[f][i] = target[f][i], cut
-            if _box_admissible(_pair(_corners(up_map, lo_map, param_bounds))[0]):
+            if _box_admissible(SimpleNamespace(**_corners(up_map, lo_map, u_max))):
                 moved = True
                 sweep = {}
             else:

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -817,11 +817,12 @@ def solve_milp(
     # The node solved next unless one is popped, as (fixes, warm basis, its
     # factors, the parent's propagated box): the root, whose basis a verified
     # incumbent crashes so that phase 1 starts satisfied unless the caller's
-    # root basis passes the replay gate, then the child each branching leans
-    # toward, which starts from its parent's final factors.
+    # root basis passes the replay gate (so the crash is built only when the
+    # root starts from it), then the child each branching leans toward, which
+    # starts from its parent's final factors.
     crash = None
     if best_x is not None:
-        crash = crash_from_point(form, lp.col_lower, lp.col_upper, best_x)
+        crash = partial(crash_from_point, form, lp.col_lower, lp.col_upper, best_x)
     plunge = ({}, crash, None, (lp.col_lower, lp.col_upper))
     root_final = None
     while (plunge or pool) and nodes < budget.max_nodes:

@@ -77,6 +77,7 @@ from .embedding import (
     LiftedState,
     ParamBounds,
     _stacked,
+    _Terms,
     _tube_flows,
     _TubeFlows,
     lifted_step,
@@ -324,10 +325,11 @@ def terminal_lyapunov_check(
     worst_res = -math.inf
     worst_exit = -math.inf
     worst_state = None
+    pair = param_bounds.pair
     for hi, lo in states:
         cell = LiftedState(upper=hi, lower=lo)
-        stepped = lifted_step(cell, u_candidate, demand_bounds, param_bounds)
-        res_step = lifted_step(cell, u_candidate, adverse_box, param_bounds)
+        stepped = lifted_step(cell, u_candidate, demand_bounds, pair)
+        res_step = lifted_step(cell, u_candidate, adverse_box, pair)
         residual = float(
             b @ res_step.upper - b @ hi + l @ hi - d @ lam_adverse
         )
@@ -350,17 +352,19 @@ def terminal_lyapunov_check(
 
 @dataclass(frozen=True)
 class _Comp:
-    """Tube components: their raising and lowering parameter sets, arrivals
-    and initial states, with any leading axes stacking components."""
+    """Tube components: their raising and lowering parameter sets with the
+    kernel's terms of them (a ``_stacked`` pair), arrivals and initial
+    states, with any leading axes stacking components."""
 
     prim: FreewayParams
     sec: FreewayParams
+    terms: _Terms
     lam: np.ndarray
     x0: np.ndarray
 
     def flows(self, x, z, u) -> _TubeFlows:
         """The tube kernel at own state x and other-component state z."""
-        return _tube_flows(x, z, u, self.lam, self.prim, self.sec)
+        return _tube_flows(x, z, u, self.lam, self.terms)
 
 
 def _stage_ranges(comp: _Comp, own, oth, merge: bool):
@@ -378,7 +382,7 @@ def _stage_ranges(comp: _Comp, own, oth, merge: bool):
     downstream.
     """
     n = own[0].shape[-1] // 2
-    thr = comp.sec.c_max / comp.prim.v  # the outflow's drop threshold, as the kernel has it
+    thr = comp.terms.out.thr  # the outflow's drop threshold, as the kernel reads it
     at_thr = own[0].copy()
     at_thr[..., :n] = np.clip(thr, own[0][..., :n], own[1][..., :n])
     corners = comp.flows(np.array([own[0], own[1], at_thr]),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rampflow.ctm import FreewayParams, OutputModel, mainline_outflow, ramp_outflow
-from rampflow.embedding import DemandBounds, LiftedState
+from rampflow.embedding import DemandBounds, LiftedState, _terms, _tube_flows
 
 
 def homogeneous_params(n_cells: int, *, beta: float, v: float, w: float,
@@ -25,6 +25,12 @@ def ramp_discharge(params: FreewayParams, x, u, lam) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return ramp_outflow(params, x, u, lam,
                         mainline_outflow(params, x[..., :params.n_cells]))
+
+
+def tube_flows(x, z, u, lam, primary, secondary):
+    """The tube kernel read from two parameter sets: ``_tube_flows`` with
+    the sets' kernel terms built for the one call."""
+    return _tube_flows(x, z, u, lam, _terms(primary, secondary))
 
 
 def point_state(x) -> LiftedState:

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampflow.ctm import (
     RANGE_RULES,
@@ -20,12 +22,13 @@ from rampflow.embedding import (
     _box_admissible,
     _clamped_step,
     _pair,
+    _Side,
     _tube_flows,
     lifted_step,
 )
 
 from conftest import (homogeneous_params, point_demand, point_state, ramp_discharge,
-                      random_state)
+                      random_state, tube_flows)
 
 
 def demo_bounds() -> ParamBounds:
@@ -69,8 +72,8 @@ def sample_set_pair(rng, n, cells=4):
 def upper_next(lifted, u, demand, bounds):
     """Upper component of the tube map, before clamping (the lower one is
     the same call with the states and the sets exchanged)."""
-    return _tube_flows(lifted.upper, lifted.lower, u, demand.upper,
-                       bounds.upper, bounds.lower).next
+    return tube_flows(lifted.upper, lifted.lower, u, demand.upper,
+                      bounds.upper, bounds.lower).next
 
 
 def two_cells(x_main, z_main=None):
@@ -83,7 +86,7 @@ def two_cells(x_main, z_main=None):
                            c_max=20.0, alpha=0.9)
     x = np.concatenate([x_main, np.zeros(2)])
     z = x if z_main is None else np.concatenate([z_main, np.zeros(2)])
-    return _tube_flows(x, z, np.zeros(2), np.zeros(2), p, p)
+    return tube_flows(x, z, np.zeros(2), np.zeros(2), p, p)
 
 
 class TestTildeFunctions:
@@ -118,7 +121,7 @@ class TestDiagonal:
         lam = rng.uniform(0.0, 12.0, (500, 4))
         u = ramp_discharge(stretch, x, rng.uniform(0.0, 30.0, (500, 4)), lam)
         np.testing.assert_array_equal(
-            _tube_flows(x, x, u, lam, stretch, stretch).next,
+            tube_flows(x, x, u, lam, stretch, stretch).next,
             compact_step(stretch, x, u, lam))
 
     def test_decomposition_on_degenerate_box(self, stretch, nominal_demand):
@@ -136,7 +139,7 @@ class TestDiagonal:
                             np.zeros(4)])
         nxt = lifted_step(point_state(x), nominal_demand,
                           point_demand(nominal_demand),
-                          ParamBounds(stretch, stretch))
+                          ParamBounds(stretch, stretch).pair)
         np.testing.assert_array_equal(nxt.upper, nxt.lower)
 
 
@@ -164,8 +167,8 @@ class TestMonotonicityBlocks:
         lo, hi, x_lo, x_hi, lam_lo, lam_hi = sample_set_pair(rng, 20_000)
         z = x_lo * rng.uniform(0.0, 1.0, x_lo.shape)
         u = rng.uniform(0.0, 10.0, (20_000, 4))
-        f_small = _tube_flows(x_lo, z, u, lam_lo, lo, lo).next
-        f_big = _tube_flows(x_hi, z, u, lam_hi, hi, lo).next
+        f_small = tube_flows(x_lo, z, u, lam_lo, lo, lo).next
+        f_big = tube_flows(x_hi, z, u, lam_hi, hi, lo).next
         assert np.all(f_small <= f_big + 1e-9)
 
     def test_secondary_block_lowers_result(self):
@@ -173,8 +176,8 @@ class TestMonotonicityBlocks:
         lo, hi, z_lo, z_hi, lam_lo, lam_hi = sample_set_pair(rng, 20_000)
         x = z_lo * rng.uniform(0.0, 1.0, z_lo.shape)
         u = rng.uniform(0.0, 10.0, (20_000, 4))
-        f_hi_sec = _tube_flows(x, z_hi, u, lam_lo, lo, hi).next
-        f_lo_sec = _tube_flows(x, z_lo, u, lam_lo, lo, lo).next
+        f_hi_sec = tube_flows(x, z_hi, u, lam_lo, lo, hi).next
+        f_lo_sec = tube_flows(x, z_lo, u, lam_lo, lo, lo).next
         assert np.all(f_hi_sec <= f_lo_sec + 1e-9)
 
     def test_component_symmetry(self, stretch, nominal_demand):
@@ -184,10 +187,10 @@ class TestMonotonicityBlocks:
         lo_state = up_state * rng.uniform(0.0, 1.0, 8)
         dem = DemandBounds(upper=nominal_demand * 1.1, lower=nominal_demand * 0.9)
         u = rng.uniform(0.0, 5.0, 4)
-        stepped = lifted_step(LiftedState(up_state, lo_state), u, dem, bounds)
+        stepped = lifted_step(LiftedState(up_state, lo_state), u, dem, bounds.pair)
         # the lower component is literally the upper map with the states and
         # the sets exchanged, so recomputing it that way must agree exactly
-        swapped_upper = _tube_flows(
+        swapped_upper = tube_flows(
             lo_state, up_state, u, dem.lower, bounds.lower, bounds.upper).next
         n = 4
         cap = np.maximum(bounds.upper.x_jam, bounds.lower.x_jam)
@@ -216,7 +219,7 @@ class TestContainment:
         for t in range(steps):
             lam = rng.uniform(dem.lower, dem.upper)
             u = ramp_discharge(true, x, rng.uniform(0.0, 20.0, 4), lam)
-            tube = lifted_step(tube, u, dem, bounds)
+            tube = lifted_step(tube, u, dem, bounds.pair)
             x = compact_step(true, x, u, lam)
             assert tube.contains(x), f"step {t}: truth escaped the tube"
 
@@ -236,8 +239,8 @@ class TestContainment:
         u = np.full(4, 3.0)
         tn = tw = point_state(x)
         for _ in range(5):
-            tn = lifted_step(tn, u, dem, narrow)
-            tw = lifted_step(tw, u, dem, wide)
+            tn = lifted_step(tn, u, dem, narrow.pair)
+            tw = lifted_step(tw, u, dem, wide.pair)
         assert np.all(tw.upper >= tn.upper - 1e-12)
         assert np.all(tw.lower <= tn.lower + 1e-12)
 
@@ -253,7 +256,7 @@ class TestSimulateLifted:
         ref = x
         for k in range(5):
             out = lifted_step(out, controls[k], point_demand(nominal_demand),
-                              ParamBounds(stretch, stretch))
+                              ParamBounds(stretch, stretch).pair)
             ref = compact_step(stretch, ref, controls[k], nominal_demand)
         np.testing.assert_array_equal(out.upper, ref)
         np.testing.assert_array_equal(out.lower, ref)
@@ -374,7 +377,7 @@ def test_the_stacked_step_is_both_component_calls_clamped(seed):
     engaged = 0
     for k, (own, other, lam, prim, sec) in enumerate(
             ((x_hi, x_lo, lam_hi[0], upper, lower), (x_lo, x_hi, lam_lo[0], lower, upper))):
-        ref = _tube_flows(own, other, u, lam, prim, sec).next
+        ref = tube_flows(own, other, u, lam, prim, sec).next
         clamped = ref.copy()
         clamped[:, :cells] = np.clip(ref[:, :cells], 0.0, cap)
         clamped[:, cells:] = np.clip(ref[:, cells:], 0.0, None)
@@ -405,3 +408,76 @@ def test_the_pair_rules_are_the_per_corner_rules():
         got = _box_admissible(pair[0])
         assert got.shape == (2000,) and np.array_equal(got, ref)
         assert 0 < np.count_nonzero(got) < got.size
+
+
+def _tube_flows_reference(x, z, u, lam, primary, secondary):
+    """The tube kernel's arithmetic with every parameter-only term computed
+    in the call from the two parameter sets, as (out, merge, next) with the
+    sides' intermediates in ``_Side`` order: the reference the kernel, which
+    reads those terms precomputed, must match bit for bit."""
+    def sending(x, z, v, c, alpha, v_threshold):
+        thr = c / v_threshold
+        keep = z <= thr
+        vx = v * x
+        xi = np.where(keep, c, alpha * c)
+        return vx, thr, keep, xi, np.minimum(vx, xi)
+
+    a, b = primary, secondary
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] // 2
+    xm, xr = x[..., :n], x[..., n:]
+    zm = np.asarray(z, dtype=float)[..., :n]
+    vx, thr, keep, xi, d = sending(xm, xm, b.v, b.c_max, b.alpha, a.v)
+    s = (b.w[..., 1:] / a.beta) * (b.x_jam[..., 1:] - xm[..., 1:])
+    f = d.copy()
+    f[..., :-1] = np.minimum(d[..., :-1], np.maximum(0.0, s))
+    out = (vx, thr, keep, xi, d, s, f)
+    vx, thr, keep, xi, d = sending(xm[..., :-1], zm[..., :-1], a.v[..., :-1],
+                                   a.c_max[..., :-1], a.alpha[..., :-1], b.v[..., :-1])
+    s = (a.w[..., 1:] / a.beta) * (a.x_jam[..., 1:] - xm[..., 1:])
+    merge = (vx, thr, keep, xi, d, s, np.minimum(d, np.maximum(0.0, s)))
+    inflow = np.empty(merge[-1].shape[:-1] + (n,))
+    inflow[..., 0] = 0.0
+    np.multiply(a.beta, merge[-1], out=inflow[..., 1:])
+    inflow = u + inflow
+    nxt = np.empty(x.shape)
+    np.add(xm, inflow, out=nxt[..., :n])
+    nxt[..., :n] -= out[-1]
+    np.add(xr, lam, out=nxt[..., n:])
+    nxt[..., n:] -= u
+    return out, merge, nxt
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 24), cells=st.integers(2, 5),
+       on_wave_cap=st.booleans(), on_jam_cap=st.booleans())
+def test_the_kernel_with_precomputed_terms_is_the_reference_bit_for_bit(
+        seed, rows, cells, on_wave_cap, on_jam_cap):
+    """``_tube_flows`` on a stacked probe pair, its terms built once by
+    ``_pair``, gives every intermediate of both sides and the next state
+    with the bits of the reference that computes each term in the call.
+    The boxes can sit on v + w = 1 and on c_max / v = x_jam, and states on
+    the drop thresholds."""
+    rng = np.random.default_rng(seed)
+    lo, hi, x_lo, x_hi, lam_lo, lam_hi = sample_set_pair(rng, rows, cells)
+    on = rng.random((rows, cells)) < 0.5
+    if on_wave_cap:
+        hi.w = np.where(on, 1.0 - hi.v, hi.w)
+    if on_jam_cap:
+        for side in (lo, hi):
+            side.x_jam = np.where(on, side.c_max / side.v, side.x_jam)
+    unstacked = set(rng.choice(PARAM_FIELDS, int(rng.integers(0, 4)), replace=False))
+    pair, _, _ = _mixed_pair(vars(lo), vars(hi), unstacked)
+    x = np.array([x_hi, x_lo])
+    # some mainline states exactly on the outflow's drop threshold
+    thr = np.broadcast_to(pair.secondary.c_max / pair.primary.v, x[..., :cells].shape)
+    x[..., :cells] = np.where(rng.random(thr.shape) < 0.2, thr, x[..., :cells])
+    u = rng.uniform(0.0, 30.0, cells)
+    lam = np.array([lam_hi[0], lam_lo[0]])[:, None]
+    got = _tube_flows(x, x[::-1], u, lam, pair.terms)
+    out, merge, nxt = _tube_flows_reference(x, x[::-1], u, lam, pair.primary, pair.secondary)
+    for side, ref in ((got.out, out), (got.merge, merge)):
+        for name, want in zip(_Side._fields, ref):
+            have = getattr(side, name)
+            assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
+    assert got.next.tobytes() == nxt.tobytes()

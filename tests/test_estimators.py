@@ -1,6 +1,8 @@
 """Set-membership updates: collapse rules, contraction soundness, and the
 window plumbing they share."""
 
+import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rampflow import estimators
+from rampflow import controllers, estimators, harness
 from rampflow.ctm import (FreewayParams, Observation, OutputModel,
                           compact_step, equilibrium_uncongested, measure)
-from rampflow.embedding import DemandBounds, LiftedState, ParamBounds, lifted_step
+from rampflow.embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
+                                lifted_step)
 from rampflow.estimators import (FEASIBLE, INFEASIBLE, UNKNOWN,
                                  ContainmentViolation, EstimatorConfig,
                                  MeasurementWindow, interval_consistency,
@@ -52,7 +55,7 @@ def drive_window(true_params, box, x0, steps, model, demand_box, *, u=None):
     truth = [x]
     for _ in range(steps):
         x = compact_step(true_params, x, u, lam)
-        predicted = lifted_step(lifted, u, demand_box, box)
+        predicted = lifted_step(lifted, u, demand_box, box.pair)
         lifted = state_update(predicted, measure(model, x), model)
         window.push(lifted, measure(model, x), control=u)
         truth.append(x)
@@ -356,7 +359,7 @@ def _record(truth, box, x, lam, demand, model, length, steps):
     window.push(lifted, measure(model, x))
     for _ in range(steps):
         x = compact_step(truth, x, lam, lam)
-        lifted = state_update(lifted_step(lifted, lam, demand, box),
+        lifted = state_update(lifted_step(lifted, lam, demand, box.pair),
                               measure(model, x), model)
         window.push(lifted, measure(model, x), control=lam)
     return window
@@ -520,22 +523,23 @@ def test_theta_update_returns_its_input_when_no_bound_moves(
 
 def _spied_theta_update(monkeypatch, window, box, config):
     """theta_update with the stack size of every ``_certified`` call and
-    the spines of every ``_certify_spines`` call recorded, each spine as
-    (field, cell, is_upper, length)."""
+    the spines of every ``_probe_stack`` call recorded, each spine as
+    (field, cell, is_upper, length). The window is fresh, so every stack
+    the call certifies is built in it."""
     stacks, spines = [], []
-    certified, certify_spines = estimators._certified, estimators._certify_spines
+    certified, probe_stack = estimators._certified, estimators._probe_stack
 
     def count_stack(window, pair, tol):
         dead = certified(window, pair, tol)
         stacks.append(dead.size)
         return dead
 
-    def count_spines(window, up_map, lo_map, template, batch, *rest):
+    def count_spines(up_map, lo_map, u_max, batch, *rest):
         spines.append([(s.field, s.cell, s.is_upper, s.length) for s in batch])
-        return certify_spines(window, up_map, lo_map, template, batch, *rest)
+        return probe_stack(up_map, lo_map, u_max, batch, *rest)
 
     monkeypatch.setattr(estimators, "_certified", count_stack)
-    monkeypatch.setattr(estimators, "_certify_spines", count_spines)
+    monkeypatch.setattr(estimators, "_probe_stack", count_spines)
     return theta_update(window, box, config), stacks, spines
 
 
@@ -640,7 +644,7 @@ def test_partial_measurement_loop_keeps_the_truth_enclosed(
     lam = demand_box.upper
     for _ in range(8):
         x = compact_step(stretch, x, lam, lam)
-        predicted = lifted_step(lifted, lam, demand_box, box)
+        predicted = lifted_step(lifted, lam, demand_box, box.pair)
         lifted = state_update(predicted, measure(model, x), model)
         window.push(lifted, measure(model, x), control=lam)
         assert lifted.contains(x)
@@ -650,3 +654,83 @@ def test_partial_measurement_loop_keeps_the_truth_enclosed(
     assert np.all(out.upper.v >= stretch.v - 1e-9)
     assert np.all(out.lower.v >= box.lower.v - 1e-12)
     assert np.all(out.upper.v <= box.upper.v + 1e-12)
+
+
+# --------------------------------------------- the probe stack a box keeps
+
+# starts inside the terminal box with a 5-step window, so every tick after
+# the warm-up runs the local law and the contraction does the work
+INGEST_TEXT = (harness.PRESETS["fourcell_constant"]
+               .replace("backward_horizon 1", "backward_horizon 5")
+               .replace("mainline 30 30 30 120", "mainline 30 30 30 30")
+               .replace("steps 60", "steps 15"))
+
+
+def _same_corners(a, b):
+    return all(getattr(getattr(a, corner), f).tobytes() == getattr(getattr(b, corner), f).tobytes()
+               for corner in ("upper", "lower") for f in PARAM_FIELDS)
+
+
+def _spied_loop(monkeypatch, scenario):
+    """Run the closed loop with every theta_update checked against the same
+    call on a copy of the window that holds no entry, so it builds every
+    stack afresh. Returns the log; per tick the input box, whether it came
+    back, and the first stacks (those with the box in row 0) the loop's own
+    call built; and the window's entry after each tick."""
+    ticks, entries = [], []
+    fresh = [False]
+    probe_stack, update = estimators._probe_stack, estimators.theta_update
+
+    def spy_stack(up_map, lo_map, u_max, spines, with_box):
+        if with_box and not fresh[0]:
+            ticks[-1][2] += 1
+        return probe_stack(up_map, lo_map, u_max, spines, with_box)
+
+    def spy_update(window, box, config):
+        unheld = copy.copy(window)
+        unheld._held = None
+        fresh[0] = True
+        expected = update(unheld, box, config)
+        fresh[0] = False
+        ticks.append([box, None, 0])
+        out = update(window, box, config)
+        assert _same_corners(out, expected), len(ticks)
+        ticks[-1][1] = out is box
+        entries.append(window._held)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_probe_stack", spy_stack)
+        m.setattr(controllers, "theta_update", spy_update)
+        log = harness.run_closed_loop(scenario)
+    return log, ticks, entries
+
+
+def test_a_standing_box_reuses_its_first_probe_stack(monkeypatch):
+    """Through ticks where the box stands, then takes a certified cut, then
+    stands again, theta_update returns on every tick the box a fresh build
+    returns, and builds its first stack once per distinct box."""
+    _, ticks, entries = _spied_loop(monkeypatch, harness.parse_scenario(INGEST_TEXT))
+    stood = "".join("S" if kept else "M" for _, kept, _ in ticks)
+    assert re.search("S{2,}MS{2,}", stood), stood
+    builds = [built for _, _, built in ticks]
+    new_box = [k == 0 or ticks[k][0] is not ticks[k - 1][0] for k in range(len(ticks))]
+    assert builds == [int(new) for new in new_box]
+    assert sum(builds) < len(ticks)
+    # one entry per run, for the box it is using
+    assert all(entry.box is box for entry, (box, kept, _) in zip(entries, ticks) if kept)
+
+
+def test_two_closed_loops_share_no_entry_and_write_the_same_csv(monkeypatch, tmp_path):
+    scenario = harness.parse_scenario(INGEST_TEXT)
+    runs = []
+    for k in range(2):
+        log, ticks, entries = _spied_loop(monkeypatch, scenario)
+        path = harness.emit_csv(log, tmp_path / f"run{k}.csv",
+                                meta=harness.scenario_meta(scenario, log))
+        runs.append((path.read_bytes(), [built for _, _, built in ticks], entries))
+    (first, builds, entries), (second, builds_again, entries_again) = runs
+    assert first == second
+    # the second loop builds its first stack on its first tick, as the first did
+    assert builds == builds_again and builds[0] == 1
+    assert not {id(e) for e in entries} & {id(e) for e in entries_again}

@@ -1798,6 +1798,28 @@ def test_a_replayed_root_basis_keeps_every_plan_exact(monkeypatch):
     assert set(seen["dual"]) <= {k + 1 for k, ok in enumerate(seen["replayed"]) if ok}
 
 
+def test_the_root_crash_is_built_only_when_the_root_starts_from_it(monkeypatch):
+    """A later plan whose root basis passes the replay gate never builds
+    the crash from its verified seed; one the gate rejects builds it once,
+    as a plan offered no basis does."""
+    plans = _loop_plans(POINT_LOOP)
+    seen = _root_spies(monkeypatch)
+    crashes = []
+    real_crash = milp.crash_from_point
+
+    def crash(*args):
+        crashes.append(args)
+        return real_crash(*args)
+
+    monkeypatch.setattr(milp, "crash_from_point", crash)
+    built = {True: set(), False: set()}
+    for plan in plans[1:]:
+        before = len(crashes)
+        _solve_plan(plan, plan[1]["root_basis"])
+        built[seen["replayed"][-1]].add(len(crashes) - before)
+    assert built == {True: {0}, False: {1}}
+
+
 def _replays_the_gate_rejects(form, kept: _simplex.WarmBasis):
     """Bases the gate must reject, built from this form and a basis ``kept``
     of its shape: one of another shape, one whose slack parks at an

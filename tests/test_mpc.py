@@ -17,10 +17,10 @@ from rampflow.embedding import (
     DemandBounds,
     LiftedState,
     ParamBounds,
-    _tube_flows,
+    _terms,
 )
 
-from conftest import homogeneous_params, random_params
+from conftest import homogeneous_params, random_params, tube_flows
 
 X_UNC = np.array([38.34, 37.846, 37.4014, 37.00126])
 B_MAIN = np.array([6.878, 5.42, 3.8, 2.0])
@@ -310,15 +310,15 @@ def test_kernel_intermediates_stay_inside_the_stage_ranges(seed):
     p_up, p_lo = random_param_pair(rng, n)
     lam = rng.uniform(0.0, 10.0, n)
     own, oth = random_box(rng, p_up.x_jam), random_box(rng, p_up.x_jam)
-    for comp in (mpc._Comp(p_up, p_lo, lam, own[1]),
-                 mpc._Comp(p_lo, p_up, lam, own[0])):
+    for comp in (mpc._Comp(p_up, p_lo, _terms(p_up, p_lo), lam, own[1]),
+                 mpc._Comp(p_lo, p_up, _terms(p_lo, p_up), lam, own[0])):
         r_out, r_merge = mpc._stage_ranges(comp, own, oth, True)
         x = points_in(rng, own, r_out["thr"], 250)
         z = points_in(rng, oth, r_merge["thr"], 250)
         flows = comp.flows(x, z, 0.0)
         assert_within(flows.out, r_out)
         assert_within(flows.merge, r_merge)
-    single = mpc._Comp(p_up, p_up, lam, own[1])
+    single = mpc._Comp(p_up, p_up, _terms(p_up, p_up), lam, own[1])
     r_out, r_merge = mpc._stage_ranges(single, own, own, False)
     x = points_in(rng, own, r_out["thr"], 250)
     flows = single.flows(x, x, 0.0)
@@ -375,9 +375,9 @@ def test_encoded_plan_is_feasible_and_replays_the_kernel(seed):
     assert not milp.check_solution(prob.model, vec, tol=1e-7)
     controls, upper, lower = prob.decode(vec)
     for k in range(t):
-        np.testing.assert_array_equal(upper[k + 1], _tube_flows(
+        np.testing.assert_array_equal(upper[k + 1], tube_flows(
             upper[k], lower[k], controls[k], dem.upper, p_up, p_lo).next)
-        np.testing.assert_array_equal(lower[k + 1], _tube_flows(
+        np.testing.assert_array_equal(lower[k + 1], tube_flows(
             lower[k], upper[k], controls[k], dem.lower, p_lo, p_up).next)
 
 
@@ -505,8 +505,8 @@ def test_interval_box_solution_satisfies_the_tube_map(
     p_up, p_lo = point_params.upper, point_params.lower
     hi, lo = hi0.copy(), lo0.copy()
     for k in range(2):
-        hi_next = _tube_flows(hi, lo, res.controls[k], spread.upper, p_up, p_lo).next
-        lo_next = _tube_flows(lo, hi, res.controls[k], spread.lower, p_lo, p_up).next
+        hi_next = tube_flows(hi, lo, res.controls[k], spread.upper, p_up, p_lo).next
+        lo_next = tube_flows(lo, hi, res.controls[k], spread.lower, p_lo, p_up).next
         np.testing.assert_allclose(res.upper[k + 1], hi_next, atol=1e-9)
         np.testing.assert_allclose(res.lower[k + 1], lo_next, atol=1e-9)
         hi, lo = hi_next, lo_next

@@ -21,9 +21,12 @@ selectors that nodes fixed from their propagated boxes (summed over
 planner's ``encode`` (those that returned a vector rather than ``None``),
 ``tts_veh``, the stacked propagations of
 the parameter contraction with the boxes they carry (counted by wrapping
-``estimators._certified``), the row propagations of the branch-and-bound
-nodes and how many of them closed a box (as ``calls/closed``, counted by
-wrapping ``milp._RowPropagation.box``), and under ``models`` the sha256 of
+``estimators._certified``), its probe stacks as ``stacks built/reused``
+(``estimators._probe_stack`` calls, and the ``estimators._certify_spines``
+calls on a stack that a measurement window kept from an earlier tick), the
+row propagations of the branch-and-bound nodes and how many of them closed
+a box (as ``calls/closed``, counted by wrapping
+``milp._RowPropagation.box``), and under ``models`` the sha256 of
 the joined ``milp.dump_model`` text of every model ``milp.solve_milp``
 received. Two
 commits that print the same digest, plan ticks, solves, pivots and
@@ -33,7 +36,8 @@ sha256 means only the metadata changed.
 Nodes that propagation closes are not solved, so the same nodes with fewer
 solves is the same tree with less work. The propagations show how often the
 nodes propagated a box over the rows and how often that closed a node
-without an LP; the certified counts show what the contraction spent.
+without an LP; the certified counts show what the contraction spent, and
+the reused stacks how many it did not build again.
 
 Then one line per shipped preset and baseline controller (``alinea``,
 ``openloop``, ``local``, each set as the preset's ``controller.kind``): the
@@ -65,7 +69,8 @@ def main(argv=None) -> int:
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
     factor, box = _simplex._Worker._factor, milp._RowPropagation.box
     replay = _simplex._replay
-    counts = [0] * 16
+    probe_stack, certify_spines = estimators._probe_stack, estimators._certify_spines
+    counts = [0] * 18
     models = hashlib.sha256()
     # [a root solve is next, the replay gate accepted a basis]
     root = [False, False]
@@ -77,7 +82,11 @@ def main(argv=None) -> int:
         counts[1] += res.iterations
         if root[0]:
             root[0] = False
-            counts[13 if root[1] else 14 if kwargs["warm"] is not None else 15] += 1
+            warm = kwargs["warm"]  # a root's crash is passed unbuilt
+            if root[1]:
+                counts[13] += 1
+            else:
+                counts[14 if (warm() if callable(warm) else warm) is not None else 15] += 1
         return res
 
     def counted_replay(*args):
@@ -90,6 +99,14 @@ def main(argv=None) -> int:
         counts[2] += 1
         counts[3] += dead.size
         return dead
+
+    def counted_stack(*args):
+        counts[16] += 1
+        return probe_stack(*args)
+
+    def counted_spines(window, stack):
+        counts[17] += 1
+        return certify_spines(window, stack)
 
     def counted_nodes(*args, incumbent_hook=None, **kwargs):
         def counted_hook(x):
@@ -140,6 +157,8 @@ def main(argv=None) -> int:
     milp._Selectors.fixes = counted_fixes
     milp._RowPropagation.box = counted_box
     estimators._certified = counted_boxes
+    estimators._probe_stack = counted_stack
+    estimators._certify_spines = counted_spines
     milp.solve_milp = counted_nodes
     _simplex._Factors = CountedFactors
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,7 +171,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 16
+            counts[:] = [0] * 18
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -168,6 +187,7 @@ def main(argv=None) -> int:
                   f"node_fixed {counts[7]} hook_encodes {counts[8]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]} "
+                  f"stacks {counts[16]}/{counts[17] - counts[16]} "
                   f"propagations {counts[11]}/{counts[12]} "
                   f"models {models.hexdigest()}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
