@@ -83,6 +83,13 @@ solve; and the dual's reduced-cost update touches only the nonzeros of
 the pivot row.  The per-pivot code calls array methods (``.dot``,
 ``.nonzero``, ``.argmax``) in place of ``@`` and the numpy functions
 that wrap them: the same routines, with less dispatch per call.
+
+scipy loads with the first :class:`EqualityForm`, not with this module:
+the tube map, the contraction and the baselines use numpy alone, and a
+process that never plans should not pay for scipy's sparse stack, which
+was 60 % of the package's set-up time.  ``_sparse`` imports it once and
+binds ``sp``, ``splu`` and ``maximum_bipartite_matching`` here, so no
+import runs inside a solve.
 """
 
 from __future__ import annotations
@@ -91,9 +98,9 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.sparse.linalg import splu
+
+# scipy.sparse and its two routines, bound by _sparse() with the first form
+sp = splu = maximum_bipartite_matching = None
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -106,6 +113,21 @@ _TOL_OPT = 1e-9
 # and of the stricter cold restarts after an exactly singular basis or a
 # dual pivot on round-off
 _LADDER = ((1e-10, 64), (1e-8, 32), (3e-7, 16))
+
+
+def _sparse():
+    """``scipy.sparse``, imported the first time a model needs it.
+
+    The first call also binds ``splu`` and ``maximum_bipartite_matching``
+    at module level, where the solver reads them; later calls import
+    nothing.
+    """
+    global sp, splu, maximum_bipartite_matching
+    if sp is None:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+        from scipy.sparse.linalg import splu
+    return sp
 
 
 class NumericalBreakdown(RuntimeError):
@@ -155,6 +177,7 @@ class _Factors:
     """SuperLU factors of a basis plus a product-form eta file."""
 
     def __init__(self, cols: sp.csc_matrix):
+        _sparse()  # binds splu for factors built without a form
         try:
             self.lu = splu(cols)
         except RuntimeError as exc:  # SuperLU signals singularity this way
@@ -200,7 +223,7 @@ class EqualityForm:
     """
 
     def __init__(self, a: sp.spmatrix, senses, b, c):
-        a = sp.csc_matrix(a)
+        a = _sparse().csc_matrix(a)
         senses = np.asarray(list(senses) if isinstance(senses, str) else senses, dtype="U1")
         if not np.isin(senses, ("L", "E", "G")).all():
             raise ValueError("row senses must come from {'L', 'E', 'G'}")

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import LiftedState, ParamBounds
-from .mpc import CostSpec, TerminalSet
-# milp after mpc, which loads it: importing milp first made the import of
-# rampflow.harness about 17 ms slower (median of 40 fresh processes, 2 cores)
 from .milp import MilpBudget
+from .mpc import CostSpec, TerminalSet
 
 # slack the tube encoding itself may introduce on top of solver gaps
 ENCODING_SLACK = 1e-6

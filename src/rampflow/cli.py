@@ -17,6 +17,10 @@ first tick is done writes no CSV. A stop that carries the planner's model
 (an infeasible or over-budget plan, a solver breakdown) also writes that
 model in ``milp.dump_model``'s grammar to ``<csv>.model``, beside where
 the CSV goes, and names the file on standard error.
+
+The command starts on numpy alone. scipy, which only the planner's
+solver uses, loads inside the first plan, so a baseline controller or a
+Set-PC run that stays inside its terminal box never imports it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ the node without solving it.  The LP sees the fixes, never the propagated
 continuous bounds.  A plunge child continues its parent's final basis
 factors and eta file, and a child's LP is reoptimised by the dual
 simplex.  A model without binaries is solved at its root node.  No
-external solver is used.
+external solver is used.  scipy supplies only the sparse matrices and
+SuperLU, and it loads when the first model is built
+(:meth:`ModelBuilder.build`) or solved, not when this module is imported:
+a run that never plans does not load it.
 
 Models are built through :class:`ModelBuilder`, which hands out column and
 row indices and records the two gadget encodings the controller needs.
@@ -65,10 +68,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 # NumericalBreakdown escapes solve_milp; callers catch it as milp.NumericalBreakdown
 from ._simplex import (  # noqa: F401
@@ -76,9 +78,13 @@ from ._simplex import (  # noqa: F401
     EqualityForm,
     NumericalBreakdown,
     WarmBasis,
+    _sparse,
     crash_from_point,
     solve_canonical,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -392,7 +398,7 @@ class ModelBuilder:
             col_lower=lower,
             col_upper=upper,
             col_names=list(col_names),
-            a=sp.csc_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols)),
+            a=_sparse().csc_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols)),
             row_senses=senses,
             rhs=rhs,
             row_names=list(row_names),
@@ -589,9 +595,9 @@ class _RowPropagation:
         # side that cannot bind is written as zero and eliminated
         sides = a.indices + np.array([[0], [m]], dtype=a.indices.dtype)
         at = place[np.where(up, sides, sides[::-1])].ravel()
-        lists = sp.csc_matrix((np.where(at < pad, np.concatenate([mag, -mag]), 0.0), at,
-                               np.concatenate([a.indptr, nnz + a.indptr[1:]])),
-                              shape=(pad + 1, 2 * n))
+        lists = _sparse().csc_matrix(
+            (np.where(at < pad, np.concatenate([mag, -mag]), 0.0), at,
+             np.concatenate([a.indptr, nnz + a.indptr[1:]])), shape=(pad + 1, 2 * n))
         lists.eliminate_zeros()
         self.stack = lists.tocsr()
         self.rhs = np.concatenate([lp.rhs, -lp.rhs, [np.inf]])[keep]

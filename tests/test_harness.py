@@ -1,7 +1,11 @@
 """Scenario parsing errors, the CSV record of a short planning run, the
-baseline controllers, and the documented example and key tables."""
+baseline controllers, what a run that never plans imports, and the
+documented example and key tables."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -436,6 +440,47 @@ def test_baselines_keep_the_truth_enclosed_and_rerun_identically(tmp_path, prese
         assert step.phase == controller
         assert step.estimate.contains(step.x)
         assert np.all(step.x[:n] >= 0.0) and np.all(step.x[:n] <= x_jam)
+
+
+# ------------------------------------------------------------- start-up
+
+_NEVER_PLANS = """\
+import sys
+from rampflow import cli, harness, milp
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steady, baseline, csv = sys.argv[1:]
+log = harness.run_closed_loop(harness.load_scenario(steady))
+assert {step.phase for step in log.steps} == {"warmup", "local"}, log.steps[-1].phase
+assert cli.main(["run", baseline, "--csv", csv]) == 0
+assert not scipy_loaded(), scipy_loaded()
+b = milp.ModelBuilder("tiny")
+x = b.add_variable("x", lower=0.0, upper=10.0, objective=1.0)
+b.add_row({x: 1.0}, "G", 3.0)
+assert milp.solve_milp(b.build(), budget=milp.MilpBudget()).status == milp.OPTIMAL
+assert "scipy.sparse.linalg" in sys.modules, scipy_loaded()
+"""
+
+
+def test_a_run_that_never_plans_never_loads_scipy(tmp_path):
+    """Set-PC inside its terminal box, and the CLI on a baseline, run on
+    numpy alone in a fresh process; the first model then loads scipy."""
+    steady = PRESET
+    for anchor, line in (("  backward_horizon 1", "  backward_horizon 5"),
+                         ("  mainline 30 30 30 120", "  mainline 30 30 30 30"),
+                         ("  steps 60", "  steps 20")):
+        steady = _edit(steady, anchor, [line], keep=False)[0]
+    baseline = _edit(PRESET, "  kind setpc", ["  kind alinea"], keep=False)[0]
+    (tmp_path / "steady.scn").write_text(steady)
+    (tmp_path / "alinea.scn").write_text(baseline)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _NEVER_PLANS, "steady.scn", "alinea.scn", "alinea.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------- docs
