@@ -25,15 +25,22 @@ dropped ceilings alpha*c, the supply slopes w/beta and the sliced fields of
 the merge side) are computed by ``_terms`` once per pair, and ``_pair``
 attaches them, so a propagation that steps one pair several times
 computes them once; the kernel reads nothing else of the parameters.
-Besides the next state it returns the named intermediates of the outflow
-side and the merge side (speed-line flow, drop threshold and no-drop flag,
-switched ceiling, sending flow, affine receiving flow, realized flow).
-``_clamped_step`` steps a bracket with one kernel call and clamps it in
-place; it serves ``lifted_step`` and, on stacks of parameter boxes, the
-certificate in :mod:`rampflow.estimators`. The planner in :mod:`rampflow.mpc`
-scatters the sending and realized flows and the selectors into its MILP
-columns, and evaluates every intermediate at box corners for the ranges of
-its columns and terms, which set the big-M constants. The plant in :mod:`rampflow.ctm` is a separate
+``_terms`` lays the two flow interfaces out on one side axis just before
+the cells, the cell outflow first and the merge inflow second, padded to
+the same I cells, and gives every term all the stacking axes of the pair.
+Each kernel operation then runs once over both interfaces and over whole
+contiguous arrays, which is what a step of a small stack costs: numpy's
+per-call overhead, not arithmetic. Besides the next state the kernel
+returns the named intermediates of both sides (speed-line flow, drop
+threshold and no-drop flag, switched ceiling, sending flow, affine
+receiving flow, realized flow) on that axis; ``out`` and ``merge`` read
+one side as views. ``_clamped_step`` steps a bracket with one kernel call
+and clamps it in place; it serves ``lifted_step`` and, on stacks of
+parameter boxes, the certificate in :mod:`rampflow.estimators`. The
+planner in :mod:`rampflow.mpc` scatters the sending and realized flows
+and the selectors into its MILP columns, and evaluates every intermediate
+at box corners for the ranges of its columns and terms, which set the
+big-M constants. The plant in :mod:`rampflow.ctm` is a separate
 implementation on purpose: it is the reference the tube is tested against.
 
 Which set each parameter is read from, fixed here and relied on by the
@@ -205,15 +212,52 @@ class _Side(NamedTuple):
 
 
 class _TubeFlows(NamedTuple):
-    """Everything one one-sided tube step computes."""
+    """Everything one one-sided tube step computes.
 
-    out: _Side        # flow leaving every cell (no supply for the last one)
-    merge: _Side      # flow from cells 1..I-1 into cells 2..I
+    The intermediates of both flow interfaces lie on the side axis before
+    the cells, as ``_Terms`` lays them out; ``out`` and ``merge`` read one
+    side of them as a ``_Side`` of views, built when read.
+    """
+
+    vx: np.ndarray
+    thr: np.ndarray
+    keep: np.ndarray
+    xi: np.ndarray
+    d: np.ndarray
+    s: np.ndarray
+    f: np.ndarray
     next: np.ndarray  # stacked next state
 
+    def _side(self, k: int, cells) -> _Side:
+        at, s_at = (..., k, slice(cells)), (..., k, slice(-1))
+        return _Side(self.vx[at], self.thr[at], self.keep[at], self.xi[at],
+                     self.d[at], self.s[s_at], self.f[at])
 
-class _SideTerms(NamedTuple):
-    """The parameter-only terms of one flow interface; cells on the last axis."""
+    @property
+    def out(self) -> _Side:
+        """The flow leaving every cell (no supply for the last one)."""
+        return self._side(0, None)
+
+    @property
+    def merge(self) -> _Side:
+        """The flow from cells 1..I-1 into cells 2..I."""
+        return self._side(1, -1)
+
+
+class _Terms(NamedTuple):
+    """Everything ``_tube_flows`` and the clamp of ``_clamped_step`` read of
+    a pair of parameter sets.
+
+    The two flow interfaces lie on one side axis just before the cells:
+    the cell outflow first, then the merge inflow into cells 2..I. Every
+    term but beta is one contiguous array with every stacking axis of the
+    pair, so the kernel's operations run over whole arrays. The sending
+    cell's terms have I cells, the merge side's I - 1 padded with one zero
+    cell that nothing reads. The receiving cell's terms have the I - 1
+    receiving cells padded with one infinite cell, whose receiving flow is
+    infinite, so the realized flow there is the sending flow: the last
+    cell's outflow, which has no supply.
+    """
 
     v: np.ndarray        # speed of the sending cell's speed line
     c: np.ndarray        # its ceiling c_max
@@ -221,14 +265,9 @@ class _SideTerms(NamedTuple):
     dropped: np.ndarray  # dropped ceiling alpha*c
     slope: np.ndarray    # supply slope w/beta of the receiving cell
     jam: np.ndarray      # jam occupancy of the receiving cell
-
-
-class _Terms(NamedTuple):
-    """Everything ``_tube_flows`` reads of a pair of parameter sets."""
-
-    out: _SideTerms    # the cell outflow
-    merge: _SideTerms  # the merge inflow into cells 2..I
-    beta: np.ndarray   # the merge share, from the primary set
+    beta: np.ndarray     # the merge share, from the primary set
+    ceiling: np.ndarray  # per state entry, the clamp's ceiling: the larger
+    #                      corner's x_jam on the mainline, inf on the queues
 
 
 def _terms(primary, secondary) -> _Terms:
@@ -241,28 +280,38 @@ def _terms(primary, secondary) -> _Terms:
     whether it is built for one kernel call or kept on a pair for many.
     """
     a, b = primary, secondary
-    # cell outflow, read from the secondary set except for the drop
+    n = np.shape(a.v)[-1]
+    lead = np.broadcast(*(getattr(p, f)[..., :0]
+                          for p in (a, b) for f in PARAM_FIELDS)).shape[:-1]
+    # the six side-axis terms share one buffer, each of them contiguous
+    terms = np.empty((6,) + lead + (2, n))
+    v, c, thr, dropped, slope, jam = terms
+    terms[:4, ..., 1, -1] = 0.0
+    terms[4:, ..., -1] = np.inf
+    # the cell outflow is read from the secondary set except for the drop
     # threshold denominator and the supply's beta, which cross over
-    out = _SideTerms(b.v, b.c_max, b.c_max / a.v, b.alpha * b.c_max,
-                     b.w[..., 1:] / a.beta, b.x_jam[..., 1:])
-    # merge inflow into cells 2..I: what the upstream cell offers, throttled
-    # by the space this cell advertises, all read from the primary set
-    c = a.c_max[..., :-1]
-    merge = _SideTerms(a.v[..., :-1], c, c / b.v[..., :-1], a.alpha[..., :-1] * c,
-                       a.w[..., 1:] / a.beta, a.x_jam[..., 1:])
-    return _Terms(out, merge, a.beta)
-
-
-def _sending(x, z, t: _SideTerms):
-    """Speed line read at x, ceiling read at z.
-
-    The ceiling switches to the dropped value alpha*c once z passes the
-    drop threshold; the boundary keeps full capacity, matching the plant.
-    """
-    keep = z <= t.thr
-    vx = t.v * x
-    xi = np.where(keep, t.c, t.dropped)
-    return vx, t.thr, keep, xi, np.minimum(vx, xi)
+    out, supply = (..., 0, slice(None)), (..., 0, slice(-1))
+    v[out] = b.v
+    c[out] = b.c_max
+    thr[out] = b.c_max / a.v
+    dropped[out] = b.alpha * b.c_max
+    slope[supply] = b.w[..., 1:] / a.beta
+    jam[supply] = b.x_jam[..., 1:]
+    # the merge inflow into cells 2..I, what the upstream cell offers
+    # throttled by the space this cell advertises, is all read from the
+    # primary set
+    merge = (..., 1, slice(-1))
+    cap = a.c_max[..., :-1]
+    v[merge] = a.v[..., :-1]
+    c[merge] = cap
+    thr[merge] = cap / b.v[..., :-1]
+    dropped[merge] = a.alpha[..., :-1] * cap
+    slope[merge] = a.w[..., 1:] / a.beta
+    jam[merge] = a.x_jam[..., 1:]
+    ceiling = np.empty(lead + (2 * n,))
+    ceiling[..., :n] = np.maximum(a.x_jam, b.x_jam)
+    ceiling[..., n:] = np.inf
+    return _Terms(v, c, thr, dropped, slope, jam, a.beta, ceiling)
 
 
 def _tube_flows(x, z, u, lam, terms: _Terms) -> _TubeFlows:
@@ -271,41 +320,54 @@ def _tube_flows(x, z, u, lam, terms: _Terms) -> _TubeFlows:
     terms are the parameter-only terms of the split parameter sets
     (``_terms``), computed once per pair; a ``_Pair`` carries them. All
     arrays; cells along the last axis; x carries every leading axis and the
-    other arguments broadcast against it. The receiving flow stays affine
-    (negative above x_jam, which interval arithmetic can reach when the jam
-    bound is read from the opposite corner of the box); only the realized
-    flow clamps it at zero. Its cap at the upstream capacity is left out
-    because the sending flow never exceeds that capacity.
+    other arguments broadcast against it. Both flow interfaces go through
+    each operation at once on the terms' side axis. The sending flow reads
+    its speed line at x and its ceiling at x on the outflow side, at z on
+    the merge side; the ceiling switches to the dropped value alpha*c once
+    the reading passes the drop threshold, and the boundary keeps full
+    capacity, matching the plant. The receiving flow reads the downstream
+    cell's occupancy and stays affine (negative above x_jam, which interval
+    arithmetic can reach when the jam bound is read from the opposite
+    corner of the box); only the realized flow clamps it at zero. Its cap
+    at the upstream capacity is left out because the sending flow never
+    exceeds that capacity.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] // 2
-    xm, xr = x[..., :n], x[..., n:]
-    zm = np.asarray(z, dtype=float)[..., :n]
+    t = terms
+    # the occupancies each side reads, on the side axis: its own for the
+    # speed line, the ceiling's reading, and the downstream cell's. down is
+    # own one entry on, so the last cell reads the next row's first or,
+    # at the very end, a zero: any finite value, since its receiving terms
+    # are infinite
+    shape = x.shape[:-1] + (2, n)
+    flat = np.empty(x.size + 1)
+    flat[-1] = 0.0
+    own, down = flat[:-1].reshape(shape), flat[1:].reshape(shape)
+    own[...] = x[..., None, :n]
+    reading = own.copy()
+    reading[..., 1, :] = np.asarray(z, dtype=float)[..., :n]
+    keep = reading <= t.thr
+    vx = t.v * own
+    xi = np.where(keep, t.c, t.dropped)
+    d = np.minimum(vx, xi)
+    s = t.slope * (t.jam - down)
+    f = np.minimum(d, np.maximum(0.0, s))
 
-    t = terms.out
-    vx, thr, keep, xi, d = _sending(xm, xm, t)
-    s = t.slope * (t.jam - xm[..., 1:])
-    f = d.copy()
-    f[..., :-1] = np.minimum(d[..., :-1], np.maximum(0.0, s))
-    out = _Side(vx, thr, keep, xi, d, s, f)
-
-    t = terms.merge
-    vx, thr, keep, xi, d = _sending(xm[..., :-1], zm[..., :-1], t)
-    s = t.slope * (t.jam - xm[..., 1:])
-    merge = _Side(vx, thr, keep, xi, d, s, np.minimum(d, np.maximum(0.0, s)))
-
-    # the inflow u + beta*f, no merge into cell 0; the next state is written
-    # into one array shaped like x
-    inflow = np.empty(merge.f.shape[:-1] + (n,))
-    inflow[..., 0] = 0.0
-    np.multiply(terms.beta, merge.f, out=inflow[..., 1:])
-    inflow = u + inflow
-    nxt = np.empty(x.shape)
-    np.add(xm, inflow, out=nxt[..., :n])
-    nxt[..., :n] -= out.f
-    np.add(xr, lam, out=nxt[..., n:])
-    nxt[..., n:] -= u
-    return _TubeFlows(out, merge, nxt)
+    # the next state, with the mainline and the queues on a half axis
+    # before the cells: x + arrive - leave, where the mainline gains
+    # u + beta*f from the merge (none into cell 0) and loses its outflow,
+    # and the queues gain their arrivals and lose u
+    arrive = np.empty(shape)
+    arrive[..., 0, 0] = 0.0
+    np.multiply(t.beta, f[..., 1, :-1], out=arrive[..., 0, 1:])
+    arrive[..., 0, :] += u
+    arrive[..., 1, :] = lam
+    leave = f.copy()
+    leave[..., 1, :] = u
+    nxt = x.reshape(shape) + arrive
+    nxt -= leave
+    return _TubeFlows(vx, t.thr, keep, xi, d, s, f, nxt.reshape(x.shape))
 
 
 def _clamped_step(x, u, lam, pair: _Pair):
@@ -318,13 +380,11 @@ def _clamped_step(x, u, lam, pair: _Pair):
     carry them all. One kernel call steps both components, and the next
     bracket is clamped in place and returned.
     """
-    jam = pair.primary.x_jam
     lam = lam.reshape((2,) + (1,) * (x.ndim - 2) + lam.shape[-1:])
     nxt = _tube_flows(x, x[::-1], u, lam, pair.terms).next
     # max-then-min is np.clip's arithmetic, in two whole-array passes
     np.maximum(nxt, 0.0, out=nxt)
-    main = nxt[..., :lam.shape[-1]]
-    np.minimum(main, np.maximum(jam[0], jam[1]), out=main)
+    np.minimum(nxt, pair.terms.ceiling, out=nxt)
     return nxt
 
 

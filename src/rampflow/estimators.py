@@ -15,10 +15,10 @@ run.
 
 The propagation takes a stack of boxes at once. A stack costs far less
 than its boxes one at a time, but its cost still grows with its rows: on
-a 5-step window, one box takes about 0.3 ms, 48 rows 0.5 ms and 474 rows
-1.6 ms (best of 12 runs, one Xeon core, numpy 2.4). A walk reads only one
-path of its bisection tree: the probes it visits while none certifies,
-its spine.
+a 5-step window, one box takes about 0.17 ms, 48 rows 0.26 ms and 474 rows
+0.9 ms (medians over 5 processes of the best of 12 runs, one Xeon core,
+numpy 2.4). A walk reads only one path of its bisection tree: the probes
+it visits while none certifies, its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
 every coordinate end the check budget can reach, one stacked row per
 check, and then replays the one-at-a-time walks over the stored verdicts.
@@ -33,13 +33,16 @@ range verdicts of its rows) depends on the box and the spines alone, never
 on the window. Most ticks leave the box as it was, so the measurement
 window keeps the first stack of the box the run is using, and the next
 tick that brings the same box with the same spines certifies that stack
-against its own window without building it again.
+against its own window without building it again. It also keeps the
+verdict patterns of that stack whose walk moved no bound and certified no
+further stack: a tick whose verdicts repeat one returns the box after the
+one propagation, without walking.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -95,6 +98,7 @@ class _Record:
     observation: Observation
     control: np.ndarray | None
     bracket: np.ndarray  # the state box as (upper, lower) on a leading axis
+    raised: np.ndarray   # its upper side raised by CONSISTENCY_TOL
     readings: tuple      # _measured(observation, output model)
 
 
@@ -113,13 +117,19 @@ class _Stack(NamedTuple):
 
 @dataclass
 class _Held:
-    """The box a run is using, its kernel pair, and the first probe stack
-    ``theta_update`` built from it with the spines it was built for."""
+    """The box a run is using, its kernel pair, and what ``theta_update``
+    keeps of it for one (prune_budget, prune_depth): the ends it walks, the
+    first spines by index into the ends, the probe stack built for them,
+    and the verdict patterns of that stack whose walk moved no bound and
+    certified no further stack."""
 
     box: ParamBounds
     pair: _Pair
-    spines: tuple | None = None
+    plan: tuple | None = None  # the (prune_budget, prune_depth) of the rest
+    ends: list = field(default_factory=list)
+    spines: dict = field(default_factory=dict)
     stack: _Stack | None = None
+    quiet: set = field(default_factory=set)
 
 
 class MeasurementWindow:
@@ -133,9 +143,9 @@ class MeasurementWindow:
     ``demand`` is the run's arrival box, which every transition shares.
 
     The window is the run's, so it also holds one entry for the parameter
-    box the run is using: the box's kernel pair (``pair``) and the first
-    probe stack ``theta_update`` built from it. The entry is replaced when
-    another box comes; the box is matched by identity, which is what
+    box the run is using: the box's kernel pair (``pair``) and what
+    ``theta_update`` keeps of the box (``_Held``). The entry is replaced
+    when another box comes; the box is matched by identity, which is what
     ``theta_update`` returns when no bound moved.
     """
 
@@ -168,8 +178,9 @@ class MeasurementWindow:
                 "that led to them")
         if control is not None:
             control = np.asarray(control, dtype=float).copy()
-        self._records.append(_Record(observation, control,
-                                     np.array([lifted.upper, lifted.lower]),
+        bracket = np.array([lifted.upper, lifted.lower])
+        self._records.append(_Record(observation, control, bracket,
+                                     bracket[0] + CONSISTENCY_TOL,
                                      _measured(observation, self.output_model)))
 
     def __len__(self) -> int:
@@ -211,7 +222,7 @@ def state_update(predicted: LiftedState, y: Observation,
     outside = _absorb(x, idx, vals, CONSISTENCY_TOL)
     if outside.any():
         k = int(np.argmax(outside))
-        j = int(idx[k])
+        j = int(np.arange(2 * n)[idx][k])
         where = f"mainline cell {j}" if j < n else f"ramp queue {j - n}"
         raise ContainmentViolation(
             f"{where}: reading {vals[k]:.6g} outside "
@@ -220,20 +231,23 @@ def state_update(predicted: LiftedState, y: Observation,
 
 
 def _measured(y: Observation, output_model: OutputModel):
-    """Indices of the measured entries of the stacked state, and their values.
+    """Where the measured entries of the stacked state are, and their values.
 
-    Mainline cells whose reading is missing (NaN) are left out.
+    Mainline cells whose reading is missing (NaN) are left out. The place
+    is a slice when every entry is measured, so a bracket reads and writes
+    the readings' entries as views; otherwise it is their indices.
     """
     n = output_model.mainline_mask.shape[0]
     y_main = np.asarray(y.y_main, dtype=float)
     cells = np.flatnonzero(output_model.mainline_mask & np.isfinite(y_main))
-    idx = np.concatenate([cells, n + np.arange(n)])
     vals = np.concatenate([y_main[cells] / output_model.c_diag[cells],
                            np.asarray(y.y_ramp, dtype=float)])
-    return idx, vals
+    if cells.size == n:
+        return slice(None), vals
+    return np.concatenate([cells, n + np.arange(n)]), vals
 
 
-def _absorb(x: np.ndarray, idx: np.ndarray, vals: np.ndarray, tol: float) -> np.ndarray:
+def _absorb(x: np.ndarray, idx, vals: np.ndarray, tol: float) -> np.ndarray:
     """Collapse the measured entries of the bracket x onto their values, in place.
 
     x holds the upper bound before the lower on its leading axis and
@@ -248,7 +262,7 @@ def _absorb(x: np.ndarray, idx: np.ndarray, vals: np.ndarray, tol: float) -> np.
     return outside
 
 
-def _certified(window: MeasurementWindow, pair, tol: float) -> np.ndarray:
+def _certified(window: MeasurementWindow, pair) -> np.ndarray:
     """Which stacked boxes cannot reproduce the window.
 
     pair is the boxes' (primary, secondary) sets (``embedding._pair``): the
@@ -260,29 +274,33 @@ def _certified(window: MeasurementWindow, pair, tol: float) -> np.ndarray:
     transition. Each step is intersected with the window's own enclosure
     of that step (certified earlier, so the tie sharpens the test without
     risking a false certificate), and measured entries collapse onto the
-    exact readings, computed once per record when it was pushed. A box is
-    certified when a propagated interval strictly excludes an enclosure or
-    a reading by more than tol. Every operation is elementwise, so each
-    box gets the bits it would get propagated alone.
+    exact readings. A box is certified when a propagated interval strictly
+    excludes an enclosure or a reading by more than CONSISTENCY_TOL. The
+    readings and the raised enclosure side are computed once per record
+    when it is pushed, and one reduction per step folds every exclusion.
+    Every operation is elementwise, so each box gets the bits it would get
+    propagated alone.
     """
+    tol = CONSISTENCY_TOL
     first, *later = window._records
-    stack = np.broadcast_shapes(*(np.shape(a)[1:-1] for a in vars(pair[0]).values()))
+    stack = pair.terms.ceiling.shape[1:-1]
     along = (2,) + (1,) * len(stack) + (-1,)  # a record's bracket against the stack
-    x = np.broadcast_to(first.bracket.reshape(along),
-                        (2, *stack, first.bracket.shape[-1])).copy()
-    lam = np.array([window.demand.upper, window.demand.lower])
+    x = np.empty((2, *stack, first.bracket.shape[-1]))
+    x[...] = first.bracket.reshape(along)
+    lam = np.array([window.demand.upper, window.demand.lower]).reshape(along)
     dead = _absorb(x, *first.readings, tol).any(axis=-1)
     for record in later:
         if dead.all():
             break
         x = _clamped_step(x, record.control, lam, pair)
-        tied = record.bracket.reshape(along)
-        dead = (dead | (x[1] > tied[0] + tol).any(axis=-1)
-                | (tied[1] > x[0] + tol).any(axis=-1))
-        np.minimum(x[0], tied[0], out=x[0])
-        np.maximum(x[1], tied[1], out=x[1])
+        upper, lower = record.bracket
+        outside = (x[1] > record.raised) | (lower > x[0] + tol)
+        np.minimum(x[0], upper, out=x[0])
+        np.maximum(x[1], lower, out=x[1])
         np.maximum(x[0], x[1], out=x[0])
-        dead = dead | _absorb(x, *record.readings, tol).any(axis=-1)
+        idx, vals = record.readings
+        outside[..., idx] |= _absorb(x, idx, vals, tol)
+        dead |= outside.any(axis=-1)
     return dead
 
 
@@ -296,7 +314,7 @@ def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow) -> s
     earns "feasible"; a passing wider box only earns "unknown", because
     interval arithmetic may keep an empty box alive.
     """
-    if _certified(window, window.pair(theta_box), CONSISTENCY_TOL):
+    if _certified(window, window.pair(theta_box)):
         return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
@@ -374,15 +392,39 @@ def _certify_spines(window: MeasurementWindow, stack: _Stack):
     propagation depends on the window.
 
     Returns whether the box was certified inconsistent (False without the
-    box in the stack) and, per spine, its mids, whether each probe passes
-    the physical-range checks and whether it is admissible and certified
+    box in the stack) and, per row, whether it is admissible and certified
     inconsistent.
     """
-    dead = _certified(window, stack.pair, CONSISTENCY_TOL)
-    certified = stack.admissible & dead
-    return stack.with_box and bool(dead[0]), [
-        (m, stack.admissible[at:at + len(m)], certified[at:at + len(m)])
-        for at, m in stack.mids]
+    dead = _certified(window, stack.pair)
+    return stack.with_box and bool(dead[0]), stack.admissible & dead
+
+
+def _verdicts(spines: dict, stack: _Stack, certified: np.ndarray) -> dict:
+    """Per spine of the stack, by the spines' keys: its mids, whether each
+    probe passes the physical-range checks and whether it is admissible and
+    certified inconsistent."""
+    return dict(zip(spines, ((m, stack.admissible[at:at + len(m)], certified[at:at + len(m)])
+                             for at, m in stack.mids)))
+
+
+def _interval(lo_map: dict, up_map: dict, f: str, i: int, is_upper: bool):
+    """(anchor, cut) of an end: the end that stays and the end that moves."""
+    return (lo_map[f][i], up_map[f][i]) if is_upper else (up_map[f][i], lo_map[f][i])
+
+
+def _spines_from(ends: list, first: int, lo_map: dict, up_map: dict,
+                 depth: int, budget: int) -> dict:
+    """The spines of ends[first:] that budget checks reach, by index into ends."""
+    spines = {}
+    for k in range(first, len(ends)):
+        length = min(depth, budget)
+        if length <= 0:
+            break
+        anchor, cut = _interval(lo_map, up_map, *ends[k])
+        if abs(cut - anchor) > _WIDTH_TOL:
+            spines[k] = _Spine(*ends[k], anchor, cut, length)
+            budget -= length
+    return spines
 
 
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
@@ -408,13 +450,16 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     charges it: one check per probe the walk visits, none for a probe that
     fails the physical-range checks (it counts as not certified).
 
-    The first stack (the whole box and the spines from the input box) is
-    kept in the window, which holds one entry for the box the run is
-    using. When the next call brings the same box object (the input box
-    comes back itself when no bound moves) with the same spines, that
-    stack is certified against the new window without being built again;
-    any other box or spines build it afresh. Later stacks of a call are
-    always built.
+    The window holds one entry for the box the run is using. For the
+    (prune_budget, prune_depth) of the call it keeps the ends, the first
+    spines and their stack (the whole box and the spines from the input
+    box), and the verdict patterns of that stack whose walk moved no bound
+    and certified no further stack. When the next call brings the same box
+    object (the input box comes back itself when no bound moves) with the
+    same budget and depth, the stack is certified against the new window
+    without being built again, and a remembered pattern returns the box at
+    once; another budget or depth plans afresh but keeps a stack whose
+    spines came out the same. Later stacks of a call are always built.
 
     A box with no end to walk (a point box, a budget of at most one check
     or a depth of zero) gets the whole-box check alone from
@@ -424,80 +469,74 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     if len(window) < 1:
         raise ValueError("the window is empty")
     checks_left = max(config.prune_budget, 1) - 1
+    depth = config.prune_depth
 
     held = window._hold(param_bounds)
     u_max = held.pair.primary.u_max
-    lo_map, up_map = _corner_maps(param_bounds)
-    ends = [(f, i, is_upper)
-            for f in PARAM_FIELDS
-            for i in range(lo_map[f].shape[0])
-            if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL
-            # shave the upper end, then the lower: certify the half between
-            # mid and the moving end infeasible, then move that end to mid
-            for is_upper in (True, False)]
+    maps = None
+    if held.plan != (config.prune_budget, depth):
+        maps = lo_map, up_map = _corner_maps(param_bounds)
+        ends = [(f, i, is_upper)
+                for f in PARAM_FIELDS
+                for i in range(lo_map[f].shape[0])
+                if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL
+                # shave the upper end, then the lower: certify the half
+                # between mid and the moving end infeasible, then move that
+                # end to mid
+                for is_upper in (True, False)]
+        spines = _spines_from(ends, 0, lo_map, up_map, depth, checks_left)
+        if list(spines.values()) != list(held.spines.values()):
+            held.stack = (_probe_stack(up_map, lo_map, u_max, list(spines.values()), True)
+                          if spines else None)
+        held.plan, held.ends, held.spines, held.quiet = (
+            (config.prune_budget, depth), ends, spines, set())
 
-    def interval(f, i, is_upper):
-        """(anchor, cut): the end that stays and the end that moves."""
-        return ((lo_map[f][i], up_map[f][i]) if is_upper
-                else (up_map[f][i], lo_map[f][i]))
-
-    def spines_from(first):
-        """The spines of ends[first:] that the budget reaches, by index into ends."""
-        spines, budget = {}, checks_left
-        for k in range(first, len(ends)):
-            length = min(config.prune_depth, budget)
-            if length <= 0:
-                break
-            anchor, cut = interval(*ends[k])
-            if abs(cut - anchor) > _WIDTH_TOL:
-                spines[k] = _Spine(*ends[k], anchor, cut, length)
-                budget -= length
-        return spines
-
-    def certify(spines, stack=None):
-        if stack is None:
-            stack = _probe_stack(up_map, lo_map, u_max, list(spines.values()), False)
-        box_dead, verdicts = _certify_spines(window, stack)
-        return box_dead, dict(zip(spines, verdicts))
-
-    spines, sweep = spines_from(0), {}
-    if spines:
-        # the first stack of a box is kept while the box stands
-        key = tuple(spines.values())
-        if held.spines != key:
-            held.spines = key
-            held.stack = _probe_stack(up_map, lo_map, u_max, list(key), True)
-        box_dead, sweep = certify(spines, held.stack)
+    if held.spines:
+        box_dead, certified = _certify_spines(window, held.stack)
     else:
         # nothing to walk: a point box, one check of budget or a depth of zero
         box_dead = interval_consistency(param_bounds, window) == INFEASIBLE
     if box_dead:
         raise ContainmentViolation(
             "no parameter left in the box reproduces the recorded window")
+    # verdicts whose walk moved nothing and certified nothing more before
+    # return the box at once
+    if not held.spines or (pattern := certified.tobytes()) in held.quiet:
+        return param_bounds
 
-    moved = False
+    lo_map, up_map = maps or _corner_maps(param_bounds)
+    ends = held.ends
+
+    def certify(spines):
+        stack = _probe_stack(up_map, lo_map, u_max, list(spines.values()), False)
+        return _verdicts(spines, stack, _certify_spines(window, stack)[1])
+
+    sweep = _verdicts(held.spines, held.stack, certified)
+    moved = asked = False
     for k, (f, i, is_upper) in enumerate(ends):
         if checks_left <= 0:
             break
-        anchor, cut = interval(f, i, is_upper)
-        depth_left = config.prune_depth
+        anchor, cut = _interval(lo_map, up_map, f, i, is_upper)
+        depth_left = depth
         while depth_left > 0 and checks_left > 0 and abs(cut - anchor) > _WIDTH_TOL:
-            if depth_left == config.prune_depth:
+            if depth_left == depth:
                 if k not in sweep:
-                    _, sweep = certify(spines_from(k))
-                mids, admissible, certified = sweep[k]
+                    asked = True
+                    sweep = certify(_spines_from(ends, k, lo_map, up_map, depth, checks_left))
+                mids, admissible, dead = sweep[k]
             else:
                 # a certified probe ended the last spine, or it was shorter
                 # than the budget left turned out to allow
+                asked = True
                 spine = _Spine(f, i, is_upper, anchor, cut, min(depth_left, checks_left))
-                mids, admissible, certified = certify({k: spine})[1][k]
+                mids, admissible, dead = certify({k: spine})[k]
             # the spine may be longer than the budget left now lets the walk go
-            for mid, passes, dead in zip(mids, admissible, certified):
+            for mid, passes, certain in zip(mids, admissible, dead):
                 if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
                     break
                 checks_left -= int(passes)
                 depth_left -= 1
-                if dead:
+                if certain:
                     cut = mid
                     break
                 anchor = mid
@@ -515,6 +554,8 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                 target[f][i] = old
 
     if not moved:
+        if not asked:
+            held.quiet.add(pattern)
         return param_bounds
     return ParamBounds(upper=replace(param_bounds.upper, **up_map),
                        lower=replace(param_bounds.lower, **lo_map))

@@ -382,7 +382,7 @@ def _stage_ranges(comp: _Comp, own, oth, merge: bool):
     downstream.
     """
     n = own[0].shape[-1] // 2
-    thr = comp.terms.out.thr  # the outflow's drop threshold, as the kernel reads it
+    thr = comp.terms.thr[..., 0, :]  # the outflow's drop threshold, as the kernel reads it
     at_thr = own[0].copy()
     at_thr[..., :n] = np.clip(thr, own[0][..., :n], own[1][..., :n])
     corners = comp.flows(np.array([own[0], own[1], at_thr]),

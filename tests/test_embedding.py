@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampflow import mpc
 from rampflow.ctm import (
     RANGE_RULES,
     FreewayParams,
@@ -23,6 +24,7 @@ from rampflow.embedding import (
     _clamped_step,
     _pair,
     _Side,
+    _stacked,
     _tube_flows,
     lifted_step,
 )
@@ -448,6 +450,22 @@ def _tube_flows_reference(x, z, u, lam, primary, secondary):
     return out, merge, nxt
 
 
+def _assert_kernel_is_the_reference(got, x, z, u, lam, primary, secondary):
+    """got is ``_tube_flows`` at (x, z, u, lam) on the terms of the sets:
+    every intermediate of both sides and the next state have the
+    reference's bits. Returns the reference's next state."""
+    out, merge, nxt = _tube_flows_reference(x, z, u, lam, primary, secondary)
+    for side, ref in ((got.out, out), (got.merge, merge)):
+        for name, want in zip(_Side._fields, ref):
+            have = getattr(side, name)
+            if name == "thr":
+                # a parameter-only term, kept with every stacking axis of the pair
+                want = np.broadcast_to(want, have.shape)
+            assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
+    assert got.next.shape == nxt.shape and got.next.tobytes() == nxt.tobytes()
+    return nxt
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 24), cells=st.integers(2, 5),
        on_wave_cap=st.booleans(), on_jam_cap=st.booleans())
@@ -455,7 +473,10 @@ def test_the_kernel_with_precomputed_terms_is_the_reference_bit_for_bit(
         seed, rows, cells, on_wave_cap, on_jam_cap):
     """``_tube_flows`` on a stacked probe pair, its terms built once by
     ``_pair``, gives every intermediate of both sides and the next state
-    with the bits of the reference that computes each term in the call.
+    with the bits of the reference that computes each term in the call, and
+    ``_clamped_step`` gives that next state clamped. So does the kernel on
+    the reduced planner's single component with its ceiling read at a state
+    other than x, and on the three corners ``mpc._stage_ranges`` evaluates.
     The boxes can sit on v + w = 1 and on c_max / v = x_jam, and states on
     the drop thresholds."""
     rng = np.random.default_rng(seed)
@@ -475,9 +496,38 @@ def test_the_kernel_with_precomputed_terms_is_the_reference_bit_for_bit(
     u = rng.uniform(0.0, 30.0, cells)
     lam = np.array([lam_hi[0], lam_lo[0]])[:, None]
     got = _tube_flows(x, x[::-1], u, lam, pair.terms)
-    out, merge, nxt = _tube_flows_reference(x, x[::-1], u, lam, pair.primary, pair.secondary)
-    for side, ref in ((got.out, out), (got.merge, merge)):
-        for name, want in zip(_Side._fields, ref):
-            have = getattr(side, name)
-            assert have.shape == want.shape and have.tobytes() == want.tobytes(), name
-    assert got.next.tobytes() == nxt.tobytes()
+    nxt = _assert_kernel_is_the_reference(got, x, x[::-1], u, lam,
+                                          pair.primary, pair.secondary)
+    # the step's clamp: max-then-min to [0, x_jam] on the mainline, up to 0
+    # on the queues
+    clamped = np.maximum(nxt, 0.0)
+    clamped[..., :cells] = np.minimum(
+        clamped[..., :cells], np.maximum(pair.primary.x_jam[0], pair.primary.x_jam[1]))
+    step = _clamped_step(x, u, lam, pair)
+    assert step.shape == clamped.shape and step.tobytes() == clamped.tobytes()
+
+    # the reduced planner's (1, 2I) component, one set as both of its sets
+    single = _pair({f: getattr(hi, f)[:1] for f in PARAM_FIELDS})
+    z = x_lo[:1]
+    got = _tube_flows(x_hi[:1], z, u, lam_hi[:1], single.terms)
+    _assert_kernel_is_the_reference(got, x_hi[:1], z, u, lam_hi[:1],
+                                    single.primary, single.secondary)
+
+    # the three corners of the stage ranges on a two-component box
+    sets = [SimpleNamespace(**{f: getattr(side, f)[0] for f in PARAM_FIELDS},
+                            u_max=np.full(cells, 40.0)) for side in (hi, lo)]
+    comp = mpc._Comp(*_stacked(*sets), np.array([lam_hi[0], lam_lo[0]]),
+                     np.array([x_hi[0], x_lo[0]]))
+    own = (np.array([x_lo[0], x_lo[-1]]), np.array([x_hi[0], x_hi[-1]]))
+    calls = []
+
+    def kernel(*args):
+        calls.append((args, _tube_flows(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mpc, "_tube_flows", kernel)
+        mpc._stage_ranges(comp, own, own, True)
+    [((x3, z3, u3, lam3, _), got)] = calls
+    assert x3.shape == (3, 2, 2 * cells)
+    _assert_kernel_is_the_reference(got, x3, z3, u3, lam3, comp.prim, comp.sec)

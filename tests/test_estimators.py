@@ -14,7 +14,7 @@ from rampflow import controllers, estimators, harness
 from rampflow.ctm import (FreewayParams, Observation, OutputModel,
                           compact_step, equilibrium_uncongested, measure)
 from rampflow.embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
-                                lifted_step)
+                                _clamped_step, _pair, lifted_step)
 from rampflow.estimators import (FEASIBLE, INFEASIBLE, UNKNOWN,
                                  ContainmentViolation, EstimatorConfig,
                                  MeasurementWindow, interval_consistency,
@@ -105,15 +105,26 @@ def test_state_update_is_contained_and_idempotent(stretch):
         assert np.array_equal(twice.lower, once.lower)
 
 
-def test_state_update_rejects_readings_outside_the_box(stretch):
-    model = full_output(4)
+# every cell measured (readings at a slice), and cell 1 without a detector
+# (readings at indices)
+MODELS = [full_output(4), OutputModel(np.array([True, False, True, True]), np.ones(4))]
+
+
+def test_state_update_rejects_readings_outside_the_box():
+    """The violation names the cell or queue whose reading is outside, with
+    the readings at a slice and at indices."""
     predicted = LiftedState(upper=np.full(8, 10.0), lower=np.full(8, 1.0))
-    high = np.concatenate([np.array([11.0, 5.0, 5.0, 5.0]), np.full(4, 5.0)])
-    with pytest.raises(ContainmentViolation, match="mainline cell 0"):
-        state_update(predicted, measure(model, high), model)
-    low_queue = np.concatenate([np.full(4, 5.0), np.array([5.0, 0.0, 5.0, 5.0])])
-    with pytest.raises(ContainmentViolation, match="ramp queue 1"):
-        state_update(predicted, measure(model, low_queue), model)
+    for model in MODELS:
+        for cell in (0, 2):
+            high = np.full(8, 5.0)
+            high[cell] = 11.0
+            with pytest.raises(ContainmentViolation, match=f"mainline cell {cell}:"):
+                state_update(predicted, measure(model, high), model)
+        for queue in (1, 3):
+            low_queue = np.full(8, 5.0)
+            low_queue[4 + queue] = 0.0
+            with pytest.raises(ContainmentViolation, match=f"ramp queue {queue}:"):
+                state_update(predicted, measure(model, low_queue), model)
 
 
 def test_state_update_rejects_a_missing_measured_reading():
@@ -183,6 +194,69 @@ def test_box_excluding_the_truth_is_certified_infeasible(
     away = speed_box(stretch, lo=0.75, hi=0.8)
     verdict = interval_consistency(away, window)
     assert verdict == INFEASIBLE
+
+
+def _one_box_dead(window, pair):
+    """The certificate of one box written out step by step: the measured
+    entries are gathered and scattered through index arrays, and every
+    exclusion is reduced where it is found."""
+    tol = estimators.CONSISTENCY_TOL
+    model = window.output_model
+    n = model.mainline_mask.shape[0]
+    lam = np.array([window.demand.upper, window.demand.lower])
+
+    def absorb(x, y):
+        cells = np.flatnonzero(model.mainline_mask & np.isfinite(y.y_main))
+        idx = np.concatenate([cells, n + np.arange(n)])
+        vals = np.concatenate([y.y_main[cells] / model.c_diag[cells], y.y_ramp])
+        low, high = x[1, idx], x[0, idx]
+        outside = np.any(vals < low - tol) or np.any(vals > high + tol)
+        x[:, idx] = np.minimum(np.maximum(vals, low), high)
+        return outside
+
+    first, *later = window._records
+    x = first.bracket.copy()
+    dead = absorb(x, first.observation)
+    for record in later:
+        x = _clamped_step(x, record.control, lam, pair)
+        upper, lower = record.bracket
+        dead = dead or np.any(x[1] > upper + tol) or np.any(lower > x[0] + tol)
+        x[0] = np.minimum(x[0], upper)
+        x[1] = np.maximum(x[1], lower)
+        x[0] = np.maximum(x[0], x[1])
+        dead = absorb(x, record.observation) or dead
+    return bool(dead)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["slice", "indices"])
+def test_a_stacked_certificate_is_each_box_propagated_alone(
+        model, stretch, demand_box, transient_start):
+    """The speed walks' probes of every end, stacked behind the whole box,
+    get from ``_certified`` the verdicts each of them gets propagated alone,
+    by ``_certified`` and by the certificate written out with index arrays,
+    whether the records keep their readings at a slice or at indices: on
+    the corrected enclosures, and on enclosures as wide as the start, where
+    only the readings certify."""
+    box = speed_box(stretch)
+    window, _ = drive_window(stretch, box, transient_start, 4, model, demand_box)
+    wide = MeasurementWindow(4, model, demand_box)
+    for record in window._records:
+        wide.push(wide_start(stretch), record.observation, control=record.control)
+    kind = slice if model.mainline_mask.all() else np.ndarray
+    assert all(isinstance(r.readings[0], kind) for r in window._records)
+    lo_map, up_map = estimators._corner_maps(box)
+    spines = [estimators._Spine("v", i, is_upper,
+                                *estimators._interval(lo_map, up_map, "v", i, is_upper), 6)
+              for i in range(4) for is_upper in (True, False)]
+    stack = estimators._probe_stack(up_map, lo_map, box.pair.primary.u_max, spines, True)
+    for recorded in (window, wide):
+        dead = estimators._certified(recorded, stack.pair)
+        assert dead.shape == (49,) and 0 < np.count_nonzero(dead) < 48
+        for row in range(49):
+            alone = _pair({f: a[:, row if a.shape[1] > 1 else 0]
+                           for f, a in vars(stack.pair.primary).items()})
+            assert (estimators._certified(recorded, alone) == dead[row]
+                    == _one_box_dead(recorded, alone))
 
 
 @pytest.mark.parametrize("v1", [0.45, 0.55], ids=["slow", "fast"])
@@ -529,8 +603,8 @@ def _spied_theta_update(monkeypatch, window, box, config):
     stacks, spines = [], []
     certified, probe_stack = estimators._certified, estimators._probe_stack
 
-    def count_stack(window, pair, tol):
-        dead = certified(window, pair, tol)
+    def count_stack(window, pair):
+        dead = certified(window, pair)
         stacks.append(dead.size)
         return dead
 
@@ -674,33 +748,52 @@ def _same_corners(a, b):
 def _spied_loop(monkeypatch, scenario):
     """Run the closed loop with every theta_update checked against the same
     call on a copy of the window that holds no entry, so it builds every
-    stack afresh. Returns the log; per tick the input box, whether it came
-    back, and the first stacks (those with the box in row 0) the loop's own
-    call built; and the window's entry after each tick."""
+    stack afresh: both return the same corners from the same ``_certified``
+    calls on the same rows. Returns the log; per tick the input box,
+    whether it came back, the first stacks (those with the box in row 0)
+    the loop's own call built, and whether that call walked the verdicts;
+    and the window's entry after each tick."""
     ticks, entries = [], []
     fresh = [False]
+    rows = {True: [], False: []}
     probe_stack, update = estimators._probe_stack, estimators.theta_update
+    certified, verdicts = estimators._certified, estimators._verdicts
 
     def spy_stack(up_map, lo_map, u_max, spines, with_box):
         if with_box and not fresh[0]:
             ticks[-1][2] += 1
         return probe_stack(up_map, lo_map, u_max, spines, with_box)
 
+    def spy_certified(window, pair):
+        dead = certified(window, pair)
+        rows[fresh[0]].append(dead.size)
+        return dead
+
+    def spy_verdicts(*args):
+        if not fresh[0]:
+            ticks[-1][3] = True
+        return verdicts(*args)
+
     def spy_update(window, box, config):
         unheld = copy.copy(window)
         unheld._held = None
+        rows[True].clear()
+        rows[False].clear()
         fresh[0] = True
         expected = update(unheld, box, config)
         fresh[0] = False
-        ticks.append([box, None, 0])
+        ticks.append([box, None, 0, False])
         out = update(window, box, config)
         assert _same_corners(out, expected), len(ticks)
+        assert rows[False] == rows[True], len(ticks)
         ticks[-1][1] = out is box
         entries.append(window._held)
         return out
 
     with monkeypatch.context() as m:
         m.setattr(estimators, "_probe_stack", spy_stack)
+        m.setattr(estimators, "_certified", spy_certified)
+        m.setattr(estimators, "_verdicts", spy_verdicts)
         m.setattr(controllers, "theta_update", spy_update)
         log = harness.run_closed_loop(scenario)
     return log, ticks, entries
@@ -711,14 +804,76 @@ def test_a_standing_box_reuses_its_first_probe_stack(monkeypatch):
     stands again, theta_update returns on every tick the box a fresh build
     returns, and builds its first stack once per distinct box."""
     _, ticks, entries = _spied_loop(monkeypatch, harness.parse_scenario(INGEST_TEXT))
-    stood = "".join("S" if kept else "M" for _, kept, _ in ticks)
+    stood = "".join("S" if kept else "M" for _, kept, _, _ in ticks)
     assert re.search("S{2,}MS{2,}", stood), stood
-    builds = [built for _, _, built in ticks]
+    builds = [built for _, _, built, _ in ticks]
     new_box = [k == 0 or ticks[k][0] is not ticks[k - 1][0] for k in range(len(ticks))]
     assert builds == [int(new) for new in new_box]
     assert sum(builds) < len(ticks)
     # one entry per run, for the box it is using
-    assert all(entry.box is box for entry, (box, kept, _) in zip(entries, ticks) if kept)
+    assert all(entry.box is box for entry, (box, kept, _, _) in zip(entries, ticks) if kept)
+
+
+def test_a_repeated_quiet_pattern_returns_the_box_at_once(monkeypatch):
+    """On most standing ticks the kept stack's verdicts repeat a pattern
+    whose walk moved nothing and certified no further stack; theta_update
+    then returns the same box object without walking, after the same
+    ``_certified`` calls on the same rows as a window that holds nothing."""
+    _, ticks, _ = _spied_loop(monkeypatch, harness.parse_scenario(INGEST_TEXT))
+    quiet = [k for k, (box, kept, built, walked) in enumerate(ticks) if not walked]
+    assert all(ticks[k][1] and not ticks[k][2] for k in quiet)
+    # a quiet tick repeats what an earlier walk of the same box found
+    assert all(k > 0 and ticks[k - 1][0] is ticks[k][0] for k in quiet)
+    standing = sum(kept for _, kept, _, _ in ticks[1:])
+    assert 2 * len(quiet) > standing > 0
+
+
+def test_a_walk_that_certified_more_is_walked_again(monkeypatch):
+    """v[0]'s upper walk certifies every probe, each on a new stack, and
+    its cut is then skipped, so the box stands. The pattern of the kept
+    stack is not remembered: the next call on the same window walks and
+    certifies the same stacks again."""
+    window, box, config = _corner_breaking_cut_then_a_later_cut()
+    config = replace(config, prune_budget=5)
+    stacks = []
+    certified = estimators._certified
+
+    def count_stack(window, pair):
+        dead = certified(window, pair)
+        stacks.append(dead.size)
+        return dead
+
+    monkeypatch.setattr(estimators, "_certified", count_stack)
+    for _ in range(2):
+        assert theta_update(window, box, config) is box
+    assert stacks == [5, 3, 2, 1] * 2 and not window._held.quiet
+
+
+def test_another_budget_drops_the_held_plan(
+        monkeypatch, stretch, demand_box, transient_start):
+    """The window keeps the plan of one (prune_budget, prune_depth): a call
+    with another budget certifies the stack of its own budget and forgets
+    the quiet patterns of the old one."""
+    box = _alpha_box(stretch)
+    window, _ = drive_window(stretch, box, transient_start, 3,
+                             full_output(4), demand_box)
+    config = replace(DEEP, prune_budget=48, prune_depth=6)
+    assert theta_update(window, box, config) is box
+    assert window._held.plan == (48, 6) and len(window._held.quiet) == 1
+    stacks = []
+    certified = estimators._certified
+
+    def count_stack(window, pair):
+        dead = certified(window, pair)
+        stacks.append(dead.size)
+        return dead
+
+    monkeypatch.setattr(estimators, "_certified", count_stack)
+    assert theta_update(window, box, config) is box
+    assert theta_update(window, box, replace(config, prune_budget=30)) is box
+    assert window._held.plan == (30, 6) and len(window._held.quiet) == 1
+    assert theta_update(window, box, config) is box
+    assert stacks == [48, 30, 48]
 
 
 def test_two_closed_loops_share_no_entry_and_write_the_same_csv(monkeypatch, tmp_path):
@@ -728,7 +883,7 @@ def test_two_closed_loops_share_no_entry_and_write_the_same_csv(monkeypatch, tmp
         log, ticks, entries = _spied_loop(monkeypatch, scenario)
         path = harness.emit_csv(log, tmp_path / f"run{k}.csv",
                                 meta=harness.scenario_meta(scenario, log))
-        runs.append((path.read_bytes(), [built for _, _, built in ticks], entries))
+        runs.append((path.read_bytes(), [built for _, _, built, _ in ticks], entries))
     (first, builds, entries), (second, builds_again, entries_again) = runs
     assert first == second
     # the second loop builds its first stack on its first tick, as the first did

@@ -94,8 +94,8 @@ def main(argv=None) -> int:
         root[1] = worker is not None
         return worker
 
-    def counted_boxes(window, pair, tol):
-        dead = certified(window, pair, tol)
+    def counted_boxes(window, pair):
+        dead = certified(window, pair)
         counts[2] += 1
         counts[3] += dead.size
         return dead
