@@ -16,7 +16,9 @@ metadata line ``# stopped <reason type>: <message>``. A stop before the
 first tick is done writes no CSV. A stop that carries the planner's model
 (an infeasible or over-budget plan, a solver breakdown) also writes that
 model in ``milp.dump_model``'s grammar to ``<csv>.model``, beside where
-the CSV goes, and names the file on standard error.
+the CSV goes, and names the file on standard error. A record or a model
+that cannot be written (its directory is missing, say) ends the command
+with ``rampflow: cannot write <path>: <reason>`` and exit status 2.
 
 The command starts on numpy alone. scipy, which only the planner's
 solver uses, loads inside the first plan, so a baseline controller or a
@@ -30,6 +32,11 @@ import sys
 from pathlib import Path
 
 from . import harness, milp
+
+
+def _cannot_write(path: Path, err: OSError) -> int:
+    print(f"rampflow: cannot write {path}: {err.strerror or err}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,11 +63,17 @@ def main(argv: list[str] | None = None) -> int:
         model = getattr(err, "model", None)
         if model is not None:
             dump = Path(f"{csv}.model")
-            dump.write_text(milp.dump_model(model))
+            try:
+                dump.write_text(milp.dump_model(model))
+            except OSError as exc:
+                return _cannot_write(dump, exc)
             print(f"rampflow: {scenario.name}: model written to {dump}", file=sys.stderr)
         log, stopped = err.log, [("stopped", " ".join(reason.split()))]  # one line
         if not len(log):
             return 1
-    path = harness.emit_csv(log, csv, meta=harness.scenario_meta(scenario, log) + stopped)
+    try:
+        path = harness.emit_csv(log, csv, meta=harness.scenario_meta(scenario, log) + stopped)
+    except OSError as exc:
+        return _cannot_write(csv, exc)
     print(f"{scenario.name}: {len(log)} ticks written to {path}")
     return 1 if stopped else 0

@@ -26,7 +26,9 @@ A certified probe ends its spine, and the rest of that walk is certified
 on a new spine from the narrowed interval. An applied cut changes the box
 every later probe is cut from, so the spines after it are stacked again.
 The walks, their check budget and the result are those of bisecting one
-candidate at a time.
+candidate at a time. They read the box as the kernel does, in the primary
+sets of its pair (``embedding._pair``): each field's two corners stacked
+upper first, so an end's anchor and cut are one entry of the two rows.
 
 A probe stack (its mids, its stacked pair with the kernel's terms, and the
 range verdicts of its rows) depends on the box and the spines alone, never
@@ -218,6 +220,8 @@ def state_update(predicted: LiftedState, y: Observation,
         raise ValueError("observation does not match the output model's size")
     if np.any(~np.isfinite(y_main[output_model.mainline_mask])):
         raise ValueError("a measured cell is missing its reading")
+    if not np.isfinite(y_ramp).all():
+        raise ValueError("a ramp queue is missing its reading")
     idx, vals = _measured(y, output_model)
     outside = _absorb(x, idx, vals, CONSISTENCY_TOL)
     if outside.any():
@@ -319,20 +323,6 @@ def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow) -> s
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
 
-def _corner_maps(bounds: ParamBounds):
-    lo = {f: np.array(getattr(bounds.lower, f), dtype=float) for f in PARAM_FIELDS}
-    up = {f: np.array(getattr(bounds.upper, f), dtype=float) for f in PARAM_FIELDS}
-    return lo, up
-
-
-def _corners(up_map: dict, lo_map: dict, u_max: np.ndarray) -> dict:
-    """The box of the coordinate maps as its corners' fields stacked upper
-    first, with the stacked u_max of the box they came from; ``_pair`` of
-    it is ready for ``_box_admissible`` and ``_certified``."""
-    return {**{f: np.array([up_map[f], lo_map[f]]) for f in PARAM_FIELDS},
-            "u_max": u_max}
-
-
 class _Spine(NamedTuple):
     """The probes of one end of one coordinate that a walk from [anchor,
     cut] visits while none certifies, at most length of them: each mid
@@ -351,21 +341,22 @@ class _Spine(NamedTuple):
     length: int
 
 
-def _probe_stack(up_map: dict, lo_map: dict, u_max: np.ndarray,
-                 spines: list[_Spine], with_box: bool) -> _Stack:
+def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
     """The probes of the spines stacked for one propagation; with_box puts
     the box itself in front of them.
 
+    box holds the box's stacked fields, u_max included: each one (2, cells),
+    the upper corner in row 0 (the primary sets of ``embedding._pair``).
     Each probed field is one (2, rows, cells) array of both corners, upper
-    first, that the probes' mids are written into; the other fields keep
-    the box's corners on a unit rows axis. The pair of those arrays, with
-    its kernel terms, is what the range checks and ``_certified`` read.
+    first, that the probes' mids are written into; the other fields are
+    views of box's on a unit rows axis. The pair of those arrays, with its
+    kernel terms, is what the range checks and ``_certified`` read; both
+    are computed here, so a later write into box does not reach the stack.
     An interior sub-box can fail the range checks: its corners mix values
     the box's own corners never combined.
     """
     first = int(with_box)
     rows = first + sum(s.length for s in spines)
-    box = _corners(up_map, lo_map, u_max)
     mids, probed, start = [], {}, first
     for s in spines:
         m, anchor = np.empty(s.length), s.anchor
@@ -407,20 +398,21 @@ def _verdicts(spines: dict, stack: _Stack, certified: np.ndarray) -> dict:
                              for at, m in stack.mids)))
 
 
-def _interval(lo_map: dict, up_map: dict, f: str, i: int, is_upper: bool):
-    """(anchor, cut) of an end: the end that stays and the end that moves."""
-    return (lo_map[f][i], up_map[f][i]) if is_upper else (up_map[f][i], lo_map[f][i])
+def _interval(box: dict, f: str, i: int, is_upper: bool):
+    """(anchor, cut) of an end of box's stacked fields: the end that stays
+    and the end that moves, which is row 0 at an upper end."""
+    k = 1 - is_upper
+    return box[f][1 - k, i], box[f][k, i]
 
 
-def _spines_from(ends: list, first: int, lo_map: dict, up_map: dict,
-                 depth: int, budget: int) -> dict:
+def _spines_from(ends: list, first: int, box: dict, depth: int, budget: int) -> dict:
     """The spines of ends[first:] that budget checks reach, by index into ends."""
     spines = {}
     for k in range(first, len(ends)):
         length = min(depth, budget)
         if length <= 0:
             break
-        anchor, cut = _interval(lo_map, up_map, *ends[k])
+        anchor, cut = _interval(box, *ends[k])
         if abs(cut - anchor) > _WIDTH_TOL:
             spines[k] = _Spine(*ends[k], anchor, cut, length)
             budget -= length
@@ -439,7 +431,9 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     shrink toward the edge when a half cannot be certified, and the sweep
     stops once prune_budget consistency checks are spent.
 
-    The whole-box check and the spine of every end the remaining budget can
+    The walk reads the held pair's stacked fields (row 0 the upper corner,
+    u_max included) and cuts a copy of them, whose rows are the result. The
+    whole-box check and the spine of every end the remaining budget can
     reach (each walk spends at most prune_depth checks) are certified
     together in one stacked propagation. The walks then read their verdicts
     in sweep order. A certified probe ends its spine: the cut moves to its
@@ -472,22 +466,19 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     depth = config.prune_depth
 
     held = window._hold(param_bounds)
-    u_max = held.pair.primary.u_max
-    maps = None
+    fields = vars(held.pair.primary)
     if held.plan != (config.prune_budget, depth):
-        maps = lo_map, up_map = _corner_maps(param_bounds)
         ends = [(f, i, is_upper)
                 for f in PARAM_FIELDS
-                for i in range(lo_map[f].shape[0])
-                if up_map[f][i] - lo_map[f][i] > _WIDTH_TOL
+                for i in range(fields[f].shape[1])
+                if fields[f][0, i] - fields[f][1, i] > _WIDTH_TOL
                 # shave the upper end, then the lower: certify the half
                 # between mid and the moving end infeasible, then move that
                 # end to mid
                 for is_upper in (True, False)]
-        spines = _spines_from(ends, 0, lo_map, up_map, depth, checks_left)
+        spines = _spines_from(ends, 0, fields, depth, checks_left)
         if list(spines.values()) != list(held.spines.values()):
-            held.stack = (_probe_stack(up_map, lo_map, u_max, list(spines.values()), True)
-                          if spines else None)
+            held.stack = _probe_stack(fields, list(spines.values()), True) if spines else None
         held.plan, held.ends, held.spines, held.quiet = (
             (config.prune_budget, depth), ends, spines, set())
 
@@ -504,11 +495,12 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     if not held.spines or (pattern := certified.tobytes()) in held.quiet:
         return param_bounds
 
-    lo_map, up_map = maps or _corner_maps(param_bounds)
+    # the walk cuts a copy; the held pair and its stack stay the box's
+    box = {f: a.copy() for f, a in fields.items()}
     ends = held.ends
 
     def certify(spines):
-        stack = _probe_stack(up_map, lo_map, u_max, list(spines.values()), False)
+        stack = _probe_stack(box, list(spines.values()), False)
         return _verdicts(spines, stack, _certify_spines(window, stack)[1])
 
     sweep = _verdicts(held.spines, held.stack, certified)
@@ -516,13 +508,13 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     for k, (f, i, is_upper) in enumerate(ends):
         if checks_left <= 0:
             break
-        anchor, cut = _interval(lo_map, up_map, f, i, is_upper)
+        anchor, cut = _interval(box, f, i, is_upper)
         depth_left = depth
         while depth_left > 0 and checks_left > 0 and abs(cut - anchor) > _WIDTH_TOL:
             if depth_left == depth:
                 if k not in sweep:
                     asked = True
-                    sweep = certify(_spines_from(ends, k, lo_map, up_map, depth, checks_left))
+                    sweep = certify(_spines_from(ends, k, box, depth, checks_left))
                 mids, admissible, dead = sweep[k]
             else:
                 # a certified probe ended the last spine, or it was shorter
@@ -540,22 +532,22 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                     cut = mid
                     break
                 anchor = mid
-        target = up_map if is_upper else lo_map
-        if cut != target[f][i]:
+        row = box[f][1 - is_upper]  # the corner this end moves
+        if cut != row[i]:
             # each cut is certified on its own, but with the cuts made
             # before it, it can push a corner outside the physical-range
             # checks; such a cut is skipped (the box only stays larger,
             # so soundness is kept) and the sweep goes on from a valid box
-            old, target[f][i] = target[f][i], cut
-            if _box_admissible(SimpleNamespace(**_corners(up_map, lo_map, u_max))):
+            old, row[i] = row[i], cut
+            if _box_admissible(SimpleNamespace(**box)):
                 moved = True
                 sweep = {}
             else:
-                target[f][i] = old
+                row[i] = old
 
     if not moved:
         if not asked:
             held.quiet.add(pattern)
         return param_bounds
-    return ParamBounds(upper=replace(param_bounds.upper, **up_map),
-                       lower=replace(param_bounds.lower, **lo_map))
+    return ParamBounds(upper=replace(param_bounds.upper, **{f: box[f][0] for f in PARAM_FIELDS}),
+                       lower=replace(param_bounds.lower, **{f: box[f][1] for f in PARAM_FIELDS}))

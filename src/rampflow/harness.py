@@ -717,10 +717,10 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     ``gap_rel`` or ``known_theta`` line, or leaving one empty, is refused
     with a ``ValueError`` naming the line; ``demand`` is optional, as
     periodic runs record none. So is a metadata number that does not
-    parse, a ``d`` line without ``cells`` values, weights ``CostSpec``
-    refuses, a header other than the one :func:`emit_csv` writes, and a
-    data row with too few or too many cells or a number that does not
-    parse, each naming its file and line or column. Any other metadata
+    parse, a ``d`` or ``demand`` line without ``cells`` values, weights
+    ``CostSpec`` refuses, a header other than the one :func:`emit_csv`
+    writes, and a data row with too few or too many cells or a number that
+    does not parse, each naming its file and line or column. Any other metadata
     line is returned and otherwise ignored, such as the ``stopped`` line
     of a record that a typed stop cut short.
     """
@@ -768,10 +768,14 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
         raise ValueError(f"{path}: column {col + 1} is {header[col]!r}, "
                          f"expected {expected[col]!r}")
 
-    l_vec, b_vec, d_vec = numbers("l"), numbers("b"), numbers("d")
-    if len(d_vec) != n:
-        raise ValueError(f"{path}: line {meta_line['d']}: 'd' metadata has "
-                         f"{len(d_vec)} values, expected {n}")
+    def per_ramp(key: str) -> list:
+        vals = numbers(key)
+        if len(vals) != n:
+            raise ValueError(f"{path}: line {meta_line[key]}: {key!r} metadata has "
+                             f"{len(vals)} values, expected {n}")
+        return vals
+
+    l_vec, b_vec, d_vec = numbers("l"), numbers("b"), per_ramp("d")
     try:
         cost = CostSpec(l=l_vec, b=b_vec, d=d_vec)
     except ValueError as err:
@@ -779,7 +783,7 @@ def read_log(path: str | Path) -> tuple[TrajectoryLog, dict[str, list[str]]]:
     log = TrajectoryLog(
         cost=cost,
         gap_rel=numbers("gap_rel")[0],
-        demand=np.array(numbers("demand")) if "demand" in meta else None,
+        demand=np.array(per_ramp("demand")) if "demand" in meta else None,
         known_theta=need("known_theta")[0] == "1",
     )
     # the header is _columns(n): t, x, xhat_up, xhat_lo, u, the theta box,

@@ -36,9 +36,9 @@ boxed program is never unbounded.
     term over that binary.
 
 Both take one gadget as scalars or a block of them as arrays, and record
-their operands on the model as arrays, which :meth:`ModelBuilder.fix_decided`
-and the node loop of :func:`solve_milp` read; :func:`dump_model` reads them
-as gadget records.
+their operands on the model as arrays (``MilpModel.operands``), the one
+record of a model's gadgets: :meth:`ModelBuilder.fix_decided`, the node
+loop of :func:`solve_milp` and :func:`dump_model` all read them.
 
 Incumbents come from three sources: caller-supplied ``initial_candidates``,
 the caller's ``incumbent_hook`` at every fractional node, and node
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -141,21 +141,6 @@ class Term(NamedTuple):
     hi: float
 
 
-@dataclass(frozen=True)
-class MinGadget:
-    f: int
-    a: Term
-    b: Term
-    z: int
-
-
-@dataclass(frozen=True)
-class DropGadget:
-    x: int
-    z: int
-    x_crit: float
-
-
 class _Operands(NamedTuple):
     """Every gadget of a model as arrays: the min gadgets first, then the
     drops, each kind in the order of its selector columns.  ``left`` and
@@ -181,19 +166,6 @@ class MilpModel:
     lp: LinearProgram
     binaries: np.ndarray  # sorted column indices
     operands: _Operands = field(default_factory=_no_gadgets)
-
-    @cached_property
-    def gadgets(self) -> list:
-        """The gadget records, in the order of their selector columns, which
-        is the order the gadgets were added in."""
-        z, f = self.operands.z.tolist(), self.operands.f.tolist()
-        left, right = self.operands.left.T.tolist(), self.operands.right.T.tolist()
-        m = len(f)
-        records = [MinGadget(fk, Term(int(a[0]), *a[1:]), Term(int(b[0]), *b[1:]), zk)
-                   for zk, fk, a, b in zip(z, f, left, right)]
-        records += [DropGadget(int(x[0]), zk, crit[2])
-                    for zk, x, crit in zip(z[m:], left[m:], right[m:])]
-        return sorted(records, key=lambda g: g.z)
 
 
 @dataclass(frozen=True)
@@ -700,12 +672,17 @@ def dump_model(model: MilpModel) -> str:
         lines.append(
             f"row {i} {lp.row_names[i]} {lp.row_senses[i]} {_fmt(lp.rhs[i])} : {terms}"
         )
-    for g in model.gadgets:
-        if isinstance(g, MinGadget):
-            a, b = (f"{t.col}:" + ":".join(map(_fmt, t[1:])) for t in (g.a, g.b))
-            lines.append(f"gadget min f={g.f} a={a} b={b} z={g.z}")
-        elif isinstance(g, DropGadget):
-            lines.append(f"gadget drop x={g.x} z={g.z} crit={_fmt(g.x_crit)}")
+    ops = model.operands
+    z, f = ops.z.tolist(), ops.f.tolist()
+    left, right = ops.left.T.tolist(), ops.right.T.tolist()
+    # the operands hold the min gadgets before the drops; the lines follow
+    # the selector columns
+    for k in sorted(range(len(z)), key=z.__getitem__):
+        if k < len(f):
+            a, b = (f"{int(t[0])}:" + ":".join(map(_fmt, t[1:])) for t in (left[k], right[k]))
+            lines.append(f"gadget min f={f[k]} a={a} b={b} z={z[k]}")
+        else:
+            lines.append(f"gadget drop x={int(left[k][0])} z={z[k]} crit={_fmt(right[k][2])}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -79,7 +79,6 @@ from .embedding import (
     _stacked,
     _Terms,
     _tube_flows,
-    _TubeFlows,
     lifted_step,
 )
 
@@ -350,43 +349,28 @@ def terminal_lyapunov_check(
     )
 
 
-@dataclass(frozen=True)
-class _Comp:
-    """Tube components: their raising and lowering parameter sets with the
-    kernel's terms of them (a ``_stacked`` pair), arrivals and initial
-    states, with any leading axes stacking components."""
-
-    prim: FreewayParams
-    sec: FreewayParams
-    terms: _Terms
-    lam: np.ndarray
-    x0: np.ndarray
-
-    def flows(self, x, z, u) -> _TubeFlows:
-        """The tube kernel at own state x and other-component state z."""
-        return _tube_flows(x, z, u, self.lam, self.terms)
-
-
-def _stage_ranges(comp: _Comp, own, oth, merge: bool):
+def _stage_ranges(terms: _Terms, lam, own, oth, merge: bool):
     """Interval bounds of the components' stage columns and terms, per side.
 
-    own and oth are the (lower, upper) boxes of the components' stacked
-    states and of the other components'. Every term but the outflow sending
-    flow is monotone in the one occupancy it reads, so the kernel at the
-    low corner (own state low, other state high) and at the high corner
-    gives both ends; the realized flows combine the ranges of their two
-    terms. Both corners and the outflow's peak go through one kernel call.
-    Returns (out, merge) dicts of (lower, upper) pairs keyed like the
-    kernel's fields, plus the drop threshold under "thr"; without merge
-    columns the merge dict only carries the flow the outflow side feeds
-    downstream.
+    terms are the kernel's terms of the components' (primary, secondary)
+    pair (``_Pair.terms``) and lam the components' arrivals, any leading
+    axes stacking components. own and oth are the (lower, upper) boxes of
+    the components' stacked states and of the other components'. Every
+    term but the outflow sending flow is monotone in the one occupancy it
+    reads, so the kernel at the low corner (own state low, other state
+    high) and at the high corner gives both ends; the realized flows
+    combine the ranges of their two terms. Both corners and the outflow's
+    peak go through one kernel call. Returns (out, merge) dicts of (lower,
+    upper) pairs keyed like the kernel's fields, plus the drop threshold
+    under "thr"; without merge columns the merge dict only carries the flow
+    the outflow side feeds downstream.
     """
     n = own[0].shape[-1] // 2
-    thr = comp.terms.thr[..., 0, :]  # the outflow's drop threshold, as the kernel reads it
+    thr = terms.thr[..., 0, :]  # the outflow's drop threshold, as the kernel reads it
     at_thr = own[0].copy()
     at_thr[..., :n] = np.clip(thr, own[0][..., :n], own[1][..., :n])
-    corners = comp.flows(np.array([own[0], own[1], at_thr]),
-                         np.array([oth[1], oth[0], oth[1]]), 0.0)
+    corners = _tube_flows(np.array([own[0], own[1], at_thr]),
+                          np.array([oth[1], oth[0], oth[1]]), 0.0, lam, terms)
     o, g = corners.out, corners.merge
     # The outflow sending flow reads its own occupancy twice: it follows
     # the speed line up to the drop threshold, falls there and never falls
@@ -558,25 +542,25 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
 
     # the components on a leading axis, the lower one last
     if reduced:
-        comp = _Comp(*_stacked(p_up), lam_up[None], x_hi[None])
+        pair, lam, x0 = _stacked(p_up), lam_up[None], x_hi[None]
     else:
-        comp = _Comp(*_stacked(p_up, p_lo), np.array([lam_up, lam_lo]), np.array([x_hi, x_lo]))
-    c_n = comp.x0.shape[0]
+        pair, lam, x0 = _stacked(p_up, p_lo), np.array([lam_up, lam_lo]), np.array([x_hi, x_lo])
+    c_n = x0.shape[0]
     merge = not reduced
     u_hw = np.minimum(p_up.u_max, p_lo.u_max)
-    beta = comp.prim.beta
+    beta = pair.primary.beta
 
     # ---- forward interval propagation -------------------------------
     blb = np.empty((t + 1, c_n, 2 * n))
     bub = np.empty((t + 1, c_n, 2 * n))
-    blb[0] = bub[0] = comp.x0
+    blb[0] = bub[0] = x0
     ucap = np.empty((t, n))
     limit_last = np.minimum(box_ub, terminal.x_f)
     for k in range(t):
         lo, hi = blb[k], bub[k]
         ucap[k] = np.minimum(u_hw, hi[-1, n:] + lam_lo)
         # each component's other one is the reversed stack, itself when alone
-        r_out, r_merge = _stage_ranges(comp, (lo, hi), (lo[::-1], hi[::-1]), merge)
+        r_out, r_merge = _stage_ranges(pair.terms, lam, (lo, hi), (lo[::-1], hi[::-1]), merge)
         inc_lb = np.zeros((c_n, n))
         inc_ub = np.empty((c_n, n))
         inc_ub[:] = ucap[k]
@@ -584,15 +568,15 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         inc_ub[:, 1:] += beta * r_merge["f"][1]
         plb, pub = np.empty((2, c_n, 2 * n))
         plb[:, :n] = lo[:, :n] + inc_lb - r_out["f"][1]
-        plb[:, n:] = lo[:, n:] + comp.lam - ucap[k]
+        plb[:, n:] = lo[:, n:] + lam - ucap[k]
         pub[:, :n] = hi[:, :n] + inc_ub - r_out["f"][0]
-        pub[:, n:] = hi[:, n:] + comp.lam
+        pub[:, n:] = hi[:, n:] + lam
         blb[k + 1], bub[k + 1] = _finalize(plb, pub, limit_last if k + 1 == t else box_ub)
 
     # ---- columns and rows, each group over every stage ----------------
     # the ranges of every stage at once, elementwise as each stage's were
     ranges = dict(zip(("out", "merge"), _stage_ranges(
-        comp, (blb[:t], bub[:t]), (blb[:t, ::-1], bub[:t, ::-1]), merge)))
+        pair.terms, lam, (blb[:t], bub[:t]), (blb[:t, ::-1], bub[:t, ::-1]), merge)))
     lay = _layout(t, n, reduced)
     bld = milp.ModelBuilder(name=f"meter{t}")
     obj = np.zeros((t + 1, c_n, 2 * n))  # only the upper component is costed
@@ -605,7 +589,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     ids = {}
     # per side, the groups drop, d, dmin, f and fmin, in the order the
     # layout places them
-    for side, p in (("out", comp.sec), ("merge", comp.prim))[:1 + merge]:
+    for side, p in (("out", pair.secondary), ("merge", pair.primary))[:1 + merge]:
         rng, names = ranges[side], {key: lay.names[side, key] for key in _KEYS}
         cells = rng["d"][0].shape[-1]
         # the ceiling reads the own occupancy on the outflow side, the other
@@ -638,7 +622,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
                   np.broadcast_to(np.concatenate([np.zeros((c_n, 1)), -beta], axis=-1), shape))],
                 "E", 0.0, lay.names["dyn.x"])
     bld.add_row([(xs[1:, :, n:], 1.0), (xs[:t, :, n:], -1.0), (u_all, 1.0)],
-                "E", np.broadcast_to(comp.lam, shape), lay.names["dyn.q"])
+                "E", np.broadcast_to(lam, shape), lay.names["dyn.q"])
     bld.fix_decided()
     model = bld.build(order=lay.order)
 
@@ -650,11 +634,11 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         unchecked: ``milp.solve_milp`` verifies every candidate it gets."""
         u_seq = np.asarray(u_seq, dtype=float).reshape(t, n)
         vec = np.zeros(model.lp.n_cols)
-        state = comp.x0
+        state = x0
         vec[lay.x[0]] = state
         for k in range(t):
             u_k = np.clip(u_seq[k], 0.0, np.minimum(ucap[k], state[-1, n:] + lam_lo))
-            flows = comp.flows(state, state[::-1], u_k)
+            flows = _tube_flows(state, state[::-1], u_k, lam, pair.terms)
             vec[lay.u[k]] = u_k
             for side, (drop, d, dmin, f, fmin) in sides:
                 at = getattr(flows, side)

@@ -516,8 +516,7 @@ def test_the_kernel_with_precomputed_terms_is_the_reference_bit_for_bit(
     # the three corners of the stage ranges on a two-component box
     sets = [SimpleNamespace(**{f: getattr(side, f)[0] for f in PARAM_FIELDS},
                             u_max=np.full(cells, 40.0)) for side in (hi, lo)]
-    comp = mpc._Comp(*_stacked(*sets), np.array([lam_hi[0], lam_lo[0]]),
-                     np.array([x_hi[0], x_lo[0]]))
+    box_pair = _stacked(*sets)
     own = (np.array([x_lo[0], x_lo[-1]]), np.array([x_hi[0], x_hi[-1]]))
     calls = []
 
@@ -527,7 +526,7 @@ def test_the_kernel_with_precomputed_terms_is_the_reference_bit_for_bit(
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mpc, "_tube_flows", kernel)
-        mpc._stage_ranges(comp, own, own, True)
+        mpc._stage_ranges(box_pair.terms, np.array([lam_hi[0], lam_lo[0]]), own, own, True)
     [((x3, z3, u3, lam3, _), got)] = calls
     assert x3.shape == (3, 2, 2 * cells)
-    _assert_kernel_is_the_reference(got, x3, z3, u3, lam3, comp.prim, comp.sec)
+    _assert_kernel_is_the_reference(got, x3, z3, u3, lam3, box_pair.primary, box_pair.secondary)

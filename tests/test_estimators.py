@@ -133,6 +133,10 @@ def test_state_update_rejects_a_missing_measured_reading():
     broken = Observation(y_main=np.array([np.nan, 3.0]), y_ramp=np.zeros(2))
     with pytest.raises(ValueError, match="missing"):
         state_update(predicted, broken, model)
+    # every queue is measured, so a queue without a reading is refused too
+    broken = Observation(y_main=np.array([2.0, 3.0]), y_ramp=np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="a ramp queue is missing its reading"):
+        state_update(predicted, broken, model)
 
 
 # --------------------------------------------------------------- window
@@ -244,11 +248,11 @@ def test_a_stacked_certificate_is_each_box_propagated_alone(
         wide.push(wide_start(stretch), record.observation, control=record.control)
     kind = slice if model.mainline_mask.all() else np.ndarray
     assert all(isinstance(r.readings[0], kind) for r in window._records)
-    lo_map, up_map = estimators._corner_maps(box)
+    fields = vars(box.pair.primary)
     spines = [estimators._Spine("v", i, is_upper,
-                                *estimators._interval(lo_map, up_map, "v", i, is_upper), 6)
+                                *estimators._interval(fields, "v", i, is_upper), 6)
               for i in range(4) for is_upper in (True, False)]
-    stack = estimators._probe_stack(up_map, lo_map, box.pair.primary.u_max, spines, True)
+    stack = estimators._probe_stack(fields, spines, True)
     for recorded in (window, wide):
         dead = estimators._certified(recorded, stack.pair)
         assert dead.shape == (49,) and 0 < np.count_nonzero(dead) < 48
@@ -608,9 +612,9 @@ def _spied_theta_update(monkeypatch, window, box, config):
         stacks.append(dead.size)
         return dead
 
-    def count_spines(up_map, lo_map, u_max, batch, *rest):
+    def count_spines(box, batch, *rest):
         spines.append([(s.field, s.cell, s.is_upper, s.length) for s in batch])
-        return probe_stack(up_map, lo_map, u_max, batch, *rest)
+        return probe_stack(box, batch, *rest)
 
     monkeypatch.setattr(estimators, "_certified", count_stack)
     monkeypatch.setattr(estimators, "_probe_stack", count_spines)
@@ -759,10 +763,10 @@ def _spied_loop(monkeypatch, scenario):
     probe_stack, update = estimators._probe_stack, estimators.theta_update
     certified, verdicts = estimators._certified, estimators._verdicts
 
-    def spy_stack(up_map, lo_map, u_max, spines, with_box):
+    def spy_stack(box, spines, with_box):
         if with_box and not fresh[0]:
             ticks[-1][2] += 1
-        return probe_stack(up_map, lo_map, u_max, spines, with_box)
+        return probe_stack(box, spines, with_box)
 
     def spy_certified(window, pair):
         dead = certified(window, pair)

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rampflow import _simplex, cli, harness, milp
+from rampflow.embedding import PARAM_FIELDS
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
 PRESET = harness.PRESETS["fourcell_constant"]
@@ -245,6 +247,24 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
     assert capsys.readouterr().err == "rampflow: v must lie in (0, 1] (step invariance)\n"
 
 
+def test_run_command_exits_when_it_cannot_write(tmp_path, capsys):
+    """A record or a model whose directory is missing ends the command,
+    after the loop, with the path it could not write and exit status 2."""
+    source = tmp_path / "short_plan.scn"
+    source.write_text(_short_planning_text())
+    out = tmp_path / "missing" / "record.csv"
+    assert cli.main(["run", str(source), "--csv", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"rampflow: cannot write {out}: No such file or directory\n")
+    # the horizon-10 preset's first plan is infeasible and carries its model
+    text = _edit(PRESET, "  horizon 60", ["  horizon 10"], keep=False)[0]
+    source.write_text(_edit(text, "  steps 60", ["  steps 3"], keep=False)[0])
+    assert cli.main(["run", str(source), "--csv", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"rampflow: cannot write {out}.model: No such file or directory\n")
+    assert not out.parent.exists()
+
+
 def test_run_command_exits_with_the_typed_loop_stop(tmp_path, capsys):
     """Horizon 10 is too short for the preset's terminal box, so the first
     plan is infeasible: the command reports the reason, exits 1 and still
@@ -363,9 +383,11 @@ _ROW = ["mpc" if name == "phase" else "0" for name in harness._columns(4)]
 
 def _csv_with_row(row: list[str], header: list[str] = harness._columns(4),
                   **meta: str) -> str:
-    """The metadata, with ``meta`` in place of the needed values, the
-    header, and ``row`` as the data row (line 8)."""
+    """The metadata, with ``meta`` in place of the needed values and its
+    other lines after them, the header, and ``row`` as the data row (line 8
+    when ``meta`` adds no line)."""
     lines = [f"# {k} {meta.get(k, v)}" for k, v in _NEEDED_META.items()]
+    lines += [f"# {k} {v}" for k, v in meta.items() if k not in _NEEDED_META]
     return "\n".join(lines + [",".join(header), ",".join(row)]) + "\n"
 
 
@@ -389,13 +411,14 @@ _RENAMED = ["y_1" if name == "x_1" else name for name in harness._columns(4)]
      re.escape("line 1: 'cells' metadata: expected numbers, got ['x']")),
     (_csv_with_row(_ROW, l="1"), "bad.csv: weight lengths disagree$"),
     (_csv_with_row(_ROW, d="1"), "line 4: 'd' metadata has 1 values, expected 4$"),
+    (_csv_with_row(_ROW, demand="1 2"), "line 7: 'demand' metadata has 2 values, expected 4$"),
     (_csv_with_row(_ROW, l="1 1 1 0 1 1 1 1"),
      "bad.csv: running-cost weights must be positive$"),
 ],
     ids=["no_header", "no_cells", "empty_cells", "column_count"]
     + [f"no_{key}" for key in list(_NEEDED_META)[1:]]
     + ["short_row", "bad_number", "renamed_column", "bad_meta_number", "bad_meta_integer",
-       "short_l", "short_d", "zero_l"])
+       "short_l", "short_d", "short_demand", "zero_l"])
 def test_read_log_refuses_files_it_cannot_rebuild(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -535,3 +558,87 @@ def test_the_documented_record_lists_the_metadata_lines_scenario_meta_writes():
     log = harness.run_closed_loop(scenario)
     assert documented == [key for key, _ in harness.scenario_meta(scenario, log)]
     assert needed == set(_NEEDED_META)
+
+
+# ------------------------------------------ closed loops over generated scenarios
+
+# per parameter: the range of its box's centre and the largest half-width
+_BOX_DRAWS = {"beta": (0.8, 0.85, 0.12), "v": (0.45, 0.55, 0.1), "w": (0.12, 0.25, 0.02),
+              "x_jam": (150.0, 170.0, 5.0), "c_max": (18.0, 22.0, 1.0),
+              "alpha": (0.85, 0.9, 0.02)}
+
+
+@st.composite
+def _small_scenarios(draw):
+    """A small Set-PC scenario as ``parse_scenario`` text: 2-3 cells,
+    horizon 3-5, 4-8 ticks, a point box or an interval box per parameter
+    (the true values per cell inside it; v + w <= 1 and c_max / v <= x_jam
+    on every corner), detectors on some mainline cells, a demand margin of
+    0-5 % on an admissible arrival rate, and an initial mainline at 0.6-1.6
+    times the critical occupancy, capped at 0.9 x_jam, inside a +-2 % box."""
+    n = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    point = draw(st.integers(0, 3)) == 1  # every parameter known, in about a quarter
+    params, boxes = {}, []
+    for name, (low, high, width) in _BOX_DRAWS.items():
+        centre = low + (high - low) * draw(unit)
+        half = 0.0 if point else width * draw(unit)
+        params[name] = np.array([centre + half * (2.0 * draw(unit) - 1.0)
+                                 for _ in range(n - (name == "beta"))])
+        if half > 0.0:
+            boxes.append(f"  {name} {centre - half!r} {centre + half!r}")
+    crit = params["c_max"] / params["v"]
+    mainline = np.minimum([draw(st.floats(0.6, 1.6)) * c for c in crit], 0.9 * params["x_jam"])
+    # every cell's equilibrium flow stays below its capacity
+    base = params["c_max"] * ([draw(st.floats(0.2, 0.6))]
+                              + [draw(st.floats(0.0, 0.1)) for _ in range(n - 1)])
+    unmeasured = [draw(st.booleans()) for _ in range(n)]
+
+    def join(values):
+        return " ".join(repr(float(v)) for v in values)
+
+    lines = ["params {", f"  cells {n}", *(f"  {k} {join(v)}" for k, v in params.items()),
+             "}", "demand {", f"  base {join(base)}", "}",
+             "initial {", f"  mainline {join(mainline)}", "}",
+             "boxes {", f"  mainline_upper {join(1.02 * mainline)}",
+             f"  mainline_lower {join(0.98 * mainline)}",
+             f"  demand_margin {draw(st.floats(0.0, 0.05))!r}", *boxes, "}",
+             "output {", f"  mask {' '.join(str(int(not u)) for u in unmeasured)}", "}",
+             "mpc {", f"  horizon {draw(st.integers(3, 5))}", "  gap 0.01", "}",
+             "run {", f"  steps {draw(st.integers(4, 8))}", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_generated_closed_loops_keep_the_truth_in_their_boxes():
+    """On every tick a generated loop logs, the true state lies in the
+    corrected box and the true parameters in the contracted one. Only an
+    infeasible or over-budget plan may stop a loop; the ticks before the
+    stop are checked too. At least a quarter of the draws execute a plan
+    and at least a quarter move a parameter bound, so the check reaches
+    the planner and the contraction."""
+    draws = []
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_small_scenarios())
+    def loop(text):
+        scenario = parse_scenario(text)
+        try:
+            log = harness.run_closed_loop(scenario)
+        except (harness.InfeasibleProblem, harness.SolveBudgetExceeded) as stop:
+            log = stop.log
+        truth, prior = scenario.params, scenario.theta_box
+        for tick, step in enumerate(log.steps):
+            assert step.estimate.contains(step.x), tick
+            for name in PARAM_FIELDS:
+                value = getattr(truth, name)
+                assert np.all(getattr(step.theta.lower, name) <= value + 1e-9), (tick, name)
+                assert np.all(getattr(step.theta.upper, name) >= value - 1e-9), (tick, name)
+        moved = any(not np.array_equal(getattr(getattr(step.theta, corner), name),
+                                       getattr(getattr(prior, corner), name))
+                    for step in log.steps for corner in ("upper", "lower")
+                    for name in PARAM_FIELDS)
+        draws.append((any(step.phase == "mpc" for step in log.steps), moved))
+
+    loop()
+    planned, moved = (sum(column) for column in zip(*draws))
+    assert 4 * planned >= len(draws) and 4 * moved >= len(draws), (len(draws), planned, moved)

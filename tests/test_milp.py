@@ -1642,7 +1642,7 @@ def test_solver_setup_builds_the_arrays_scipy_builds(m, n, seed):
 def test_a_block_of_gadgets_is_the_gadgets_added_one_by_one():
     """The array form of the builder and of both gadget encoders writes the
     model a loop of scalar calls writes, and ``build`` places columns and
-    rows where ``order`` says, renumbering entries and gadget records."""
+    rows where ``order`` says, renumbering entries and gadget operands."""
     rng = np.random.default_rng(3)
     lo, hi = rng.uniform(0.0, 5.0, 6), rng.uniform(5.0, 10.0, 6)
     crit = np.array([4.0, 5.0, 6.0])
@@ -1676,9 +1676,9 @@ def test_a_block_of_gadgets_is_the_gadgets_added_one_by_one():
     np.testing.assert_array_equal(placed.lp.matrix().toarray(),
                                   models[1].lp.matrix().toarray()[::-1, ::-1])
     last = b.n_cols - 1
-    assert [g.z for g in placed.gadgets] == sorted(last - g.z for g in models[1].gadgets)
-    assert all(placed.lp.col_names[g.z] == models[1].lp.col_names[last - g.z]
-               for g in placed.gadgets)
+    z = placed.operands.z.tolist()
+    assert sorted(z) == sorted((last - models[1].operands.z).tolist())
+    assert all(placed.lp.col_names[j] == models[1].lp.col_names[last - j] for j in z)
     with pytest.raises(ValueError, match="exactly once"):
         b.build(order=[np.zeros(b.n_cols, dtype=int), reverse[1]])
 

@@ -18,6 +18,7 @@ from rampflow.embedding import (
     LiftedState,
     ParamBounds,
     _terms,
+    _tube_flows,
 )
 
 from conftest import homogeneous_params, random_params, tube_flows
@@ -239,16 +240,16 @@ def test_every_column_is_a_state_a_control_or_a_gadget_decision(
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
     prob = mpc._assemble(equilibrium_box(), demand, point_params,
                          default_config(2), term, reduced=reduced)
-    lp, gadgets = prob.model.lp, prob.model.gadgets
+    lp, ops = prob.model.lp, prob.model.operands
     u, upper, lower = prob.decode(np.arange(lp.n_cols))
-    mins = [g for g in gadgets if isinstance(g, milp.MinGadget)]
+    mins, gadgets = ops.f.size, ops.z.size
     kinds = [set(upper.ravel()) | set(lower.ravel()), set(u.ravel()),
-             {g.f for g in mins}, {g.z for g in gadgets}]
+             set(ops.f.tolist()), set(ops.z.tolist())]
     assert sum(map(len, kinds)) == lp.n_cols
     assert set().union(*kinds) == set(range(lp.n_cols))
     # one mainline and one queue row per state after the first, per side
     conservation = (upper.size - upper.shape[1]) * (1 if reduced else 2)
-    assert lp.n_rows == 4 * len(mins) + 2 * (len(gadgets) - len(mins)) + conservation
+    assert lp.n_rows == 4 * mins + 2 * (gadgets - mins) + conservation
 
 
 # ------------------------------------------ kernel, ranges and codec
@@ -310,18 +311,17 @@ def test_kernel_intermediates_stay_inside_the_stage_ranges(seed):
     p_up, p_lo = random_param_pair(rng, n)
     lam = rng.uniform(0.0, 10.0, n)
     own, oth = random_box(rng, p_up.x_jam), random_box(rng, p_up.x_jam)
-    for comp in (mpc._Comp(p_up, p_lo, _terms(p_up, p_lo), lam, own[1]),
-                 mpc._Comp(p_lo, p_up, _terms(p_lo, p_up), lam, own[0])):
-        r_out, r_merge = mpc._stage_ranges(comp, own, oth, True)
+    for terms in (_terms(p_up, p_lo), _terms(p_lo, p_up)):
+        r_out, r_merge = mpc._stage_ranges(terms, lam, own, oth, True)
         x = points_in(rng, own, r_out["thr"], 250)
         z = points_in(rng, oth, r_merge["thr"], 250)
-        flows = comp.flows(x, z, 0.0)
+        flows = _tube_flows(x, z, 0.0, lam, terms)
         assert_within(flows.out, r_out)
         assert_within(flows.merge, r_merge)
-    single = mpc._Comp(p_up, p_up, _terms(p_up, p_up), lam, own[1])
-    r_out, r_merge = mpc._stage_ranges(single, own, own, False)
+    single = _terms(p_up, p_up)
+    r_out, r_merge = mpc._stage_ranges(single, lam, own, own, False)
     x = points_in(rng, own, r_out["thr"], 250)
-    flows = single.flows(x, x, 0.0)
+    flows = _tube_flows(x, x, 0.0, lam, single)
     assert_within(flows.out, r_out)
     lb, ub = r_merge["f"]
     assert np.all(flows.out.f[:, :-1] >= lb) and np.all(flows.out.f[:, :-1] <= ub)
@@ -345,13 +345,13 @@ def test_declared_term_ranges_hold_on_the_column_boxes(seed, reduced):
                           ParamBounds(upper=p_up, lower=p_lo), config,
                           mpc.TerminalSet.mainline_only(p_up.x_jam),
                           reduced=reduced).model
-    lp = model.lp
-    for g in model.gadgets:
-        if isinstance(g, milp.MinGadget):
-            for t in (g.a, g.b):
-                ends = t.coef * np.array([lp.col_lower[t.col], lp.col_upper[t.col]]) + t.const
-                assert ends.min() >= t.lo - 1e-9 and ends.max() <= t.hi + 1e-9, (
-                    lp.col_names[t.col])
+    lp, ops = model.lp, model.operands
+    # the min gadgets' terms a and b, one column of (col, coef, const, lo, hi) each
+    for col, coef, const, t_lo, t_hi in (ops.left[:, :ops.f.size], ops.right[:, :ops.f.size]):
+        col = col.astype(int)
+        ends = coef * np.array([lp.col_lower[col], lp.col_upper[col]]) + const
+        outside = (ends.min(axis=0) < t_lo - 1e-9) | (ends.max(axis=0) > t_hi + 1e-9)
+        assert not outside.any(), [lp.col_names[j] for j in col[outside]]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -79,3 +79,27 @@ def test_every_keyword_default_is_passed_somewhere():
                         else func.attr if isinstance(func, ast.Attribute) else None)
                 passed |= {(name, kw.arg) for kw in node.keywords}
     assert sorted(declared - passed) == [], "keywords no call passes"
+
+
+def test_every_imported_name_is_used():
+    """Every name an import binds in a module of ``src/rampflow``, ``tools``
+    or ``tests`` is read in that module. An import marked ``# noqa: F401``
+    on its first line re-exports its names and is exempt, as are
+    ``__future__`` imports."""
+    unused = []
+    for path in sorted(p for d in ("src/rampflow", "tools", "tests")
+                       for p in (ROOT / d).glob("*.py")):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  and "noqa: F401" not in lines[node.lineno - 1]):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                                for a in node.names)
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in imported.items() if name not in read]
+    assert sorted(unused) == [], "imported names that are never used"
