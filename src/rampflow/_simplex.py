@@ -582,6 +582,10 @@ class _Worker:
 
         An artificial stuck in a row whose real entries all vanish marks a
         redundant row; it stays basic, pinned to zero by its locked bounds.
+        A trial swap is matched (``_structurally_nonsingular``) before it is
+        factored, since SuperLU leaks memory on every factorization that
+        fails; a swap that fails either test is undone and the old basis
+        factored again.
         """
         ntot_real = self.n + self.m
         # a row's basic column changes only when that row is visited
@@ -602,12 +606,15 @@ class _Worker:
             self.vstat[old] = AT_LOWER
             self.vstat[j] = BASIC
             try:
-                self._factor()
+                if _structurally_nonsingular(self.cols, self.basis):
+                    self._factor()
+                    continue
             except _SingularBasis:
-                self.basis[i] = old
-                self.vstat[j] = parked
-                self.vstat[old] = BASIC
-                self._factor()
+                pass
+            self.basis[i] = old
+            self.vstat[j] = parked
+            self.vstat[old] = BASIC
+            self._factor()
 
     # -- public --------------------------------------------------------------
 

@@ -173,7 +173,9 @@ class MeasurementWindow:
         return held
 
     def push(self, lifted: LiftedState, observation: Observation,
-             control: np.ndarray | None = None) -> None:
+             control: np.ndarray | None = None, *, readings: tuple | None = None) -> None:
+        """Append a record; ``readings`` is ``_measured(observation,
+        self.output_model)`` when the caller has computed it already."""
         if self._records and control is None:
             raise ValueError(
                 "records after the first need the control of the transition "
@@ -181,9 +183,10 @@ class MeasurementWindow:
         if control is not None:
             control = np.asarray(control, dtype=float).copy()
         bracket = np.array([lifted.upper, lifted.lower])
+        if readings is None:
+            readings = _measured(observation, self.output_model)
         self._records.append(_Record(observation, control, bracket,
-                                     bracket[0] + CONSISTENCY_TOL,
-                                     _measured(observation, self.output_model)))
+                                     bracket[0] + CONSISTENCY_TOL, readings))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -198,8 +201,8 @@ class MeasurementWindow:
         return [r.control for r in list(self._records)[1:]]
 
 
-def state_update(predicted: LiftedState, y: Observation,
-                 output_model: OutputModel) -> LiftedState:
+def state_update(predicted: LiftedState, y: Observation, output_model: OutputModel,
+                 *, readings: tuple | None = None) -> LiftedState:
     """Intersect a predicted state box with one measurement.
 
     Detectors are exact, so a measured mainline cell collapses both bounds
@@ -208,7 +211,8 @@ def state_update(predicted: LiftedState, y: Observation,
     predicted box by more than CONSISTENCY_TOL voids the containment
     guarantee and raises ContainmentViolation. The result is always
     contained in the input box, and applying the same measurement twice is
-    a no-op.
+    a no-op. ``readings`` is ``_measured(y, output_model)`` when the caller
+    has computed it already.
     """
     x = np.array([predicted.upper, predicted.lower], dtype=float)
     n = output_model.mainline_mask.shape[0]
@@ -222,7 +226,7 @@ def state_update(predicted: LiftedState, y: Observation,
         raise ValueError("a measured cell is missing its reading")
     if not np.isfinite(y_ramp).all():
         raise ValueError("a ramp queue is missing its reading")
-    idx, vals = _measured(y, output_model)
+    idx, vals = _measured(y, output_model) if readings is None else readings
     outside = _absorb(x, idx, vals, CONSISTENCY_TOL)
     if outside.any():
         k = int(np.argmax(outside))

@@ -4,8 +4,10 @@ The optimizer behind the predictive controller.  Everything is in-house:
 node relaxations go through the bounded-variable simplex in
 :mod:`rampflow._simplex`, binaries through best-bound branch and bound with
 depth-first plunging, in one node loop: each node is popped from the pool
-or plunged into, and the node budget is checked once per node.  Before its
-LP, each node's box is propagated over the rows from its parent's
+or plunged into, and the node budget is checked once per node.  The tree
+branches on pseudocosts it learns from its own children's bounds
+(:class:`_Pseudocosts`), starting from the most fractional binary.  Before
+its LP, each node's box is propagated over the rows from its parent's
 propagated box, and the gadget selectors the box decides join the node's
 fixes; a box that crosses a row or a bound by more than a margin closes
 the node without solving it.  The LP sees the fixes, never the propagated
@@ -531,7 +533,10 @@ class _RowPropagation:
     is ``rhs_hi - P lo - N hi`` from binding at the box's worst corner and
     its lower side ``P hi + N lo - rhs_lo``, and an entry ``a`` of column
     ``j`` caps ``x_j`` within that slack ``/ |a|`` of the bound the row
-    read it at.
+    read it at.  A slack below ``-margin`` closes the box; one between that
+    and zero caps as zero.  Rows tight at a point can read a slack a little
+    below zero by rounding, and capping by it would move the box off the
+    point, further with each sweep, until it crossed the margin.
 
     Only the sides that can bind are stacked: an ``L`` row's upper side, a
     ``G`` row's lower side and both sides of an ``E`` row.  The other sides
@@ -604,6 +609,7 @@ class _RowPropagation:
             slack = self.rhs - self.stack @ z
             if slack.min() < -self.margin:
                 return None
+            np.maximum(slack, 0.0, out=slack)
             reach = slack[self.gather]
             reach *= self.inv
             reach = reach.min(axis=0)
@@ -619,6 +625,45 @@ class _RowPropagation:
             if not progress:
                 break
         return lo, hi
+
+
+class _Pseudocosts:
+    """One tree's per-binary down and up pseudocosts, and the branching
+    rule that reads them (Achterberg, Koch & Martin, "Branching rules
+    revisited", *Oper. Res. Lett.* 33, 2005).
+
+    ``gain`` and ``count`` are ``(2, n_binaries)``, the down branch in row 0
+    and the up branch in row 1.  A child whose LP solves adds its bound
+    increase over its parent's per unit of the distance its branch moved
+    the binary, ``max(child - parent, 0) / |target - x_j|``.  A branch with
+    no observation reads the mean of the observed per-(binary, direction)
+    averages, or 1.0 before any, so that the root branches on the most
+    fractional binary.
+    """
+
+    def __init__(self, n: int):
+        self.gain = np.zeros((2, n))
+        self.count = np.zeros((2, n))
+
+    def record(self, branch: tuple[float, int, int, float], bound: float) -> None:
+        """Record a solved child: its ``branch`` (the parent's bound, the
+        binary's position, 0 down or 1 up, the parent's ``x_j``) and its
+        bound."""
+        parent, k, up, x_j = branch
+        self.gain[up, k] += max(bound - parent, 0.0) / (1.0 - x_j if up else x_j)
+        self.count[up, k] += 1
+
+    def pick(self, xb: np.ndarray, live: np.ndarray) -> int:
+        """The position among the binaries of the ``live`` (fractional) one
+        with the largest product score, scores within a relative 1e-12 of
+        the largest tied to the lowest position."""
+        seen = self.count > 0
+        mean = (self.gain[seen] / self.count[seen]).mean() if seen.any() else 1.0
+        gain, count = self.gain[:, live], self.count[:, live]
+        pc = np.where(count > 0, gain / np.maximum(count, 1.0), mean)
+        x = xb[live]
+        score = np.maximum(pc[0] * x, 1e-6) * np.maximum(pc[1] * (1.0 - x), 1e-6)
+        return int(live[np.argmax(score >= score.max() * (1.0 - 1e-12))])
 
 
 def check_solution(model: MilpModel, x: np.ndarray, *, tol: float = 1e-9) -> list[str]:
@@ -702,8 +747,16 @@ def solve_milp(
     (the root, then the child on the side the parent's relaxation leans
     toward, warm-started from the parent basis) or, with no child pending,
     popped from the pool, where each sibling waits keyed by its inherited
-    bound.  Branching picks the most fractional binary, ties to the lowest
-    column index, so repeated solves of identical data visit identical trees.
+    bound.  Branching reads pseudocosts (:class:`_Pseudocosts`): each child
+    whose LP solves records its bound's increase over its parent's per unit
+    of the distance its branch moved the binary, and the rule picks the
+    fractional binary with the largest product of its down and up
+    estimates, ties to the lowest column index.  A branch not yet observed
+    reads the mean of the observed ones, or 1.0 before any, so the root
+    branches on the most fractional binary.  A child that is infeasible,
+    closed by propagation or pruned on pop records nothing, and the
+    pseudocosts live for one solve only, so repeated solves of identical
+    data visit identical trees.
 
     Incumbents come from three sources.  ``initial_candidates`` are full
     assignments tried before any node is solved, so a caller with a cheap
@@ -774,9 +827,10 @@ def solve_milp(
     iters = 0
     unverified = 0  # integral relaxations closed for failing verification
     seq = 0
+    pseudocosts = _Pseudocosts(model.binaries.shape[0])
     # pool entries: (inherited bound, insertion sequence, fixes, warm basis,
-    # the parent's propagated box)
-    pool: list[tuple[float, int, dict[int, float], WarmBasis | None, tuple]] = []
+    # the parent's propagated box, the branch that made the node)
+    pool: list[tuple[float, int, dict[int, float], WarmBasis | None, tuple, tuple]] = []
 
     def gap_eff() -> float:
         if not np.isfinite(best_obj):
@@ -798,7 +852,8 @@ def solve_milp(
         try_candidate(cand)
 
     # The node solved next unless one is popped, as (fixes, warm basis, its
-    # factors, the parent's propagated box): the root, whose basis a verified
+    # factors, the parent's propagated box, the branch that made it, or None
+    # at the root; see _Pseudocosts.record): the root, whose basis a verified
     # incumbent crashes so that phase 1 starts satisfied unless the caller's
     # root basis passes the replay gate (so the crash is built only when the
     # root starts from it), then the child each branching leans toward, which
@@ -806,13 +861,13 @@ def solve_milp(
     crash = None
     if best_x is not None:
         crash = partial(crash_from_point, form, lp.col_lower, lp.col_upper, best_x)
-    plunge = ({}, crash, None, (lp.col_lower, lp.col_upper))
+    plunge = ({}, crash, None, (lp.col_lower, lp.col_upper), None)
     root_final = None
     while (plunge or pool) and nodes < budget.max_nodes:
         if plunge:
-            (fixes, warm, factors, parent_box), plunge = plunge, None
+            (fixes, warm, factors, parent_box, branch), plunge = plunge, None
         else:
-            inherited, _, fixes, warm, parent_box = heapq.heappop(pool)
+            inherited, _, fixes, warm, parent_box, branch = heapq.heappop(pool)
             factors = None
             if inherited >= best_obj - gap_eff():
                 pruned_min = min(pruned_min, inherited)
@@ -838,6 +893,8 @@ def solve_milp(
         if res.status == "infeasible":
             continue
         bound = res.obj
+        if branch is not None:
+            pseudocosts.record(branch, bound)
         if bound >= best_obj - gap_eff():
             pruned_min = min(pruned_min, bound)
             continue
@@ -860,13 +917,13 @@ def solve_milp(
         if bound >= best_obj - gap_eff():
             pruned_min = min(pruned_min, bound)
             continue
-        pick = live[np.argmax(frac[live])]
-        ties = live[frac[live] >= frac[pick] - 1e-12]
-        j = int(model.binaries[int(ties.min())])
-        lean = 1.0 if res.x[j] >= 0.5 else 0.0
+        k = pseudocosts.pick(xb, live)
+        j, x_j = int(model.binaries[k]), float(xb[k])
+        lean = 1 if x_j >= 0.5 else 0
         seq += 1
-        heapq.heappush(pool, (bound, seq, {**fixes, j: 1.0 - lean}, res.basis, box))
-        plunge = ({**fixes, j: lean}, res.basis, res.factors, box)
+        heapq.heappush(pool, (bound, seq, {**fixes, j: float(1 - lean)}, res.basis, box,
+                              (bound, k, 1 - lean, x_j)))
+        plunge = ({**fixes, j: float(lean)}, res.basis, res.factors, box, (bound, k, lean, x_j))
 
     budget_hit = bool(plunge or pool)  # work was left when the budget ran out
     found = best_x is not None

@@ -30,9 +30,10 @@ out exactly zero is left out. The layout puts every column and row where
 a cell-by-cell encoding writes it: stage by stage, the upper component
 before the lower, and each cell's gadget columns and rows together. That
 order is part of the contract, not a convenience: branch and bound
-branches on the most fractional binary and the simplex prices by
-Dantzig's rule, both breaking ties by the lowest column index, so a
-reordered model can search a different tree and return a different plan.
+branches on the pseudocost score the tree learns (the most fractional
+binary until any child has solved) and the simplex prices by Dantzig's
+rule, both breaking ties by the lowest column index, so a reordered model
+can search a different tree and return a different plan.
 
 The flow arithmetic itself lives in one place, the tube kernel
 ``embedding._tube_flows``: the plan codec below scatters its flows and

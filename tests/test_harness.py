@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rampflow import _simplex, cli, harness, milp
 from rampflow.embedding import PARAM_FIELDS
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
+
+from test_milp import _highs_milp
 
 PRESET = harness.PRESETS["fourcell_constant"]
 
@@ -609,19 +611,70 @@ def _small_scenarios(draw):
     return "\n".join(lines) + "\n"
 
 
-def test_generated_closed_loops_keep_the_truth_in_their_boxes():
+# A draw whose first plan, solved without candidates, came back infeasible
+# while HiGHS solves it: at one node, rows tight at the node's point read a
+# slack negative by rounding, and each propagation sweep moved the box
+# further off the point until it crossed the closing margin.
+_TIGHT_ROWS_DRAW = """params {
+  cells 2
+  beta 0.8
+  v 0.425 0.425
+  w 0.12 0.12
+  x_jam 150.0 150.0
+  c_max 18.0 18.0
+  alpha 0.85 0.85
+}
+demand {
+  base 9.0 0.0
+}
+initial {
+  mainline 66.17647058823529 42.35294117647059
+}
+boxes {
+  mainline_upper 67.5 43.2
+  mainline_lower 64.85294117647058 41.50588235294117
+  demand_margin 0.0
+  v 0.425 0.47500000000000003
+}
+output {
+  mask 1 1
+}
+mpc {
+  horizon 5
+  gap 0.01
+}
+run {
+  steps 4
+}
+"""
+
+
+def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
     """On every tick a generated loop logs, the true state lies in the
     corrected box and the true parameters in the contracted one. Only an
     infeasible or over-budget plan may stop a loop; the ticks before the
     stop are checked too. At least a quarter of the draws execute a plan
     and at least a quarter move a parameter bound, so the check reaches
-    the planner and the contraction."""
-    draws = []
+    the planner and the contraction. The first plan of every draw that
+    plans agrees with HiGHS in status, and its objective lies within its
+    gap of HiGHS's."""
+    draws, plans = [], []
+    solve_milp = milp.solve_milp
+
+    def first_plan(model, **kwargs):
+        sol = solve_milp(model, **kwargs)
+        if not plans:
+            plans.append((model, sol))
+        return sol
+
+    monkeypatch.setattr(milp, "solve_milp", first_plan)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(_small_scenarios())
+    @example(_TIGHT_ROWS_DRAW)
     def loop(text):
         scenario = parse_scenario(text)
+        plans.clear()
         try:
             log = harness.run_closed_loop(scenario)
         except (harness.InfeasibleProblem, harness.SolveBudgetExceeded) as stop:
@@ -638,7 +691,36 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes():
                     for step in log.steps for corner in ("upper", "lower")
                     for name in PARAM_FIELDS)
         draws.append((any(step.phase == "mpc" for step in log.steps), moved))
+        for model, sol in plans:
+            ref = _highs_milp(model, mip_rel_gap=0.0)
+            assert (sol.status, ref.status) in ((milp.OPTIMAL, 0), (milp.INFEASIBLE, 2)), text
+            if ref.status == 0:
+                assert abs(sol.objective - ref.fun) <= sol.gap + 1e-6 * (1.0 + abs(ref.fun))
 
     loop()
     planned, moved = (sum(column) for column in zip(*draws))
     assert 4 * planned >= len(draws) and 4 * moved >= len(draws), (len(draws), planned, moved)
+
+
+def test_rows_tight_up_to_rounding_close_no_node(monkeypatch):
+    """The first plan of ``_TIGHT_ROWS_DRAW``, solved without candidates,
+    finds HiGHS's optimum: a node's propagation reads a side whose slack
+    is negative within the margin as tight, so it cannot walk the box off
+    a feasible point."""
+    models = []
+
+    class FirstPlan(Exception):
+        pass
+
+    def first_model(model, **kwargs):
+        models.append(model)
+        raise FirstPlan  # stops the loop at its first plan
+
+    monkeypatch.setattr(milp, "solve_milp", first_model)
+    with pytest.raises(FirstPlan):
+        harness.run_closed_loop(parse_scenario(_TIGHT_ROWS_DRAW))
+    monkeypatch.undo()
+    sol = milp.solve_milp(models[0], budget=milp.MilpBudget())
+    ref = _highs_milp(models[0], mip_rel_gap=0.0)
+    assert (sol.status, ref.status) == (milp.OPTIMAL, 0)
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)

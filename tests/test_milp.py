@@ -321,6 +321,90 @@ def test_milp_determinism():
     np.testing.assert_array_equal(a.x, b.x)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.05, 0.2, 0.3, 0.45, 0.5, 0.55, 0.7, 0.8, 0.95]),
+                min_size=1, max_size=8))
+def test_with_nothing_observed_the_rule_picks_the_most_fractional_binary(xb):
+    """Before any child has solved, every pseudocost reads 1.0, so the
+    product score orders the binaries as ``min(x, 1 - x)`` does, and a
+    tie (0.3 against 0.7 differs in the last bit) goes to the lowest
+    position."""
+    xb = np.array(xb)
+    live = np.arange(xb.shape[0])
+    frac = np.minimum(xb, 1.0 - xb)
+    want = int(np.flatnonzero(frac >= frac.max() - 1e-12)[0])
+    assert milp._Pseudocosts(xb.shape[0]).pick(xb, live) == want
+    # a binary left out of ``live`` is never picked
+    if xb.shape[0] > 1:
+        rest = np.delete(live, want)
+        assert milp._Pseudocosts(xb.shape[0]).pick(xb, rest) in rest
+
+
+def test_a_pseudocost_is_the_bound_increase_per_unit_of_distance():
+    """A child records ``max(child - parent, 0) / distance`` for its binary
+    and direction; the rule reads each branch's average, and a branch with
+    no observation the mean of the observed averages."""
+    pc = milp._Pseudocosts(3)
+    pc.record((10.0, 0, 0, 0.25), 12.5)   # down from 0.25: 2.5 over 0.25
+    pc.record((10.0, 0, 0, 0.5), 17.0)    # down from 0.5: 7.0 over 0.5
+    pc.record((10.0, 0, 1, 0.25), 17.5)   # up from 0.25: 7.5 over 0.75
+    pc.record((10.0, 1, 1, 0.5), 9.0)     # a child below its parent gains 0
+    np.testing.assert_array_equal(pc.gain, [[10.0 + 14.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(pc.count, [[2, 0, 0], [1, 1, 0]])
+    # averages: binary 0 down 12 and up 10, binary 1 up 0; the mean 22 / 3
+    # stands for binary 1 down and both of binary 2's branches
+    mean = 22.0 / 3.0
+    xb, live = np.array([0.5, 0.5, 0.5]), np.arange(3)
+    assert pc.pick(xb, live) == 0  # 6 * 5 against (mean / 2) ** 2
+    xb = np.array([0.1, 0.5, 0.5])
+    assert (1.2 * 9.0) < (mean / 2) ** 2
+    assert pc.pick(xb, live) == 2  # binary 1 scores mean / 2 * 1e-6
+
+
+def test_two_solves_of_one_model_visit_identical_trees(
+        monkeypatch, stretch, nominal_demand):
+    """The interval pinned problem branches on learnt pseudocosts for most
+    of its nodes; two solves pass the same bounds to every node LP in the
+    same order and record the same pseudocost observations."""
+    prob, _ = pinned_problem("interval", nominal_demand, stretch,
+                             ParamBounds(stretch, stretch))
+    solve, record, trail = milp.solve_canonical, milp._Pseudocosts.record, []
+
+    def lp_spy(form, lb, ub, **kwargs):
+        res = solve(form, lb, ub, **kwargs)
+        trail.append(("lp", lb.tobytes(), ub.tobytes(), res.obj, res.x))
+        return res
+
+    def record_spy(pc, branch, bound):
+        trail.append(("record", branch, bound))
+        record(pc, branch, bound)
+
+    monkeypatch.setattr(milp, "solve_canonical", lp_spy)
+    monkeypatch.setattr(milp._Pseudocosts, "record", record_spy)
+    runs = []
+    for _ in range(2):
+        trail.clear()
+        sol = solve_milp(prob.model, budget=MilpBudget())
+        runs.append((sol.nodes, sol.iterations, sol.objective, list(trail)))
+    assert runs[0][:3] == runs[1][:3]
+    nodes, first, second = runs[0][0], runs[0][3], runs[1][3]
+    assert [t[:4] for t in first] == [t[:4] for t in second]
+    # each observation follows its child's LP: the bound is that LP's, the
+    # child's LP fixes the binary at the branch's target, and the parent's
+    # bound and x_j are an earlier LP's
+    binaries = prob.model.binaries
+    records = [k for k, t in enumerate(first) if t[0] == "record"]
+    assert nodes > 50 and len(records) > 50
+    for k in records:
+        (parent, pos, up, x_j), bound = first[k][1:]
+        _, lb, ub, obj, _ = first[k - 1]
+        j = binaries[pos]
+        assert bound == obj
+        assert np.frombuffer(lb)[j] == np.frombuffer(ub)[j] == up
+        assert any(t[4][j] == x_j for t in first[:k - 1] if t[0] == "lp" and t[3] == parent)
+    assert len({first[k][2] for k in records}) > 1
+
+
 def term(b, col):
     """Column ``col`` of builder ``b`` as a term ranged by its bounds."""
     return Term(col, 1.0, 0.0, b.lower[col], b.upper[col])
@@ -476,7 +560,8 @@ def _node_tie_model(push):
     return b.build(), y, w, z
 
 
-def _highs_milp(model):
+def _highs_milp(model, **options):
+    """HiGHS (``scipy.optimize.milp``) on ``model``, with its ``options``."""
     lp = model.lp
     lo = np.where(lp.row_senses == "L", -np.inf, lp.rhs)
     hi = np.where(lp.row_senses == "G", np.inf, lp.rhs)
@@ -484,7 +569,7 @@ def _highs_milp(model):
     integrality[model.binaries] = 1
     return scipy.optimize.milp(
         lp.obj, constraints=scipy.optimize.LinearConstraint(lp.matrix(), lo, hi),
-        integrality=integrality,
+        integrality=integrality, options=options,
         bounds=scipy.optimize.Bounds(lp.col_lower, lp.col_upper))
 
 
@@ -781,6 +866,37 @@ def test_a_failed_artificial_swap_keeps_the_column_at_its_bound(monkeypatch):
     assert res.status == "optimal"
     assert not check_solution(model, res.x)
     assert res.obj == pytest.approx(2.0, abs=1e-9)
+
+
+def test_a_structurally_singular_artificial_swap_never_reaches_splu(monkeypatch):
+    """Rows ``x + y = 1`` and ``v = 1`` with ``x`` basic in the first and an
+    artificial in the second.  Read through noisy factors, ``y`` (in the
+    first row only) looks like a pivot for the second row, and it comes
+    before ``v``.  Swapping it in leaves the second row without a nonzero,
+    so the swap is undone before SuperLU sees it: every matrix SuperLU
+    receives has full rank, and the artificial stays basic."""
+    form = _simplex.EqualityForm(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "EE",
+                                 np.ones(2), np.zeros(3))
+    worker = _simplex._Worker(form, np.zeros(3), np.ones(3), None, *_simplex._LADDER[0])
+    worker._add_artificials()
+    n_real = form.n + form.m
+    assert worker.n_art == 2
+    worker.basis[0], worker.vstat[0], worker.vstat[n_real] = 0, _simplex.BASIC, _simplex.AT_LOWER
+    worker._factor()
+    btran = worker.backend.btran
+    worker.backend.btran = lambda v: btran(v) + np.array([1e-3, 0.0])
+    real_splu, factored = _simplex.splu, []
+
+    def splu(cols):
+        factored.append(cols.toarray())
+        return real_splu(cols)
+
+    monkeypatch.setattr(_simplex, "splu", splu)
+    worker._expel_artificials()
+    assert factored  # the old basis is factored again after the undo
+    assert all(np.linalg.matrix_rank(cols) == form.m for cols in factored)
+    np.testing.assert_array_equal(worker.basis, [0, n_real + 1])
+    assert worker.vstat[1] == _simplex.AT_LOWER
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1100,6 +1216,7 @@ class _FullListPropagation:
             slack = self.rhs - self.stack @ np.concatenate([lo, hi])
             if slack.min() < -self.margin:
                 return None
+            slack = np.maximum(slack, 0.0)  # a side within the margin caps as tight
             reach = np.minimum.reduceat(slack[self.gather] * self.inv, self.starts)
             new_hi = np.minimum(hi, lo + reach[:n])
             new_lo = np.maximum(lo, hi - reach[n:])

@@ -558,9 +558,9 @@ def pinned_problem(kind, nominal_demand, stretch, point_params):
 
 
 @pytest.mark.parametrize("kind, seeded, nodes, iterations, objective", [
-    ("point", False, 24, 161, "0x1.41d3dc486ad2ep+10"),
+    ("point", False, 25, 162, "0x1.41d3dc486ad2ep+10"),
     ("point", True, 1, 8, "0x1.41d3dc486ad2ep+10"),
-    ("interval", False, 211, 370, "0x1.24a3a81f6e5a6p+10"),
+    ("interval", False, 135, 291, "0x1.24a3a81f6e5a6p+10"),
     ("interval", True, 17, 69, "0x1.24a3a81f6e5a6p+10"),
 ])
 def test_branch_and_bound_keeps_its_pinned_pivot_path(

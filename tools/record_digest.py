@@ -7,8 +7,10 @@ seeds in the order given): the sha256 of the CSV
 ``harness.emit_csv`` writes and, under ``rows``, of its lines without the
 ``#`` metadata, the ticks that planned, the LP solves and
 simplex pivots (counted by wrapping ``milp.solve_canonical``), the
-branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions), the
-root LPs as ``roots replayed/crashed/cold`` (the first
+branch-and-bound nodes (summed over ``milp.solve_milp``'s solutions),
+followed on a workload that plans by ``largest_tree``, the nodes of its
+largest single plan (which shows whether a change trims every tree or
+only the big ones), the root LPs as ``roots replayed/crashed/cold`` (the first
 ``milp.solve_canonical`` call of each ``milp.solve_milp``: started from the
 previous plan's root basis, which ``_simplex._replay`` accepted, from the
 crash basis of a verified candidate, or from the slack basis), the
@@ -70,7 +72,7 @@ def main(argv=None) -> int:
     factor, box = _simplex._Worker._factor, milp._RowPropagation.box
     replay = _simplex._replay
     probe_stack, certify_spines = estimators._probe_stack, estimators._certify_spines
-    counts = [0] * 18
+    counts = [0] * 19
     models = hashlib.sha256()
     # [a root solve is next, the replay gate accepted a basis]
     root = [False, False]
@@ -121,6 +123,7 @@ def main(argv=None) -> int:
         sol = solve_milp(*args, **kwargs)
         root[0] = False
         counts[4] += sol.nodes
+        counts[18] = max(counts[18], sol.nodes)
         return sol
 
     class CountedFactors(factors):
@@ -171,7 +174,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 18
+            counts[:] = [0] * 19
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -179,8 +182,9 @@ def main(argv=None) -> int:
                 line for line in blob.splitlines(keepends=True)
                 if not line.startswith(b"#"))).hexdigest()
             plans = sum(step.phase == "mpc" for step in log.steps)
+            largest = f" largest_tree {counts[18]}" if counts[4] else ""
             print(f"{name} seed {seed}: sha256 {digest} rows {rows} plan_ticks {plans} "
-                  f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]} "
+                  f"solves {counts[0]} pivots {counts[1]} nodes {counts[4]}{largest} "
                   f"roots {counts[13]}/{counts[14]}/{counts[15]} "
                   f"factorizations {counts[5]} basic_slacks {counts[9]}/{counts[10]} "
                   f"dual_solves {counts[6]} "
