@@ -88,14 +88,14 @@ class SetPcState:
     executed control, and the last plan's root basis.
 
     ``root_basis`` is the final basis of the last plan's root LP
-    (``milp.Solution.root_basis``: statuses and indices, no factors). It
-    rides through local and warm-up ticks unchanged, and the next plan
-    offers it to ``solve_mpc`` as its root start (the MPC warm start of
-    Ferreau, Bock & Diehl, 2008). Consecutive plans build models of one
-    shape, so the root can reoptimise from it by the dual simplex; the
-    solver falls back to its crash start unless the basis passes its
-    replay gate. The state lives in one loop, so two loops never share a
-    basis.
+    (``milp.Solution.root_basis``: statuses and indices, no factors), which
+    ``_dispatch`` takes from the tick's plan. It rides through local and
+    warm-up ticks unchanged, and the next plan offers it to ``solve_mpc``
+    as its root start (the MPC warm start of Ferreau, Bock & Diehl, 2008).
+    Consecutive plans build models of one shape, so the root can
+    reoptimise from it by the dual simplex; the solver falls back to its
+    crash start unless the basis passes its replay gate. The state lives
+    in one loop, so two loops never share a basis.
     """
 
     predicted: LiftedState
@@ -164,13 +164,23 @@ def _ingest(state: SetPcState, y, config: SetPcConfig):
     return corrected, theta
 
 
-def _dispatch(state, corrected, theta, command, *, phase, value, root_basis):
-    """Clamp the command, predict the next box, assemble the successor."""
+def _dispatch(state, corrected, theta, command, phase, plan=None):
+    """Clamp the command, predict the next box, assemble the successor.
+
+    ``plan`` is the tick's ``MpcResult`` (``None`` when no plan ran) and
+    this is the one place it reaches the tick: the diagnostics record its
+    value, NaN without a plan, and the successor carries its root basis,
+    or the state's own without a plan.
+    """
     window = state.window
     n = window.output_model.mainline_mask.shape[0]
     cap = corrected.lower[n:] + window.demand.lower
     u_exec = np.clip(command, 0.0, np.minimum(cap, theta.upper.u_max))
     predicted = lifted_step(corrected, u_exec, window.demand, window.pair(theta))
+    if plan is None:
+        value, root_basis = math.nan, state.root_basis
+    else:
+        value, root_basis = plan.solution.objective, plan.solution.root_basis
     successor = SetPcState(predicted=predicted, params=theta, window=window,
                            last_control=u_exec, root_basis=root_basis)
     return u_exec, successor, StepDiagnostics(value, phase, corrected)
@@ -190,25 +200,15 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     solver errors propagate.
     """
     corrected, theta = _ingest(state, y, config)
-    phase = (PHASE_LOCAL if len(state.window) > 1
-             and config.terminal.contains(corrected.upper) else PHASE_MPC)
-
-    root_basis = state.root_basis
-    if phase == PHASE_MPC:
-        result = solve_mpc(corrected, state.window.demand, theta, config.mpc,
-                           config.terminal, budget=config.budget, root_basis=root_basis)
-        command = result.u
-        value = result.value
-        root_basis = result.solution.root_basis
-    else:
+    if len(state.window) > 1 and config.terminal.contains(corrected.upper):
         queue_history = [np.asarray(obs.y_ramp, dtype=float)
                          for obs in state.window.observations]
         command = local_controller(queue_history, state.window.controls,
                                    config.local, u_max=theta.upper.u_max)
-        value = math.nan
-
-    return _dispatch(state, corrected, theta, command, phase=phase,
-                     value=value, root_basis=root_basis)
+        return _dispatch(state, corrected, theta, command, PHASE_LOCAL)
+    plan = solve_mpc(corrected, state.window.demand, theta, config.mpc, config.terminal,
+                     budget=config.budget, root_basis=state.root_basis)
+    return _dispatch(state, corrected, theta, plan.controls[0], PHASE_MPC, plan)
 
 
 def forced_step(state: SetPcState, y, config: SetPcConfig, command):
@@ -220,5 +220,4 @@ def forced_step(state: SetPcState, y, config: SetPcConfig, command):
     bound). The diagnostics carry ``PHASE_WARMUP`` as their phase.
     """
     corrected, theta = _ingest(state, y, config)
-    return _dispatch(state, corrected, theta, command, phase=PHASE_WARMUP,
-                     value=math.nan, root_basis=state.root_basis)
+    return _dispatch(state, corrected, theta, command, PHASE_WARMUP)

@@ -343,9 +343,9 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     main_lo = bb.vector("mainline_lower", n, default=0.0)
     margin = bb.scalar("demand_margin", 0.0)
     bb.finish()
-    if margin < 0.0:
-        raise ScenarioError(None, "boxes.demand_margin must be nonnegative")
-    if kind == DEMAND_PERIODIC and amplitude > margin:
+    if not 0.0 <= margin <= 1.0:
+        raise ScenarioError(None, "boxes.demand_margin must lie in [0, 1]")
+    if kind == DEMAND_PERIODIC and abs(amplitude) > margin:
         raise ScenarioError(None, "boxes.demand_margin must cover the periodic swing")
     demand_box = DemandBounds(upper=base * (1.0 + margin), lower=base * (1.0 - margin))
     state_box = LiftedState(

@@ -93,10 +93,6 @@ class InfeasibleProblem(RuntimeError):
 class SolveBudgetExceeded(RuntimeError):
     """Branch and bound hit its node budget before proving optimality."""
 
-    def __init__(self, message: str, solution: milp.Solution):
-        super().__init__(message)
-        self.solution = solution
-
 
 @dataclass(frozen=True)
 class TerminalSet:
@@ -183,10 +179,13 @@ class MpcConfig:
 
 @dataclass
 class MpcResult:
-    """First planned control plus the value and diagnostics of the solve."""
+    """A plan: the decoded controls and tube trajectories, whether the
+    single-component encoding was solved, and the solver's result.
 
-    u: np.ndarray
-    value: float
+    The loop executes ``controls[0]``; ``solution.objective`` is the plan's
+    value and ``solution.root_basis`` warms the next plan's root.
+    """
+
     controls: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
@@ -686,7 +685,7 @@ def solve_mpc(
     budget: milp.MilpBudget,
     root_basis: milp.WarmBasis | None = None,
 ) -> MpcResult:
-    """Plan over the horizon and return the first control with the value.
+    """Plan over the horizon and return the optimal plan.
 
     The planner owns two conventions. It plans on one jam profile, the
     upper end of the jam interval: the receiving-flow rows need a single
@@ -698,9 +697,10 @@ def solve_mpc(
     decoded trajectories shared between the tube sides. The result is
     always an optimal plan: an infeasible horizon raises
     ``InfeasibleProblem``, and a solver budget overrun raises
-    ``SolveBudgetExceeded`` carrying the incumbent diagnostics. Both, and a
-    ``milp.NumericalBreakdown`` that escapes the solver, carry the model
-    that failed as ``model``, for ``milp.dump_model``.
+    ``SolveBudgetExceeded``, whose message names the nodes, the incumbent
+    and the bound. Both, and a ``milp.NumericalBreakdown`` that escapes
+    the solver, carry the model that failed as ``model``, for
+    ``milp.dump_model``.
 
     ``root_basis`` is the previous plan's ``solution.root_basis``, handed
     to ``milp.solve_milp`` as the root LP's start; the solver uses it only
@@ -733,16 +733,7 @@ def solve_mpc(
         err.model = prob.model
         raise
     if sol.status == milp.OPTIMAL:
-        controls, upper, lower = prob.decode(sol.x)
-        return MpcResult(
-            u=controls[0].copy(),
-            value=float(sol.objective),
-            controls=controls,
-            upper=upper,
-            lower=lower,
-            reduced=reduced,
-            solution=sol,
-        )
+        return MpcResult(*prob.decode(sol.x), reduced, sol)
     if sol.status == milp.INFEASIBLE:
         stop = InfeasibleProblem(
             f"no horizon-{t} plan reaches the terminal box from the given "
@@ -753,7 +744,7 @@ def solve_mpc(
             f"incumbent {sol.objective:.6g}, bound {sol.bound:.6g}"
         )
         stop = SolveBudgetExceeded(
-            f"node budget exhausted after {sol.nodes} nodes ({have})", sol
+            f"node budget exhausted after {sol.nodes} nodes ({have})"
         )
     stop.model = prob.model
     raise stop

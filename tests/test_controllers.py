@@ -166,8 +166,8 @@ def test_setpc_tick_matches_the_direct_planner_on_point_boxes(
     u, _, diag = setpc_step(state, measure(model, x), config)
     direct = solve_mpc(point_state(x), demand_box, ParamBounds(stretch, stretch),
                        config.mpc, config.terminal, budget=config.budget)
-    assert np.allclose(u, direct.u, atol=1e-9)
-    assert abs(diag.value - direct.value) <= 1e-9
+    assert np.allclose(u, direct.controls[0], atol=1e-9)
+    assert abs(diag.value - direct.solution.objective) <= 1e-9
     assert diag.phase == PHASE_MPC
 
 
@@ -186,8 +186,8 @@ def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand)
                          lower=replace(roomy.lower, x_jam=np.full(4, 170.0)))
     direct = solve_mpc(point_state(x), demand_box, pinned,
                        config.mpc, config.terminal, budget=config.budget)
-    assert np.allclose(u, direct.u, atol=1e-9)
-    assert abs(diag.value - direct.value) <= 1e-9
+    assert np.allclose(u, direct.controls[0], atol=1e-9)
+    assert abs(diag.value - direct.solution.objective) <= 1e-9
     assert np.array_equal(successor.params.lower.x_jam, np.full(4, 150.0))
 
 

@@ -130,6 +130,62 @@ def test_unknown_keys_are_refused_with_their_line(anchor, new, block):
         parse_scenario(text)
 
 
+def _edited(*edits):
+    """``PRESET`` after ``(anchor, new, keep)`` edits, with the number of the
+    last edit's first new line."""
+    text, line = PRESET, None
+    for anchor, new, keep in edits:
+        text, line = _edit(text, anchor, new, keep=keep)
+    return text, line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (*_edited(("  cells 4", ["extra {"], True)), "block 'params' is still open"),
+    (*_edited(("}", ["two words {"], True)), "expected 'name {' to open a block"),
+    (*_edited(("}", ["params {", "}"], True)), "duplicate block 'params'"),
+    (*_edited(("}", ["}"], True)), "'}' without an open block"),
+    (*_edited(("}", ["cells 4"], True)), "text outside any block: 'cells 4'"),
+    (*_edited(("  cells 4", ["  cells 4"], True)), "duplicate key 'cells' in block 'params'"),
+    (PRESET.removesuffix("}\n"), None, "block 'run' never closed"),
+    (_edited(("}", ["extra {", "}"], True))[0], None, "unknown block 'extra'"),
+    (_edited(("run {", ["output {"], False))[0], None, "missing block 'run'"),
+    (_edited(("  steps 60", [], False))[0], None, "run.steps is required"),
+    (*_edited(("  terminal mainline", ["  terminal open"], False)),
+     "mpc.terminal: expected one of ('mainline', 'drained')"),
+    (*_edited(("  v 0.4 0.6", ["  v 0.6 0.4"], False)),
+     "boxes.v: expected 'lo hi' with lo <= hi"),
+    (*_edited(("  gap 0.01", ["  gap 0.01 0.02"], False)), "mpc.gap: expected a single number"),
+    (_edited(("  base 19.17 1.67 1.67 1.67", ["  base -1 1.67 1.67 1.67"], False))[0],
+     None, "demand.base must be nonnegative"),
+    (_edited(("  queues 0", ["  queues -1"], False))[0], None,
+     "initial state must be nonnegative"),
+    (_edited(("  mainline 30 30 30 120", ["  mainline 30 30 30 170"], False))[0], None,
+     "initial mainline exceeds the jam occupancy"),
+    (_edited(("  v 0.4 0.6", ["  v 0.6 0.7"], False))[0], None,
+     "boxes.v does not contain the true value"),
+    (_edited(("  demand_margin 0.1", ["  demand_margin -0.1"], False))[0], None,
+     "boxes.demand_margin must lie in [0, 1]"),
+    (_edited(("  demand_margin 0.1", ["  demand_margin 1.5"], False))[0], None,
+     "boxes.demand_margin must lie in [0, 1]"),
+    (_edited(("  kind constant", ["  kind periodic", "  amplitude_frac 0.2"], False))[0],
+     None, "boxes.demand_margin must cover the periodic swing"),
+    (_edited(("  kind constant", ["  kind periodic", "  amplitude_frac -0.5"], False))[0],
+     None, "boxes.demand_margin must cover the periodic swing"),
+    (_edited(("  mainline_upper jam", ["  mainline_lower 40"], True))[0], None,
+     "initial state box does not contain the initial state"),
+    (_edited(("  gap 0.01", ["  gap -0.01"], False))[0], None, "mpc.gap must be nonnegative"),
+], ids=["still-open", "block-name", "duplicate-block", "stray-brace", "outside-block",
+        "duplicate-key", "never-closed", "unknown-block", "missing-block", "required",
+        "one-of", "pair-order", "single-number", "negative-base", "negative-state",
+        "above-jam", "true-value", "negative-margin", "margin-above-one", "swing",
+        "negative-swing", "state-box", "negative-gap"])
+def test_each_documented_scenario_error_is_raised_with_its_message(text, line, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 def _short_planning_text(horizon=4, mainline="30 30 30 60"):
     """Point boxes, horizon 4 unless given, five ticks after the warm-up."""
     box_lines = {"  demand_margin 0.1", "  v 0.4 0.6", "  w 0.1 0.3",
@@ -338,7 +394,7 @@ def test_a_typed_stop_carries_the_ticks_done_and_the_command_writes_them(
     def stop_on_the_third_plan(*args):
         plans.append(0)
         if len(plans) == 3:
-            raise harness.SolveBudgetExceeded("node budget\nspent", solution=None)
+            raise harness.SolveBudgetExceeded("node budget\nspent")
         return step(*args)
 
     monkeypatch.setattr(harness, "setpc_step", stop_on_the_third_plan)
