@@ -167,6 +167,15 @@ def _ingest(state: SetPcState, y, config: SetPcConfig):
 def _dispatch(state, corrected, theta, command, phase, plan=None):
     """Clamp the command, predict the next box, assemble the successor.
 
+    The command is clamped into [0, u_max] and to what the queue is
+    guaranteed to hold (queue plus arrivals, lower ends), and then to the
+    space its merge cell is guaranteed to have at every point of the boxes:
+    the lowest jam less the upper component of a step without ramp inflow,
+    or zero. A zero command always fits the plant, since the receiving
+    flow bounds the merge. The cap needs that step only when the
+    prediction under the clamped command rises above the lowest jam, so
+    any other tick steps the tube once.
+
     ``plan`` is the tick's ``MpcResult`` (``None`` when no plan ran) and
     this is the one place it reaches the tick: the diagnostics record its
     value, NaN without a plan, and the successor carries its root basis,
@@ -176,7 +185,14 @@ def _dispatch(state, corrected, theta, command, phase, plan=None):
     n = window.output_model.mainline_mask.shape[0]
     cap = corrected.lower[n:] + window.demand.lower
     u_exec = np.clip(command, 0.0, np.minimum(cap, theta.upper.u_max))
-    predicted = lifted_step(corrected, u_exec, window.demand, window.pair(theta))
+    pair = window.pair(theta)
+    predicted = lifted_step(corrected, u_exec, window.demand, pair)
+    jam = theta.lower.x_jam
+    if (predicted.upper[:n] > jam).any():
+        # the merge may overflow at some point of the boxes
+        idle = lifted_step(corrected, np.zeros(n), window.demand, pair)
+        u_exec = np.minimum(u_exec, np.maximum(0.0, jam - idle.upper[:n]))
+        predicted = lifted_step(corrected, u_exec, window.demand, pair)
     if plan is None:
         value, root_basis = math.nan, state.root_basis
     else:
@@ -194,8 +210,9 @@ def setpc_step(state: SetPcState, y, config: SetPcConfig):
     the next tick. The local law reads a queue transition, so a tick plans
     until the window holds two readings, even inside the terminal set. The
     executed control is clamped to the guaranteed service bound
-    min(u, q-lower + lam-lower) so the plant's ramp discharge equals the
-    command exactly and containment carries over.
+    min(u, q-lower + lam-lower) and to the merge space guaranteed at every
+    point of the boxes (``_dispatch``), so the plant's ramp discharge
+    equals the command exactly and containment carries over.
     Returns (executed control, successor state, diagnostics); estimator and
     solver errors propagate.
     """

@@ -13,12 +13,19 @@ cannot sharpen (queues are measured, so arrivals are only seen through the
 commanded discharge); the measurement window holds it once for the whole
 run.
 
-The propagation takes a stack of boxes at once. A stack costs far less
-than its boxes one at a time, but its cost still grows with its rows: on
-a 5-step window, one box takes about 0.17 ms, 48 rows 0.26 ms and 474 rows
-0.9 ms (medians over 5 processes of the best of 12 runs, one Xeon core,
-numpy 2.4). A walk reads only one path of its bisection tree: the probes
-it visits while none certifies, its spine.
+The propagation takes a stack of boxes at once. After each step's test,
+a measured entry restarts from its reading clipped into the record's own
+enclosure, so with a detector on every cell each transition of the
+window starts from its record alone and is checked on its own: a fresh
+stack steps all of them in one kernel call, and a tick whose window slid
+by one record steps only the newest, the verdicts of the others being
+kept. A stack costs far less than its boxes one at a time, but its cost
+still grows with its rows: on a fully measured 5-step window, a fresh
+certificate of one box takes about 0.08 ms, of 48 rows 0.17 ms and of
+474 rows 0.96 ms, and one that steps only the newest transition 0.046,
+0.066 and 0.20 ms (medians over 5 processes of the best of 12 runs, one
+Xeon core, numpy 2.4). A walk reads only one path of its bisection tree:
+the probes it visits while none certifies, its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
 every coordinate end the check budget can reach, one stacked row per
 check, and then replays the one-at-a-time walks over the stored verdicts.
@@ -35,14 +42,16 @@ range verdicts of its rows) depends on the box and the spines alone, never
 on the window. Most ticks leave the box as it was, so the measurement
 window keeps the first stack of the box the run is using, and the next
 tick that brings the same box with the same spines certifies that stack
-against its own window without building it again. It also keeps the
-verdict patterns of that stack whose walk moved no bound and certified no
-further stack: a tick whose verdicts repeat one returns the box after the
-one propagation, without walking.
+against its own window without building it again, stepping only the
+transitions it has not certified yet. It also keeps the verdict patterns
+of that stack whose walk moved no bound and certified no further stack: a
+tick whose verdicts repeat one returns the box after the one
+propagation, without walking.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -52,7 +61,7 @@ import numpy as np
 
 from .ctm import Observation, OutputModel
 from .embedding import (PARAM_FIELDS, DemandBounds, LiftedState, ParamBounds,
-                        _box_admissible, _clamped_step, _pair, _Pair)
+                        _box_admissible, _clamped_step, _pair, _Pair, _Terms)
 
 CONSISTENCY_TOL = 1e-9
 
@@ -61,6 +70,12 @@ INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
 _WIDTH_TOL = 1e-12
+
+# the bracket entries one kernel call of the certificate steps at most
+# (64 KiB of doubles). Stepping a window's transitions together saves
+# numpy's per-call overhead, but past about this size the arrays outgrow
+# the caches and a stacked call costs more than the calls it replaces
+_STEP_ENTRIES = 8192
 
 
 class ContainmentViolation(RuntimeError):
@@ -95,13 +110,20 @@ class EstimatorConfig:
             raise ValueError("prune_depth and prune_budget must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Record:
+    """One pushed time step. Records compare and hash by identity, so a
+    record keys the verdicts of the transition into it."""
+
     observation: Observation
     control: np.ndarray | None
     bracket: np.ndarray  # the state box as (upper, lower) on a leading axis
     raised: np.ndarray   # its upper side raised by CONSISTENCY_TOL
     readings: tuple      # _measured(observation, output model)
+    start: np.ndarray    # the bracket, measured entries at their readings
+    #                      clipped into it: where a transition out restarts
+    misread: bool        # a reading lies outside the bracket by more than
+    #                      CONSISTENCY_TOL
 
 
 class _Stack(NamedTuple):
@@ -123,7 +145,13 @@ class _Held:
     keeps of it for one (prune_budget, prune_depth): the ends it walks, the
     first spines by index into the ends, the probe stack built for them,
     and the verdict patterns of that stack whose walk moved no bound and
-    certified no further stack."""
+    certified no further stack.
+
+    For the pair and for the stack, it also keeps each transition's
+    verdict rows from ``_certified`` while the window is fully measured,
+    keyed by the record the transition leads to (``pair_rows`` and
+    ``stack_rows``). The rows of a stack go with it: a new stack starts
+    with none."""
 
     box: ParamBounds
     pair: _Pair
@@ -132,6 +160,8 @@ class _Held:
     spines: dict = field(default_factory=dict)
     stack: _Stack | None = None
     quiet: set = field(default_factory=set)
+    pair_rows: dict = field(default_factory=dict)
+    stack_rows: dict = field(default_factory=dict)
 
 
 class MeasurementWindow:
@@ -146,9 +176,14 @@ class MeasurementWindow:
 
     The window is the run's, so it also holds one entry for the parameter
     box the run is using: the box's kernel pair (``pair``) and what
-    ``theta_update`` keeps of the box (``_Held``). The entry is replaced
-    when another box comes; the box is matched by identity, which is what
-    ``theta_update`` returns when no bound moved.
+    ``theta_update`` keeps of the box (``_Held``), the per-transition
+    verdicts of the pair and of the held probe stack among it. The entry
+    is replaced when another box comes; the box is matched by identity,
+    which is what ``theta_update`` returns when no bound moved. A pushed
+    record also keeps where a transition out of it restarts
+    (``_Record.start``): when every entry is measured, that is a value of
+    the record alone, so each transition is certified once while the
+    window holds it and the entry stands.
     """
 
     def __init__(self, backward_horizon: int, output_model: OutputModel,
@@ -185,11 +220,31 @@ class MeasurementWindow:
         bracket = np.array([lifted.upper, lifted.lower])
         if readings is None:
             readings = _measured(observation, self.output_model)
+        start = bracket.copy()
+        misread = bool(_absorb(start, *readings, CONSISTENCY_TOL).any())
         self._records.append(_Record(observation, control, bracket,
-                                     bracket[0] + CONSISTENCY_TOL, readings))
+                                     bracket[0] + CONSISTENCY_TOL, readings,
+                                     start, misread))
 
     def __len__(self) -> int:
         return len(self._records)
+
+    @property
+    def fully_measured(self) -> bool:
+        """Whether every entry of every record is measured, so that each
+        transition of the window starts from a value of its record alone."""
+        return all(isinstance(r.readings[0], slice) for r in self._records)
+
+    def _rows(self, pair) -> dict:
+        """The transition verdicts the window keeps for pair: those of the
+        held box's pair or of its held stack's, a new empty dict for any
+        other pair."""
+        held = self._held
+        if held is not None and pair is held.pair:
+            return held.pair_rows
+        if held is not None and held.stack is not None and pair is held.stack.pair:
+            return held.stack_rows
+        return {}
 
     @property
     def observations(self) -> list[Observation]:
@@ -261,13 +316,61 @@ def _absorb(x: np.ndarray, idx, vals: np.ndarray, tol: float) -> np.ndarray:
     x holds the upper bound before the lower on its leading axis and
     broadcasts over the axes after it. Returns, per reading on the last
     axis, whether it sat strictly outside the box by more than tol before
-    the collapse; one such reading certifies the box inconsistent with the
-    measurement.
+    the collapse (``_misread``); one such reading certifies the box
+    inconsistent with the measurement.
     """
     low, high = x[1][..., idx], x[0][..., idx]
-    outside = (vals < low - tol) | (vals > high + tol)
+    outside = _misread(x, idx, vals, tol)
     x[..., idx] = np.minimum(np.maximum(vals, low), high)
     return outside
+
+
+def _misread(x: np.ndarray, idx, vals: np.ndarray, tol: float) -> np.ndarray:
+    """Per reading, whether it lies strictly outside the bracket x by more
+    than tol; x and vals broadcast as in ``_absorb``."""
+    return (vals < x[1][..., idx] - tol) | (vals > x[0][..., idx] + tol)
+
+
+def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair) -> tuple:
+    """Step transitions and test each against the record it leads to.
+
+    x is one start bracket per transition, ``(2, K, ..., 2I)``: the
+    transitions on the axis after the component axis, then the stacking
+    axes of pair, whose terms get a broadcast axis for the transitions
+    (one transition is stepped without that axis). records are the K
+    records the transitions lead to; the control of each drives its step.
+    Every operation is elementwise, so a transition gets the bits it would
+    get stepped alone. A row is excluded when its propagated interval
+    strictly misses the record's enclosure, or a reading of the
+    propagation intersected with that enclosure, by more than
+    CONSISTENCY_TOL. When K is more than one, every record is fully
+    measured.
+
+    Returns the intersected brackets and, per transition and row, whether
+    that transition excludes the row.
+    """
+    tol = CONSISTENCY_TOL
+    one = len(records) == 1
+    shape = (len(records),) + (1,) * (x.ndim - 3) + (-1,)
+    if one:
+        x = x[:, 0]
+    else:
+        pair = _Pair(pair.primary, pair.secondary,
+                     _Terms(*(t[:, None] for t in pair.terms)))
+
+    def each(get):
+        return get(records[0]) if one else np.array([get(r) for r in records]).reshape(shape)
+
+    x = _clamped_step(x, each(lambda r: r.control), lam, pair)
+    upper, lower = each(lambda r: r.bracket[0]), each(lambda r: r.bracket[1])
+    outside = (x[1] > each(lambda r: r.raised)) | (lower > x[0] + tol)
+    np.minimum(x[0], upper, out=x[0])
+    np.maximum(x[1], lower, out=x[1])
+    np.maximum(x[0], x[1], out=x[0])
+    idx = records[0].readings[0]
+    outside[..., idx] |= _misread(x, idx, each(lambda r: r.readings[1]), tol)
+    outside = outside.any(axis=-1)
+    return (x[:, None], outside[None]) if one else (x, outside)
 
 
 def _certified(window: MeasurementWindow, pair) -> np.ndarray:
@@ -278,37 +381,68 @@ def _certified(window: MeasurementWindow, pair) -> np.ndarray:
     any axes between it and the cells stack boxes; the answer has those
     axes. Propagates the tube dynamics forward from the window's first box
     under its controls and arrival box, carrying the bracket as one
-    ``(2, ..., 2I)`` array and stepping it with one kernel call per
-    transition. Each step is intersected with the window's own enclosure
-    of that step (certified earlier, so the tie sharpens the test without
-    risking a false certificate), and measured entries collapse onto the
-    exact readings. A box is certified when a propagated interval strictly
-    excludes an enclosure or a reading by more than CONSISTENCY_TOL. The
-    readings and the raised enclosure side are computed once per record
-    when it is pushed, and one reduction per step folds every exclusion.
-    Every operation is elementwise, so each box gets the bits it would get
-    propagated alone.
+    ``(2, ..., 2I)`` array. Each step (``_stepped``) is intersected with
+    the window's own enclosure of that step (certified earlier, so the tie
+    sharpens the test without risking a false certificate). A box is
+    certified when a propagated interval strictly excludes an enclosure or
+    a reading by more than CONSISTENCY_TOL; a reading outside the first
+    record's own enclosure certifies every box.
+
+    After each step's test, a measured entry restarts from its reading
+    clipped into the record's own enclosure (``_Record.start``), a value of
+    the record alone. It is sound for the reason the tie is: the detectors
+    are exact, so the true state is that reading, within tolerance of the
+    enclosure. When the propagated interval contains the restart point, it
+    is also the propagation collapsed onto the reading.
+
+    When the window is fully measured (a detector on every cell), each
+    transition therefore starts from its first record alone, and the
+    transitions are independent: all of them are stepped in one kernel
+    call on a transitions axis, and a box is certified when one of them
+    excludes it. For the held box's pair and the held probe stack the
+    window keeps each transition's verdict rows by record
+    (``MeasurementWindow._rows``), so a tick whose window slid by one
+    record steps only its newest transition, and the rows of records that
+    left the window are dropped. Otherwise, and on a window of one
+    transition, which leaves it with the next record, the chain is
+    stepped one transition at a time, unmeasured entries carried forward,
+    and stops early once every box is certified. Both ways give each box
+    the bits it would get propagated alone. A kernel call steps at most
+    ``_STEP_ENTRIES`` bracket entries, so a large stack's transitions are
+    stepped a few at a time.
     """
-    tol = CONSISTENCY_TOL
     first, *later = window._records
     stack = pair.terms.ceiling.shape[1:-1]
+    width = first.bracket.shape[-1]
+    dead = np.full(stack, first.misread)
+    lam = np.array([window.demand.upper, window.demand.lower])
     along = (2,) + (1,) * len(stack) + (-1,)  # a record's bracket against the stack
-    x = np.empty((2, *stack, first.bracket.shape[-1]))
-    x[...] = first.bracket.reshape(along)
-    lam = np.array([window.demand.upper, window.demand.lower]).reshape(along)
-    dead = _absorb(x, *first.readings, tol).any(axis=-1)
+    if len(later) > 1 and window.fully_measured:
+        rows = window._rows(pair)
+        starts = dict(zip(later, window._records))
+        fresh = [r for r in later if r not in rows]
+        each = max(1, _STEP_ENTRIES // (2 * width * math.prod(stack)))
+        for at in range(0, len(fresh), each):
+            batch = fresh[at:at + each]
+            x = np.empty((2, len(batch), *stack, width))
+            for k, record in enumerate(batch):
+                x[:, k] = starts[record].start.reshape(along)
+            rows.update(zip(batch, _stepped(x, batch, lam, pair)[1]))
+        for record in set(rows) - set(later):
+            del rows[record]
+        for record in later:
+            dead |= rows[record]
+        return dead
+    x = np.empty((2, *stack, width))
+    x[...] = first.start.reshape(along)
     for record in later:
         if dead.all():
             break
-        x = _clamped_step(x, record.control, lam, pair)
-        upper, lower = record.bracket
-        outside = (x[1] > record.raised) | (lower > x[0] + tol)
-        np.minimum(x[0], upper, out=x[0])
-        np.maximum(x[1], lower, out=x[1])
-        np.maximum(x[0], x[1], out=x[0])
-        idx, vals = record.readings
-        outside[..., idx] |= _absorb(x, idx, vals, tol)
-        dead |= outside.any(axis=-1)
+        x, outside = _stepped(x[:, None], [record], lam, pair)
+        x = x[:, 0]
+        idx = record.readings[0]
+        x[..., idx] = record.start[:, idx].reshape(along)
+        dead |= outside[0]
     return dead
 
 
@@ -455,9 +589,11 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     and certified no further stack. When the next call brings the same box
     object (the input box comes back itself when no bound moves) with the
     same budget and depth, the stack is certified against the new window
-    without being built again, and a remembered pattern returns the box at
-    once; another budget or depth plans afresh but keeps a stack whose
-    spines came out the same. Later stacks of a call are always built.
+    without being built again (on a fully measured window, only the
+    transitions it has not certified yet are stepped), and a remembered
+    pattern returns the box at once; another budget or depth plans afresh
+    but keeps a stack whose spines came out the same. Later stacks of a
+    call are always built.
 
     A box with no end to walk (a point box, a budget of at most one check
     or a depth of zero) gets the whole-box check alone from
@@ -483,6 +619,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
         spines = _spines_from(ends, 0, fields, depth, checks_left)
         if list(spines.values()) != list(held.spines.values()):
             held.stack = _probe_stack(fields, list(spines.values()), True) if spines else None
+            held.stack_rows = {}
         held.plan, held.ends, held.spines, held.quiet = (
             (config.prune_budget, depth), ends, spines, set())
 

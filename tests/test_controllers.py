@@ -2,10 +2,12 @@
 set-membership predictive loop driven against the plant."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rampflow import controllers
 from rampflow.ctm import OutputModel, compact_step, equilibrium_uncongested, measure
 from rampflow.embedding import DemandBounds, LiftedState, ParamBounds
 from rampflow.estimators import (ContainmentViolation, EstimatorConfig,
@@ -15,7 +17,7 @@ from rampflow.mpc import CostSpec, MpcConfig, TerminalSet, solve_mpc
 from rampflow.controllers import (ALINEA_GAIN, AlineaConfig, LocalConfig,
                                   PHASE_LOCAL, PHASE_MPC, SetPcConfig,
                                   SetPcState, alinea_step, local_controller,
-                                  open_loop_step, setpc_step)
+                                  forced_step, open_loop_step, setpc_step)
 
 from conftest import full_output, point_demand, point_state
 
@@ -172,7 +174,6 @@ def test_setpc_tick_matches_the_direct_planner_on_point_boxes(
 
 
 def test_setpc_plans_on_the_upper_end_of_a_jam_interval(stretch, nominal_demand):
-    from dataclasses import replace
     model = full_output(4)
     demand_box = point_demand(nominal_demand)
     config = loop_config(horizon=3)
@@ -292,3 +293,41 @@ def test_setpc_rejects_a_tampered_measurement(stretch, nominal_demand):
     tampered = measure(model, x + 5.0)
     with pytest.raises(ContainmentViolation):
         setpc_step(state, tampered, config)
+
+
+@pytest.mark.parametrize("mainline, steps", [
+    ([30.0, 30.0, 30.0, 30.0], 1),
+    ([160.0, 160.0, 160.0, 160.0], 3),
+    ([145.0, 145.0, 145.0, 100.0], 3),
+], ids=["free", "jam", "near_jam"])
+def test_the_command_fits_the_merge_at_every_point_of_the_boxes(
+        monkeypatch, stretch, nominal_demand, mainline, steps):
+    """The executed command is capped by the space each merge cell keeps
+    below the lowest jam at every point of the boxes, so the plant takes
+    it. A tick whose prediction stays below that jam steps the tube once;
+    otherwise the step without ramp inflow sets the cap and the tube is
+    stepped again under the capped command: each cell's prediction then
+    stays below the lowest jam, or its ramp adds nothing."""
+    model = full_output(4)
+    demand_box = point_demand(nominal_demand)
+    box = ParamBounds(upper=replace(stretch, x_jam=np.full(4, 170.0)),
+                      lower=replace(stretch, x_jam=np.full(4, 150.0)))
+    x = np.concatenate([mainline, np.full(4, 10.0)])
+    state = fresh_state(x, box, demand_box, model)
+    calls = []
+    step = controllers.lifted_step
+
+    def counted(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(controllers, "lifted_step", counted)
+    command = np.array([25.0, 10.0, 10.0, 10.0])
+    u, successor, _ = forced_step(state, measure(model, x), loop_config(), command)
+    assert len(calls) == steps and np.array_equal(u, calls[-1])
+    assert np.all((successor.predicted.upper[:4] <= 150.0 + 1e-9) | (u == 0.0))
+    if steps == 1:
+        assert np.array_equal(u, command)
+    else:
+        assert np.all(calls[1] == 0.0) and np.all(u <= command) and np.any(u < command)
+    compact_step(stretch, x, u, nominal_demand)

@@ -202,25 +202,33 @@ def test_box_excluding_the_truth_is_certified_infeasible(
 
 def _one_box_dead(window, pair):
     """The certificate of one box written out step by step: the measured
-    entries are gathered and scattered through index arrays, and every
-    exclusion is reduced where it is found."""
+    entries are gathered and scattered through index arrays, every
+    exclusion is reduced where it is found, and after each step's test a
+    measured entry restarts from its reading clipped into the record's own
+    enclosure."""
     tol = estimators.CONSISTENCY_TOL
     model = window.output_model
     n = model.mainline_mask.shape[0]
     lam = np.array([window.demand.upper, window.demand.lower])
 
-    def absorb(x, y):
+    def readings(y):
         cells = np.flatnonzero(model.mainline_mask & np.isfinite(y.y_main))
         idx = np.concatenate([cells, n + np.arange(n)])
-        vals = np.concatenate([y.y_main[cells] / model.c_diag[cells], y.y_ramp])
-        low, high = x[1, idx], x[0, idx]
-        outside = np.any(vals < low - tol) or np.any(vals > high + tol)
-        x[:, idx] = np.minimum(np.maximum(vals, low), high)
-        return outside
+        return idx, np.concatenate([y.y_main[cells] / model.c_diag[cells], y.y_ramp])
+
+    def misread(x, record):
+        idx, vals = readings(record.observation)
+        return np.any(vals < x[1, idx] - tol) or np.any(vals > x[0, idx] + tol)
+
+    def restart(x, record):
+        idx, vals = readings(record.observation)
+        upper, lower = record.bracket
+        x[:, idx] = np.minimum(np.maximum(vals, lower[idx]), upper[idx])
 
     first, *later = window._records
     x = first.bracket.copy()
-    dead = absorb(x, first.observation)
+    dead = misread(x, first)
+    restart(x, first)
     for record in later:
         x = _clamped_step(x, record.control, lam, pair)
         upper, lower = record.bracket
@@ -228,8 +236,21 @@ def _one_box_dead(window, pair):
         x[0] = np.minimum(x[0], upper)
         x[1] = np.maximum(x[1], lower)
         x[0] = np.maximum(x[0], x[1])
-        dead = absorb(x, record.observation) or dead
+        dead = misread(x, record) or dead
+        restart(x, record)
     return bool(dead)
+
+
+def _rows_dead(window, pair):
+    """``_one_box_dead`` of every row of a stacked pair, each row alone, or
+    of a box's pair."""
+    fields = vars(pair.primary)
+    if pair.terms.ceiling.ndim == 2:
+        return np.array(_one_box_dead(window, pair))
+    return np.array([
+        _one_box_dead(window, _pair({f: a[:, row if a.shape[1] > 1 else 0]
+                                     for f, a in fields.items()}))
+        for row in range(pair.terms.ceiling.shape[1])])
 
 
 @pytest.mark.parametrize("model", MODELS, ids=["slice", "indices"])
@@ -256,11 +277,11 @@ def test_a_stacked_certificate_is_each_box_propagated_alone(
     for recorded in (window, wide):
         dead = estimators._certified(recorded, stack.pair)
         assert dead.shape == (49,) and 0 < np.count_nonzero(dead) < 48
+        assert np.array_equal(dead, _rows_dead(recorded, stack.pair))
         for row in range(49):
             alone = _pair({f: a[:, row if a.shape[1] > 1 else 0]
                            for f, a in vars(stack.pair.primary).items()})
-            assert (estimators._certified(recorded, alone) == dead[row]
-                    == _one_box_dead(recorded, alone))
+            assert estimators._certified(recorded, alone) == dead[row]
 
 
 @pytest.mark.parametrize("v1", [0.45, 0.55], ids=["slow", "fast"])
@@ -803,11 +824,18 @@ def _spied_loop(monkeypatch, scenario):
     return log, ticks, entries
 
 
+# the same loop from a lighter start, where a certified cut falls between
+# two runs of standing ticks
+STAND_CUT_STAND_TEXT = INGEST_TEXT.replace("mainline 30 30 30 30", "mainline 22 22 22 22")
+
+
 def test_a_standing_box_reuses_its_first_probe_stack(monkeypatch):
     """Through ticks where the box stands, then takes a certified cut, then
     stands again, theta_update returns on every tick the box a fresh build
     returns, and builds its first stack once per distinct box."""
-    _, ticks, entries = _spied_loop(monkeypatch, harness.parse_scenario(INGEST_TEXT))
+    log, ticks, entries = _spied_loop(monkeypatch,
+                                      harness.parse_scenario(STAND_CUT_STAND_TEXT))
+    assert [s.phase for s in log.steps[5:]] == ["local"] * 15
     stood = "".join("S" if kept else "M" for _, kept, _, _ in ticks)
     assert re.search("S{2,}MS{2,}", stood), stood
     builds = [built for _, _, built, _ in ticks]
@@ -893,3 +921,157 @@ def test_two_closed_loops_share_no_entry_and_write_the_same_csv(monkeypatch, tmp
     # the second loop builds its first stack on its first tick, as the first did
     assert builds == builds_again and builds[0] == 1
     assert not {id(e) for e in entries} & {id(e) for e in entries_again}
+
+
+# ------------------------------------ the certificate, transition by transition
+
+
+@st.composite
+def certificate_cases(draw):
+    """A plant under a constant control, a box around its parameters, a
+    window of 1 to 6 transitions that slides 0 to 3 ticks further, a
+    detector mask (every cell in about half the draws), a tolerance, the
+    bracket entries one kernel call may step (the shipped cap, or one
+    transition a call), and a (prune_budget, prune_depth) plan.
+
+    Some cells' upper corner sits on c_max / v = x_jam, so the probes that
+    lower that corner's speed or jam fail the range checks. A tolerance
+    far above CONSISTENCY_TOL makes the near misses that the restart rule
+    settles, which the real tolerance leaves at the scale of rounding,
+    large enough to move later verdicts.
+    """
+    n = draw(st.integers(2, 3))
+
+    def cells(lo, hi, size=n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    v, w, alpha = cells(0.3, 0.6), cells(0.1, 0.3), cells(0.8, 1.0)
+    beta, x_jam = cells(0.7, 0.95, n - 1), cells(150.0, 170.0)
+    c_max = v * x_jam * cells(0.15, 0.35)
+    truth = FreewayParams(beta=beta, v=v, w=w, x_jam=x_jam, c_max=c_max,
+                          alpha=alpha, u_max=np.full(n, 40.0))
+    v_up = np.minimum(v * (1.0 + cells(0.05, 0.3)), 1.0 - w)
+    j_up = x_jam * (1.0 + cells(0.0, 0.05))
+    on_edge = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    c_up = np.where(on_edge, v_up * j_up, c_max * (1.0 + cells(0.0, 0.1)))
+    box = ParamBounds(
+        upper=replace(truth, v=v_up, x_jam=j_up, c_max=c_up),
+        lower=replace(truth, v=v * (1.0 - cells(0.05, 0.3)),
+                      x_jam=x_jam * (1.0 - cells(0.0, 0.05)),
+                      c_max=c_max * (1.0 - cells(0.0, 0.1))))
+    lam = truth.c_max * cells(0.0, 0.3)
+    margin = draw(st.sampled_from([0.0, 0.05]))
+    demand = DemandBounds(upper=lam * (1.0 + margin), lower=lam * (1.0 - margin))
+    mask = np.array(draw(st.one_of(
+        st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n))))
+    x = np.concatenate([truth.x_crit * cells(0.2, 1.2), cells(0.0, 10.0)])
+    length, slides = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    tol = draw(st.sampled_from([estimators.CONSISTENCY_TOL, 1e-3, 0.5]))
+    entries = draw(st.sampled_from([estimators._STEP_ENTRIES, 1]))
+    depth = draw(st.integers(1, 5))
+    plan = replace(DEEP, prune_depth=depth, prune_budget=draw(st.integers(depth + 2, 30)))
+    return truth, box, x, lam, demand, mask, length, slides, tol, entries, plan
+
+
+def _near_misses_behind_an_unmeasured_cell():
+    """Cell 0 carries no detector and the tolerance is half a vehicle, so
+    the probes' propagations miss readings by less than it along a chain
+    of six transitions. Each restart then reads the record, not the
+    propagation intersected with it, and a later verdict depends on which
+    one it reads."""
+    truth = replace(homogeneous_params(2, beta=0.75, v=0.5, w=0.25, x_jam=150.0,
+                                       c_max=18.75, alpha=1.0),
+                    c_max=np.array([11.71875, 18.75]))
+    box = ParamBounds(upper=replace(truth, v=np.array([0.625, 0.5625])),
+                      lower=replace(truth, v=np.array([0.375, 0.4375])))
+    lam = np.array([0.0, 5.2734375])
+    return (truth, box, np.array([23.4375, 37.5, 0.0, 0.0]), lam, point_demand(lam),
+            np.array([False, True]), 6, 0, 0.5, estimators._STEP_ENTRIES,
+            replace(DEEP, prune_depth=1, prune_budget=3))
+
+
+def _corrected_records(truth, box, x, lam, demand, model):
+    """Endless (corrected box, observation, control) of the plant under the
+    control lam, each box corrected against exact readings: what a closed
+    loop pushes."""
+    lifted = state_update(wide_start(truth), measure(model, x), model)
+    yield lifted, measure(model, x), None
+    while True:
+        x = compact_step(truth, x, lam, lam)
+        lifted = state_update(lifted_step(lifted, lam, demand, box.pair),
+                              measure(model, x), model)
+        yield lifted, measure(model, x), lam
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=certificate_cases())
+@example(case=_near_misses_behind_an_unmeasured_cell())
+def test_the_certificate_is_the_chain_under_the_restart_rule(case):
+    """On a fully measured window, ``_certified`` steps every transition in
+    one kernel call (in calls of at most ``_STEP_ENTRIES`` bracket
+    entries), and under a held probe stack (and after a new stack replaces
+    it) a window that slid by one record steps only its newest transition.
+    Either way each row's verdict is the one the chain written out in
+    ``_one_box_dead`` gives it, probes that fail the range checks included.
+    A window with an unmeasured cell, or of one transition, steps the
+    chain one transition a call, to the same verdicts."""
+    truth, box, x, lam, demand, mask, length, slides, tol, entries, plan = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimators, "CONSISTENCY_TOL", tol)
+        m.setattr(estimators, "_STEP_ENTRIES", entries)
+        stepped, counts = estimators._stepped, []
+
+        def spy(x, records, *rest):
+            counts.append(len(records))
+            return stepped(x, records, *rest)
+
+        m.setattr(estimators, "_stepped", spy)
+        model = OutputModel(mask, np.ones(mask.size))
+        window = MeasurementWindow(length, model, demand)
+        feed = _corrected_records(truth, box, x, lam, demand, model)
+        for _ in range(length + 1):
+            lifted, y, u = next(feed)
+            window.push(lifted, y, control=u)
+        assert window.fully_measured == mask.all()
+
+        def check(pair, transitions):
+            """pair's verdicts on the window against the chain's; on a fully
+            measured window of more than one transition, the transitions
+            stepped in one call, and on any other, every transition
+            stepped again."""
+            counts.clear()
+            dead = estimators._certified(window, pair)
+            assert np.array_equal(dead, _rows_dead(window, pair))
+            if window.fully_measured and length > 1:
+                each = max(1, entries // (2 * x.size * max(dead.size, 1)))
+                assert counts == [min(each, transitions - k)
+                                  for k in range(0, transitions, each)]
+            else:
+                # the chain: one transition a call, all L of them unless
+                # every row was certified first
+                assert counts == [1] * len(counts)
+                assert len(counts) == length or dead.all()
+
+        # a stack no window holds: every transition, in one call
+        fields = vars(box.pair.primary)
+        spines = [estimators._Spine(f, i, is_upper,
+                                    *estimators._interval(fields, f, i, is_upper), 3)
+                  for f in ("v", "x_jam") for i in range(mask.size)
+                  for is_upper in (True, False)]
+        check(estimators._probe_stack(fields, spines, True).pair, length)
+        # the box and its first stack held: a slide steps the newest alone
+        theta_update(window, box, plan)
+        check(window._held.pair, length)
+        for _ in range(slides):
+            lifted, y, u = next(feed)
+            window.push(lifted, y, control=u)
+            check(window._held.stack.pair, 1)
+            check(window._held.pair, 1)
+        # another depth builds another stack, which certifies afresh
+        first = window._held.stack
+        theta_update(window, box, replace(plan, prune_depth=plan.prune_depth + 1))
+        assert window._held.stack is not first
+        check(window._held.stack.pair, 0)
+        lifted, y, u = next(feed)
+        window.push(lifted, y, control=u)
+        check(window._held.stack.pair, 1)

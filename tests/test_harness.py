@@ -343,6 +343,32 @@ def test_run_command_exits_with_the_typed_loop_stop(tmp_path, capsys):
     assert [s.phase for s in back.steps] == ["warmup"] * warmup
 
 
+def test_a_start_at_jam_finishes_or_stops_typed(tmp_path, capsys):
+    """Every cell starts at the true jam occupancy, above the lowest jam of
+    the box. The first warm-up command is capped where the merge has no
+    space at some point of the boxes, so the plant takes it, and the
+    command either finishes or stops with a typed reason that the record
+    names, never with a traceback."""
+    text = _edit(PRESET, "  mainline 30 30 30 120", ["  mainline 160 160 160 160"],
+                 keep=False)[0]
+    text = _edit(text, "  horizon 60", ["  horizon 5"], keep=False)[0]
+    source = tmp_path / "jam.scn"
+    source.write_text(_edit(text, "  steps 60", ["  steps 6"], keep=False)[0])
+    out = tmp_path / "jam.csv"
+    code = cli.main(["run", str(source), "--csv", str(out)])
+    back, meta = read_log(out)
+    scenario = harness.load_scenario(str(source))
+    if code == 1:
+        reason = meta["stopped"][0].rstrip(":")
+        assert reason in {stop.__name__ for stop in harness.LOOP_STOPS}
+        assert capsys.readouterr().err.startswith(f"rampflow: jam: {reason}: ")
+    else:
+        assert code == 0 and len(back) == scenario.warmup + scenario.steps
+    assert len(back) >= 1
+    # cells 1-3 have no space below the lowest jam of 150, so their ramps wait
+    assert np.array_equal(back.steps[0].u[:3], np.zeros(3))
+
+
 def test_a_failed_plan_leaves_its_model_and_a_normal_run_leaves_none(
         tmp_path, monkeypatch, capsys):
     """The horizon-10 scenario's first plan is infeasible: the command

@@ -13,7 +13,8 @@ from rampflow import harness  # noqa: E402
 WORKLOAD_FIELDS = ("sha256", "rows", "plan_ticks", "solves", "pivots", "nodes",
                    "roots", "factorizations", "basic_slacks", "dual_solves",
                    "node_fixed", "hook_encodes", "tts_veh", "certified_calls",
-                   "certified_boxes", "stacks", "propagations", "models")
+                   "certified_boxes", "transitions", "stacks", "propagations",
+                   "models")
 
 
 def test_record_digest_prints_every_field_of_every_loop():

@@ -23,7 +23,11 @@ selectors that nodes fixed from their propagated boxes (summed over
 planner's ``encode`` (those that returned a vector rather than ``None``),
 ``tts_veh``, the stacked propagations of
 the parameter contraction with the boxes they carry (counted by wrapping
-``estimators._certified``), its probe stacks as ``stacks built/reused``
+``estimators._certified``), the window transitions those propagations
+certified as ``transitions computed/reused`` (the transitions
+``estimators._stepped`` stepped, and on a fully measured window of more
+than one transition the rest of each call's transitions, whose verdicts
+the window kept from an earlier call), its probe stacks as ``stacks built/reused``
 (``estimators._probe_stack`` calls, and the ``estimators._certify_spines``
 calls on a stack that a measurement window kept from an earlier tick), the
 row propagations of the branch-and-bound nodes and how many of them closed
@@ -72,7 +76,8 @@ def main(argv=None) -> int:
     factor, box = _simplex._Worker._factor, milp._RowPropagation.box
     replay = _simplex._replay
     probe_stack, certify_spines = estimators._probe_stack, estimators._certify_spines
-    counts = [0] * 19
+    stepped = estimators._stepped
+    counts = [0] * 21
     models = hashlib.sha256()
     # [a root solve is next, the replay gate accepted a basis]
     root = [False, False]
@@ -97,10 +102,17 @@ def main(argv=None) -> int:
         return worker
 
     def counted_boxes(window, pair):
+        before = counts[19]
         dead = certified(window, pair)
         counts[2] += 1
         counts[3] += dead.size
+        if len(window) > 2 and window.fully_measured:
+            counts[20] += len(window) - 1 - (counts[19] - before)
         return dead
+
+    def counted_stepped(x, records, *args):
+        counts[19] += len(records)
+        return stepped(x, records, *args)
 
     def counted_stack(*args):
         counts[16] += 1
@@ -160,6 +172,7 @@ def main(argv=None) -> int:
     milp._Selectors.fixes = counted_fixes
     milp._RowPropagation.box = counted_box
     estimators._certified = counted_boxes
+    estimators._stepped = counted_stepped
     estimators._probe_stack = counted_stack
     estimators._certify_spines = counted_spines
     milp.solve_milp = counted_nodes
@@ -174,7 +187,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 19
+            counts[:] = [0] * 21
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -191,6 +204,7 @@ def main(argv=None) -> int:
                   f"node_fixed {counts[7]} hook_encodes {counts[8]} "
                   f"tts_veh {float(log.states.sum()):.6f} "
                   f"certified_calls {counts[2]} certified_boxes {counts[3]} "
+                  f"transitions {counts[19]}/{counts[20]} "
                   f"stacks {counts[16]}/{counts[17] - counts[16]} "
                   f"propagations {counts[11]}/{counts[12]} "
                   f"models {models.hexdigest()}")
