@@ -6,9 +6,9 @@
 ``run`` resolves a preset name or a scenario file (docs/scenario-format.md),
 drives its closed loop and writes the record as a CSV that
 ``harness.read_log`` reads back. Without ``--csv`` the record goes to
-``<scenario name>.csv`` in the working directory. A scenario the parser
-or a range check rejects ends the command with its message and exit
-status 2. A loop that stops with a typed reason (an infeasible or
+``<scenario name>.csv`` in the working directory. A scenario that cannot
+be read, or that the parser or a range check rejects, ends the command
+with its message and exit status 2. A loop that stops with a typed reason (an infeasible or
 over-budget plan, a reading outside the state box, a solver breakdown)
 ends it with ``rampflow: <scenario>: <reason type>: <message>`` and exit
 status 1; the ticks done before the stop are still written, with a last

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import LiftedState, ParamBounds, lifted_step
-from .estimators import (EstimatorConfig, MeasurementWindow, _measured, state_update,
-                         theta_update)
+from .estimators import EstimatorConfig, MeasurementWindow, theta_update
 from .milp import MilpBudget, WarmBasis
 from .mpc import MpcConfig, TerminalSet, solve_mpc
 
@@ -155,13 +154,10 @@ def local_controller(queue_history, control_history, cfg: LocalConfig,
 
 
 def _ingest(state: SetPcState, y, config: SetPcConfig):
-    """Measurement correction, window push, parameter contraction."""
-    window = state.window
-    readings = _measured(y, window.output_model)
-    corrected = state_update(state.predicted, y, window.output_model, readings=readings)
-    window.push(corrected, y, control=state.last_control, readings=readings)
-    theta = theta_update(window, state.params, config.estimator)
-    return corrected, theta
+    """Measurement correction and window push in one (``MeasurementWindow.push``
+    keeps the corrected box it returns), then parameter contraction."""
+    corrected = state.window.push(state.predicted, y, control=state.last_control)
+    return corrected, theta_update(state.window, state.params, config.estimator)
 
 
 def _dispatch(state, corrected, theta, command, phase, plan=None):

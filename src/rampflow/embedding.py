@@ -69,6 +69,7 @@ which the kernel leaves out, never changes the realized flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -179,8 +180,10 @@ class ParamBounds:
         """
         return _stacked(self.upper, self.lower)
 
-    @property
+    @cached_property
     def is_point(self) -> bool:
+        """Whether both corners are the same parameter set; a box is frozen,
+        so its corners are compared once."""
         return all(
             np.array_equal(getattr(self.lower, n), getattr(self.upper, n))
             for n in PARAM_FIELDS)

@@ -13,19 +13,21 @@ cannot sharpen (queues are measured, so arrivals are only seen through the
 commanded discharge); the measurement window holds it once for the whole
 run.
 
-The propagation takes a stack of boxes at once. After each step's test,
-a measured entry restarts from its reading clipped into the record's own
-enclosure, so with a detector on every cell each transition of the
-window starts from its record alone and is checked on its own: a fresh
-stack steps all of them in one kernel call, and a tick whose window slid
-by one record steps only the newest, the verdicts of the others being
-kept. A stack costs far less than its boxes one at a time, but its cost
-still grows with its rows: on a fully measured 5-step window, a fresh
-certificate of one box takes about 0.08 ms, of 48 rows 0.17 ms and of
-474 rows 0.96 ms, and one that steps only the newest transition 0.046,
-0.066 and 0.20 ms (medians over 5 processes of the best of 12 runs, one
-Xeon core, numpy 2.4). A walk reads only one path of its bisection tree:
-the probes it visits while none certifies, its spine.
+The propagation takes a stack of boxes at once. The window corrects
+every box it is given against its readings (``MeasurementWindow.push``),
+so after each step's test a measured entry restarts from the record's
+own enclosure, which holds the reading. With a detector on every cell,
+each transition of the window therefore starts from its record alone and
+is checked on its own: a fresh stack steps all of them in one kernel
+call, and a tick whose window slid by one record steps only the newest,
+the stack keeping the verdicts of the others. A stack costs far less
+than its boxes one at a time, but its cost still grows with its rows: on
+a fully measured 5-step window, a fresh certificate of one box takes
+about 0.08 ms, of 48 rows 0.17 ms and of 474 rows 0.96 ms, and one that
+steps only the newest transition 0.046, 0.066 and 0.20 ms (medians over
+5 processes of the best of 12 runs, one Xeon core, numpy 2.4). A walk
+reads only one path of its bisection tree: the probes it visits while
+none certifies, its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
 every coordinate end the check budget can reach, one stacked row per
 check, and then replays the one-at-a-time walks over the stored verdicts.
@@ -41,12 +43,12 @@ A probe stack (its mids, its stacked pair with the kernel's terms, and the
 range verdicts of its rows) depends on the box and the spines alone, never
 on the window. Most ticks leave the box as it was, so the measurement
 window keeps the first stack of the box the run is using, and the next
-tick that brings the same box with the same spines certifies that stack
+tick that brings the same box with the same plan certifies that stack
 against its own window without building it again, stepping only the
-transitions it has not certified yet. It also keeps the verdict patterns
-of that stack whose walk moved no bound and certified no further stack: a
-tick whose verdicts repeat one returns the box after the one
-propagation, without walking.
+transitions whose verdicts the stack does not hold yet. It also keeps
+the verdict patterns of that stack whose walk moved no bound and
+certified no further stack: a tick whose verdicts repeat one returns the
+box after the one propagation, without walking.
 """
 
 from __future__ import annotations
@@ -112,46 +114,41 @@ class EstimatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class _Record:
-    """One pushed time step. Records compare and hash by identity, so a
-    record keys the verdicts of the transition into it."""
+    """One pushed time step: the state box corrected against its readings.
+    Records compare and hash by identity, so a record keys the verdicts of
+    the transition into it."""
 
     observation: Observation
     control: np.ndarray | None
-    bracket: np.ndarray  # the state box as (upper, lower) on a leading axis
+    bracket: np.ndarray  # the corrected box as (upper, lower) on a leading axis
     raised: np.ndarray   # its upper side raised by CONSISTENCY_TOL
     readings: tuple      # _measured(observation, output model)
-    start: np.ndarray    # the bracket, measured entries at their readings
-    #                      clipped into it: where a transition out restarts
-    misread: bool        # a reading lies outside the bracket by more than
-    #                      CONSISTENCY_TOL
 
 
 class _Stack(NamedTuple):
     """A probe stack: everything certifying it reads besides the window.
 
     It depends only on the box it was cut from and the spines, so it stays
-    valid on every later window while both stand.
+    valid on every later window while both stand. ``rows`` holds what it
+    learnt of the windows: each transition's verdict rows from
+    ``_certified``, keyed by the record the transition leads to, while the
+    window is fully measured. A new stack starts with none.
     """
 
     with_box: bool            # row 0 is the box itself
     mids: list                # per spine, (its first row, its mids)
     pair: _Pair               # the rows' stacked pair with its kernel terms
     admissible: np.ndarray    # per row, whether it passes the range checks
+    rows: dict                # record -> that transition's verdict per row
 
 
 @dataclass
 class _Held:
     """The box a run is using, its kernel pair, and what ``theta_update``
     keeps of it for one (prune_budget, prune_depth): the ends it walks, the
-    first spines by index into the ends, the probe stack built for them,
-    and the verdict patterns of that stack whose walk moved no bound and
-    certified no further stack.
-
-    For the pair and for the stack, it also keeps each transition's
-    verdict rows from ``_certified`` while the window is fully measured,
-    keyed by the record the transition leads to (``pair_rows`` and
-    ``stack_rows``). The rows of a stack go with it: a new stack starts
-    with none."""
+    first spines by index into the ends, the probe stack built for them
+    (with the transition verdicts it holds), and the verdict patterns of
+    that stack whose walk moved no bound and certified no further stack."""
 
     box: ParamBounds
     pair: _Pair
@@ -160,30 +157,28 @@ class _Held:
     spines: dict = field(default_factory=dict)
     stack: _Stack | None = None
     quiet: set = field(default_factory=set)
-    pair_rows: dict = field(default_factory=dict)
-    stack_rows: dict = field(default_factory=dict)
 
 
 class MeasurementWindow:
     """Ring buffer of the last L transitions the estimators may look at.
 
-    Each pushed record carries the corrected state box, upper bound before
-    lower on a leading axis, and the raw observation at one time step, with
+    ``push`` corrects the predicted state box against the detectors
+    (``state_update``) and keeps the corrected box, upper bound before
+    lower on a leading axis, with the raw observation at that time step and
     its readings (``_measured``) computed once; the control that produced
     the transition *into* that step rides along with it. The first record
     of a fresh window has no incoming transition, every later one must.
     ``demand`` is the run's arrival box, which every transition shares.
+    Every record is a corrected box, so its measured entries sit at their
+    readings: when every entry is measured, a transition out of a record
+    starts from that record alone, and each transition is certified once
+    while the window holds it.
 
     The window is the run's, so it also holds one entry for the parameter
     box the run is using: the box's kernel pair (``pair``) and what
-    ``theta_update`` keeps of the box (``_Held``), the per-transition
-    verdicts of the pair and of the held probe stack among it. The entry
-    is replaced when another box comes; the box is matched by identity,
-    which is what ``theta_update`` returns when no bound moved. A pushed
-    record also keeps where a transition out of it restarts
-    (``_Record.start``): when every entry is measured, that is a value of
-    the record alone, so each transition is certified once while the
-    window holds it and the entry stands.
+    ``theta_update`` keeps of the box (``_Held``). The entry is replaced
+    when another box comes; the box is matched by identity, which is what
+    ``theta_update`` returns when no bound moved.
     """
 
     def __init__(self, backward_horizon: int, output_model: OutputModel,
@@ -207,24 +202,27 @@ class MeasurementWindow:
             held = self._held = _Held(box, box.pair)
         return held
 
-    def push(self, lifted: LiftedState, observation: Observation,
-             control: np.ndarray | None = None, *, readings: tuple | None = None) -> None:
-        """Append a record; ``readings`` is ``_measured(observation,
-        self.output_model)`` when the caller has computed it already."""
+    def push(self, predicted: LiftedState, observation: Observation,
+             control: np.ndarray | None = None) -> LiftedState:
+        """Correct predicted against observation (``state_update``), append
+        the corrected box as a record and return it.
+
+        A reading outside predicted raises ContainmentViolation before
+        anything is appended.
+        """
         if self._records and control is None:
             raise ValueError(
                 "records after the first need the control of the transition "
                 "that led to them")
         if control is not None:
             control = np.asarray(control, dtype=float).copy()
-        bracket = np.array([lifted.upper, lifted.lower])
-        if readings is None:
-            readings = _measured(observation, self.output_model)
-        start = bracket.copy()
-        misread = bool(_absorb(start, *readings, CONSISTENCY_TOL).any())
+        readings = _measured(observation, self.output_model)
+        corrected = state_update(predicted, observation, self.output_model,
+                                 readings=readings)
+        bracket = np.array([corrected.upper, corrected.lower])
         self._records.append(_Record(observation, control, bracket,
-                                     bracket[0] + CONSISTENCY_TOL, readings,
-                                     start, misread))
+                                     bracket[0] + CONSISTENCY_TOL, readings))
+        return corrected
 
     def __len__(self) -> int:
         return len(self._records)
@@ -234,17 +232,6 @@ class MeasurementWindow:
         """Whether every entry of every record is measured, so that each
         transition of the window starts from a value of its record alone."""
         return all(isinstance(r.readings[0], slice) for r in self._records)
-
-    def _rows(self, pair) -> dict:
-        """The transition verdicts the window keeps for pair: those of the
-        held box's pair or of its held stack's, a new empty dict for any
-        other pair."""
-        held = self._held
-        if held is not None and pair is held.pair:
-            return held.pair_rows
-        if held is not None and held.stack is not None and pair is held.stack.pair:
-            return held.stack_rows
-        return {}
 
     @property
     def observations(self) -> list[Observation]:
@@ -373,7 +360,7 @@ def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair) -> tuple:
     return (x[:, None], outside[None]) if one else (x, outside)
 
 
-def _certified(window: MeasurementWindow, pair) -> np.ndarray:
+def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
     """Which stacked boxes cannot reproduce the window.
 
     pair is the boxes' (primary, secondary) sets (``embedding._pair``): the
@@ -385,23 +372,24 @@ def _certified(window: MeasurementWindow, pair) -> np.ndarray:
     the window's own enclosure of that step (certified earlier, so the tie
     sharpens the test without risking a false certificate). A box is
     certified when a propagated interval strictly excludes an enclosure or
-    a reading by more than CONSISTENCY_TOL; a reading outside the first
-    record's own enclosure certifies every box.
+    a reading by more than CONSISTENCY_TOL.
 
-    After each step's test, a measured entry restarts from its reading
-    clipped into the record's own enclosure (``_Record.start``), a value of
-    the record alone. It is sound for the reason the tie is: the detectors
-    are exact, so the true state is that reading, within tolerance of the
-    enclosure. When the propagated interval contains the restart point, it
-    is also the propagation collapsed onto the reading.
+    After each step's test, a measured entry restarts from the record's
+    own enclosure, which ``MeasurementWindow.push`` collapsed onto the
+    reading clipped into the prediction: a value of the record alone. It
+    is sound for the reason the tie is: the detectors are exact, so the
+    true state is that reading, within tolerance of the enclosure. When the
+    propagated interval contains the restart point, it is also the
+    propagation collapsed onto the reading.
 
     When the window is fully measured (a detector on every cell), each
     transition therefore starts from its first record alone, and the
     transitions are independent: all of them are stepped in one kernel
     call on a transitions axis, and a box is certified when one of them
-    excludes it. For the held box's pair and the held probe stack the
-    window keeps each transition's verdict rows by record
-    (``MeasurementWindow._rows``), so a tick whose window slid by one
+    excludes it. rows holds the verdict rows of transitions certified
+    before for these boxes, keyed by the record each leads to (a probe
+    stack's ``_Stack.rows``, or a new dict): only the transitions missing
+    from it are stepped and added, so a tick whose window slid by one
     record steps only its newest transition, and the rows of records that
     left the window are dropped. Otherwise, and on a window of one
     transition, which leaves it with the next record, the chain is
@@ -414,11 +402,10 @@ def _certified(window: MeasurementWindow, pair) -> np.ndarray:
     first, *later = window._records
     stack = pair.terms.ceiling.shape[1:-1]
     width = first.bracket.shape[-1]
-    dead = np.full(stack, first.misread)
+    dead = np.zeros(stack, dtype=bool)
     lam = np.array([window.demand.upper, window.demand.lower])
     along = (2,) + (1,) * len(stack) + (-1,)  # a record's bracket against the stack
     if len(later) > 1 and window.fully_measured:
-        rows = window._rows(pair)
         starts = dict(zip(later, window._records))
         fresh = [r for r in later if r not in rows]
         each = max(1, _STEP_ENTRIES // (2 * width * math.prod(stack)))
@@ -426,7 +413,7 @@ def _certified(window: MeasurementWindow, pair) -> np.ndarray:
             batch = fresh[at:at + each]
             x = np.empty((2, len(batch), *stack, width))
             for k, record in enumerate(batch):
-                x[:, k] = starts[record].start.reshape(along)
+                x[:, k] = starts[record].bracket.reshape(along)
             rows.update(zip(batch, _stepped(x, batch, lam, pair)[1]))
         for record in set(rows) - set(later):
             del rows[record]
@@ -434,14 +421,14 @@ def _certified(window: MeasurementWindow, pair) -> np.ndarray:
             dead |= rows[record]
         return dead
     x = np.empty((2, *stack, width))
-    x[...] = first.start.reshape(along)
+    x[...] = first.bracket.reshape(along)
     for record in later:
         if dead.all():
             break
         x, outside = _stepped(x[:, None], [record], lam, pair)
         x = x[:, 0]
         idx = record.readings[0]
-        x[..., idx] = record.start[:, idx].reshape(along)
+        x[..., idx] = record.bracket[:, idx].reshape(along)
         dead |= outside[0]
     return dead
 
@@ -456,7 +443,7 @@ def interval_consistency(theta_box: ParamBounds, window: MeasurementWindow) -> s
     earns "feasible"; a passing wider box only earns "unknown", because
     interval arithmetic may keep an empty box alive.
     """
-    if _certified(window, window.pair(theta_box)):
+    if _certified(window, window.pair(theta_box), {}):
         return INFEASIBLE
     return FEASIBLE if theta_box.is_point else UNKNOWN
 
@@ -508,7 +495,7 @@ def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
         mids.append((start, m))
         start += s.length
     pair = _pair({f: probed[f] if f in probed else a[:, None] for f, a in box.items()})
-    return _Stack(with_box, mids, pair, _box_admissible(pair.primary))
+    return _Stack(with_box, mids, pair, _box_admissible(pair.primary), {})
 
 
 def _certify_spines(window: MeasurementWindow, stack: _Stack):
@@ -524,7 +511,7 @@ def _certify_spines(window: MeasurementWindow, stack: _Stack):
     box in the stack) and, per row, whether it is admissible and certified
     inconsistent.
     """
-    dead = _certified(window, stack.pair)
+    dead = _certified(window, stack.pair, stack.rows)
     return stack.with_box and bool(dead[0]), stack.admissible & dead
 
 
@@ -590,10 +577,10 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     object (the input box comes back itself when no bound moves) with the
     same budget and depth, the stack is certified against the new window
     without being built again (on a fully measured window, only the
-    transitions it has not certified yet are stepped), and a remembered
-    pattern returns the box at once; another budget or depth plans afresh
-    but keeps a stack whose spines came out the same. Later stacks of a
-    call are always built.
+    transitions whose verdicts the stack does not hold yet are stepped),
+    and a remembered pattern returns the box at once; another budget or
+    depth plans afresh and builds its stack anew. Later stacks of a call
+    are always built.
 
     A box with no end to walk (a point box, a budget of at most one check
     or a depth of zero) gets the whole-box check alone from
@@ -617,11 +604,9 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                 # end to mid
                 for is_upper in (True, False)]
         spines = _spines_from(ends, 0, fields, depth, checks_left)
-        if list(spines.values()) != list(held.spines.values()):
-            held.stack = _probe_stack(fields, list(spines.values()), True) if spines else None
-            held.stack_rows = {}
         held.plan, held.ends, held.spines, held.quiet = (
             (config.prune_budget, depth), ends, spines, set())
+        held.stack = _probe_stack(fields, list(spines.values()), True) if spines else None
 
     if held.spines:
         box_dead, certified = _certify_spines(window, held.stack)

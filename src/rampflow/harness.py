@@ -523,7 +523,12 @@ def load_scenario(source: str | Path) -> Scenario:
     path = Path(source)
     if not path.exists():
         raise ScenarioError(None, f"no preset or file named {source!r}")
-    return parse_scenario(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:  # a directory, say, or not UTF-8
+        reason = getattr(err, "strerror", None) or err
+        raise ScenarioError(None, f"cannot read {str(source)!r}: {reason}") from err
+    return parse_scenario(text, name=path.stem)
 
 
 # ---------------------------------------------------------------------------

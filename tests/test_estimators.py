@@ -156,6 +156,47 @@ def test_window_rolls_and_keeps_transitions_aligned(stretch, demand_box):
     assert window.observations[0].y_ramp[0] == 2.0
 
 
+@pytest.mark.parametrize("model", MODELS, ids=["slice", "indices"])
+def test_push_keeps_and_returns_the_corrected_box(monkeypatch, model, demand_box):
+    """push returns the box ``state_update`` corrects, stores it with the
+    clipped readings on both rows (cell 0 reads just above the box, within
+    tolerance), stores the same bracket when the corrected box is pushed
+    again, and refuses a reading outside the box with ``state_update``'s
+    message before it appends anything."""
+    predicted = LiftedState(upper=np.full(8, 40.0), lower=np.full(8, 1.0))
+    x = np.array([40.0 + 1e-10, 25.0, 20.0, 15.0, 1.0, 2.0, 3.0, 4.0])
+    y = measure(model, x)
+    returned, correct = [], estimators.state_update
+
+    def spy(*args, **kwargs):
+        returned.append(correct(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(estimators, "state_update", spy)
+    window = MeasurementWindow(3, model, demand_box)
+    corrected = window.push(predicted, y)
+    assert len(returned) == 1 and corrected is returned[0]
+    expected = correct(predicted, y, model)
+    assert np.array_equal(corrected.upper, expected.upper)
+    assert np.array_equal(corrected.lower, expected.lower)
+    idx, vals = estimators._measured(y, model)
+    clipped = np.clip(vals, predicted.lower[idx], predicted.upper[idx])
+    assert clipped[0] == 40.0
+    (record,) = window._records
+    assert np.array_equal(record.bracket, np.array([corrected.upper, corrected.lower]))
+    assert np.array_equal(record.bracket[0][idx], clipped)
+    assert np.array_equal(record.bracket[1][idx], clipped)
+    window.push(corrected, y, control=np.zeros(4))
+    assert np.array_equal(window._records[-1].bracket, record.bracket)
+    outside = x.copy()
+    outside[2] = 50.0
+    with pytest.raises(ContainmentViolation) as direct:
+        correct(predicted, measure(model, outside), model)
+    with pytest.raises(ContainmentViolation, match=re.escape(str(direct.value))):
+        window.push(predicted, measure(model, outside), control=np.zeros(4))
+    assert len(window) == 2
+
+
 def test_window_rejects_a_transition_without_its_control(stretch, demand_box):
     model = full_output(4)
     window = MeasurementWindow(3, model, demand_box)
@@ -260,13 +301,22 @@ def test_a_stacked_certificate_is_each_box_propagated_alone(
     get from ``_certified`` the verdicts each of them gets propagated alone,
     by ``_certified`` and by the certificate written out with index arrays,
     whether the records keep their readings at a slice or at indices: on
-    the corrected enclosures, and on enclosures as wide as the start, where
-    only the readings certify."""
+    the enclosures of the corrector loop, and on boxes as wide as the
+    start. The window corrects those on push, so with every cell measured
+    they come out as the loop's enclosures; with cell 1 unmeasured its
+    enclosure stays as wide as the start, and only the readings of the
+    other cells certify through it."""
     box = speed_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 4, model, demand_box)
     wide = MeasurementWindow(4, model, demand_box)
+    start = wide_start(stretch)
     for record in window._records:
-        wide.push(wide_start(stretch), record.observation, control=record.control)
+        wide.push(start, record.observation, control=record.control)
+    measured = np.concatenate([model.mainline_mask, np.ones(4, dtype=bool)])
+    for kept, pushed in zip(window._records, wide._records):
+        assert np.array_equal(pushed.bracket[:, measured], kept.bracket[:, measured])
+        assert np.array_equal(pushed.bracket[:, ~measured],
+                              np.array([start.upper, start.lower])[:, ~measured])
     kind = slice if model.mainline_mask.all() else np.ndarray
     assert all(isinstance(r.readings[0], kind) for r in window._records)
     fields = vars(box.pair.primary)
@@ -275,13 +325,13 @@ def test_a_stacked_certificate_is_each_box_propagated_alone(
               for i in range(4) for is_upper in (True, False)]
     stack = estimators._probe_stack(fields, spines, True)
     for recorded in (window, wide):
-        dead = estimators._certified(recorded, stack.pair)
+        dead = estimators._certified(recorded, stack.pair, {})
         assert dead.shape == (49,) and 0 < np.count_nonzero(dead) < 48
         assert np.array_equal(dead, _rows_dead(recorded, stack.pair))
         for row in range(49):
             alone = _pair({f: a[:, row if a.shape[1] > 1 else 0]
                            for f, a in vars(stack.pair.primary).items()})
-            assert estimators._certified(recorded, alone) == dead[row]
+            assert estimators._certified(recorded, alone, {}) == dead[row]
 
 
 @pytest.mark.parametrize("v1", [0.45, 0.55], ids=["slow", "fast"])
@@ -628,8 +678,8 @@ def _spied_theta_update(monkeypatch, window, box, config):
     stacks, spines = [], []
     certified, probe_stack = estimators._certified, estimators._probe_stack
 
-    def count_stack(window, pair):
-        dead = certified(window, pair)
+    def count_stack(window, pair, rows):
+        dead = certified(window, pair, rows)
         stacks.append(dead.size)
         return dead
 
@@ -780,7 +830,7 @@ def _spied_loop(monkeypatch, scenario):
     and the window's entry after each tick."""
     ticks, entries = [], []
     fresh = [False]
-    rows = {True: [], False: []}
+    sizes = {True: [], False: []}
     probe_stack, update = estimators._probe_stack, estimators.theta_update
     certified, verdicts = estimators._certified, estimators._verdicts
 
@@ -789,9 +839,9 @@ def _spied_loop(monkeypatch, scenario):
             ticks[-1][2] += 1
         return probe_stack(box, spines, with_box)
 
-    def spy_certified(window, pair):
-        dead = certified(window, pair)
-        rows[fresh[0]].append(dead.size)
+    def spy_certified(window, pair, rows):
+        dead = certified(window, pair, rows)
+        sizes[fresh[0]].append(dead.size)
         return dead
 
     def spy_verdicts(*args):
@@ -802,15 +852,15 @@ def _spied_loop(monkeypatch, scenario):
     def spy_update(window, box, config):
         unheld = copy.copy(window)
         unheld._held = None
-        rows[True].clear()
-        rows[False].clear()
+        sizes[True].clear()
+        sizes[False].clear()
         fresh[0] = True
         expected = update(unheld, box, config)
         fresh[0] = False
         ticks.append([box, None, 0, False])
         out = update(window, box, config)
         assert _same_corners(out, expected), len(ticks)
-        assert rows[False] == rows[True], len(ticks)
+        assert sizes[False] == sizes[True], len(ticks)
         ticks[-1][1] = out is box
         entries.append(window._held)
         return out
@@ -870,8 +920,8 @@ def test_a_walk_that_certified_more_is_walked_again(monkeypatch):
     stacks = []
     certified = estimators._certified
 
-    def count_stack(window, pair):
-        dead = certified(window, pair)
+    def count_stack(window, pair, rows):
+        dead = certified(window, pair, rows)
         stacks.append(dead.size)
         return dead
 
@@ -895,8 +945,8 @@ def test_another_budget_drops_the_held_plan(
     stacks = []
     certified = estimators._certified
 
-    def count_stack(window, pair):
-        dead = certified(window, pair)
+    def count_stack(window, pair, rows):
+        dead = certified(window, pair, rows)
         stacks.append(dead.size)
         return dead
 
@@ -1009,8 +1059,10 @@ def _corrected_records(truth, box, x, lam, demand, model):
 def test_the_certificate_is_the_chain_under_the_restart_rule(case):
     """On a fully measured window, ``_certified`` steps every transition in
     one kernel call (in calls of at most ``_STEP_ENTRIES`` bracket
-    entries), and under a held probe stack (and after a new stack replaces
-    it) a window that slid by one record steps only its newest transition.
+    entries) that the verdicts it is given lack: all of them for a fresh
+    stack or a box's pair, and under a held probe stack (and after a new
+    stack replaces it) only the newest transition of a window that slid by
+    one record.
     Either way each row's verdict is the one the chain written out in
     ``_one_box_dead`` gives it, probes that fail the range checks included.
     A window with an unmeasured cell, or of one transition, steps the
@@ -1034,13 +1086,13 @@ def test_the_certificate_is_the_chain_under_the_restart_rule(case):
             window.push(lifted, y, control=u)
         assert window.fully_measured == mask.all()
 
-        def check(pair, transitions):
-            """pair's verdicts on the window against the chain's; on a fully
-            measured window of more than one transition, the transitions
-            stepped in one call, and on any other, every transition
-            stepped again."""
+        def check(pair, rows, transitions):
+            """pair's verdicts on the window, given the transition verdicts
+            rows, against the chain's; on a fully measured window of more
+            than one transition, the transitions stepped in one call, and
+            on any other, every transition stepped again."""
             counts.clear()
-            dead = estimators._certified(window, pair)
+            dead = estimators._certified(window, pair, rows)
             assert np.array_equal(dead, _rows_dead(window, pair))
             if window.fully_measured and length > 1:
                 each = max(1, entries // (2 * x.size * max(dead.size, 1)))
@@ -1058,20 +1110,22 @@ def test_the_certificate_is_the_chain_under_the_restart_rule(case):
                                     *estimators._interval(fields, f, i, is_upper), 3)
                   for f in ("v", "x_jam") for i in range(mask.size)
                   for is_upper in (True, False)]
-        check(estimators._probe_stack(fields, spines, True).pair, length)
-        # the box and its first stack held: a slide steps the newest alone
+        stack = estimators._probe_stack(fields, spines, True)
+        check(stack.pair, stack.rows, length)
+        # the box's pair keeps no verdicts: every transition, every time
         theta_update(window, box, plan)
-        check(window._held.pair, length)
+        check(window._held.pair, {}, length)
+        # its first stack held: a slide steps the newest alone
         for _ in range(slides):
             lifted, y, u = next(feed)
             window.push(lifted, y, control=u)
-            check(window._held.stack.pair, 1)
-            check(window._held.pair, 1)
+            check(window._held.stack.pair, window._held.stack.rows, 1)
+            check(window._held.pair, {}, length)
         # another depth builds another stack, which certifies afresh
         first = window._held.stack
         theta_update(window, box, replace(plan, prune_depth=plan.prune_depth + 1))
         assert window._held.stack is not first
-        check(window._held.stack.pair, 0)
+        check(window._held.stack.pair, window._held.stack.rows, 0)
         lifted, y, u = next(feed)
         window.push(lifted, y, control=u)
-        check(window._held.stack.pair, 1)
+        check(window._held.stack.pair, window._held.stack.rows, 1)

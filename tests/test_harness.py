@@ -305,6 +305,21 @@ def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
     assert capsys.readouterr().err == "rampflow: v must lie in (0, 1] (step invariance)\n"
 
 
+def test_run_command_exits_when_it_cannot_read(tmp_path, capsys, monkeypatch):
+    """A directory, or a file that is not UTF-8, ends the command with
+    the source it could not read, exit status 2 and no CSV."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"rampflow: cannot read {str(tmp_path)!r}: Is a directory\n")
+    source = tmp_path / "latin.scn"
+    source.write_bytes(b"# caf\xe9\n")
+    assert cli.main(["run", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rampflow: cannot read {str(source)!r}: 'utf-8' codec")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_command_exits_when_it_cannot_write(tmp_path, capsys):
     """A record or a model whose directory is missing ends the command,
     after the loop, with the path it could not write and exit status 2."""

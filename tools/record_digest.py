@@ -45,6 +45,14 @@ nodes propagated a box over the rows and how often that closed a node
 without an LP; the certified counts show what the contraction spent, and
 the reused stacks how many it did not build again.
 
+Then one line for a Set-PC loop whose window has an unmeasured cell, which
+the workloads never have: ``fourcell_constant`` with ``output.mask 1 1 0 1``,
+``backward_horizon 5``, ``horizon 5`` and ``initial.mainline 30 30 30 30``.
+Its certificate steps the window's chain one transition a call. The line
+gives how the loop stopped (the typed stop's class name, or ``none``),
+its ticks, the sha256 of its CSV, and the certified calls, boxes and
+transitions counted as above.
+
 Then one line per shipped preset and baseline controller (``alinea``,
 ``openloop``, ``local``, each set as the preset's ``controller.kind``): the
 sha256 of its CSV and ``tts_veh``. The benchmark runs Set-PC only, so these
@@ -64,6 +72,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from workloads import WORKLOADS, edit_preset, load_workload  # noqa: E402
 
 from rampflow import _simplex, estimators, harness, milp  # noqa: E402
+
+# the preset edits of the loop with an unmeasured cell (cell 2)
+PARTIAL = {"estimator": {"backward_horizon": "5"}, "mpc": {"horizon": "5"},
+           "initial": {"mainline": "30 30 30 30"}}
+PARTIAL_MASK = "1 1 0 1"
 
 
 def main(argv=None) -> int:
@@ -101,9 +114,9 @@ def main(argv=None) -> int:
         root[1] = worker is not None
         return worker
 
-    def counted_boxes(window, pair):
+    def counted_boxes(window, pair, *rows):
         before = counts[19]
-        dead = certified(window, pair)
+        dead = certified(window, pair, *rows)
         counts[2] += 1
         counts[3] += dead.size
         if len(window) > 2 and window.fully_measured:
@@ -208,6 +221,20 @@ def main(argv=None) -> int:
                   f"stacks {counts[16]}/{counts[17] - counts[16]} "
                   f"propagations {counts[11]}/{counts[12]} "
                   f"models {models.hexdigest()}")
+        counts[:] = [0] * 21
+        text = edit_preset(harness.PRESETS["fourcell_constant"], PARTIAL)
+        scenario = harness.parse_scenario(f"{text}output {{\n  mask {PARTIAL_MASK}\n}}\n",
+                                          name="fourcell_constant")
+        try:
+            log, stop = harness.run_closed_loop(scenario), "none"
+        except harness.LOOP_STOPS as err:
+            log, stop = err.log, type(err).__name__
+        path = harness.emit_csv(log, Path(tmp) / "partial.csv",
+                                meta=harness.scenario_meta(scenario, log))
+        print(f"fourcell_constant mask {PARTIAL_MASK}: stop {stop} ticks {len(log)} "
+              f"sha256 {hashlib.sha256(path.read_bytes()).hexdigest()} "
+              f"certified_calls {counts[2]} certified_boxes {counts[3]} "
+              f"transitions {counts[19]}/{counts[20]}")
         for (preset, text), kind in itertools.product(harness.PRESETS.items(),
                                                       ("alinea", "openloop", "local")):
             text = edit_preset(text, {"controller": {"kind": kind}})
