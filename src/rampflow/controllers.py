@@ -169,8 +169,9 @@ def _dispatch(state, corrected, theta, command, phase, plan=None):
     the lowest jam less the upper component of a step without ramp inflow,
     or zero. A zero command always fits the plant, since the receiving
     flow bounds the merge. The cap needs that step only when the
-    prediction under the clamped command rises above the lowest jam, so
-    any other tick steps the tube once.
+    prediction under the clamped command reaches the lowest jam (the
+    prediction is clamped to the highest jam, so on a point jam an overflow
+    reads as the jam itself), so any other tick steps the tube once.
 
     ``plan`` is the tick's ``MpcResult`` (``None`` when no plan ran) and
     this is the one place it reaches the tick: the diagnostics record its
@@ -184,7 +185,7 @@ def _dispatch(state, corrected, theta, command, phase, plan=None):
     pair = window.pair(theta)
     predicted = lifted_step(corrected, u_exec, window.demand, pair)
     jam = theta.lower.x_jam
-    if (predicted.upper[:n] > jam).any():
+    if (predicted.upper[:n] >= jam).any():
         # the merge may overflow at some point of the boxes
         idle = lifted_step(corrected, np.zeros(n), window.demand, pair)
         u_exec = np.minimum(u_exec, np.maximum(0.0, jam - idle.upper[:n]))

@@ -28,26 +28,28 @@ def _as_float_vector(name: str, value, length: int | None = None) -> np.ndarray:
     return arr
 
 
-# The physical ranges of a parameter set, as (message, rule) pairs in the
-# order construction checks them. A rule flags the entries that break it;
-# cells sit on the last axis, so it flags a whole stack of candidate sets
-# (fields with leading axes) in one call.
+# The physical ranges of a parameter set, as (message, fields, rule)
+# triples in the order construction checks them: fields names what the rule
+# reads. A rule flags the entries that break it; cells sit on the last
+# axis, so it flags a whole stack of candidate sets (fields with leading
+# axes) in one call.
 RANGE_RULES = (
-    ("beta must lie strictly inside (0, 1)", lambda p: (p.beta <= 0.0) | (p.beta >= 1.0)),
-    ("v must lie in (0, 1] (step invariance)", lambda p: (p.v <= 0.0) | (p.v > 1.0)),
-    ("w must lie in (0, 1] (step invariance)", lambda p: (p.w <= 0.0) | (p.w > 1.0)),
-    ("x_jam must be positive", lambda p: p.x_jam <= 0.0),
-    ("c_max must be positive", lambda p: p.c_max <= 0.0),
-    ("alpha must lie in (0, 1]", lambda p: (p.alpha <= 0.0) | (p.alpha > 1.0)),
-    ("u_max must be nonnegative", lambda p: p.u_max < 0.0),
-    ("critical occupancy c_max/v must not exceed x_jam",
+    ("beta must lie strictly inside (0, 1)", ("beta",),
+     lambda p: (p.beta <= 0.0) | (p.beta >= 1.0)),
+    ("v must lie in (0, 1] (step invariance)", ("v",), lambda p: (p.v <= 0.0) | (p.v > 1.0)),
+    ("w must lie in (0, 1] (step invariance)", ("w",), lambda p: (p.w <= 0.0) | (p.w > 1.0)),
+    ("x_jam must be positive", ("x_jam",), lambda p: p.x_jam <= 0.0),
+    ("c_max must be positive", ("c_max",), lambda p: p.c_max <= 0.0),
+    ("alpha must lie in (0, 1]", ("alpha",), lambda p: (p.alpha <= 0.0) | (p.alpha > 1.0)),
+    ("u_max must be nonnegative", ("u_max",), lambda p: p.u_max < 0.0),
+    ("critical occupancy c_max/v must not exceed x_jam", ("c_max", "v", "x_jam"),
      lambda p: p.c_max / p.v > p.x_jam * (1.0 + 1e-12)),
 )
 
 
 def _raise_broken(rules, *args) -> None:
     """Raise ValueError with the message of the first rule that args break."""
-    for message, rule in rules:
+    for message, _, rule in rules:
         if np.any(rule(*args)):
             raise ValueError(message)
 
@@ -55,7 +57,7 @@ def _raise_broken(rules, *args) -> None:
 def _rules_hold(rules, *args) -> np.ndarray:
     """Per index of the leading axes of args, whether every rule holds."""
     held = np.bool_(True)
-    for _, rule in rules:
+    for _, _, rule in rules:
         held = held & ~rule(*args).any(axis=-1)
     return held
 

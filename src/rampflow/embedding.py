@@ -69,7 +69,7 @@ which the kernel leaves out, never changes the realized flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -143,13 +143,14 @@ class DemandBounds:
 
 
 # The ranges of a box on top of its corners' own (ctm.RANGE_RULES), as
-# (message, rule(primary)) pairs in the order construction checks them; the
-# rules read the primary sets of the box's pair, upper corner at index 0.
+# (message, fields, rule(primary)) triples in the order construction checks
+# them; the rules read the primary sets of the box's pair, upper corner at
+# index 0.
 BOX_RULES = tuple(
-    (f"lower bound of {name} exceeds upper bound",
+    (f"lower bound of {name} exceeds upper bound", (name,),
      lambda p, name=name: getattr(p, name)[1] > getattr(p, name)[0] + 1e-12)
     for name in PARAM_FIELDS) + (
-    ("tube propagation needs v + w <= 1 per cell",
+    ("tube propagation needs v + w <= 1 per cell", ("v", "w"),
      lambda p: p.v[0] + p.w[0] > 1.0 + 1e-12),
 )
 
@@ -189,7 +190,7 @@ class ParamBounds:
             for n in PARAM_FIELDS)
 
 
-def _box_admissible(primary) -> np.ndarray:
+def _box_admissible(primary, moved=None) -> np.ndarray:
     """Would ``ParamBounds`` accept the boxes, per candidate on the stacking axes?
 
     primary is the primary half of a pair: the fields of ``FreewayParams``
@@ -197,9 +198,23 @@ def _box_admissible(primary) -> np.ndarray:
     first, with cells on the last axis; the axes between stack candidate
     boxes. Both corners' ranges come from one pass of the rules over the
     pair. The answer is the one construction gives from the same rules.
+
+    moved, when given, names the fields in which the candidates differ from
+    a box that passed every rule; only the rules that read one of them are
+    evaluated, since the others give that box's answer.
     """
-    corners = _rules_hold(RANGE_RULES, primary)
-    return corners[0] & corners[1] & _rules_hold(BOX_RULES, primary)
+    range_rules, box_rules = RANGE_RULES, BOX_RULES
+    if moved is not None:
+        range_rules, box_rules = _reading(frozenset(moved))
+    corners = _rules_hold(range_rules, primary)
+    return corners[0] & corners[1] & _rules_hold(box_rules, primary)
+
+
+@cache
+def _reading(moved: frozenset) -> tuple:
+    """The range rules and the box rules that read a field of moved."""
+    return tuple(tuple(rule for rule in rules if not moved.isdisjoint(rule[1]))
+                 for rules in (RANGE_RULES, BOX_RULES))
 
 
 class _Side(NamedTuple):

@@ -23,21 +23,26 @@ call, and a tick whose window slid by one record steps only the newest,
 the stack keeping the verdicts of the others. A stack costs far less
 than its boxes one at a time, but its cost still grows with its rows: on
 a fully measured 5-step window, a fresh certificate of one box takes
-about 0.08 ms, of 48 rows 0.17 ms and of 474 rows 0.96 ms, and one that
-steps only the newest transition 0.046, 0.066 and 0.20 ms (medians over
-5 processes of the best of 12 runs, one Xeon core, numpy 2.4). A walk
+about 0.08 ms, of 48 rows 0.17 ms and of 474 rows 1.0 ms, and one that
+steps only the newest transition 0.05, 0.07 and 0.21 ms (medians over 7
+processes of the best of 12 runs, one Xeon core, numpy 2.4). A walk
 reads only one path of its bisection tree: the probes it visits while
 none certifies, its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
 every coordinate end the check budget can reach, one stacked row per
 check, and then replays the one-at-a-time walks over the stored verdicts.
-A certified probe ends its spine, and the rest of that walk is certified
-on a new spine from the narrowed interval. An applied cut changes the box
-every later probe is cut from, so the spines after it are stacked again.
-The walks, their check budget and the result are those of bisecting one
-candidate at a time. They read the box as the kernel does, in the primary
-sets of its pair (``embedding._pair``): each field's two corners stacked
-upper first, so an end's anchor and cut are one entry of the two rows.
+A certified probe ends its spine, and the rest of that walk goes on from
+the narrowed interval. A walk that needs a spine no stack holds stacks
+its continuations ahead: that spine, then the spine its first probe
+leaves if it certifies, and so on, one level shorter each, so d checks
+left cost one stack of at most d(d+1)/2 rows, and a walk whose probes
+keep certifying reads all of them from it. An applied cut changes the
+box every later probe is cut from, so the spines after it are stacked
+again. The walks, their check budget and the result are those of
+bisecting one candidate at a time. They read the box as the kernel does,
+in the primary sets of its pair (``embedding._pair``): each field's two
+corners stacked upper first, so an end's anchor and cut are one entry of
+the two rows.
 
 A probe stack (its mids, its stacked pair with the kernel's terms, and the
 range verdicts of its rows) depends on the box and the spines alone, never
@@ -190,6 +195,7 @@ class MeasurementWindow:
         self.demand = demand
         self._records: deque[_Record] = deque(maxlen=self.backward_horizon + 1)
         self._held: _Held | None = None
+        self._joins: dict[tuple, _Record] = {}
 
     def pair(self, box: ParamBounds) -> _Pair:
         """box's kernel pair (``ParamBounds.pair``), built once while the
@@ -222,7 +228,21 @@ class MeasurementWindow:
         bracket = np.array([corrected.upper, corrected.lower])
         self._records.append(_Record(observation, control, bracket,
                                      bracket[0] + CONSISTENCY_TOL, readings))
+        self._joins.clear()
         return corrected
+
+    def _joined(self, records: tuple) -> _Record:
+        """Fully measured records of the window as one record whose arrays
+        carry a leading transitions axis (the bracket's after its component
+        axis), built once while the window holds them."""
+        joined = self._joins.get(records)
+        if joined is None:
+            joined = self._joins[records] = _Record(
+                None, np.array([r.control for r in records]),
+                np.stack([r.bracket for r in records], axis=1),
+                np.array([r.raised for r in records]),
+                (records[0].readings[0], np.array([r.readings[1] for r in records])))
+        return joined
 
     def __len__(self) -> int:
         return len(self._records)
@@ -318,44 +338,47 @@ def _misread(x: np.ndarray, idx, vals: np.ndarray, tol: float) -> np.ndarray:
     return (vals < x[1][..., idx] - tol) | (vals > x[0][..., idx] + tol)
 
 
-def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair) -> tuple:
+def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair,
+             window: MeasurementWindow) -> tuple:
     """Step transitions and test each against the record it leads to.
 
     x is one start bracket per transition, ``(2, K, ..., 2I)``: the
     transitions on the axis after the component axis, then the stacking
     axes of pair, whose terms get a broadcast axis for the transitions
     (one transition is stepped without that axis). records are the K
-    records the transitions lead to; the control of each drives its step.
-    Every operation is elementwise, so a transition gets the bits it would
-    get stepped alone. A row is excluded when its propagated interval
-    strictly misses the record's enclosure, or a reading of the
+    records of window the transitions lead to; the control of each drives
+    its step. Every operation is elementwise, so a transition gets the bits
+    it would get stepped alone. A row is excluded when its propagated
+    interval strictly misses the record's enclosure, or a reading of the
     propagation intersected with that enclosure, by more than
     CONSISTENCY_TOL. When K is more than one, every record is fully
-    measured.
+    measured, and the window joins the records' arrays once
+    (``MeasurementWindow._joined``).
 
     Returns the intersected brackets and, per transition and row, whether
     that transition excludes the row.
     """
     tol = CONSISTENCY_TOL
     one = len(records) == 1
-    shape = (len(records),) + (1,) * (x.ndim - 3) + (-1,)
     if one:
-        x = x[:, 0]
+        x, record = x[:, 0], records[0]
     else:
         pair = _Pair(pair.primary, pair.secondary,
                      _Terms(*(t[:, None] for t in pair.terms)))
+        record = window._joined(tuple(records))
+    along = (len(records),) + (1,) * (x.ndim - 3) + (-1,)
 
-    def each(get):
-        return get(records[0]) if one else np.array([get(r) for r in records]).reshape(shape)
+    def each(a):
+        return a if one else a.reshape(along)
 
-    x = _clamped_step(x, each(lambda r: r.control), lam, pair)
-    upper, lower = each(lambda r: r.bracket[0]), each(lambda r: r.bracket[1])
-    outside = (x[1] > each(lambda r: r.raised)) | (lower > x[0] + tol)
+    x = _clamped_step(x, each(record.control), lam, pair)
+    upper, lower = each(record.bracket[0]), each(record.bracket[1])
+    outside = (x[1] > each(record.raised)) | (lower > x[0] + tol)
     np.minimum(x[0], upper, out=x[0])
     np.maximum(x[1], lower, out=x[1])
     np.maximum(x[0], x[1], out=x[0])
-    idx = records[0].readings[0]
-    outside[..., idx] |= _misread(x, idx, each(lambda r: r.readings[1]), tol)
+    idx, vals = record.readings
+    outside[..., idx] |= _misread(x, idx, each(vals), tol)
     outside = outside.any(axis=-1)
     return (x[:, None], outside[None]) if one else (x, outside)
 
@@ -397,7 +420,9 @@ def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
     and stops early once every box is certified. Both ways give each box
     the bits it would get propagated alone. A kernel call steps at most
     ``_STEP_ENTRIES`` bracket entries, so a large stack's transitions are
-    stepped a few at a time.
+    stepped a few at a time. Each new stack of a tick steps the same
+    records, whose arrays the window joins once
+    (``MeasurementWindow._joined``).
     """
     first, *later = window._records
     stack = pair.terms.ceiling.shape[1:-1]
@@ -414,7 +439,7 @@ def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
             x = np.empty((2, len(batch), *stack, width))
             for k, record in enumerate(batch):
                 x[:, k] = starts[record].bracket.reshape(along)
-            rows.update(zip(batch, _stepped(x, batch, lam, pair)[1]))
+            rows.update(zip(batch, _stepped(x, batch, lam, pair, window)[1]))
         for record in set(rows) - set(later):
             del rows[record]
         for record in later:
@@ -425,7 +450,7 @@ def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
     for record in later:
         if dead.all():
             break
-        x, outside = _stepped(x[:, None], [record], lam, pair)
+        x, outside = _stepped(x[:, None], [record], lam, pair, window)
         x = x[:, 0]
         idx = record.readings[0]
         x[..., idx] = record.bracket[:, idx].reshape(along)
@@ -478,7 +503,9 @@ def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
     kernel terms, is what the range checks and ``_certified`` read; both
     are computed here, so a later write into box does not reach the stack.
     An interior sub-box can fail the range checks: its corners mix values
-    the box's own corners never combined.
+    the box's own corners never combined. Only the rules that read a
+    probed field are evaluated (``_box_admissible``'s moved): the box passed
+    every rule, and the others read its values.
     """
     first = int(with_box)
     rows = first + sum(s.length for s in spines)
@@ -495,7 +522,7 @@ def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
         mids.append((start, m))
         start += s.length
     pair = _pair({f: probed[f] if f in probed else a[:, None] for f, a in box.items()})
-    return _Stack(with_box, mids, pair, _box_admissible(pair.primary), {})
+    return _Stack(with_box, mids, pair, _box_admissible(pair.primary, probed), {})
 
 
 def _certify_spines(window: MeasurementWindow, stack: _Stack):
@@ -544,6 +571,17 @@ def _spines_from(ends: list, first: int, box: dict, depth: int, budget: int) -> 
     return spines
 
 
+def _continuations(end: tuple, k: int, anchor: float, cut: float, length: int) -> dict:
+    """The spines a walk of ends[k] reads from [anchor, cut] on while the
+    first probe of each certifies: [anchor, cut] with length checks, then
+    [anchor, m_1] with one fewer, and so on, by (k, anchor, cut, length)."""
+    spines = {}
+    while length > 0 and abs(cut - anchor) > _WIDTH_TOL:
+        spines[k, anchor, cut, length] = _Spine(*end, anchor, cut, length)
+        cut, length = 0.5 * (anchor + cut), length - 1
+    return spines
+
+
 def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                  config: EstimatorConfig) -> ParamBounds:
     """Contract the parameter box against the recorded window.
@@ -562,12 +600,20 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     reach (each walk spends at most prune_depth checks) are certified
     together in one stacked propagation. The walks then read their verdicts
     in sweep order. A certified probe ends its spine: the cut moves to its
-    mid and the rest of the walk is certified on a new spine from the new
-    interval. A cut that is applied changes the box, so the spines of the
-    ends after it are stacked again from the new box; a skipped cut leaves
-    them valid. The budget is charged exactly as a one-at-a-time walk
-    charges it: one check per probe the walk visits, none for a probe that
-    fails the physical-range checks (it counts as not certified).
+    mid and the rest of the walk goes on from the new interval. The walk
+    reads it, keyed by (end, anchor, cut, checks it may spend), from the
+    continuations stacked the last time a walk needed a spine that no
+    stack held (``_continuations``): the spine it needed, then the one the
+    walk reads if that spine's first probe certifies, and so on, all in
+    one stack. A walk that leaves them, because a first probe did not
+    certify or a spine ran short of the budget the walk turned out to
+    have, stacks the continuations of where it is. A cut that is applied
+    changes the box, so the spines of the ends after it are stacked again
+    from the new box; a skipped cut leaves them valid. The budget is
+    charged exactly as a one-at-a-time walk charges it: one check per
+    probe the walk visits, none for a probe that fails the physical-range
+    checks (it counts as not certified). The range check of an applied
+    cut reads only the rules of the field it moves.
 
     The window holds one entry for the box the run is using. For the
     (prune_budget, prune_depth) of the call it keeps the ends, the first
@@ -630,6 +676,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
         return _verdicts(spines, stack, _certify_spines(window, stack)[1])
 
     sweep = _verdicts(held.spines, held.stack, certified)
+    ahead = {}
     moved = asked = False
     for k, (f, i, is_upper) in enumerate(ends):
         if checks_left <= 0:
@@ -646,8 +693,10 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                 # a certified probe ended the last spine, or it was shorter
                 # than the budget left turned out to allow
                 asked = True
-                spine = _Spine(f, i, is_upper, anchor, cut, min(depth_left, checks_left))
-                mids, admissible, dead = certify({k: spine})[k]
+                key = (k, anchor, cut, min(depth_left, checks_left))
+                if key not in ahead:
+                    ahead = certify(_continuations(ends[k], *key))
+                mids, admissible, dead = ahead[key]
             # the spine may be longer than the budget left now lets the walk go
             for mid, passes, certain in zip(mids, admissible, dead):
                 if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
@@ -665,7 +714,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
             # checks; such a cut is skipped (the box only stays larger,
             # so soundness is kept) and the sweep goes on from a valid box
             old, row[i] = row[i], cut
-            if _box_admissible(SimpleNamespace(**box)):
+            if _box_admissible(SimpleNamespace(**box), (f,)):
                 moved = True
                 sweep = {}
             else:

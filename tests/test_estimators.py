@@ -294,44 +294,43 @@ def _rows_dead(window, pair):
         for row in range(pair.terms.ceiling.shape[1])])
 
 
+def _assert_stacked_is_alone(window, stack):
+    """The stack's ``_certified`` verdicts are those of each row propagated
+    alone, by ``_certified`` and by the certificate written out with index
+    arrays; returns them."""
+    dead = estimators._certified(window, stack.pair, {})
+    assert np.array_equal(dead, _rows_dead(window, stack.pair))
+    for row in range(dead.size):
+        alone = _pair({f: a[:, row if a.shape[1] > 1 else 0]
+                       for f, a in vars(stack.pair.primary).items()})
+        assert estimators._certified(window, alone, {}) == dead[row]
+    return dead
+
+
+def _speed_stack(box, cells, length):
+    """The box, then the spines of both ends of v in cells."""
+    fields = vars(box.pair.primary)
+    spines = [estimators._Spine("v", i, is_upper,
+                                *estimators._interval(fields, "v", i, is_upper), length)
+              for i in cells for is_upper in (True, False)]
+    return estimators._probe_stack(fields, spines, True)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=["slice", "indices"])
 def test_a_stacked_certificate_is_each_box_propagated_alone(
         model, stretch, demand_box, transient_start):
     """The speed walks' probes of every end, stacked behind the whole box,
     get from ``_certified`` the verdicts each of them gets propagated alone,
     by ``_certified`` and by the certificate written out with index arrays,
-    whether the records keep their readings at a slice or at indices: on
-    the enclosures of the corrector loop, and on boxes as wide as the
-    start. The window corrects those on push, so with every cell measured
-    they come out as the loop's enclosures; with cell 1 unmeasured its
-    enclosure stays as wide as the start, and only the readings of the
-    other cells certify through it."""
+    whether the records keep their readings at a slice or at indices.
+    ``test_each_enclosure_bounds_the_next_step_from_both_sides`` stacks
+    probes on a window whose unmeasured enclosure decides verdicts."""
     box = speed_box(stretch)
     window, _ = drive_window(stretch, box, transient_start, 4, model, demand_box)
-    wide = MeasurementWindow(4, model, demand_box)
-    start = wide_start(stretch)
-    for record in window._records:
-        wide.push(start, record.observation, control=record.control)
-    measured = np.concatenate([model.mainline_mask, np.ones(4, dtype=bool)])
-    for kept, pushed in zip(window._records, wide._records):
-        assert np.array_equal(pushed.bracket[:, measured], kept.bracket[:, measured])
-        assert np.array_equal(pushed.bracket[:, ~measured],
-                              np.array([start.upper, start.lower])[:, ~measured])
     kind = slice if model.mainline_mask.all() else np.ndarray
     assert all(isinstance(r.readings[0], kind) for r in window._records)
-    fields = vars(box.pair.primary)
-    spines = [estimators._Spine("v", i, is_upper,
-                                *estimators._interval(fields, "v", i, is_upper), 6)
-              for i in range(4) for is_upper in (True, False)]
-    stack = estimators._probe_stack(fields, spines, True)
-    for recorded in (window, wide):
-        dead = estimators._certified(recorded, stack.pair, {})
-        assert dead.shape == (49,) and 0 < np.count_nonzero(dead) < 48
-        assert np.array_equal(dead, _rows_dead(recorded, stack.pair))
-        for row in range(49):
-            alone = _pair({f: a[:, row if a.shape[1] > 1 else 0]
-                           for f, a in vars(stack.pair.primary).items()})
-            assert estimators._certified(recorded, alone, {}) == dead[row]
+    dead = _assert_stacked_is_alone(window, _speed_stack(box, range(4), 6))
+    assert dead.shape == (49,) and 0 < np.count_nonzero(dead) < 48
 
 
 @pytest.mark.parametrize("v1", [0.45, 0.55], ids=["slow", "fast"])
@@ -341,7 +340,8 @@ def test_each_enclosure_bounds_the_next_step_from_both_sides(v1):
     true density, not from the whole jam interval the window starts with.
     The certificate needs the middle record's enclosure to cut the
     propagated interval from below (slow) and from above (fast); with that
-    enclosure left as wide as the start, the same speed passes."""
+    enclosure left as wide as the start, the same speed passes, and so do
+    some probes of a stack of speed walks."""
     truth = homogeneous_params(2, beta=0.9, v=0.5, w=1.0 / 6.0, x_jam=160.0,
                                c_max=20.0, alpha=0.9)
     model, lam = OutputModel(np.array([True, False]), np.ones(2)), np.array([2.0, 4.0])
@@ -361,6 +361,13 @@ def test_each_enclosure_bounds_the_next_step_from_both_sides(v1):
     wrong = replace(truth, v=np.array([0.5, v1]))
     assert interval_consistency(ParamBounds(wrong, wrong), window(True)) == INFEASIBLE
     assert interval_consistency(ParamBounds(wrong, wrong), window(False)) == FEASIBLE
+    # stacked, the probes of cell 1's speed get the verdicts they get alone,
+    # and the pinned enclosure certifies probes that the wide one does not
+    box = ParamBounds(replace(truth, v=np.array([0.5, 0.6])),
+                      replace(truth, v=np.array([0.5, 0.4])))
+    stack = _speed_stack(box, [1], 6)
+    pinned, wide = (_assert_stacked_is_alone(window(p), stack) for p in (True, False))
+    assert np.count_nonzero(pinned & ~wide) > 0 and not np.any(wide & ~pinned)
 
 
 # ---------------------------------------------------------------- theta
@@ -731,14 +738,16 @@ def test_an_applied_cut_stacks_the_rest_of_the_sweep_again(
     assert out.upper.v[0] < 0.7 and out.lower.v[0] == 0.5
     assert np.array_equal(out.upper.alpha, box.upper.alpha)
     assert np.array_equal(out.lower.alpha, box.lower.alpha)
-    # every probe of v[0]'s upper walk certifies, so each ends its spine and
-    # the walk goes on from a new one; its applied cut then stacks the ends
-    # after it once more from the new box, with the 41 checks left
+    # every probe of v[0]'s upper walk certifies, so each ends its spine;
+    # the first certified probe stacks the walk's continuations ahead, one
+    # spine per level, and the walk reads the rest of its probes from that
+    # stack. Its applied cut then stacks the ends after it once more from
+    # the new box, with the 41 checks left
     alpha = _ends("alpha", range(4))
-    assert stacks == [1 + 47, 5, 4, 3, 2, 1, 41]
+    assert stacks == [1 + 47, 5 + 4 + 3 + 2 + 1, 41]
     assert spines == ([[(*end, 6) for end in (_ends("v", [0]) + alpha)[:7]]
                        + [("alpha", 2, False, 5)]]
-                      + [[("v", 0, True, n)] for n in (5, 4, 3, 2, 1)]
+                      + [[("v", 0, True, n) for n in (5, 4, 3, 2, 1)]]
                       + [[(*end, 6) for end in ([("v", 0, False)] + alpha)[:6]]
                          + [("alpha", 2, False, 5)]])
 
@@ -764,12 +773,66 @@ def test_a_certified_probe_ends_its_spine_and_the_walk_goes_on(monkeypatch):
     assert out.upper.v[1] < box.upper.v[1]
     # the whole box and six spines of eight probes; cell 0's lower-end walk
     # is all range rejections and spends nothing. Each of the eight probes
-    # of v[1]'s upper walk certifies, so the walk goes on from a new spine
-    # of the depth left, and its cut stacks the three ends after it again
-    assert stacks == [1 + 48, 7, 6, 5, 4, 3, 2, 1, 24]
+    # of v[1]'s upper walk certifies: the first stacks the spines of the
+    # depth left at every level ahead, 28 rows in one stack, from which the
+    # walk reads the other seven, and its cut stacks the three ends after
+    # it again
+    assert stacks == [1 + 48, 28, 24]
     assert spines == ([[(*end, 8) for end in _ends("v", [0, 1]) + _ends("c_max", [0])]]
-                      + [[("v", 1, True, n)] for n in range(7, 0, -1)]
+                      + [[("v", 1, True, n) for n in range(7, 0, -1)]]
                       + [[("v", 1, False, 8), ("c_max", 0, True, 8), ("c_max", 0, False, 8)]])
+
+
+def _probe_alone(stack, row):
+    """The ParamBounds of one row of a probe stack, or None when
+    construction rejects its corners."""
+    fields = {f: a[:, row if a.shape[1] > 1 else 0] for f, a in vars(stack.pair.primary).items()}
+    try:
+        return ParamBounds(upper=FreewayParams(**{f: a[0] for f, a in fields.items()}),
+                           lower=FreewayParams(**{f: a[1] for f, a in fields.items()}))
+    except ValueError:
+        return None
+
+
+def test_stacked_continuations_get_each_probe_alone_verdict(monkeypatch):
+    """Every probe of a stack of continuations gets the verdict that
+    ``interval_consistency`` gives it alone: certified exactly when the
+    probe is a box and its window is infeasible, and never when
+    construction rejects it. The walks of a closed loop and the depth-8
+    walk stack continuations of several levels, and their first probes are
+    certified in some spines and not in others."""
+    firsts = []
+    certify_spines, continuations = estimators._certify_spines, estimators._continuations
+    pending = [False]
+
+    def spy_continuations(*args):
+        pending[0] = True
+        return continuations(*args)
+
+    def spy_certify(window, stack):
+        box_dead, certified = certify_spines(window, stack)
+        if pending[0]:
+            pending[0] = False
+            alone = copy.copy(window)  # interval_consistency takes the window's entry
+            alone._held = None
+            for row in range(certified.size):
+                probe = _probe_alone(stack, row)
+                if probe is None:
+                    assert not stack.admissible[row] and not certified[row]
+                else:
+                    assert stack.admissible[row]
+                    assert certified[row] == (interval_consistency(probe, alone) == INFEASIBLE)
+            firsts.append([bool(certified[at]) for at, _ in stack.mids])
+        return box_dead, certified
+
+    monkeypatch.setattr(estimators, "_continuations", spy_continuations)
+    monkeypatch.setattr(estimators, "_certify_spines", spy_certify)
+    harness.run_closed_loop(harness.parse_scenario(INGEST_TEXT))
+    theta_update(*_rejected_walk_then_a_cut())
+    assert firsts[-1] == [True] * 7  # the depth-8 walk's 28 rows
+    assert max(map(len, firsts)) == 7 and sum(map(len, firsts)) > 2 * len(firsts)
+    first = [certain for spines in firsts for certain in spines]
+    assert 0 < sum(first) < len(first)
 
 
 def test_estimator_config_validates_its_fields():
@@ -911,8 +974,9 @@ def test_a_repeated_quiet_pattern_returns_the_box_at_once(monkeypatch):
 
 
 def test_a_walk_that_certified_more_is_walked_again(monkeypatch):
-    """v[0]'s upper walk certifies every probe, each on a new stack, and
-    its cut is then skipped, so the box stands. The pattern of the kept
+    """v[0]'s upper walk certifies every probe, the first on the kept
+    stack and the rest on one stack of its continuations, and its cut is
+    then skipped, so the box stands. The pattern of the kept
     stack is not remembered: the next call on the same window walks and
     certifies the same stacks again."""
     window, box, config = _corner_breaking_cut_then_a_later_cut()
@@ -928,7 +992,7 @@ def test_a_walk_that_certified_more_is_walked_again(monkeypatch):
     monkeypatch.setattr(estimators, "_certified", count_stack)
     for _ in range(2):
         assert theta_update(window, box, config) is box
-    assert stacks == [5, 3, 2, 1] * 2 and not window._held.quiet
+    assert stacks == [5, 3 + 2 + 1] * 2 and not window._held.quiet
 
 
 def test_another_budget_drops_the_held_plan(

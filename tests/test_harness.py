@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rampflow import _simplex, cli, harness, milp
-from rampflow.embedding import PARAM_FIELDS
+from rampflow import _simplex, cli, controllers, harness, milp
+from rampflow.embedding import PARAM_FIELDS, _tube_flows
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
 from test_milp import _highs_milp
@@ -668,30 +668,39 @@ _BOX_DRAWS = {"beta": (0.8, 0.85, 0.12), "v": (0.45, 0.55, 0.1), "w": (0.12, 0.2
 
 
 @st.composite
-def _small_scenarios(draw):
+def _small_scenarios(draw, near_jam=False):
     """A small Set-PC scenario as ``parse_scenario`` text: 2-3 cells,
     horizon 3-5, 4-8 ticks, a point box or an interval box per parameter
     (the true values per cell inside it; v + w <= 1 and c_max / v <= x_jam
     on every corner), detectors on some mainline cells, a demand margin of
     0-5 % on an admissible arrival rate, and an initial mainline at 0.6-1.6
-    times the critical occupancy, capped at 0.9 x_jam, inside a +-2 % box."""
-    n = draw(st.integers(2, 3))
+    times the critical occupancy, capped at 0.9 x_jam, inside a +-2 % box.
+    near_jam draws three cells at 0.9-0.98 x_jam instead, the middle one
+    unmeasured, each cell's lower box at 0.5-0.98 of its density, w boxes
+    up to five times wider, a first-cell arrival rate of at least 0.4
+    c_max and a window of 3-6 transitions."""
+    n = 3 if near_jam else draw(st.integers(2, 3))
     unit = st.floats(0.0, 1.0)
     point = draw(st.integers(0, 3)) == 1  # every parameter known, in about a quarter
     params, boxes = {}, []
     for name, (low, high, width) in _BOX_DRAWS.items():
         centre = low + (high - low) * draw(unit)
-        half = 0.0 if point else width * draw(unit)
+        half = 0.0 if point else width * draw(unit) * (5.0 if near_jam and name == "w" else 1.0)
         params[name] = np.array([centre + half * (2.0 * draw(unit) - 1.0)
                                  for _ in range(n - (name == "beta"))])
         if half > 0.0:
             boxes.append(f"  {name} {centre - half!r} {centre + half!r}")
     crit = params["c_max"] / params["v"]
-    mainline = np.minimum([draw(st.floats(0.6, 1.6)) * c for c in crit], 0.9 * params["x_jam"])
+    if near_jam:
+        mainline = np.array([draw(st.floats(0.9, 0.98)) for _ in range(n)]) * params["x_jam"]
+    else:
+        mainline = np.minimum([draw(st.floats(0.6, 1.6)) * c for c in crit],
+                              0.9 * params["x_jam"])
     # every cell's equilibrium flow stays below its capacity
-    base = params["c_max"] * ([draw(st.floats(0.2, 0.6))]
+    base = params["c_max"] * ([draw(st.floats(0.4 if near_jam else 0.2, 0.6))]
                               + [draw(st.floats(0.0, 0.1)) for _ in range(n - 1)])
-    unmeasured = [draw(st.booleans()) for _ in range(n)]
+    unmeasured = [near_jam and i == 1 or draw(st.booleans()) for i in range(n)]
+    low = [draw(st.floats(0.5, 0.98)) if near_jam else 0.98 for _ in range(n)]
 
     def join(values):
         return " ".join(repr(float(v)) for v in values)
@@ -700,10 +709,12 @@ def _small_scenarios(draw):
              "}", "demand {", f"  base {join(base)}", "}",
              "initial {", f"  mainline {join(mainline)}", "}",
              "boxes {", f"  mainline_upper {join(1.02 * mainline)}",
-             f"  mainline_lower {join(0.98 * mainline)}",
+             f"  mainline_lower {join(low * mainline)}",
              f"  demand_margin {draw(st.floats(0.0, 0.05))!r}", *boxes, "}",
              "output {", f"  mask {' '.join(str(int(not u)) for u in unmeasured)}", "}",
              "mpc {", f"  horizon {draw(st.integers(3, 5))}", "  gap 0.01", "}",
+             *(["estimator {", f"  backward_horizon {draw(st.integers(3, 6))}", "}"]
+               if near_jam else []),
              "run {", f"  steps {draw(st.integers(4, 8))}", "}"]
     return "\n".join(lines) + "\n"
 
@@ -746,15 +757,56 @@ run {
 """
 
 
+def _run_contained(text):
+    """Run a generated scenario and check that on every tick it logs the
+    true state lies in the corrected box and the true parameters in the
+    contracted one; only an infeasible or over-budget plan may stop it.
+    Returns the scenario and its log."""
+    scenario = parse_scenario(text)
+    try:
+        log = harness.run_closed_loop(scenario)
+    except (harness.InfeasibleProblem, harness.SolveBudgetExceeded) as stop:
+        log = stop.log
+    truth = scenario.params
+    for tick, step in enumerate(log.steps):
+        assert step.estimate.contains(step.x), tick
+        for name in PARAM_FIELDS:
+            value = getattr(truth, name)
+            assert np.all(getattr(step.theta.lower, name) <= value + 1e-9), (tick, name)
+            assert np.all(getattr(step.theta.upper, name) >= value - 1e-9), (tick, name)
+    return scenario, log
+
+
+def _predictions_in_range(monkeypatch):
+    """Check every box the loop predicts against [0, x_jam] of the
+    parameter box it was predicted with; returns, per prediction, how far
+    the tube's unclamped upper mainline reached past that x_jam."""
+    over = []
+    lifted_step = controllers.lifted_step
+
+    def checked(lifted, u, demand, pair):
+        predicted = lifted_step(lifted, u, demand, pair)
+        n, jam = u.shape[0], pair.primary.x_jam[0]
+        assert np.all(predicted.lower >= 0.0) and np.all(predicted.upper[:n] <= jam)
+        x = np.array([lifted.upper, lifted.lower])
+        unclamped = _tube_flows(x, x[::-1], u, np.array([demand.upper, demand.lower]),
+                                pair.terms).next
+        over.append(float(np.max(unclamped[0, :n] - jam)))
+        return predicted
+
+    monkeypatch.setattr(controllers, "lifted_step", checked)
+    return over
+
+
 def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
     """On every tick a generated loop logs, the true state lies in the
-    corrected box and the true parameters in the contracted one. Only an
-    infeasible or over-budget plan may stop a loop; the ticks before the
-    stop are checked too. At least a quarter of the draws execute a plan
-    and at least a quarter move a parameter bound, so the check reaches
-    the planner and the contraction. The first plan of every draw that
-    plans agrees with HiGHS in status, and its objective lies within its
-    gap of HiGHS's."""
+    corrected box and the true parameters in the contracted one, and every
+    predicted box lies in [0, x_jam]. Only an infeasible or over-budget
+    plan may stop a loop; the ticks before the stop are checked too. At
+    least a quarter of the draws execute a plan and at least a quarter
+    move a parameter bound, so the check reaches the planner and the
+    contraction. The first plan of every draw that plans agrees with
+    HiGHS in status, and its objective lies within its gap of HiGHS's."""
     draws, plans = [], []
     solve_milp = milp.solve_milp
 
@@ -765,24 +817,15 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
         return sol
 
     monkeypatch.setattr(milp, "solve_milp", first_plan)
+    _predictions_in_range(monkeypatch)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(_small_scenarios())
     @example(_TIGHT_ROWS_DRAW)
     def loop(text):
-        scenario = parse_scenario(text)
         plans.clear()
-        try:
-            log = harness.run_closed_loop(scenario)
-        except (harness.InfeasibleProblem, harness.SolveBudgetExceeded) as stop:
-            log = stop.log
-        truth, prior = scenario.params, scenario.theta_box
-        for tick, step in enumerate(log.steps):
-            assert step.estimate.contains(step.x), tick
-            for name in PARAM_FIELDS:
-                value = getattr(truth, name)
-                assert np.all(getattr(step.theta.lower, name) <= value + 1e-9), (tick, name)
-                assert np.all(getattr(step.theta.upper, name) >= value - 1e-9), (tick, name)
+        scenario, log = _run_contained(text)
+        prior = scenario.theta_box
         moved = any(not np.array_equal(getattr(getattr(step.theta, corner), name),
                                        getattr(getattr(prior, corner), name))
                     for step in log.steps for corner in ("upper", "lower")
@@ -797,6 +840,68 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
     loop()
     planned, moved = (sum(column) for column in zip(*draws))
     assert 4 * planned >= len(draws) and 4 * moved >= len(draws), (len(draws), planned, moved)
+
+
+# A near-jam draw whose plant overflowed its first cell's merge: the third
+# warm-up prediction's upper mainline came out clamped to exactly x_jam, a
+# point here, so the test for a merge that may overflow (strictly above the
+# jam) missed it, and the command went out uncapped.
+_MERGE_AT_JAM_DRAW = """params {
+  cells 3
+  beta 0.8226707202731428 0.8226707202731428
+  v 0.45 0.45 0.45
+  w 0.13573829936399162 0.13573829936399162 0.13573829936399162
+  x_jam 160.39355781999708 160.39355781999708 160.39355781999708
+  c_max 20.254245998720666 20.254245998720666 20.254245998720666
+  alpha 0.8860629546277612 0.8860629546277612 0.8860629546277612
+}
+demand {
+  base 10.127122999360333 5.309310435631485e-72 0.7066038642683743
+}
+initial {
+  mainline 152.84435823388063 148.84853534615777 149.19353074506992
+}
+boxes {
+  mainline_upper 155.90124539855825 151.82550605308094 152.17740135997133
+  mainline_lower 131.94123770162923 138.09165848309942 74.59676537253496
+  demand_margin 0.007689949131898856
+}
+output {
+  mask 1 0 0
+}
+mpc {
+  horizon 3
+  gap 0.01
+}
+estimator {
+  backward_horizon 5
+}
+run {
+  steps 7
+}
+"""
+
+
+def test_generated_loops_near_jam_predict_within_the_jam(monkeypatch):
+    """Loops that start at 0.9-0.98 x_jam, with the middle cell unmeasured
+    and its box reaching down to half its density: on every tick the true
+    state and parameters stay in their boxes, and every predicted box lies
+    in [0, x_jam], although in at least a third of the draws the tube's
+    unclamped upper mainline passes x_jam (``_clamped_step``'s clamp keeps
+    it there). Their short horizons make the first plan infeasible, so the
+    loops stop there, after the warm-up ticks."""
+    over, reached = _predictions_in_range(monkeypatch), []
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(_small_scenarios(near_jam=True))
+    @example(_MERGE_AT_JAM_DRAW)
+    def loop(text):
+        over.clear()
+        _run_contained(text)
+        reached.append(max(over) > 0.0)
+
+    loop()
+    assert 3 * sum(reached) >= len(reached), reached
 
 
 def test_rows_tight_up_to_rounding_close_no_node(monkeypatch):

@@ -13,7 +13,7 @@ from rampflow import harness  # noqa: E402
 WORKLOAD_FIELDS = ("sha256", "rows", "plan_ticks", "solves", "pivots", "nodes",
                    "roots", "factorizations", "basic_slacks", "dual_solves",
                    "node_fixed", "hook_encodes", "tts_veh", "certified_calls",
-                   "certified_boxes", "transitions", "stacks", "propagations",
+                   "certified_boxes", "transitions", "stacks", "probes", "propagations",
                    "models")
 
 

@@ -29,7 +29,12 @@ certified as ``transitions computed/reused`` (the transitions
 than one transition the rest of each call's transitions, whose verdicts
 the window kept from an earlier call), its probe stacks as ``stacks built/reused``
 (``estimators._probe_stack`` calls, and the ``estimators._certify_spines``
-calls on a stack that a measurement window kept from an earlier tick), the
+calls on a stack that a measurement window kept from an earlier tick),
+the probes of the stacks whose verdicts a walk reads
+(``estimators._verdicts`` calls) as ``probes read/certified``: the probe
+rows the walks read, each spine up to its first certified probe, against
+the probe rows those stacks certified (the whole box left out), the
+difference being what stacking ahead cost, the
 row propagations of the branch-and-bound nodes and how many of them closed
 a box (as ``calls/closed``, counted by wrapping
 ``milp._RowPropagation.box``), and under ``models`` the sha256 of
@@ -89,8 +94,8 @@ def main(argv=None) -> int:
     factor, box = _simplex._Worker._factor, milp._RowPropagation.box
     replay = _simplex._replay
     probe_stack, certify_spines = estimators._probe_stack, estimators._certify_spines
-    stepped = estimators._stepped
-    counts = [0] * 21
+    stepped, verdicts = estimators._stepped, estimators._verdicts
+    counts = [0] * 23
     models = hashlib.sha256()
     # [a root solve is next, the replay gate accepted a basis]
     root = [False, False]
@@ -126,6 +131,18 @@ def main(argv=None) -> int:
     def counted_stepped(x, records, *args):
         counts[19] += len(records)
         return stepped(x, records, *args)
+
+    class Read(dict):
+        """A walk's verdicts by spine, counting the probes each read visits."""
+
+        def __getitem__(self, key):
+            mids, admissible, dead = read = super().__getitem__(key)
+            counts[21] += int(dead.argmax()) + 1 if dead.any() else len(dead)
+            return read
+
+    def counted_verdicts(spines, stack, certified):
+        counts[22] += len(stack.admissible) - stack.with_box
+        return Read(verdicts(spines, stack, certified))
 
     def counted_stack(*args):
         counts[16] += 1
@@ -186,6 +203,7 @@ def main(argv=None) -> int:
     milp._RowPropagation.box = counted_box
     estimators._certified = counted_boxes
     estimators._stepped = counted_stepped
+    estimators._verdicts = counted_verdicts
     estimators._probe_stack = counted_stack
     estimators._certify_spines = counted_spines
     milp.solve_milp = counted_nodes
@@ -200,7 +218,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 21
+            counts[:] = [0] * 23
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -219,9 +237,10 @@ def main(argv=None) -> int:
                   f"certified_calls {counts[2]} certified_boxes {counts[3]} "
                   f"transitions {counts[19]}/{counts[20]} "
                   f"stacks {counts[16]}/{counts[17] - counts[16]} "
+                  f"probes {counts[21]}/{counts[22]} "
                   f"propagations {counts[11]}/{counts[12]} "
                   f"models {models.hexdigest()}")
-        counts[:] = [0] * 21
+        counts[:] = [0] * 23
         text = edit_preset(harness.PRESETS["fourcell_constant"], PARTIAL)
         scenario = harness.parse_scenario(f"{text}output {{\n  mask {PARTIAL_MASK}\n}}\n",
                                           name="fourcell_constant")
