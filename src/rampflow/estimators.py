@@ -30,30 +30,33 @@ reads only one path of its bisection tree: the probes it visits while
 none certifies, its spine.
 ``theta_update`` certifies, in one pass, the whole box and the spine of
 every coordinate end the check budget can reach, one stacked row per
-check, and then replays the one-at-a-time walks over the stored verdicts.
+check, and then replays the one-at-a-time walks over the verdicts. Every
+verdict a walk reads comes from one store, keyed by spine: the first
+spine of an end by the end's index, a continuation by where it starts.
 A certified probe ends its spine, and the rest of that walk goes on from
-the narrowed interval. A walk that needs a spine no stack holds stacks
+the narrowed interval. A walk that needs a spine the store lacks stacks
 its continuations ahead: that spine, then the spine its first probe
 leaves if it certifies, and so on, one level shorter each, so d checks
 left cost one stack of at most d(d+1)/2 rows, and a walk whose probes
 keep certifying reads all of them from it. An applied cut changes the
-box every later probe is cut from, so the spines after it are stacked
-again. The walks, their check budget and the result are those of
-bisecting one candidate at a time. They read the box as the kernel does,
-in the primary sets of its pair (``embedding._pair``): each field's two
-corners stacked upper first, so an end's anchor and cut are one entry of
-the two rows.
+box every later probe is cut from, so it empties the store and the
+spines after it are stacked again. The walks, their check budget and the
+result are those of bisecting one candidate at a time. They read the box
+as the kernel does, in the primary sets of its pair
+(``embedding._pair``): each field's two corners stacked upper first, so
+an end's anchor and cut are one entry of the two rows.
 
-A probe stack (its mids, its stacked pair with the kernel's terms, and the
-range verdicts of its rows) depends on the box and the spines alone, never
-on the window. Most ticks leave the box as it was, so the measurement
-window keeps the first stack of the box the run is using, and the next
-tick that brings the same box with the same plan certifies that stack
-against its own window without building it again, stepping only the
-transitions whose verdicts the stack does not hold yet. It also keeps
-the verdict patterns of that stack whose walk moved no bound and
-certified no further stack: a tick whose verdicts repeat one returns the
-box after the one propagation, without walking.
+A probe stack (each spine's first row and mids by the spine's key, its
+stacked pair with the kernel's terms, and the range verdicts of its
+rows) depends on the box and the spines alone, never on the window. Most
+ticks leave the box as it was, so the measurement window keeps the first
+stack of the box the run is using, and the next tick that brings the
+same box with the same plan certifies that stack against its own window
+without building it again, stepping only the transitions whose verdicts
+the stack does not hold yet. It also keeps the verdict patterns of that
+stack whose walk moved no bound and certified no further stack: a tick
+whose verdicts repeat one returns the box after the one propagation,
+without walking.
 """
 
 from __future__ import annotations
@@ -140,8 +143,7 @@ class _Stack(NamedTuple):
     window is fully measured. A new stack starts with none.
     """
 
-    with_box: bool            # row 0 is the box itself
-    mids: list                # per spine, (its first row, its mids)
+    spines: dict              # per spine's key, (its first row, its mids)
     pair: _Pair               # the rows' stacked pair with its kernel terms
     admissible: np.ndarray    # per row, whether it passes the range checks
     rows: dict                # record -> that transition's verdict per row
@@ -151,15 +153,15 @@ class _Stack(NamedTuple):
 class _Held:
     """The box a run is using, its kernel pair, and what ``theta_update``
     keeps of it for one (prune_budget, prune_depth): the ends it walks, the
-    first spines by index into the ends, the probe stack built for them
-    (with the transition verdicts it holds), and the verdict patterns of
-    that stack whose walk moved no bound and certified no further stack."""
+    probe stack of the box and the first spines (with the transition
+    verdicts it holds; None when there is nothing to walk), and the
+    verdict patterns of that stack whose walk moved no bound and certified
+    no further stack."""
 
     box: ParamBounds
     pair: _Pair
     plan: tuple | None = None  # the (prune_budget, prune_depth) of the rest
     ends: list = field(default_factory=list)
-    spines: dict = field(default_factory=dict)
     stack: _Stack | None = None
     quiet: set = field(default_factory=set)
 
@@ -195,7 +197,6 @@ class MeasurementWindow:
         self.demand = demand
         self._records: deque[_Record] = deque(maxlen=self.backward_horizon + 1)
         self._held: _Held | None = None
-        self._joins: dict[tuple, _Record] = {}
 
     def pair(self, box: ParamBounds) -> _Pair:
         """box's kernel pair (``ParamBounds.pair``), built once while the
@@ -228,21 +229,7 @@ class MeasurementWindow:
         bracket = np.array([corrected.upper, corrected.lower])
         self._records.append(_Record(observation, control, bracket,
                                      bracket[0] + CONSISTENCY_TOL, readings))
-        self._joins.clear()
         return corrected
-
-    def _joined(self, records: tuple) -> _Record:
-        """Fully measured records of the window as one record whose arrays
-        carry a leading transitions axis (the bracket's after its component
-        axis), built once while the window holds them."""
-        joined = self._joins.get(records)
-        if joined is None:
-            joined = self._joins[records] = _Record(
-                None, np.array([r.control for r in records]),
-                np.stack([r.bracket for r in records], axis=1),
-                np.array([r.raised for r in records]),
-                (records[0].readings[0], np.array([r.readings[1] for r in records])))
-        return joined
 
     def __len__(self) -> int:
         return len(self._records)
@@ -338,22 +325,21 @@ def _misread(x: np.ndarray, idx, vals: np.ndarray, tol: float) -> np.ndarray:
     return (vals < x[1][..., idx] - tol) | (vals > x[0][..., idx] + tol)
 
 
-def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair,
-             window: MeasurementWindow) -> tuple:
+def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair) -> tuple:
     """Step transitions and test each against the record it leads to.
 
     x is one start bracket per transition, ``(2, K, ..., 2I)``: the
     transitions on the axis after the component axis, then the stacking
     axes of pair, whose terms get a broadcast axis for the transitions
     (one transition is stepped without that axis). records are the K
-    records of window the transitions lead to; the control of each drives
-    its step. Every operation is elementwise, so a transition gets the bits
-    it would get stepped alone. A row is excluded when its propagated
-    interval strictly misses the record's enclosure, or a reading of the
+    records the transitions lead to; the control of each drives its step.
+    Every operation is elementwise, so a transition gets the bits it would
+    get stepped alone. A row is excluded when its propagated interval
+    strictly misses the record's enclosure, or a reading of the
     propagation intersected with that enclosure, by more than
     CONSISTENCY_TOL. When K is more than one, every record is fully
-    measured, and the window joins the records' arrays once
-    (``MeasurementWindow._joined``).
+    measured, and their arrays are joined into one record on a
+    transitions axis.
 
     Returns the intersected brackets and, per transition and row, whether
     that transition excludes the row.
@@ -365,7 +351,10 @@ def _stepped(x: np.ndarray, records: list, lam: np.ndarray, pair,
     else:
         pair = _Pair(pair.primary, pair.secondary,
                      _Terms(*(t[:, None] for t in pair.terms)))
-        record = window._joined(tuple(records))
+        record = _Record(None, np.array([r.control for r in records]),
+                         np.stack([r.bracket for r in records], axis=1),
+                         np.array([r.raised for r in records]),
+                         (records[0].readings[0], np.array([r.readings[1] for r in records])))
     along = (len(records),) + (1,) * (x.ndim - 3) + (-1,)
 
     def each(a):
@@ -420,9 +409,7 @@ def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
     and stops early once every box is certified. Both ways give each box
     the bits it would get propagated alone. A kernel call steps at most
     ``_STEP_ENTRIES`` bracket entries, so a large stack's transitions are
-    stepped a few at a time. Each new stack of a tick steps the same
-    records, whose arrays the window joins once
-    (``MeasurementWindow._joined``).
+    stepped a few at a time.
     """
     first, *later = window._records
     stack = pair.terms.ceiling.shape[1:-1]
@@ -439,7 +426,7 @@ def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
             x = np.empty((2, len(batch), *stack, width))
             for k, record in enumerate(batch):
                 x[:, k] = starts[record].bracket.reshape(along)
-            rows.update(zip(batch, _stepped(x, batch, lam, pair, window)[1]))
+            rows.update(zip(batch, _stepped(x, batch, lam, pair)[1]))
         for record in set(rows) - set(later):
             del rows[record]
         for record in later:
@@ -450,7 +437,7 @@ def _certified(window: MeasurementWindow, pair, rows: dict) -> np.ndarray:
     for record in later:
         if dead.all():
             break
-        x, outside = _stepped(x[:, None], [record], lam, pair, window)
+        x, outside = _stepped(x[:, None], [record], lam, pair)
         x = x[:, 0]
         idx = record.readings[0]
         x[..., idx] = record.bracket[:, idx].reshape(along)
@@ -491,11 +478,13 @@ class _Spine(NamedTuple):
     length: int
 
 
-def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
+def _probe_stack(box: dict, spines: dict, with_box: bool) -> _Stack:
     """The probes of the spines stacked for one propagation; with_box puts
     the box itself in front of them.
 
-    box holds the box's stacked fields, u_max included: each one (2, cells),
+    spines maps each spine's key to the spine; the stack keeps, by the same
+    keys, each spine's first row and its mids (``_Stack.spines``). box
+    holds the box's stacked fields, u_max included: each one (2, cells),
     the upper corner in row 0 (the primary sets of ``embedding._pair``).
     Each probed field is one (2, rows, cells) array of both corners, upper
     first, that the probes' mids are written into; the other fields are
@@ -507,10 +496,10 @@ def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
     probed field are evaluated (``_box_admissible``'s moved): the box passed
     every rule, and the others read its values.
     """
-    first = int(with_box)
-    rows = first + sum(s.length for s in spines)
-    mids, probed, start = [], {}, first
-    for s in spines:
+    start = int(with_box)
+    rows = start + sum(s.length for s in spines.values())
+    placed, probed = {}, {}
+    for key, s in spines.items():
         m, anchor = np.empty(s.length), s.anchor
         for d in range(s.length):
             anchor = m[d] = 0.5 * (anchor + s.cut)
@@ -519,35 +508,18 @@ def _probe_stack(box: dict, spines: list[_Spine], with_box: bool) -> _Stack:
             probed[s.field][:] = box[s.field][:, None]
         # a probe at an upper end raises the lower corner (component 1)
         probed[s.field][int(s.is_upper), start:start + s.length, s.cell] = m
-        mids.append((start, m))
+        placed[key] = (start, m)
         start += s.length
     pair = _pair({f: probed[f] if f in probed else a[:, None] for f, a in box.items()})
-    return _Stack(with_box, mids, pair, _box_admissible(pair.primary, probed), {})
+    return _Stack(placed, pair, _box_admissible(pair.primary, probed), {})
 
 
-def _certify_spines(window: MeasurementWindow, stack: _Stack):
-    """Certify every probe of a stack against the window in one stacked
-    propagation.
-
-    The stack is built by ``_probe_stack``, either for this call or, for
-    the first stack of a tick, on an earlier tick whose box and spines
-    were the same (``theta_update`` keeps it in the window); only the
-    propagation depends on the window.
-
-    Returns whether the box was certified inconsistent (False without the
-    box in the stack) and, per row, whether it is admissible and certified
-    inconsistent.
-    """
-    dead = _certified(window, stack.pair, stack.rows)
-    return stack.with_box and bool(dead[0]), stack.admissible & dead
-
-
-def _verdicts(spines: dict, stack: _Stack, certified: np.ndarray) -> dict:
-    """Per spine of the stack, by the spines' keys: its mids, whether each
-    probe passes the physical-range checks and whether it is admissible and
-    certified inconsistent."""
-    return dict(zip(spines, ((m, stack.admissible[at:at + len(m)], certified[at:at + len(m)])
-                             for at, m in stack.mids)))
+def _verdicts(stack: _Stack, certified: np.ndarray) -> dict:
+    """Per spine of the stack, by its key: its mids, whether each probe
+    passes the physical-range checks and whether it is admissible and
+    certified inconsistent (certified, per row of the stack)."""
+    return {key: (m, stack.admissible[at:at + len(m)], certified[at:at + len(m)])
+            for key, (at, m) in stack.spines.items()}
 
 
 def _interval(box: dict, f: str, i: int, is_upper: bool):
@@ -599,34 +571,38 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
     whole-box check and the spine of every end the remaining budget can
     reach (each walk spends at most prune_depth checks) are certified
     together in one stacked propagation. The walks then read their verdicts
-    in sweep order. A certified probe ends its spine: the cut moves to its
-    mid and the rest of the walk goes on from the new interval. The walk
-    reads it, keyed by (end, anchor, cut, checks it may spend), from the
-    continuations stacked the last time a walk needed a spine that no
-    stack held (``_continuations``): the spine it needed, then the one the
-    walk reads if that spine's first probe certifies, and so on, all in
-    one stack. A walk that leaves them, because a first probe did not
-    certify or a spine ran short of the budget the walk turned out to
-    have, stacks the continuations of where it is. A cut that is applied
-    changes the box, so the spines of the ends after it are stacked again
-    from the new box; a skipped cut leaves them valid. The budget is
-    charged exactly as a one-at-a-time walk charges it: one check per
-    probe the walk visits, none for a probe that fails the physical-range
-    checks (it counts as not certified). The range check of an applied
-    cut reads only the rules of the field it moves.
+    in sweep order from one store, ``known``, which holds the verdicts of
+    every stack of the call by spine key (``_verdicts``): an end's first
+    spine by the end's index k. A certified probe ends its spine: the cut
+    moves to its mid and the rest of the walk goes on from the new
+    interval, by the key (k, anchor, cut, checks it may spend). A key the
+    store lacks stacks what the walk reads from there: for a first spine,
+    the spines of the ends from k on that the budget left reaches
+    (``_spines_from``); for a later one, its continuations
+    (``_continuations``): the spine it needed, then the one the walk reads
+    if that spine's first probe certifies, and so on, all in one stack.
+    A walk's anchor only moves toward its cut, so it never needs a key it
+    has passed again, and the entries the store keeps save no stack and
+    add none. A cut that is applied changes the box, so it empties the
+    store, and the spines of the ends after it are stacked again from the
+    new box; a skipped cut leaves them valid. The budget is charged
+    exactly as a one-at-a-time walk charges it: one check per probe the
+    walk visits, none for a probe that fails the physical-range checks (it
+    counts as not certified). The range check of an applied cut reads only
+    the rules of the field it moves.
 
     The window holds one entry for the box the run is using. For the
-    (prune_budget, prune_depth) of the call it keeps the ends, the first
-    spines and their stack (the whole box and the spines from the input
-    box), and the verdict patterns of that stack whose walk moved no bound
-    and certified no further stack. When the next call brings the same box
-    object (the input box comes back itself when no bound moves) with the
-    same budget and depth, the stack is certified against the new window
-    without being built again (on a fully measured window, only the
-    transitions whose verdicts the stack does not hold yet are stepped),
-    and a remembered pattern returns the box at once; another budget or
-    depth plans afresh and builds its stack anew. Later stacks of a call
-    are always built.
+    (prune_budget, prune_depth) of the call it keeps the ends, the stack of
+    the whole box and the first spines from the input box (none when there
+    is nothing to walk), and the verdict patterns of that stack whose walk
+    moved no bound and certified no further stack. When the next call
+    brings the same box object (the input box comes back itself when no
+    bound moves) with the same budget and depth, the stack is certified
+    against the new window without being built again (on a fully measured
+    window, only the transitions whose verdicts the stack does not hold
+    yet are stepped), and a remembered pattern returns the box at once;
+    another budget or depth plans afresh and builds its stack anew. Later
+    stacks of a call are always built.
 
     A box with no end to walk (a point box, a budget of at most one check
     or a depth of zero) gets the whole-box check alone from
@@ -650,33 +626,28 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
                 # end to mid
                 for is_upper in (True, False)]
         spines = _spines_from(ends, 0, fields, depth, checks_left)
-        held.plan, held.ends, held.spines, held.quiet = (
-            (config.prune_budget, depth), ends, spines, set())
-        held.stack = _probe_stack(fields, list(spines.values()), True) if spines else None
+        held.plan, held.ends, held.quiet = (config.prune_budget, depth), ends, set()
+        held.stack = _probe_stack(fields, spines, True) if spines else None
 
-    if held.spines:
-        box_dead, certified = _certify_spines(window, held.stack)
-    else:
+    stack = held.stack
+    if stack is None:
         # nothing to walk: a point box, one check of budget or a depth of zero
         box_dead = interval_consistency(param_bounds, window) == INFEASIBLE
+    else:
+        dead = _certified(window, stack.pair, stack.rows)
+        box_dead, certified = dead[0], stack.admissible & dead
     if box_dead:
         raise ContainmentViolation(
             "no parameter left in the box reproduces the recorded window")
     # verdicts whose walk moved nothing and certified nothing more before
     # return the box at once
-    if not held.spines or (pattern := certified.tobytes()) in held.quiet:
+    if stack is None or (pattern := certified.tobytes()) in held.quiet:
         return param_bounds
 
     # the walk cuts a copy; the held pair and its stack stay the box's
     box = {f: a.copy() for f, a in fields.items()}
     ends = held.ends
-
-    def certify(spines):
-        stack = _probe_stack(box, list(spines.values()), False)
-        return _verdicts(spines, stack, _certify_spines(window, stack)[1])
-
-    sweep = _verdicts(held.spines, held.stack, certified)
-    ahead = {}
+    known = _verdicts(stack, certified)
     moved = asked = False
     for k, (f, i, is_upper) in enumerate(ends):
         if checks_left <= 0:
@@ -684,19 +655,18 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
         anchor, cut = _interval(box, f, i, is_upper)
         depth_left = depth
         while depth_left > 0 and checks_left > 0 and abs(cut - anchor) > _WIDTH_TOL:
-            if depth_left == depth:
-                if k not in sweep:
-                    asked = True
-                    sweep = certify(_spines_from(ends, k, box, depth, checks_left))
-                mids, admissible, dead = sweep[k]
-            else:
-                # a certified probe ended the last spine, or it was shorter
-                # than the budget left turned out to allow
-                asked = True
-                key = (k, anchor, cut, min(depth_left, checks_left))
-                if key not in ahead:
-                    ahead = certify(_continuations(ends[k], *key))
-                mids, admissible, dead = ahead[key]
+            # the end's first spine, or, once a certified probe ended the
+            # last spine or it was shorter than the budget left turned out
+            # to allow, the continuation from where the walk is
+            key = k if depth_left == depth else (k, anchor, cut, min(depth_left, checks_left))
+            asked |= key != k or key not in known
+            if key not in known:
+                spines = (_continuations(ends[k], *key) if key != k
+                          else _spines_from(ends, k, box, depth, checks_left))
+                stack = _probe_stack(box, spines, False)
+                certified = stack.admissible & _certified(window, stack.pair, stack.rows)
+                known.update(_verdicts(stack, certified))
+            mids, admissible, dead = known[key]
             # the spine may be longer than the budget left now lets the walk go
             for mid, passes, certain in zip(mids, admissible, dead):
                 if checks_left <= 0 or abs(cut - anchor) <= _WIDTH_TOL:
@@ -716,7 +686,7 @@ def theta_update(window: MeasurementWindow, param_bounds: ParamBounds,
             old, row[i] = row[i], cut
             if _box_admissible(SimpleNamespace(**box), (f,)):
                 moved = True
-                sweep = {}
+                known.clear()
             else:
                 row[i] = old
 

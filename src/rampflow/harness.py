@@ -289,7 +289,7 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
     pb = block("params")
     n = pb.integer("cells", minimum=1)
     params = FreewayParams(
-        beta=pb.vector("beta", max(n - 1, 0)),
+        beta=pb.vector("beta", n - 1, default=None if n > 1 else 0.0),  # one cell: no link
         v=pb.vector("v", n),
         w=pb.vector("w", n),
         x_jam=pb.vector("x_jam", n),

@@ -313,7 +313,7 @@ def _speed_stack(box, cells, length):
     spines = [estimators._Spine("v", i, is_upper,
                                 *estimators._interval(fields, "v", i, is_upper), length)
               for i in cells for is_upper in (True, False)]
-    return estimators._probe_stack(fields, spines, True)
+    return estimators._probe_stack(fields, dict(enumerate(spines)), True)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=["slice", "indices"])
@@ -691,7 +691,7 @@ def _spied_theta_update(monkeypatch, window, box, config):
         return dead
 
     def count_spines(box, batch, *rest):
-        spines.append([(s.field, s.cell, s.is_upper, s.length) for s in batch])
+        spines.append([(s.field, s.cell, s.is_upper, s.length) for s in batch.values()])
         return probe_stack(box, batch, *rest)
 
     monkeypatch.setattr(estimators, "_certified", count_stack)
@@ -801,19 +801,17 @@ def test_stacked_continuations_get_each_probe_alone_verdict(monkeypatch):
     construction rejects it. The walks of a closed loop and the depth-8
     walk stack continuations of several levels, and their first probes are
     certified in some spines and not in others."""
-    firsts = []
-    certify_spines, continuations = estimators._certify_spines, estimators._continuations
-    pending = [False]
+    firsts, windows = [], []
+    certified_, verdicts = estimators._certified, estimators._verdicts
 
-    def spy_continuations(*args):
-        pending[0] = True
-        return continuations(*args)
+    def spy_certified(window, *args):
+        windows[:] = [window]
+        return certified_(window, *args)
 
-    def spy_certify(window, stack):
-        box_dead, certified = certify_spines(window, stack)
-        if pending[0]:
-            pending[0] = False
-            alone = copy.copy(window)  # interval_consistency takes the window's entry
+    def spy_verdicts(stack, certified):
+        # a continuation's key is (end, anchor, cut, checks); a first spine's, its end
+        if isinstance(next(iter(stack.spines)), tuple):
+            alone = copy.copy(windows[0])  # interval_consistency takes the window's entry
             alone._held = None
             for row in range(certified.size):
                 probe = _probe_alone(stack, row)
@@ -822,11 +820,11 @@ def test_stacked_continuations_get_each_probe_alone_verdict(monkeypatch):
                 else:
                     assert stack.admissible[row]
                     assert certified[row] == (interval_consistency(probe, alone) == INFEASIBLE)
-            firsts.append([bool(certified[at]) for at, _ in stack.mids])
-        return box_dead, certified
+            firsts.append([bool(certified[at]) for at, _ in stack.spines.values()])
+        return verdicts(stack, certified)
 
-    monkeypatch.setattr(estimators, "_continuations", spy_continuations)
-    monkeypatch.setattr(estimators, "_certify_spines", spy_certify)
+    monkeypatch.setattr(estimators, "_certified", spy_certified)
+    monkeypatch.setattr(estimators, "_verdicts", spy_verdicts)
     harness.run_closed_loop(harness.parse_scenario(INGEST_TEXT))
     theta_update(*_rejected_walk_then_a_cut())
     assert firsts[-1] == [True] * 7  # the depth-8 walk's 28 rows
@@ -1174,7 +1172,7 @@ def test_the_certificate_is_the_chain_under_the_restart_rule(case):
                                     *estimators._interval(fields, f, i, is_upper), 3)
                   for f in ("v", "x_jam") for i in range(mask.size)
                   for is_upper in (True, False)]
-        stack = estimators._probe_stack(fields, spines, True)
+        stack = estimators._probe_stack(fields, dict(enumerate(spines)), True)
         check(stack.pair, stack.rows, length)
         # the box's pair keeps no verdicts: every transition, every time
         theta_update(window, box, plan)

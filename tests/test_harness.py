@@ -291,6 +291,47 @@ def test_run_command_writes_the_record_of_a_scenario_file(tmp_path, capsys):
     assert any(s.phase == "mpc" for s in back.steps)
 
 
+_ONE_CELL = """params {
+  cells 1
+  v 0.5
+  w 0.2
+  x_jam 160
+  c_max 20
+  alpha 0.9
+}
+demand {
+  base 10
+}
+initial {
+  mainline 30
+}
+mpc {
+  horizon 5
+}
+run {
+  steps 5
+}
+"""
+
+
+def test_a_one_cell_stretch_runs_without_beta(tmp_path, capsys):
+    """A one-cell stretch has no link, so its ``params`` block needs no
+    ``beta``; ``rampflow run`` writes the record it writes with an empty
+    ``beta`` line."""
+    assert parse_scenario(_ONE_CELL).params.beta.shape == (0,)
+    records = []
+    for name, text in (("bare", _ONE_CELL), ("empty", _ONE_CELL.replace(
+            "  cells 1\n", "  cells 1\n  beta\n"))):
+        (tmp_path / name).mkdir()
+        source, out = tmp_path / name / "one.scn", tmp_path / name / "one.csv"
+        source.write_text(text)
+        assert cli.main(["run", str(source), "--csv", str(out)]) == 0, capsys.readouterr().err
+        back, _ = read_log(out)
+        assert len(back) == 6
+        records.append(out.read_bytes())
+    assert records[0] == records[1]
+
+
 def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
     assert cli.main(["run", "fourcell_nowhere", "--csv", str(tmp_path / "x.csv")]) == 2
     assert "no preset or file named 'fourcell_nowhere'" in capsys.readouterr().err
@@ -805,18 +846,19 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
     plan may stop a loop; the ticks before the stop are checked too. At
     least a quarter of the draws execute a plan and at least a quarter
     move a parameter bound, so the check reaches the planner and the
-    contraction. The first plan of every draw that plans agrees with
-    HiGHS in status, and its objective lies within its gap of HiGHS's."""
-    draws, plans = [], []
+    contraction. Every plan of every draw agrees with HiGHS in status, and
+    its objective lies within its gap of HiGHS's; at least ten of the
+    plans checked follow an earlier plan of their loop, so their models
+    read a state and a box that earlier plans moved."""
+    draws, plans, later = [], [], []
     solve_milp = milp.solve_milp
 
-    def first_plan(model, **kwargs):
+    def recorded(model, **kwargs):
         sol = solve_milp(model, **kwargs)
-        if not plans:
-            plans.append((model, sol))
+        plans.append((model, sol))
         return sol
 
-    monkeypatch.setattr(milp, "solve_milp", first_plan)
+    monkeypatch.setattr(milp, "solve_milp", recorded)
     _predictions_in_range(monkeypatch)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -831,6 +873,7 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
                     for step in log.steps for corner in ("upper", "lower")
                     for name in PARAM_FIELDS)
         draws.append((any(step.phase == "mpc" for step in log.steps), moved))
+        later.append(max(len(plans) - 1, 0))
         for model, sol in plans:
             ref = _highs_milp(model, mip_rel_gap=0.0)
             assert (sol.status, ref.status) in ((milp.OPTIMAL, 0), (milp.INFEASIBLE, 2)), text
@@ -840,6 +883,7 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
     loop()
     planned, moved = (sum(column) for column in zip(*draws))
     assert 4 * planned >= len(draws) and 4 * moved >= len(draws), (len(draws), planned, moved)
+    assert sum(later) >= 10, later
 
 
 # A near-jam draw whose plant overflowed its first cell's merge: the third

@@ -2009,3 +2009,34 @@ def test_a_replay_the_gate_rejects_never_reaches_splu(monkeypatch, kind):
     assert (replayed.status, replayed.iterations, replayed.nodes) == (
         crashed.status, crashed.iterations, crashed.nodes)
     np.testing.assert_array_equal(replayed.x, crashed.x)
+
+
+def test_a_crash_basis_is_structurally_nonsingular():
+    """``crash_from_point`` builds a basis that passes the matching gate on
+    random sparse models, at points with columns interior, at a bound, or
+    fixed, and rows tight or slack: each basic structural covers the tight
+    row it was matched to, and a slack covers every other row. So a crash
+    start never hands SuperLU a structurally singular basis, whose failed
+    factorization leaks memory."""
+    rng = np.random.default_rng(2029)
+    structurals = rowed = 0
+    for _ in range(300):
+        m, n = rng.integers(1, 9, size=2)
+        a = np.where(rng.random((m, n)) < 0.4, rng.normal(size=(m, n)), 0.0)
+        lb, ub = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+        fixed = rng.random(n) < 0.1
+        ub[fixed] = lb[fixed]
+        x0 = np.select([rng.random(n) < 0.2, rng.random(n) < 0.2], [lb, ub],
+                       rng.uniform(lb, ub))
+        senses = rng.choice(list("LEG"), m)
+        slack = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.1, 1.0, m))
+        b = a @ x0 + np.select([senses == "L", senses == "G"], [slack, -slack], 0.0)
+        form = _simplex.EqualityForm(a, senses, b, np.zeros(n))
+        start = _simplex.crash_from_point(form, lb, ub, x0)
+        if start is None:
+            continue
+        assert _simplex._structurally_nonsingular(form.cols, start.basis)
+        basic = start.basis < n
+        structurals += basic.any()
+        rowed += (~basic).any()
+    assert structurals >= 150 and rowed >= 150, (structurals, rowed)

@@ -59,6 +59,33 @@ def test_every_public_definition_has_a_caller():
     assert sorted(set(KEPT) - uncalled) == [], "kept names that are now called or gone"
 
 
+def test_every_private_definition_has_a_caller_in_the_package():
+    """A private top-level function or class of ``src/rampflow`` counts as
+    called when a name or an attribute outside its own body spells it in
+    the package; a private method of any of its classes, when one spells
+    it anywhere in the package. Tests, ``tools`` and ``perfbench`` do not
+    count: a private definition only they reach is dead code they keep
+    alive. Dunder methods are exempt."""
+    defined, spelled = set(), set()
+    for path in sorted((ROOT / "src" / "rampflow").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if owner.startswith("_"):
+                    defined.add(owner)
+                members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+                defined.update(m.name for m in members
+                               if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               and m.name.startswith("_") and not m.name.endswith("__"))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    spelled.add(name)
+    assert sorted(defined - spelled) == [], "private definitions nothing in the package calls"
+
+
 def test_every_keyword_default_is_passed_somewhere():
     """A keyword-only parameter with a default, on a function or method of
     ``src/rampflow``, counts as used when some call of a function of that

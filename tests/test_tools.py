@@ -49,3 +49,19 @@ def test_record_digest_prints_every_field_of_every_loop():
     assert int(computed) > 0 and reused == "0"
     for line in lines[partial + 1:]:
         assert line.partition(": ")[2].split()[::2] == ["sha256", "tts_veh"]
+
+
+def test_line_reach_prints_one_line_per_module():
+    """``tools/line_reach.py`` traces the benchmark's loops in its own
+    process and prints, per module of the package, its executable lines and
+    the lines reached, which are never more."""
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "line_reach.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    header, *lines = run.stdout.splitlines()
+    assert header.split()[:3] == ["module", "executable", "reached"]
+    modules = sorted(path.name for path in (ROOT / "src" / "rampflow").glob("*.py"))
+    assert [line.split()[0] for line in lines] == modules
+    for line in lines:
+        executable, reached = map(int, line.split()[1:3])
+        assert 0 <= reached <= executable, line

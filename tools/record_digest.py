@@ -28,13 +28,14 @@ certified as ``transitions computed/reused`` (the transitions
 ``estimators._stepped`` stepped, and on a fully measured window of more
 than one transition the rest of each call's transitions, whose verdicts
 the window kept from an earlier call), its probe stacks as ``stacks built/reused``
-(``estimators._probe_stack`` calls, and the ``estimators._certify_spines``
-calls on a stack that a measurement window kept from an earlier tick),
-the probes of the stacks whose verdicts a walk reads
+(``estimators._probe_stack`` calls, and the ``estimators._certified``
+calls on a stack that a measurement window kept from an earlier tick,
+counted as the calls on a pair other than the held box's, less the
+stacks built), the probes of the stacks whose verdicts a walk reads
 (``estimators._verdicts`` calls) as ``probes read/certified``: the probe
-rows the walks read, each spine up to its first certified probe, against
-the probe rows those stacks certified (the whole box left out), the
-difference being what stacking ahead cost, the
+rows the walks read from the verdict store, each spine up to its first
+certified probe, against the probe rows those stacks certified (the
+whole box left out), the difference being what stacking ahead cost, the
 row propagations of the branch-and-bound nodes and how many of them closed
 a box (as ``calls/closed``, counted by wrapping
 ``milp._RowPropagation.box``), and under ``models`` the sha256 of
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     dual, box_fixes = _simplex._Worker._dual, milp._Selectors.fixes
     factor, box = _simplex._Worker._factor, milp._RowPropagation.box
     replay = _simplex._replay
-    probe_stack, certify_spines = estimators._probe_stack, estimators._certify_spines
+    probe_stack = estimators._probe_stack
     stepped, verdicts = estimators._stepped, estimators._verdicts
     counts = [0] * 23
     models = hashlib.sha256()
@@ -124,6 +125,7 @@ def main(argv=None) -> int:
         dead = certified(window, pair, *rows)
         counts[2] += 1
         counts[3] += dead.size
+        counts[17] += pair is not window._held.pair  # a probe stack's pair
         if len(window) > 2 and window.fully_measured:
             counts[20] += len(window) - 1 - (counts[19] - before)
         return dead
@@ -133,24 +135,21 @@ def main(argv=None) -> int:
         return stepped(x, records, *args)
 
     class Read(dict):
-        """A walk's verdicts by spine, counting the probes each read visits."""
+        """A walk's verdict store, counting the probes each read visits; it
+        is emptied in place, so the count survives an applied cut."""
 
         def __getitem__(self, key):
             mids, admissible, dead = read = super().__getitem__(key)
             counts[21] += int(dead.argmax()) + 1 if dead.any() else len(dead)
             return read
 
-    def counted_verdicts(spines, stack, certified):
-        counts[22] += len(stack.admissible) - stack.with_box
-        return Read(verdicts(spines, stack, certified))
+    def counted_verdicts(stack, certified):
+        counts[22] += sum(len(m) for _, m in stack.spines.values())
+        return Read(verdicts(stack, certified))
 
     def counted_stack(*args):
         counts[16] += 1
         return probe_stack(*args)
-
-    def counted_spines(window, stack):
-        counts[17] += 1
-        return certify_spines(window, stack)
 
     def counted_nodes(*args, incumbent_hook=None, **kwargs):
         def counted_hook(x):
@@ -205,7 +204,6 @@ def main(argv=None) -> int:
     estimators._stepped = counted_stepped
     estimators._verdicts = counted_verdicts
     estimators._probe_stack = counted_stack
-    estimators._certify_spines = counted_spines
     milp.solve_milp = counted_nodes
     _simplex._Factors = CountedFactors
     with tempfile.TemporaryDirectory() as tmp:
