@@ -206,6 +206,12 @@ class _Block:
         self._take(key)
         return True
 
+    def linkless(self, key: str) -> None:
+        """Refuse values under ``key``, a per-link key on a one-cell stretch."""
+        line, tokens = self.entries.get(key, (None, []))
+        if tokens:
+            raise ScenarioError(line, f"{self.name}.{key}: a one-cell stretch has no link")
+
     def finish(self) -> None:
         leftover = set(self.entries) - self.used
         if leftover:
@@ -288,6 +294,8 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
 
     pb = block("params")
     n = pb.integer("cells", minimum=1)
+    if n == 1:
+        pb.linkless("beta")
     params = FreewayParams(
         beta=pb.vector("beta", n - 1, default=None if n > 1 else 0.0),  # one cell: no link
         v=pb.vector("v", n),
@@ -319,6 +327,8 @@ def parse_scenario(text: str, *, name: str = "scenario") -> Scenario:
         raise ScenarioError(None, "initial mainline exceeds the jam occupancy")
 
     bb = block("boxes")
+    if n == 1:
+        bb.linkless("beta")
     lo_fields, up_fields = {}, {}
     for fld in PARAM_FIELDS:
         true_val = getattr(params, fld)

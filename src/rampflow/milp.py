@@ -29,7 +29,8 @@ boxed program is never unbounded.
 ``encode_min_equality``
     ``f = min(a, b)`` over two :class:`Term` operands, each one column
     times a coefficient plus a constant with a declared range; one binary
-    selector, big-M constants derived from the ranges.
+    selector, a new one or a binary the caller passes, and big-M constants
+    derived from the ranges.
 
 ``encode_capacity_drop``
     the discharge-capacity switch on a state column: a binary that is 1
@@ -58,6 +59,11 @@ floats in shortest round-trip form::
     gadget min f=<i> a=<col>:<coef>:<const>:<lo>:<hi> b=... z=<i>
     gadget drop x=<i> z=<i> crit=<v>
     end
+
+A min gadget's ``z`` may name the selector of a drop gadget, which then
+decides both: the single-component planner's outflow min reads its cell's
+drop binary.  The gadget lines follow the selector columns, the min before
+the drop on a shared one.
 
 Statuses: ``optimal`` (gap certified within tolerance), ``infeasible``,
 ``budget_exceeded`` (node budget ran out; the incumbent and the proven
@@ -145,7 +151,8 @@ class Term(NamedTuple):
 
 class _Operands(NamedTuple):
     """Every gadget of a model as arrays: the min gadgets first, then the
-    drops, each kind in the order of its selector columns.  ``left`` and
+    drops, each kind in the order of its selector columns; a selector a min
+    reads from a drop appears once in each kind.  ``left`` and
     ``right`` hold one column of operand fields (col, coef, const, lo, hi)
     per gadget: a min gadget's terms ``a`` and ``b``, a drop's term ``x``
     and its constant ``x_crit``.  ``f`` holds the min gadgets' results."""
@@ -329,12 +336,18 @@ class ModelBuilder:
 
     def fix_decided(self) -> None:
         """Fix each gadget selector to the branch that every point of the
-        column boxes admits, a tie settled as 1 (see :class:`_Selectors`)."""
-        selectors = _Selectors(self._operands())
+        column boxes admits, a tie settled as 1, and a selector that a min
+        shares with a drop as the drop decides it, where it does (see
+        :class:`_Selectors`)."""
+        operands = self._operands()
+        selectors = _Selectors(operands)
         lower, upper = np.asarray(self.lower), np.asarray(self.upper)
         value = selectors.decide(lower, upper, ties=True)
-        k = np.flatnonzero(~np.isnan(value))
-        lower[selectors.z[k]] = upper[selectors.z[k]] = value[k]
+        k, m = np.flatnonzero(~np.isnan(value)), operands.f.shape[0]
+        # the mins' decisions, then the drops' over them; within a kind each
+        # selector is one gadget's, so no assignment writes a column twice
+        for kind in (k[k < m], k[k >= m]):
+            lower[selectors.z[kind]] = upper[selectors.z[kind]] = value[kind]
         self.lower[:], self.upper[:] = lower.tolist(), upper.tolist()
 
     def build(self, *, order=None) -> MilpModel:
@@ -409,6 +422,7 @@ def encode_min_equality(
     a: Term,
     b: Term,
     *,
+    z=None,
     name: str | list[str] | None = None,
 ):
     """Add rows forcing ``f = min(a, b)`` and return the selector binary.
@@ -419,6 +433,13 @@ def encode_min_equality(
     terms whose fields broadcast to its shape and a sequence of names, one
     gadget per entry is added, in C order, each one's selector and four
     rows together, and the selectors come back in ``f``'s shape.
+
+    ``z`` names binary columns already in the model, one per gadget, to
+    serve as the selectors in place of new ones; the gadget then adds only
+    its four rows.  The caller vouches that the binary it passes already
+    decides which term is the minimum, as a drop switch does for the min
+    of the speed line and the ceiling that switch lowers (see
+    :class:`_Selectors` for a selector two gadgets decide).
     """
     f = np.asarray(f, dtype=np.int64)
     shape, k = f.shape, f.size
@@ -428,7 +449,12 @@ def encode_min_equality(
     ca, cb = ta[0].astype(np.int64), tb[0].astype(np.int64)
     m_a = _at_least_zero(ta[4] - tb[3])
     m_b = _at_least_zero(tb[4] - ta[3])
-    z = builder.add_variable([f"{tag}.z" for tag in tags], binary=True)
+    if z is None:
+        z = builder.add_variable([f"{tag}.z" for tag in tags], binary=True)
+    else:
+        z = np.asarray(z, dtype=np.int64).reshape(k)
+        if not np.isin(z, builder.binary).all():
+            raise ValueError("a min gadget's selector must be a binary column")
     zero = np.zeros(k)
     builder.add_row(
         [(np.repeat(f, 4), 1.0),
@@ -489,6 +515,15 @@ class _Selectors:
     and the node loop leaves open, since a subtree's optimum may need
     either branch there.  ``keep`` picks the gadgets to read from the
     model's operands.
+
+    A min gadget may read a drop's binary as its selector, so one column
+    can carry two decisions.  In the node loop both are strict, and two
+    that disagree leave no point of the box on either branch: the node
+    closes.  At build time a drop that decides the column wins, tie
+    included, and the min's decision stands only where the drop leaves the
+    column open: the drop reads the state against its threshold directly,
+    the min reads the same comparison through a rounded product, and on
+    the threshold ``v * (c / v)`` can round above ``c``.
     """
 
     def __init__(self, operands: _Operands, keep=slice(None)):
@@ -504,11 +539,16 @@ class _Selectors:
         one = a_hi <= b_lo if ties else a_hi < b_lo
         return np.where(one, 1.0, np.where(b_hi < a_lo, 0.0, np.nan))
 
-    def fixes(self, box, fixes: dict[int, float]) -> dict[int, float]:
-        """The selectors ``box`` decides that ``fixes`` leaves open."""
+    def fixes(self, box, fixes: dict[int, float]) -> dict[int, float] | None:
+        """The selectors ``box`` decides that ``fixes`` leaves open, or
+        ``None`` when two gadgets decide a shared selector both ways."""
         value = self.decide(*box, ties=False)
-        return {int(self.z[k]): float(value[k]) for k in np.flatnonzero(~np.isnan(value))
-                if int(self.z[k]) not in fixes}
+        decided: dict[int, float] = {}
+        for k in np.flatnonzero(~np.isnan(value)):
+            j = int(self.z[k])
+            if j not in fixes and decided.setdefault(j, float(value[k])) != value[k]:
+                return None
+        return decided
 
 
 def _term_ranges(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -789,7 +829,8 @@ def solve_milp(
     its parent's propagated box (the model's box at the root) with the
     node's fixes applied.  Each zero-cost gadget selector that the box
     decides (see :class:`_Selectors`) joins the node's fixes, which its
-    children inherit, and the box is propagated once more.  A box that
+    children inherit, and the box is propagated once more; a box whose
+    gadgets decide a shared selector both ways closes the node.  A box that
     crosses a row or a bound by more than a margin (see
     :class:`_RowPropagation`) closes the node without an LP; it still counts
     against the node budget.  Such a node holds no feasible point of the
@@ -875,6 +916,8 @@ def solve_milp(
         nodes += 1
         box = propagation.box(*parent_box, fixes)
         decided = {} if box is None else selectors.fixes(box, fixes)
+        if decided is None:
+            continue  # two gadgets decide a shared selector both ways
         if decided:
             fixes = {**fixes, **decided}
             box = propagation.box(*box, decided)

@@ -51,7 +51,16 @@ and one-step problems collapse to plain linear programs.
 ``solve_mpc`` owns the planning conventions: it pins the parameter box's
 jam interval onto its upper end (the receiving-flow rows need one jam value
 per cell) and picks the encoding once, the single-component one when every
-box is a point and the two-component tube otherwise.
+box is a point and the two-component tube otherwise. The single-component
+encoding is its own model, not the two-component one with its components
+merged. Its outflow min reads the cell's drop binary as its selector: on a
+point box the drop compares the occupancy with c_max / v of the set whose
+v draws the speed line, so the drop decides the min (speed line at or below
+the threshold, where v*x <= c_max, the dropped ceiling alpha*c_max above
+it), and the tie removes no value of a continuous column. In the
+two-component encoding the outflow threshold reads the primary set's v and
+the speed line the secondary's, so there the min keeps a selector of its
+own.
 
 A dynamics-completion heuristic turns fractional relaxation points into
 candidate plans: take the relaxed metering sequence, clip it to what the
@@ -443,7 +452,8 @@ class _Problem(NamedTuple):
 
 
 # the stage columns of one side: the no-drop flag as "drop", the sending and
-# realized flows, and the selectors of their two minima
+# realized flows, and the selectors of their two minima (the single-component
+# outflow has no "dmin": its min reads "drop")
 _KEYS = ("drop", "d", "dmin", "f", "fmin")
 
 
@@ -456,7 +466,9 @@ class _Layout(NamedTuple):
     of each column and row in the order ``_assemble`` adds them. ``x``
     (T+1, C, 2I), ``u`` (T, I) and ``cols[side, key]`` (T, C, cells) are
     final column indices; every array is read-only, since each plan of the
-    shape shares them.
+    shape shares them. The single-component layout has no ``("out",
+    "dmin")`` column, but its names keep the gadget's tag, which names the
+    min's four rows.
     """
 
     names: dict
@@ -468,7 +480,12 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _layout(t: int, n: int, reduced: bool) -> _Layout:
-    """The layout of the horizon-t model over n cells, built on first use."""
+    """The layout of the horizon-t model over n cells, built on first use.
+
+    ``reduced`` is the single-component layout: one component, no merge
+    side, and no selector column for the outflow min, whose four rows stay
+    in place and read the drop binary. The two-component layout is the
+    cell-by-cell encoding's, selector columns included."""
     tags = ("m",) if reduced else ("up", "lo")
     sides = ("out",) if reduced else ("out", "merge")
     c_n = len(tags)
@@ -476,7 +493,8 @@ def _layout(t: int, n: int, reduced: bool) -> _Layout:
     # the states and controls. Within a block, runs of cells; each cell of
     # a run has its columns and rows together: (side, cells, column keys,
     # (row group, rows per cell) pairs).
-    runs = [("out", n, ("drop", "d", "dmin"), (("drop", 2), ("dmin", 4))),
+    runs = [("out", n, ("drop", "d") if reduced else ("drop", "d", "dmin"),
+             (("drop", 2), ("dmin", 4))),
             ("out", n - 1, ("f", "fmin"), (("fmin", 4),))]
     if not reduced:
         runs.append(("merge", n - 1, _KEYS, (("drop", 2), ("dmin", 4), ("fmin", 4))))
@@ -502,14 +520,18 @@ def _layout(t: int, n: int, reduced: bool) -> _Layout:
                    for k in range(t + 1) for tag in tags for j in range(2 * n)),
         "u": tuple(f"u[{k}][{i}]" for k in range(t) for i in range(n)),
     }
-    for (side, key), at in cols.items():
-        names[side, key] = tuple(f"{key}.{side}.{tag}[{k}][{i}]" for k in range(t)
-                                 for tag in tags for i in range(at.shape[-1]))
+    # the gadget runs' column names and the tags that name their gadgets'
+    # rows (the conservation run, last, is named below)
+    for side, cells, keys, row_groups in runs[:-1]:
+        for key in (*keys, *(group for group, _ in row_groups)):
+            names[side, key] = tuple(f"{key}.{side}.{tag}[{k}][{i}]" for k in range(t)
+                                     for tag in tags for i in range(cells))
     for group in ("x", "q"):
         names[f"dyn.{group}"] = tuple(f"dyn.{group}.{tag}[{k}][{i}]" for k in range(t)
                                       for tag in tags for i in range(n))
     # the order _assemble adds the groups in
-    col_at = [np.arange(n_state + t * n)] + [cols[side, key] for side in sides for key in _KEYS]
+    col_at = [np.arange(n_state + t * n)] + [cols[side, key] for side in sides
+                                              for key in _KEYS if (side, key) in cols]
     row_at = [rows[side, group] for side in sides for group in ("drop", "dmin", "fmin")]
     row_at += [rows["dyn", "x"], rows["dyn", "q"]]
     layout = _Layout(names, tuple(np.concatenate([a.ravel() for a in at])
@@ -526,7 +548,9 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     """Encode the horizon problem over a box with one jam profile.
 
     Feasibility is left to the solver. ``reduced`` selects the
-    single-component encoding, which is exact only on point boxes.
+    single-component encoding, which is exact only on point boxes; its
+    outflow min takes the drop binary as selector (``z`` of
+    ``milp.encode_min_equality``) and the codec writes no column for it.
     """
     p_up, p_lo = bounds.upper, bounds.lower
     n = p_up.n_cells
@@ -588,7 +612,7 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     own = xs[:t, :, :n]
     ids = {}
     # per side, the groups drop, d, dmin, f and fmin, in the order the
-    # layout places them
+    # layout places them; the single-component min reads its drop as selector
     for side, p in (("out", pair.secondary), ("merge", pair.primary))[:1 + merge]:
         rng, names = ranges[side], {key: lay.names[side, key] for key in _KEYS}
         cells = rng["d"][0].shape[-1]
@@ -601,7 +625,8 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
         cap, alpha = p.c_max[:, :cells], p.alpha[:, :cells]
         milp.encode_min_equality(
             bld, d, milp.Term(own[..., :cells], p.v[:, :cells], 0.0, *rng["vx"]),
-            milp.Term(drop, (1.0 - alpha) * cap, alpha * cap, *rng["xi"]), name=names["dmin"])
+            milp.Term(drop, (1.0 - alpha) * cap, alpha * cap, *rng["xi"]),
+            z=drop if reduced else None, name=names["dmin"])
         f = bld.add_variable(names["f"], lower=rng["f"][0][..., :n - 1],
                              upper=rng["f"][1][..., :n - 1]).reshape(t, c_n, n - 1)
         coef = p.w[:, 1:] / beta
@@ -626,8 +651,10 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
     bld.fix_decided()
     model = bld.build(order=lay.order)
 
-    sides = [(side, [lay.cols[side, key] for key in _KEYS])
-             for side in ("out", "merge")[:1 + merge]]
+    # each stage column's value from the kernel's flows of its side
+    value = {"drop": lambda at: at.keep, "d": lambda at: at.d,
+             "dmin": lambda at: at.vx <= at.xi, "f": lambda at: at.f[..., :n - 1],
+             "fmin": lambda at: at.d[..., :n - 1] <= at.s}
 
     def encode(u_seq):
         """Roll the tube under a clipped metering plan into a column vector,
@@ -640,13 +667,8 @@ def _assemble(xhat, demand, bounds, config, terminal, *, reduced):
             u_k = np.clip(u_seq[k], 0.0, np.minimum(ucap[k], state[-1, n:] + lam_lo))
             flows = _tube_flows(state, state[::-1], u_k, lam, pair.terms)
             vec[lay.u[k]] = u_k
-            for side, (drop, d, dmin, f, fmin) in sides:
-                at = getattr(flows, side)
-                vec[drop[k]] = at.keep
-                vec[d[k]] = at.d
-                vec[dmin[k]] = at.vx <= at.xi
-                vec[f[k]] = at.f[..., :n - 1]
-                vec[fmin[k]] = at.d[..., :n - 1] <= at.s
+            for (side, key), at in lay.cols.items():
+                vec[at[k]] = value[key](getattr(flows, side))
             state = flows.next
             vec[lay.x[k + 1]] = state
         return vec
@@ -692,9 +714,15 @@ def solve_mpc(
     jam value per cell to stay affine, and the upper end keeps every
     admissible merge admissible in the plan. And it picks the encoding:
     when the state box, demand box and (pinned) parameter box are all
-    degenerate the two tube components coincide, and a single-component
-    encoding (half the columns, half the binaries) is solved instead, its
-    decoded trajectories shared between the tube sides. The result is
+    degenerate the tube map's two components coincide, and a
+    single-component encoding is solved instead, its decoded trajectories
+    shared between the tube sides. At horizon 3 on four cells it has 86
+    columns and 21 binaries against the two-component model's 274 and 120.
+    The two components need not coincide in the two-component model: on a
+    drop threshold, where the kernel keeps full capacity, each
+    component's switch admits either branch, so that model can reach below
+    the single-component optimum with its lower component ending above its
+    upper one. The result is
     always an optimal plan: an infeasible horizon raises
     ``InfeasibleProblem``, and a solver budget overrun raises
     ``SolveBudgetExceeded``, whose message names the nodes, the incumbent

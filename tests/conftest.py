@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rampflow.ctm import FreewayParams, OutputModel, mainline_outflow, ramp_outflow
 from rampflow.embedding import DemandBounds, LiftedState, _terms, _tube_flows
@@ -43,6 +44,19 @@ def point_demand(lam) -> DemandBounds:
     """The arrival box [lam, lam], with copied corners."""
     lam = np.asarray(lam, dtype=float)
     return DemandBounds(upper=lam.copy(), lower=lam.copy())
+
+
+def highs_milp(model, **options):
+    """HiGHS (``scipy.optimize.milp``) on ``model``, with its ``options``."""
+    lp = model.lp
+    lo = np.where(lp.row_senses == "L", -np.inf, lp.rhs)
+    hi = np.where(lp.row_senses == "G", np.inf, lp.rhs)
+    integrality = np.zeros(lp.n_cols)
+    integrality[model.binaries] = 1
+    return scipy.optimize.milp(
+        lp.obj, constraints=scipy.optimize.LinearConstraint(lp.matrix(), lo, hi),
+        integrality=integrality, options=options,
+        bounds=scipy.optimize.Bounds(lp.col_lower, lp.col_upper))
 
 
 def full_output(n_cells: int) -> OutputModel:

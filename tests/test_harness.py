@@ -17,7 +17,8 @@ from rampflow import _simplex, cli, controllers, harness, milp
 from rampflow.embedding import PARAM_FIELDS, _tube_flows
 from rampflow.harness import ScenarioError, emit_csv, parse_scenario, read_log
 
-from test_milp import _highs_milp
+from conftest import highs_milp
+
 
 PRESET = harness.PRESETS["fourcell_constant"]
 
@@ -330,6 +331,20 @@ def test_a_one_cell_stretch_runs_without_beta(tmp_path, capsys):
         assert len(back) == 6
         records.append(out.read_bytes())
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("block", ["params", "boxes"])
+def test_a_one_cell_stretch_refuses_beta_with_its_line(block):
+    """A one-cell stretch has no link, so a ``beta`` value could only be
+    broadcast to none; the parser names its line instead."""
+    if block == "params":
+        text, line = _edit(_ONE_CELL, "  cells 1", ["  beta 0.9"])
+    else:
+        text = _ONE_CELL + "boxes {\n  beta 0.7 0.9\n}\n"
+        line = len(_ONE_CELL.splitlines()) + 2
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"line {line}: {block}.beta: a one-cell stretch has no link"
 
 
 def test_run_command_exits_with_the_scenario_error(tmp_path, capsys):
@@ -875,7 +890,7 @@ def test_generated_closed_loops_keep_the_truth_in_their_boxes(monkeypatch):
         draws.append((any(step.phase == "mpc" for step in log.steps), moved))
         later.append(max(len(plans) - 1, 0))
         for model, sol in plans:
-            ref = _highs_milp(model, mip_rel_gap=0.0)
+            ref = highs_milp(model, mip_rel_gap=0.0)
             assert (sol.status, ref.status) in ((milp.OPTIMAL, 0), (milp.INFEASIBLE, 2)), text
             if ref.status == 0:
                 assert abs(sol.objective - ref.fun) <= sol.gap + 1e-6 * (1.0 + abs(ref.fun))
@@ -967,6 +982,6 @@ def test_rows_tight_up_to_rounding_close_no_node(monkeypatch):
         harness.run_closed_loop(parse_scenario(_TIGHT_ROWS_DRAW))
     monkeypatch.undo()
     sol = milp.solve_milp(models[0], budget=milp.MilpBudget())
-    ref = _highs_milp(models[0], mip_rel_gap=0.0)
+    ref = highs_milp(models[0], mip_rel_gap=0.0)
     assert (sol.status, ref.status) == (milp.OPTIMAL, 0)
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9)

@@ -29,6 +29,7 @@ from rampflow.milp import (
     solve_milp,
 )
 
+from conftest import highs_milp
 from test_mpc import pinned_problem, random_box, random_param_pair
 
 
@@ -560,17 +561,36 @@ def _node_tie_model(push):
     return b.build(), y, w, z
 
 
-def _highs_milp(model, **options):
-    """HiGHS (``scipy.optimize.milp``) on ``model``, with its ``options``."""
+def test_a_selector_two_gadgets_decide_both_ways_closes_the_node():
+    """A min reads a drop's binary as its selector. The root box puts x
+    strictly below the drop's threshold (1) and the min's constant term b
+    strictly below a (0): no point of the box lies on either branch, so the
+    root closes without an LP, although its relaxation has a point. The
+    min adds rows only, and refuses a selector that is not a binary."""
+    b = ModelBuilder("shared")
+    x = b.add_variable("x", lower=0.0, upper=0.5)
+    y = b.add_variable("y", lower=1.0, upper=2.0)
+    f = b.add_variable("f", lower=0.0, upper=2.0)
+    z = encode_capacity_drop(b, x, 1.0)
+    a_term, b_term = Term(y, 1.0, 0.0, 1.0, 2.0), Term(y, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="binary"):
+        encode_min_equality(b, f, a_term, b_term, z=y)
+    assert encode_min_equality(b, f, a_term, b_term, z=z) == z
+    model = b.build()
+    assert (model.lp.n_cols, model.lp.n_rows, model.binaries.tolist()) == (4, 6, [z])
     lp = model.lp
-    lo = np.where(lp.row_senses == "L", -np.inf, lp.rhs)
-    hi = np.where(lp.row_senses == "G", np.inf, lp.rhs)
-    integrality = np.zeros(lp.n_cols)
-    integrality[model.binaries] = 1
-    return scipy.optimize.milp(
-        lp.obj, constraints=scipy.optimize.LinearConstraint(lp.matrix(), lo, hi),
-        integrality=integrality, options=options,
-        bounds=scipy.optimize.Bounds(lp.col_lower, lp.col_upper))
+    root = milp._RowPropagation(lp).box(lp.col_lower, lp.col_upper, {})
+    assert root is not None
+    selectors = milp._Selectors(model.operands)
+    assert selectors.decide(*root, ties=False).tolist() == [0.0, 1.0]
+    assert selectors.fixes(root, {}) is None
+    assert selectors.fixes(root, {z: 1.0}) == {}
+    sol = solve_milp(model, budget=MilpBudget())
+    assert (sol.status, sol.nodes, sol.iterations) == (INFEASIBLE, 1, 0)
+    assert highs_milp(model).status == 2
+    # at build time the drop's decision wins
+    b.fix_decided()
+    assert b.lower[z] == b.upper[z] == 1.0
 
 
 @pytest.mark.parametrize("push", [1.0, 0.0, -1.0])
@@ -582,7 +602,7 @@ def test_a_tie_in_a_node_box_leaves_the_selector_to_branching(push):
     root = milp._RowPropagation(lp).box(lp.col_lower, lp.col_upper, {})
     assert np.isnan(milp._Selectors(model.operands).decide(*root, ties=False)).all()
     sol = solve_milp(model, budget=MilpBudget())
-    ref = _highs_milp(model)
+    ref = highs_milp(model)
     assert sol.status == OPTIMAL and ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
     assert not check_solution(model, sol.x, tol=1e-7)
@@ -611,7 +631,7 @@ def test_a_selector_a_node_box_decides_is_fixed_and_inherited(monkeypatch):
     monkeypatch.setattr(milp._Selectors, "fixes", spy)
     monkeypatch.setattr(milp, "solve_canonical", lp_spy)
     sol = solve_milp(model, budget=MilpBudget())
-    assert sol.objective == pytest.approx(_highs_milp(model).fun, abs=1e-7)
+    assert sol.objective == pytest.approx(highs_milp(model).fun, abs=1e-7)
     decided = [k for k, (_, new) in enumerate(fixes) if new]
     assert [fixes[k][1] for k in decided] == [{z: 1.0}]
     k = decided[0]
@@ -1902,7 +1922,7 @@ def test_a_replayed_root_basis_keeps_every_plan_exact(monkeypatch):
             gap = max(kwargs["budget"].gap_abs,
                       kwargs["budget"].gap_rel * abs(crashed.objective))
             assert abs(replayed.objective - crashed.objective) <= gap
-            ref = _highs_milp(model)
+            ref = highs_milp(model)
             assert ref.status == 0
             assert abs(replayed.objective - ref.fun) <= gap
             assert replayed.bound <= ref.fun + 1e-6 * (1.0 + abs(ref.fun))

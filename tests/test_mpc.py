@@ -1,6 +1,7 @@
 """Horizon planning: frozen values, encoding census, solve paths, certificates."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rampflow.embedding import (
     _tube_flows,
 )
 
-from conftest import homogeneous_params, random_params, tube_flows
+from conftest import highs_milp, homogeneous_params, random_params, tube_flows
 
 X_UNC = np.array([38.34, 37.846, 37.4014, 37.00126])
 B_MAIN = np.array([6.878, 5.42, 3.8, 2.0])
@@ -226,9 +227,9 @@ def test_census_covers_the_single_component_encoding(
     term = mpc.TerminalSet.drained(mpc.compute_xup(nominal_demand, stretch))
     prob = mpc._assemble(equilibrium_box(), demand, point_params,
                          default_config(3), term, reduced=True)
-    assert prob.model.lp.n_cols == 98
+    assert prob.model.lp.n_cols == 86
     assert prob.model.lp.n_rows == 132
-    assert len(prob.model.binaries) == 33
+    assert len(prob.model.binaries) == 21
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["tube", "single"])
@@ -399,7 +400,7 @@ def pinned_case(name, stretch, nominal_demand):
     if name == "on the drop threshold":
         # cell 1 starts exactly at c_max / v, so its first-stage drop switch
         # is decided with both big-M constants zero
-        x0 = np.concatenate([[40.0], X_UNC[1:], np.zeros(4)])
+        x0 = np.concatenate([[stretch.c_max[0] / stretch.v[0]], X_UNC[1:], np.zeros(4)])
         return LiftedState(upper=x0, lower=x0.copy()), point_dem, 3, drained, True, 1.0
     # the mainline caps sit below the propagated reach of the last stage
     return (equilibrium_box(), point_dem, 2,
@@ -408,20 +409,20 @@ def pinned_case(name, stretch, nominal_demand):
 
 PINNED_MODELS = {
     # sha256 of (dump_model text, encoded plan) as the cell-by-cell encoding wrote them
-    "point T=1": ("83119709caf6d6ce54395361dde4b27ad0db92c02a785c08fb5123e47a98f6d7",
-                  "2c07ba16a56fd459076c6250d6583bd3301e9298b6ca41dcc0206b6ecaf90c7d"),
-    "point T=2": ("2692c7a864449b0fe8a2408d50749e7b83d7ba18fbd3e1613da9cd166f2266ea",
-                  "7d1d8398ac734e5b70660b6f507028ca7a71b5024d71260477f33119e2eb309c"),
-    "point T=10": ("03efd0f832181c8fec30bf7d7cb39c9e1b0bfe9a244a4de7fb89ce370c8383c5",
-                   "dcd7bba17873fbdb3aab13b831bfb985a166652c34a1f57c2aa69430f0b49b8f"),
+    "point T=1": ("37163af8b44631c43f26bb27bb348d120df73a00b8a4256d2314911c1de752e3",
+                  "be27798926b01bdb473a32d0563d15b15386bc917c87b55656334708517b8d10"),
+    "point T=2": ("dc4a06fec7b80774fbd2f6718826088537acf3979c2f4ef0b3b0093034a62be5",
+                  "dbb1714040259749254e3072e8b81951b8b4472bb70ad09ef81899306c3eeec3"),
+    "point T=10": ("28bc83d8ec6f192c3d6bed36927620dd5f8510394ffdc7b1f7289c704473afb5",
+                   "f908e8d4a5a519b087d845a0ae7670cae9f5e8d8f6538551ba03613e7695042c"),
     "interval T=1": ("bc2020854d9ad3f36e1836ccdb5fce7793257b77517d1bc94fe37525263a51cb",
                      "541fd900e343ec5e3f33095ba0415b0fe39872819fb9bacd185d3965dd43991c"),
     "interval T=5": ("435d0073ecec1deda6c6bfe38b1deb2e68d5a660eb7b5001745c493ad6e22fb2",
                      "5eab3f42134ac5174dee3220ffb4dad2bab40622902b3479b17440ccc3a26d2a"),
-    "on the drop threshold": ("4183e18da53b5250c64514967669448aa2cff1570cfac96b1843a6127984ee53",
-                              "5d84745fbe3b9cd999bc43a7a6f1d79bc1cfaad7f5fabdeab5a9aac67b606062"),
-    "terminal binds": ("3bbccf23c34b241af806b9c8cf272ca9b85977660041b441aa2d92d497a55463",
-                       "42ce040273d3a15fb1418aeecc6ee0d185c29fed97667f455663e6e20b0f3692"),
+    "on the drop threshold": ("88a8173ac4b33254796d4e51f0ef823a7462f3d47a772c2c037f0ced54409980",
+                              "a06f7195caa88f1b200188a705b0b27ad5a98a86ffb3371241fee707d57410fb"),
+    "terminal binds": ("6335888a9a5dc2e939e1205a218126662497361ae6059cf7be91a997fa2f928d",
+                       "4852d89b55cbc7a676570be6b128d22e567d413d67a140366cc3a845fa716511"),
 }
 
 
@@ -444,6 +445,122 @@ def test_the_planner_builds_its_pinned_models(stretch, nominal_demand, point_par
         lp = prob.model.lp
         last = [lp.col_upper[lp.col_names.index(f"x.m[2][{i}]")] for i in range(4)]
         assert np.any(np.array(last) == terminal.x_f[:4])
+
+
+# the pinned threshold case at a speed where v * (c_max / v) rounds above c_max
+ROUNDED = "on the drop threshold at v 0.54"
+
+
+def oracle_case(seed):
+    """A point box at horizon 2 or 3 drawn from ``seed``: random cells, a
+    state near their drop thresholds with one cell exactly on its threshold
+    in every third draw, and a terminal box that some draws cannot reach.
+    Returns the inputs of ``mpc._assemble`` but ``reduced``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    params = random_params(rng, n, wave_sum_cap=True)
+    crit = params.c_max / params.v  # as the kernel computes the threshold
+    x = np.concatenate([np.minimum(crit * rng.uniform(0.5, 1.4, n), params.x_jam),
+                        rng.uniform(0.0, 8.0, n)])
+    if seed % 3 == 0:
+        i = int(rng.integers(n))
+        x[i] = crit[i]
+    lam = params.c_max * rng.uniform(0.05, 0.4, n)
+    t = 2 + seed % 2
+    cap = np.maximum(x[:n], crit) * rng.uniform(1.1, 1.8, n) * (0.4 if seed % 8 == 5 else 1.0)
+    terminal = mpc.TerminalSet.mainline_only(cap) if seed % 5 else mpc.TerminalSet.drained(cap)
+    config = mpc.MpcConfig(t, mpc.CostSpec(l=np.ones(2 * n), b=np.ones(2 * n), d=np.ones(n)))
+    return (LiftedState(upper=x, lower=x.copy()), DemandBounds(upper=lam, lower=lam.copy()),
+            ParamBounds(params, params), config, terminal)
+
+
+def oracle_inputs(case, stretch, nominal_demand):
+    """The inputs of ``mpc._assemble`` but ``reduced`` for a case of
+    ``UNTIED_OPTIMA``: a pinned point case, ``ROUNDED`` or a seed."""
+    if not isinstance(case, str):
+        return oracle_case(case)
+    if case == ROUNDED:
+        stretch = replace(stretch, v=np.full(4, 0.54))
+        box, dem, t, _, _, _ = pinned_case("on the drop threshold", stretch, nominal_demand)
+        terminal = mpc.TerminalSet.mainline_only(np.full(4, 60.0))
+    else:
+        box, dem, t, terminal, _, _ = pinned_case(case, stretch, nominal_demand)
+    return box, dem, ParamBounds(stretch, stretch), default_config(t), terminal
+
+
+# HiGHS optima (gap 0) of the single-component models built with a selector
+# column of its own on every outflow min, before the min read the drop binary;
+# None marks an infeasible model
+UNTIED_OPTIMA = {
+    "point T=1": 835.5443400000001,
+    "point T=2": 986.1330000000002,
+    "on the drop threshold": 1148.1391400000002,
+    "terminal binds": 986.1330000000002,
+    ROUNDED: 1112.89118404593,
+    0: None,
+    1: 434.99740845185283,
+    2: 629.0918819521502,
+    3: 749.374252379692,
+    4: 871.2653092651333,
+    5: None,
+    6: None,
+    7: 511.0541780737564,
+    8: 248.47940962327786,
+    9: 529.2618575419862,
+    10: 755.9985792391358,
+    11: 487.7810905880675,
+    12: 516.3063330270878,
+    13: None,
+    14: 472.31033865862406,
+    15: 1247.7098473128694,
+    16: 604.2395741885102,
+    17: 445.63219594244157,
+    18: 550.038952957087,
+    19: None,
+    20: 539.8708583772019,
+    21: 569.9919610295851,
+    22: 541.0590394647618,
+    23: 262.40526344441133,
+}
+
+
+@pytest.mark.parametrize("case", UNTIED_OPTIMA)
+def test_the_shared_selector_keeps_the_untied_optimum(stretch, nominal_demand, case):
+    """The outflow min reads the drop binary as its selector, which removes
+    no value of any continuous column on a point box: HiGHS at gap 0 finds
+    each model's optimum where it found the untied model's, infeasible
+    models included."""
+    prob = mpc._assemble(*oracle_inputs(case, stretch, nominal_demand), reduced=True)
+    ref = highs_milp(prob.model, mip_rel_gap=0.0)
+    if UNTIED_OPTIMA[case] is None:
+        assert ref.status == 2
+    else:
+        assert ref.status == 0
+        assert ref.fun == pytest.approx(UNTIED_OPTIMA[case], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["on the drop threshold", ROUNDED])
+def test_the_drop_decides_the_selector_it_shares_on_its_threshold(
+        stretch, nominal_demand, case):
+    """Cell 1 starts exactly on its drop threshold c_max / v, where the drop
+    switch ties and is settled as 1. At v = 0.54, v * (c_max / v) rounds
+    above c_max, so the min alone would decide the same selector as 0, by
+    one ulp: at build time the drop's decision wins. The seed plan's
+    rollout, which keeps cell 1 at full capacity as the kernel does, passes
+    the candidate check."""
+    inputs = oracle_inputs(case, stretch, nominal_demand)
+    prob = mpc._assemble(*inputs, reduced=True)
+    lp, ops = prob.model.lp, prob.model.operands
+    z = lp.col_names.index("drop.out.m[0][0].z")
+    assert lp.col_lower[z] == lp.col_upper[z] == 1.0
+    alone = milp._Selectors(ops).decide(lp.col_lower, lp.col_upper, ties=True)
+    (k_min, k_drop) = np.flatnonzero(ops.z == z)
+    assert k_min < ops.f.size <= k_drop
+    assert (alone[k_min], alone[k_drop]) == ((0.0 if case == ROUNDED else 1.0), 1.0)
+    t = inputs[3].horizon
+    vec = prob.encode(np.tile(inputs[1].upper, (t, 1)))
+    assert vec[z] == 1.0
+    assert not milp.check_solution(prob.model, vec, tol=1e-7)
 
 
 # --------------------------------------------------------- solve paths
@@ -558,7 +675,7 @@ def pinned_problem(kind, nominal_demand, stretch, point_params):
 
 
 @pytest.mark.parametrize("kind, seeded, nodes, iterations, objective", [
-    ("point", False, 25, 162, "0x1.41d3dc486ad2ep+10"),
+    ("point", False, 13, 146, "0x1.41d3dc486ad2fp+10"),
     ("point", True, 1, 8, "0x1.41d3dc486ad2ep+10"),
     ("interval", False, 135, 291, "0x1.24a3a81f6e5a6p+10"),
     ("interval", True, 17, 69, "0x1.24a3a81f6e5a6p+10"),

@@ -19,7 +19,8 @@ among the basic columns summed over those factorizations (as
 ``slacks/columns``), the LP solves that
 took the dual simplex (``_simplex._Worker._dual`` calls), the gadget
 selectors that nodes fixed from their propagated boxes (summed over
-``milp._Selectors.fixes``), the incumbent-hook calls that reached the
+``milp._Selectors.fixes``; a node whose gadgets decide a shared selector
+both ways fixes none), the incumbent-hook calls that reached the
 planner's ``encode`` (those that returned a vector rather than ``None``),
 ``tts_veh``, the stacked propagations of
 the parameter contraction with the boxes they carry (counted by wrapping
@@ -38,7 +39,9 @@ certified probe, against the probe rows those stacks certified (the
 whole box left out), the difference being what stacking ahead cost, the
 row propagations of the branch-and-bound nodes and how many of them closed
 a box (as ``calls/closed``, counted by wrapping
-``milp._RowPropagation.box``), and under ``models`` the sha256 of
+``milp._RowPropagation.box``), under ``binaries`` the binary columns
+summed over every model ``milp.solve_milp`` received (a reformulation that
+drops binaries shows here), and under ``models`` the sha256 of
 the joined ``milp.dump_model`` text of every model ``milp.solve_milp``
 received. Two
 commits that print the same digest, plan ticks, solves, pivots and
@@ -96,7 +99,7 @@ def main(argv=None) -> int:
     replay = _simplex._replay
     probe_stack = estimators._probe_stack
     stepped, verdicts = estimators._stepped, estimators._verdicts
-    counts = [0] * 23
+    counts = [0] * 24
     models = hashlib.sha256()
     # [a root solve is next, the replay gate accepted a basis]
     root = [False, False]
@@ -160,6 +163,7 @@ def main(argv=None) -> int:
         if incumbent_hook is not None:
             kwargs["incumbent_hook"] = counted_hook
         models.update(milp.dump_model(args[0]).encode())
+        counts[23] += args[0].binaries.shape[0]
         root[0] = True
         sol = solve_milp(*args, **kwargs)
         root[0] = False
@@ -191,7 +195,7 @@ def main(argv=None) -> int:
 
     def counted_fixes(selectors, box, fixes):
         decided = box_fixes(selectors, box, fixes)
-        counts[7] += len(decided)
+        counts[7] += len(decided or ())
         return decided
 
     milp.solve_canonical = counted
@@ -216,7 +220,7 @@ def main(argv=None) -> int:
             return log, path.read_bytes()
 
         for name, seed in itertools.product(WORKLOADS, seeds):
-            counts[:] = [0] * 23
+            counts[:] = [0] * 24
             models = hashlib.sha256()
             log, blob = run(load_workload(name, seed))
             digest = hashlib.sha256(blob).hexdigest()
@@ -237,8 +241,8 @@ def main(argv=None) -> int:
                   f"stacks {counts[16]}/{counts[17] - counts[16]} "
                   f"probes {counts[21]}/{counts[22]} "
                   f"propagations {counts[11]}/{counts[12]} "
-                  f"models {models.hexdigest()}")
-        counts[:] = [0] * 23
+                  f"binaries {counts[23]} models {models.hexdigest()}")
+        counts[:] = [0] * 24
         text = edit_preset(harness.PRESETS["fourcell_constant"], PARTIAL)
         scenario = harness.parse_scenario(f"{text}output {{\n  mask {PARTIAL_MASK}\n}}\n",
                                           name="fourcell_constant")
